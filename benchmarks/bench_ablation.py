@@ -13,31 +13,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import HeuristicTriple
 from repro.core.reporting import format_table
 
 from conftest import write_artifact
 
 
-def _mean_over_logs(campaign, triple: HeuristicTriple) -> float:
-    return float(
-        np.mean([campaign.mean(log, triple) for log in campaign.config.logs])
-    )
+def _mean_over_logs(campaign, triple: str) -> float:
+    return float(np.mean([campaign.mean(log, triple) for log in campaign.logs()]))
 
 
 def test_ablation_backfill_order(campaign, benchmark):
     """SJBF vs FCFS scan order, holding the prediction technique fixed."""
     rows = []
     for predictor, corrector in [
-        ("clairvoyant", None),
-        ("requested", None),
+        ("clairvoyant", "none"),
+        ("requested", "none"),
         ("ave2", "incremental"),
         ("ml:sq-lin-large-area", "incremental"),
     ]:
-        fcfs = _mean_over_logs(campaign, HeuristicTriple(predictor, corrector, "easy"))
-        sjbf = _mean_over_logs(
-            campaign, HeuristicTriple(predictor, corrector, "easy-sjbf")
-        )
+        fcfs = _mean_over_logs(campaign, f"{predictor}|{corrector}|easy")
+        sjbf = _mean_over_logs(campaign, f"{predictor}|{corrector}|easy-sjbf")
         rows.append((predictor, fcfs, sjbf, f"{(fcfs - sjbf) / fcfs * 100:.0f}%"))
     table = format_table(
         ["Predictor", "FCFS order", "SJBF order", "SJBF gain"],
@@ -50,7 +45,7 @@ def test_ablation_backfill_order(campaign, benchmark):
     clair_row = rows[0]
     assert clair_row[2] < clair_row[1], "SJBF must beat FCFS under clairvoyance"
 
-    benchmark(lambda: [_mean_over_logs(campaign, HeuristicTriple("clairvoyant", None, s))
+    benchmark(lambda: [_mean_over_logs(campaign, f"clairvoyant|none|{s}")
                        for s in ("easy", "easy-sjbf")])
 
 
@@ -60,7 +55,7 @@ def test_ablation_correction_mechanism(campaign, benchmark):
     for predictor in ("ave2", "ml:sq-lin-large-area"):
         scores = {
             corrector: _mean_over_logs(
-                campaign, HeuristicTriple(predictor, corrector, "easy-sjbf")
+                campaign, f"{predictor}|{corrector}|easy-sjbf"
             )
             for corrector in ("requested", "incremental", "doubling")
         }
@@ -78,16 +73,15 @@ def test_ablation_correction_mechanism(campaign, benchmark):
     for row in rows:
         assert all(np.isfinite(v) and v >= 1.0 for v in row[1:])
 
-    benchmark(lambda: _mean_over_logs(
-        campaign, HeuristicTriple("ave2", "incremental", "easy-sjbf")))
+    benchmark(lambda: _mean_over_logs(campaign, "ave2|incremental|easy-sjbf"))
 
 
 def test_ablation_loss_asymmetry(campaign, benchmark):
     """Symmetric squared loss vs the asymmetric E-Loss, same context."""
-    symmetric = HeuristicTriple("ml:sq-sq-constant", "incremental", "easy-sjbf")
-    eloss = HeuristicTriple("ml:sq-lin-large-area", "incremental", "easy-sjbf")
+    symmetric = "ml:sq-sq-constant|incremental|easy-sjbf"
+    eloss = "ml:sq-lin-large-area|incremental|easy-sjbf"
     rows = []
-    for log in campaign.config.logs:
+    for log in campaign.logs():
         rows.append(
             (log, campaign.mean(log, symmetric), campaign.mean(log, eloss))
         )
@@ -110,7 +104,7 @@ def test_ablation_loss_asymmetry(campaign, benchmark):
 
     # Both losses must still deliver the headline property: better than
     # EASY on average.
-    easy_mean = _mean_over_logs(campaign, HeuristicTriple("requested", None, "easy"))
+    easy_mean = _mean_over_logs(campaign, "requested|none|easy")
     assert eloss_mean < easy_mean
     assert sym_mean < easy_mean
 

@@ -182,7 +182,7 @@ def run_scenario(
 def run_dispatch_bench(quick: bool) -> dict:
     """Per-cell dispatch overhead: fsqueue backend vs in-process backend.
 
-    Runs one small campaign cell-set twice through ``run_campaign``'s
+    Runs one small campaign cell-set twice through ``run_cells``'s
     broker layer -- once on :class:`repro.dist.LocalBroker` (single
     inline worker) and once on :class:`repro.dist.FsQueueBroker` with a
     single in-thread ``run_worker`` draining a tmp queue -- and charges
@@ -194,14 +194,12 @@ def run_dispatch_bench(quick: bool) -> dict:
     import tempfile
     import threading
 
-    from repro.core import CampaignConfig
-    from repro.core.campaign import trace_digest
+    from repro.core.campaign import workload_digest
     from repro.dist import FsQueueBroker, LocalBroker, run_worker
+    from repro.spec import CellSpec
 
     log = "KTH-SP2"
     n_jobs = 100 if quick else 250
-    config = CampaignConfig(logs=(log,), n_jobs=n_jobs, replicas=1)
-    seed = config.seeds_for(log)[0]
     triple_keys = [
         "requested|none|easy",
         "requested|none|easy-sjbf",
@@ -212,8 +210,8 @@ def run_dispatch_bench(quick: bool) -> dict:
         "ave3|incremental|easy-sjbf",
         "requested|none|conservative",
     ]
-    cells = [config.cell_spec(log, key, seed) for key in triple_keys]
-    trace_digest(log, n_jobs, seed)  # warm the shared bundle cache
+    cells = [CellSpec.from_triple(log, key, n_jobs=n_jobs) for key in triple_keys]
+    workload_digest(cells[0].workload)  # warm the shared bundle cache
 
     def on_result(_spec, _value, _seconds=None):
         pass
@@ -262,12 +260,11 @@ def run_batch_bench(quick: bool) -> dict:
     across the group.  Minimum over a few repetitions per side so
     background noise cancels.
     """
-    from repro.core import BatchRunner, CampaignConfig, clear_bundle_cache, run_cell
+    from repro.core import BatchRunner, clear_bundle_cache, run_cell
+    from repro.spec import CellSpec
 
     log = "KTH-SP2"
     n_jobs = 100 if quick else 250
-    config = CampaignConfig(logs=(log,), n_jobs=n_jobs, replicas=1)
-    seed = config.seeds_for(log)[0]
     triple_keys = [
         "requested|none|easy",
         "requested|none|easy-sjbf",
@@ -278,7 +275,7 @@ def run_batch_bench(quick: bool) -> dict:
         "ave3|incremental|easy-sjbf",
         "requested|none|conservative",
     ]
-    cells = [config.cell_spec(log, key, seed) for key in triple_keys]
+    cells = [CellSpec.from_triple(log, key, n_jobs=n_jobs) for key in triple_keys]
 
     reps = 2 if quick else 3
     sequential = batched = float("inf")

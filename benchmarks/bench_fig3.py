@@ -9,33 +9,33 @@ motivating cross-validated selection.
 
 from __future__ import annotations
 
-from repro.core import HeuristicTriple, campaign_triples, reference_triples
 from repro.core.reporting import ascii_scatter
 from repro.metrics import correlation_summary
 
 from conftest import write_artifact
 
 
-def _family(triple: HeuristicTriple) -> str:
-    if triple.is_clairvoyant:
+def _family(label: str) -> str:
+    predictor, _corrector, scheduler = label.split("|")
+    if predictor == "clairvoyant":
         base = "Clairvoyant"
-    elif triple.uses_learning:
+    elif predictor.startswith("ml:"):
         base = "Machine Learning"
-    elif triple.predictor == "ave2":
+    elif predictor == "ave2":
         base = "AVE2"
     else:
         base = "Requested Time"
-    sched = "SJBF" if triple.scheduler == "easy-sjbf" else "FCFS"
+    sched = "SJBF" if scheduler == "easy-sjbf" else "FCFS"
     return f"{base} / {sched}"
 
 
 def test_fig3(campaign, benchmark):
-    logs = campaign.config.logs
-    keys = campaign.triple_keys()
+    logs = campaign.logs()
+    keys = campaign.competing_labels()
 
     # Scatter: MetaCentrum vs SDSC-BLUE (the paper's pair), by family.
     points: dict[str, list[tuple[float, float]]] = {}
-    for triple in campaign_triples() + reference_triples():
+    for triple in campaign.labels():
         x = campaign.mean("SDSC-BLUE", triple)
         y = campaign.mean("Metacentrum", triple)
         points.setdefault(_family(triple), []).append((x, y))
@@ -63,7 +63,7 @@ def test_fig3(campaign, benchmark):
 
     # Shape 2: the clairvoyant SJBF point is on the Pareto corner (best or
     # near-best on both axes of the scatter pair).
-    clair_sjbf = HeuristicTriple("clairvoyant", None, "easy-sjbf")
+    clair_sjbf = "clairvoyant|none|easy-sjbf"
     for log in ("SDSC-BLUE", "Metacentrum"):
         clair = campaign.mean(log, clair_sjbf)
         best_campaign = min(campaign.mean(log, k) for k in keys)

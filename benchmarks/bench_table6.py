@@ -101,9 +101,9 @@ def test_table6(campaign, benchmark):
 
 def test_campaign_has_exactly_128_triples(campaign, benchmark):
     """The paper: 'the experimental campaign runs 128 simulations' per log."""
-    keys = campaign.triple_keys()
+    keys = campaign.competing_labels()
     assert len(keys) == 128
-    for log in campaign.config.logs:
+    for log in campaign.logs():
         vector = campaign.score_vector(log, keys)
         assert vector.shape == (128,)
         assert np.isfinite(vector).all()

@@ -57,9 +57,9 @@ def test_table7(campaign, benchmark):
     )
     summary = "\n".join(
         [
-            f"consensus triple : {consensus.key} (selected in {folds}/6 folds)",
+            f"consensus triple : {consensus} (selected in {folds}/6 folds)",
             f"selected triples : "
-            + ", ".join(sorted({r.selected.key for r in rows})),
+            + ", ".join(sorted({r.selected for r in rows})),
             f"avg reduction vs EASY  : {vs_easy:.0f}%  (paper: 28%)",
             f"avg reduction vs EASY++: {vs_easypp:.0f}%  (paper: 11%)",
         ]
@@ -80,10 +80,10 @@ def test_table7(campaign, benchmark):
     )
     # The consensus is a predictive-corrective SJBF triple, as in the paper
     # (ours sometimes selects the AVE2 predictor instead of a learned one).
-    assert consensus.scheduler == "easy-sjbf"
-    assert consensus.predictor != "requested"
+    assert consensus.endswith("|easy-sjbf")
+    assert not consensus.startswith("requested|")
     assert folds >= 3, "selection should be (nearly) unanimous across folds"
-    n_predictive = sum(1 for r in rows if r.selected.predictor != "requested")
+    n_predictive = sum(1 for r in rows if not r.selected.startswith("requested|"))
     assert n_predictive == len(rows), "every fold must pick a predictive triple"
 
     benchmark(lambda: leave_one_out(campaign))

@@ -30,7 +30,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import CampaignConfig, analyze_predictions, run_campaign
+from repro.core import analyze_predictions, paper_cells, run_cells
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 CACHE_DIR = os.path.join(_HERE, ".cache")
@@ -88,15 +88,13 @@ def write_artifact(name: str, content: str) -> str:
 @pytest.fixture(scope="session")
 def campaign():
     """The full 6-log x 130-triple campaign (cached on disk)."""
-    config = CampaignConfig(n_jobs=bench_n_jobs(), replicas=bench_replicas())
-    cache_path = os.path.join(
-        CACHE_DIR, f"campaign_n{config.n_jobs}_r{config.replicas}.jsonl"
-    )
-    progress_path = os.path.join(
-        CACHE_DIR, f"campaign_n{config.n_jobs}_r{config.replicas}.progress.jsonl"
-    )
-    return run_campaign(
-        config, cache_path=cache_path, progress=True, progress_path=progress_path
+    n_jobs, replicas = bench_n_jobs(), bench_replicas()
+    stem = os.path.join(CACHE_DIR, f"campaign_n{n_jobs}_r{replicas}")
+    return run_cells(
+        paper_cells(n_jobs=n_jobs, replicas=replicas),
+        cache_path=f"{stem}.jsonl",
+        progress=True,
+        progress_path=f"{stem}.progress.jsonl",
     )
 
 

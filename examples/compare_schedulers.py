@@ -30,16 +30,13 @@ def main() -> None:
     for log in LOG_NAMES:
         trace = get_trace(log, n_jobs=N_JOBS)
         for scheduler_name in SCHEDULERS:
-            from repro.sim import Simulator
-
-            sim = Simulator(
+            result = simulate(
                 trace, make_scheduler(scheduler_name), RequestedTimePredictor()
             )
-            result = sim.run()
             print(
                 f"{log:12s} {scheduler_name:14s} {'requested':12s} "
                 f"{result.avebsld():9.1f} {result.utilization():6.2f} "
-                f"{sim.stats.max_queue_length:10d}"
+                f"{result.stats.max_queue_length:10d}"
             )
         # clairvoyant EASY-SJBF as the non-achievable reference
         result = simulate(

@@ -5,8 +5,9 @@
 2. runs ``repro spec expand --format keys`` on each (exercises the full
    CLI path, including the TOML fallback parser on Python 3.10);
 3. asserts that ``experiments/paper.toml`` expands to **exactly** the
-   128 legacy triple keys of :func:`repro.core.triples.campaign_triples`
-   (in order), followed by the 2 clairvoyant reference keys;
+   package's built-in paper grid (:func:`repro.core.triples.paper_cells`):
+   the same 128 triple labels then the 2 clairvoyant references, in
+   order, and the same cell spec digests;
 4. asserts that ``experiments/sweeps.toml`` exercises the list-sweep
    syntax: 3 tau values x (1 + 2-eta-sweep) predictors = 9 cells.
 
@@ -25,7 +26,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.triples import campaign_triples, reference_triples  # noqa: E402
+from repro.core.triples import paper_cells  # noqa: E402
+from repro.spec import expand_spec_file, triple_keys_of  # noqa: E402
 
 
 _SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -74,26 +76,33 @@ def main() -> int:
         ]
         print(f"[check-specs] {path}: {len(keys)} unique triple key(s)")
         if os.path.basename(path) == "paper.toml":
-            want = [t.key for t in campaign_triples()]
-            refs = [t.key for t in reference_triples()]
-            if keys[: len(want)] != want:
+            builtin = paper_cells()
+            want = triple_keys_of(builtin)
+            if keys != want:
                 mismatch = next(
                     (i for i, (a, b) in enumerate(zip(keys, want, strict=False)) if a != b),
                     min(len(keys), len(want)),
                 )
                 print(
-                    f"FAIL: paper.toml does not expand to the exact 128 "
-                    f"campaign triple keys (first mismatch at index "
-                    f"{mismatch})", file=sys.stderr,
+                    f"FAIL: paper.toml does not expand to the built-in "
+                    f"grid's {len(want)} triple labels (first mismatch at "
+                    f"index {mismatch})", file=sys.stderr,
                 )
                 failures += 1
-            elif keys[len(want):] != refs:
-                print("FAIL: paper.toml reference keys wrong", file=sys.stderr)
+            elif [c.digest() for c in expand_spec_file(path)] != [
+                c.digest() for c in builtin
+            ]:
+                print(
+                    "FAIL: paper.toml cells differ from the built-in grid's "
+                    "(same labels, different spec digests: campaign block "
+                    "drifted)", file=sys.stderr,
+                )
                 failures += 1
             else:
                 print(
-                    f"[check-specs] paper.toml == the {len(want)} campaign "
-                    f"triples + {len(refs)} references, exactly"
+                    f"[check-specs] paper.toml == the built-in paper grid "
+                    f"({len(want) - 2} triples + 2 references, "
+                    f"{len(builtin)} cells), exactly"
                 )
         if os.path.basename(path) == "sweeps.toml":
             proc_cells = run_cli("spec", "expand", path, "--format", "json")

@@ -19,8 +19,8 @@ Simulation of one heuristic triple::
 
 The paper's campaign and analyses::
 
-    from repro import CampaignConfig, run_campaign, leave_one_out
-    campaign = run_campaign(CampaignConfig(n_jobs=1500, replicas=2))
+    from repro import paper_cells, run_cells, leave_one_out
+    campaign = run_cells(paper_cells(n_jobs=1500, replicas=2))
     for row in campaign.table1_rows():
         print(row)
 
@@ -38,20 +38,15 @@ from .core import (
     EASY_TRIPLE,
     EASYPP_TRIPLE,
     ELOSS_TRIPLE,
-    CampaignConfig,
-    CampaignResult,
-    HeuristicTriple,
+    SpecCampaignResult,
     analyze_predictions,
     average_reductions,
-    campaign_triples,
     leave_one_out,
-    run_campaign,
+    paper_cells,
     run_cells,
+    run_components_on_trace,
     run_spec,
     run_spec_result,
-    run_components_on_trace,
-    run_triple,
-    run_triple_on_trace,
     selection_consensus,
 )
 from .correct import (
@@ -94,7 +89,6 @@ from .sim import (
     Machine,
     SimSession,
     SimulationResult,
-    Simulator,
     simulate,
 )
 from .spec import (
@@ -123,20 +117,15 @@ __all__ = [
     "EASY_TRIPLE",
     "EASYPP_TRIPLE",
     "ELOSS_TRIPLE",
-    "CampaignConfig",
-    "CampaignResult",
-    "HeuristicTriple",
+    "SpecCampaignResult",
+    "paper_cells",
     "analyze_predictions",
     "average_reductions",
-    "campaign_triples",
     "leave_one_out",
-    "run_campaign",
     "run_cells",
     "run_spec",
     "run_spec_result",
     "run_components_on_trace",
-    "run_triple",
-    "run_triple_on_trace",
     "selection_consensus",
     "SPEC_VERSION",
     "CellSpec",
@@ -173,7 +162,6 @@ __all__ = [
     "make_scheduler",
     "Machine",
     "SimulationResult",
-    "Simulator",
     "simulate",
     "SimSession",
     "EstimatedStart",

@@ -541,8 +541,8 @@ _SPEC_STRUCTURAL_PARAMS = frozenset(
 
 _SPEC_CELLSPEC = "src/repro/spec/cellspec.py"
 _SPEC_ENGINE_ENTRYPOINTS = {
-    "src/repro/sim/engine.py": (("Simulator", "__init__"), (None, "simulate")),
-    "src/repro/sim/session.py": ((("SimSession"), "__init__"),),
+    "src/repro/sim/engine.py": ((None, "simulate"),),
+    "src/repro/sim/session.py": (("SimSession", "__init__"),),
 }
 
 

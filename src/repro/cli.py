@@ -35,17 +35,18 @@ import argparse
 import sys
 
 from .core import (
-    CampaignConfig,
-    HeuristicTriple,
+    TRIPLE_NAMES,
     analyze_predictions,
     average_reductions,
     leave_one_out,
-    run_campaign,
-    run_triple,
+    paper_cells,
+    run_cells,
+    run_spec,
     selection_consensus,
     table8_rows,
 )
 from .core.reporting import format_leaderboard, format_percent, format_table
+from .spec import CellSpec, SpecFileError, WorkloadSpec, validate_spec_file
 from .workload import LOG_NAMES, get_trace, save_swf, stable_seed, table4_rows
 
 __all__ = ["main", "build_parser"]
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--spec",
         default=None,
         help="run the cells expanded from this experiment spec file "
-        "(TOML/JSON; overrides --logs/--n-jobs/--replicas)",
+        "(TOML/JSON) instead of the paper grid over --logs/--n-jobs/--replicas",
     )
     p_camp.add_argument("--logs", nargs="*", default=list(LOG_NAMES))
     p_camp.add_argument("--n-jobs", type=int, default=2000)
@@ -191,11 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument(
         "--no-version-check", action="store_true",
         help="accept cells from other CACHE_VERSION/ENGINE_VERSION codes (unsafe)",
-    )
-    p_merge.add_argument(
-        "--upgrade-legacy", action="store_true",
-        help="re-key pre-redesign (v4 tuple-keyed) rows to spec-digest "
-        "tokens where the same-engine lowering exists",
     )
 
     p_spec = sub.add_parser(
@@ -403,22 +399,35 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(command: str, exc: Exception) -> int:
+    """A bad name, number or spec file from the command line: one line on
+    stderr, exit status 2 (argparse's own usage-error status)."""
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"repro {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_sim(args: argparse.Namespace) -> int:
-    corrector = None if args.corrector == "none" else args.corrector
-    triple = HeuristicTriple(args.predictor, corrector, args.scheduler)
     seed, derived = _resolve_seed(args)
+    try:
+        spec = CellSpec.make(
+            WorkloadSpec.make(args.log, n_jobs=args.n_jobs, seed=seed),
+            args.predictor,
+            args.corrector,
+            args.scheduler,
+            tau=args.tau,
+        )
+    except (KeyError, ValueError) as exc:
+        return _usage_error("sim", exc)
     telemetry, tele_dir = _telemetry_from_args(args, "sim")
     try:
-        outcome = run_triple(
-            args.log, triple.key, n_jobs=args.n_jobs, seed=seed, tau=args.tau,
-            telemetry=telemetry,
-        )
+        outcome = run_spec(spec, telemetry=telemetry)
     finally:
         _finish_telemetry(telemetry, tele_dir)
     origin = "derived from log name" if derived else "from --seed"
     print(f"log        : {outcome.log}")
     print(f"seed       : {outcome.seed} ({origin})")
-    print(f"triple     : {triple.describe()}")
+    print(f"triple     : {TRIPLE_NAMES.get(spec.label, spec.label)}")
     print(f"AVEbsld    : {outcome.avebsld:.2f}")
     print(f"utilization: {outcome.utilization:.3f}")
     print(f"corrections: {outcome.corrections}")
@@ -443,33 +452,12 @@ def _backend_from_args(args: argparse.Namespace):
     return backend
 
 
-def _campaign_from_args(args: argparse.Namespace, telemetry=None):
-    config = CampaignConfig(
-        logs=tuple(args.logs) if hasattr(args, "logs") else LOG_NAMES,
-        n_jobs=args.n_jobs,
-        replicas=args.replicas,
-    )
-    return run_campaign(
-        config,
-        cache_path=args.cache,
-        workers=args.workers,
-        progress=True,
-        progress_path=getattr(args, "progress_log", None),
-        backend=_backend_from_args(args),
-        telemetry=telemetry,
-    )
-
-
-def _cmd_spec_campaign(args: argparse.Namespace) -> int:
-    """``repro campaign --spec FILE``: the declarative campaign path."""
-    from .core import run_cells
-    from .spec import validate_spec_file
-
-    name, cells = validate_spec_file(args.spec)
-    print(f"spec {args.spec} ({name}): {len(cells)} cell(s)")
+def _run_cells_from_args(args: argparse.Namespace, cells: list[CellSpec]):
+    """Run ``cells`` with the cache/dispatch/telemetry options of ``repro
+    campaign`` (``repro table`` carries only the cache and worker ones)."""
     telemetry, tele_dir = _telemetry_from_args(args, "campaign")
     try:
-        result = run_cells(
+        return run_cells(
             cells,
             cache_path=args.cache,
             workers=args.workers,
@@ -480,19 +468,6 @@ def _cmd_spec_campaign(args: argparse.Namespace) -> int:
         )
     finally:
         _finish_telemetry(telemetry, tele_dir)
-    campaign = result.to_campaign_result()
-    if campaign is not None:
-        try:
-            _print_table6(campaign)
-            return 0
-        except KeyError:
-            pass  # legacy-shaped but not the paper's matrix
-    print(
-        format_leaderboard(
-            result.leaderboard(), title=f"Scenario leaderboard ({name})"
-        )
-    )
-    return 0
 
 
 def _print_table6(result) -> None:
@@ -519,19 +494,31 @@ def _print_table6(result) -> None:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    if getattr(args, "spec", None):
-        return _cmd_spec_campaign(args)
-    telemetry, tele_dir = _telemetry_from_args(args, "campaign")
+    """``repro campaign``: the paper grid over ``--logs/--n-jobs/
+    --replicas``, or with ``--spec FILE`` any experiment file."""
     try:
-        result = _campaign_from_args(args, telemetry=telemetry)
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
-    _print_table6(result)
+        if args.spec:
+            name, cells = validate_spec_file(args.spec)
+            print(f"spec {args.spec} ({name}): {len(cells)} cell(s)")
+        else:
+            name = "paper-sc15"
+            cells = paper_cells(args.logs, n_jobs=args.n_jobs, replicas=args.replicas)
+    except SpecFileError as exc:
+        return _usage_error("campaign", exc)
+    result = _run_cells_from_args(args, cells)
+    try:
+        _print_table6(result)
+    except KeyError:  # not the paper's matrix: no Table 6 to fill
+        print(
+            format_leaderboard(
+                result.leaderboard(), title=f"Scenario leaderboard ({name})"
+            )
+        )
     return 0
 
 
 def _cmd_spec(args: argparse.Namespace) -> int:
-    from .spec import triple_keys_of, validate_spec_file
+    from .spec import triple_keys_of
 
     if args.spec_command == "validate":
         failures = 0
@@ -630,7 +617,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         args.inputs,
         out_path=args.out,
         check_versions=not args.no_version_check,
-        upgrade_legacy=args.upgrade_legacy,
     )
     print(report.describe())
     print(f"wrote {args.out}")
@@ -871,8 +857,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         )
         return 0
 
-    args.logs = list(LOG_NAMES)
-    result = _campaign_from_args(args)
+    try:
+        cells = paper_cells(n_jobs=args.n_jobs, replicas=args.replicas)
+    except SpecFileError as exc:
+        return _usage_error("table", exc)
+    result = _run_cells_from_args(args, cells)
     if args.which == "1":
         rows = [
             (log, easy, clair, format_percent(red))
@@ -886,7 +875,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
     elif args.which == "6":
-        return _cmd_campaign(args)
+        _print_table6(result)
     elif args.which == "7":
         rows = leave_one_out(result)
         consensus, folds = selection_consensus(rows)
@@ -907,7 +896,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
         vs_easy, vs_easypp = average_reductions(rows)
-        print(f"\nconsensus triple: {consensus.key} (selected in {folds}/6 folds)")
+        print(f"\nconsensus triple: {consensus} (selected in {folds}/6 folds)")
         print(f"average reduction vs EASY  : {vs_easy:.0f}% (paper: 28%)")
         print(f"average reduction vs EASY++: {vs_easypp:.0f}% (paper: 11%)")
     return 0

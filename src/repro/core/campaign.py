@@ -1,12 +1,16 @@
-"""The full experimental campaign (paper Section 6.2).
+"""The campaign runner (paper Section 6.2) and its result type.
 
-For every workload log, run every heuristic triple (128 of them) plus the
-two clairvoyant references -- over ``replicas`` independent synthetic
+A campaign is a list of :class:`repro.spec.CellSpec` cells -- the paper's
+is every heuristic triple (128 of them) plus the two clairvoyant
+references on every workload log, over ``replicas`` independent synthetic
 trace draws per log, since a simulation-sized synthetic subset is one
 sample of a stochastic workload (the paper runs each real log once; see
-DESIGN.md for the protocol difference).
+DESIGN.md for the protocol difference).  :func:`run_cells` runs any such
+list and returns a :class:`SpecCampaignResult`, which also carries the
+paper's aggregations (Tables 1 and 6, the learning ranges, the best
+triple).
 
-The campaign runner is built for throughput and restartability:
+The runner is built for throughput and restartability:
 
 * simulations fan out through a pluggable :class:`repro.dist.Broker`:
   the default :class:`~repro.dist.broker.LocalBroker` is a single-host
@@ -16,7 +20,7 @@ The campaign runner is built for throughput and restartability:
   worker`` processes -- on any number of hosts -- drain cooperatively
   (see :mod:`repro.dist`);
 * every finished cell is appended immediately to an on-disk JSONL result
-  cache keyed by (trace digest, triple key, seed, engine version), so a
+  cache keyed by (trace digest, spec digest, engine version), so a
   killed campaign resumes where it stopped and a finished campaign
   re-runs with **zero** simulations -- under either backend;
 * progress is streamed to a JSONL file (and optionally stdout) that
@@ -30,41 +34,28 @@ import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..metrics.slowdown import DEFAULT_TAU
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.engine import ENGINE_VERSION
-from ..spec import CellSpec, WorkloadSpec
-from ..workload.archive import LOG_NAMES, stable_seed
+from ..spec import CellSpec, WorkloadSpec, scheduler_registry
 from .batch import bundle_cache, group_cells
-from .run import run_cell_report
-from .triples import (
-    EASY_TRIPLE,
-    EASYPP_TRIPLE,
-    HeuristicTriple,
-    campaign_triples,
-    reference_triples,
-)
+from .triples import CLAIRVOYANT_EASY, CLAIRVOYANT_SJBF, EASY_TRIPLE, EASYPP_TRIPLE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dist.broker import Broker
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignResult",
     "SpecCampaignResult",
     "LeaderboardRow",
-    "run_campaign",
     "run_cells",
     "trace_digest",
     "workload_digest",
     "cell_token",
-    "upgrade_legacy_token",
     "CACHE_VERSION",
-    "LEGACY_CACHE_VERSION",
     "ResultCache",
     "iter_cache_records",
     "parse_cache_record",
@@ -76,9 +67,6 @@ __all__ = [
 #: covered by the CellSpec digest.  Version 5: spec-digest cache keys.
 CACHE_VERSION = 5
 
-#: The pre-spec token layout (positional tuple keys); rows in this
-#: format are still readable -- see :func:`upgrade_legacy_token`.
-LEGACY_CACHE_VERSION = 4
 
 def trace_digest(log: str, n_jobs: int, seed: int) -> str:
     """Content digest of the synthetic trace a campaign cell runs on.
@@ -105,7 +93,7 @@ def workload_digest(workload: WorkloadSpec) -> str:
     return bundle_cache().digest_of(workload)
 
 
-def cell_token(spec: CellSpec, trace_digest_hint: str | None = None) -> str:
+def cell_token(spec: CellSpec) -> str:
     """The cache key / queue identity of one cell.
 
     ``v<CACHE_VERSION>|e<ENGINE_VERSION>|<log>@<trace digest>|spec:<spec digest>``
@@ -113,177 +101,12 @@ def cell_token(spec: CellSpec, trace_digest_hint: str | None = None) -> str:
     The spec digest covers everything declarative (workload shape,
     components + params, engine knobs); the trace digest covers what the
     generator actually produced, so generator changes invalidate cells
-    even though specs are unchanged.  ``trace_digest_hint`` lets callers
-    that already know the trace digest (the legacy-row upgrader) skip
-    regeneration.
+    even though specs are unchanged.
     """
-    digest = trace_digest_hint or workload_digest(spec.workload)
     return (
-        f"v{CACHE_VERSION}|e{ENGINE_VERSION}|{spec.workload.log}@{digest}"
-        f"|spec:{spec.digest()}"
+        f"v{CACHE_VERSION}|e{ENGINE_VERSION}|{spec.workload.log}"
+        f"@{workload_digest(spec.workload)}|spec:{spec.digest()}"
     )
-
-
-def upgrade_legacy_token(token: str) -> str | None:
-    """Re-key a ``LEGACY_CACHE_VERSION`` (v4, positional-tuple) cache row.
-
-    The v4 layout was ``v4|e<E>|<log>@<digest>|<pred>|<corr>|<sched>|
-    n=..|s=..|mp=..|tau=..``.  When the row was produced by the same
-    engine version and its tuple lowers onto the spec layer, the
-    equivalent v5 token is returned (reusing the embedded trace digest,
-    so no trace is regenerated); anything else -- other versions, other
-    engines, malformed keys -- returns ``None`` and the row is ignored.
-    """
-    parts = token.split("|")
-    if len(parts) != 10 or parts[0] != f"v{LEGACY_CACHE_VERSION}":
-        return None
-    if parts[1] != f"e{ENGINE_VERSION}":
-        return None  # stale engine semantics must not be resurrected
-    log_at_digest = parts[2]
-    triple_key = "|".join(parts[3:6])
-    log, sep, digest = log_at_digest.partition("@")
-    if not sep or not log or not digest:
-        return None
-    try:
-        fields = dict(part.split("=", 1) for part in parts[6:])
-        spec = CellSpec.from_triple(
-            log,
-            triple_key,
-            n_jobs=int(fields["n"]),
-            seed=int(fields["s"]),
-            min_prediction=float(fields["mp"]),
-            tau=float(fields["tau"]),
-        )
-    except (KeyError, ValueError, TypeError):
-        return None
-    return cell_token(spec, trace_digest_hint=digest)
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Everything that determines the *paper* campaign's numbers.
-
-    This is a convenience grid over the declarative spec layer: it
-    expands to plain :class:`repro.spec.CellSpec` cells via
-    :meth:`cell_spec`, and arbitrary scenario grids (different machine
-    sizes, filtered workloads, tuned component params) come from
-    experiment spec files instead (:mod:`repro.spec.grid`).
-    """
-
-    logs: tuple[str, ...] = LOG_NAMES
-    n_jobs: int = 2000
-    replicas: int = 3
-    min_prediction: float = 60.0
-    tau: float = DEFAULT_TAU
-
-    def seeds_for(self, log: str) -> list[int]:
-        base = stable_seed(log)
-        return [base + r for r in range(self.replicas)]
-
-    def cell_spec(
-        self, log: str, triple: HeuristicTriple | str, seed: int
-    ) -> CellSpec:
-        """The fully-specified cell for one (log, triple, seed)."""
-        return CellSpec.from_triple(
-            log,
-            triple.key if isinstance(triple, HeuristicTriple) else triple,
-            n_jobs=self.n_jobs,
-            seed=seed,
-            min_prediction=self.min_prediction,
-            tau=self.tau,
-        )
-
-    def cell_specs(
-        self, triples: Sequence[HeuristicTriple]
-    ) -> list[CellSpec]:
-        """Every cell of this config x ``triples``, in campaign order."""
-        return [
-            self.cell_spec(log, triple, seed)
-            for log in self.logs
-            for seed in self.seeds_for(log)
-            for triple in triples
-        ]
-
-    def cache_token(self, log: str, triple_key: str, seed: int) -> str:
-        """Compatibility shim: the token of one legacy tuple cell."""
-        return cell_token(self.cell_spec(log, triple_key, seed))
-
-
-@dataclass
-class CampaignResult:
-    """Per-(log, triple) replica scores plus convenience aggregations."""
-
-    config: CampaignConfig
-    #: scores[log][triple_key] = list of per-replica AVEbsld values.
-    scores: dict[str, dict[str, list[float]]] = field(default_factory=dict)
-
-    # -- basic access ---------------------------------------------------------
-    def mean(self, log: str, triple: HeuristicTriple | str) -> float:
-        key = triple.key if isinstance(triple, HeuristicTriple) else triple
-        values = self.scores[log][key]
-        return float(np.mean(values))
-
-    def triple_keys(self, include_references: bool = False) -> list[str]:
-        keys = [t.key for t in campaign_triples()]
-        if include_references:
-            keys += [t.key for t in reference_triples()]
-        return keys
-
-    def score_vector(self, log: str, keys: list[str]) -> np.ndarray:
-        """Mean AVEbsld of the given triples on one log, in order."""
-        return np.array([self.mean(log, k) for k in keys])
-
-    # -- the paper's aggregations ---------------------------------------------
-    def learning_range(self, log: str, scheduler: str) -> tuple[float, float]:
-        """(best, worst) mean AVEbsld over the 60 ML triples of a variant."""
-        values = [
-            self.mean(log, t)
-            for t in campaign_triples()
-            if t.uses_learning and t.scheduler == scheduler
-        ]
-        return (float(min(values)), float(max(values)))
-
-    def best_triple(
-        self, logs: tuple[str, ...] | None = None, learning_only: bool = False
-    ) -> HeuristicTriple:
-        """Triple minimising the summed mean AVEbsld over ``logs``."""
-        logs = logs or self.config.logs
-        candidates = [
-            t for t in campaign_triples() if (t.uses_learning or not learning_only)
-        ]
-        sums = [sum(self.mean(log, t) for log in logs) for t in candidates]
-        return candidates[int(np.argmin(sums))]
-
-    def table1_rows(self) -> list[tuple[str, float, float, float]]:
-        """(log, EASY, EASY-Clairvoyant, reduction%) per log."""
-        rows = []
-        clairvoyant = HeuristicTriple("clairvoyant", None, "easy")
-        for log in self.config.logs:
-            easy = self.mean(log, EASY_TRIPLE)
-            clair = self.mean(log, clairvoyant)
-            rows.append((log, easy, clair, (easy - clair) / easy * 100.0))
-        return rows
-
-    def table6_rows(
-        self,
-    ) -> list[tuple[str, float, float, float, float, tuple, tuple]]:
-        """Per log: clairvoyant FCFS/SJBF, EASY, EASY++, learning ranges."""
-        rows = []
-        clair_fcfs = HeuristicTriple("clairvoyant", None, "easy")
-        clair_sjbf = HeuristicTriple("clairvoyant", None, "easy-sjbf")
-        for log in self.config.logs:
-            rows.append(
-                (
-                    log,
-                    self.mean(log, clair_fcfs),
-                    self.mean(log, clair_sjbf),
-                    self.mean(log, EASY_TRIPLE),
-                    self.mean(log, EASYPP_TRIPLE),
-                    self.learning_range(log, "easy"),
-                    self.learning_range(log, "easy-sjbf"),
-                )
-            )
-        return rows
 
 
 def parse_cache_record(line: str) -> tuple[str, float] | None:
@@ -329,32 +152,19 @@ class ResultCache:
     One line per finished cell: ``{"token": ..., "value": ...}``.  Every
     :meth:`put` is written through immediately, so an interrupted
     campaign loses at most the cells still in flight; corrupt or partial
-    trailing lines (a crash mid-write) are skipped on load.
-
-    Pre-redesign (``LEGACY_CACHE_VERSION``) rows are upgraded in memory
-    on load -- same engine version, tuple key lowered to its spec digest
-    -- so a warm cache written before the spec redesign still serves its
-    cells without one re-simulation.  :attr:`legacy_rows` counts them;
-    the file itself is never rewritten.
+    trailing lines (a crash mid-write) are skipped on load.  Rows keyed
+    by another ``CACHE_VERSION``/``ENGINE_VERSION`` are simply never
+    asked for (tokens embed both).
     """
 
     def __init__(self, path: str | None) -> None:
         self.path = path
         self._data: dict[str, float] = {}
         self._fh: IO[str] | None = None
-        self.legacy_rows = 0
-        legacy_prefix = f"v{LEGACY_CACHE_VERSION}|"
         if path and os.path.exists(path):
             records, _torn = iter_cache_records(path)
             for _lineno, token, value in records:
                 self._data[token] = value
-                if token.startswith(legacy_prefix):
-                    upgraded = upgrade_legacy_token(token)
-                    if upgraded is not None:
-                        # serve the old row under its new identity too
-                        # (same engine version, so the value still holds)
-                        self._data.setdefault(upgraded, value)
-                        self.legacy_rows += 1
 
     def __len__(self) -> int:
         return len(self._data)
@@ -390,10 +200,6 @@ class ResultCache:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-#: Backwards-compatible alias (the seed's flat-JSON cache class name).
-_DiskCache = ResultCache
 
 
 class ProgressLog:
@@ -442,18 +248,6 @@ class ProgressLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-#: Backwards-compatible alias (pre-dist private name).
-_ProgressLog = ProgressLog
-
-
-def _run_one(
-    spec: CellSpec, with_telemetry: bool = False
-) -> tuple[CellSpec, float, dict]:
-    """Worker-side shim (must be module-level for pickling)."""
-    score, report = run_cell_report(spec, with_telemetry=with_telemetry)
-    return (spec, score, report)
 
 
 class LeaderboardRow(NamedTuple):
@@ -510,53 +304,89 @@ class SpecCampaignResult:
         ]
         return sorted(rows, key=lambda row: row.mean_score)
 
-    def to_campaign_result(self) -> CampaignResult | None:
-        """Reshape into the paper-table :class:`CampaignResult` when the
-        cells form a rectangular legacy grid (every cell lowers to a
-        triple key, plain workloads, uniform n_jobs/engine knobs, the
-        same triples and seed count on every log); ``None`` otherwise.
-        """
-        if not self.cells:
-            return None
-        by_log: dict[str, dict[str, dict[int, float]]] = {}
-        seeds_by_log: dict[str, list[int]] = {}
-        knobs = set()
-        for cell in self.cells:
-            key = cell.triple_key
-            if key is None or not cell.workload.is_plain:
-                return None
-            knobs.add((cell.workload.n_jobs, cell.min_prediction, cell.tau))
-            log = cell.workload.log
-            seed = cell.workload.seed
-            by_log.setdefault(log, {}).setdefault(key, {})[seed] = self.scores[
-                cell.digest()
-            ]
-            if seed not in seeds_by_log.setdefault(log, []):
-                seeds_by_log[log].append(seed)
-        if len(knobs) != 1:
-            return None
-        n_jobs, min_prediction, tau = next(iter(knobs))
-        triple_sets = {frozenset(keys) for keys in by_log.values()}
-        replica_counts = {len(seeds) for seeds in seeds_by_log.values()}
-        if len(triple_sets) != 1 or len(replica_counts) != 1:
-            return None
-        config = CampaignConfig(
-            logs=tuple(by_log),
-            n_jobs=n_jobs,
-            replicas=next(iter(replica_counts)),
-            min_prediction=min_prediction,
-            tau=tau,
+    # -- the paper's aggregations ---------------------------------------------
+    @cached_property
+    def _by_label(self) -> dict[str, tuple[CellSpec, dict[str, list[float]]]]:
+        """label -> (first cell carrying it, log -> replica scores), in
+        campaign order.  Built on first use: aggregate finished results."""
+        table: dict[str, tuple[CellSpec, dict[str, list[float]]]] = {}
+        for cell, score in self.rows():
+            _, by_log = table.setdefault(cell.label, (cell, {}))
+            by_log.setdefault(cell.workload.log, []).append(score)
+        return table
+
+    def logs(self) -> list[str]:
+        """The campaign's logs, in first-appearance order."""
+        return list(dict.fromkeys(cell.workload.log for cell in self.cells))
+
+    def labels(self) -> list[str]:
+        """Unique cell labels (triple keys), in first-appearance order."""
+        return list(self._by_label)
+
+    def competing_labels(self) -> list[str]:
+        """:meth:`labels` without the clairvoyant references (upper
+        bounds that are reported, not deployable)."""
+        return [
+            label
+            for label, (cell, _) in self._by_label.items()
+            if cell.predictor.name != "clairvoyant"
+        ]
+
+    def mean(self, log: str, label: str) -> float:
+        """Mean AVEbsld of one label over its replicas on one log
+        (:class:`KeyError` when the campaign has no such cell)."""
+        return float(np.mean(self._by_label[label][1][log]))
+
+    def score_vector(self, log: str, labels: Sequence[str]) -> np.ndarray:
+        """Mean AVEbsld of the given labels on one log, in order."""
+        return np.array([self.mean(log, label) for label in labels])
+
+    def learning_range(self, log: str, scheduler: str) -> tuple[float, float]:
+        """(best, worst) mean AVEbsld over the ML triples of one
+        backfilling variant (60 of them in the paper's matrix)."""
+        wanted = scheduler_registry().normalize(scheduler)
+        values = [
+            self.mean(log, label)
+            for label, (cell, _) in self._by_label.items()
+            if cell.predictor.name == "ml" and cell.scheduler == wanted
+        ]
+        if not values:
+            raise KeyError(f"no learning triples under {scheduler!r} in this campaign")
+        return (min(values), max(values))
+
+    def best_label(self, logs: Sequence[str] | None = None) -> str:
+        """Competing label minimising the summed mean AVEbsld over ``logs``."""
+        logs = self.logs() if logs is None else logs
+        return min(
+            self.competing_labels(),
+            key=lambda label: sum(self.mean(log, label) for log in logs),
         )
-        result = CampaignResult(config=config)
-        for log, per_triple in by_log.items():
-            result.scores[log] = {}
-            for key, per_seed in per_triple.items():
-                if len(per_seed) != config.replicas:
-                    return None  # ragged grid
-                result.scores[log][key] = [
-                    per_seed[seed] for seed in seeds_by_log[log]
-                ]
-        return result
+
+    def table1_rows(self) -> list[tuple[str, float, float, float]]:
+        """(log, EASY, EASY-Clairvoyant, reduction%) per log."""
+        rows = []
+        for log in self.logs():
+            easy = self.mean(log, EASY_TRIPLE)
+            clair = self.mean(log, CLAIRVOYANT_EASY)
+            rows.append((log, easy, clair, (easy - clair) / easy * 100.0))
+        return rows
+
+    def table6_rows(
+        self,
+    ) -> list[tuple[str, float, float, float, float, tuple, tuple]]:
+        """Per log: clairvoyant FCFS/SJBF, EASY, EASY++, learning ranges."""
+        return [
+            (
+                log,
+                self.mean(log, CLAIRVOYANT_EASY),
+                self.mean(log, CLAIRVOYANT_SJBF),
+                self.mean(log, EASY_TRIPLE),
+                self.mean(log, EASYPP_TRIPLE),
+                self.learning_range(log, "easy"),
+                self.learning_range(log, "easy-sjbf"),
+            )
+            for log in self.logs()
+        ]
 
 
 def run_cells(
@@ -569,190 +399,96 @@ def run_cells(
     queue_dir: str | None = None,
     telemetry: Telemetry | None = None,
 ) -> SpecCampaignResult:
-    """Run (or warm-load) an arbitrary list of cell specs.
+    """Run (or warm-load) a list of cell specs: the campaign driver.
 
-    The generic campaign entry point behind ``repro campaign --spec``:
-    expansion of an experiment file hands its cells here, the cache and
-    every dispatch backend key them by spec digest, and the result comes
-    back digest-indexed (reshape with
-    :meth:`SpecCampaignResult.to_campaign_result` for the paper tables).
+    Cells come from :func:`repro.core.triples.paper_cells` or any
+    experiment file (:mod:`repro.spec.grid`); the cache and every
+    dispatch backend key them by spec digest, and the result comes back
+    digest-indexed.
 
-    ``telemetry`` collects campaign/dispatch counters and, under the
-    local broker, the engine/predictor metrics merged back from every
-    simulated cell.
+    ``progress_path`` streams JSONL progress events; ``progress=True``
+    additionally prints a line every 50 finished simulations.
+    ``backend`` selects the dispatch strategy: ``"local"`` (process pool
+    on this host, honouring ``workers``), ``"fsqueue"`` (coordinate
+    external ``repro worker`` processes over the shared ``queue_dir``),
+    or any ready :class:`repro.dist.Broker` instance.  ``telemetry``
+    collects campaign/dispatch counters and, under the local broker, the
+    engine/predictor metrics merged back from every simulated cell.
     """
     from ..dist.broker import resolve_backend
 
     cells = list(cells)
     broker = resolve_backend(backend, workers=workers, queue_dir=queue_dir)
-    cache = ResultCache(cache_path)
-    plog = _ProgressLog(progress_path)
+    tele = telemetry if telemetry is not None else NOOP
+    scores: dict[str, float] = {}
     durations: dict[str, float] = {}
+    cache = ResultCache(cache_path)
+    plog = ProgressLog(progress_path)
     try:
-        scores = _execute_cells(
-            cells, cache, plog, broker, progress,
-            telemetry=telemetry, durations=durations,
+        tokens = {spec.digest(): cell_token(spec) for spec in cells}
+        pending: list[CellSpec] = []
+        for spec in cells:
+            value = cache.get(tokens[spec.digest()])
+            if value is None:
+                pending.append(spec)
+            else:
+                scores[spec.digest()] = value
+        if tele.enabled:
+            tele.inc("campaign.cells.total", len(cells))
+            tele.inc("campaign.cells.cached", len(cells) - len(pending))
+        plog.emit(
+            {
+                "event": "start",
+                "total": len(cells),
+                "cached": len(cells) - len(pending),
+                "pending": len(pending),
+                "logs": list(dict.fromkeys(spec.workload.log for spec in cells)),
+            }
         )
+        if pending:
+            # group-major dispatch order: same-trace cells land adjacently
+            # so every backend (serial loop, pool batches, fsqueue shards)
+            # shares one materialised trace bundle per group instead of
+            # paying the per-cell fixed cost
+            pending = [spec for _key, group in group_cells(pending) for spec in group]
+            done = 0
+
+            def record(
+                spec: CellSpec, score: float, seconds: float | None = None
+            ) -> None:
+                nonlocal done
+                done += 1
+                scores[spec.digest()] = score
+                cache.put(tokens[spec.digest()], score)
+                if seconds is not None:
+                    durations[spec.digest()] = seconds
+                event = {
+                    "event": "cell",
+                    "log": spec.workload.log,
+                    "triple": spec.label,
+                    "seed": spec.workload.seed,
+                    "avebsld": score,
+                    "done": done,
+                    "total": len(pending),
+                }
+                if seconds is not None:
+                    event["seconds"] = round(seconds, 4)
+                plog.emit(event)
+                if progress and done % 50 == 0:
+                    print(f"  campaign: {done}/{len(pending)} simulations done")
+
+            with tele.span("campaign.dispatch", pending=len(pending)):
+                broker.dispatch(pending, record, emit=plog.emit, telemetry=telemetry)
+            cache.flush()
+        missing = [spec for spec in cells if spec.digest() not in scores]
+        if missing:
+            raise RuntimeError(
+                f"campaign cache missing {tokens[missing[0].digest()]}"
+            )
+        plog.emit({"event": "end", "total": len(cells)})
     finally:
         # a failing worker must not leak the cache/progress handles; every
         # cell finished before the failure is already flushed to disk
         plog.close()
         cache.close()
     return SpecCampaignResult(cells=cells, scores=scores, durations=durations)
-
-
-def run_campaign(
-    config: CampaignConfig,
-    cache_path: str | None = None,
-    workers: int | None = None,
-    include_references: bool = True,
-    progress: bool = False,
-    progress_path: str | None = None,
-    triples: Sequence[HeuristicTriple] | None = None,
-    backend: Broker | str = "local",
-    queue_dir: str | None = None,
-    telemetry: Telemetry | None = None,
-) -> CampaignResult:
-    """Run (or load from cache) the paper campaign for ``config``.
-
-    ``triples`` restricts the campaign to a subset (default: the paper's
-    128 plus, with ``include_references``, the 2 clairvoyant references).
-    ``progress_path`` streams JSONL progress events; ``progress=True``
-    additionally prints a line every 50 finished simulations.
-
-    ``backend`` selects the dispatch strategy: ``"local"`` (process pool
-    on this host, honouring ``workers``), ``"fsqueue"`` (coordinate
-    external ``repro worker`` processes over the shared ``queue_dir``),
-    or any ready :class:`repro.dist.Broker` instance.
-    """
-    if triples is None:
-        triples = campaign_triples()
-        if include_references:
-            triples = triples + reference_triples()
-    else:
-        triples = list(triples)
-    from ..dist.broker import resolve_backend
-
-    broker = resolve_backend(backend, workers=workers, queue_dir=queue_dir)
-    cache = ResultCache(cache_path)
-    plog = _ProgressLog(progress_path)
-    try:
-        return _run_campaign_inner(
-            config, cache, plog, triples, broker, progress, telemetry
-        )
-    finally:
-        plog.close()
-        cache.close()
-
-
-def _run_campaign_inner(
-    config: CampaignConfig,
-    cache: ResultCache,
-    plog: _ProgressLog,
-    triples: list[HeuristicTriple],
-    broker: Broker,
-    progress: bool,
-    telemetry: Telemetry | None = None,
-) -> CampaignResult:
-    wanted = config.cell_specs(triples)
-    scores = _execute_cells(
-        cells=wanted,
-        cache=cache,
-        plog=plog,
-        broker=broker,
-        progress=progress,
-        telemetry=telemetry,
-        start_extra={
-            "logs": list(config.logs),
-            "n_jobs": config.n_jobs,
-            "replicas": config.replicas,
-        },
-    )
-    result = CampaignResult(config=config)
-    for log in config.logs:
-        result.scores[log] = {}
-        for triple in triples:
-            values = []
-            for seed in config.seeds_for(log):
-                spec = config.cell_spec(log, triple, seed)
-                values.append(scores[spec.digest()])
-            result.scores[log][triple.key] = values
-    return result
-
-
-def _execute_cells(
-    cells: Sequence[CellSpec],
-    cache: ResultCache,
-    plog: _ProgressLog,
-    broker: Broker,
-    progress: bool,
-    start_extra: dict | None = None,
-    telemetry: Telemetry | None = None,
-    durations: dict[str, float] | None = None,
-) -> dict[str, float]:
-    """The shared execution core: warm-load from the cache, dispatch the
-    remainder through the broker, return spec-digest -> score."""
-    tele = telemetry if telemetry is not None else NOOP
-    tokens = {spec.digest(): cell_token(spec) for spec in cells}
-    scores: dict[str, float] = {}
-    pending: list[CellSpec] = []
-    for spec in cells:
-        value = cache.get(tokens[spec.digest()])
-        if value is None:
-            pending.append(spec)
-        else:
-            scores[spec.digest()] = value
-    if tele.enabled:
-        tele.inc("campaign.cells.total", len(cells))
-        tele.inc("campaign.cells.cached", len(cells) - len(pending))
-    plog.emit(
-        {
-            "event": "start",
-            "total": len(cells),
-            "cached": len(cells) - len(pending),
-            "pending": len(pending),
-            **(start_extra or {}),
-        }
-    )
-    if pending:
-        # group-major dispatch order: same-trace cells land adjacently so
-        # every backend (serial loop, pool batches, fsqueue shards) shares
-        # one materialised trace bundle per group instead of paying the
-        # per-cell fixed cost
-        pending = [spec for _key, group in group_cells(pending) for spec in group]
-        done = 0
-
-        def record(
-            spec: CellSpec, score: float, seconds: float | None = None
-        ) -> None:
-            nonlocal done
-            done += 1
-            scores[spec.digest()] = score
-            cache.put(tokens[spec.digest()], score)
-            if seconds is not None and durations is not None:
-                durations[spec.digest()] = seconds
-            event = {
-                "event": "cell",
-                "log": spec.workload.log,
-                "triple": spec.label,
-                "seed": spec.workload.seed,
-                "avebsld": score,
-                "done": done,
-                "total": len(pending),
-            }
-            if seconds is not None:
-                event["seconds"] = round(seconds, 4)
-            plog.emit(event)
-            if progress and done % 50 == 0:
-                print(f"  campaign: {done}/{len(pending)} simulations done")
-
-        with tele.span("campaign.dispatch", pending=len(pending)):
-            broker.dispatch(pending, record, emit=plog.emit, telemetry=telemetry)
-        cache.flush()
-    missing = [spec for spec in cells if spec.digest() not in scores]
-    if missing:
-        raise RuntimeError(
-            f"campaign cache missing {tokens[missing[0].digest()]}"
-        )
-    plog.emit({"event": "end", "total": len(cells)})
-    return scores

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .campaign import CampaignResult
-from .triples import EASY_TRIPLE, EASYPP_TRIPLE, HeuristicTriple
+from .campaign import SpecCampaignResult
+from .triples import EASY_TRIPLE, EASYPP_TRIPLE
 
 __all__ = ["CrossValidationRow", "leave_one_out", "selection_consensus"]
 
@@ -24,7 +24,7 @@ class CrossValidationRow:
     """One fold of the leave-one-out evaluation."""
 
     log: str
-    selected: HeuristicTriple
+    selected: str  # label of the triple chosen on the other logs
     cv_score: float  # AVEbsld of the selected triple on the held-out log
     easy_score: float
     easypp_score: float
@@ -39,15 +39,15 @@ class CrossValidationRow:
         return (self.easypp_score - self.cv_score) / self.easypp_score * 100.0
 
 
-def leave_one_out(result: CampaignResult) -> list[CrossValidationRow]:
+def leave_one_out(result: SpecCampaignResult) -> list[CrossValidationRow]:
     """Table 7: per-log cross-validated triple and its scores."""
-    logs = result.config.logs
+    logs = result.logs()
     if len(logs) < 2:
         raise ValueError("leave-one-out needs at least two logs")
     rows: list[CrossValidationRow] = []
     for held_out in logs:
-        training = tuple(log for log in logs if log != held_out)
-        selected = result.best_triple(logs=training)
+        training = [log for log in logs if log != held_out]
+        selected = result.best_label(logs=training)
         rows.append(
             CrossValidationRow(
                 log=held_out,
@@ -60,8 +60,8 @@ def leave_one_out(result: CampaignResult) -> list[CrossValidationRow]:
     return rows
 
 
-def selection_consensus(rows: list[CrossValidationRow]) -> tuple[HeuristicTriple, int]:
-    """The modal selected triple and how many folds chose it.
+def selection_consensus(rows: list[CrossValidationRow]) -> tuple[str, int]:
+    """The modal selected triple (label) and how many folds chose it.
 
     The paper reports the same triple selected in every fold but one.
     """
@@ -69,9 +69,9 @@ def selection_consensus(rows: list[CrossValidationRow]) -> tuple[HeuristicTriple
         raise ValueError("no cross-validation rows")
     counts: dict[str, int] = {}
     for row in rows:
-        counts[row.selected.key] = counts.get(row.selected.key, 0) + 1
-    best_key = max(counts, key=lambda k: counts[k])
-    return HeuristicTriple.from_key(best_key), counts[best_key]
+        counts[row.selected] = counts.get(row.selected, 0) + 1
+    best = max(counts, key=lambda label: counts[label])
+    return best, counts[best]
 
 
 def average_reductions(rows: list[CrossValidationRow]) -> tuple[float, float]:

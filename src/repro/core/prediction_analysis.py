@@ -14,9 +14,8 @@ import numpy as np
 
 from ..predict.loss import E_LOSS
 from ..sim.results import SimulationResult
-from ..workload.archive import get_trace, stable_seed
-from .run import run_triple_on_trace
-from .triples import HeuristicTriple
+from ..spec import CellSpec, WorkloadSpec
+from .run import run_spec_result
 
 __all__ = ["PredictionAnalysis", "analyze_predictions", "DEFAULT_TECHNIQUES"]
 
@@ -68,17 +67,19 @@ def analyze_predictions(
     is the per-job width vector used by the E-Loss weights.
     """
     techniques = dict(techniques or DEFAULT_TECHNIQUES)
-    if seed is None:
-        seed = stable_seed(log)
-    trace = get_trace(log, n_jobs=n_jobs, seed=seed)
+    workload = WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed)
     predictions: dict[str, np.ndarray] = {}
     result: SimulationResult | None = None
     for label, predictor_key in techniques.items():
         needs_correction = predictor_key not in ("requested", "clairvoyant")
-        triple = HeuristicTriple(
-            predictor_key, corrector if needs_correction else None, scheduler
+        result = run_spec_result(
+            CellSpec.make(
+                workload,
+                predictor_key,
+                corrector if needs_correction else None,
+                scheduler,
+            )
         )
-        result = run_triple_on_trace(trace, triple)
         predictions[label] = result.initial_predictions
     assert result is not None
     analysis = PredictionAnalysis(

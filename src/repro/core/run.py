@@ -1,11 +1,12 @@
 """Single-simulation entry points used by the campaign runner.
 
-The primitive is now spec-shaped: :func:`run_spec` (and its score-only
-form :func:`run_cell`) takes one :class:`repro.spec.CellSpec` -- the
+The primitive is spec-shaped: :func:`run_spec` (and its score-only form
+:func:`run_cell`) takes one :class:`repro.spec.CellSpec` -- the
 declarative description that also keys the cache and identifies cells on
 the distributed queue -- so every execution path (local pool, fsqueue
-worker, CLI one-offs) consumes the same object it is keyed by.  The
-legacy positional helpers (:func:`run_triple`) lower to specs.
+worker, CLI one-offs) consumes the same object it is keyed by.  Each
+helper here is a thin preparation step in front of the one batch run
+helper, :func:`repro.sim.engine.simulate`.
 
 Kept as module-level functions with picklable signatures so
 :class:`concurrent.futures.ProcessPoolExecutor` can dispatch them.
@@ -16,15 +17,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..metrics.slowdown import DEFAULT_TAU, average_bounded_slowdown
+from ..metrics.slowdown import average_bounded_slowdown
 from ..obs.telemetry import Telemetry
+from ..sim.engine import simulate
 from ..sim.results import SimulationResult
-from ..sim.session import SimSession
-from ..spec import CellSpec, WorkloadSpec, filter_registry
-from ..workload.archive import get_trace, stable_seed
+from ..spec import (
+    CellSpec,
+    WorkloadSpec,
+    corrector_registry,
+    filter_registry,
+    predictor_registry,
+    scheduler_registry,
+)
+from ..workload.archive import get_trace
 from ..workload.trace import Trace
-from .batch import TraceBundle, get_bundle
-from .triples import HeuristicTriple
+from .batch import get_bundle
 
 __all__ = [
     "RunOutcome",
@@ -34,8 +41,6 @@ __all__ = [
     "run_cell",
     "run_cell_report",
     "run_components_on_trace",
-    "run_triple_on_trace",
-    "run_triple",
 ]
 
 
@@ -53,10 +58,6 @@ class RunOutcome:
     #: content digest of the spec that produced this outcome ("" for
     #: outcomes built by pre-spec callers).
     spec_digest: str = ""
-
-    @property
-    def triple(self) -> HeuristicTriple:
-        return HeuristicTriple.from_key(self.triple_key)
 
 
 def build_workload(workload: WorkloadSpec) -> Trace:
@@ -89,13 +90,20 @@ def build_workload(workload: WorkloadSpec) -> Trace:
     return trace
 
 
-def _bind_static(predictor: object, bundle: TraceBundle) -> None:
-    """Hand the bundle's precomputed static feature rows to predictors
-    that can use them (duck-typed: only ML predictors expose the hook).
+def _cell_inputs(spec: CellSpec) -> tuple:
+    """``(trace, scheduler, predictor, corrector)`` of one cell: the trace
+    from the shared per-process bundle cache (same-trace cells of a
+    batched campaign pay the materialisation once) and fresh components,
+    with the bundle's precomputed static feature rows handed to
+    predictors that can use them (duck-typed: only ML predictors expose
+    the hook).
     """
+    bundle = get_bundle(spec.workload)
+    scheduler, predictor, corrector = spec.build_components()
     binder = getattr(predictor, "bind_static_features", None)
     if binder is not None:
         binder(bundle.static_rows())
+    return bundle.trace, scheduler, predictor, corrector
 
 
 def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
@@ -107,21 +115,7 @@ def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
     """
     tele = telemetry
     t0 = perf_counter() if tele is not None and tele.enabled else 0.0
-    # traces come from the shared per-process bundle cache: same-trace
-    # cells of a batched campaign pay the materialisation once
-    bundle = get_bundle(spec.workload)
-    trace = bundle.trace
-    scheduler, predictor, corrector = spec.build_components()
-    _bind_static(predictor, bundle)
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
-        min_prediction=spec.min_prediction,
-        trace_name=trace.name,
-        telemetry=tele,
-    )
+    trace, *components = _cell_inputs(spec)
     if tele is not None and tele.enabled:
         tele.inc("engine.time.build.seconds", perf_counter() - t0)
         with tele.span(
@@ -130,14 +124,17 @@ def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
             label=spec.label,
             seed=spec.workload.seed,
         ):
-            session.feed(trace)
-            session.drain()
+            result = simulate(
+                trace, *components,
+                min_prediction=spec.min_prediction, telemetry=tele,
+            )
         tele.inc("engine.cells")
         tele.inc("engine.time.wall.seconds", perf_counter() - t0)
     else:
-        session.feed(trace)
-        session.drain()
-    result = session.result()
+        result = simulate(
+            trace, *components, min_prediction=spec.min_prediction, telemetry=tele
+        )
+    assert result.stats is not None  # session results always carry them
     return RunOutcome(
         log=spec.workload.log,
         triple_key=spec.label,
@@ -145,7 +142,7 @@ def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:
         avebsld=average_bounded_slowdown(result, spec.tau),
         utilization=result.utilization(),
         corrections=result.total_corrections(),
-        max_queue_length=session.stats.max_queue_length,
+        max_queue_length=result.stats.max_queue_length,
         spec_digest=spec.digest(),
     )
 
@@ -159,21 +156,8 @@ def run_spec_result(spec: CellSpec) -> SimulationResult:
     starts, predictions, corrections) for plotting, metrics and
     timelines.  Deterministic in the spec.
     """
-    bundle = get_bundle(spec.workload)
-    trace = bundle.trace
-    scheduler, predictor, corrector = spec.build_components()
-    _bind_static(predictor, bundle)
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
-        min_prediction=spec.min_prediction,
-        trace_name=trace.name,
-    )
-    session.feed(trace)
-    session.drain()
-    return session.result()
+    trace, *components = _cell_inputs(spec)
+    return simulate(trace, *components, min_prediction=spec.min_prediction)
 
 
 def run_cell(spec: CellSpec) -> float:
@@ -225,83 +209,10 @@ def run_components_on_trace(
     and campaign cells use.  ``corrector=None`` (or ``"none"``) runs
     uncorrected.
     """
-    from ..spec import corrector_registry, predictor_registry, scheduler_registry
-
-    built_corrector = (
-        None
-        if corrector in (None, "none")
-        else corrector_registry().build(corrector_registry().normalize(corrector))
-    )
-    session = SimSession(
-        trace.processors,
-        scheduler_registry().build(scheduler_registry().normalize(scheduler)),
-        predictor_registry().build(predictor_registry().normalize(predictor)),
-        built_corrector,
+    return simulate(
+        trace,
+        scheduler_registry().build(scheduler),
+        predictor_registry().build(predictor),
+        None if corrector in (None, "none") else corrector_registry().build(corrector),
         min_prediction=min_prediction,
-        trace_name=trace.name,
-    )
-    session.feed(trace)
-    session.drain()
-    return session.result()
-
-
-def run_triple_on_trace(
-    trace: Trace,
-    triple: HeuristicTriple,
-    min_prediction: float = 60.0,
-) -> SimulationResult:
-    """Run one triple on an existing trace and return the full result.
-
-    (No ``tau`` parameter: this returns the raw per-job result, and the
-    bounded-slowdown threshold only enters when a caller aggregates it.)
-    """
-    scheduler, predictor, corrector = triple.build()
-    session = SimSession(
-        trace.processors,
-        scheduler,
-        predictor,
-        corrector,
-        min_prediction=min_prediction,
-        trace_name=trace.name,
-    )
-    session.feed(trace)
-    session.drain()
-    return session.result()
-
-
-def run_triple(
-    log: str,
-    triple_key: str,
-    n_jobs: int,
-    seed: int | None = None,
-    min_prediction: float = 60.0,
-    tau: float = DEFAULT_TAU,
-    telemetry: Telemetry | None = None,
-) -> RunOutcome:
-    """Legacy positional entry point; lowers to :func:`run_spec`.
-
-    Deterministic: the same arguments always produce the same outcome
-    (an omitted ``seed`` resolves to ``stable_seed(log)``).
-    """
-    if seed is None:
-        seed = stable_seed(log)
-    spec = CellSpec.from_triple(
-        log,
-        triple_key,
-        n_jobs=n_jobs,
-        seed=seed,
-        min_prediction=min_prediction,
-        tau=tau,
-    )
-    outcome = run_spec(spec, telemetry=telemetry)
-    # reports expect the legacy key spelling here, not the spec label
-    return RunOutcome(
-        log=outcome.log,
-        triple_key=triple_key,
-        seed=outcome.seed,
-        avebsld=outcome.avebsld,
-        utilization=outcome.utilization,
-        corrections=outcome.corrections,
-        max_queue_length=outcome.max_queue_length,
-        spec_digest=outcome.spec_digest,
     )

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..metrics.slowdown import average_bounded_slowdown
+from ..sim.engine import simulate
+from ..spec import CellSpec
 from ..workload.archive import ARCHIVE, stable_seed
 from ..workload.synthetic import WorkloadModel, synthesize
-from .run import run_triple_on_trace
-from .triples import HeuristicTriple
 
 __all__ = ["SweepPoint", "sweep_offered_load", "sweep_estimate_quality"]
 
@@ -34,23 +34,31 @@ class SweepPoint:
 
 def _evaluate(
     model: WorkloadModel,
-    triples: list[HeuristicTriple],
+    log: str,
+    triples: list[str],
     knob: str,
     value: float,
     seeds: list[int],
 ) -> list[SweepPoint]:
+    """One sweep point per triple label: the cell's components and engine
+    knobs come from its :class:`CellSpec`; only the trace is swapped for
+    the perturbed model's (no workload spec can express that)."""
     points = []
     for triple in triples:
+        spec = CellSpec.from_triple(log, triple, n_jobs=model.n_jobs)
         scores = []
         for seed in seeds:
-            trace = synthesize(model, seed=seed)
-            result = run_triple_on_trace(trace, triple)
-            scores.append(average_bounded_slowdown(result))
+            result = simulate(
+                synthesize(model, seed=seed),
+                *spec.build_components(),
+                min_prediction=spec.min_prediction,
+            )
+            scores.append(average_bounded_slowdown(result, spec.tau))
         points.append(
             SweepPoint(
                 knob=knob,
                 value=value,
-                triple_key=triple.key,
+                triple_key=triple,
                 avebsld=float(np.mean(scores)),
             )
         )
@@ -58,7 +66,7 @@ def _evaluate(
 
 
 def sweep_offered_load(
-    triples: list[HeuristicTriple],
+    triples: list[str],
     log: str = "KTH-SP2",
     loads: tuple[float, ...] = (0.7, 0.8, 0.9),
     n_jobs: int = 1500,
@@ -75,12 +83,12 @@ def sweep_offered_load(
     points: list[SweepPoint] = []
     for load in loads:
         model = replace(base, offered_load=load)
-        points.extend(_evaluate(model, triples, "offered_load", load, seeds))
+        points.extend(_evaluate(model, log, triples, "offered_load", load, seeds))
     return points
 
 
 def sweep_estimate_quality(
-    triples: list[HeuristicTriple],
+    triples: list[str],
     log: str = "KTH-SP2",
     margin_scales: tuple[float, ...] = (1.0, 2.0, 4.0),
     n_jobs: int = 1500,
@@ -99,5 +107,5 @@ def sweep_estimate_quality(
     for scale in margin_scales:
         lo, hi = base.estimate_margin_range
         model = replace(base, estimate_margin_range=(lo * scale, hi * scale))
-        points.extend(_evaluate(model, triples, "margin_scale", scale, seeds))
+        points.extend(_evaluate(model, log, triples, "margin_scale", scale, seeds))
     return points

@@ -1,6 +1,6 @@
-"""Heuristic triples: (prediction, correction, backfilling) combinations.
+"""The paper's triple matrix, as one grid document.
 
-The paper's campaign (Section 6.2) evaluates every combination of
+The campaign (Section 6.2) evaluates every combination of
 
 * prediction technique: Requested Time, AVE2, and the 20 machine-learned
   loss configurations (Table 5) -- plus Clairvoyant as reference;
@@ -10,8 +10,11 @@ The paper's campaign (Section 6.2) evaluates every combination of
 
 That yields exactly 128 triples per log (2 + 6 + 120), plus 2 clairvoyant
 references, matching the paper's "128 simulations per workload log".
-
-Named instances:
+:data:`PAPER_GRID` holds those ``[[grid]]`` blocks once, in the schema of
+:mod:`repro.spec.grid`; :func:`paper_cells` expands them over a choice of
+logs, trace size and replica count.  A triple is addressed everywhere by
+its cell label ``predictor|corrector|scheduler`` (``none`` for no
+corrector); the named ones:
 
 * ``EASY_TRIPLE``      -- Requested Time + no correction + EASY: the
   standard EASY backfilling algorithm;
@@ -23,133 +26,73 @@ Named instances:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
-from ..correct import Corrector, make_corrector
-from ..predict import Predictor, all_loss_specs, make_predictor
-from ..sched import Scheduler, make_scheduler
+from ..spec import CellSpec, expand_spec_obj
+from ..workload.archive import LOG_NAMES
 
 __all__ = [
-    "HeuristicTriple",
-    "campaign_triples",
-    "reference_triples",
+    "PAPER_GRID",
+    "paper_cells",
     "EASY_TRIPLE",
     "EASYPP_TRIPLE",
     "ELOSS_TRIPLE",
-    "SJBF_REQUESTED_TRIPLE",
+    "CLAIRVOYANT_EASY",
+    "CLAIRVOYANT_SJBF",
+    "TRIPLE_NAMES",
 ]
 
-
-@dataclass(frozen=True)
-class HeuristicTriple:
-    """One (prediction, correction, backfilling) combination.
-
-    Kept as a thin compatibility wrapper over the declarative spec
-    layer: component names here are the legacy string shorthands, and
-    :meth:`to_cell_components` /
-    :meth:`repro.spec.CellSpec.from_triple` lower them onto the
-    parameterized registry (:mod:`repro.spec`), which is the actual
-    source of truth for construction and cache identity.
-    """
-
-    predictor: str
-    corrector: str | None
-    scheduler: str
-
-    @property
-    def key(self) -> str:
-        """Stable identifier, e.g. ``ml:sq-lin-large-area|incremental|easy-sjbf``."""
-        return f"{self.predictor}|{self.corrector or 'none'}|{self.scheduler}"
-
-    @classmethod
-    def from_key(cls, key: str) -> HeuristicTriple:
-        parts = key.split("|")
-        if len(parts) != 3 or not all(parts):
-            raise ValueError(
-                f"malformed triple key {key!r}: need three non-empty "
-                f"'|'-separated components (predictor|corrector|scheduler, "
-                f"with 'none' for no corrector)"
-            )
-        predictor, corrector, scheduler = parts
-        return cls(
-            predictor=predictor,
-            corrector=None if corrector == "none" else corrector,
-            scheduler=scheduler,
-        )
-
-    def to_cell_components(self):
-        """Normalized ``(predictor, corrector, scheduler)`` component
-        specs -- the lowering of this legacy triple onto the unified
-        registry (see :mod:`repro.spec`)."""
-        from ..spec import corrector_registry, predictor_registry, scheduler_registry
-
-        return (
-            predictor_registry().normalize(self.predictor),
-            corrector_registry().normalize(self.corrector) if self.corrector else None,
-            scheduler_registry().normalize(self.scheduler),
-        )
-
-    def build(self) -> tuple[Scheduler, Predictor, Corrector | None]:
-        """Fresh component instances (one simulation's worth of state)."""
-        scheduler = make_scheduler(self.scheduler)
-        predictor = make_predictor(self.predictor)
-        corrector = make_corrector(self.corrector) if self.corrector else None
-        return scheduler, predictor, corrector
-
-    @property
-    def uses_learning(self) -> bool:
-        return self.predictor.startswith("ml:")
-
-    @property
-    def is_clairvoyant(self) -> bool:
-        return self.predictor == "clairvoyant"
-
-    def describe(self) -> str:
-        """Human-readable description for reports."""
-        if self == EASY_TRIPLE:
-            return "EASY (standard)"
-        if self == EASYPP_TRIPLE:
-            return "EASY++ (Tsafrir et al.)"
-        if self == ELOSS_TRIPLE:
-            return "E-Loss learning + Incremental + EASY-SJBF (paper's winner)"
-        return self.key
-
-
 #: Standard EASY: user estimates, no correction needed, FCFS backfill order.
-EASY_TRIPLE = HeuristicTriple("requested", None, "easy")
-
-#: EASY with SJBF order but still user estimates.
-SJBF_REQUESTED_TRIPLE = HeuristicTriple("requested", None, "easy-sjbf")
+EASY_TRIPLE = "requested|none|easy"
 
 #: EASY++ of Tsafrir et al.: AVE2 prediction, incremental correction, SJBF.
-EASYPP_TRIPLE = HeuristicTriple("ave2", "incremental", "easy-sjbf")
+EASYPP_TRIPLE = "ave2|incremental|easy-sjbf"
 
 #: The paper's cross-validation winner (Eq. 3 loss).
-ELOSS_TRIPLE = HeuristicTriple("ml:sq-lin-large-area", "incremental", "easy-sjbf")
+ELOSS_TRIPLE = "ml:sq-lin-large-area|incremental|easy-sjbf"
+
+#: Clairvoyant upper-bound references (reported, not competing).
+CLAIRVOYANT_EASY = "clairvoyant|none|easy"
+CLAIRVOYANT_SJBF = "clairvoyant|none|easy-sjbf"
+
+#: Report names of the named triples.
+TRIPLE_NAMES = {
+    EASY_TRIPLE: "EASY (standard)",
+    EASYPP_TRIPLE: "EASY++ (Tsafrir et al.)",
+    ELOSS_TRIPLE: "E-Loss learning + Incremental + EASY-SJBF (paper's winner)",
+}
 
 _CORRECTORS = ("requested", "incremental", "doubling")
 _SCHEDULERS = ("easy", "easy-sjbf")
 
-
-def campaign_triples() -> list[HeuristicTriple]:
-    """The 128 evaluated triples, in a fixed deterministic order."""
-    triples: list[HeuristicTriple] = []
-    for scheduler in _SCHEDULERS:
-        triples.append(HeuristicTriple("requested", None, scheduler))
-    for corrector in _CORRECTORS:
-        for scheduler in _SCHEDULERS:
-            triples.append(HeuristicTriple("ave2", corrector, scheduler))
-    for spec in all_loss_specs():
-        for corrector in _CORRECTORS:
-            for scheduler in _SCHEDULERS:
-                triples.append(
-                    HeuristicTriple(f"ml:{spec.key}", corrector, scheduler)
-                )
-    if len(triples) != 128:
-        raise AssertionError(f"campaign must have 128 triples, got {len(triples)}")
-    return triples
+#: The 128 evaluated triples then the 2 references, in report order.
+PAPER_GRID: tuple[dict, ...] = (
+    {"predictor": ["requested"], "corrector": ["none"], "scheduler": _SCHEDULERS},
+    {"predictor": ["ave2"], "corrector": _CORRECTORS, "scheduler": _SCHEDULERS},
+    {"predictor": ["ml:*"], "corrector": _CORRECTORS, "scheduler": _SCHEDULERS},
+    {"predictor": ["clairvoyant"], "corrector": ["none"], "scheduler": _SCHEDULERS},
+)
 
 
-def reference_triples() -> list[HeuristicTriple]:
-    """Clairvoyant upper-bound references (reported, not competing)."""
-    return [HeuristicTriple("clairvoyant", None, s) for s in _SCHEDULERS]
+def paper_cells(
+    logs: Sequence[str] = LOG_NAMES, n_jobs: int = 2000, replicas: int = 3
+) -> list[CellSpec]:
+    """Every cell of the paper's campaign: :data:`PAPER_GRID` over
+    ``logs`` x ``replicas`` seeds (``stable_seed(log) + 0..replicas-1``)
+    of ``n_jobs``-job traces, engine knobs at the paper's defaults.
+
+    Raises :class:`repro.spec.SpecFileError` on an unknown log or a
+    non-positive size/replica count.
+    """
+    return expand_spec_obj(
+        {
+            "campaign": {
+                "name": "paper-sc15",
+                "logs": list(logs),
+                "n_jobs": n_jobs,
+                "replicas": replicas,
+            },
+            "grid": list(PAPER_GRID),
+        },
+        source="paper grid",
+    )

@@ -1,6 +1,6 @@
 """Dispatch backends for the campaign runner.
 
-``run_campaign`` plans which cells need simulating and records results;
+``run_cells`` plans which cells need simulating and records results;
 *how* the pending cells get simulated is a :class:`Broker`:
 
 * :class:`LocalBroker` -- the classic single-host
@@ -425,7 +425,7 @@ def resolve_backend(
     queue_dir: str | None = None,
     **fsqueue_kwargs,
 ) -> Broker:
-    """Turn ``run_campaign``'s backend argument into a broker instance.
+    """Turn ``run_cells``'s backend argument into a broker instance.
 
     Accepts a ready broker, ``"local"`` (uses ``workers``) or
     ``"fsqueue"`` (needs ``queue_dir``; extra kwargs reach

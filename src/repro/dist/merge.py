@@ -15,11 +15,7 @@ distributed campaign's correctness guarantees concentrate:
 * **version fencing** -- cache tokens embed ``CACHE_VERSION`` and
   ``ENGINE_VERSION`` (``v5|e2|...``).  Records written by other code
   versions raise :class:`MergeVersionError`; results from semantically
-  different engines never co-mingle.  Pre-spec-redesign rows
-  (``LEGACY_CACHE_VERSION``) can opt into re-keying via
-  ``upgrade_legacy=True`` (the ``repro merge --upgrade-legacy`` flag),
-  which routes them through
-  :func:`repro.core.campaign.upgrade_legacy_token` instead of refusing.
+  different engines never co-mingle.
 * **torn-tail tolerance** -- a crash mid-append leaves a truncated last
   line; such lines are counted and skipped, never fatal.
 
@@ -68,22 +64,13 @@ class MergeReport:
     unique: int = 0
     duplicates: int = 0
     torn_lines: int = 0
-    #: v4 rows re-keyed (``upgrade_legacy``) or skipped as un-upgradable.
-    legacy_upgraded: int = 0
-    legacy_skipped: int = 0
     per_file: dict[str, int] = field(default_factory=dict)
 
     def describe(self) -> str:
-        legacy = ""
-        if self.legacy_upgraded or self.legacy_skipped:
-            legacy = (
-                f", {self.legacy_upgraded} legacy row(s) upgraded"
-                f", {self.legacy_skipped} legacy row(s) skipped"
-            )
         return (
             f"merged {self.files} cache file(s): {self.unique} unique cells "
             f"from {self.records} records ({self.duplicates} duplicate(s), "
-            f"{self.torn_lines} torn line(s) skipped{legacy})"
+            f"{self.torn_lines} torn line(s) skipped)"
         )
 
 
@@ -126,22 +113,15 @@ def merge_caches(
     inputs: Sequence[str],
     out_path: str | None = None,
     check_versions: bool = True,
-    upgrade_legacy: bool = False,
 ) -> tuple[dict[str, float], MergeReport]:
     """Merge shard caches; returns ``(cells, report)``.
 
     ``inputs`` are cache files and/or directories of ``*.jsonl`` shard
     caches.  With ``check_versions`` every token must carry the running
-    code's ``v<CACHE_VERSION>|e<ENGINE_VERSION>|`` prefix.
-    ``upgrade_legacy`` re-keys pre-redesign (v4 tuple-keyed) rows to
-    their spec-digest tokens where the same-engine lowering exists,
-    skipping (and counting) the rest.  ``out_path`` (optional) receives
-    the canonical sorted merge, written atomically.
+    code's ``v<CACHE_VERSION>|e<ENGINE_VERSION>|`` prefix.  ``out_path``
+    (optional) receives the canonical sorted merge, written atomically.
     """
-    from ..core.campaign import LEGACY_CACHE_VERSION, upgrade_legacy_token
-
     prefix = _version_prefix() if check_versions else None
-    legacy_prefix = f"v{LEGACY_CACHE_VERSION}|"
     cells: dict[str, float] = {}
     first_seen: dict[str, str] = {}
     report = MergeReport()
@@ -151,13 +131,6 @@ def merge_caches(
         report.files += 1
         records, torn = iter_cache_records(path)
         for lineno, token, value in records:
-            if upgrade_legacy and token.startswith(legacy_prefix):
-                upgraded = upgrade_legacy_token(token)
-                if upgraded is None:
-                    report.legacy_skipped += 1
-                    continue
-                token = upgraded
-                report.legacy_upgraded += 1
             _check_token_version(token, path, lineno, prefix)
             if token in cells:
                 if cells[token] != value:

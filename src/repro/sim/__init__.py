@@ -1,12 +1,12 @@
 """Event-driven scheduler simulator (pyss equivalent).
 
-Two entry styles: the batch wrappers (:class:`Simulator`,
-:func:`simulate`) drain a finished trace, and :class:`SimSession` is the
-same engine opened up for incremental feeding, live queries and machine
-events (the streaming simulation-as-a-service substrate).
+Two entry styles: :func:`simulate` drains a finished trace in one batch
+call, and :class:`SimSession` is the same engine opened up for
+incremental feeding, live queries and machine events (the streaming
+simulation-as-a-service substrate).
 """
 
-from .engine import EngineStats, Simulator, simulate
+from .engine import EngineStats, simulate
 from .events import Event, EventQueue, EventType
 from .machine import Machine, RunningJob
 from .profile import AvailabilityProfile
@@ -27,7 +27,6 @@ from .timeline import (
 
 __all__ = [
     "EngineStats",
-    "Simulator",
     "simulate",
     "SimSession",
     "EstimatedStart",

@@ -1,4 +1,4 @@
-"""The discrete-event scheduling simulator (batch entry points).
+"""The discrete-event scheduling simulator (batch entry point).
 
 Drives a trace through a scheduler with a predictor and a correction
 mechanism -- the "heuristic triple" of the paper.  The engine is the only
@@ -6,11 +6,9 @@ component that knows actual runtimes; schedulers see predictions, and
 predictors learn only from completions.
 
 The event loop itself lives in :class:`repro.sim.session.SimSession`,
-the incremental streaming API; :class:`Simulator` and :func:`simulate`
-are thin batch shims that feed a whole trace into a fresh session and
-drain it.  The loop semantics (matching pyss and the paper's on-line
-setting) are unchanged -- schedules are byte-identical to the pre-session
-engine, so ``ENGINE_VERSION`` did not move:
+the incremental streaming API; :func:`simulate` is the batch helper that
+feeds a whole trace into a fresh session and drains it.  The loop
+semantics (matching pyss and the paper's on-line setting):
 
 * all events at one timestamp are processed before any scheduling
   decision, in FINISH < EXPIRE < SUBMIT order;
@@ -30,7 +28,6 @@ engine, so ``ENGINE_VERSION`` did not move:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,20 +41,13 @@ if TYPE_CHECKING:  # imported for type hints only; avoids an import cycle
     from ..predict.base import Predictor
     from ..sched.base import Scheduler
 
-__all__ = ["Simulator", "EngineStats", "simulate", "ENGINE_VERSION"]
+__all__ = ["EngineStats", "simulate", "ENGINE_VERSION"]
 
 #: Bumped whenever engine or scheduler semantics could change simulation
 #: outcomes; campaign cache keys embed it so stale results never survive
 #: an engine change.  Version 2: incremental profile-based scheduling
 #: (the session refactor kept schedules byte-identical, so no bump).
 ENGINE_VERSION = 2
-
-#: Internals that moved to :class:`SimSession`; accessing them on a
-#: Simulator is deprecated and delegates to the most recent session.
-_SESSION_INTERNALS = frozenset(
-    {"_handle_submit", "_handle_finish", "_handle_expire", "_push_expiry",
-     "_schedule_pass"}
-)
 
 
 @dataclass
@@ -70,79 +60,6 @@ class EngineStats:
     max_queue_length: int = 0
 
 
-class Simulator:
-    """One simulation = trace x scheduler x predictor x corrector.
-
-    Batch compatibility wrapper: :meth:`run` feeds the whole trace into a
-    fresh :class:`~repro.sim.session.SimSession` and drains it.  Code
-    that needs incremental feeding, live queries or machine events should
-    hold a session directly.
-    """
-
-    def __init__(
-        self,
-        trace: Trace,
-        scheduler: Scheduler,
-        predictor: Predictor,
-        corrector: Corrector | None = None,
-        min_prediction: float = 60.0,
-        telemetry: Telemetry | None = None,
-    ) -> None:
-        if min_prediction <= 0:
-            raise ValueError("min_prediction must be positive")
-        self.trace = trace
-        self.scheduler = scheduler
-        self.predictor = predictor
-        self.corrector = corrector
-        self.min_prediction = float(min_prediction)
-        self.telemetry = telemetry
-        self.stats = EngineStats()
-        self._session: SimSession | None = None
-
-    def session(self) -> SimSession:
-        """A fresh session wired with this simulator's components."""
-        session = SimSession(
-            self.trace.processors,
-            self.scheduler,
-            self.predictor,
-            self.corrector,
-            min_prediction=self.min_prediction,
-            trace_name=self.trace.name,
-            telemetry=self.telemetry,
-        )
-        self._session = session
-        self.stats = session.stats
-        return session
-
-    def run(self) -> SimulationResult:
-        """Execute the full trace; returns when every job has completed."""
-        session = self.session()
-        session.feed(self.trace)
-        session.drain()
-        return session.result()
-
-    def __getattr__(self, name: str):
-        # Legacy event-handler internals live on the session now; keep
-        # them reachable (with a warning) for out-of-tree pokers.
-        if name in _SESSION_INTERNALS:
-            warnings.warn(
-                f"Simulator.{name} moved to repro.sim.session.SimSession; "
-                "drive a session directly instead of Simulator internals",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            session = self.__dict__.get("_session")
-            if session is None:
-                raise AttributeError(
-                    f"Simulator.{name} is only available after run() started "
-                    "a session (and is deprecated; use SimSession)"
-                )
-            return getattr(session, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-
 def simulate(
     trace: Trace,
     scheduler: Scheduler,
@@ -151,12 +68,21 @@ def simulate(
     min_prediction: float = 60.0,
     telemetry: Telemetry | None = None,
 ) -> SimulationResult:
-    """Convenience wrapper: one batch run over a session."""
-    return Simulator(
-        trace,
+    """One batch run: feed the whole trace into a fresh session, drain it.
+
+    The single construct/feed/drain helper every non-incremental caller
+    shares; code that needs incremental feeding, live queries or machine
+    events holds a :class:`~repro.sim.session.SimSession` directly.
+    """
+    session = SimSession(
+        trace.processors,
         scheduler,
         predictor,
-        corrector=corrector,
+        corrector,
         min_prediction=min_prediction,
+        trace_name=trace.name,
         telemetry=telemetry,
-    ).run()
+    )
+    session.feed(trace)
+    session.drain()
+    return session.result()

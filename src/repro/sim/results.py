@@ -9,11 +9,15 @@ exposes the arrays the metrics layer consumes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..workload.job import Job
+
+if TYPE_CHECKING:  # imported for type hints only; avoids an import cycle
+    from .engine import EngineStats
 
 __all__ = ["JobRecord", "SimulationResult"]
 
@@ -103,6 +107,7 @@ class SimulationResult:
         scheduler_name: str = "",
         predictor_name: str = "",
         corrector_name: str = "",
+        stats: EngineStats | None = None,
     ) -> None:
         self._records = sorted(records, key=lambda r: (r.submit_time, r.job_id))
         for rec in self._records:
@@ -115,6 +120,9 @@ class SimulationResult:
         self.scheduler_name = scheduler_name
         self.predictor_name = predictor_name
         self.corrector_name = corrector_name
+        #: run-level counters of the session that produced this result
+        #: (None for results assembled by hand).
+        self.stats = stats
 
     def __len__(self) -> int:
         return len(self._records)

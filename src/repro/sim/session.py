@@ -1,16 +1,16 @@
 """Incremental simulation sessions: the engine as a streaming API.
 
-The batch entry points (:class:`repro.sim.engine.Simulator` and
-:func:`repro.sim.engine.simulate`) drain a finished trace and exit.  A
-:class:`SimSession` is the same event loop opened up for *live* use: jobs,
-externally-observed completions and machine capacity events can be fed in
-while the session runs, time advances monotonically under caller control,
-and "when will this job start?" queries are answered from the current
-availability profile without mutating any scheduling state.
+The batch entry point (:func:`repro.sim.engine.simulate`) drains a
+finished trace and exits.  A :class:`SimSession` is the same event loop
+opened up for *live* use: jobs, externally-observed completions and
+machine capacity events can be fed in while the session runs, time
+advances monotonically under caller control, and "when will this job
+start?" queries are answered from the current availability profile
+without mutating any scheduling state.
 
-The loop body is byte-for-byte the batch semantics (the batch wrappers
-are now thin shims over a session), so a session that is fed a whole
-trace and drained produces schedules identical to ``Simulator.run()``:
+The loop body *is* the batch semantics (``simulate()`` feeds a whole
+trace into a session and drains it), so streaming and batch replay of
+the same jobs produce identical schedules:
 
 * all events at one timestamp are processed before any scheduling
   decision, in FINISH < EXPIRE < SUBMIT < MACHINE order (see
@@ -457,6 +457,7 @@ class SimSession:
             scheduler_name=self.scheduler.name,
             predictor_name=self.predictor.name,
             corrector_name=self.corrector.name if self.corrector else "none",
+            stats=replace(self.stats),
         )
 
     # -- event loop (the batch semantics, one timestamp at a time) -----------

@@ -120,11 +120,6 @@ class WorkloadSpec:
             filters=tuple(obj.get("filters", ()) or ()),
         )
 
-    @property
-    def is_plain(self) -> bool:
-        """True when the trace is exactly ``get_trace(log, n_jobs, seed)``."""
-        return self.processors is None and not self.filters
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -184,23 +179,27 @@ class CellSpec:
     def from_triple(
         cls,
         log: str,
-        triple: str | Any,
+        triple: str,
         n_jobs: int = 2000,
         seed: int | None = None,
         min_prediction: float = _DEFAULT_MIN_PREDICTION,
         tau: float = _DEFAULT_TAU,
     ) -> CellSpec:
-        """Lower a legacy ``(log, triple, n_jobs, seed, ...)`` tuple -- the
-        old positional API threaded through six call sites -- to a spec."""
-        from ..core.triples import HeuristicTriple
-
-        if isinstance(triple, str):
-            triple = HeuristicTriple.from_key(triple)
+        """The plain-workload cell of one ``predictor|corrector|scheduler``
+        triple key (``none`` for no corrector) on one archive log."""
+        parts = triple.split("|")
+        if len(parts) != 3 or not all(parts):
+            raise ValueError(
+                f"malformed triple key {triple!r}: need three non-empty "
+                f"'|'-separated components (predictor|corrector|scheduler, "
+                f"with 'none' for no corrector)"
+            )
+        predictor, corrector, scheduler = parts
         return cls.make(
             workload=WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed),
-            predictor=triple.predictor,
-            corrector=triple.corrector,
-            scheduler=triple.scheduler,
+            predictor=predictor,
+            corrector=corrector,
+            scheduler=scheduler,
             min_prediction=min_prediction,
             tau=tau,
         )

@@ -35,9 +35,9 @@ sweeps the same way::
                   weight = "large-area", eta = [0.3, 0.5]}}]
 
 Expansion order is grid-block, then predictor, corrector, scheduler
-(matching :func:`repro.core.triples.campaign_triples`, with component
-param sweeps expanding in declaration order at the entry's position),
-then the knob axes (n_jobs, min_prediction, tau, processors), then log,
+(the paper's report order, see :data:`repro.core.triples.PAPER_GRID`;
+component param sweeps expand in declaration order at the entry's
+position), then the knob axes (n_jobs, min_prediction, tau, processors), then log,
 then seed; cells that expand identically (same digest) are emitted once.
 """
 
@@ -142,6 +142,8 @@ def expand_spec_obj(doc: Mapping[str, Any], source: str = "<spec>") -> list[Cell
             if cell.digest() not in seen:
                 seen.add(cell.digest())
                 cells.append(cell)
+    if not cells:
+        raise SpecFileError(f"{source}: expands to no cells")
     return cells
 
 
@@ -149,16 +151,30 @@ def _seed_plan(
     campaign: Mapping[str, Any], grid: Mapping[str, Any], where: str
 ) -> tuple[Any, Any]:
     """Resolve the (seeds, replicas) axis: one of the two per table, and
-    a grid-level setting of either overrides both campaign-level ones."""
+    a grid-level setting of either overrides both campaign-level ones.
+    Either way the axis must be non-empty -- a campaign of zero cells is
+    a mistake, never a result."""
     for name, table in (("[[grid]]", grid), ("[campaign]", campaign)):
         if "seeds" in table and "replicas" in table:
             raise SpecFileError(
                 f"{where}: {name} gives both seeds and replicas; pick one"
             )
         if "seeds" in table:
-            return table["seeds"], None
+            seeds = _as_list(table["seeds"], where, "seeds")
+            if not seeds:
+                raise SpecFileError(f"{where}: empty seeds list")
+            return seeds, None
         if "replicas" in table:
-            return None, table["replicas"]
+            replicas = table["replicas"]
+            if (
+                isinstance(replicas, bool)
+                or not isinstance(replicas, int)
+                or replicas < 1
+            ):
+                raise SpecFileError(
+                    f"{where}: replicas must be an integer >= 1, got {replicas!r}"
+                )
+            return None, replicas
     return None, 1
 
 
@@ -195,12 +211,10 @@ def _expand_block(
                     ):
                         for log in logs:
                             if seeds is not None:
-                                log_seeds = [
-                                    int(s) for s in _as_list(seeds, where, "seeds")
-                                ]
+                                log_seeds = [int(s) for s in seeds]
                             else:
                                 base = stable_seed(str(log))
-                                log_seeds = [base + r for r in range(int(replicas))]
+                                log_seeds = [base + r for r in range(replicas)]
                             for seed in log_seeds:
                                 yield CellSpec.make(
                                     workload=WorkloadSpec.make(

@@ -14,12 +14,6 @@ _CELLSPEC = (
 )
 
 _ENGINE_OK = (
-    "class Simulator:\n"
-    "    def __init__(self, trace, scheduler, predictor, corrector=None,\n"
-    "                 min_prediction=60.0, telemetry=None):\n"
-    "        pass\n"
-    "\n"
-    "\n"
     "def simulate(trace, scheduler, predictor, corrector=None,\n"
     "             min_prediction=60.0, telemetry=None):\n"
     "    pass\n"
@@ -55,9 +49,9 @@ class TestSpecIdentity:
         spec_repo.add(
             "src/repro/sim/engine.py",
             _ENGINE_OK.replace(
-                "min_prediction=60.0, telemetry=None):\n        pass",
+                "min_prediction=60.0, telemetry=None):\n    pass",
                 "min_prediction=60.0, backfill_depth=4, telemetry=None):\n"
-                "        pass",
+                "    pass",
             ),
         )
         findings = _check(spec_repo)

@@ -15,35 +15,32 @@ import pytest
 import repro.core.campaign as campaign_mod
 import repro.core.run as run_mod
 from repro.core import (
-    CampaignConfig,
-    HeuristicTriple,
     ResultCache,
     format_progress,
     load_progress,
-    run_campaign,
+    run_cells,
 )
+
+from tests.helpers import triple_cells
 
 #: A tiny but heterogeneous triple subset: no corrector, corrector, SJBF.
 TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
+    "requested|none|easy",
+    "requested|none|easy-sjbf",
+    "ave2|incremental|easy",
+    "ave2|incremental|easy-sjbf",
 ]
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=120, replicas=2)
+REPLICAS = 2
+CELLS = triple_cells(TRIPLES, logs=("KTH-SP2",), n_jobs=120, replicas=REPLICAS)
 
 
 @pytest.fixture(scope="module")
 def warm_campaign(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache") / "cells.jsonl"
     progress = tmp_path_factory.mktemp("progress") / "progress.jsonl"
-    result = run_campaign(
-        CONFIG,
-        cache_path=str(cache),
-        workers=1,
-        triples=TRIPLES,
-        progress_path=str(progress),
+    result = run_cells(
+        CELLS, cache_path=str(cache), workers=1, progress_path=str(progress)
     )
     return result, cache, progress
 
@@ -57,9 +54,7 @@ class TestWarmCache:
             raise AssertionError(f"simulation dispatched for {spec}")
 
         monkeypatch.setattr(run_mod, "run_cell_report", boom)
-        again = run_campaign(
-            CONFIG, cache_path=str(cache), workers=1, triples=TRIPLES
-        )
+        again = run_cells(CELLS, cache_path=str(cache), workers=1)
         assert again.scores == result.scores
 
     def test_partial_cache_resumes_only_missing_cells(
@@ -80,9 +75,7 @@ class TestWarmCache:
             return real(spec, with_telemetry=with_telemetry)
 
         monkeypatch.setattr(run_mod, "run_cell_report", counting)
-        resumed = run_campaign(
-            CONFIG, cache_path=str(partial), workers=1, triples=TRIPLES
-        )
+        resumed = run_cells(CELLS, cache_path=str(partial), workers=1)
         assert resumed.scores == result.scores
         assert len(calls) == len(lines) - len(kept)
 
@@ -99,18 +92,15 @@ class TestWarmCache:
             return real(spec, with_telemetry=with_telemetry)
 
         monkeypatch.setattr(run_mod, "run_cell_report", counting)
-        run_campaign(CONFIG, cache_path=str(cache), workers=1, triples=TRIPLES)
-        assert len(calls) == len(TRIPLES) * CONFIG.replicas
+        run_cells(CELLS, cache_path=str(cache), workers=1)
+        assert len(calls) == len(CELLS)
 
 
 class TestParallelEqualsSerial:
     def test_scores_identical(self, warm_campaign, tmp_path):
         serial, _, _ = warm_campaign
-        parallel = run_campaign(
-            CONFIG,
-            cache_path=str(tmp_path / "par.jsonl"),
-            workers=2,
-            triples=TRIPLES,
+        parallel = run_cells(
+            CELLS, cache_path=str(tmp_path / "par.jsonl"), workers=2
         )
         assert parallel.scores == serial.scores
 
@@ -120,7 +110,7 @@ class TestProgressStream:
         _, _, progress = warm_campaign
         events = load_progress(str(progress))
         kinds = [e["event"] for e in events]
-        n_cells = len(TRIPLES) * CONFIG.replicas
+        n_cells = len(TRIPLES) * REPLICAS
         assert kinds[0] == "start"
         assert kinds[-1] == "end"
         assert kinds.count("cell") == n_cells

@@ -5,32 +5,31 @@ import pytest
 from repro.core import (
     EASY_TRIPLE,
     EASYPP_TRIPLE,
-    CampaignConfig,
-    CampaignResult,
+    SpecCampaignResult,
     average_reductions,
-    campaign_triples,
     leave_one_out,
-    reference_triples,
+    paper_cells,
     selection_consensus,
 )
 
+LOGS = ("KTH-SP2", "CTC-SP2", "SDSC-SP2")
 
-def fabricated_result(winner_key: str, logs=("A", "B", "C")) -> CampaignResult:
+
+def fabricated_result(winner_key: str, logs=LOGS) -> SpecCampaignResult:
     """Hand-built campaign scores where ``winner_key`` dominates everywhere."""
-    config = CampaignConfig(logs=tuple(logs), n_jobs=10, replicas=1)
-    result = CampaignResult(config=config)
-    for log_idx, log in enumerate(logs):
-        result.scores[log] = {}
-        for t_idx, triple in enumerate(campaign_triples() + reference_triples()):
-            base = 50.0 + 3.0 * t_idx + 10.0 * log_idx
-            if triple.key == winner_key:
-                base = 5.0
-            if triple == EASY_TRIPLE:
-                base = 100.0
-            if triple == EASYPP_TRIPLE:
-                base = 60.0
-            result.scores[log][triple.key] = [base]
-    return result
+    cells = paper_cells(logs=logs, n_jobs=10, replicas=1)
+    order = list(dict.fromkeys(cell.label for cell in cells))
+    scores = {}
+    for cell in cells:
+        base = 50.0 + 3.0 * order.index(cell.label) + 10.0 * logs.index(cell.workload.log)
+        if cell.label == winner_key:
+            base = 5.0
+        if cell.label == EASY_TRIPLE:
+            base = 100.0
+        if cell.label == EASYPP_TRIPLE:
+            base = 60.0
+        scores[cell.digest()] = base
+    return SpecCampaignResult(cells=cells, scores=scores)
 
 
 class TestLeaveOneOut:
@@ -38,11 +37,12 @@ class TestLeaveOneOut:
         winner = "ml:sq-lin-large-area|incremental|easy-sjbf"
         rows = leave_one_out(fabricated_result(winner))
         assert len(rows) == 3
-        assert all(row.selected.key == winner for row in rows)
+        assert all(row.selected == winner for row in rows)
 
     def test_scores_reported_on_held_out_log(self):
         winner = "ml:sq-lin-large-area|incremental|easy-sjbf"
         rows = leave_one_out(fabricated_result(winner))
+        assert [row.log for row in rows] == list(LOGS)
         for row in rows:
             assert row.cv_score == 5.0
             assert row.easy_score == 100.0
@@ -60,16 +60,20 @@ class TestLeaveOneOut:
         winner = "ml:lin-lin-constant|doubling|easy"
         rows = leave_one_out(fabricated_result(winner))
         triple, folds = selection_consensus(rows)
-        assert triple.key == winner
+        assert triple == winner
         assert folds == 3
 
     def test_clairvoyant_never_selected(self):
         """The references are upper bounds, not deployable triples."""
-        rows = leave_one_out(fabricated_result("nonexistent-key"))
-        assert all(not row.selected.is_clairvoyant for row in rows)
+        result = fabricated_result("nonexistent-key")
+        for cell in result.cells:  # make the references unbeatable
+            if cell.predictor.name == "clairvoyant":
+                result.scores[cell.digest()] = 1.0
+        rows = leave_one_out(result)
+        assert all(not row.selected.startswith("clairvoyant") for row in rows)
 
     def test_single_log_rejected(self):
-        result = fabricated_result("x", logs=("A",))
+        result = fabricated_result("x", logs=("KTH-SP2",))
         with pytest.raises(ValueError):
             leave_one_out(result)
 

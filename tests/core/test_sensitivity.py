@@ -3,20 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core import EASY_TRIPLE, HeuristicTriple
+from repro.core import CLAIRVOYANT_SJBF, EASY_TRIPLE
 from repro.core.sensitivity import (
     SweepPoint,
     sweep_estimate_quality,
     sweep_offered_load,
 )
 
-CLAIRVOYANT = HeuristicTriple("clairvoyant", None, "easy-sjbf")
-
 
 @pytest.fixture(scope="module")
 def load_sweep():
     return sweep_offered_load(
-        [EASY_TRIPLE, CLAIRVOYANT],
+        [EASY_TRIPLE, CLAIRVOYANT_SJBF],
         loads=(0.65, 0.9),
         n_jobs=500,
         replicas=2,
@@ -37,7 +35,7 @@ class TestLoadSweep:
         """
         by = {(p.value, p.triple_key): p.avebsld for p in load_sweep}
         for load in (0.65, 0.9):
-            assert by[(load, CLAIRVOYANT.key)] < by[(load, EASY_TRIPLE.key)]
+            assert by[(load, CLAIRVOYANT_SJBF)] < by[(load, EASY_TRIPLE)]
 
     def test_scores_valid(self, load_sweep):
         assert all(p.avebsld >= 1.0 and np.isfinite(p.avebsld) for p in load_sweep)
@@ -48,7 +46,7 @@ class TestEstimateQualitySweep:
         """Clairvoyant EASY ignores requested times entirely, so its score
         must move far less than standard EASY's when estimates degrade."""
         points = sweep_estimate_quality(
-            [CLAIRVOYANT],
+            [CLAIRVOYANT_SJBF],
             margin_scales=(1.0, 4.0),
             n_jobs=500,
             replicas=2,

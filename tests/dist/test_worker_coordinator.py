@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core import CampaignConfig, HeuristicTriple, run_campaign
+from repro.core import run_cells
 from repro.core.campaign import ResultCache
 from repro.dist import (
     FsQueue,
@@ -20,15 +20,17 @@ from repro.dist import (
     run_worker,
 )
 
+from tests.helpers import triple_cells
+
 #: Heterogeneous little triple set: plain, corrected, SJBF, clairvoyant.
 TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-    HeuristicTriple("clairvoyant", None, "easy"),
+    "requested|none|easy",
+    "requested|none|easy-sjbf",
+    "ave2|incremental|easy-sjbf",
+    "clairvoyant|none|easy",
 ]
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=2)
+CELLS = triple_cells(TRIPLES, logs=("KTH-SP2",), n_jobs=80, replicas=2)
 
 
 def start_worker(queue_dir, worker_id, **kwargs):
@@ -49,7 +51,7 @@ def single_host(tmp_path_factory):
     """Reference run + canonical cache bytes."""
     tmp = tmp_path_factory.mktemp("single")
     cache = str(tmp / "cache.jsonl")
-    result = run_campaign(CONFIG, cache_path=cache, workers=2, triples=TRIPLES)
+    result = run_cells(CELLS, cache_path=cache, workers=2)
     canonical = str(tmp / "canonical.jsonl")
     merge_caches([cache], out_path=canonical)
     with open(canonical, "rb") as fh:
@@ -82,7 +84,7 @@ class TestTwoWorkerCampaign:
         broker = FsQueueBroker(
             qdir, cells_per_shard=1, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         assert result.scores == reference.scores
@@ -103,7 +105,7 @@ class TestTwoWorkerCampaign:
         broker = FsQueueBroker(
             qdir, cells_per_shard=1, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        run_campaign(CONFIG, triples=TRIPLES, backend=broker)
+        run_cells(CELLS, backend=broker)
         for thread, _ in threads_results:
             thread.join(timeout=60)
         shards = [results["stats"].shards for _, results in threads_results]
@@ -124,10 +126,9 @@ class TestGroupedShardCampaign:
         # the campaign's 8 cells form 2 trace groups (2 replica seeds x
         # 4 triples); cells_per_shard=4 lets the planner emit exactly
         # one trace-pure shard per group
-        cells = CONFIG.cell_specs(TRIPLES)
         from repro.dist import plan_shards
 
-        planned = plan_shards(cells, cells_per_shard=4)
+        planned = plan_shards(CELLS, cells_per_shard=4)
         assert len(planned) == 2
         assert all(len(shard.trace_keys) == 1 for shard in planned)
 
@@ -138,9 +139,7 @@ class TestGroupedShardCampaign:
             qdir, cells_per_shard=4, lease_ttl=60.0, poll_interval=0.05,
             timeout=300.0,
         )
-        result = run_campaign(
-            CONFIG, cache_path=cache, triples=TRIPLES, backend=broker
-        )
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         assert result.scores == reference.scores
@@ -164,10 +163,9 @@ class TestCrashRecovery:
         # Plan and enqueue exactly like a coordinator, then "crash" it:
         # claim one shard as a zombie worker that simulates one cell and
         # disappears without completing or renewing.
-        cells = CONFIG.cell_specs(TRIPLES)
         from repro.dist import plan_shards
 
-        for shard in plan_shards(cells, cells_per_shard=4, prefix="g1"):
+        for shard in plan_shards(CELLS, cells_per_shard=4, prefix="g1"):
             queue.enqueue(shard.manifest())
         zombie = queue.claim("zombie")
         assert zombie is not None
@@ -187,7 +185,7 @@ class TestCrashRecovery:
         broker = FsQueueBroker(
             qdir, cells_per_shard=4, lease_ttl=2.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, cache_path=cache, backend=broker)
         thread.join(timeout=60)
 
         assert result.scores == reference.scores
@@ -205,7 +203,7 @@ class TestCrashRecovery:
     def test_attempts_exhausted_raises(self, tmp_path):
         qdir = str(tmp_path / "q")
         queue = FsQueue.create(qdir, lease_ttl=0.1)
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=40, replicas=1)
+        cells = triple_cells(TRIPLES[:1], logs=("KTH-SP2",), n_jobs=40)
         # a zombie claims the only shard and never works; with
         # max_attempts=1 the expiry fails the shard immediately
         broker = FsQueueBroker(
@@ -223,7 +221,7 @@ class TestCrashRecovery:
         thread = threading.Thread(target=zombie_claimer, daemon=True)
         thread.start()
         with pytest.raises(RuntimeError, match="exhausted"):
-            run_campaign(config, triples=TRIPLES[:1], backend=broker)
+            run_cells(cells, backend=broker)
         thread.join(timeout=10)
 
 
@@ -291,7 +289,7 @@ class TestSignalHygiene:
         broker = FsQueueBroker(
             qdir, cells_per_shard=2, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        result = run_campaign(CONFIG, triples=TRIPLES, backend=broker)
+        result = run_cells(CELLS, backend=broker)
         thread.join(timeout=60)
         assert result.scores == reference.scores
         assert results["stats"].shards > 0
@@ -308,11 +306,11 @@ class TestWarmRestart:
         broker = FsQueueBroker(
             qdir, cells_per_shard=2, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
-        first = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        first = run_cells(CELLS, cache_path=cache, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         # no worker running now: must still return instantly from cache
-        again = run_campaign(CONFIG, cache_path=cache, triples=TRIPLES, backend=broker)
+        again = run_cells(CELLS, cache_path=cache, backend=broker)
         assert again.scores == first.scores == reference.scores
 
     def test_results_on_disk_survive_coordinator_loss(self, tmp_path, single_host):
@@ -326,12 +324,12 @@ class TestWarmRestart:
         )
         # first coordinator writes NO canonical cache (simulates dying
         # before its cache hit disk -- results live only in the queue)
-        first = run_campaign(CONFIG, cache_path=None, triples=TRIPLES, backend=broker)
+        first = run_cells(CELLS, cache_path=None, backend=broker)
         for thread in threads:
             thread.join(timeout=60)
         # second coordinator, fresh cache, no workers: everything must
         # come from the harvested shard results
-        second = run_campaign(
-            CONFIG, cache_path=str(tmp_path / "c2.jsonl"), triples=TRIPLES, backend=broker
+        second = run_cells(
+            CELLS, cache_path=str(tmp_path / "c2.jsonl"), backend=broker
         )
         assert second.scores == first.scores == reference.scores

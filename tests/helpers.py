@@ -9,9 +9,23 @@ resolve for rootdir-anchored test packages.
 from __future__ import annotations
 
 from repro.sim.results import JobRecord
-from repro.workload import Job
+from repro.spec import CellSpec
+from repro.workload import Job, stable_seed
 
-__all__ = ["make_job", "make_record"]
+__all__ = ["make_job", "make_record", "triple_cells"]
+
+
+def triple_cells(
+    triples, logs=("KTH-SP2",), n_jobs: int = 120, replicas: int = 1
+) -> list[CellSpec]:
+    """A small campaign: the given triple keys on each log's first
+    ``replicas`` seeds, in log, seed, triple order."""
+    return [
+        CellSpec.from_triple(log, key, n_jobs=n_jobs, seed=stable_seed(log) + r)
+        for log in logs
+        for r in range(replicas)
+        for key in triples
+    ]
 
 
 def make_job(

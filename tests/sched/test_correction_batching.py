@@ -10,7 +10,7 @@ from repro.correct import IncrementalCorrector
 from repro.predict import RecentAveragePredictor
 from repro.sched import Scheduler, make_scheduler
 from repro.sched.profile_structure import IncrementalProfile, ReleaseTable
-from repro.sim import Simulator
+from repro.sim import simulate
 from repro.sim.profile import AvailabilityProfile
 from repro.workload import Job, Trace
 
@@ -225,16 +225,16 @@ class TestEngineStormBatching:
             return original(records)
 
         sched.on_corrections = spy
-        new = Simulator(
+        new = simulate(
             trace, sched, RecentAveragePredictor(2), IncrementalCorrector()
-        ).run()
+        )
         assert max(storms) > 1, "trace failed to provoke a storm"
-        old = Simulator(
+        old = simulate(
             trace,
             make_scheduler(f"legacy-{scheduler}"),
             RecentAveragePredictor(2),
             IncrementalCorrector(),
-        ).run()
+        )
         assert schedule_of(new) == schedule_of(old)
 
     @pytest.mark.parametrize("scheduler", ["easy-sjbf", "conservative"])
@@ -242,15 +242,15 @@ class TestEngineStormBatching:
         """Forcing the base-class per-record fan-out must not change the
         schedule either -- batching is pure mechanics."""
         trace = storm_trace(waves=3)
-        batched = Simulator(
+        batched = simulate(
             trace, make_scheduler(scheduler),
             RecentAveragePredictor(2), IncrementalCorrector(),
-        ).run()
+        )
         sched = make_scheduler(scheduler)
         sched.on_corrections = (
             lambda records, s=sched: Scheduler.on_corrections(s, records)
         )
-        perjob = Simulator(
+        perjob = simulate(
             trace, sched, RecentAveragePredictor(2), IncrementalCorrector()
-        ).run()
+        )
         assert schedule_of(batched) == schedule_of(perjob)

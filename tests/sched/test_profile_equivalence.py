@@ -15,7 +15,7 @@ from repro.predict import (
     RequestedTimePredictor,
 )
 from repro.sched import make_scheduler
-from repro.sim import Simulator
+from repro.sim import simulate
 from repro.workload import get_trace
 
 PAIRS = [
@@ -34,14 +34,14 @@ def schedule_of(result):
 
 
 def run_pair(trace, modern, legacy, predictor_factory, corrector_factory):
-    new = Simulator(
+    new = simulate(
         trace, make_scheduler(modern), predictor_factory(),
         corrector_factory() if corrector_factory else None,
-    ).run()
-    old = Simulator(
+    )
+    old = simulate(
         trace, make_scheduler(legacy), predictor_factory(),
         corrector_factory() if corrector_factory else None,
-    ).run()
+    )
     return new, old
 
 
@@ -80,15 +80,14 @@ def test_clairvoyant_schedules_identical(modern, legacy):
 def test_engine_stats_match(modern, legacy):
     """Same schedules imply the same pass/correction counters."""
     trace = get_trace("KTH-SP2", n_jobs=200, seed=5)
-    new_sim = Simulator(
+    new = simulate(
         trace, make_scheduler(modern),
         RecentAveragePredictor(2), IncrementalCorrector(),
     )
-    old_sim = Simulator(
+    old = simulate(
         trace, make_scheduler(legacy),
         RecentAveragePredictor(2), IncrementalCorrector(),
     )
-    new, old = new_sim.run(), old_sim.run()
     assert schedule_of(new) == schedule_of(old)
-    assert new_sim.stats.n_corrections == old_sim.stats.n_corrections
-    assert new_sim.stats.max_queue_length == old_sim.stats.max_queue_length
+    assert new.stats.n_corrections == old.stats.n_corrections
+    assert new.stats.max_queue_length == old.stats.max_queue_length

@@ -10,7 +10,7 @@ from repro.predict import (
 )
 from repro.predict.base import Predictor
 from repro.sched import EasyScheduler, FcfsScheduler
-from repro.sim import Simulator, simulate
+from repro.sim import simulate
 from repro.workload import Trace
 
 from tests.helpers import make_job
@@ -69,11 +69,10 @@ class TestCorrections:
     def test_underprediction_triggers_corrections(self):
         jobs = [make_job(job_id=1, runtime=1000.0, requested_time=4000.0)]
         trace = Trace(jobs, processors=4)
-        sim = Simulator(
+        result = simulate(
             trace, EasyScheduler("fcfs"), ConstantPredictor(60.0),
             IncrementalCorrector(),
         )
-        result = sim.run()
         rec = result[0]
         # 60s predicted, +60 => 120, +300 => 420, +900 => 1320 > 1000: done
         assert rec.corrections == 3
@@ -131,8 +130,8 @@ class TestEngineInvariants:
 
     def test_bad_min_prediction_rejected(self, tiny_trace):
         with pytest.raises(ValueError):
-            Simulator(tiny_trace, EasyScheduler("fcfs"), ClairvoyantPredictor(),
-                      min_prediction=0.0)
+            simulate(tiny_trace, EasyScheduler("fcfs"), ClairvoyantPredictor(),
+                     min_prediction=0.0)
 
     def test_all_jobs_finish_all_waits_nonnegative(self, kth_trace):
         result = simulate(
@@ -145,10 +144,11 @@ class TestEngineInvariants:
             assert rec.end_time == pytest.approx(rec.start_time + rec.runtime)
 
     def test_stats_counters(self, kth_trace):
-        sim = Simulator(kth_trace, EasyScheduler("fcfs"), RequestedTimePredictor())
-        sim.run()
-        assert sim.stats.n_events >= 2 * len(kth_trace)
-        assert sim.stats.n_scheduling_passes > 0
+        stats = simulate(
+            kth_trace, EasyScheduler("fcfs"), RequestedTimePredictor()
+        ).stats
+        assert stats.n_events >= 2 * len(kth_trace)
+        assert stats.n_scheduling_passes > 0
 
     def test_deterministic_replay(self, kth_trace):
         r1 = simulate(kth_trace, EasyScheduler("sjbf"),

@@ -10,7 +10,7 @@ from repro.correct import (
 from repro.predict import ClairvoyantPredictor
 from repro.predict.base import Predictor
 from repro.sched import EasyScheduler
-from repro.sim import Simulator, simulate
+from repro.sim import simulate
 from repro.workload import Trace
 
 from tests.helpers import make_job
@@ -124,10 +124,9 @@ class TestSimultaneousEvents:
 
 class TestEngineStatsAccuracy:
     def test_event_count_lower_bound(self, tiny_trace):
-        sim = Simulator(tiny_trace, EasyScheduler("fcfs"), ClairvoyantPredictor())
-        sim.run()
+        result = simulate(tiny_trace, EasyScheduler("fcfs"), ClairvoyantPredictor())
         # 3 submits + 3 finishes minimum
-        assert sim.stats.n_events >= 6
+        assert result.stats.n_events >= 6
 
     def test_correction_count_matches_records(self):
         jobs = [
@@ -135,10 +134,9 @@ class TestEngineStatsAccuracy:
             for i in (1, 2)
         ]
         trace = Trace(jobs, processors=8)
-        sim = Simulator(
+        result = simulate(
             trace, EasyScheduler("fcfs"), ConstantPredictor(60.0),
             IncrementalCorrector(),
         )
-        result = sim.run()
-        assert sim.stats.n_corrections == result.total_corrections()
-        assert sim.stats.n_corrections > 0
+        assert result.stats.n_corrections == result.total_corrections()
+        assert result.stats.n_corrections > 0

@@ -1,11 +1,11 @@
 """Streaming session API: equivalence with batch, monotonicity, queries,
-machine events, external completions, and the deprecation shims."""
+machine events and external completions."""
 
 import json
 
 import pytest
 
-from repro.core.triples import EASYPP_TRIPLE, HeuristicTriple, campaign_triples
+from repro.core.triples import EASYPP_TRIPLE, paper_cells
 from repro.correct import IncrementalCorrector
 from repro.predict import (
     ClairvoyantPredictor,
@@ -17,9 +17,9 @@ from repro.sim import (
     MachineEvent,
     MonotonicityError,
     SimSession,
-    Simulator,
     simulate,
 )
+from repro.spec import CellSpec, triple_keys_of
 from repro.workload import Trace, get_trace
 
 from tests.helpers import make_job
@@ -33,9 +33,13 @@ def schedule_bytes(result) -> bytes:
     return json.dumps(rows).encode("utf-8")
 
 
-def make_session(triple: HeuristicTriple, processors: int) -> SimSession:
-    scheduler, predictor, corrector = triple.build()
-    return SimSession(processors, scheduler, predictor, corrector)
+def build(triple: str) -> tuple:
+    """Fresh ``(scheduler, predictor, corrector)`` for a triple key."""
+    return CellSpec.from_triple("KTH-SP2", triple).build_components()
+
+
+def make_session(triple: str, processors: int) -> SimSession:
+    return SimSession(processors, *build(triple))
 
 
 def stream_trace(session: SimSession, trace: Trace) -> None:
@@ -60,27 +64,27 @@ def stream_kth() -> Trace:
 
 
 class TestBatchStreamingEquivalence:
-    """A streamed session must be byte-identical to ``Simulator.run()``."""
+    """A streamed session must be byte-identical to ``simulate()``."""
 
     # every 16th of the 128-triple campaign matrix, plus the references
-    SAMPLE = campaign_triples()[::16] + [
-        HeuristicTriple("clairvoyant", None, "easy"),
-        HeuristicTriple("requested", None, "conservative"),
-        HeuristicTriple("ave2", "incremental", "conservative"),
+    SAMPLE = triple_keys_of(paper_cells(("KTH-SP2",), n_jobs=60, replicas=1))[
+        :128:16
+    ] + [
+        "clairvoyant|none|easy",
+        "requested|none|conservative",
+        "ave2|incremental|conservative",
     ]
 
-    @pytest.mark.parametrize("triple", SAMPLE, ids=lambda t: t.key)
+    @pytest.mark.parametrize("triple", SAMPLE)
     def test_streamed_schedule_matches_batch(self, stream_kth, triple):
-        scheduler, predictor, corrector = triple.build()
-        batch = simulate(stream_kth, scheduler, predictor, corrector)
+        batch = simulate(stream_kth, *build(triple))
 
         session = make_session(triple, stream_kth.processors)
         stream_trace(session, stream_kth)
         assert schedule_bytes(session.result()) == schedule_bytes(batch)
 
     def test_single_feed_then_drain_matches_batch(self, stream_kth):
-        scheduler, predictor, corrector = EASYPP_TRIPLE.build()
-        batch = simulate(stream_kth, scheduler, predictor, corrector)
+        batch = simulate(stream_kth, *build(EASYPP_TRIPLE))
 
         session = make_session(EASYPP_TRIPLE, stream_kth.processors)
         assert session.feed(stream_kth) == len(stream_kth)
@@ -161,8 +165,7 @@ class TestMidStreamFeed:
         """Streaming half the trace, draining to the midpoint, then
         feeding the rest still reproduces the batch schedule (every job
         is fed before the clock passes its submit time)."""
-        scheduler, predictor, corrector = EASYPP_TRIPLE.build()
-        batch = simulate(stream_kth, scheduler, predictor, corrector)
+        batch = simulate(stream_kth, *build(EASYPP_TRIPLE))
 
         session = make_session(EASYPP_TRIPLE, stream_kth.processors)
         jobs = list(stream_kth)
@@ -438,28 +441,10 @@ class TestSnapshotAndResult:
         assert len(session.result()) == 3
 
 
-class TestDeprecationShims:
-    def test_simulator_internals_warn(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        sim.run()
-        with pytest.warns(DeprecationWarning, match="SimSession"):
-            handler = sim._schedule_pass
-        assert callable(handler)
-
-    def test_simulator_internals_before_run_raise(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(AttributeError, match="deprecated"):
-                sim._handle_submit
-
-    def test_unknown_attribute_still_raises_plainly(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        with pytest.raises(AttributeError):
-            sim.definitely_not_an_attribute
-
-    def test_simulator_stats_track_session(self, tiny_trace):
-        sim = Simulator(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
-        result = sim.run()
+class TestBatchResultStats:
+    def test_result_stats_track_session(self, tiny_trace):
+        """``simulate()`` hands back the drained session's run counters."""
+        result = simulate(tiny_trace, make_scheduler("easy"), ClairvoyantPredictor())
         assert len(result) == 3
-        assert sim.stats.n_events > 0
-        assert sim.stats.max_queue_length >= 1
+        assert result.stats.n_events > 0
+        assert result.stats.max_queue_length >= 1

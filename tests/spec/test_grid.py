@@ -42,15 +42,13 @@ class TestExpansion:
         ]
 
     def test_replica_seeds_match_campaign_config(self, tmp_path):
-        from repro.core import CampaignConfig
+        from repro.workload import stable_seed
 
         path = tmp_path / "mini.toml"
         path.write_text(MINI_TOML)
         cells = expand_spec_file(str(path))
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=120, replicas=2)
-        assert sorted({c.workload.seed for c in cells}) == sorted(
-            config.seeds_for("KTH-SP2")
-        )
+        base = stable_seed("KTH-SP2")
+        assert sorted({c.workload.seed for c in cells}) == [base, base + 1]
 
     def test_json_spec_equivalent(self, tmp_path):
         doc = load_toml_text(MINI_TOML)
@@ -137,6 +135,28 @@ class TestExpansion:
         cells = expand_spec_obj(doc)
         assert all(c.workload.n_jobs == 55 for c in cells)
 
+    @pytest.mark.parametrize(
+        "seed_plan, match",
+        [
+            ({"replicas": 0}, "replicas must be an integer >= 1"),
+            ({"replicas": -2}, "replicas must be an integer >= 1"),
+            ({"replicas": 1.5}, "replicas must be an integer >= 1"),
+            ({"seeds": []}, "empty seeds"),
+        ],
+    )
+    def test_empty_seed_axis_rejected(self, seed_plan, match):
+        """A campaign of zero cells is a mistake, never a result -- at
+        the campaign level or overridden per grid block."""
+        grid = {"predictor": ["requested"], "scheduler": ["easy"]}
+        with pytest.raises(SpecFileError, match=match):
+            expand_spec_obj(
+                {"campaign": {"logs": ["KTH-SP2"], **seed_plan}, "grid": [grid]}
+            )
+        with pytest.raises(SpecFileError, match=match):
+            expand_spec_obj(
+                {"campaign": {"logs": ["KTH-SP2"]}, "grid": [{**grid, **seed_plan}]}
+            )
+
     def test_missing_grid_rejected(self):
         with pytest.raises(SpecFileError, match="grid"):
             expand_spec_obj({"campaign": {"logs": ["KTH-SP2"]}})
@@ -146,25 +166,21 @@ class TestCheckedInSpecs:
     """The repository's experiment files must stay valid and exact."""
 
     def test_paper_spec_expands_to_the_128_triples(self):
-        from repro.core.triples import campaign_triples, reference_triples
+        from repro.core import CLAIRVOYANT_EASY, CLAIRVOYANT_SJBF, paper_cells
 
         name, cells = validate_spec_file("experiments/paper.toml")
         keys = triple_keys_of(cells)
-        campaign_keys = [t.key for t in campaign_triples()]
-        reference_keys = [t.key for t in reference_triples()]
-        assert keys[: len(campaign_keys)] == campaign_keys  # exact, in order
-        assert keys[len(campaign_keys):] == reference_keys
+        assert keys == triple_keys_of(paper_cells())  # exact, in order
+        assert len(keys) == 130
+        assert keys[128:] == [CLAIRVOYANT_EASY, CLAIRVOYANT_SJBF]
         # full matrix: 130 triples x 6 logs x 3 replicas
         assert len(cells) == 130 * 6 * 3
 
     def test_paper_spec_cells_equal_legacy_campaign_cells(self):
-        from repro.core import CampaignConfig
-        from repro.core.triples import campaign_triples, reference_triples
+        from repro.core import paper_cells
 
         cells = expand_spec_file("experiments/paper.toml")
-        config = CampaignConfig()
-        legacy = config.cell_specs(campaign_triples() + reference_triples())
-        assert {c.digest() for c in cells} == {c.digest() for c in legacy}
+        assert [c.digest() for c in cells] == [c.digest() for c in paper_cells()]
 
     def test_smallbox_spec_is_valid(self):
         name, cells = validate_spec_file("experiments/smallbox.toml")

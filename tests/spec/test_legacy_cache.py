@@ -1,158 +1,41 @@
-"""Legacy (v4 tuple-keyed) cache rows next to spec-keyed rows.
+"""Cache-token identity, and the fence against foreign-version rows.
 
-The CACHE_VERSION 5 bump re-keyed every cell by spec digest; these tests
-pin the compatibility story: pre-redesign cache files stay readable, a
-warm campaign over one runs zero simulations, and the merge tool can
-re-key them explicitly.
+Tokens embed ``CACHE_VERSION`` and ``ENGINE_VERSION``; rows written by
+another version (e.g. the pre-spec v4 tuple-keyed layout) are never
+served and the merge tool refuses them loudly.
 """
 
 import json
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign
 from repro.core.campaign import (
     CACHE_VERSION,
-    LEGACY_CACHE_VERSION,
     ResultCache,
     cell_token,
     trace_digest,
-    upgrade_legacy_token,
 )
-from repro.core.triples import HeuristicTriple
 from repro.sim.engine import ENGINE_VERSION
+from repro.spec import CellSpec
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=60, replicas=1)
-TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-]
+SPEC = CellSpec.from_triple("KTH-SP2", "requested|none|easy", n_jobs=60, seed=7)
 
 
-def legacy_token(config, log, triple_key, seed, engine=ENGINE_VERSION):
-    """A token exactly as CACHE_VERSION 4 wrote it."""
-    digest = trace_digest(log, config.n_jobs, seed)
+def v4_token(spec):
+    """A token exactly as CACHE_VERSION 4 wrote it (positional tuple)."""
+    workload = spec.workload
+    digest = trace_digest(workload.log, workload.n_jobs, workload.seed)
     return (
-        f"v{LEGACY_CACHE_VERSION}|e{engine}|{log}@{digest}|{triple_key}"
-        f"|n={config.n_jobs}|s={seed}"
-        f"|mp={config.min_prediction:g}|tau={config.tau:g}"
+        f"v4|e{ENGINE_VERSION}|{workload.log}@{digest}|{spec.triple_key}"
+        f"|n={workload.n_jobs}|s={workload.seed}"
+        f"|mp={spec.min_prediction:g}|tau={spec.tau:g}"
     )
 
 
-def write_legacy_cache(path, rows):
+def write_cache(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for token, value in rows:
             fh.write(json.dumps({"token": token, "value": value}) + "\n")
-
-
-class TestUpgradeLegacyToken:
-    def test_equivalent_to_current_token(self):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        old = legacy_token(CONFIG, "KTH-SP2", "ave2|incremental|easy-sjbf", seed)
-        new = CONFIG.cache_token("KTH-SP2", "ave2|incremental|easy-sjbf", seed)
-        assert upgrade_legacy_token(old) == new
-        assert new.startswith(f"v{CACHE_VERSION}|e{ENGINE_VERSION}|")
-
-    def test_reuses_embedded_trace_digest(self):
-        # the embedded digest is trusted verbatim -- a made-up one must
-        # survive into the upgraded token (that is what makes upgrading
-        # free) rather than being recomputed
-        old = (
-            f"v{LEGACY_CACHE_VERSION}|e{ENGINE_VERSION}|KTH-SP2@deadbeef00000000"
-            f"|requested|none|easy|n=60|s=9|mp=60|tau=10"
-        )
-        upgraded = upgrade_legacy_token(old)
-        assert upgraded is not None
-        assert "KTH-SP2@deadbeef00000000" in upgraded
-
-    def test_other_engine_version_refused(self):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        old = legacy_token(
-            CONFIG, "KTH-SP2", "requested|none|easy", seed, engine=ENGINE_VERSION + 1
-        )
-        assert upgrade_legacy_token(old) is None
-
-    @pytest.mark.parametrize(
-        "token",
-        [
-            "v3|e2|KTH-SP2@aa|requested|none|easy|n=60|s=1|mp=60|tau=10",
-            "v4|e2|KTH-SP2@aa|requested|none|n=60|s=1|mp=60|tau=10",  # 9 parts
-            "v4|e2|KTH-SP2aa|requested|none|easy|n=60|s=1|mp=60|tau=10",  # no @
-            "v4|e2|KTH-SP2@aa|requested|none|easy|n=x|s=1|mp=60|tau=10",
-            "v4|e2|KTH-SP2@aa|galactic|none|easy|n=60|s=1|mp=60|tau=10",
-            "not a token at all",
-        ],
-    )
-    def test_malformed_or_foreign_refused(self, token):
-        assert upgrade_legacy_token(token) is None
-
-
-class TestResultCacheLegacyRows:
-    def test_legacy_rows_served_under_new_identity(self, tmp_path):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path,
-            [(legacy_token(CONFIG, "KTH-SP2", t.key, seed), 10.0 + i)
-             for i, t in enumerate(TRIPLES)],
-        )
-        cache = ResultCache(str(path))
-        assert cache.legacy_rows == len(TRIPLES)
-        for i, triple in enumerate(TRIPLES):
-            assert cache.get(CONFIG.cache_token("KTH-SP2", triple.key, seed)) == 10.0 + i
-
-    def test_current_row_wins_over_legacy_row(self, tmp_path):
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
-        new_token = CONFIG.cache_token("KTH-SP2", key, seed)
-        path = tmp_path / "mixed.jsonl"
-        write_legacy_cache(
-            path,
-            [
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-                (new_token, 2.0),
-            ],
-        )
-        assert ResultCache(str(path)).get(new_token) == 2.0
-        # ...in either file order
-        write_legacy_cache(
-            path,
-            [
-                (new_token, 2.0),
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-            ],
-        )
-        assert ResultCache(str(path)).get(new_token) == 2.0
-
-    def test_warm_campaign_from_legacy_cache_runs_zero_sims(self, tmp_path, monkeypatch):
-        """The acceptance scenario: a cache written before the redesign
-        still warm-loads the redesigned campaign end to end."""
-        path = tmp_path / "legacy.jsonl"
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        # first run the real campaign to learn the true scores...
-        reference = run_campaign(CONFIG, triples=TRIPLES, workers=1)
-        # ...then rewrite them as v4 rows only
-        write_legacy_cache(
-            path,
-            [
-                (
-                    legacy_token(CONFIG, "KTH-SP2", t.key, seed),
-                    reference.scores["KTH-SP2"][t.key][0],
-                )
-                for t in TRIPLES
-            ],
-        )
-
-        def boom(_spec, with_telemetry=False):
-            raise AssertionError("a warm legacy cache must not simulate")
-
-        import repro.core.run as run_mod
-
-        monkeypatch.setattr(run_mod, "run_cell_report", boom)
-        result = run_campaign(
-            CONFIG, cache_path=str(path), triples=TRIPLES, workers=1
-        )
-        assert result.scores == reference.scores
 
 
 class TestMergeUpgradeLegacy:
@@ -160,66 +43,24 @@ class TestMergeUpgradeLegacy:
         from repro.dist import merge_caches
         from repro.dist.merge import MergeVersionError
 
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
         path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path, [(legacy_token(CONFIG, "KTH-SP2", TRIPLES[0].key, seed), 1.0)]
-        )
+        write_cache(path, [(v4_token(SPEC), 1.0)])
         with pytest.raises(MergeVersionError):
             merge_caches([str(path)])
 
-    def test_merge_upgrade_legacy_rekeys(self, tmp_path):
-        from repro.dist import merge_caches
-
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
+    def test_cache_never_serves_legacy_row(self, tmp_path):
         path = tmp_path / "old.jsonl"
-        write_legacy_cache(
-            path,
-            [
-                (legacy_token(CONFIG, "KTH-SP2", key, seed), 1.0),
-                # un-upgradable: foreign engine version
-                (
-                    legacy_token(
-                        CONFIG, "KTH-SP2", key, seed + 1, engine=ENGINE_VERSION + 1
-                    ),
-                    2.0,
-                ),
-            ],
-        )
-        cells, report = merge_caches([str(path)], upgrade_legacy=True)
-        assert report.legacy_upgraded == 1
-        assert report.legacy_skipped == 1
-        assert cells == {CONFIG.cache_token("KTH-SP2", key, seed): 1.0}
-
-    def test_upgraded_rows_dedup_against_current_rows(self, tmp_path):
-        from repro.dist import merge_caches
-
-        seed = CONFIG.seeds_for("KTH-SP2")[0]
-        key = TRIPLES[0].key
-        old = tmp_path / "old.jsonl"
-        new = tmp_path / "new.jsonl"
-        write_legacy_cache(
-            old, [(legacy_token(CONFIG, "KTH-SP2", key, seed), 1.5)]
-        )
-        write_legacy_cache(
-            new, [(CONFIG.cache_token("KTH-SP2", key, seed), 1.5)]
-        )
-        cells, report = merge_caches([str(new), str(old)], upgrade_legacy=True)
-        assert report.duplicates == 1
-        assert len(cells) == 1
+        write_cache(path, [(v4_token(SPEC), 1.0)])
+        assert ResultCache(str(path)).get(cell_token(SPEC)) is None
 
 
 class TestCellTokenProperties:
     def test_token_embeds_spec_digest_and_versions(self):
-        spec = CONFIG.cell_spec("KTH-SP2", TRIPLES[0], 7)
-        token = cell_token(spec)
+        token = cell_token(SPEC)
         assert token.startswith(f"v{CACHE_VERSION}|e{ENGINE_VERSION}|KTH-SP2@")
-        assert token.endswith(f"|spec:{spec.digest()}")
+        assert token.endswith(f"|spec:{SPEC.digest()}")
 
     def test_non_plain_workload_digest_differs(self):
-        from repro.spec import CellSpec
-
         plain = CellSpec.make(
             workload={"log": "KTH-SP2", "n_jobs": 60, "seed": 7},
             predictor="requested", corrector=None, scheduler="easy",

@@ -1,22 +1,24 @@
-"""The declarative campaign path end to end: run_cells == legacy path,
-under the local pool and the fsqueue backend, with shared warm caches."""
+"""The declarative campaign path end to end: cells expanded from a spec
+document are the cells built from triple keys (same digests, same cache
+rows), under the local pool and the fsqueue backend."""
 
 import threading
 
 import pytest
 
-from repro.core import CampaignConfig, run_campaign, run_cells
-from repro.core.triples import HeuristicTriple
+from repro.core import run_cells
 from repro.spec import expand_spec_obj
 
+from tests.helpers import triple_cells
+
 TRIPLES = [
-    HeuristicTriple("requested", None, "easy"),
-    HeuristicTriple("requested", None, "easy-sjbf"),
-    HeuristicTriple("ave2", "incremental", "easy-sjbf"),
-    HeuristicTriple("clairvoyant", None, "easy"),
+    "requested|none|easy",
+    "requested|none|easy-sjbf",
+    "ave2|incremental|easy-sjbf",
+    "clairvoyant|none|easy",
 ]
 
-CONFIG = CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=2)
+KEYED_CELLS = triple_cells(TRIPLES, logs=("KTH-SP2",), n_jobs=80, replicas=2)
 
 SPEC_DOC = {
     "campaign": {
@@ -48,10 +50,7 @@ SPEC_DOC = {
 @pytest.fixture(scope="module")
 def legacy_result(tmp_path_factory):
     cache = tmp_path_factory.mktemp("legacy") / "cache.jsonl"
-    return (
-        run_campaign(CONFIG, cache_path=str(cache), workers=2, triples=TRIPLES),
-        cache,
-    )
+    return run_cells(KEYED_CELLS, cache_path=str(cache), workers=2), cache
 
 
 class TestSpecCampaignEquivalence:
@@ -59,9 +58,10 @@ class TestSpecCampaignEquivalence:
         reference, _ = legacy_result
         cells = expand_spec_obj(SPEC_DOC)
         result = run_cells(cells, cache_path=str(tmp_path / "c.jsonl"), workers=2)
-        campaign = result.to_campaign_result()
-        assert campaign is not None
-        assert campaign.scores == reference.scores
+        assert result.scores == reference.scores  # digest-keyed: same cells too
+        assert result.labels() == TRIPLES
+        for triple in TRIPLES:
+            assert result.mean("KTH-SP2", triple) == reference.mean("KTH-SP2", triple)
 
     def test_shares_cache_with_legacy_path(self, legacy_result, monkeypatch):
         """Spec-file cells hit the very same cache rows the legacy
@@ -100,9 +100,8 @@ class TestSpecCampaignEquivalence:
             cells, cache_path=str(tmp_path / "c.jsonl"), backend=broker
         )
         thread.join(timeout=60)
-        campaign = result.to_campaign_result()
-        assert campaign is not None
-        assert campaign.scores == reference.scores
+        assert not thread.is_alive()
+        assert result.scores == reference.scores
         assert results["stats"].shards > 0
 
     def test_non_legacy_grid_gets_leaderboard_not_tables(self):
@@ -123,7 +122,8 @@ class TestSpecCampaignEquivalence:
         }
         cells = expand_spec_obj(doc)
         result = run_cells(cells, workers=1)
-        assert result.to_campaign_result() is None  # tuned eta: no triple key
+        with pytest.raises(KeyError):  # not the paper's matrix
+            result.table6_rows()
         board = result.leaderboard()
         assert len(board) == 2
         assert all(row.mean_score >= 1.0 for row in board)

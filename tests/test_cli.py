@@ -92,6 +92,44 @@ class TestSimCommand:
         assert capsys.readouterr().out == first
 
 
+class TestUsageErrors:
+    """Bad names, numbers and spec files: exit 2, one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["sim", "--log", "KTH-SP2", "--predictor", "galactic"],
+             "unknown predictor 'galactic'"),
+            (["sim", "--log", "KTH-SP2", "--corrector", "nope"], "unknown corrector"),
+            (["sim", "--log", "KTH-SP2", "--scheduler", "nope"], "unknown scheduler"),
+            (["sim", "--log", "KTH-SP2", "--n-jobs", "0"], "n_jobs must be positive"),
+            (["sim", "--log", "KTH-SP2", "--tau", "-1"], "tau must be positive"),
+            (["campaign", "--logs", "KTH-SP2", "--n-jobs", "40", "--replicas", "0"],
+             "replicas must be an integer >= 1"),
+            (["campaign", "--logs", "NOPE", "--n-jobs", "40"], "unknown log(s)"),
+            (["campaign", "--logs", "KTH-SP2", "--n-jobs", "0"],
+             "n_jobs must be positive"),
+            (["campaign", "--spec", "/no/such/spec.toml"], "/no/such/spec.toml"),
+            (["table", "--which", "6", "--replicas", "0"],
+             "replicas must be an integer >= 1"),
+        ],
+    )
+    def test_exits_2_with_one_line(self, argv, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert needle in lines[0]
+
+    def test_spec_file_with_zero_replicas_rejected(self, tmp_path, capsys):
+        path = tmp_path / "zero.toml"
+        path.write_text(MINI_SPEC.replace("replicas = 1", "replicas = 0"))
+        assert main(["campaign", "--spec", str(path)]) == 2
+        assert "replicas must be an integer >= 1" in capsys.readouterr().err
+
+
 MINI_SPEC = """
 [campaign]
 name = "cli-mini"
@@ -247,16 +285,11 @@ class TestDistCommands:
     def test_worker_drains_prepared_queue(self, tmp_path, capsys):
         """A worker pointed at a pre-enqueued queue completes the shard
         and exits on the idle budget."""
-        from repro.core import CampaignConfig
         from repro.dist import FsQueue, plan_shards
+        from repro.spec import CellSpec
 
-        config = CampaignConfig(logs=("KTH-SP2",), n_jobs=60, replicas=1)
         queue = FsQueue.create(str(tmp_path / "q"), lease_ttl=60.0)
-        cells = [
-            config.cell_spec(
-                "KTH-SP2", "requested|none|easy", config.seeds_for("KTH-SP2")[0]
-            )
-        ]
+        cells = [CellSpec.from_triple("KTH-SP2", "requested|none|easy", n_jobs=60)]
         for shard in plan_shards(cells, n_shards=1):
             queue.enqueue(shard.manifest())
         code = main([

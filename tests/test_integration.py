@@ -12,9 +12,8 @@ from repro import (
     EASY_TRIPLE,
     EASYPP_TRIPLE,
     ELOSS_TRIPLE,
-    HeuristicTriple,
     get_trace,
-    run_triple_on_trace,
+    run_components_on_trace,
     simulate,
 )
 from repro.correct import IncrementalCorrector
@@ -41,6 +40,11 @@ def traces():
     return out
 
 
+def run_triple_on_trace(trace, triple):
+    """Run a ``predictor|corrector|scheduler`` key on an existing trace."""
+    return run_components_on_trace(trace, *triple.split("|"))
+
+
 def mean_avebsld(traces, triple):
     return float(np.mean([run_triple_on_trace(t, triple).avebsld() for t in traces]))
 
@@ -57,7 +61,7 @@ class TestPaperShapes:
     def test_clairvoyant_sjbf_is_best_in_class(self, traces):
         """Table 6: 'Clairvoyant EASY-SJBF almost always outperforms its
         competitors' (tolerance absorbs small-trace noise vs EASY++)."""
-        sjbf_clair = HeuristicTriple("clairvoyant", None, "easy-sjbf")
+        sjbf_clair = "clairvoyant|none|easy-sjbf"
         for name, replicas in traces.items():
             clair = mean_avebsld(replicas, sjbf_clair)
             easy = mean_avebsld(replicas, EASY_TRIPLE)
@@ -100,7 +104,7 @@ class TestSchedulePhysics:
             "ave2|doubling|easy",
             "ml:lin-sq-small-area|requested|easy-sjbf",
         ):
-            result = run_triple_on_trace(trace, HeuristicTriple.from_key(key))
+            result = run_triple_on_trace(trace, key)
             events = []
             for rec in result:
                 events.append((rec.start_time, rec.processors))

@@ -35,10 +35,10 @@ class TestPublicSurface:
         assert result.avebsld() >= 1.0
 
     def test_module_docstring_campaign_snippet(self):
-        from repro import CampaignConfig, run_campaign
+        from repro import paper_cells, run_cells
 
-        campaign = run_campaign(
-            CampaignConfig(logs=("KTH-SP2",), n_jobs=80, replicas=1),
+        campaign = run_cells(
+            paper_cells(logs=("KTH-SP2",), n_jobs=80, replicas=1),
             workers=8,
         )
         rows = campaign.table1_rows()
@@ -46,8 +46,8 @@ class TestPublicSurface:
 
     def test_registries_cover_campaign_triples(self):
         """Every campaign triple must be buildable from the registries."""
-        from repro import campaign_triples
+        from repro import paper_cells
 
-        for triple in campaign_triples():
-            scheduler, predictor, corrector = triple.build()
+        for cell in paper_cells(logs=("KTH-SP2",), n_jobs=10, replicas=1):
+            scheduler, predictor, corrector = cell.build_components()
             assert scheduler is not None and predictor is not None
