@@ -16,6 +16,9 @@ Do not use these in campaigns; they are O(running x queued) per pass.
 
 from __future__ import annotations
 
+import bisect
+import math
+
 from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
@@ -27,13 +30,72 @@ __all__ = ["LegacyEasyScheduler", "LegacyConservativeScheduler"]
 
 
 class _SeedProfile(AvailabilityProfile):
-    """Seed availability profile with the original anchor-probing fit query.
+    """Seed availability profile: anchor-probing fit, splice-and-coalesce updates.
 
     The modern :meth:`AvailabilityProfile.earliest_fit` is a single O(S)
     sweep; the seed probed ``min_available`` from every breakpoint in
     turn (O(S^2) per query).  The seed behaviour is preserved here so the
     legacy schedulers benchmark exactly what the seed shipped.
+
+    The whole seed mutation path lives here too (release-by-release
+    construction, ``reserve`` with its ``min_available`` pre-check, the
+    breakpoint double-splice and the global coalesce), so the oracle
+    shares no update code with the profile it checks; only the read-only
+    ``min_available`` is inherited.
     """
+
+    @classmethod
+    def from_releases(cls, processors, now, free, releases):
+        profile = cls(processors, now, free)
+        for end_time, width in releases:
+            profile.add_release(max(end_time, now), width)
+        return profile
+
+    def reserve(self, start: float, duration: float, processors: int) -> None:
+        if self.min_available(start, duration) < processors:
+            raise ValueError(
+                f"reserving {processors} procs over [{start}, {start + duration}) "
+                "exceeds availability"
+            )
+        self._apply_delta(start, start + duration, -processors)
+
+    def _ensure_breakpoint(self, time: float) -> int:
+        """Make ``time`` a breakpoint and return its index."""
+        idx = bisect.bisect_right(self._times, time) - 1
+        if idx < 0:
+            raise ValueError(f"time {time} precedes profile start {self._times[0]}")
+        if self._times[idx] == time:
+            return idx
+        self._times.insert(idx + 1, time)
+        self._avail.insert(idx + 1, self._avail[idx])
+        return idx + 1
+
+    def _apply_delta(self, start: float, end: float, delta: int) -> None:
+        first = self._ensure_breakpoint(start)
+        if math.isinf(end):
+            last = len(self._times)
+        else:
+            last = self._ensure_breakpoint(end)
+        for idx in range(first, last):
+            new_value = self._avail[idx] + delta
+            if not 0 <= new_value <= self.processors:
+                raise ValueError(
+                    f"availability {new_value} out of [0, {self.processors}] "
+                    f"at t={self._times[idx]}"
+                )
+            self._avail[idx] = new_value
+        self._coalesce()
+
+    def _coalesce(self) -> None:
+        """Merge adjacent segments with equal availability."""
+        times = [self._times[0]]
+        avail = [self._avail[0]]
+        for t, a in zip(self._times[1:], self._avail[1:], strict=True):
+            if a != avail[-1]:
+                times.append(t)
+                avail.append(a)
+        self._times = times
+        self._avail = avail
 
     def earliest_fit(self, processors: int, duration: float, not_before: float) -> float:
         if processors > self.processors:

@@ -20,7 +20,7 @@ and friends):
 * :class:`IncrementalProfile` -- a persistent step function of free
   processors over future time (the conservative scheduler's reservation
   substrate), updated in place on every start/finish/correction and
-  snapshot-copied per pass instead of rebuilt.
+  snapshot-copied when a reservation plan has to be rebuilt.
 
 Both structures can resynchronise from a :class:`~repro.sim.machine.Machine`
 when driven outside the engine (unit tests call ``select_jobs`` by hand),
@@ -210,11 +210,11 @@ class ReleaseTable:
 class IncrementalProfile(AvailabilityProfile):
     """A persistent availability profile fed by engine deltas.
 
-    Unlike the per-pass throwaway :class:`AvailabilityProfile`, one
-    instance lives for a whole simulation.  It tracks each running job's
+    Unlike a scratch :class:`AvailabilityProfile`, one instance lives
+    for a whole simulation.  It tracks each running job's
     predicted release so finish/correction deltas know which interval to
-    give back or take away, and hands out cheap per-pass snapshots for
-    reservation scratch work.
+    give back or take away, and hands out snapshots for reservation
+    scratch work.
     """
 
     def __init__(self, processors: int, now: float = 0.0) -> None:
@@ -231,11 +231,17 @@ class IncrementalProfile(AvailabilityProfile):
         self.reserve(now, predicted_runtime, processors)
         self._jobs[job_id] = (end, processors)
 
-    def job_finished(self, job_id: int, now: float) -> None:
-        """Release a job early: give back ``[now, predicted end)``."""
+    def job_finished(self, job_id: int, now: float) -> bool:
+        """Forget a finished job, giving back ``[now, predicted end)``.
+
+        Returns whether the step function changed: a job that ends exactly
+        at its predicted end had a claim that lapses on its own.
+        """
         end, processors = self._jobs.pop(job_id)
         if end > now:
             self._apply_delta(now, end, processors)
+            return True
+        return False
 
     def job_corrected(self, job_id: int, new_end: float) -> None:
         """A running job's predicted end moved (always later): extend its claim.
@@ -244,15 +250,7 @@ class IncrementalProfile(AvailabilityProfile):
         expires, so the old claim has already lapsed; the extension spans
         ``[old end, new end)``.
         """
-        old_end, processors = self._jobs[job_id]
-        if new_end == old_end:
-            return
-        if new_end < old_end:
-            raise ValueError(
-                f"correction moved job {job_id} backwards: {old_end} -> {new_end}"
-            )
-        self._apply_delta(old_end, new_end, -processors)
-        self._jobs[job_id] = (new_end, processors)
+        self.jobs_corrected({job_id: new_end})
 
     def jobs_corrected(
         self, moves: Sequence[tuple[int, float]] | dict[int, float]
@@ -263,7 +261,7 @@ class IncrementalProfile(AvailabilityProfile):
         sequence of :meth:`job_corrected` calls, but all claim extensions
         are merged into a single sweep over the step function
         (:meth:`AvailabilityProfile._apply_deltas`) instead of one
-        breakpoint-splice-and-coalesce per job.
+        splice per job.
         """
         targets = dict(moves)
         deltas: list[tuple[float, float, int]] = []
@@ -295,31 +293,17 @@ class IncrementalProfile(AvailabilityProfile):
 
     def resync(self, machine: Machine, now: float) -> None:
         """Rebuild from the machine state (out-of-engine drivers)."""
-        self._jobs.clear()
-        self._times = [now]
-        self._avail = [machine.free]
-        for run in machine.running:
-            end = max(run.predicted_end, now)
-            processors = run.record.processors
-            self.add_release(end, processors)
-            self._jobs[run.record.job_id] = (end, processors)
+        self._jobs = {
+            run.record.job_id: (max(run.predicted_end, now), run.record.processors)
+            for run in machine.running
+        }
+        fresh = AvailabilityProfile.from_releases(
+            self.processors, now, machine.free, list(self._jobs.values())
+        )
+        self._times, self._avail = fresh._times, fresh._avail
 
     # -- per-pass use --------------------------------------------------------
-    def trim(self, now: float) -> None:
-        """Drop stale breakpoints before ``now`` (time never rewinds)."""
-        idx = bisect.bisect_right(self._times, now) - 1
-        if idx > 0:
-            del self._times[:idx]
-            del self._avail[:idx]
-        if self._times[0] < now:
-            self._times[0] = now
-
     def snapshot(self, now: float) -> AvailabilityProfile:
         """A throwaway copy starting at ``now`` for reservation scratch work."""
         self.trim(now)
-        copy = AvailabilityProfile.__new__(AvailabilityProfile)
-        copy.processors = self.processors
-        copy._times = self._times.copy()
-        copy._avail = self._avail.copy()
-        return copy
-
+        return self.copy()

@@ -39,10 +39,28 @@ class AvailabilityProfile:
         free: int,
         releases: list[tuple[float, int]],
     ) -> AvailabilityProfile:
-        """Build the profile implied by running jobs' (end, width) pairs."""
+        """Build the profile implied by running jobs' (end, width) pairs.
+
+        One sort and one cumulative pass; ends at or before ``now`` (jobs
+        about to finish) release immediately.
+        """
         profile = cls(processors, now, free)
-        for end_time, width in releases:
-            profile.add_release(max(end_time, now), width)
+        times, avail = profile._times, profile._avail
+        level = avail[0]
+        for end_time, width in sorted(releases):
+            if width <= 0:
+                raise ValueError("released processors must be positive")
+            level += width
+            if end_time <= times[-1]:
+                avail[-1] = level
+            else:
+                times.append(end_time)
+                avail.append(level)
+        if level > profile.processors:
+            raise ValueError(
+                f"availability {level} out of [0, {profile.processors}] "
+                f"at t={times[-1]}"
+            )
         return profile
 
     def add_release(self, time: float, processors: int) -> None:
@@ -50,6 +68,14 @@ class AvailabilityProfile:
         if processors <= 0:
             raise ValueError("released processors must be positive")
         self._apply_delta(time, math.inf, processors)
+
+    def copy(self) -> AvailabilityProfile:
+        """A plain profile with the same steps, for reservation scratch work."""
+        twin = AvailabilityProfile.__new__(AvailabilityProfile)
+        twin.processors = self.processors
+        twin._times = self._times.copy()
+        twin._avail = self._avail.copy()
+        return twin
 
     # -- queries --------------------------------------------------------------
     @property
@@ -130,42 +156,63 @@ class AvailabilityProfile:
     def reserve(self, start: float, duration: float, processors: int) -> None:
         """Subtract ``processors`` over ``[start, start + duration)``.
 
-        Raises :class:`ValueError` if the interval lacks capacity, so a
-        buggy caller cannot silently oversubscribe the machine.
+        Raises :class:`ValueError` (leaving the profile untouched) if the
+        interval lacks capacity, so a buggy caller cannot silently
+        oversubscribe the machine.
         """
-        if self.min_available(start, duration) < processors:
-            raise ValueError(
-                f"reserving {processors} procs over [{start}, {start + duration}) "
-                "exceeds availability"
-            )
+        if duration <= 0:
+            raise ValueError("duration must be positive")
         self._apply_delta(start, start + duration, -processors)
 
-    def _ensure_breakpoint(self, time: float) -> int:
-        """Make ``time`` a breakpoint and return its index."""
-        idx = bisect.bisect_right(self._times, time) - 1
-        if idx < 0:
-            raise ValueError(f"time {time} precedes profile start {self._times[0]}")
-        if self._times[idx] == time:
-            return idx
-        self._times.insert(idx + 1, time)
-        self._avail.insert(idx + 1, self._avail[idx])
-        return idx + 1
+    def trim(self, now: float) -> None:
+        """Drop stale breakpoints before ``now`` (time never rewinds)."""
+        idx = bisect.bisect_right(self._times, now) - 1
+        if idx > 0:
+            del self._times[:idx]
+            del self._avail[:idx]
+        if self._times[0] < now:
+            self._times[0] = now
 
     def _apply_delta(self, start: float, end: float, delta: int) -> None:
-        first = self._ensure_breakpoint(start)
-        if math.isinf(end):
-            last = len(self._times)
-        else:
-            last = self._ensure_breakpoint(end)
-        for idx in range(first, last):
-            new_value = self._avail[idx] + delta
-            if not 0 <= new_value <= self.processors:
-                raise ValueError(
-                    f"availability {new_value} out of [0, {self.processors}] "
-                    f"at t={self._times[idx]}"
-                )
-            self._avail[idx] = new_value
-        self._coalesce()
+        """Shift availability by ``delta`` over ``[start, end)``, atomically.
+
+        Only the touched span is rewritten.  Neighbouring segments inside
+        it differed before the uniform shift and still differ after it,
+        so breakpoints can only appear or vanish at the two edges.
+        """
+        times, avail = self._times, self._avail
+        if start < times[0]:
+            raise ValueError(f"time {start} precedes profile start {times[0]}")
+        if end <= start or not delta:
+            return
+        lo = bisect.bisect_right(times, start) - 1
+        hi = bisect.bisect_left(times, end, lo + 1)
+        span_times = times[lo:hi]
+        span = [a + delta for a in avail[lo:hi]]
+        worst = min(span) if delta < 0 else max(span)
+        if not 0 <= worst <= self.processors:
+            raise ValueError(
+                f"availability {worst} out of [0, {self.processors}] "
+                f"over [{start}, {end})"
+            )
+        tail = span[-1]
+        if span_times[0] < start:
+            # split the first segment: its head keeps the old value
+            span_times.insert(1, start)
+            span.insert(0, avail[lo])
+        elif lo and avail[lo - 1] == span[0]:
+            # the shifted span now continues the segment before it
+            del span_times[0], span[0]
+        if hi < len(times) and times[hi] == end:
+            if avail[hi] == tail:
+                # the shifted span now runs into the segment after it
+                hi += 1
+        elif end < math.inf:
+            # split the last segment: its remainder keeps the old value
+            span_times.append(end)
+            span.append(tail - delta)
+        times[lo:hi] = span_times
+        avail[lo:hi] = span
 
     def _apply_deltas(self, deltas: list[tuple[float, int | float, int]]) -> None:
         """Apply several ``[start, end) += delta`` updates in one sweep.
@@ -223,17 +270,6 @@ class AvailabilityProfile:
                 new_avail.append(value)
         self._times = new_times
         self._avail = new_avail
-
-    def _coalesce(self) -> None:
-        """Merge adjacent segments with equal availability."""
-        times = [self._times[0]]
-        avail = [self._avail[0]]
-        for t, a in zip(self._times[1:], self._avail[1:], strict=True):
-            if a != avail[-1]:
-                times.append(t)
-                avail.append(a)
-        self._times = times
-        self._avail = avail
 
     # -- introspection -------------------------------------------------------
     def steps(self) -> list[tuple[float, int]]:

@@ -1,5 +1,8 @@
 """Unit + property tests for the availability profile."""
 
+import math
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,3 +115,134 @@ def test_profile_never_negative_and_steps_sorted(reservations):
         assert all(0 <= a <= 8 for _, a in steps)
         # the far future is always fully free again
         assert p.available_at(1e12) == 8
+
+
+# -- splice-local updates against a brute-force dense oracle -----------------
+M = 8  # machine size
+HORIZON = 48  # integer ticks; index HORIZON stands for [HORIZON, inf)
+
+_tick = st.integers(min_value=0, max_value=30)
+_span = st.tuples(
+    _tick,
+    st.one_of(st.just(math.inf), st.integers(min_value=0, max_value=HORIZON - 1)),
+    st.integers(min_value=-M, max_value=M),
+)
+_op = st.one_of(
+    st.tuples(st.just("reserve"), _tick, st.integers(1, 15), st.integers(1, M)),
+    st.tuples(st.just("add_release"), _tick, st.integers(1, M)),
+    st.tuples(st.just("delta"), _span),
+    st.tuples(st.just("deltas"), st.lists(_span, min_size=2, max_size=4)),
+)
+
+
+def dense_apply(dense, spans):
+    """``[start, end) += delta`` on a copy, tick by tick; None if out of range."""
+    out = list(dense)
+    for start, end, delta in spans:
+        for tick in range(start, HORIZON + 1):
+            if tick < end:
+                out[tick] += delta
+    return out if all(0 <= a <= M for a in out) else None
+
+
+def as_floats(span):
+    start, end, delta = span
+    return float(start), float(end), delta
+
+
+def dense_steps(dense):
+    return [
+        (float(tick), a)
+        for tick, a in enumerate(dense)
+        if tick == 0 or a != dense[tick - 1]
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(free=st.integers(0, M), ops=st.lists(_op, max_size=25))
+def test_updates_match_dense_oracle(free, ops):
+    """Random reserve / add_release / _apply_delta / _apply_deltas
+    sequences: the spliced step function equals the tick-by-tick one,
+    stays canonical, and a rejected update changes nothing."""
+    profile = AvailabilityProfile(M, now=0.0, free=free)
+    dense = [free] * (HORIZON + 1)
+    for op in ops:
+        if op[0] == "reserve":
+            _, start, duration, procs = op
+            spans = [(start, start + duration, -procs)]
+            call = partial(profile.reserve, float(start), float(duration), procs)
+        elif op[0] == "add_release":
+            _, start, procs = op
+            spans = [(start, math.inf, procs)]
+            call = partial(profile.add_release, float(start), procs)
+        elif op[0] == "delta":
+            spans = [op[1]]
+            call = partial(profile._apply_delta, *as_floats(op[1]))
+        else:
+            spans = op[1]
+            call = partial(profile._apply_deltas, [as_floats(span) for span in spans])
+        expected = dense_apply(dense, spans)
+        if expected is None:
+            before = profile.steps()
+            with pytest.raises(ValueError):
+                call()
+            assert profile.steps() == before
+        else:
+            call()
+            dense = expected
+        steps = profile.steps()
+        assert steps == dense_steps(dense)
+        assert all(t0 < t1 for (t0, _), (t1, _) in zip(steps, steps[1:], strict=False))
+        assert all(a0 != a1 for (_, a0), (_, a1) in zip(steps, steps[1:], strict=False))
+
+
+class TestRejectedUpdates:
+    @pytest.mark.parametrize("duration", [0.0, -5.0])
+    def test_non_positive_duration_rejected(self, duration):
+        p = AvailabilityProfile(10, 0.0, free=10)
+        with pytest.raises(ValueError):
+            p.reserve(10.0, duration, 1)
+        assert p.steps() == [(0.0, 10)]
+
+    def test_start_before_profile_rejected(self):
+        p = AvailabilityProfile(10, now=50.0, free=10)
+        for update in (
+            lambda: p.reserve(40.0, 100.0, 1),
+            lambda: p.add_release(40.0, 1),
+            lambda: p._apply_delta(40.0, 60.0, -1),
+            lambda: p._apply_deltas([(40.0, 60.0, -1), (55.0, 70.0, -1)]),
+        ):
+            with pytest.raises(ValueError):
+                update()
+        assert p.steps() == [(50.0, 10)]
+
+    def test_overcommit_midway_leaves_profile_untouched(self):
+        p = AvailabilityProfile(10, 0.0, free=10)
+        p.reserve(50.0, 10.0, 8)
+        before = p.steps()
+        with pytest.raises(ValueError):
+            p.reserve(0.0, 100.0, 4)  # fits until t=50, then over-commits
+        assert p.steps() == before
+
+
+class TestOnePassConstruction:
+    def test_from_releases_matches_release_by_release(self):
+        releases = [(30.0, 2), (10.0, 1), (30.0, 1), (-5.0, 2), (0.0, 1)]
+        built = AvailabilityProfile.from_releases(10, 0.0, 1, releases)
+        spliced = AvailabilityProfile(10, 0.0, 1)
+        for end, width in releases:
+            spliced.add_release(max(end, 0.0), width)
+        assert built.steps() == spliced.steps() == [(0.0, 4), (10.0, 5), (30.0, 8)]
+
+    def test_from_releases_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            AvailabilityProfile.from_releases(10, 0.0, 5, [(10.0, 6)])
+        with pytest.raises(ValueError):
+            AvailabilityProfile.from_releases(10, 0.0, 5, [(10.0, 0)])
+
+    def test_trim_and_copy(self):
+        p = AvailabilityProfile.from_releases(10, 0.0, 2, [(10.0, 3), (20.0, 5)])
+        twin = p.copy()
+        twin.trim(15.0)
+        assert twin.steps() == [(15.0, 5), (20.0, 10)]
+        assert p.steps() == [(0.0, 2), (10.0, 5), (20.0, 10)]
