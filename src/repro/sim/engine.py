@@ -11,7 +11,7 @@ feeds a whole trace into a fresh session and drains it.  The loop
 semantics (matching pyss and the paper's on-line setting):
 
 * all events at one timestamp are processed before any scheduling
-  decision, in FINISH < EXPIRE < SUBMIT order;
+  decision, in FINISH < EXPIRE < SUBMIT < MACHINE order;
 * one scheduling pass runs after each batch of events;
 * a running job whose *predicted* end passes without completion triggers
   the correction mechanism, bumping its prediction version; stale expiry

@@ -42,10 +42,10 @@ scheduled for and is dropped if the job has moved on.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import IntEnum
+from heapq import heappop, heappush
+from typing import NamedTuple
 
 __all__ = ["EventType", "Event", "EventQueue"]
 
@@ -59,8 +59,7 @@ class EventType(IntEnum):
     MACHINE = 3
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled simulation event.
 
     ``job_id`` identifies the job for job events; for ``MACHINE`` events
@@ -73,9 +72,9 @@ class Event:
     #: prediction version for EXPIRE staleness checks; 0 otherwise.
     version: int = 0
 
-    def sort_key(self, seq: int) -> tuple[float, int, int]:
-        """The queue's total order: time, then kind, then insertion seq."""
-        return (self.time, int(self.kind), seq)
+
+#: builds an ``Event`` without the generated ``__new__``'s Python frame
+_new_event = tuple.__new__
 
 
 class EventQueue:
@@ -92,10 +91,16 @@ class EventQueue:
     FINISH/EXPIRE always land in the future); it exists so a streaming
     feeder that falls behind the clock cannot diverge from batch replay
     silently.
+
+    The heap holds plain ``(time, kind, seq, job_id, version)`` tuples,
+    whose natural order is the contract's total order.  The session
+    pushes by fields (:meth:`schedule`) and takes a whole instant's
+    entries in one call (:meth:`pop_instant`); :class:`Event` objects
+    exist only at the :meth:`push`/:meth:`pop`/:meth:`peek` surface.
     """
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, EventType, int, int, int]] = []
         self._seq = 0
         #: largest timestamp ever popped; pushes behind it are rejected.
         self._floor = float("-inf")
@@ -111,31 +116,68 @@ class EventQueue:
         """The monotonic time floor (largest timestamp ever popped)."""
         return self._floor
 
-    def push(self, event: Event) -> None:
-        """Add an event; events never change once pushed."""
-        if event.time < 0:
-            raise ValueError(f"event time must be >= 0, got {event.time}")
-        if event.time < self._floor:
-            raise ValueError(
-                f"event at t={event.time} is behind the queue's processed "
-                f"floor t={self._floor}; streaming feeds must be monotonic"
-            )
-        heapq.heappush(self._heap, event.sort_key(self._seq) + (event,))
+    def schedule(
+        self, time: float, kind: EventType, job_id: int, version: int = 0
+    ) -> None:
+        """Add an event given by its fields; events never change once pushed."""
+        if time < self._floor or time < 0:
+            raise self._rejected(time)
+        heappush(self._heap, (time, kind, self._seq, job_id, version))
         self._seq += 1
+
+    def push(self, event: Event) -> None:
+        """Add an event; :meth:`schedule` spelled out, because forwarding
+        through a star-call costs more than the heap push itself."""
+        time, kind, job_id, version = event
+        if time < self._floor or time < 0:
+            raise self._rejected(time)
+        heappush(self._heap, (time, kind, self._seq, job_id, version))
+        self._seq += 1
+
+    def _rejected(self, time: float) -> ValueError:
+        if time < 0:
+            return ValueError(f"event time must be >= 0, got {time}")
+        return ValueError(
+            f"event at t={time} is behind the queue's processed "
+            f"floor t={self._floor}; streaming feeds must be monotonic"
+        )
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        if not self._heap:
-            raise IndexError("pop from empty EventQueue")
-        event = heapq.heappop(self._heap)[3]
-        self._floor = event.time
-        return event
+        try:
+            time, kind, _, job_id, version = heappop(self._heap)
+        except IndexError:
+            raise IndexError("pop from empty EventQueue") from None
+        self._floor = time
+        return _new_event(Event, (time, kind, job_id, version))
+
+    def pop_instant(
+        self, until: float = float("inf")
+    ) -> list[tuple[float, EventType, int, int, int]]:
+        """Remove and return every event of the earliest pending instant.
+
+        The raw ``(time, kind, seq, job_id, version)`` heap entries, in
+        processing order -- exactly what repeated :meth:`pop` calls
+        would yield for that timestamp -- or an empty list when nothing
+        is pending at or before ``until``.  Raises the floor to the
+        instant returned.
+        """
+        heap = self._heap
+        if not heap or heap[0][0] > until:
+            return []
+        entry = heappop(heap)
+        now = self._floor = entry[0]
+        batch = [entry]
+        while heap and heap[0][0] == now:
+            batch.append(heappop(heap))
+        return batch
 
     def peek(self) -> Event:
         """Return the earliest event without removing it."""
         if not self._heap:
             raise IndexError("peek on empty EventQueue")
-        return self._heap[0][3]
+        time, kind, _, job_id, version = self._heap[0]
+        return Event(time, kind, job_id, version)
 
     def peek_time(self) -> float:
         """Timestamp of the earliest event."""

@@ -50,6 +50,8 @@ class Machine:
         self.free = int(processors)
         #: processors taken offline by drain events (live sessions only).
         self.drained = 0
+        #: jobs that really ended here, simulated or externally completed.
+        self.n_finished = 0
         self._running: dict[int, RunningJob] = {}
 
     def __repr__(self) -> str:
@@ -101,6 +103,7 @@ class Machine:
         if self.free > self.processors:
             raise AssertionError("machine freed more processors than it has")
         run.record.end_time = now
+        self.n_finished += 1
         return run.record
 
     # -- capacity events (live sessions) ------------------------------------

@@ -9,7 +9,7 @@ exposes the arrays the metrics layer consumes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +24,13 @@ __all__ = ["JobRecord", "SimulationResult"]
 
 @dataclass(slots=True)
 class JobRecord:
-    """Mutable simulation state for one job."""
+    """Mutable simulation state for one job.
+
+    ``job_id``, ``submit_time``, ``processors`` and ``requested_time``
+    are copied from ``job`` at construction (the schedulers' scans read
+    them per candidate per pass), so a fed :class:`Job` is treated as
+    immutable: editing it afterwards does not reach the record.
+    """
 
     job: Job
     #: prediction as returned by the predictor, before engine clamping.
@@ -44,29 +50,23 @@ class JobRecord:
     #: session's ``complete`` command); None on the batch path, where the
     #: trace's a-posteriori runtime is authoritative.
     observed_runtime: float | None = None
+    job_id: int = field(init=False)
+    submit_time: float = field(init=False)
+    processors: int = field(init=False)
+    requested_time: float = field(init=False)
 
-    # -- convenient job field proxies -------------------------------------
-    @property
-    def job_id(self) -> int:
-        return self.job.job_id
-
-    @property
-    def submit_time(self) -> float:
-        return self.job.submit_time
+    def __post_init__(self) -> None:
+        job = self.job
+        self.job_id = job.job_id
+        self.submit_time = job.submit_time
+        self.processors = job.processors
+        self.requested_time = job.requested_time
 
     @property
     def runtime(self) -> float:
         if self.observed_runtime is not None:
             return self.observed_runtime
         return self.job.runtime
-
-    @property
-    def processors(self) -> int:
-        return self.job.processors
-
-    @property
-    def requested_time(self) -> float:
-        return self.job.requested_time
 
     # -- schedule-derived quantities ---------------------------------------
     @property

@@ -45,14 +45,15 @@ so a hot session answers repeated queries in microseconds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from math import inf, isfinite
 from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ..obs.telemetry import NOOP
 from ..workload.job import Job
-from .events import Event, EventQueue, EventType
+from .events import EventQueue, EventType
 from .machine import Machine
 from .results import JobRecord, SimulationResult
 
@@ -70,6 +71,11 @@ __all__ = [
     "MachineEvent",
     "MonotonicityError",
 ]
+
+
+_FINISH, _EXPIRE, _SUBMIT, _MACHINE = EventType
+#: telemetry counter per event kind, indexed by the kind's value
+_EVENT_COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType)
 
 
 class MonotonicityError(ValueError):
@@ -178,9 +184,11 @@ class SimSession:
         self._records: dict[int, JobRecord] = {}
         self._now = float(start_time)
         self._corrected: list[JobRecord] = []
-        #: MACHINE events by sequence id (the Event.job_id field).
+        #: MACHINE events by sequence id (the event's job_id field).
         self._machine_events: dict[int, MachineEvent] = {}
         self._machine_seq = 0
+        #: ``engine.sched.<key>`` histogram names, built once per key.
+        self._sched_metrics: dict[str, str] = {}
         #: memoised waiting-queue start estimates; dropped on any mutation.
         self._query_cache: dict[int, float] | None = None
 
@@ -233,7 +241,7 @@ class SimSession:
             free=self._machine.free,
             drained=self._machine.drained,
             n_pending_events=len(self._events),
-            n_finished=sum(1 for r in self._records.values() if r.finished),
+            n_finished=self._machine.n_finished,
             waiting=waiting,
             running=running,
             scheduler=self.scheduler.name,
@@ -262,9 +270,7 @@ class SimSession:
             if job.job_id in self._records:
                 raise ValueError(f"job {job.job_id} was already fed")
             self._records[job.job_id] = JobRecord(job=job)
-            self._events.push(
-                Event(time=job.submit_time, kind=EventType.SUBMIT, job_id=job.job_id)
-            )
+            self._events.schedule(job.submit_time, _SUBMIT, job.job_id)
             count += 1
         if count:
             self._query_cache = None
@@ -292,9 +298,7 @@ class SimSession:
             )
         self._machine_seq += 1
         self._machine_events[self._machine_seq] = event
-        self._events.push(
-            Event(time=event.time, kind=EventType.MACHINE, job_id=self._machine_seq)
-        )
+        self._events.schedule(event.time, _MACHINE, self._machine_seq)
         self._query_cache = None
         return event
 
@@ -307,11 +311,7 @@ class SimSession:
         exactly one iteration of the batch loop.  Returns None (and does
         nothing) when no events are pending.
         """
-        if not self._events:
-            return None
-        now = self._events.peek_time()
-        self._process_timestamp(now)
-        return now
+        return self._now if self._process_timestamps(inf, 1) else None
 
     def advance_to(self, time: float) -> int:
         """Process every timestamp up to and including ``time``; move the
@@ -320,10 +320,7 @@ class SimSession:
             raise MonotonicityError(
                 f"cannot advance to t={time}, behind the session clock t={self._now}"
             )
-        steps = 0
-        while self._events and self._events.peek_time() <= time:
-            self.step()
-            steps += 1
+        steps = self._process_timestamps(time)
         if time > self._now:
             self._now = float(time)
             self._query_cache = None
@@ -331,10 +328,7 @@ class SimSession:
 
     def drain(self) -> int:
         """Process everything pending; returns timestamps processed."""
-        steps = 0
-        while self.step() is not None:
-            steps += 1
-        return steps
+        return self._process_timestamps(inf)
 
     # -- queries -------------------------------------------------------------
     def query(
@@ -461,75 +455,112 @@ class SimSession:
         )
 
     # -- event loop (the batch semantics, one timestamp at a time) -----------
-    def _process_timestamp(self, now: float) -> None:
-        self._now = now
-        self._query_cache = None
-        tele = self.telemetry
-        for event in self._events.drain_time(now):
-            self.stats.n_events += 1
-            if event.kind is EventType.SUBMIT:
-                if tele.enabled:
-                    tele.inc("engine.events.submit")
-                self._handle_submit(self._records[event.job_id], now)
-            elif event.kind is EventType.FINISH:
-                if tele.enabled:
-                    tele.inc("engine.events.finish")
-                self._handle_finish(self._records[event.job_id], now)
-            elif event.kind is EventType.EXPIRE:
-                if tele.enabled:
-                    tele.inc("engine.events.expire")
-                self._handle_expire(event, self._records[event.job_id], now)
-            else:  # MACHINE
-                if tele.enabled:
-                    tele.inc("engine.events.machine")
-                self._handle_machine(self._machine_events.pop(event.job_id), now)
-        if self._corrected:
-            # one scheduler notification per timestamp: a correction
-            # storm costs one structure re-sort/rebuild, not one per job
-            if tele.enabled:
-                tele.observe("engine.expire_storm.size", len(self._corrected))
-            self.scheduler.on_corrections(self._corrected)
-            self._corrected.clear()
-        self._schedule_pass(now)
+    def _process_timestamps(self, until: float, limit: float = inf) -> int:
+        """The event loop: process pending instants in time order, none
+        later than ``until`` and at most ``limit`` of them; returns how
+        many.  Per instant: every event of it (one queue call), the
+        batched correction notification, one scheduling pass."""
+        events = self._events
+        stats = self.stats
+        observed = self.telemetry.enabled
+        machine = self._machine
+        is_running = machine.is_running
+        records = self._records
+        scheduler = self.scheduler
+        predictor = self.predictor
+        corrector = self.corrector
+        corrected = self._corrected
+        steps = 0
+        while steps < limit:
+            batch = events.pop_instant(until)
+            if not batch:
+                break
+            steps += 1
+            now = self._now = batch[0][0]
+            self._query_cache = None
+            stats.n_events += len(batch)
+            predict_s = 0.0
+            submitted = False
+            pending = iter(batch)
+            try:
+                for _, kind, _, job_id, version in pending:
+                    if kind is _EXPIRE:
+                        record = records[job_id]
+                        if version != record.version or not is_running(job_id):
+                            continue  # stale: corrected since, or already finished
+                        if corrector is None:
+                            raise RuntimeError(
+                                f"job {job_id} under-predicted at t={now} but no "
+                                "correction mechanism is configured"
+                            )
+                        start = record.start_time
+                        # Contract enforcement: progress past the elapsed
+                        # time, capped by the requested time which
+                        # upper-bounds any feasible runtime.
+                        prediction = min(
+                            max(float(corrector.correct(record, now)), now - start + 1.0),
+                            record.requested_time,
+                        )
+                        record.corrections += 1
+                        record.version = version + 1
+                        record.predicted_runtime = prediction
+                        corrected.append(record)
+                        if prediction < record.runtime:  # still too small: expire again
+                            events.schedule(start + prediction, _EXPIRE, job_id, version + 1)
+                    elif kind is _FINISH:
+                        if not is_running(job_id):
+                            continue  # stale: the job was completed externally
+                        record = machine.finish(job_id, now)
+                        if observed:
+                            t0 = perf_counter()
+                            predictor.on_finish(record, now)
+                            predict_s += perf_counter() - t0
+                            self._note_prediction_outcome(record, record.runtime)
+                        else:
+                            predictor.on_finish(record, now)
+                        scheduler.on_finish(record)
+                    elif kind is _SUBMIT:
+                        record = records[job_id]
+                        if observed:
+                            t0 = perf_counter()
+                            raw = float(predictor.predict(record, now))
+                            predict_s += perf_counter() - t0
+                        else:
+                            raw = float(predictor.predict(record, now))
+                        if not isfinite(raw):
+                            raise ValueError(
+                                f"predictor {predictor.name!r} returned a non-finite "
+                                f"prediction for job {job_id}"
+                            )
+                        record.raw_prediction = raw
+                        record.initial_prediction = record.predicted_runtime = (
+                            self._clamp(raw, record.requested_time)
+                        )
+                        scheduler.on_submit(record)
+                        submitted = True
+                    else:  # MACHINE
+                        change = self._machine_events.pop(job_id)
+                        if change.kind == "drain":
+                            machine.drain(change.processors)
+                        else:
+                            machine.restore(change.processors)
+                        scheduler.on_machine_change(now, machine)
+            except BaseException:
+                # only the failing event is consumed; the rest of the
+                # instant stays pending, as if popped one event at a time
+                for time, kind, _, job_id, version in pending:
+                    events.schedule(time, kind, job_id, version)
+                    stats.n_events -= 1
+                raise
+            if submitted:  # the queue only grows within an instant's events
+                stats.max_queue_length = max(
+                    stats.max_queue_length, scheduler.queue_length
+                )
+            self._schedule_pass(now, batch, predict_s)
+        return steps
 
     def _clamp(self, raw: float, requested_time: float) -> float:
         return min(max(raw, self.min_prediction), requested_time)
-
-    def _handle_submit(self, record: JobRecord, now: float) -> None:
-        tele = self.telemetry
-        if tele.enabled:
-            t0 = perf_counter()
-            raw = float(self.predictor.predict(record, now))
-            tele.inc("engine.time.predict.seconds", perf_counter() - t0)
-        else:
-            raw = float(self.predictor.predict(record, now))
-        if raw != raw or raw in (float("inf"), float("-inf")):
-            raise ValueError(
-                f"predictor {self.predictor.name!r} returned a non-finite "
-                f"prediction for job {record.job_id}"
-            )
-        record.raw_prediction = raw
-        clamped = self._clamp(raw, record.requested_time)
-        record.initial_prediction = clamped
-        record.predicted_runtime = clamped
-        self.scheduler.on_submit(record)
-        self.stats.max_queue_length = max(
-            self.stats.max_queue_length, self.scheduler.queue_length
-        )
-
-    def _handle_finish(self, record: JobRecord, now: float) -> None:
-        if not self._machine.is_running(record.job_id):
-            return  # stale: the job was completed externally
-        self._machine.finish(record.job_id, now)
-        tele = self.telemetry
-        if tele.enabled:
-            t0 = perf_counter()
-            self.predictor.on_finish(record, now)
-            tele.inc("engine.time.predict.seconds", perf_counter() - t0)
-            self._note_prediction_outcome(record, record.runtime)
-        else:
-            self.predictor.on_finish(record, now)
-        self.scheduler.on_finish(record)
 
     def _note_prediction_outcome(self, record: JobRecord, runtime: float) -> None:
         """Online prediction-quality metrics, recorded as jobs finish."""
@@ -545,64 +576,44 @@ class SimSession:
             tele.inc("predict.underestimates")
         tele.observe("predict.abs_error.seconds", abs(error))
 
-    def _handle_expire(self, event: Event, record: JobRecord, now: float) -> None:
-        if not self._machine.is_running(record.job_id):
-            return  # stale: the job already finished
-        if event.version != record.version:
-            return  # stale: the prediction was corrected since
-        if self.corrector is None:
-            raise RuntimeError(
-                f"job {record.job_id} under-predicted at t={now} but no "
-                "correction mechanism is configured"
-            )
-        elapsed = now - record.start_time
-        new_prediction = float(self.corrector.correct(record, now))
-        # Contract enforcement: progress past the elapsed time, capped by
-        # the requested time which upper-bounds any feasible runtime.
-        new_prediction = min(
-            max(new_prediction, elapsed + 1.0), record.requested_time
-        )
-        record.corrections += 1
-        record.version += 1
-        record.predicted_runtime = new_prediction
-        self.stats.n_corrections += 1
-        # the scheduler hears about the whole timestamp's corrections at
-        # once (Scheduler.on_corrections), after the event drain
-        self._corrected.append(record)
-        self._push_expiry(record)
-
-    def _handle_machine(self, event: MachineEvent, now: float) -> None:
-        if event.kind == "drain":
-            self._machine.drain(event.processors)
-        else:
-            self._machine.restore(event.processors)
-        self.scheduler.on_machine_change(now, self._machine)
-
-    def _push_expiry(self, record: JobRecord) -> None:
-        """Schedule the next expiry if the prediction is still too small."""
-        if record.predicted_runtime < record.runtime:
-            self._events.push(
-                Event(
-                    time=record.start_time + record.predicted_runtime,
-                    kind=EventType.EXPIRE,
-                    job_id=record.job_id,
-                    version=record.version,
-                )
-            )
-
-    def _schedule_pass(self, now: float) -> None:
-        self.stats.n_scheduling_passes += 1
+    def _schedule_pass(
+        self, now: float, batch: Sequence[tuple] = (), predict_s: float = 0.0
+    ) -> None:
+        """Close an instant: its corrections go to the scheduler as one
+        batch, then one scheduling pass runs and what it selected starts.
+        ``batch`` (the instant's queue entries) and ``predict_s`` (seconds
+        spent in the predictor) only feed telemetry."""
+        stats = self.stats
+        stats.n_scheduling_passes += 1
+        scheduler = self.scheduler
+        machine = self._machine
+        n_corrected = len(self._corrected)
+        if n_corrected:
+            # one scheduler notification per timestamp: a correction
+            # storm costs one structure re-sort/rebuild, not one per job
+            stats.n_corrections += n_corrected
+            scheduler.on_corrections(self._corrected)
+            self._corrected.clear()
         tele = self.telemetry
         if tele.enabled:
-            queued_before = self.scheduler.queue_length
+            if batch and batch[0][1] is batch[-1][1]:  # kind-ordered: all one kind
+                tele.inc(_EVENT_COUNTERS[batch[0][1]], len(batch))
+            else:
+                for entry in batch:
+                    tele.inc(_EVENT_COUNTERS[entry[1]])
+            if predict_s:
+                tele.inc("engine.time.predict.seconds", predict_s)
+            if n_corrected:
+                tele.observe("engine.expire_storm.size", n_corrected)
+            queued_before = scheduler.queue_length
             t0 = perf_counter()
-            started = self.scheduler.select_jobs(now, self._machine)
+            started = scheduler.select_jobs(now, machine)
             tele.inc("engine.time.sched.seconds", perf_counter() - t0)
             tele.inc("engine.sched.passes")
             n_started = len(started)
             if n_started:
                 tele.inc("engine.sched.jobs_started", n_started)
-                if self.scheduler.queue_length:
+                if scheduler.queue_length:
                     # jobs left waiting means some head was held: every
                     # start past it this pass came from backfilling (an
                     # upper bound on true backfills -- phase-1 FCFS
@@ -611,19 +622,20 @@ class SimSession:
             elif queued_before:
                 tele.inc("engine.sched.hold_passes")
             tele.observe("engine.sched.queue_length", queued_before)
-            for key, value in self.scheduler.introspect().items():
-                tele.observe(f"engine.sched.{key}", value)
+            names = self._sched_metrics
+            for key, value in scheduler.introspect().items():
+                name = names.get(key) or names.setdefault(key, f"engine.sched.{key}")
+                tele.observe(name, value)
         else:
-            started = self.scheduler.select_jobs(now, self._machine)
+            started = scheduler.select_jobs(now, machine)
+        schedule = self._events.schedule
         for record in started:
-            self._machine.start(record, now)
-            self.scheduler.on_start(record, now)
+            machine.start(record, now)
+            scheduler.on_start(record, now)
             self.predictor.on_start(record, now)
-            self._events.push(
-                Event(
-                    time=now + record.runtime,
-                    kind=EventType.FINISH,
-                    job_id=record.job_id,
+            runtime = record.runtime
+            schedule(now + runtime, _FINISH, record.job_id)
+            if record.predicted_runtime < runtime:  # will expire before it ends
+                schedule(
+                    now + record.predicted_runtime, _EXPIRE, record.job_id, record.version
                 )
-            )
-            self._push_expiry(record)

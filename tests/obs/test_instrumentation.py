@@ -125,6 +125,76 @@ class TestEngineCounters:
         assert segments is not None and segments.count > 0
 
 
+class TestSnapshotPins:
+    """What a drained session leaves in the registry, cell by cell, as
+    the per-event loop recorded it before the loop went flat (values
+    computed at that commit; 120 KTH-SP2 jobs, seed 7).  Timers are
+    wall-clock sums, so only their presence is pinned."""
+
+    TIMERS = {"engine.time.predict.seconds", "engine.time.sched.seconds"}
+    PINS = {
+        "requested|none|easy": (
+            {
+                "engine.events.finish": 120, "engine.events.submit": 120,
+                "engine.sched.backfill_starts": 35, "engine.sched.hold_passes": 60,
+                "engine.sched.jobs_started": 120, "engine.sched.passes": 239,
+                "predict.finished": 120,
+            },
+            {
+                "engine.sched.queue_length": (239, 941),
+                "engine.sched.release_table": (239, 532),
+                "predict.abs_error.seconds": (120, None),
+            },
+        ),
+        "ave2|incremental|easy-sjbf": (
+            {
+                "engine.events.expire": 135, "engine.events.finish": 120,
+                "engine.events.submit": 120, "engine.sched.backfill_starts": 37,
+                "engine.sched.hold_passes": 72, "engine.sched.jobs_started": 120,
+                "engine.sched.passes": 348, "predict.finished": 120,
+                "predict.underestimates": 43,
+            },
+            {
+                "engine.expire_storm.size": (109, 135),
+                "engine.sched.queue_length": (348, 1170),
+                "engine.sched.release_table": (348, 924),
+                "predict.abs_error.seconds": (120, None),
+            },
+        ),
+        "requested|none|conservative": (
+            {
+                "engine.events.finish": 120, "engine.events.submit": 120,
+                "engine.sched.backfill_starts": 35, "engine.sched.hold_passes": 60,
+                "engine.sched.jobs_started": 120, "engine.sched.passes": 239,
+                "predict.finished": 120,
+            },
+            {
+                "engine.sched.plan_reused": (239, 75),
+                "engine.sched.profile_segments": (239, 904),
+                "engine.sched.queue_length": (239, 941),
+                "predict.abs_error.seconds": (120, None),
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("triple_key", PINS)
+    def test_counters_and_histograms_match_the_pins(self, triple_key):
+        counters, histograms = self.PINS[triple_key]
+        tele = Telemetry(component="test")
+        instrumented = _schedule(_spec(triple_key), tele)
+        assert instrumented == _schedule(_spec(triple_key), None)
+        snap = tele.snapshot()
+        assert set(snap["counters"]) == set(counters) | self.TIMERS
+        for name, value in counters.items():
+            assert snap["counters"][name] == value, name
+        assert all(snap["counters"][name] > 0 for name in self.TIMERS)
+        assert set(snap["histograms"]) == set(histograms)
+        for name, (count, total) in histograms.items():
+            assert snap["histograms"][name]["count"] == count, name
+            if total is not None:
+                assert snap["histograms"][name]["sum"] == total, name
+
+
 class TestCellReport:
     def test_report_always_carries_seconds(self):
         score, report = run_cell_report(_spec("requested|none|easy", 40))

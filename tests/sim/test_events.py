@@ -128,3 +128,83 @@ def test_pop_sequence_is_globally_ordered(items):
     popped = [q.pop() for _ in range(len(items))]
     keys = [(e.time, int(e.kind)) for e in popped]
     assert keys == sorted(keys)
+
+
+class TestPopInstant:
+    def test_takes_the_whole_earliest_instant_in_processing_order(self):
+        q = EventQueue()
+        q.push(Event(5.0, EventType.SUBMIT, 1))
+        q.schedule(5.0, EventType.EXPIRE, 2, 7)
+        q.schedule(6.0, EventType.FINISH, 3)
+        batch = q.pop_instant()
+        assert [(t, kind, job_id, v) for t, kind, _, job_id, v in batch] == [
+            (5.0, EventType.EXPIRE, 2, 7),
+            (5.0, EventType.SUBMIT, 1, 0),
+        ]
+        assert len(q) == 1
+        assert q.floor == 5.0
+        with pytest.raises(ValueError, match="monotonic"):
+            q.schedule(4.0, EventType.SUBMIT, 4)
+
+    def test_nothing_due_leaves_queue_and_floor_alone(self):
+        q = EventQueue()
+        assert q.pop_instant() == []
+        q.schedule(5.0, EventType.SUBMIT, 1)
+        assert q.pop_instant(until=4.0) == []
+        assert len(q) == 1
+        assert q.floor == float("-inf")
+        assert [entry[3] for entry in q.pop_instant(until=5.0)] == [1]
+
+    def test_schedule_rejects_negative_time(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            EventQueue().schedule(-1.0, EventType.SUBMIT, 1)
+
+    def test_pop_returns_the_kind_member_that_was_pushed(self):
+        q = EventQueue()
+        q.schedule(1.0, EventType.MACHINE, 9, 3)
+        assert q.peek() == Event(1.0, EventType.MACHINE, 9, 3)
+        event = q.pop()
+        assert event.kind is EventType.MACHINE
+        assert (event.job_id, event.version) == (9, 3)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(None),  # take the next instant
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1.0, 2.5]),  # delay past the floor; ties
+                st.sampled_from(list(EventType)),
+                st.integers(min_value=1, max_value=100),
+                st.integers(min_value=0, max_value=5),
+            ),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_pop_instant_equals_repeated_pops(ops):
+    """Property: one ``pop_instant()`` call returns exactly the events
+    repeated ``pop()`` calls would for that timestamp (same order,
+    ``job_id`` and ``version`` intact), raises the floor to it, and the
+    by-fields and by-``Event`` push entry points order events alike."""
+    one_call, one_by_one = EventQueue(), EventQueue()
+    for op in ops:
+        if op is not None:
+            delay, kind, job_id, version = op
+            time = max(one_call.floor, 0.0) + delay
+            one_call.schedule(time, kind, job_id, version)
+            one_by_one.push(Event(time, kind, job_id, version))
+            continue
+        batch = one_call.pop_instant()
+        if not one_by_one:
+            assert batch == []
+            continue
+        now = one_by_one.peek_time()
+        expected = list(one_by_one.drain_time(now))
+        assert [Event(t, kind, job_id, v) for t, kind, _, job_id, v in batch] == expected
+        assert one_call.floor == one_by_one.floor == now
+        assert len(one_call) == len(one_by_one)
+        if now > 0:
+            with pytest.raises(ValueError, match="monotonic"):
+                one_call.schedule(now / 2, EventType.SUBMIT, 1)

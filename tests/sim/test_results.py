@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.sim.results import SimulationResult
+from repro.sim.results import JobRecord, SimulationResult
 
-from tests.helpers import make_record
+from tests.helpers import make_job, make_record
 
 
 def finished_record(job_id=1, submit=0.0, start=10.0, runtime=100.0, processors=1):
@@ -86,3 +86,30 @@ class TestSimulationResult:
         rec.corrections = 3
         result = SimulationResult([rec], machine_processors=8)
         assert result.total_corrections() == 3
+
+
+class TestJobRecordSlots:
+    def test_copied_slots_equal_the_job_fields(self):
+        job = make_job(job_id=7, submit_time=12.5, runtime=40.0, processors=3,
+                       requested_time=90.0)
+        rec = JobRecord(job=job)
+        assert (rec.job_id, rec.submit_time, rec.processors, rec.requested_time) == (
+            job.job_id, job.submit_time, job.processors, job.requested_time
+        )
+        assert rec.job is job
+
+    def test_runtime_follows_observed_runtime(self):
+        rec = make_record(runtime=100.0)
+        assert rec.runtime == 100.0
+        rec.observed_runtime = 70.0
+        assert rec.runtime == 70.0
+        rec.observed_runtime = None
+        assert rec.runtime == rec.job.runtime
+
+    def test_fed_job_is_documented_as_immutable(self):
+        """The copies are taken once: the contract has to say so."""
+        assert "immutable" in JobRecord.__doc__
+        job = make_job(job_id=1, processors=2)
+        rec = JobRecord(job=job)
+        job.processors = 4
+        assert rec.processors == 2

@@ -7,13 +7,17 @@ import pytest
 
 from repro.core.triples import EASYPP_TRIPLE, paper_cells
 from repro.correct import IncrementalCorrector
+from repro.correct.base import Corrector
 from repro.predict import (
     ClairvoyantPredictor,
     RecentAveragePredictor,
     RequestedTimePredictor,
 )
-from repro.sched import make_scheduler
+from repro.predict.base import Predictor
+from repro.sched import EasyScheduler, make_scheduler
 from repro.sim import (
+    Event,
+    EventType,
     MachineEvent,
     MonotonicityError,
     SimSession,
@@ -448,3 +452,186 @@ class TestBatchResultStats:
         assert len(result) == 3
         assert result.stats.n_events > 0
         assert result.stats.max_queue_length >= 1
+
+
+class _Spy:
+    """Test doubles sharing one call log: a predictor returning a fixed
+    prediction per job, a corrector that doubles, an EASY scheduler."""
+
+    def __init__(self, predictions: dict[int, float]) -> None:
+        log = self.log = []
+
+        class SpyPredictor(Predictor):
+            name = "spy"
+
+            def predict(self, record, now):
+                log.append(f"predict {record.job_id}")
+                return predictions[record.job_id]
+
+            def on_finish(self, record, now):
+                log.append(f"learn {record.job_id}")
+
+        class SpyCorrector(Corrector):
+            name = "spy"
+
+            def correct(self, record, now):
+                log.append(f"correct {record.job_id}")
+                return 2.0 * record.predicted_runtime
+
+        class SpyScheduler(EasyScheduler):
+            def on_submit(self, record):
+                log.append(f"on_submit {record.job_id}")
+                super().on_submit(record)
+
+            def on_finish(self, record):
+                log.append(f"on_finish {record.job_id}")
+                super().on_finish(record)
+
+            def on_corrections(self, records):
+                log.append(f"on_corrections {[r.job_id for r in records]}")
+                super().on_corrections(records)
+
+            def on_machine_change(self, now, machine):
+                log.append("on_machine_change")
+                super().on_machine_change(now, machine)
+
+            def select_jobs(self, now, machine):
+                log.append("select_jobs")
+                return super().select_jobs(now, machine)
+
+        self.session = SimSession(8, SpyScheduler(), SpyPredictor(), SpyCorrector())
+
+
+class TestOneInstant:
+    """The flat loop: a whole timestamp per queue call, dispatched in
+    FINISH < EXPIRE < SUBMIT < MACHINE order, then one batched correction
+    notification and one scheduling pass."""
+
+    def test_all_four_kinds_in_order_one_batch_one_pass(self):
+        spy = _Spy({1: 100.0, 2: 100.0, 3: 100.0, 4: 60.0})
+        session = spy.session
+        session.feed(
+            [
+                make_job(job_id=1, submit_time=0.0, runtime=100.0, requested_time=900.0),
+                make_job(job_id=2, submit_time=0.0, runtime=300.0, requested_time=900.0),
+                make_job(job_id=3, submit_time=0.0, runtime=300.0, requested_time=900.0),
+            ]
+        )
+        session.advance_to(0.0)
+        # fed out of kind order on purpose: MACHINE first, then the SUBMIT
+        session.feed_machine_event(time=100.0, kind="drain", processors=1)
+        session.feed(make_job(job_id=4, submit_time=100.0, runtime=10.0, requested_time=900.0))
+        del spy.log[:]
+        before = session.stats.n_scheduling_passes
+        assert session.step() == 100.0
+        assert spy.log == [
+            "learn 1", "on_finish 1",          # FINISH
+            "correct 2", "correct 3",          # EXPIRE, insertion order
+            "predict 4", "on_submit 4",        # SUBMIT
+            "on_machine_change",               # MACHINE
+            "on_corrections [2, 3]",           # one batch for the instant
+            "select_jobs",                     # one pass for the instant
+        ]
+        assert session.stats.n_scheduling_passes == before + 1
+        assert session.stats.n_events == 3 + 5
+        assert session.stats.n_corrections == 2
+        assert session.record(2).predicted_runtime == 200.0
+        assert session.record(2).version == 1
+        assert session.machine.drained == 1
+        assert session.record(4).start_time == 100.0
+
+    def test_expire_made_stale_by_a_newer_correction_is_dropped(self):
+        spy = _Spy({1: 100.0})
+        session = spy.session
+        session.feed(make_job(job_id=1, submit_time=0.0, runtime=300.0, requested_time=900.0))
+        session.advance_to(100.0)  # corrected once: version 1, next EXPIRE at t=200
+        assert session.record(1).version == 1
+        # a leftover EXPIRE of the superseded prediction (version 0)
+        session._events.push(Event(150.0, EventType.EXPIRE, 1, 0))
+        del spy.log[:]
+        assert session.step() == 150.0
+        assert spy.log == ["select_jobs"]  # nothing corrected, still one pass
+        assert session.record(1).corrections == 1
+        session.drain()
+        assert session.record(1).corrections == 2  # t=200 -> 400 >= runtime
+        assert session.stats.n_corrections == 2
+
+    def test_expire_and_finish_after_external_complete_are_dropped(self):
+        spy = _Spy({1: 100.0})
+        session = spy.session
+        session.feed(make_job(job_id=1, submit_time=0.0, runtime=300.0, requested_time=900.0))
+        session.advance_to(0.0)
+        session.complete(1, time=50.0)
+        del spy.log[:]
+        session.drain()  # EXPIRE at t=100 and FINISH at t=300 are both stale
+        assert spy.log == ["select_jobs", "select_jobs"]
+        record = session.record(1)
+        assert (record.corrections, record.end_time, record.runtime) == (0, 50.0, 50.0)
+        assert session.stats.n_corrections == 0
+
+    def test_failing_event_leaves_the_rest_of_the_instant_pending(self):
+        session = SimSession(4, make_scheduler("easy"), RequestedTimePredictor())
+        session.feed(make_job(job_id=1, submit_time=0.0, runtime=100.0, processors=3,
+                              requested_time=200.0))
+        session.advance_to(0.0)  # 1 processor free
+        session.feed_machine_event(time=10.0, kind="drain", processors=2)  # too wide
+        session.feed_machine_event(time=10.0, kind="drain", processors=1)
+        with pytest.raises(ValueError, match="drain"):
+            session.advance_to(10.0)
+        assert session.n_pending_events == 2  # the second drain and job 1's FINISH
+        events_so_far = session.stats.n_events
+        session.advance_to(10.0)
+        assert session.machine.drained == 1
+        assert session.stats.n_events == events_so_far + 1
+
+    def test_missing_corrector_and_non_finite_prediction_still_raise(self):
+        spy = _Spy({1: 100.0, 2: float("nan")})
+        spy.session.corrector = None
+        spy.session.feed(make_job(job_id=1, submit_time=0.0, runtime=300.0, requested_time=900.0))
+        with pytest.raises(RuntimeError, match="no correction mechanism"):
+            spy.session.drain()
+        spy.session.feed(make_job(job_id=2, submit_time=500.0, runtime=10.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            spy.session.drain()
+
+
+class TestEngineStatsPins:
+    """Run counters of three small cells, as the per-event loop before
+    the flat one produced them (60 KTH-SP2 jobs, default seed)."""
+
+    PINS = {
+        "requested|none|easy": (120, 120, 0, 15),
+        "ave2|incremental|easy-sjbf": (248, 248, 128, 15),
+        "requested|none|conservative": (120, 120, 0, 15),
+    }
+
+    @pytest.mark.parametrize("triple", PINS)
+    def test_stats_match_the_pinned_values(self, stream_kth, triple):
+        stats = simulate(stream_kth, *build(triple)).stats
+        assert (
+            stats.n_events,
+            stats.n_scheduling_passes,
+            stats.n_corrections,
+            stats.max_queue_length,
+        ) == self.PINS[triple]
+
+
+class TestFinishedCounter:
+    def test_snapshot_count_equals_a_scan_under_external_completions(self, stream_kth):
+        """``snapshot().n_finished`` is a counter, not a scan: it must
+        agree with the scan at every step, and a job completed
+        externally must not be counted again when its simulated FINISH
+        arrives stale."""
+        session = make_session("ave2|incremental|easy-sjbf", stream_kth.processors)
+        session.feed(stream_kth)
+        completed_externally = 0
+        while session.n_pending_events:
+            now = session.step()
+            running = sorted(run.record.job_id for run in session.machine.running)
+            if running and completed_externally < 10:
+                session.complete(running[0], time=now + 1.0)
+                completed_externally += 1
+            scan = sum(1 for job in stream_kth if session.record(job.job_id).finished)
+            assert session.snapshot().n_finished == scan
+        assert completed_externally == 10
+        assert session.snapshot().n_finished == len(stream_kth)
