@@ -45,8 +45,6 @@ from typing import TYPE_CHECKING
 from ..spec import CellSpec, WorkloadSpec, canonical_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from ..workload.trace import Trace
 
 __all__ = [
@@ -100,7 +98,7 @@ class TraceBundle:
         self.key = workload_key(workload)
         self.trace = trace
         self._digest: str | None = None
-        self._static_rows: dict[int, np.ndarray] | None = None
+        self._static_rows: dict[int, tuple[float, ...]] | None = None
 
     @property
     def digest(self) -> str:
@@ -109,7 +107,7 @@ class TraceBundle:
             self._digest = self.trace.digest()
         return self._digest
 
-    def static_rows(self) -> dict[int, np.ndarray]:
+    def static_rows(self) -> dict[int, tuple[float, ...]]:
         """job_id -> precomputed static feature row, for ML predictors.
 
         Computed on first request only (non-ML groups never pay) and

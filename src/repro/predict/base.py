@@ -26,6 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..sim.results import JobRecord
 from ..workload.job import Job
@@ -154,7 +155,7 @@ class UserHistoryTracker:
     def last_runtimes(self, user: int, k: int) -> list[float]:
         """Up to ``k`` most recent completed runtimes, most recent first."""
         recent = self.state(user).recent_runtimes
-        return list(recent)[-1 : -k - 1 : -1]
+        return list(islice(reversed(recent), k))
 
     def average_recent_runtime(self, user: int, k: int) -> float | None:
         """Mean of the last ``k`` completed runtimes; None if no history."""

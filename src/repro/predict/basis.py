@@ -24,23 +24,25 @@ class PolynomialBasis:
         self._iu = iu
         self._ju = ju
         self.dim = 1 + 2 * n_features + n_features * (n_features - 1) // 2
+        # Every term is a product of two entries of (1, x): 1*1, x_i*1,
+        # x_i*x_i, x_i*x_j -- so the whole row is one gather-and-multiply.
+        ones = np.arange(1, n_features + 1)
+        self._left = np.concatenate(([0], ones, ones, iu + 1))
+        self._right = np.concatenate(([0], np.zeros_like(ones), ones, ju + 1))
+        self._one_x = np.ones(n_features + 1)  # scratch: (1, x)
 
     def expand(self, x: np.ndarray) -> np.ndarray:
-        """Phi(x); raises if ``x`` has the wrong length or non-finite values."""
+        """Phi(x), a fresh row; raises on a wrong length or non-finite values."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_features,):
             raise ValueError(
                 f"expected shape ({self.n_features},), got {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("features must be finite")
-        out = np.empty(self.dim, dtype=float)
-        out[0] = 1.0
-        n = self.n_features
-        out[1 : n + 1] = x
-        out[n + 1 : 2 * n + 1] = x * x
-        out[2 * n + 1 :] = x[self._iu] * x[self._ju]
-        return out
+        one_x = self._one_x
+        one_x[1:] = x
+        return one_x[self._left] * one_x[self._right]
 
     def term_names(self, feature_names: tuple[str, ...] | None = None) -> list[str]:
         """Human-readable names of the basis terms (for model inspection)."""

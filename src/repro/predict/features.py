@@ -64,7 +64,7 @@ N_FEATURES = len(FEATURE_NAMES)
 STATIC_FEATURE_INDICES: tuple[int, ...] = (0, 7, 8, 9, 16, 17, 18, 19)
 
 
-def compute_static_features(jobs: Iterable[Job]) -> dict[int, np.ndarray]:
+def compute_static_features(jobs: Iterable[Job]) -> dict[int, tuple[float, ...]]:
     """Precompute the schedule-independent feature columns of a trace.
 
     ``jobs`` must arrive in submission order -- the order SUBMIT events
@@ -73,11 +73,13 @@ def compute_static_features(jobs: Iterable[Job]) -> dict[int, np.ndarray]:
     ``UserHistoryTracker.on_submit`` performs live.  Each row holds the
     :data:`STATIC_FEATURE_INDICES` values for one job, bit-identical to
     what :func:`extract_features` would compute at that job's release,
-    keyed by job id.
+    keyed by job id.  Rows are tuples of plain floats: unpacking an
+    ``ndarray`` row into eight ``np.float64`` scalars cost the extractor
+    more than computing the columns live.
     """
     n_submitted: dict[int, int] = {}
     sum_processors: dict[int, float] = {}
-    rows: dict[int, np.ndarray] = {}
+    rows: dict[int, tuple[float, ...]] = {}
     for job in jobs:
         now = job.submit_time
         count = n_submitted.get(job.user, 0)
@@ -86,18 +88,15 @@ def compute_static_features(jobs: Iterable[Job]) -> dict[int, np.ndarray]:
         q_over_hist = job.processors / ave_hist_q if ave_hist_q > 0 else 1.0
         day_angle = 2.0 * math.pi * ((now % _DAY) / _DAY)
         week_angle = 2.0 * math.pi * ((now % _WEEK) / _WEEK)
-        rows[job.job_id] = np.array(
-            [
-                job.requested_time,
-                float(job.processors),
-                ave_hist_q,
-                q_over_hist,
-                math.cos(day_angle),
-                math.sin(day_angle),
-                math.cos(week_angle),
-                math.sin(week_angle),
-            ],
-            dtype=float,
+        rows[job.job_id] = (
+            float(job.requested_time),
+            float(job.processors),
+            ave_hist_q,
+            q_over_hist,
+            math.cos(day_angle),
+            math.sin(day_angle),
+            math.cos(week_angle),
+            math.sin(week_angle),
         )
         n_submitted[job.user] = count + 1
         sum_processors[job.user] = total + job.processors
@@ -108,7 +107,7 @@ def extract_features(
     job: Job,
     tracker: UserHistoryTracker,
     now: float,
-    static: np.ndarray | None = None,
+    static: tuple[float, ...] | None = None,
 ) -> np.ndarray:
     """Feature vector for ``job`` released at ``now``.
 
@@ -120,13 +119,13 @@ def extract_features(
     the dynamic columns are always computed live.
     """
     state = tracker.state(job.user)
-    last = tracker.last_runtimes(job.user, 3)
-    last1 = last[0] if len(last) > 0 else 0.0
-    last2 = last[1] if len(last) > 1 else 0.0
-    last3 = last[2] if len(last) > 2 else 0.0
-    n_recent = len(last)
+    recent = state.recent_runtimes
+    n_recent = min(3, len(recent))
+    last1 = recent[-1] if n_recent > 0 else 0.0
+    last2 = recent[-2] if n_recent > 1 else 0.0
+    last3 = recent[-3] if n_recent > 2 else 0.0
     ave2 = (last1 + last2) / min(2, n_recent) if n_recent else 0.0
-    ave3 = (last1 + last2 + last3) / min(3, n_recent) if n_recent else 0.0
+    ave3 = (last1 + last2 + last3) / n_recent if n_recent else 0.0
     aveall = state.sum_runtimes / state.n_completed if state.n_completed else 0.0
 
     if static is not None:
@@ -157,10 +156,13 @@ def extract_features(
     running = state.running
     n_running = len(running)
     if n_running:
-        so_far = [now - start for (start, _q) in running.values()]
+        so_far = []
+        occupied = 0
+        for start, q in running.values():  # one pass: a plain loop beats two comprehensions
+            so_far.append(now - start)
+            occupied += q
         longest = max(so_far)
         total = sum(so_far)
-        occupied = sum(q for (_s, q) in running.values())
         ave_curr_q = occupied / n_running
     else:
         longest = total = 0.0

@@ -140,23 +140,22 @@ class LossSpec:
         short = {"squared": "sq", "linear": "lin"}
         return f"{short[self.over]}-{short[self.under]}-{self.weight}"
 
-    def value(self, f: float, p: float, q: float) -> float:
-        """Loss of predicting ``f`` for a job with actual (p, q)."""
+    def value_and_gradient(self, f: float, p: float, q: float) -> tuple[float, float]:
+        """``(value(f, p, q), gradient(f, p, q))`` from one weight evaluation."""
         gamma = weight_factor(self.weight, p, q)
         if f >= p:
-            base, _ = BRANCHES[self.over]
-            return gamma * base(f - p)
-        base, _ = BRANCHES[self.under]
-        return gamma * base(p - f)
+            base, deriv = BRANCHES[self.over]
+            return gamma * base(f - p), gamma * deriv(f - p)
+        base, deriv = BRANCHES[self.under]
+        return gamma * base(p - f), -gamma * deriv(p - f)
+
+    def value(self, f: float, p: float, q: float) -> float:
+        """Loss of predicting ``f`` for a job with actual (p, q)."""
+        return self.value_and_gradient(f, p, q)[0]
 
     def gradient(self, f: float, p: float, q: float) -> float:
         """dL/df at prediction ``f`` (subgradient 0 conventions at f == p)."""
-        gamma = weight_factor(self.weight, p, q)
-        if f >= p:
-            _, deriv = BRANCHES[self.over]
-            return gamma * deriv(f - p)
-        _, deriv = BRANCHES[self.under]
-        return -gamma * deriv(p - f)
+        return self.value_and_gradient(f, p, q)[1]
 
 
 #: The paper's winning E-Loss: squared over-prediction branch, linear

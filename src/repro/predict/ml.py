@@ -27,6 +27,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from ..sim.results import JobRecord
+from ..workload.job import Job
 from .base import Predictor, UserHistoryTracker
 from .basis import PolynomialBasis
 from .features import N_FEATURES, extract_features
@@ -60,12 +61,12 @@ class MLPredictor(Predictor):
         #: submission-time basis vectors awaiting their completion label.
         self._pending: dict[int, np.ndarray] = {}
         #: job_id -> precomputed static feature row (shared, read-only).
-        self._static_rows: Mapping[int, np.ndarray] | None = None
+        self._static_rows: Mapping[int, tuple[float, ...]] | None = None
         #: cumulative training loss (seconds-based), for diagnostics.
         self.cumulative_loss = 0.0
         self.n_updates = 0
 
-    def bind_static_features(self, rows: Mapping[int, np.ndarray] | None) -> None:
+    def bind_static_features(self, rows: Mapping[int, tuple[float, ...]] | None) -> None:
         """Attach a shared table of precomputed static feature rows.
 
         Batched campaign runs compute the schedule-independent feature
@@ -78,18 +79,24 @@ class MLPredictor(Predictor):
         self._static_rows = rows
 
     # -- Predictor protocol ----------------------------------------------------
+    def _evaluate(
+        self, job: Job, now: float, static: tuple[float, ...] | None
+    ) -> tuple[np.ndarray, float]:
+        """Basis row of ``job`` at ``now`` and the clamped model output."""
+        phi = self._basis.expand(extract_features(job, self._tracker, now, static))
+        raw = self._optimizer.predict(phi) * self.target_scale
+        # max/min in this order let a NaN through to the engine's check
+        return phi, min(max(raw, 0.0), job.requested_time)
+
     def predict(self, record: JobRecord, now: float) -> float:
         job = record.job
-        static = (
-            None if self._static_rows is None else self._static_rows.get(job.job_id)
-        )
-        phi = self._basis.expand(
-            extract_features(job, self._tracker, now, static=static)
+        rows = self._static_rows
+        phi, prediction = self._evaluate(
+            job, now, None if rows is None else rows.get(job.job_id)
         )
         self._tracker.on_submit(job, now)
         self._pending[job.job_id] = phi
-        raw = self._optimizer.predict(phi) * self.target_scale
-        return float(np.clip(raw, 0.0, job.requested_time))
+        return prediction
 
     def estimate(self, record: JobRecord, now: float) -> float:
         # read-only twin of predict(): the features are extracted against
@@ -97,10 +104,7 @@ class MLPredictor(Predictor):
         # pending label slot is created.  Never consults the bound static
         # rows -- probes may run at a different `now` than the submit time
         # the precomputed day/week angles assume.
-        job = record.job
-        phi = self._basis.expand(extract_features(job, self._tracker, now))
-        raw = self._optimizer.predict(phi) * self.target_scale
-        return float(np.clip(raw, 0.0, job.requested_time))
+        return self._evaluate(record.job, now, None)[1]
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._tracker.on_start(record.job, now)
@@ -121,10 +125,14 @@ class MLPredictor(Predictor):
         # The constant 1/target_scale chain factor is absorbed by NAG's
         # AdaGrad normalisation.
         f_seconds = self._optimizer.predict(phi) * self.target_scale
-        q = float(job.processors)
-        grad = self.loss.gradient(f_seconds, runtime, q)
-        self._optimizer.update(phi, grad)
-        self.cumulative_loss += self.loss.value(f_seconds, runtime, q)
+        value, grad = self.loss.value_and_gradient(
+            f_seconds, runtime, float(job.processors)
+        )
+        try:
+            self._optimizer.update(phi, grad)
+        except ValueError as exc:
+            raise ValueError(f"job {job.job_id}: {exc}") from None
+        self.cumulative_loss += value
         self.n_updates += 1
 
     # -- diagnostics -----------------------------------------------------------

@@ -21,9 +21,22 @@ Update for example ``x`` with scalar loss derivative ``dL/df`` at
 
 An ``l2`` ridge penalty (the paper's ``lambda ||w||^2``) enters through
 the gradient.
+
+The step runs as in-place ufuncs over scratch rows the optimiser owns,
+in the operation order above per coordinate, so a step on a *dense*
+model -- every coordinate has a scale and a squared gradient -- allocates
+no array.  Density latches: ``s_i`` only grows, and so does ``G_i`` when
+``forgetting == 1`` (with ``forgetting < 1`` a long-idle ``G_i`` can
+decay to zero, so it is re-checked every step).  Until then steps 2 and
+4 run over the ``s_i > 0`` / ``G_i > 0`` masks.  The masked reduction of
+step 2 cannot be replaced by a full-row sum with zeros in the unseen
+slots: numpy sums pairwise, and a compressed array and the full row
+split into different pairs, so the two round differently.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,52 +74,73 @@ class NagOptimizer:
         self._grad_sq = np.zeros(dim)  # G_i: accumulated squared gradients
         self._norm = 0.0  # N: accumulated normalised example norms
         self.t = 0  # examples processed
+        self._seen_all = False  # every s_i > 0 (latches)
+        self._dense = False  # ... and every G_i > 0 (latches iff forgetting == 1)
+        self._grad = np.empty(dim)  # scratch rows of update()
+        self._tmp = np.empty(dim)
+        self._mask = np.empty(dim, dtype=bool)
 
     def predict(self, x: np.ndarray) -> float:
         """Model output ``w . x``."""
-        return float(self.w @ x)
+        return float(self.w.dot(x))
 
     def update(self, x: np.ndarray, dloss_df: float) -> None:
         """One online step given the derivative of the loss at ``w . x``."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
+        if not math.isfinite(dloss_df):
+            raise ValueError(f"loss derivative must be finite, got {dloss_df}")
         self.t += 1
-        ax = np.abs(x)
+        w, scale, grad_sq = self.w, self._scale, self._grad_sq
+        grad, tmp, mask = self._grad, self._tmp, self._mask
 
         # 1. Rescale weights whose coordinate just revealed a larger range.
-        grew = ax > self._scale
-        if np.any(grew):
-            old = self._scale[grew]
-            new = ax[grew]
-            ratio = np.where(new > 0, old / new, 0.0)
-            self.w[grew] *= ratio * ratio
-            self._scale[grew] = new
+        np.abs(x, out=tmp)
+        if np.count_nonzero(np.greater(tmp, scale, out=mask)):
+            new = tmp[mask]
+            ratio = scale[mask] / new
+            w[mask] *= ratio * ratio
+            scale[mask] = new
 
         # 2. Normalised example norm (coordinates never seen stay out).
-        seen = self._scale > 0
-        if np.any(seen):
-            self._norm += float(np.sum((x[seen] / self._scale[seen]) ** 2))
+        if not self._seen_all:
+            seen = scale > 0
+            self._seen_all = np.count_nonzero(seen) == self.dim
+        if self._seen_all:
+            np.divide(x, scale, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            self._norm += float(tmp.sum())
+        else:
+            ratio = x[seen] / scale[seen]
+            self._norm += float((ratio * ratio).sum())
 
         # 3. Gradient with ridge term (after optional forgetting decay,
         # which shortens the adaptive memory and favours recent examples).
         if self.forgetting < 1.0:
-            self._grad_sq *= self.forgetting
-        grad = dloss_df * x
+            grad_sq *= self.forgetting
+        np.multiply(x, dloss_df, out=grad)
         if self.l2 > 0:
-            grad = grad + 2.0 * self.l2 * self.w
-        self._grad_sq += grad * grad
+            grad += np.multiply(w, 2.0 * self.l2, out=tmp)
+        grad_sq += np.multiply(grad, grad, out=tmp)
 
-        # 4. Adaptive, normalised step.
+        # 4. Adaptive, normalised step over the active coordinates.
         if self._norm <= 0:
             return
-        active = seen & (self._grad_sq > 0)
-        if not np.any(active):
-            return
-        rate = self.eta * np.sqrt(self.t / self._norm)
-        self.w[active] -= (
-            rate * grad[active] / (self._scale[active] * np.sqrt(self._grad_sq[active]))
-        )
+        where: np.ndarray | bool = True
+        if not self._dense:
+            active = np.greater(grad_sq, 0.0, out=mask)
+            if not self._seen_all:
+                active &= seen
+            if np.count_nonzero(active) == self.dim:
+                self._dense = self.forgetting == 1.0
+            else:
+                where = active
+        np.sqrt(grad_sq, out=tmp)
+        tmp *= scale
+        grad *= self.eta * math.sqrt(self.t / self._norm)
+        np.divide(grad, tmp, out=grad, where=where)
+        np.subtract(w, grad, out=w, where=where)
 
     def state_summary(self) -> dict[str, float]:
         """Diagnostics for tests and reports."""

@@ -23,11 +23,12 @@ from repro.core import (
     plan_batches,
     run_cell,
     run_cells,
-    run_spec_result,
     workload_key,
 )
 from repro.dist import LocalBroker
 from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
+
+from tests.helpers import schedule_bytes
 
 #: Every scheduler family x every predictor family, on one shared trace.
 SCHEDULERS = ("easy", "easy-sjbf", "conservative")
@@ -51,15 +52,6 @@ def family_matrix(log=LOG, n_jobs=N_JOBS, seed=SEED):
         for sched in SCHEDULERS
         for pred, corr in PREDICTORS
     ]
-
-
-def schedule_bytes(spec):
-    result = run_spec_result(spec)
-    rows = sorted(
-        (r.job_id, r.start_time, r.end_time, r.corrections, r.raw_prediction)
-        for r in result
-    )
-    return json.dumps(rows).encode("utf-8")
 
 
 class TestByteIdentity:
@@ -127,6 +119,38 @@ class TestByteIdentity:
             np.testing.assert_array_equal(
                 rows[job.job_id], live[list(STATIC_FEATURE_INDICES)]
             )
+
+    def test_predictor_replay_with_rows_bound_is_bit_identical(self):
+        """The other half: a whole ``MLPredictor`` replay (predict at
+        submit, learn at completion, jobs overlapping) with the rows bound
+        returns the same floats and ends on the same weights as one that
+        extracts every column live."""
+        import numpy as np
+
+        from repro.predict import E_LOSS, MLPredictor
+        from repro.sim.results import JobRecord
+
+        clear_bundle_cache()
+        bundle = get_bundle(WorkloadSpec.make(LOG, n_jobs=300, seed=SEED))
+        live, bound = MLPredictor(E_LOSS), MLPredictor(E_LOSS)
+        bound.bind_static_features(bundle.static_rows())
+        events = sorted(
+            [(job.submit_time, 0, job.job_id) for job in bundle.trace]
+            + [(job.submit_time + job.runtime, -1, job.job_id) for job in bundle.trace]
+        )
+        records = {job.job_id: JobRecord(job=job) for job in bundle.trace}
+        for now, kind, job_id in events:
+            record = records[job_id]
+            if kind == 0:
+                assert bound.predict(record, now) == live.predict(record, now)
+                for pred in (live, bound):
+                    pred.on_start(record, now)
+            else:
+                for pred in (live, bound):
+                    pred.on_finish(record, now)
+        assert live.n_updates == bound.n_updates == 300
+        assert np.array_equal(live.weights, bound.weights)
+        assert live.cumulative_loss == bound.cumulative_loss
 
 
 class TestGrouping:

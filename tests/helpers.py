@@ -8,11 +8,14 @@ resolve for rootdir-anchored test packages.
 
 from __future__ import annotations
 
+import json
+
+from repro.core import run_spec_result
 from repro.sim.results import JobRecord
 from repro.spec import CellSpec
 from repro.workload import Job, stable_seed
 
-__all__ = ["make_job", "make_record", "triple_cells"]
+__all__ = ["make_job", "make_record", "schedule_bytes", "triple_cells"]
 
 
 def triple_cells(
@@ -26,6 +29,16 @@ def triple_cells(
         for r in range(replicas)
         for key in triples
     ]
+
+
+def schedule_bytes(spec: CellSpec) -> bytes:
+    """The schedule one cell produces, as bytes: every job's start, end,
+    correction count and raw prediction, exact to the last bit."""
+    rows = sorted(
+        (r.job_id, r.start_time, r.end_time, r.corrections, r.raw_prediction)
+        for r in run_spec_result(spec)
+    )
+    return json.dumps(rows).encode("utf-8")
 
 
 def make_job(

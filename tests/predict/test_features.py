@@ -139,3 +139,80 @@ class TestUserIsolation:
         x = extract_features(make_job(job_id=2, user=2), tracker, now=200.0)
         assert x[idx("last_runtime_1")] == 0.0
         assert x[idx("aveall_runtime")] == 0.0
+
+
+class TestLastRuntimes:
+    """``UserHistoryTracker.last_runtimes`` reads k entries off the right
+    end of the window; the values and their order (most recent first) are
+    what a copy-and-slice of the whole deque gave."""
+
+    @staticmethod
+    def copy_and_slice(tracker, user, k):
+        return list(tracker.state(user).recent_runtimes)[-1 : -k - 1 : -1]
+
+    @pytest.mark.parametrize("n_completed", [0, 1, 2, 3, 5, 64, 70])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_same_values_same_order(self, n_completed, k):
+        tracker = UserHistoryTracker()
+        for i in range(n_completed):
+            job = make_job(job_id=i + 1, runtime=10.0 + 1.7 * i)
+            tracker.on_finish(job, now=float(i))
+        got = tracker.last_runtimes(1, k)
+        assert got == self.copy_and_slice(tracker, 1, k)
+        assert len(got) == min(k, n_completed, 64)
+        if n_completed:
+            assert got[0] == 10.0 + 1.7 * (n_completed - 1)
+
+    def test_unknown_user_has_no_history(self):
+        tracker = UserHistoryTracker()
+        assert tracker.last_runtimes(99, 3) == []
+        assert tracker.average_recent_runtime(99, 2) is None
+
+    def test_average_sums_most_recent_first(self):
+        """ave3 associates as (r3 + r2) + r1 -- the order the slice had;
+        oldest first would lose both small terms here."""
+        tracker = UserHistoryTracker()
+        for i, runtime in enumerate((1e16, 1.0, 1.0), start=1):
+            tracker.on_finish(make_job(job_id=i, runtime=runtime), now=float(i))
+        assert (1.0 + 1.0) + 1e16 != (1e16 + 1.0) + 1.0
+        assert tracker.average_recent_runtime(1, 3) == ((1.0 + 1.0) + 1e16) / 3
+
+    def test_features_with_one_and_two_completions(self):
+        tracker = UserHistoryTracker()
+        tracker.on_finish(make_job(job_id=1, runtime=100.0), now=100.0)
+        x = extract_features(make_job(job_id=8), tracker, now=500.0)
+        assert [x[idx(f"last_runtime_{i}")] for i in (1, 2, 3)] == [100.0, 0.0, 0.0]
+        assert x[idx("ave2_runtime")] == x[idx("ave3_runtime")] == 100.0
+        tracker.on_finish(make_job(job_id=2, runtime=300.0), now=400.0)
+        x = extract_features(make_job(job_id=9), tracker, now=500.0)
+        assert [x[idx(f"last_runtime_{i}")] for i in (1, 2, 3)] == [300.0, 100.0, 0.0]
+        assert x[idx("ave2_runtime")] == x[idx("ave3_runtime")] == 200.0
+
+
+class TestStaticRow:
+    def test_row_is_plain_floats_and_replaces_the_eight_columns(self):
+        from repro.predict.features import (
+            STATIC_FEATURE_INDICES,
+            compute_static_features,
+        )
+
+        jobs = [
+            make_job(job_id=i, submit_time=3600.0 * i, runtime=50.0 * i,
+                     processors=i, user=1 + i % 2)
+            for i in range(1, 9)
+        ]
+        rows = compute_static_features(jobs)
+        assert all(
+            type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
+            for row in rows.values()
+        )
+        tracker = UserHistoryTracker()
+        for job in jobs:
+            live = extract_features(job, tracker, job.submit_time)
+            bound = extract_features(job, tracker, job.submit_time, rows[job.job_id])
+            assert np.array_equal(live, bound)
+            assert tuple(live[list(STATIC_FEATURE_INDICES)]) == rows[job.job_id]
+            tracker.on_submit(job, job.submit_time)
+            tracker.on_start(job, job.submit_time)
+            if job.job_id % 3:
+                tracker.on_finish(job, job.submit_time + job.runtime)

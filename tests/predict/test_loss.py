@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.predict.loss import (
+    BRANCHES,
     E_LOSS,
     SQUARED_LOSS,
     LossSpec,
@@ -102,3 +103,31 @@ def test_loss_nonnegative_zero_at_truth_convex_sides(spec, f, p, q):
     assert spec.value(p, p, q) == 0.0
     further = spec.value(f + (100.0 if f >= p else -min(100.0, f)), p, q)
     assert further >= value - 1e-9
+
+
+@pytest.mark.parametrize("spec", list(all_loss_specs()), ids=lambda spec: spec.key)
+@pytest.mark.parametrize(
+    "f, p",
+    [(5000.0, 3600.0), (1200.5, 3600.0), (3600.0, 3600.0), (0.0, 0.7), (3.3, 1e-3)],
+    ids=["over", "under", "at-truth", "zero-prediction", "tiny-runtime"],
+)
+def test_value_and_gradient_is_the_pair_from_one_weight(spec, f, p):
+    """One call, one weight evaluation, the same two floats: against
+    ``value()``/``gradient()`` and against the definition spelled out."""
+    q = 48.0
+    pair = spec.value_and_gradient(f, p, q)
+    assert pair == (spec.value(f, p, q), spec.gradient(f, p, q))
+    gamma = weight_factor(spec.weight, p, q)
+    if f >= p:
+        base, deriv = BRANCHES[spec.over]
+        assert pair == (gamma * base(f - p), gamma * deriv(f - p))
+    else:
+        base, deriv = BRANCHES[spec.under]
+        assert pair == (gamma * base(p - f), -gamma * deriv(p - f))
+
+
+def test_value_and_gradient_keeps_the_weight_checks():
+    with pytest.raises(ValueError):
+        E_LOSS.value_and_gradient(10.0, 0.0, 4.0)
+    with pytest.raises(ValueError):
+        E_LOSS.value_and_gradient(10.0, 5.0, 0.0)

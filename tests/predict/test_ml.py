@@ -104,3 +104,101 @@ class TestInSimulation:
                       IncrementalCorrector())
         req = simulate(kth_trace, EasyScheduler("sjbf"), RequestedTimePredictor())
         assert mean_absolute_error(ml) < mean_absolute_error(req)
+
+
+def pin_model_output(pred: MLPredictor, value: float) -> None:
+    """Make the raw model output ``value`` seconds for any job."""
+    pred._optimizer.predict = lambda phi: value / pred.target_scale
+
+
+class TestScalarClamp:
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            (-250.0, 0.0),       # below the floor
+            (120.0, 120.0),      # inside: untouched
+            (500.0, 500.0),      # exactly the request
+            (9000.0, 500.0),     # above the request
+            (float("inf"), 500.0),
+            (float("-inf"), 0.0),
+        ],
+    )
+    def test_clamped_to_zero_and_requested(self, raw, expected):
+        pred = MLPredictor(SQUARED_LOSS, target_scale=1.0)
+        pin_model_output(pred, raw)
+        rec = make_record(requested_time=500.0)
+        assert pred.estimate(rec, 0.0) == expected
+        value = pred.predict(rec, 0.0)
+        assert value == expected
+        assert isinstance(value, float)
+
+    def test_negative_zero_is_kept_like_np_clip_kept_it(self):
+        pred = MLPredictor(SQUARED_LOSS, target_scale=1.0)
+        pin_model_output(pred, -0.0)
+        value = pred.predict(make_record(requested_time=500.0), 0.0)
+        assert value == 0.0
+        assert np.signbit(value) == np.signbit(np.clip(-0.0, 0.0, 500.0))
+
+    def test_nan_passes_through_to_the_engine_check(self, tiny_trace):
+        pred = MLPredictor(SQUARED_LOSS, target_scale=1.0)
+        pin_model_output(pred, float("nan"))
+        rec = make_record(requested_time=500.0)
+        assert np.isnan(pred.predict(rec, 0.0))
+        assert np.isnan(pred.estimate(rec, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate(tiny_trace, EasyScheduler(), pred)
+
+
+class TestEstimateIsPure:
+    def test_touches_nothing_and_equals_the_next_predict(self):
+        pred = MLPredictor(E_LOSS)
+        feed_user_stream(pred, [900.0, 1800.0, 600.0, 2400.0] * 5)
+        running = make_record(job_id=500, submit_time=30000.0, runtime=50.0)
+        pred.predict(running, 30000.0)
+        pred.on_start(running, 30000.0)
+
+        probe = make_record(
+            job_id=501, submit_time=30010.0, runtime=700.0, requested_time=4000.0
+        )
+        weights = pred.weights
+        pending = set(pred._pending)
+        state = pred._tracker.state(1)
+        before = (
+            state.n_submitted, state.sum_processors, state.n_completed,
+            list(state.recent_runtimes), dict(state.running),
+        )
+        estimates = [pred.estimate(probe, 30010.0) for _ in range(3)]
+        assert estimates[0] == estimates[1] == estimates[2]
+        assert np.array_equal(pred.weights, weights)
+        assert set(pred._pending) == pending
+        assert before == (
+            state.n_submitted, state.sum_processors, state.n_completed,
+            list(state.recent_runtimes), dict(state.running),
+        )
+        assert pred._optimizer.t == pred.n_updates == 20
+        assert pred.predict(probe, 30010.0) == estimates[0]
+        assert 501 in pred._pending
+
+    def test_estimate_never_reads_the_bound_static_rows(self):
+        """Probes may run at another ``now`` than the row's submit time."""
+        pred = MLPredictor(E_LOSS)
+        feed_user_stream(pred, [900.0, 1800.0] * 5)
+        probe = make_record(job_id=77, submit_time=5.0, requested_time=4000.0)
+        free = pred.estimate(probe, 40000.0)
+        pred.bind_static_features({77: (1.0,) * 8})  # a row that would mislead
+        assert pred.estimate(probe, 40000.0) == free
+
+
+class TestNonFiniteDerivative:
+    def test_on_finish_names_the_job_and_leaves_the_model_alone(self):
+        pred = MLPredictor(SQUARED_LOSS)
+        feed_user_stream(pred, [100.0, 200.0, 300.0])
+        rec = make_record(job_id=42, submit_time=1000.0, runtime=250.0)
+        pred.predict(rec, 1000.0)
+        pred.on_start(rec, 1000.0)
+        pred._optimizer.w[0] = float("inf")  # model output (and dL/df) -> inf
+        weights = pred.weights
+        with pytest.raises(ValueError, match=r"job 42: .*derivative"):
+            pred.on_finish(rec, 1250.0)
+        assert np.array_equal(pred.weights, weights)
+        assert pred._optimizer.t == pred.n_updates == 3

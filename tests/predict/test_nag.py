@@ -108,3 +108,180 @@ class TestScaleInvariance:
             opt_a.update(x, squared_grad(pa, float(y)))
             opt_b.update(x * scaling, squared_grad(pb, float(y)))
         assert np.allclose(preds_a, preds_b, rtol=1e-7, atol=1e-9)
+
+
+class ReferenceNag:
+    """``NagOptimizer`` as it stood before the in-place step: the masked
+    formulation, kept verbatim as the bit-for-bit reference."""
+
+    def __init__(self, dim, eta=0.5, l2=0.0, forgetting=1.0):
+        self.dim = int(dim)
+        self.eta = float(eta)
+        self.l2 = float(l2)
+        self.forgetting = float(forgetting)
+        self.w = np.zeros(dim)
+        self._scale = np.zeros(dim)
+        self._grad_sq = np.zeros(dim)
+        self._norm = 0.0
+        self.t = 0
+
+    def predict(self, x):
+        return float(self.w @ x)
+
+    def update(self, x, dloss_df):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
+        self.t += 1
+        ax = np.abs(x)
+
+        grew = ax > self._scale
+        if np.any(grew):
+            old = self._scale[grew]
+            new = ax[grew]
+            ratio = np.where(new > 0, old / new, 0.0)
+            self.w[grew] *= ratio * ratio
+            self._scale[grew] = new
+
+        seen = self._scale > 0
+        if np.any(seen):
+            self._norm += float(np.sum((x[seen] / self._scale[seen]) ** 2))
+
+        if self.forgetting < 1.0:
+            self._grad_sq *= self.forgetting
+        grad = dloss_df * x
+        if self.l2 > 0:
+            grad = grad + 2.0 * self.l2 * self.w
+        self._grad_sq += grad * grad
+
+        if self._norm <= 0:
+            return
+        active = seen & (self._grad_sq > 0)
+        if not np.any(active):
+            return
+        rate = self.eta * np.sqrt(self.t / self._norm)
+        self.w[active] -= (
+            rate * grad[active] / (self._scale[active] * np.sqrt(self._grad_sq[active]))
+        )
+
+
+#: derivatives a stream mixes in: zero, g*g underflowing to zero, g*g
+#: overflowing to inf, and ordinary magnitudes of both signs.
+_DERIVATIVES = (0.0, 1e-200, -1e-200, 1e160, -1e160, 1.0, -0.37, 2500.0)
+
+
+def random_stream(seed: int, dim: int, steps: int):
+    """Rows with dead, late-waking and sparse columns, a scale that keeps
+    growing in bursts after every column has woken, and mixed derivatives."""
+    gen = np.random.default_rng(seed)
+    kind = gen.integers(0, 4, size=dim)  # 0 dead, 1 late, 2 sparse, 3 plain
+    wake = gen.integers(1, steps, size=dim)
+    magnitude = 10.0 ** gen.uniform(-3, 4, size=dim)
+    for step in range(steps):
+        x = gen.normal(size=dim) * magnitude
+        if gen.random() < 0.1:
+            x *= 10.0 ** gen.uniform(0, 3)  # scale growth, also once dense
+        x[kind == 0] = 0.0
+        x[(kind == 1) & (step < wake)] = 0.0
+        x[(kind == 2) & (gen.random(dim) < 0.7)] = 0.0
+        if gen.random() < 0.5:
+            derivative = float(gen.normal() * 10.0 ** gen.uniform(-2, 3))
+        else:
+            derivative = float(gen.choice(_DERIVATIVES))
+        yield x, derivative
+
+
+def assert_same_state(new: NagOptimizer, ref: ReferenceNag) -> None:
+    assert new.t == ref.t
+    assert np.array_equal(new.w, ref.w, equal_nan=True)
+    assert np.array_equal(new._scale, ref._scale)
+    assert np.array_equal(new._grad_sq, ref._grad_sq, equal_nan=True)
+    assert new._norm == ref._norm
+
+
+class TestInPlaceStep:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        dim=st.sampled_from([1, 3, 9, 40, 231]),
+        l2=st.sampled_from([0.0, 1e-6, 0.1]),
+        forgetting=st.sampled_from([1.0, 0.9, 0.5]),
+    )
+    def test_bit_identical_to_masked_formulation(self, seed, dim, l2, forgetting):
+        new = NagOptimizer(dim, eta=0.5, l2=l2, forgetting=forgetting)
+        ref = ReferenceNag(dim, eta=0.5, l2=l2, forgetting=forgetting)
+        with np.errstate(all="ignore"):
+            for x, derivative in random_stream(seed, dim, steps=60):
+                assert new.predict(x) == ref.predict(x)
+                new.update(x, derivative)
+                ref.update(x, derivative)
+                assert_same_state(new, ref)
+
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    def test_bit_identical_once_dense(self, forgetting):
+        """No dead column: the model turns dense early, then the scale
+        keeps growing -- the weight squash after the latch."""
+        dim = 231
+        new = NagOptimizer(dim, eta=0.5, l2=1e-6, forgetting=forgetting)
+        ref = ReferenceNag(dim, eta=0.5, l2=1e-6, forgetting=forgetting)
+        gen = np.random.default_rng(7)
+        for step in range(300):
+            x = gen.normal(size=dim) * (1.0 + step // 50)
+            derivative = float(gen.normal())
+            assert new.predict(x) == ref.predict(x)
+            new.update(x, derivative)
+            ref.update(x, derivative)
+            assert_same_state(new, ref)
+        assert new._seen_all
+        assert new._dense == (forgetting == 1.0)
+
+    def test_forgetting_lets_a_squared_gradient_decay_back_to_zero(self):
+        """With forgetting < 1 density must not latch: an idle coordinate's
+        G_i underflows to zero and drops out of the step again."""
+        new = NagOptimizer(2, eta=0.5, forgetting=0.5)
+        ref = ReferenceNag(2, eta=0.5, forgetting=0.5)
+        rows = [np.array([1.0, 1e-150])] + [np.array([1.0, 0.0])] * 1200
+        for x in rows:
+            new.update(x, 1.0)
+            ref.update(x, 1.0)
+            assert_same_state(new, ref)
+        assert new._grad_sq[1] == 0.0
+        assert not new._dense
+
+    def test_dense_step_allocates_no_row(self):
+        import tracemalloc
+
+        dim = 231
+        opt = NagOptimizer(dim, eta=0.5, l2=1e-6)
+        gen = np.random.default_rng(3)
+        opt.update(np.full(dim, 10.0), 1.0)  # every scale set, above what follows
+        assert opt._dense
+        rows = [gen.uniform(-1.0, 1.0, size=dim) for _ in range(50)]
+        state = (opt.w, opt._scale, opt._grad_sq, opt._grad, opt._tmp, opt._mask)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for x in rows:
+                opt.update(x, 0.25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 row is dim * 8 bytes; nothing that size may appear
+        assert peak - start < dim * 8
+        now = (opt.w, opt._scale, opt._grad_sq, opt._grad, opt._tmp, opt._mask)
+        assert all(a is b for a, b in zip(state, now, strict=True))
+
+
+class TestNonFiniteDerivative:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejected_before_any_state_is_touched(self, bad):
+        opt = NagOptimizer(3, eta=0.5, l2=1e-6)
+        opt.update(np.array([1.0, 2.0, 0.0]), 0.5)
+        before = (opt.t, opt.w.copy(), opt._scale.copy(), opt._grad_sq.copy(), opt._norm)
+        with pytest.raises(ValueError, match="derivative"):
+            opt.update(np.array([1.0, 5.0, 1.0]), bad)
+        assert opt.t == before[0]
+        assert np.array_equal(opt.w, before[1])
+        assert np.array_equal(opt._scale, before[2])
+        assert np.array_equal(opt._grad_sq, before[3])
+        assert opt._norm == before[4]

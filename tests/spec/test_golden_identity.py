@@ -9,10 +9,13 @@ row is orphaned -- that takes a ``CACHE_VERSION``/``SPEC_VERSION``/
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.core import cell_token, paper_cells
-from repro.spec import expand_spec_file
+from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
+
+from tests.helpers import schedule_bytes
 
 
 def sha256_lines(lines) -> str:
@@ -48,3 +51,58 @@ def test_experiment_spec_digests_pinned(path, n_cells, pinned):
     cells = expand_spec_file(path)
     assert len(cells) == n_cells
     assert sha256_lines(cell.digest() for cell in cells) == pinned
+
+
+# -- ML schedules: bit-identity across rewrites of the predict layer -----------
+#
+# Digests of ``tests.helpers.schedule_bytes`` (start, end, corrections and raw
+# prediction per job), computed at the commit before the predict layer was
+# rebuilt around in-place numpy steps (PR 15's parent).  Unlike the pins above
+# these depend on the floating-point environment -- the model output is a BLAS
+# dot product and the features use the builtin ``sum``, which CPython 3.12
+# made compensated -- so they only bind where a canary of both reads as on the
+# box that took them.
+
+_ML_TRIPLE = "ml:sq-lin-large-area|incremental|easy-sjbf"
+
+ML_CELLS = {
+    # 50 jobs: the model never turns dense, every step runs masked
+    "never-dense": (
+        lambda: CellSpec.from_triple("Curie", _ML_TRIPLE, n_jobs=50, seed=1),
+        "2f99145b3b25fb713da11cf9f76c8ade4109cfb70177eef762be020904693229",
+    ),
+    "eloss-600": (
+        lambda: CellSpec.from_triple("KTH-SP2", _ML_TRIPLE, n_jobs=600, seed=3),
+        "91db6d7b3f629c647e023528fa4c01d38b43afa7336d06fa2625291d54443be7",
+    ),
+    # forgetting < 1: density is re-checked every step, never latched
+    "forgetting-0.9": (
+        lambda: CellSpec.make(
+            WorkloadSpec.make("CTC-SP2", n_jobs=400, seed=5),
+            predictor={
+                "name": "ml",
+                "params": {
+                    "over": "sq", "under": "lin", "weight": "large-area",
+                    "forgetting": 0.9,
+                },
+            },
+            corrector="incremental",
+            scheduler="easy-sjbf",
+        ),
+        "2633cc2e16d5939c68f8261a58242dcfe12e1c268770f2bc69b66c771f2a479d",
+    ),
+}
+
+
+def float_environment() -> tuple[str, str]:
+    a = np.linspace(0.1, 23.1, 231)
+    b = np.sqrt(np.linspace(1.0, 2.0, 231))
+    return float(a.dot(b)).hex(), sum([0.1] * 10).hex()
+
+
+@pytest.mark.parametrize("name", list(ML_CELLS))
+def test_ml_cell_schedules_pinned(name):
+    if float_environment() != ("0x1.af42771de9167p+11", "0x1.fffffffffffffp-1"):
+        pytest.skip("BLAS dot / builtin sum round differently than where the pins were taken")
+    make_cell, pinned = ML_CELLS[name]
+    assert hashlib.sha256(schedule_bytes(make_cell())).hexdigest() == pinned
