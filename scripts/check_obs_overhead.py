@@ -1,0 +1,45 @@
+#!/usr/bin/env python
+"""CI gate: telemetry must stay cheap enough to leave on.
+
+Reads a traced result of the repo benchmark (``benchmarks/suite/run.py
+--trace 1 --out FILE``) and fails when a run's per-layer
+``obs.enabled_overhead_pct`` -- what a live ``Telemetry`` registry adds
+to a pass, in percent of the plain pass -- is above the ceiling.  On
+``corrections_narrow`` it read 105-114 while every recorded number was
+its own locked registry call and reads 40-45 with the per-session
+tally; the ceiling sits between the two.  Usage::
+
+    python scripts/check_obs_overhead.py layers-corrections_narrow.json
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+METRIC = "obs.enabled_overhead_pct"
+CEILING = 80.0
+
+
+def main(path: str) -> int:
+    with open(path, encoding="utf-8") as fh:
+        runs = json.load(fh)["runs"]
+    failed = False
+    for run in runs:
+        value = run.get("per_layer", {}).get(METRIC)
+        label = f"{run.get('workload')} seed {run.get('seed')}: {METRIC}"
+        if value is None:
+            print(f"{label} missing (not a traced run?)", file=sys.stderr)
+            failed = True
+        elif value > CEILING:
+            print(f"{label} = {value:.1f} > {CEILING:g}", file=sys.stderr)
+            failed = True
+        else:
+            print(f"{label} = {value:.1f} <= {CEILING:g}")
+    return 1 if failed or not runs else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} RESULT.json")
+    sys.exit(main(sys.argv[1]))

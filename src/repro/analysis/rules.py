@@ -13,7 +13,7 @@ File rules (per-AST):
 * ``DET003`` -- no environment reads in engine paths.
 * ``DUR001`` -- ``repro.dist`` writes final files via tmp + ``os.replace``.
 * ``ENC001`` -- text-mode ``open()`` must pin ``encoding=``.
-* ``OBS001`` -- hot-loop telemetry behind the ``enabled`` guard.
+* ``OBS001`` -- hot layers tally privately; ``add_batch`` behind ``enabled``.
 * ``OBS002`` -- no ``print()`` in library code.
 * ``IMP001`` -- ``repro.obs`` stays dependency-free.
 
@@ -368,7 +368,9 @@ class Enc001OpenEncoding(FileRule):
 # -- OBS001 -------------------------------------------------------------------
 
 _TELE_RECEIVER = re.compile(r"^(self\.)?_?tele(metry)?$")
-_TELE_MUTATORS = {"inc", "observe", "gauge", "gauge_max", "event"}
+_TELE_MUTATORS = {"inc", "observe", "add_batch", "event"}
+#: one lock round-trip per recorded number: never from the hot layers
+_TELE_PER_RECORD = {"inc", "observe"}
 
 
 def _test_checks_enabled(test: ast.expr) -> bool:
@@ -380,31 +382,41 @@ def _test_checks_enabled(test: ast.expr) -> bool:
 
 @register
 class Obs001UnguardedTelemetry(FileRule):
-    """Hot-loop telemetry must keep the disabled path at one attribute
-    check: ``if tele.enabled:`` around record calls (the ``span()``
-    context manager is inert when disabled and needs no guard)."""
+    """The hot layers count into a private tally and hand it over with
+    ``add_batch``; a per-record ``inc``/``observe`` is a finding even
+    when guarded.  What they do call sits behind ``if tele.enabled:``
+    (or an early exit on it), so the disabled path is one attribute
+    check (``span()`` is inert when disabled and needs no guard)."""
 
     id = "OBS001"
-    title = "unguarded telemetry call in an engine hot path"
+    title = "per-record or unguarded telemetry call in an engine hot path"
     paths = ("src/repro/sim/*", "src/repro/sched/*", "src/repro/predict/*")
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
-            if not isinstance(call.func, ast.Attribute):
+            func = call.func
+            if not isinstance(func, ast.Attribute) or func.attr not in _TELE_MUTATORS:
                 continue
-            if call.func.attr not in _TELE_MUTATORS:
-                continue
-            receiver = dotted_name(call.func.value)
+            receiver = dotted_name(func.value)
             if receiver is None or not _TELE_RECEIVER.match(receiver):
                 continue
-            if self._guarded(ctx, call):
+            if func.attr in _TELE_PER_RECORD:
+                message = (
+                    "takes the registry lock once per recorded number; count "
+                    "into the session tally; `add_batch` is the one registry "
+                    "call the hot layers make"
+                )
+            elif self._guarded(ctx, call):
                 continue
+            else:
+                message = (
+                    "outside an `if <telemetry>.enabled:` guard; the "
+                    "NOOP-guarded attribute pattern keeps the telemetry-off hot "
+                    "path at one branch (see repro.obs.telemetry)"
+                )
             yield Finding(
                 ctx.relpath, call.lineno, call.col_offset, self.id,
-                f"{receiver}.{call.func.attr}(...) outside an "
-                "`if <telemetry>.enabled:` guard; the NOOP-guarded attribute "
-                "pattern keeps the telemetry-off hot path at one branch "
-                "(see repro.obs.telemetry)",
+                f"{receiver}.{func.attr}(...) {message}",
             )
 
     @staticmethod

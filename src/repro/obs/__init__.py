@@ -3,8 +3,8 @@
 The package has three parts:
 
 * :mod:`repro.obs.telemetry` -- the instrumentation core.  A
-  :class:`Telemetry` registry records counters, gauges, power-of-two
-  bucketed histograms and timed spans; the module-level :data:`NOOP`
+  :class:`Telemetry` registry records counters, power-of-two bucketed
+  histograms and timed spans; the module-level :data:`NOOP`
   singleton makes the disabled path cost one attribute check, which is
   what every hot loop in the engine holds by default.
 * :mod:`repro.obs.sinks` -- where recordings go: an append-only JSONL

@@ -17,8 +17,6 @@ def _rows(snapshot: dict) -> list[tuple[str, str, str]]:
     rows: list[tuple[str, str, str]] = []
     for name, value in sorted(snapshot.get("counters", {}).items()):
         rows.append((name, "counter", _fmt(value)))
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        rows.append((name, "gauge", _fmt(value)))
     for name, obj in sorted(snapshot.get("histograms", {}).items()):
         count = obj.get("count", 0)
         total = obj.get("sum", 0.0)
@@ -61,9 +59,8 @@ def _scalar_map(snapshot: dict) -> dict[str, float]:
 def diff_snapshots(baseline: list[dict], current: list[dict]) -> str:
     """Per-component deltas of every cumulative metric (current - baseline).
 
-    Gauges are point-in-time and excluded; counters and histogram
-    count/sum are cumulative, so the delta is the activity between the
-    two snapshots.
+    Counters and histogram count/sum are cumulative, so the delta is
+    the activity between the two snapshots.
     """
     base = {s.get("component", "repro"): _scalar_map(s) for s in baseline}
     cur = {s.get("component", "repro"): _scalar_map(s) for s in current}

@@ -70,10 +70,10 @@ def _prom_name(name: str) -> str:
 def prom_text(snapshot: dict) -> str:
     """Render one registry snapshot as Prometheus text exposition.
 
-    Counters become ``repro_<name>_total``, gauges plain gauges, and
-    histograms cumulative ``_bucket{le=...}`` series plus ``_sum`` and
-    ``_count`` -- the standard histogram triplet, with bucket edges at
-    the registry's power-of-two bounds.
+    Counters become ``repro_<name>_total`` and histograms cumulative
+    ``_bucket{le=...}`` series plus ``_sum`` and ``_count`` -- the
+    standard histogram triplet, with bucket edges at the registry's
+    power-of-two bounds.
     """
     component = snapshot.get("component", "repro")
     label = f'{{component="{component}"}}'
@@ -81,10 +81,6 @@ def prom_text(snapshot: dict) -> str:
     for name, value in sorted(snapshot.get("counters", {}).items()):
         metric = _prom_name(name) + "_total"
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}{label} {value:g}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric}{label} {value:g}")
     for name, obj in sorted(snapshot.get("histograms", {}).items()):
         metric = _prom_name(name)

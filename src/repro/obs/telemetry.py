@@ -1,12 +1,13 @@
-"""The instrumentation core: counters, gauges, histograms, timed spans.
+"""The instrumentation core: counters, histograms, timed spans.
 
 Design constraints, in priority order:
 
 1. **Near-zero overhead when off.**  Every instrumented hot path is
    written as ``if tele.enabled: ...`` against either a real
    :class:`Telemetry` or the module-level :data:`NOOP` singleton, so the
-   disabled cost is one attribute load and a branch.  The engine bench
-   gate (``benchmarks/bench_engine.py``) measures exactly this path.
+   disabled cost is one attribute load and a branch.  The per-event
+   layers (``sim``/``sched``/``predict``) tally privately and reach the
+   registry through :meth:`Telemetry.add_batch`, one lock per public call.
 2. **Mergeable.**  Campaign cells run in pool worker *processes*;
    their metrics come home as plain-dict snapshots and are folded into
    the coordinator's registry with :meth:`Telemetry.merge_snapshot`.
@@ -26,7 +27,8 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections.abc import Iterator
+from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -72,16 +74,17 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record ``value``, ``n`` times over."""
         value = float(value)
-        self.count += 1
-        self.total += value
+        self.count += n
+        self.total += value * n
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        self.buckets[index] = self.buckets.get(index, 0) + n
 
     @property
     def mean(self) -> float:
@@ -109,23 +112,31 @@ class Histogram:
             "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
         }
 
+    def merge(self, other: Histogram) -> None:
+        """Fold another histogram (same bucketing) into this one."""
+        self.count += other.count
+        self.total += other.total
+        if other.min < self.min:
+            self.min = other.min
+        if other.max > self.max:
+            self.max = other.max
+        buckets = self.buckets
+        for index, n in other.buckets.items():
+            buckets[index] = buckets.get(index, 0) + n
+
     def merge_obj(self, obj: dict) -> None:
-        """Fold a :meth:`to_obj` snapshot (same bucketing) into this one."""
-        self.count += int(obj.get("count", 0))
-        self.total += float(obj.get("sum", 0.0))
-        lo, hi = obj.get("min"), obj.get("max")
-        if lo is not None and lo < self.min:
-            self.min = float(lo)
-        if hi is not None and hi > self.max:
-            self.max = float(hi)
-        for key, n in obj.get("buckets", {}).items():
-            index = int(key)
-            self.buckets[index] = self.buckets.get(index, 0) + int(n)
+        """Fold a :meth:`to_obj` snapshot into this one."""
+        self.merge(Histogram.from_obj(obj))
 
     @classmethod
     def from_obj(cls, obj: dict) -> Histogram:
         hist = cls()
-        hist.merge_obj(obj)
+        hist.count = int(obj.get("count", 0))
+        hist.total = float(obj.get("sum", 0.0))
+        lo, hi = obj.get("min"), obj.get("max")
+        hist.min = math.inf if lo is None else float(lo)
+        hist.max = -math.inf if hi is None else float(hi)
+        hist.buckets = {int(k): int(n) for k, n in obj.get("buckets", {}).items()}
         return hist
 
 
@@ -178,11 +189,11 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class Telemetry:
-    """A named registry of counters, gauges and histograms.
+    """A named registry of counters and histograms.
 
     Thread-safe (serve and the worker heartbeat record from multiple
-    threads); cheap enough for per-event counters when enabled, and free
-    (one ``enabled`` check) when not.  ``trace`` is an optional
+    threads); every recording call takes the lock once, and costs one
+    ``enabled`` check when off.  ``trace`` is an optional
     :class:`repro.obs.sinks.JsonlTraceSink` receiving span/``event``
     records as they happen.
     """
@@ -195,9 +206,11 @@ class Telemetry:
     ) -> None:
         self.component = component
         self.enabled = enabled
-        self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, Histogram] = {}
+        self._counters: defaultdict[str, float] = defaultdict(float)
+        #: created on first touch; readers go through ``.get``
+        self._histograms: defaultdict[str, Histogram] = defaultdict(Histogram)
+        #: (histogram, value) -> count handed to add_batch, bucketed on the next read
+        self._pending: defaultdict[tuple[str, float], int] = defaultdict(int)
         self._trace = trace
         self._lock = threading.Lock()
 
@@ -206,29 +219,39 @@ class Telemetry:
         if not self.enabled:
             return
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            self._gauges[name] = float(value)
-
-    def gauge_max(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
-        with self._lock:
-            if value > self._gauges.get(name, -math.inf):
-                self._gauges[name] = float(value)
+            self._counters[name] += value
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
         with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram()
-            hist.observe(value)
+            self._histograms[name].observe(value)
+
+    def add_batch(
+        self,
+        counters: Iterable[tuple[str, float]],
+        samples: Mapping[tuple[str, float], int],
+        histograms: Iterable[tuple[str, Histogram]] = (),
+    ) -> None:
+        """Record pre-aggregated data under one lock acquisition: counter
+        increments as (name, amount) pairs, histogram observations as
+        (name, value) -> count, and whole histograms to merge by name.
+        Zero amounts and empty histograms create nothing.  The
+        observations are for sizes that repeat: they stay an exact tally,
+        one entry per distinct pair, until the registry is next read."""
+        if not self.enabled:
+            return
+        with self._lock:
+            totals = self._counters
+            for name, value in counters:
+                if value:
+                    totals[name] += value
+            pending = self._pending
+            for key, n in samples.items():
+                pending[key] += n
+            for name, hist in histograms:
+                if hist.count:
+                    self._histograms[name].merge(hist)
 
     def span(self, name: str, **fields: object) -> _Span | _NoopSpan:
         """Time a block: ``with tele.span("campaign.dispatch"): ...``."""
@@ -248,16 +271,16 @@ class Telemetry:
     def counter_value(self, name: str, default: float = 0.0) -> float:
         return self._counters.get(name, default)
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self._gauges.get(name, default)
-
     def histogram(self, name: str) -> Histogram | None:
-        return self._histograms.get(name)
+        with self._lock:
+            return self._settled().get(name)
 
-    def names(self) -> Iterator[str]:
-        yield from self._counters
-        yield from self._gauges
-        yield from self._histograms
+    def _settled(self) -> dict[str, Histogram]:
+        """The histograms, every batched observation bucketed (lock held)."""
+        for (name, value), n in self._pending.items():
+            self._histograms[name].observe(value, n)
+        self._pending.clear()
+        return self._histograms
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -266,33 +289,21 @@ class Telemetry:
             return {
                 "component": self.component,
                 "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
                 "histograms": {
                     name: hist.to_obj()
-                    for name, hist in self._histograms.items()
+                    for name, hist in self._settled().items()
                 },
             }
 
     def merge_snapshot(self, snap: dict) -> None:
-        """Fold another registry's snapshot into this one.
-
-        Counters and histograms add; gauges keep the max (the only
-        cross-process reduction that is order-independent).  This is how
-        per-cell metrics travel home from pool worker processes.
-        """
-        if not self.enabled or not snap:
-            return
-        with self._lock:
-            for name, value in snap.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0.0) + value
-            for name, value in snap.get("gauges", {}).items():
-                if value > self._gauges.get(name, -math.inf):
-                    self._gauges[name] = float(value)
-            for name, obj in snap.get("histograms", {}).items():
-                hist = self._histograms.get(name)
-                if hist is None:
-                    hist = self._histograms[name] = Histogram()
-                hist.merge_obj(obj)
+        """Fold another registry's snapshot into this one (counters and
+        histograms add): how per-cell metrics travel home from workers."""
+        if snap:
+            self.add_batch(
+                snap.get("counters", {}).items(),
+                {},
+                ((n, Histogram.from_obj(o)) for n, o in snap.get("histograms", {}).items()),
+            )
 
     # -- output ------------------------------------------------------------
     def prom_text(self) -> str:

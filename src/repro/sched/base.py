@@ -129,7 +129,9 @@ class Scheduler(ABC):
 
         Sampled by the session once per scheduling pass when telemetry
         is enabled (surfaced as ``engine.sched.<key>`` histograms), so
-        implementations must keep this O(1) and side-effect-free.  The
+        implementations must keep this O(1) and side-effect-free, and the
+        values integer-valued sizes (the session tallies them per distinct
+        value between two folds, so reals would grow that tally).  The
         base scheduler has no structure beyond the queue -- which the
         session samples itself -- so the default is empty.
         """

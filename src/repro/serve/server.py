@@ -52,7 +52,7 @@ from typing import IO, Any
 
 from ..obs import get_logger
 from ..obs.telemetry import NOOP, Telemetry
-from ..sim.session import MachineEvent, MonotonicityError, SimSession
+from ..sim.session import MachineEvent, SimSession
 from ..workload.job import Job
 
 _log = get_logger("serve")
@@ -175,13 +175,6 @@ class SessionServer:
         t0 = _time.perf_counter() if tele.enabled else 0.0
         try:
             response = handler(request)
-        except (ValueError, KeyError, TypeError, MonotonicityError) as exc:
-            self.stats.n_errors += 1
-            if tele.enabled:
-                tele.inc("serve.errors")
-                tele.inc(f"serve.requests.{cmd}")
-            _log.debug("request %r failed: %s", cmd, exc)
-            return {"ok": False, "cmd": cmd, "error": str(exc)}
         except Exception as exc:
             # a malformed or adversarial request must never tear down the
             # session: answer with a structured error and keep serving
@@ -189,6 +182,9 @@ class SessionServer:
             if tele.enabled:
                 tele.inc("serve.errors")
                 tele.inc(f"serve.requests.{cmd}")
+            if isinstance(exc, (ValueError, KeyError, TypeError)):  # a bad request
+                _log.debug("request %r failed: %s", cmd, exc)
+                return {"ok": False, "cmd": cmd, "error": str(exc)}
             _log.exception("request %r raised unexpectedly", cmd)
             return {
                 "ok": False,

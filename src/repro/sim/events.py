@@ -42,7 +42,6 @@ scheduled for and is dropped if the job has moved on.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from enum import IntEnum
 from heapq import heappop, heappush
 from typing import NamedTuple
@@ -96,7 +95,7 @@ class EventQueue:
     whose natural order is the contract's total order.  The session
     pushes by fields (:meth:`schedule`) and takes a whole instant's
     entries in one call (:meth:`pop_instant`); :class:`Event` objects
-    exist only at the :meth:`push`/:meth:`pop`/:meth:`peek` surface.
+    exist only at the :meth:`push`/:meth:`pop` surface.
     """
 
     def __init__(self) -> None:
@@ -171,19 +170,3 @@ class EventQueue:
         while heap and heap[0][0] == now:
             batch.append(heappop(heap))
         return batch
-
-    def peek(self) -> Event:
-        """Return the earliest event without removing it."""
-        if not self._heap:
-            raise IndexError("peek on empty EventQueue")
-        time, kind, _, job_id, version = self._heap[0]
-        return Event(time, kind, job_id, version)
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest event."""
-        return self.peek().time
-
-    def drain_time(self, time: float) -> Iterator[Event]:
-        """Yield and remove every event scheduled exactly at ``time``."""
-        while self._heap and self._heap[0][0] == time:
-            yield self.pop()

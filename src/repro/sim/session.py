@@ -45,13 +45,14 @@ so a hot session answers repeated queries in microseconds.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import cache
 from math import inf, isfinite
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..obs.telemetry import NOOP
+from ..obs.telemetry import NOOP, Histogram
 from ..workload.job import Job
 from .events import EventQueue, EventType
 from .machine import Machine
@@ -74,8 +75,17 @@ __all__ = [
 
 
 _FINISH, _EXPIRE, _SUBMIT, _MACHINE = EventType
-#: telemetry counter per event kind, indexed by the kind's value
-_EVENT_COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType)
+#: registry counters a session feeds, by slot of ``_Tally.counts`` (the
+#: first four are indexed by event kind), and the slots of the rest
+_COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType) + (
+    "engine.time.predict.seconds", "engine.time.sched.seconds", "engine.sched.passes",
+    "engine.sched.jobs_started", "engine.sched.backfill_starts", "engine.sched.hold_passes",
+    "predict.finished", "predict.underestimates",
+)
+_PREDICT_S, _SCHED_S, _PASSES, _STARTED, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(4, 12)
+_NO_COUNTS = (0,) * len(_COUNTERS)
+#: registry name of the histogram a ``scheduler.introspect()`` key feeds
+_sched_sample = cache("engine.sched.{}".format)
 
 
 class MonotonicityError(ValueError):
@@ -149,6 +159,47 @@ class SessionSnapshot:
     stats: EngineStats
 
 
+class _Tally:
+    """What a session recorded since its last fold, in plain unlocked
+    containers; a public session call hands it to the registry on return.
+    Nothing grows with the number of jobs processed in between: per-pass
+    samples are counted per (histogram, value), the error is a histogram."""
+
+    __slots__ = ("counts", "samples", "abs_error")
+
+    def __init__(self) -> None:
+        self.counts: list[float] = list(_NO_COUNTS)
+        #: (histogram name, value) -> count since the last fold, per-pass integers
+        self.samples: dict[tuple[str, float], int] = {}
+        self.abs_error = Histogram()
+
+    def note_outcome(self, record: JobRecord, runtime: float) -> None:
+        """Online prediction-quality metrics, recorded as jobs finish."""
+        initial = record.initial_prediction
+        if not initial:
+            return  # never predicted by this session (no SUBMIT processed)
+        self.counts[_FINISHED] += 1
+        error = initial - runtime
+        if error < 0:
+            self.counts[_UNDER] += 1
+        self.abs_error.observe(abs(error))
+
+    def fold(self, telemetry: Telemetry) -> None:
+        """Hand what was recorded to ``telemetry`` (one lock) and zero in place."""
+        counts = self.counts
+        if any(counts) and telemetry.enabled:  # a sample never comes without a count
+            errors = self.abs_error
+            telemetry.add_batch(
+                zip(_COUNTERS, counts, strict=True),
+                self.samples,
+                (("predict.abs_error.seconds", errors),),
+            )
+            counts[:] = _NO_COUNTS
+            self.samples.clear()
+            if errors.count:
+                self.abs_error = Histogram()
+
+
 class SimSession:
     """An open-ended simulation accepting live jobs, events and queries."""
 
@@ -170,9 +221,10 @@ class SimSession:
             raise ValueError("min_prediction must be positive")
         if start_time < 0:
             raise ValueError("start_time must be >= 0")
-        #: instrumentation registry; the NOOP singleton keeps every hot
-        #: path at one ``enabled`` check when telemetry is off
+        #: instrumentation registry, current whenever a public call has
+        #: returned: the loop counts into ``_tally`` (None when off)
         self.telemetry = telemetry if telemetry is not None else NOOP
+        self._tally = _Tally() if self.telemetry.enabled else None
         self.scheduler = scheduler
         self.predictor = predictor
         self.corrector = corrector
@@ -187,8 +239,6 @@ class SimSession:
         #: MACHINE events by sequence id (the event's job_id field).
         self._machine_events: dict[int, MachineEvent] = {}
         self._machine_seq = 0
-        #: ``engine.sched.<key>`` histogram names, built once per key.
-        self._sched_metrics: dict[str, str] = {}
         #: memoised waiting-queue start estimates; dropped on any mutation.
         self._query_cache: dict[int, float] | None = None
 
@@ -311,7 +361,11 @@ class SimSession:
         exactly one iteration of the batch loop.  Returns None (and does
         nothing) when no events are pending.
         """
-        return self._now if self._process_timestamps(inf, 1) else None
+        try:
+            return self._now if self._process_timestamps(inf, 1) else None
+        finally:
+            if self._tally is not None:
+                self._tally.fold(self.telemetry)
 
     def advance_to(self, time: float) -> int:
         """Process every timestamp up to and including ``time``; move the
@@ -320,7 +374,11 @@ class SimSession:
             raise MonotonicityError(
                 f"cannot advance to t={time}, behind the session clock t={self._now}"
             )
-        steps = self._process_timestamps(time)
+        try:
+            steps = self._process_timestamps(time)
+        finally:
+            if self._tally is not None:
+                self._tally.fold(self.telemetry)
         if time > self._now:
             self._now = float(time)
             self._query_cache = None
@@ -328,7 +386,11 @@ class SimSession:
 
     def drain(self) -> int:
         """Process everything pending; returns timestamps processed."""
-        return self._process_timestamps(inf)
+        try:
+            return self._process_timestamps(inf)
+        finally:
+            if self._tally is not None:
+                self._tally.fold(self.telemetry)
 
     # -- queries -------------------------------------------------------------
     def query(
@@ -406,24 +468,36 @@ class SimSession:
         record = self.record(job_id)
         if time is None:
             time = self._now
-        self.advance_to(time)  # raises MonotonicityError on a past time
-        if not self._machine.is_running(job_id):
-            if record.finished:
-                return record
-            raise ValueError(
-                f"job {job_id} is not running at t={time}; only running jobs "
-                "can be completed externally"
-            )
-        record.observed_runtime = max(time - record.start_time, 1e-9)
-        record.version += 1  # pending EXPIRE events become stale
-        self._machine.finish(job_id, time)
-        self.predictor.on_finish(record, time)
-        if self.telemetry.enabled:
-            self._note_prediction_outcome(record, record.observed_runtime)
-        self.scheduler.on_finish(record)
-        self._query_cache = None
-        self._schedule_pass(time)
-        return record
+        elif time < self._now:
+            raise MonotonicityError(f"cannot complete at t={time}, behind the clock t={self._now}")
+        try:
+            self._process_timestamps(time)
+            self._now = float(time)
+            self._query_cache = None
+            if not self._machine.is_running(job_id):
+                if record.finished:
+                    return record
+                raise ValueError(
+                    f"job {job_id} is not running at t={time}; only running jobs "
+                    "can be completed externally"
+                )
+            record.observed_runtime = max(time - record.start_time, 1e-9)
+            record.version += 1  # pending EXPIRE events become stale
+            self._machine.finish(job_id, time)
+            tally = self._tally
+            if tally is None:
+                self.predictor.on_finish(record, time)
+            else:
+                t0 = perf_counter()
+                self.predictor.on_finish(record, time)
+                tally.counts[_PREDICT_S] += perf_counter() - t0
+                tally.note_outcome(record, record.observed_runtime)
+            self.scheduler.on_finish(record)
+            self._schedule_pass(time)
+            return record
+        finally:
+            if self._tally is not None:
+                self._tally.fold(self.telemetry)
 
     def observe_completion(self, job: Job, runtime: float) -> None:
         """Feed an out-of-band completion to the predictor only.
@@ -462,7 +536,7 @@ class SimSession:
         batched correction notification, one scheduling pass."""
         events = self._events
         stats = self.stats
-        observed = self.telemetry.enabled
+        tally = self._tally
         machine = self._machine
         is_running = machine.is_running
         records = self._records
@@ -511,17 +585,17 @@ class SimSession:
                         if not is_running(job_id):
                             continue  # stale: the job was completed externally
                         record = machine.finish(job_id, now)
-                        if observed:
+                        if tally is not None:
                             t0 = perf_counter()
                             predictor.on_finish(record, now)
                             predict_s += perf_counter() - t0
-                            self._note_prediction_outcome(record, record.runtime)
+                            tally.note_outcome(record, record.runtime)
                         else:
                             predictor.on_finish(record, now)
                         scheduler.on_finish(record)
                     elif kind is _SUBMIT:
                         record = records[job_id]
-                        if observed:
+                        if tally is not None:
                             t0 = perf_counter()
                             raw = float(predictor.predict(record, now))
                             predict_s += perf_counter() - t0
@@ -548,41 +622,31 @@ class SimSession:
             except BaseException:
                 # only the failing event is consumed; the rest of the
                 # instant stays pending, as if popped one event at a time
-                for time, kind, _, job_id, version in pending:
+                rest = list(pending)
+                for time, kind, _, job_id, version in rest:
                     events.schedule(time, kind, job_id, version)
-                    stats.n_events -= 1
+                stats.n_events -= len(rest)
+                del batch[len(batch) - len(rest) :]
                 raise
+            finally:
+                if tally is not None:  # what the instant consumed, failed or not
+                    counts = tally.counts
+                    for entry in batch:
+                        counts[entry[1]] += 1
+                    counts[_PREDICT_S] += predict_s
             if submitted:  # the queue only grows within an instant's events
                 stats.max_queue_length = max(
                     stats.max_queue_length, scheduler.queue_length
                 )
-            self._schedule_pass(now, batch, predict_s)
+            self._schedule_pass(now)
         return steps
 
     def _clamp(self, raw: float, requested_time: float) -> float:
         return min(max(raw, self.min_prediction), requested_time)
 
-    def _note_prediction_outcome(self, record: JobRecord, runtime: float) -> None:
-        """Online prediction-quality metrics, recorded as jobs finish."""
-        tele = self.telemetry
-        if not tele.enabled:
-            return
-        initial = record.initial_prediction
-        if not initial:
-            return  # never predicted by this session (no SUBMIT processed)
-        tele.inc("predict.finished")
-        error = initial - runtime
-        if error < 0:
-            tele.inc("predict.underestimates")
-        tele.observe("predict.abs_error.seconds", abs(error))
-
-    def _schedule_pass(
-        self, now: float, batch: Sequence[tuple] = (), predict_s: float = 0.0
-    ) -> None:
+    def _schedule_pass(self, now: float) -> None:
         """Close an instant: its corrections go to the scheduler as one
-        batch, then one scheduling pass runs and what it selected starts.
-        ``batch`` (the instant's queue entries) and ``predict_s`` (seconds
-        spent in the predictor) only feed telemetry."""
+        batch, then one scheduling pass runs and what it selected starts."""
         stats = self.stats
         stats.n_scheduling_passes += 1
         scheduler = self.scheduler
@@ -594,38 +658,34 @@ class SimSession:
             stats.n_corrections += n_corrected
             scheduler.on_corrections(self._corrected)
             self._corrected.clear()
-        tele = self.telemetry
-        if tele.enabled:
-            if batch and batch[0][1] is batch[-1][1]:  # kind-ordered: all one kind
-                tele.inc(_EVENT_COUNTERS[batch[0][1]], len(batch))
-            else:
-                for entry in batch:
-                    tele.inc(_EVENT_COUNTERS[entry[1]])
-            if predict_s:
-                tele.inc("engine.time.predict.seconds", predict_s)
+        tally = self._tally
+        if tally is not None:
+            counts = tally.counts
+            samples = tally.samples
             if n_corrected:
-                tele.observe("engine.expire_storm.size", n_corrected)
+                key = ("engine.expire_storm.size", n_corrected)
+                samples[key] = samples.get(key, 0) + 1
             queued_before = scheduler.queue_length
             t0 = perf_counter()
             started = scheduler.select_jobs(now, machine)
-            tele.inc("engine.time.sched.seconds", perf_counter() - t0)
-            tele.inc("engine.sched.passes")
+            counts[_SCHED_S] += perf_counter() - t0
+            counts[_PASSES] += 1
             n_started = len(started)
             if n_started:
-                tele.inc("engine.sched.jobs_started", n_started)
+                counts[_STARTED] += n_started
                 if scheduler.queue_length:
                     # jobs left waiting means some head was held: every
                     # start past it this pass came from backfilling (an
                     # upper bound on true backfills -- phase-1 FCFS
                     # starts ahead of a later hold are included)
-                    tele.inc("engine.sched.backfill_starts", n_started)
+                    counts[_BACKFILLED] += n_started
             elif queued_before:
-                tele.inc("engine.sched.hold_passes")
-            tele.observe("engine.sched.queue_length", queued_before)
-            names = self._sched_metrics
+                counts[_HELD] += 1
+            key = ("engine.sched.queue_length", queued_before)
+            samples[key] = samples.get(key, 0) + 1
             for key, value in scheduler.introspect().items():
-                name = names.get(key) or names.setdefault(key, f"engine.sched.{key}")
-                tele.observe(name, value)
+                key = (_sched_sample(key), value)
+                samples[key] = samples.get(key, 0) + 1
         else:
             started = scheduler.select_jobs(now, machine)
         schedule = self._events.schedule

@@ -1,16 +1,22 @@
 # dest: src/repro/sim/fixture.py
-"""Known-good OBS001 corpus: the NOOP-guarded attribute pattern."""
+"""Known-good OBS001 corpus: count privately, hand over in one guarded
+``add_batch``."""
 
 
-def record(tele, n: int) -> None:
+def lifecycle(tele, reason: str) -> None:
     if tele.enabled:
-        tele.inc("engine.events", n)
+        tele.event("engine_exit", reason=reason)
 
 
-def early_exit(telemetry, depth: int) -> None:
+def nothing_to_hand_over(telemetry, counters: dict) -> None:
+    if counters and telemetry.enabled:
+        telemetry.add_batch(counters.items(), {})
+
+
+def early_exit(telemetry, depths: dict) -> None:
     if not telemetry.enabled:
         return
-    telemetry.observe("engine.queue_depth", depth)
+    telemetry.add_batch((), {("engine.queue_depth", d): n for d, n in depths.items()})
 
 
 def spans(tele) -> None:
@@ -22,9 +28,20 @@ def spans(tele) -> None:
 class Engine:
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
+        self.passes = 0
+        self.queue_depths: dict[int, int] = {}
 
     def step(self, depth: int) -> None:
+        # the tally: plain fields, no registry call per pass
+        self.passes += 1
+        self.queue_depths[depth] = self.queue_depths.get(depth, 0) + 1
+
+    def fold(self) -> None:
         tele = self.telemetry
         if tele.enabled:
-            tele.observe("engine.queue_depth", depth)
-            tele.inc("engine.sched.passes")
+            tele.add_batch(
+                [("engine.sched.passes", self.passes)],
+                {("engine.queue_depth", depth): n for depth, n in self.queue_depths.items()},
+            )
+            self.passes = 0
+            self.queue_depths.clear()

@@ -61,6 +61,16 @@ class TestFindingDetails:
         findings, _ = fixture_repo.check(select=("ENC001",))
         assert len(findings) == 2
 
+    def test_obs001_tells_per_record_calls_from_unguarded_batches(self, fixture_repo):
+        fixture_repo.add_corpus(_corpus("OBS001", "bad"))
+        findings, _ = fixture_repo.check(select=("OBS001",))
+        per_record = [f for f in findings if "session tally" in f.message]
+        unguarded = [f for f in findings if "outside an `if" in f.message]
+        # inc (bare), inc (guarded -- still a finding), observe; a bare add_batch
+        assert len(per_record) == 3 and len(unguarded) == 1
+        assert "add_batch" in unguarded[0].message
+        assert len(findings) == 4
+
     def test_rules_out_of_scope_are_silent(self, fixture_repo):
         # a DET001-bad file placed outside the engine paths is none of
         # DET001's business

@@ -13,9 +13,14 @@ import json
 import pytest
 
 from repro.core import run_cells
-from repro.core.run import run_cell_report, run_spec
-from repro.obs import Telemetry
+from repro.core.run import build_workload, run_cell_report, run_spec
+from repro.obs import Histogram, Telemetry
+from repro.predict import RequestedTimePredictor
+from repro.sched import make_scheduler
+from repro.sim.session import SimSession
 from repro.spec import CellSpec
+
+from tests.helpers import make_job
 
 TRIPLES = [
     "requested|none|easy",
@@ -29,22 +34,24 @@ def _spec(triple_key: str, n_jobs: int = 120) -> CellSpec:
     return CellSpec.from_triple("KTH-SP2", triple_key, n_jobs=n_jobs, seed=7)
 
 
-def _schedule(outcome_spec: CellSpec, telemetry: Telemetry | None):
-    from repro.core.run import build_workload
-    from repro.sim.session import SimSession
-
-    trace = build_workload(outcome_spec.workload)
-    scheduler, predictor, corrector = outcome_spec.build_components()
+def _fed_session(spec: CellSpec, telemetry: Telemetry | None) -> SimSession:
+    trace = build_workload(spec.workload)
+    scheduler, predictor, corrector = spec.build_components()
     session = SimSession(
         trace.processors,
         scheduler,
         predictor,
         corrector,
-        min_prediction=outcome_spec.min_prediction,
+        min_prediction=spec.min_prediction,
         trace_name=trace.name,
         telemetry=telemetry,
     )
     session.feed(trace)
+    return session
+
+
+def _schedule(outcome_spec: CellSpec, telemetry: Telemetry | None):
+    session = _fed_session(outcome_spec, telemetry)
     session.drain()
     return sorted(
         (r.job_id, r.start_time, r.end_time, r.corrections)
@@ -127,11 +134,19 @@ class TestEngineCounters:
 
 class TestSnapshotPins:
     """What a drained session leaves in the registry, cell by cell, as
-    the per-event loop recorded it before the loop went flat (values
-    computed at that commit; 120 KTH-SP2 jobs, seed 7).  Timers are
-    wall-clock sums, so only their presence is pinned."""
+    the loop recorded it while every number was its own locked registry
+    call (values computed at the commit before the per-session tally;
+    120 KTH-SP2 jobs, seed 7).  Timers are wall-clock sums, so only
+    their presence is pinned; the real-valued error's sum is not pinned
+    and its max only to 1e-9.  Histograms: (count, sum, min, max,
+    buckets)."""
 
     TIMERS = {"engine.time.predict.seconds", "engine.time.sched.seconds"}
+    _EASY_QUEUE = (239, 941, 0, 25, {-1075: 84, 0: 83, 1: 1, 2: 4, 3: 24, 4: 26, 5: 17})
+    _REQUESTED_ERROR = (
+        120, None, 0, 215941.5431429155,
+        {-1075: 5, 10: 12, 11: 10, 12: 13, 13: 13, 14: 4, 16: 10, 18: 53},
+    )
     PINS = {
         "requested|none|easy": (
             {
@@ -141,9 +156,11 @@ class TestSnapshotPins:
                 "predict.finished": 120,
             },
             {
-                "engine.sched.queue_length": (239, 941),
-                "engine.sched.release_table": (239, 532),
-                "predict.abs_error.seconds": (120, None),
+                "engine.sched.queue_length": _EASY_QUEUE,
+                "engine.sched.release_table": (
+                    239, 532, 0, 16, {-1075: 60, 0: 74, 1: 25, 2: 46, 3: 25, 4: 9},
+                ),
+                "predict.abs_error.seconds": _REQUESTED_ERROR,
             },
         ),
         "ave2|incremental|easy-sjbf": (
@@ -155,10 +172,19 @@ class TestSnapshotPins:
                 "predict.underestimates": 43,
             },
             {
-                "engine.expire_storm.size": (109, 135),
-                "engine.sched.queue_length": (348, 1170),
-                "engine.sched.release_table": (348, 924),
-                "predict.abs_error.seconds": (120, None),
+                "engine.expire_storm.size": (109, 135, 1, 8, {0: 103, 2: 3, 3: 3}),
+                "engine.sched.queue_length": (
+                    348, 1170, 0, 21,
+                    {-1075: 181, 0: 84, 1: 2, 2: 2, 3: 27, 4: 18, 5: 34},
+                ),
+                "engine.sched.release_table": (
+                    348, 924, 0, 14, {-1075: 59, 0: 107, 1: 40, 2: 74, 3: 51, 4: 17},
+                ),
+                "predict.abs_error.seconds": (
+                    120, None, 0, 215413.96252677846,
+                    {-1075: 2, 4: 1, 5: 3, 6: 6, 7: 8, 8: 11, 9: 16, 10: 24, 11: 15,
+                     12: 12, 13: 8, 14: 3, 16: 6, 18: 5},
+                ),
             },
         ),
         "requested|none|conservative": (
@@ -169,10 +195,38 @@ class TestSnapshotPins:
                 "predict.finished": 120,
             },
             {
-                "engine.sched.plan_reused": (239, 75),
-                "engine.sched.profile_segments": (239, 904),
-                "engine.sched.queue_length": (239, 941),
-                "predict.abs_error.seconds": (120, None),
+                "engine.sched.plan_reused": (239, 75, 0, 1, {-1075: 164, 0: 75}),
+                "engine.sched.profile_segments": (
+                    239, 904, 1, 12, {0: 34, 1: 78, 2: 45, 3: 67, 4: 15},
+                ),
+                "engine.sched.queue_length": _EASY_QUEUE,
+                "predict.abs_error.seconds": _REQUESTED_ERROR,
+            },
+        ),
+        "ml:sq-lin-large-area|incremental|easy-sjbf": (
+            {
+                "engine.events.expire": 349, "engine.events.finish": 120,
+                "engine.events.submit": 120, "engine.sched.backfill_starts": 37,
+                "engine.sched.hold_passes": 112, "engine.sched.jobs_started": 120,
+                "engine.sched.passes": 505, "predict.finished": 120,
+                "predict.underestimates": 103,
+            },
+            {
+                "engine.expire_storm.size": (
+                    266, 349, 1, 15, {0: 256, 1: 2, 3: 2, 4: 6},
+                ),
+                "engine.sched.queue_length": (
+                    505, 1639, 0, 21,
+                    {-1075: 298, 0: 84, 1: 5, 2: 2, 3: 40, 4: 29, 5: 47},
+                ),
+                "engine.sched.release_table": (
+                    505, 1362, 0, 15, {-1075: 59, 0: 178, 1: 58, 2: 116, 3: 73, 4: 21},
+                ),
+                "predict.abs_error.seconds": (
+                    120, None, 0, 215161.64679260447,
+                    {-1075: 1, 1: 1, 5: 5, 6: 7, 7: 4, 8: 10, 9: 16, 10: 26, 11: 19,
+                     12: 13, 13: 6, 14: 5, 15: 1, 18: 6},
+                ),
             },
         ),
     }
@@ -189,10 +243,166 @@ class TestSnapshotPins:
             assert snap["counters"][name] == value, name
         assert all(snap["counters"][name] > 0 for name in self.TIMERS)
         assert set(snap["histograms"]) == set(histograms)
-        for name, (count, total) in histograms.items():
-            assert snap["histograms"][name]["count"] == count, name
+        for name, (count, total, low, high, buckets) in histograms.items():
+            got = snap["histograms"][name]
+            assert got["count"] == count, name
             if total is not None:
-                assert snap["histograms"][name]["sum"] == total, name
+                assert got["sum"] == total, name
+            assert got["min"] == low, name
+            assert got["max"] == pytest.approx(high, rel=1e-9), name
+            assert got["buckets"] == {str(k): n for k, n in buckets.items()}, name
+
+
+def _counted_events(tele: Telemetry) -> float:
+    counters = tele.snapshot()["counters"]
+    return sum(n for name, n in counters.items() if name.startswith("engine.events."))
+
+
+def _assert_reconciled(tele: Telemetry, *sessions: SimSession) -> None:
+    """The registry says what the sessions' own run counters say."""
+    assert tele.counter_value("engine.sched.passes") == sum(
+        s.stats.n_scheduling_passes for s in sessions
+    )
+    assert _counted_events(tele) == sum(s.stats.n_events for s in sessions)
+
+
+class TestRegistryIsCurrent:
+    """The loop counts into a private per-session tally; the registry
+    must be exactly current whenever control is outside the session."""
+
+    def test_after_every_public_call(self):
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf"), tele)
+        completed = 0
+        for round_ in range(40):
+            assert session.step() is not None
+            _assert_reconciled(tele, session)
+            session.advance_to(session.now + 600.0 * (round_ % 3))
+            _assert_reconciled(tele, session)
+            running = sorted(run.record.job_id for run in session.machine.running)
+            if running:
+                session.complete(running[0], time=session.now + 1.0)
+                completed += 1
+                _assert_reconciled(tele, session)
+                assert tele.counter_value("predict.finished") == session.machine.n_finished
+        assert completed > 10
+        session.drain()
+        _assert_reconciled(tele, session)
+        assert tele.counter_value("predict.finished") == 120
+        assert tele.histogram("predict.abs_error.seconds").count == 120
+        assert tele.histogram("engine.sched.queue_length").count == (
+            session.stats.n_scheduling_passes
+        )
+
+    def test_two_sessions_sharing_one_registry_add_up(self):
+        spec = _spec("ave2|incremental|easy-sjbf")
+        alone = Telemetry(component="test")
+        _schedule(spec, alone)
+        shared = Telemetry(component="test")
+        first, second = _fed_session(spec, shared), _fed_session(spec, shared)
+        while first.n_pending_events or second.n_pending_events:
+            first.step()
+            second.advance_to(first.now)
+            _assert_reconciled(shared, first, second)
+        want, got = alone.snapshot(), shared.snapshot()
+        for name, value in want["counters"].items():
+            if name not in TestSnapshotPins.TIMERS:
+                assert got["counters"][name] == 2 * value, name
+        for name, hist in want["histograms"].items():
+            other = got["histograms"][name]
+            assert other["count"] == 2 * hist["count"], name
+            assert other["sum"] == pytest.approx(2 * hist["sum"], rel=1e-12), name
+            assert (other["min"], other["max"]) == (hist["min"], hist["max"]), name
+            assert other["buckets"] == {k: 2 * n for k, n in hist["buckets"].items()}
+
+    @pytest.mark.parametrize("telemetry", [None, Telemetry(enabled=False)])
+    def test_a_telemetry_off_session_tallies_and_folds_nothing(
+        self, telemetry, monkeypatch
+    ):
+        def no_fold(self, counters, samples):
+            raise AssertionError("a telemetry-off session reached the registry")
+
+        monkeypatch.setattr(Telemetry, "add_batch", no_fold)
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf", 40), telemetry)
+        assert session._tally is None
+        session.step()
+        session.advance_to(session.now + 60.0)
+        session.drain()
+        assert session.telemetry.snapshot()["counters"] == {}
+
+    def test_a_failed_instant_keeps_its_consumed_events_on_the_books(self):
+        """An event that raises mid-instant never reaches the scheduling
+        pass; what the instant consumed (the failing event included) is
+        counted on the way out, the re-queued rest when it is processed."""
+
+        class Flaky(RequestedTimePredictor):
+            broken = True
+
+            def predict(self, record, now):
+                if self.broken and record.job_id == 3:
+                    return float("nan")
+                return super().predict(record, now)
+
+        tele = Telemetry(component="test")
+        predictor = Flaky()
+        session = SimSession(8, make_scheduler("easy"), predictor, telemetry=tele)
+        session.feed(make_job(job_id=9, submit_time=0.0, runtime=50.0))
+        session.advance_to(0.0)
+        session.feed([make_job(job_id=i, submit_time=10.0) for i in range(1, 6)])
+        with pytest.raises(ValueError, match="non-finite"):
+            session.advance_to(10.0)
+        assert session.n_pending_events == 3  # jobs 4 and 5, job 9's FINISH
+        assert session.stats.n_events == 1 + 3
+        assert tele.counter_value("engine.events.submit") == 1 + 3
+        _assert_reconciled(tele, session)
+        predictor.broken = False
+        session.drain()
+        assert tele.counter_value("engine.events.submit") == 1 + 5
+        assert tele.counter_value("engine.events.finish") == 1 + 4  # not the lost job 3
+        _assert_reconciled(tele, session)
+
+    def test_complete_times_the_predictor_like_the_loop_does(self, monkeypatch):
+        ticks = iter(range(1000))
+        monkeypatch.setattr("repro.sim.session.perf_counter", lambda: float(next(ticks)))
+        tele = Telemetry(component="test")
+        session = SimSession(
+            8, make_scheduler("easy"), RequestedTimePredictor(), telemetry=tele
+        )
+        session.feed(make_job(job_id=1, submit_time=0.0, runtime=100.0))
+        session.advance_to(0.0)  # predict: one tick; the pass: one tick
+        assert tele.counter_value("engine.time.predict.seconds") == 1.0
+        session.complete(1, time=50.0)  # on_finish: one more tick
+        assert tele.counter_value("engine.time.predict.seconds") == 2.0
+        assert tele.counter_value("engine.time.sched.seconds") == 2.0
+
+
+class TestTallyIsBounded:
+    def test_one_drain_of_3000_jobs_never_holds_a_per_job_container(self, monkeypatch):
+        """What a session holds between folds is bounded by the machine
+        and the queue, not by how many jobs the call processed."""
+        handed_over: list[int] = []
+        add_batch = Telemetry.add_batch
+
+        def measuring(self, counters, samples, histograms=()):
+            counters = list(counters)
+            handed_over.extend([len(counters), len(samples)])
+            handed_over.extend(len(hist.buckets) for _name, hist in histograms)
+            add_batch(self, counters, samples, histograms)
+
+        monkeypatch.setattr(Telemetry, "add_batch", measuring)
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf", n_jobs=3000), tele)
+        session.drain()  # one public call: the tally only grew until its one fold
+        kept_until_read = len(tele._pending)  # the registry's own (name, value) tally
+        assert tele.counter_value("predict.finished") == 3000
+        n_buckets = len(tele.histogram("predict.abs_error.seconds").buckets)
+        bound = session.stats.max_queue_length + session.machine.processors + n_buckets
+        assert bound < 3000 // 4
+        assert len(handed_over) == 3  # counters, samples, the error histogram: one fold
+        assert max(handed_over) <= bound and 0 < kept_until_read <= bound
+        assert not tele._pending  # histogram() read it into the buckets
+        tally = session._tally
+        assert not any(tally.counts) and not tally.samples and not tally.abs_error.count
 
 
 class TestCellReport:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import NOOP, Histogram, Telemetry
 from repro.obs.telemetry import _ZERO_BUCKET, bucket_bound, bucket_index
@@ -91,16 +94,14 @@ class TestTelemetry:
         tele = Telemetry(component="t")
         tele.inc("a")
         tele.inc("a", 2.5)
-        tele.gauge("g", 5.0)
-        tele.gauge("g", 3.0)
-        tele.gauge_max("m", 1.0)
-        tele.gauge_max("m", 0.5)
         tele.observe("h", 2.0)
         assert tele.counter_value("a") == 3.5
-        assert tele.gauge_value("g") == 3.0  # last write wins
-        assert tele.gauge_value("m") == 1.0  # max wins
         assert tele.histogram("h").count == 1
-        assert set(tele.names()) == {"a", "g", "m", "h"}
+        assert tele.histogram("never") is None  # reading creates nothing
+        # gauges are retired: nothing records them, snapshots carry none
+        assert not hasattr(tele, "gauge") and not hasattr(tele, "gauge_max")
+        assert set(tele.snapshot()) == {"component", "counters", "histograms"}
+        assert set(tele.snapshot()["histograms"]) == {"h"}
 
     def test_span_records_seconds_histogram(self):
         tele = Telemetry(component="t")
@@ -123,22 +124,23 @@ class TestTelemetry:
     def test_merge_snapshot_adds_counters_and_histograms(self):
         worker = Telemetry(component="cell")
         worker.inc("engine.events.submit", 10)
-        worker.gauge_max("peak", 7.0)
         worker.observe("lat", 0.5)
         home = Telemetry(component="campaign")
         home.inc("engine.events.submit", 5)
-        home.gauge_max("peak", 3.0)
         home.observe("lat", 2.0)
-        home.merge_snapshot(json.loads(json.dumps(worker.snapshot())))
+        snap = json.loads(json.dumps(worker.snapshot()))
+        snap["gauges"] = {"peak": 7.0}  # from an older worker: ignored
+        home.merge_snapshot(snap)
+        assert "gauges" not in home.snapshot()
         assert home.counter_value("engine.events.submit") == 15
-        assert home.gauge_value("peak") == 7.0
         assert home.histogram("lat").count == 2
         assert home.histogram("lat").max == 2.0
 
     def test_merge_empty_snapshot_is_noop(self):
         tele = Telemetry(component="t")
         tele.merge_snapshot({})
-        assert list(tele.names()) == []
+        snap = tele.snapshot()
+        assert snap["counters"] == {} and snap["histograms"] == {}
 
     def test_thread_safety_of_inc(self):
         tele = Telemetry(component="t")
@@ -155,16 +157,132 @@ class TestTelemetry:
         assert tele.counter_value("n") == 4000
 
 
+#: sample values that stress the bucketing: <= 0, exact powers of two,
+#: small integers (what the engine tallies) and arbitrary reals
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -3.0, 0.25, 0.5, 1.0, 2.0, 4.0, 1024.0]),
+    st.integers(min_value=0, max_value=300).map(float),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+)
+#: one recording: ("inc", name, amount) or ("observe", name, value, n)
+_RECORDINGS = st.lists(
+    st.one_of(
+        st.tuples(st.just("inc"), st.sampled_from("abc"), st.integers(1, 50)),
+        st.tuples(
+            st.just("observe"), st.sampled_from("xyz"), _VALUES, st.integers(1, 4)
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestAddBatch:
+    @given(_RECORDINGS, st.integers(min_value=1, max_value=5))
+    def test_equals_the_same_data_recorded_one_call_at_a_time(self, recordings, n_batches):
+        """Any interleaving of ``inc``/``observe`` leaves the registry in
+        the state the same data reaches through ``add_batch``, however it
+        is cut into batches (empty ones included)."""
+        direct, batched = Telemetry(component="t"), Telemetry(component="t")
+        batches = [({}, {}, {}) for _ in range(n_batches)]
+        for i, (op, name, value, *rest) in enumerate(recordings):
+            counters, samples, histograms = batches[i % n_batches]
+            if op == "inc":
+                direct.inc(name, value)
+                counters[name] = counters.get(name, 0) + value
+                continue
+            for _ in range(rest[0]):
+                direct.observe(name, value)
+            if name == "z":  # handed over as a session-owned histogram
+                histograms.setdefault(name, Histogram()).observe(value, rest[0])
+            else:  # handed over as (name, value) -> count
+                samples[name, value] = samples.get((name, value), 0) + rest[0]
+        for counters, samples, histograms in batches:
+            counters["never"] = 0  # zero amounts and empty histograms create nothing
+            batched.add_batch(counters.items(), samples, [*histograms.items(), ("no", Histogram())])
+        want, got = direct.snapshot(), batched.snapshot()
+        assert got["counters"] == want["counters"]
+        assert set(got["histograms"]) == set(want["histograms"])
+        for name, hist in want["histograms"].items():
+            other = dict(got["histograms"][name])
+            integral = all(
+                float(value).is_integer()
+                for op, n, value, *_ in recordings
+                if op == "observe" and n == name
+            )
+            total = other.pop("sum")
+            if integral:
+                assert total == hist["sum"], name
+            else:
+                assert total == pytest.approx(hist["sum"], rel=1e-12, abs=1e-12), name
+            assert other == {k: v for k, v in hist.items() if k != "sum"}, name
+
+    def test_batched_observations_are_bucketed_on_the_next_read(self):
+        """``add_batch`` keeps its observations as an exact tally -- one
+        entry per distinct (name, value), however many batches -- and
+        every reader sees them bucketed."""
+        tele = Telemetry(component="t")
+        for _ in range(1000):
+            tele.add_batch((), {("depth", 3): 2, ("depth", 4): 1})
+        assert len(tele._pending) == 2
+        hist = tele.histogram("depth")
+        assert (hist.count, hist.total, hist.min, hist.max) == (3000, 10000.0, 3.0, 4.0)
+        assert hist.buckets == {2: 3000} and not tele._pending
+        tele.add_batch((), {("depth", 9): 1})
+        tele.observe("depth", 0.5)
+        assert tele.snapshot()["histograms"]["depth"]["buckets"] == {"-1": 1, "2": 3000, "4": 1}
+
+    def test_histogram_merge_is_merge_obj_without_the_json(self):
+        a, b, c = Histogram(), Histogram(), Histogram()
+        for value in (0.0, 0.5, 3.0):
+            a.observe(value)
+        for hist in (b, c):
+            hist.observe(64.0, 2)
+        b.merge(a)
+        c.merge_obj(json.loads(json.dumps(a.to_obj())))
+        assert b.to_obj() == c.to_obj()
+        assert (b.count, b.min, b.max, b.total) == (5, 0.0, 64.0, 131.5)
+
+    def test_batches_and_single_calls_from_two_threads_lose_nothing(self):
+        """The worker heartbeat records from its own thread while the
+        main thread folds: that is why ``add_batch`` takes the lock."""
+        tele = Telemetry(component="t")
+        rounds = 2000
+
+        def fold():
+            for _ in range(rounds):
+                tele.add_batch([("n", 2), ("folds", 1)], {("h", 1.0): 3})
+
+        def single():
+            for _ in range(rounds):
+                tele.inc("n")
+                tele.observe("h", 1.0)
+
+        threads = [threading.Thread(target=fn) for fn in (fold, single, fold, single)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert tele.counter_value("n") == 2 * rounds * 3
+        assert tele.counter_value("folds") == 2 * rounds
+        hist = tele.histogram("h")
+        assert (hist.count, hist.total) == (2 * rounds * 4, 2 * rounds * 4.0)
+        assert hist.buckets == {0: 2 * rounds * 4}
+
+
 class TestNoop:
     def test_noop_records_nothing(self):
         NOOP.inc("a")
-        NOOP.gauge("g", 1.0)
-        NOOP.gauge_max("m", 1.0)
         NOOP.observe("h", 1.0)
+        NOOP.add_batch([("a", 1)], {("h", 1.0): 2}, [("g", Histogram())])
         NOOP.event("e", x=1)
         with NOOP.span("op"):
             pass
-        assert list(NOOP.names()) == []
         snap = NOOP.snapshot()
         assert snap["counters"] == {} and snap["histograms"] == {}
 

@@ -30,24 +30,9 @@ class TestEventQueue:
             q.push(Event(5.0, EventType.SUBMIT, job_id))
         assert [q.pop().job_id for _ in range(3)] == [1, 2, 3]
 
-    def test_drain_time(self):
-        q = EventQueue()
-        q.push(Event(5.0, EventType.SUBMIT, 1))
-        q.push(Event(5.0, EventType.SUBMIT, 2))
-        q.push(Event(6.0, EventType.SUBMIT, 3))
-        drained = list(q.drain_time(5.0))
-        assert [e.job_id for e in drained] == [1, 2]
-        assert len(q) == 1
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-
-    def test_peek_does_not_remove(self):
-        q = EventQueue()
-        q.push(Event(5.0, EventType.SUBMIT, 1))
-        assert q.peek().job_id == 1
-        assert len(q) == 1
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -98,15 +83,6 @@ class TestMonotonicFloor:
         q.pop()
         q.push(Event(5.0, EventType.SUBMIT, 2))
         assert q.pop().job_id == 2
-
-    def test_drain_time_raises_the_floor(self):
-        q = EventQueue()
-        q.push(Event(5.0, EventType.SUBMIT, 1))
-        q.push(Event(5.0, EventType.FINISH, 2))
-        list(q.drain_time(5.0))
-        assert q.floor == 5.0
-        with pytest.raises(ValueError):
-            q.push(Event(1.0, EventType.SUBMIT, 3))
 
 
 @given(
@@ -162,8 +138,8 @@ class TestPopInstant:
     def test_pop_returns_the_kind_member_that_was_pushed(self):
         q = EventQueue()
         q.schedule(1.0, EventType.MACHINE, 9, 3)
-        assert q.peek() == Event(1.0, EventType.MACHINE, 9, 3)
         event = q.pop()
+        assert event == Event(1.0, EventType.MACHINE, 9, 3)
         assert event.kind is EventType.MACHINE
         assert (event.job_id, event.version) == (9, 3)
 
@@ -189,19 +165,24 @@ def test_pop_instant_equals_repeated_pops(ops):
     ``job_id`` and ``version`` intact), raises the floor to it, and the
     by-fields and by-``Event`` push entry points order events alike."""
     one_call, one_by_one = EventQueue(), EventQueue()
-    for op in ops:
+    pending: list[tuple] = []  # the model: (time, kind, push order, job_id, version)
+    for order, op in enumerate(ops):
         if op is not None:
             delay, kind, job_id, version = op
             time = max(one_call.floor, 0.0) + delay
             one_call.schedule(time, kind, job_id, version)
             one_by_one.push(Event(time, kind, job_id, version))
+            pending.append((time, kind, order, job_id, version))
             continue
         batch = one_call.pop_instant()
-        if not one_by_one:
+        if not pending:
             assert batch == []
             continue
-        now = one_by_one.peek_time()
-        expected = list(one_by_one.drain_time(now))
+        now = min(entry[0] for entry in pending)
+        instant = sorted(entry for entry in pending if entry[0] == now)
+        pending = [entry for entry in pending if entry[0] != now]
+        expected = [one_by_one.pop() for _ in instant]
+        assert expected == [Event(t, kind, job_id, v) for t, kind, _, job_id, v in instant]
         assert [Event(t, kind, job_id, v) for t, kind, _, job_id, v in batch] == expected
         assert one_call.floor == one_by_one.floor == now
         assert len(one_call) == len(one_by_one)
