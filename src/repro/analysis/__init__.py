@@ -29,7 +29,6 @@ from .core import (
     all_rules,
     collect_files,
     find_root,
-    get_rule,
     resolve_rules,
     run_check,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "all_rules",
     "collect_files",
     "find_root",
-    "get_rule",
     "resolve_rules",
     "run_check",
     "compute_frozen",

@@ -45,7 +45,6 @@ __all__ = [
     "CheckConfig",
     "register",
     "all_rules",
-    "get_rule",
     "resolve_rules",
     "find_root",
     "collect_files",
@@ -252,12 +251,6 @@ def all_rules() -> list[Rule]:
     from . import rules as _rules  # noqa: F401  (import registers the battery)
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def get_rule(rule_id: str) -> Rule:
-    from . import rules as _rules  # noqa: F401
-
-    return _REGISTRY[rule_id]
 
 
 def resolve_rules(select: Iterable[str] | None) -> list[Rule]:

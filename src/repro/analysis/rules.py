@@ -384,9 +384,9 @@ def _test_checks_enabled(test: ast.expr) -> bool:
 class Obs001UnguardedTelemetry(FileRule):
     """The hot layers count into a private tally and hand it over with
     ``add_batch``; a per-record ``inc``/``observe`` is a finding even
-    when guarded.  What they do call sits behind ``if tele.enabled:``
-    (or an early exit on it), so the disabled path is one attribute
-    check (``span()`` is inert when disabled and needs no guard)."""
+    when guarded.  What they do call sits behind ``if tele.enabled:``,
+    so the disabled path is one attribute check (``span()`` is inert
+    when disabled and needs no guard)."""
 
     id = "OBS001"
     title = "per-record or unguarded telemetry call in an engine hot path"
@@ -428,22 +428,6 @@ class Obs001UnguardedTelemetry(FileRule):
                 return True
             if isinstance(ancestor, ast.IfExp) and _test_checks_enabled(
                 ancestor.test
-            ):
-                return True
-        func = ctx.enclosing_function(call)
-        if func is None:
-            return False
-        # accept an early-exit guard anywhere above the call in the same
-        # function: `if not tele.enabled: return`
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.If)
-                and node.lineno < call.lineno
-                and _test_checks_enabled(node.test)
-                and any(
-                    isinstance(stmt, (ast.Return, ast.Raise, ast.Continue))
-                    for stmt in node.body
-                )
             ):
                 return True
         return False

@@ -25,9 +25,8 @@ per process** and shared:
 * :func:`group_cells` / :func:`plan_batches` organise a cell list into
   trace-pure groups (and bounded chunks of them) so dispatch layers can
   keep same-trace cells adjacent in one process.
-* :class:`BatchRunner` streams grouped cells through the shared cell
-  runner; :func:`run_batch_report` is its module-level picklable form
-  for process pools.
+* :func:`run_batch_report` runs one such batch through the shared cell
+  runner; it is module-level, so process pools can pickle it.
 
 Schedules are **byte-identical** to the unbatched path: the bundle only
 changes *when* work happens (once per group instead of once per cell),
@@ -38,8 +37,7 @@ never what is computed.  Memory cost is bounded by the LRU capacity
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from ..spec import CellSpec, WorkloadSpec, canonical_json
@@ -58,8 +56,6 @@ __all__ = [
     "clear_bundle_cache",
     "group_cells",
     "plan_batches",
-    "BatchStats",
-    "BatchRunner",
     "run_batch_report",
 ]
 
@@ -242,65 +238,20 @@ def plan_batches(
     return batches
 
 
-@dataclass
-class BatchStats:
-    """What one :class:`BatchRunner` invocation did."""
-
-    cells: int = 0
-    groups: int = 0
-    #: bundles actually materialised (misses); groups - misses were
-    #: already warm in this process.
-    bundles_built: int = 0
-
-
-class BatchRunner:
-    """Streams a campaign's cells through the shared cell runner,
-    grouped by trace identity so each group's bundle is materialised
-    once and reused by every cell in it.
-
-    Results are identical to calling :func:`repro.core.run.run_cell` per
-    cell -- only the fixed per-cell cost (trace regeneration, digesting,
-    static feature extraction) collapses to once per group.
-    """
-
-    def __init__(self, with_telemetry: bool = False) -> None:
-        self.with_telemetry = with_telemetry
-        self.stats = BatchStats()
-
-    def run(
-        self,
-        cells: Sequence[CellSpec],
-        on_result: Callable[[CellSpec, float, dict], None] | None = None,
-    ) -> list[tuple[CellSpec, float, dict]]:
-        """Run every cell; returns ``(spec, score, report)`` triples in
-        group-major order.  ``on_result`` (optional) streams each triple
-        as it finishes."""
-        from .run import run_cell_report
-
-        cache = bundle_cache()
-        results: list[tuple[CellSpec, float, dict]] = []
-        for _key, group in group_cells(cells):
-            self.stats.groups += 1
-            misses_before = cache.misses
-            for spec in group:
-                score, report = run_cell_report(
-                    spec, with_telemetry=self.with_telemetry
-                )
-                self.stats.cells += 1
-                results.append((spec, score, report))
-                if on_result is not None:
-                    on_result(spec, score, report)
-            self.stats.bundles_built += cache.misses - misses_before
-        return results
-
-
 def run_batch_report(
     cells: Sequence[CellSpec], with_telemetry: bool = False
 ) -> list[tuple[CellSpec, float, dict]]:
-    """Module-level picklable batch runner for process pools.
+    """Run one batch; ``(spec, score, report)`` triples in input order.
 
     One pool submission carries a whole trace-pure batch, so the child
     process pays the bundle build once and every other cell of the batch
-    rides the warm cache.
+    rides the warm cache.  Results are identical to calling
+    :func:`repro.core.run.run_cell` per cell.
     """
-    return BatchRunner(with_telemetry=with_telemetry).run(cells)
+    from .run import run_cell_report
+
+    results: list[tuple[CellSpec, float, dict]] = []
+    for spec in cells:
+        score, report = run_cell_report(spec, with_telemetry=with_telemetry)
+        results.append((spec, score, report))
+    return results

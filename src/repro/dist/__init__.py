@@ -8,7 +8,7 @@ merge-friendly.  This package turns the single-host process-pool fan-out
 into a sharded, restartable, multi-host system:
 
 * :mod:`repro.dist.shards`  -- partitions the cell matrix into balanced
-  shards using per-cell cost estimates seeded from ``BENCH_engine.json``;
+  shards using constant per-cell cost weights;
 * :mod:`repro.dist.fsqueue` -- a serverless work queue in a shared
   directory: atomic claim-by-rename, mtime-heartbeat leases, capped
   retries.  N workers on N hosts cooperate with no coordinator server;
@@ -32,7 +32,7 @@ from .merge import (
     iter_cache_records,
     merge_caches,
 )
-from .shards import CellCostModel, Shard, load_bench_cost_model, plan_shards
+from .shards import CellCostModel, Shard, plan_shards
 from .worker import WorkerStats, run_worker
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "merge_caches",
     "CellCostModel",
     "Shard",
-    "load_bench_cost_model",
     "plan_shards",
     "WorkerStats",
     "run_worker",

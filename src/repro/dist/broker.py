@@ -33,7 +33,7 @@ from ..obs.telemetry import NOOP, Telemetry
 from ..spec import CellSpec
 from .fsqueue import DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS, FsQueue
 from .merge import merge_caches
-from .shards import DEFAULT_CELLS_PER_SHARD, load_bench_cost_model, plan_shards
+from .shards import DEFAULT_CELLS_PER_SHARD, plan_shards
 
 __all__ = ["Broker", "LocalBroker", "FsQueueBroker", "resolve_backend"]
 
@@ -86,17 +86,14 @@ class LocalBroker(Broker):
     """Single-host process-pool fan-out (the classic campaign path).
 
     Cells dispatch in trace-pure batches (:func:`repro.core.batch
-    .plan_batches`): one pool submission carries up to ``max_batch``
-    same-trace cells, so the child process materialises the shared trace
-    bundle once per batch instead of once per cell.  ``max_batch=1``
-    restores exact per-cell submission.
+    .plan_batches`): one pool submission carries up to
+    ``DEFAULT_MAX_BATCH`` same-trace cells, so the child process
+    materialises the shared trace bundle once per batch instead of once
+    per cell.
     """
 
-    def __init__(
-        self, workers: int | None = None, max_batch: int | None = None
-    ) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
-        self.max_batch = DEFAULT_MAX_BATCH if max_batch is None else max_batch
 
     def dispatch(
         self,
@@ -107,9 +104,6 @@ class LocalBroker(Broker):
     ) -> None:
         tele = telemetry if telemetry is not None else NOOP
         with_tel = tele.enabled
-        # bench-seeded estimates (the shard planner's model) let the
-        # telemetry compare each cell's actual seconds to its estimate
-        cost_model = load_bench_cost_model() if with_tel else None
 
         def deliver(spec: CellSpec, score: float, report: dict) -> None:
             seconds = report.get("seconds")
@@ -117,8 +111,6 @@ class LocalBroker(Broker):
                 tele.inc("campaign.cells.simulated")
                 if seconds is not None:
                     tele.observe("campaign.cell.seconds", seconds)
-                est = cost_model.cell_cost(spec)
-                tele.observe("campaign.cell.est_seconds", est)
                 snap = report.get("telemetry")
                 if snap:
                     tele.merge_snapshot(snap)
@@ -128,7 +120,6 @@ class LocalBroker(Broker):
                     label=spec.label,
                     seed=spec.workload.seed,
                     seconds=None if seconds is None else round(seconds, 6),
-                    est_seconds=round(est, 4),
                     avebsld=score,
                 )
             on_result(spec, score, seconds)
@@ -140,7 +131,7 @@ class LocalBroker(Broker):
             workers = max(1, min(cpu - 1, 16))
         # never batch so coarsely that the pool has fewer batches than
         # workers: a tiny campaign still spreads over every worker
-        cap = max(1, min(self.max_batch, -(-len(jobs) // max(1, workers))))
+        cap = max(1, min(DEFAULT_MAX_BATCH, -(-len(jobs) // max(1, workers))))
         batches = plan_batches(jobs, max_batch=cap)
         _log.info(
             "local dispatch: %d cell(s) in %d trace-pure batch(es) over "
@@ -199,7 +190,6 @@ class FsQueueBroker(Broker):
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         poll_interval: float = 0.5,
         timeout: float | None = None,
-        bench_path: str | None = None,
     ) -> None:
         if not queue_dir:
             raise ValueError("FsQueueBroker needs a queue directory")
@@ -210,7 +200,6 @@ class FsQueueBroker(Broker):
         self.max_attempts = max_attempts
         self.poll_interval = poll_interval
         self.timeout = timeout
-        self.bench_path = bench_path
 
     # -- the coordinator loop -------------------------------------------------
     def dispatch(
@@ -268,7 +257,6 @@ class FsQueueBroker(Broker):
             remaining,
             n_shards=self.n_shards,
             cells_per_shard=self.cells_per_shard,
-            bench_path=self.bench_path,
             prefix=f"g{generation}",
         )
         for shard in shards:

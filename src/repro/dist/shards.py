@@ -11,12 +11,11 @@ reports as a whole.  Shards should be
 
 Balance needs per-cell cost estimates.  Simulation time scales with the
 job count and differs by scheduler variant and by whether a correction
-mechanism is active (EXPIRE storms); those ratios are exactly what
-``BENCH_engine.json`` measures on every CI run, so the planner seeds its
-cost model from the benchmark report when one is available and falls
-back to calibrated constants otherwise.  Cells are then distributed with
-the classic LPT (longest processing time first) greedy heuristic --
-applied to **trace-pure chunks** rather than single cells, so every
+mechanism is active (EXPIRE storms); :class:`CellCostModel` holds those
+ratios as constants, so a plan is a pure function of the cell list.
+Cells are then distributed with the classic LPT (longest processing time
+first) greedy heuristic -- applied to **trace-pure chunks**
+(:func:`repro.core.batch.plan_batches`) rather than single cells, so every
 shard keeps same-trace cells together and the worker's shared
 :class:`repro.core.batch.BundleCache` pays each trace materialisation
 once per shard instead of once per cell.
@@ -31,21 +30,15 @@ mis-keyed results.
 from __future__ import annotations
 
 import heapq
-import json
-import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..core.batch import workload_key
-from ..obs import get_logger
+from ..core.batch import plan_batches, workload_key
 from ..spec import SPEC_VERSION, CellSpec
-
-_log = get_logger("dist.shards")
 
 __all__ = [
     "Shard",
     "CellCostModel",
-    "load_bench_cost_model",
     "plan_shards",
     "DEFAULT_CELLS_PER_SHARD",
 ]
@@ -103,8 +96,6 @@ class CellCostModel:
     )
     #: multiplier when the cell runs a correction mechanism.
     correction_factor: float = 3.0
-    #: where the weights came from ("defaults" or the bench file path).
-    source: str = "defaults"
 
     def cell_cost(self, cell: CellSpec) -> float:
         """Estimated cost of one cell."""
@@ -121,57 +112,10 @@ class CellCostModel:
         return base * cell.workload.n_jobs * factor
 
 
-def load_bench_cost_model(path: str | None = None) -> CellCostModel:
-    """Cost model seeded from a ``BENCH_engine.json`` report.
-
-    Per-scheduler weights are the benchmark's measured per-job seconds of
-    the profile path; the correction factor is the per-job ratio of the
-    correction-heavy scenario to its correction-free twin.  Any missing
-    file, unreadable JSON or absent scenario falls back to the calibrated
-    defaults -- planning must never fail because a benchmark artifact is
-    stale.
-    """
-    default = CellCostModel()
-    if path is None:
-        path = os.path.join(os.getcwd(), "BENCH_engine.json")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        per_job: dict[str, float] = {}
-        for scenario in report.get("scenarios", []):
-            n_jobs = scenario.get("trace", {}).get("n_jobs")
-            seconds = scenario.get("profile_seconds")
-            if not n_jobs or not seconds or seconds <= 0:
-                _log.warning(
-                    "bench cost seeding: scenario %r in %s has unusable "
-                    "n_jobs=%r / profile_seconds=%r; using the "
-                    "scheduler-weight default for it",
-                    scenario.get("scenario", "<unnamed>"), path, n_jobs, seconds,
-                )
-                continue
-            per_job[scenario.get("scenario", "")] = float(seconds) / float(n_jobs)
-        weights = dict(default.scheduler_weights)
-        if "easy/wide" in per_job:
-            weights["easy"] = per_job["easy/wide"]
-        if "easy-sjbf/wide" in per_job:
-            weights["easy-sjbf"] = per_job["easy-sjbf/wide"]
-        if "conservative/narrow" in per_job:
-            weights["conservative"] = per_job["conservative/narrow"]
-        factor = default.correction_factor
-        if "easy-sjbf/corrections" in per_job and "easy-sjbf/wide" in per_job:
-            factor = max(1.0, per_job["easy-sjbf/corrections"] / per_job["easy-sjbf/wide"])
-        return CellCostModel(
-            scheduler_weights=weights, correction_factor=factor, source=path
-        )
-    except (OSError, ValueError, TypeError):
-        return default
-
-
 def plan_shards(
     cells: Iterable[CellSpec] | Sequence[CellSpec],
     n_shards: int | None = None,
     cost_model: CellCostModel | None = None,
-    bench_path: str | None = None,
     prefix: str = "shard",
     cells_per_shard: int = DEFAULT_CELLS_PER_SHARD,
 ) -> list[Shard]:
@@ -195,31 +139,24 @@ def plan_shards(
     if not cells:
         return []
     if cost_model is None:
-        cost_model = load_bench_cost_model(bench_path)
+        cost_model = CellCostModel()
     if n_shards is None:
         n_shards = max(1, (len(cells) + cells_per_shard - 1) // cells_per_shard)
     n_shards = min(n_shards, len(cells))
 
-    # trace-pure chunks: consecutive same-trace runs capped so that no
-    # chunk exceeds the per-shard granularity or starves other shards
-    groups: dict[str, list[tuple[int, CellSpec]]] = {}
-    group_order: list[str] = []
-    for position, cell in enumerate(cells):
-        key = workload_key(cell.workload)
-        if key not in groups:
-            groups[key] = []
-            group_order.append(key)
-        groups[key].append((position, cell))
-    chunk_cap = max(
-        1, min(cells_per_shard, -(-len(cells) // n_shards))
-    )
-    chunks: list[tuple[float, int, str, list[tuple[int, CellSpec]]]] = []
-    for key in group_order:
-        members = groups[key]
-        for start in range(0, len(members), chunk_cap):
-            chunk = members[start : start + chunk_cap]
-            cost = sum(cost_model.cell_cost(cell) for _, cell in chunk)
-            chunks.append((cost, chunk[0][0], key, chunk))
+    # trace-pure chunks, capped so that none exceeds the per-shard
+    # granularity or starves other shards; each is ranked and emitted by
+    # the campaign position of its first cell
+    chunk_cap = max(1, min(cells_per_shard, -(-len(cells) // n_shards)))
+    position = {id(cell): index for index, cell in enumerate(cells)}
+    chunks = [
+        (
+            sum(cost_model.cell_cost(cell) for cell in chunk),
+            position[id(chunk[0])],
+            chunk,
+        )
+        for chunk in plan_batches(cells, max_batch=chunk_cap)
+    ]
     n_shards = min(n_shards, len(chunks))
 
     costed = sorted(chunks, key=lambda item: (-item[0], item[1]))
@@ -227,13 +164,13 @@ def plan_shards(
     # the plan is stable across runs and platforms.
     heap: list[tuple[float, int]] = [(0.0, idx) for idx in range(n_shards)]
     heapq.heapify(heap)
-    buckets: list[list[tuple[int, str, list[tuple[int, CellSpec]]]]] = [
+    buckets: list[list[tuple[int, list[CellSpec]]]] = [
         [] for _ in range(n_shards)
     ]
     loads = [0.0] * n_shards
-    for cost, first_position, key, chunk in costed:
+    for cost, first_position, chunk in costed:
         load, idx = heapq.heappop(heap)
-        buckets[idx].append((first_position, key, chunk))
+        buckets[idx].append((first_position, chunk))
         loads[idx] = load + cost
         heapq.heappush(heap, (loads[idx], idx))
 
@@ -247,10 +184,11 @@ def plan_shards(
         bucket.sort(key=lambda item: item[0])
         shard_cells: list[CellSpec] = []
         trace_keys: list[str] = []
-        for _first, key, chunk in bucket:
+        for _first, chunk in bucket:
+            key = workload_key(chunk[0].workload)
             if key not in trace_keys:
                 trace_keys.append(key)
-            shard_cells.extend(cell for _, cell in chunk)
+            shard_cells.extend(chunk)
         shards.append(
             Shard(
                 shard_id=f"{prefix}-{idx:0{width}d}",

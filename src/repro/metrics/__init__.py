@@ -13,7 +13,6 @@ from .slowdown import (
     DEFAULT_TAU,
     average_bounded_slowdown,
     bounded_slowdowns,
-    slowdown_summary,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "DEFAULT_TAU",
     "average_bounded_slowdown",
     "bounded_slowdowns",
-    "slowdown_summary",
 ]

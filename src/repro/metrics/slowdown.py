@@ -6,8 +6,6 @@ per-job bounded slowdown is
     bsld_j = max( (wait_j + p_j) / max(p_j, tau), 1 )
 
 where ``tau`` prevents second-long jobs from producing unbounded values.
-Additional aggregate statistics (median, percentiles, weighted averages)
-are provided for the extended analyses.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ __all__ = [
     "DEFAULT_TAU",
     "bounded_slowdowns",
     "average_bounded_slowdown",
-    "slowdown_summary",
 ]
 
 #: The literature's standard threshold, used in all the paper's tables.
@@ -55,18 +52,3 @@ def average_bounded_slowdown(
     return float(
         bounded_slowdowns(result.wait_times, result.runtimes, tau).mean()
     )
-
-
-def slowdown_summary(
-    result: SimulationResult, tau: float = DEFAULT_TAU
-) -> dict[str, float]:
-    """Mean / median / tail percentiles of the bsld distribution."""
-    values = bounded_slowdowns(result.wait_times, result.runtimes, tau)
-    return {
-        "mean": float(values.mean()),
-        "median": float(np.median(values)),
-        "p90": float(np.quantile(values, 0.90)),
-        "p99": float(np.quantile(values, 0.99)),
-        "max": float(values.max()),
-        "frac_at_floor": float(np.mean(values <= 1.0 + 1e-12)),
-    }

@@ -174,8 +174,6 @@ class _NoopSpan:
     """Shared do-nothing span for the disabled path."""
 
     __slots__ = ()
-    name = ""
-    fields: dict = {}
     seconds = 0.0
 
     def __enter__(self) -> _NoopSpan:
@@ -306,12 +304,6 @@ class Telemetry:
             )
 
     # -- output ------------------------------------------------------------
-    def prom_text(self) -> str:
-        """Prometheus text exposition of the current state."""
-        from .sinks import prom_text
-
-        return prom_text(self.snapshot())
-
     def write(self, directory: str) -> str:
         """Write ``metrics-<component>.json`` + ``.prom`` under ``directory``."""
         from .sinks import write_snapshot

@@ -1,189 +1,25 @@
 """TOML loading for experiment spec files.
 
-CPython >= 3.11 ships :mod:`tomllib`; on 3.10 (still in our support
-matrix, and nothing may be pip-installed at runtime) we fall back to a
-deliberately small parser covering exactly the subset experiment files
-use: ``[table]`` / ``[[array-of-tables]]`` headers, ``key = value``
-pairs with strings, integers, floats, booleans, (possibly multiline)
-arrays, and inline tables.  No dotted keys, no datetimes, no multiline
-strings -- spec files needing those should be written as JSON instead.
+CPython >= 3.11 ships :mod:`tomllib`; on 3.10 the same parser is the
+``tomli`` package (a marker dependency in ``pyproject.toml``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from typing import Any
-
 try:  # pragma: no cover - trivially version-dependent
-    import tomllib as _tomllib
+    import tomllib
 except ModuleNotFoundError:  # pragma: no cover - exercised on 3.10 CI
-    _tomllib = None
+    import tomli as tomllib
 
 __all__ = ["load_toml_text", "TomlError"]
 
 
 class TomlError(ValueError):
-    """Malformed TOML (either stdlib-reported or subset-parser-reported)."""
+    """Malformed TOML."""
 
 
 def load_toml_text(text: str) -> dict:
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise TomlError(str(exc)) from None
-    return _parse_subset(text)
-
-
-# -- the 3.10 fallback ---------------------------------------------------------
-
-
-def _parse_subset(text: str) -> dict:
-    root: dict[str, Any] = {}
-    current = root
-    lines = _logical_lines(text)
-    for lineno, line in lines:
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise TomlError(f"line {lineno}: malformed table-array header {line!r}")
-            name = line[2:-2].strip()
-            _check_key(name, lineno)
-            current = {}
-            root.setdefault(name, [])
-            if not isinstance(root[name], list):
-                raise TomlError(f"line {lineno}: {name!r} is not an array of tables")
-            root[name].append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise TomlError(f"line {lineno}: malformed table header {line!r}")
-            name = line[1:-1].strip()
-            _check_key(name, lineno)
-            if name in root and not isinstance(root[name], dict):
-                raise TomlError(f"line {lineno}: {name!r} redefined")
-            current = root.setdefault(name, {})
-        else:
-            key, _, rest = line.partition("=")
-            if not _:
-                raise TomlError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key = key.strip().strip('"')
-            _check_key(key, lineno)
-            if key in current:
-                raise TomlError(f"line {lineno}: duplicate key {key!r}")
-            value, pos = _parse_value(rest.strip(), lineno)
-            if rest.strip()[pos:].strip():
-                raise TomlError(f"line {lineno}: trailing garbage after value")
-            current[key] = value
-    return root
-
-
-def _logical_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Physical lines joined until brackets balance outside strings."""
-    buffer = ""
-    start = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line and not buffer:
-            continue
-        if not buffer:
-            start = lineno
-        buffer = f"{buffer} {line}".strip() if buffer else line
-        if _balanced(buffer):
-            if buffer:
-                yield start, buffer
-            buffer = ""
-    if buffer:
-        raise TomlError(f"line {start}: unterminated value")
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string: str | None = None
-    for ch in line:
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _balanced(line: str) -> bool:
-    depth = 0
-    in_string: str | None = None
-    for ch in line:
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-        elif ch in "[{":
-            depth += 1
-        elif ch in "]}":
-            depth -= 1
-    return depth <= 0 and in_string is None
-
-
-def _check_key(key: str, lineno: int) -> None:
-    if not key or any(ch in key for ch in "[]{}=,"):
-        raise TomlError(f"line {lineno}: bad key {key!r}")
-
-
-def _parse_value(text: str, lineno: int, pos: int = 0) -> tuple[Any, int]:
-    """Parse one value starting at ``pos``; returns (value, end_pos)."""
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text):
-        raise TomlError(f"line {lineno}: missing value")
-    ch = text[pos]
-    if ch in ("'", '"'):
-        end = text.find(ch, pos + 1)
-        if end < 0:
-            raise TomlError(f"line {lineno}: unterminated string")
-        return text[pos + 1:end], end + 1
-    if ch == "[":
-        items: list[Any] = []
-        pos += 1
-        while True:
-            while pos < len(text) and text[pos] in " \t,":
-                pos += 1
-            if pos >= len(text):
-                raise TomlError(f"line {lineno}: unterminated array")
-            if text[pos] == "]":
-                return items, pos + 1
-            value, pos = _parse_value(text, lineno, pos)
-            items.append(value)
-    if ch == "{":
-        table: dict[str, Any] = {}
-        pos += 1
-        while True:
-            while pos < len(text) and text[pos] in " \t,":
-                pos += 1
-            if pos >= len(text):
-                raise TomlError(f"line {lineno}: unterminated inline table")
-            if text[pos] == "}":
-                return table, pos + 1
-            eq = text.find("=", pos)
-            if eq < 0:
-                raise TomlError(f"line {lineno}: inline table needs key = value")
-            key = text[pos:eq].strip().strip('"')
-            _check_key(key, lineno)
-            value, pos = _parse_value(text, lineno, eq + 1)
-            table[key] = value
-    # bare scalar: read to the next delimiter
-    end = pos
-    while end < len(text) and text[end] not in ",]}":
-        end += 1
-    word = text[pos:end].strip()
-    if word == "true":
-        return True, end
-    if word == "false":
-        return False, end
     try:
-        if any(c in word for c in ".eE") and not word.lstrip("+-").isdigit():
-            return float(word), end
-        return int(word), end
-    except ValueError:
-        raise TomlError(f"line {lineno}: cannot parse value {word!r}") from None
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise TomlError(str(exc)) from None

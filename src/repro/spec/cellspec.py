@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from .components import (
@@ -299,9 +299,3 @@ class CellSpec:
         )
         sched = scheduler_registry().describe(self.scheduler)
         return f"{pred}|{corr}|{sched}"
-
-    def with_workload(self, **changes: Any) -> CellSpec:
-        """A copy with workload fields replaced (re-normalized)."""
-        return replace(
-            self, workload=WorkloadSpec.from_obj({**self.workload.to_obj(), **changes})
-        )

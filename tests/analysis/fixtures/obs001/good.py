@@ -13,12 +13,6 @@ def nothing_to_hand_over(telemetry, counters: dict) -> None:
         telemetry.add_batch(counters.items(), {})
 
 
-def early_exit(telemetry, depths: dict) -> None:
-    if not telemetry.enabled:
-        return
-    telemetry.add_batch((), {("engine.queue_depth", d): n for d, n in depths.items()})
-
-
 def spans(tele) -> None:
     # span() is inert when disabled; no guard required
     with tele.span("engine.sched_pass"):

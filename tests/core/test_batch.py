@@ -14,13 +14,14 @@ import json
 import pytest
 
 from repro.core import (
-    BatchRunner,
     BundleCache,
     bundle_cache,
+    cell_token,
     clear_bundle_cache,
     get_bundle,
     group_cells,
     plan_batches,
+    run_batch_report,
     run_cell,
     run_cells,
     workload_key,
@@ -238,52 +239,39 @@ class TestBundleCache:
         assert cache.misses == misses_before + 1  # truly cold again
 
 
-class TestBatchRunner:
+class TestRunBatchReport:
     def test_scores_match_per_cell_run_cell(self):
         cells = family_matrix(n_jobs=60)[:6]
         clear_bundle_cache()
-        runner = BatchRunner()
-        results = runner.run(cells)
+        misses_before = bundle_cache().misses
+        results = run_batch_report(cells)
+        assert bundle_cache().misses == misses_before + 1  # one trace, built once
         assert [spec for spec, _s, _r in results] == cells
         for spec, score, report in results:
             assert score == run_cell(spec)
             assert report["seconds"] >= 0.0
-        assert runner.stats.cells == len(cells)
-        assert runner.stats.groups == 1
-        assert runner.stats.bundles_built <= 1
-
-    def test_on_result_streams_every_cell(self):
-        cells = family_matrix(n_jobs=60)[:3]
-        seen = []
-        BatchRunner().run(cells, on_result=lambda spec, _s, _r: seen.append(spec))
-        assert seen == cells
 
 
 class TestCampaignCacheRows:
-    def test_batched_and_per_cell_paths_write_identical_rows(self, tmp_path):
-        """run_cells under the batched LocalBroker writes byte-identical
-        cache rows (same tokens, same values) to a forced per-cell
-        (max_batch=1) dispatch."""
+    def test_batched_path_writes_the_per_cell_rows(self, tmp_path):
+        """run_cells under the batched LocalBroker writes exactly the
+        cache rows (same tokens, same values) that per-cell ``run_cell``
+        calls produce."""
         cells = family_matrix(n_jobs=60)[:8]
-        per_cell = str(tmp_path / "percell.jsonl")
         batched = str(tmp_path / "batched.jsonl")
-        ref = run_cells(
-            cells, cache_path=per_cell,
-            backend=LocalBroker(workers=1, max_batch=1),
-        )
         got = run_cells(
             cells, cache_path=batched, backend=LocalBroker(workers=1)
         )
-        assert got.scores == ref.scores
+        per_cell = {spec.digest(): run_cell(spec) for spec in cells}
+        assert got.scores == per_cell
 
-        def rows(path):
-            with open(path, encoding="utf-8") as fh:
-                return sorted(
-                    (rec["token"], rec["value"])
-                    for rec in map(json.loads, fh)
-                )
-
-        assert rows(batched) == rows(per_cell)
+        with open(batched, encoding="utf-8") as fh:
+            rows = sorted(
+                (rec["token"], rec["value"]) for rec in map(json.loads, fh)
+            )
+        assert rows == sorted(
+            (cell_token(spec), per_cell[spec.digest()]) for spec in cells
+        )
 
     def test_pool_batched_matches_serial(self, tmp_path):
         cells = family_matrix(n_jobs=60)[:8]
@@ -293,6 +281,6 @@ class TestCampaignCacheRows:
         )
         pooled = run_cells(
             cells, cache_path=str(tmp_path / "p.jsonl"),
-            backend=LocalBroker(workers=2, max_batch=3),
+            backend=LocalBroker(workers=2),
         )
         assert pooled.scores == serial.scores

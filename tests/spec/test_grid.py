@@ -11,7 +11,7 @@ from repro.spec import (
     triple_keys_of,
     validate_spec_file,
 )
-from repro.spec._toml import _parse_subset, load_toml_text
+from repro.spec._toml import TomlError, load_toml_text
 
 MINI_TOML = """
 [campaign]
@@ -189,24 +189,7 @@ class TestCheckedInSpecs:
         assert any(c.triple_key is None for c in cells)  # tuned params
 
 
-class TestTomlFallback:
-    """The 3.10 subset parser must agree with tomllib on our spec files."""
-
-    def test_agrees_on_mini(self):
-        assert _parse_subset(MINI_TOML) == load_toml_text(MINI_TOML)
-
-    @pytest.mark.parametrize(
-        "path", ["experiments/paper.toml", "experiments/smallbox.toml"]
-    )
-    def test_agrees_on_checked_in_specs(self, path):
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        assert _parse_subset(text) == load_toml_text(text)
-
+class TestTomlLoader:
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            _parse_subset("key value-without-equals\n")
-
-    def test_multiline_arrays_and_comments(self):
-        text = 'a = [\n  1, # one\n  2,\n]\nb = "x#y"\n'
-        assert _parse_subset(text) == {"a": [1, 2], "b": "x#y"}
+        with pytest.raises(TomlError):
+            load_toml_text("key value-without-equals\n")
