@@ -7,13 +7,14 @@ Greedy argmax is the deployment mode; sampled actions drive the
 REINFORCE trainer (:mod:`repro.learn.train`).
 
 The scheduler rides :class:`repro.sched.easy.EasyScheduler` wholesale --
-head starts, shadow/extra reservation and the release-table upkeep are
-untouched -- and only replaces the phase-3 backfill pick
-(:meth:`EasyScheduler._backfill`).  Every action the policy can take
-respects EASY's reservation invariant (candidates are filtered for
-eligibility *before* scoring), so a learned policy can reorder
-backfilling but can never delay the head's reservation: the worst a bad
-policy can do is backfill too little.
+head starts, shadow/extra reservation, release-table and queue upkeep
+are untouched -- and only replaces the phase-3 backfill pick
+(:meth:`EasyScheduler._backfill`: the hook returns its picks in start
+order and ``select_jobs`` takes them off the queue).  Every action the
+policy can take respects EASY's reservation invariant (candidates are
+filtered for eligibility *before* scoring), so a learned policy can
+reorder backfilling but can never delay the head's reservation: the
+worst a bad policy can do is backfill too little.
 
 Initialization matters: :meth:`LinearSoftmaxPolicy.sjbf_init` weights
 only the predicted-runtime feature (negatively) with the stop score far
@@ -206,15 +207,14 @@ class RLBackfillScheduler(EasyScheduler):
     def _backfill(
         self, now: float, free: int, shadow: float, extra: int
     ) -> list[JobRecord]:
-        picked: list[JobRecord] = []
-        picked_ids: set[int] = set()
+        picked: dict[int, JobRecord] = {}  # by job id, in start order
         while True:
             eligible: list[JobRecord] = []
             feats: list[np.ndarray] = []
-            n_waiting = len(self._queue) - len(picked_ids)
+            n_waiting = len(self._queue) - len(picked)
             n_releases = len(self._releases)
             for record in self._queue[1:]:
-                if record.job_id in picked_ids or record.processors > free:
+                if record.job_id in picked or record.processors > free:
                     continue
                 finishes_before_shadow = now + record.predicted_runtime <= shadow
                 if not finishes_before_shadow and record.processors > extra:
@@ -250,9 +250,5 @@ class RLBackfillScheduler(EasyScheduler):
             free -= record.processors
             if now + record.predicted_runtime > shadow:
                 extra -= record.processors
-            picked.append(record)
-            picked_ids.add(record.job_id)
-        if picked_ids:
-            self._queue = [r for r in self._queue if r.job_id not in picked_ids]
-            self._order_cache = None
-        return picked
+            picked[record.job_id] = record
+        return list(picked.values())

@@ -21,10 +21,12 @@ paper), which is exactly how the on-line algorithm absorbs misprediction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from ..sim.machine import Machine
 from ..sim.results import JobRecord
 from .base import Scheduler
-from .ordering import BACKFILL_ORDERS, order_queue
+from .ordering import BACKFILL_ORDERS
 from .profile_structure import ReleaseTable
 
 __all__ = ["EasyScheduler", "compute_shadow"]
@@ -72,8 +74,9 @@ class EasyScheduler(Scheduler):
 
     The machine's predicted-release profile is tracked incrementally in a
     :class:`ReleaseTable` fed by the engine's start/finish/correction
-    deltas, so the shadow-time query walks a short sorted prefix instead
-    of rebuilding and sorting the full release list every pass.  The
+    deltas, and the waiting jobs are kept twice: ``_queue`` in priority
+    order and ``_candidates`` in backfill order (placed by key at submit,
+    removed at start; a waiting job's prediction never changes).  The
     schedule produced is identical to the seed per-pass rescan (kept as
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
     """
@@ -91,15 +94,15 @@ class EasyScheduler(Scheduler):
         #: set on the first delta; drivers that never feed deltas (unit
         #: tests poking select_jobs by hand) get a full resync per pass.
         self._delta_fed = False
-        #: backfill-candidate order memoised across passes; corrections
-        #: never reorder *waiting* jobs, so pure-correction timestamps
-        #: (EXPIRE storms) reuse the previous pass's sort.
-        self._order_cache: list[JobRecord] | None = None
+        self._key = BACKFILL_ORDERS[backfill_order]
+        #: every waiting job (the head too), sorted by ``_key``; keys end
+        #: in the job id, so each record has exactly one position.
+        self._candidates: list[JobRecord] = []
 
     # -- engine delta feed --------------------------------------------------
     def on_submit(self, record: JobRecord) -> None:
         super().on_submit(record)
-        self._order_cache = None
+        insort(self._candidates, record, key=self._key)
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._delta_fed = True
@@ -145,11 +148,12 @@ class EasyScheduler(Scheduler):
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         started: list[JobRecord] = []
         free = machine.free
+        candidates = self._candidates
 
         # Phase 1: start the queue head(s) while they fit (FCFS priority).
         while self._queue and self._queue[0].processors <= free:
             record = self._queue.pop(0)
-            self._order_cache = None
+            del candidates[bisect_left(candidates, self._key(record), key=self._key)]
             free -= record.processors
             started.append(record)
         if not self._queue:
@@ -176,7 +180,12 @@ class EasyScheduler(Scheduler):
 
         # Phase 3: backfill.  A candidate may start iff it fits now and
         # does not delay the head's reservation.
-        started.extend(self._backfill(now, free, shadow, extra))
+        picked = self._backfill(now, free, shadow, extra) if free else ()
+        if picked:
+            gone = {record.job_id for record in picked}
+            self._queue = [r for r in self._queue if r.job_id not in gone]
+            self._candidates = [r for r in candidates if r.job_id not in gone]
+            started.extend(picked)
         return started
 
     def _backfill(
@@ -184,33 +193,34 @@ class EasyScheduler(Scheduler):
     ) -> list[JobRecord]:
         """Pick the backfill set given the head's reservation.
 
-        The overridable core of phase 3: everything above (head starts,
-        reservation computation, release-table upkeep) is shared by every
-        EASY-family scheduler; only *which* eligible candidates start is
-        policy.  Implementations must remove the jobs they return from
-        ``self._queue`` and must respect the reservation invariant (a
-        returned job fits ``free`` and either finishes before ``shadow``
-        or consumes only ``extra`` processors).
+        The overridable core of phase 3; head starts, the reservation and
+        the upkeep of the release table and of both queues are shared by
+        every EASY-family scheduler.  The hook only picks: it returns the
+        jobs to start, in start order, and must not touch ``_queue`` or
+        ``_candidates`` (:meth:`select_jobs` removes what it returns).
+        Each pick must fit what is left of ``free`` (at least 1 on entry)
+        and either finish by ``shadow`` or fit what is left of ``extra``.
 
-        The sorted view is reused verbatim when no submit/start/backfill
-        changed the waiting set since the previous pass.
+        The head is in ``_candidates`` but wider than ``free`` (phase 1
+        stopped there), so the width test skips it.  Every job is at least
+        one processor wide, so the scan stops when ``free`` reaches 0 and,
+        under ``sjbf`` only, at a fitting candidate that outlives the
+        shadow once ``extra`` is 0: the key leads with the predicted
+        runtime, so every later one outlives the shadow too.
         """
-        if self._order_cache is None:
-            self._order_cache = order_queue(self._queue[1:], self.backfill_order)
-        candidates = self._order_cache
-        backfilled: list[JobRecord] = []
-        backfilled_ids: set[int] = set()
-        for record in candidates:
-            if record.processors > free:
+        picked: list[JobRecord] = []
+        for record in self._candidates:
+            width = record.processors
+            if width > free:
                 continue
-            finishes_before_shadow = now + record.predicted_runtime <= shadow
-            if finishes_before_shadow or record.processors <= extra:
-                free -= record.processors
-                if not finishes_before_shadow:
-                    extra -= record.processors
-                backfilled.append(record)
-                backfilled_ids.add(record.job_id)
-        if backfilled_ids:
-            self._queue = [r for r in self._queue if r.job_id not in backfilled_ids]
-            self._order_cache = None
-        return backfilled
+            if now + record.predicted_runtime > shadow:
+                if width > extra:
+                    if not extra and self.backfill_order == "sjbf":
+                        break
+                    continue
+                extra -= width
+            free -= width
+            picked.append(record)
+            if not free:
+                break
+        return picked

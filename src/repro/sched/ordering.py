@@ -57,11 +57,7 @@ BACKFILL_ORDERS: dict[str, OrderKey] = {
 
 
 def order_queue(records: list[JobRecord], order: str) -> list[JobRecord]:
-    """Return ``records`` sorted under the named order (copy)."""
-    try:
-        key = BACKFILL_ORDERS[order]
-    except KeyError:
-        raise KeyError(
-            f"unknown backfill order {order!r}; known: {', '.join(BACKFILL_ORDERS)}"
-        ) from None
-    return sorted(records, key=key)
+    """Return ``records`` sorted under the named order (copy): the seed's
+    per-pass sort, which only the :mod:`repro.sched.legacy` oracles still
+    run (they check the name when built); EASY keeps key order instead."""
+    return sorted(records, key=BACKFILL_ORDERS[order])

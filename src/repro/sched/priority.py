@@ -58,23 +58,21 @@ class MultifactorScheduler(EasyScheduler):
         self.weights = weights or PriorityWeights()
         self.name = f"multifactor-{backfill_order}"
 
-    def _priority(self, record: JobRecord, now: float, machine: Machine) -> float:
-        longest_wait = max(
-            (now - r.submit_time for r in self._queue), default=0.0
-        )
-        age = (now - record.submit_time) / longest_wait if longest_wait > 0 else 0.0
-        size = 1.0 - record.processors / machine.processors
-        # "short first" normalised by the largest prediction in the queue
-        longest_pred = max((r.predicted_runtime for r in self._queue), default=1.0)
-        short = 1.0 - record.predicted_runtime / longest_pred if longest_pred > 0 else 0.0
-        w = self.weights
-        return w.age * age + w.size * size + w.short * short
-
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         # Re-rank the queue by multifactor priority, then run the standard
-        # EASY phases on the re-ranked queue.
-        if self._queue:
-            self._queue.sort(
-                key=lambda r: (-self._priority(r, now, machine), r.submit_time, r.job_id)
-            )
+        # EASY phases on the re-ranked queue.  Both normalisers are taken
+        # once, before the sort: inside it the list being sorted is empty.
+        queue = self._queue
+        if queue:
+            w = self.weights
+            longest_wait = max(now - r.submit_time for r in queue)
+            longest_pred = max(r.predicted_runtime for r in queue)
+
+            def rank(r: JobRecord) -> tuple[float, float, int]:
+                age = (now - r.submit_time) / longest_wait if longest_wait > 0 else 0.0
+                size = 1.0 - r.processors / machine.processors
+                short = 1.0 - r.predicted_runtime / longest_pred if longest_pred > 0 else 0.0
+                return (-(w.age * age + w.size * size + w.short * short), r.submit_time, r.job_id)
+
+            queue.sort(key=rank)
         return super().select_jobs(now, machine)

@@ -181,7 +181,7 @@ class ReleaseTable:
         if head_processors <= available:
             return now, available - head_processors
         entries = self._entries
-        pend = sorted(pending)
+        pend = sorted(pending) if pending else ()
         i, j = 0, 0
         n, m = len(entries), len(pend)
         shadow: float | None = None

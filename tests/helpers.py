@@ -15,7 +15,7 @@ from repro.sim.results import JobRecord
 from repro.spec import CellSpec
 from repro.workload import Job, stable_seed
 
-__all__ = ["make_job", "make_record", "schedule_bytes", "triple_cells"]
+__all__ = ["guard_backfill", "make_job", "make_record", "schedule_bytes", "triple_cells"]
 
 
 def triple_cells(
@@ -29,6 +29,44 @@ def triple_cells(
         for r in range(replicas)
         for key in triples
     ]
+
+
+def guard_backfill(scheduler) -> dict[str, int]:
+    """Hold an EASY-family scheduler's ``_backfill`` hook to its contract.
+
+    Wraps the instance's hook so that every call replays the picks in the
+    order returned and asserts EASY's guarantee on each: it is a waiting
+    job other than the head, picked once, it fits what is left of
+    ``free``, and it either ends by ``shadow`` or fits what is left of
+    ``extra`` -- so no backfill can push the head's reservation back.
+    The hook only picks: ``_queue`` and ``_candidates`` must come back as
+    they went in.  Independent of the ``legacy-*`` oracle.  Returns the
+    live ``{"calls", "picks"}`` tally, so a test can tell the guard ran.
+    """
+    inner = scheduler._backfill
+    seen = {"calls": 0, "picks": 0}
+
+    def guarded(now, free, shadow, extra):
+        assert free >= 1, "the hook is only asked when a processor is free"
+        queue, candidates = list(scheduler._queue), list(scheduler._candidates)
+        picks = inner(now, free, shadow, extra)
+        # records compare by identity: same objects, same order, same length
+        assert scheduler._queue == queue and scheduler._candidates == candidates
+        waiting = {id(record) for record in queue[1:]}
+        for record in picks:
+            assert id(record) in waiting, f"job {record.job_id}: head, not waiting, or twice"
+            waiting.remove(id(record))
+            assert record.processors <= free, f"job {record.job_id} does not fit"
+            free -= record.processors
+            if now + record.predicted_runtime > shadow:
+                assert record.processors <= extra, f"job {record.job_id} delays the head"
+                extra -= record.processors
+        seen["calls"] += 1
+        seen["picks"] += len(picks)
+        return picks
+
+    scheduler._backfill = guarded
+    return seen
 
 
 def schedule_bytes(spec: CellSpec) -> bytes:

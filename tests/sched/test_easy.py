@@ -1,14 +1,22 @@
 """Unit + property tests for EASY backfilling."""
 
+import inspect
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.predict import RequestedTimePredictor
+from repro.sched import easy, make_scheduler, ordering
 from repro.sched.easy import EasyScheduler, compute_shadow
+from repro.sim import simulate
 from repro.sim.machine import Machine
 from repro.sim.profile import AvailabilityProfile
+from repro.workload import Trace
 
-from tests.helpers import make_record
+from tests.helpers import make_job, make_record
 
 
 class TestComputeShadow:
@@ -165,3 +173,51 @@ class TestSjbfOrder:
         # nothing fits now (machine full): nothing starts, head remains job 1
         assert sched.select_jobs(0.0, m) == []
         assert sched.queue[0].job_id == 1
+
+
+class TestNoPerPassSort:
+    """The waiting jobs are *kept* in backfill order, not sorted per pass:
+    counted in order-key calls, so no clock is involved."""
+
+    @staticmethod
+    def flurries(n_jobs=2400, processors=64):
+        """Two hundred jobs within the hour, once a day, on a machine that
+        runs about twenty at a time: the queue passes a hundred."""
+        rng = random.Random(19)
+        jobs = []
+        for job_id in range(1, n_jobs + 1):
+            runtime = float(rng.randint(600, 7200))
+            jobs.append(
+                make_job(
+                    job_id=job_id,
+                    submit_time=86400.0 * ((job_id - 1) // 200) + rng.randint(0, 3600),
+                    runtime=runtime,
+                    processors=rng.choice([1, 1, 2, 4, 8]),
+                    requested_time=runtime * rng.choice([1, 2, 4]),
+                )
+            )
+        return Trace(jobs, processors)
+
+    @pytest.mark.parametrize("name", ["easy", "easy-sjbf", "easy-saf", "easy-narrow"])
+    def test_order_key_calls_stay_logarithmic_per_job(self, name, monkeypatch):
+        order = make_scheduler(name).backfill_order
+        key, calls = ordering.BACKFILL_ORDERS[order], [0]
+
+        def counted(record):
+            calls[0] += 1
+            return key(record)
+
+        # whoever looks the order up from here on -- the scheduler's
+        # constructor, a per-pass order_queue() -- gets the counting key
+        monkeypatch.setitem(ordering.BACKFILL_ORDERS, order, counted)
+        trace = self.flurries()
+        result = simulate(trace, make_scheduler(name), RequestedTimePredictor())
+        deepest = result.stats.max_queue_length
+        assert len(trace) >= 2000 and deepest >= 100
+        # a bisect per submit and one per head start, nothing per pass
+        assert 0 < calls[0] <= 4 * len(trace) * math.ceil(math.log2(deepest))
+
+    def test_no_sort_in_the_module(self):
+        source = inspect.getsource(easy)
+        for gone in ("sorted(", "order_queue", "_order_cache"):
+            assert gone not in source

@@ -2,12 +2,19 @@
 
 import pytest
 
-from repro.predict import RequestedTimePredictor
-from repro.sched import EasyScheduler, MultifactorScheduler, PriorityWeights
+from repro.correct import IncrementalCorrector
+from repro.predict import RecentAveragePredictor, RequestedTimePredictor
+from repro.sched import (
+    EasyScheduler,
+    LegacyEasyScheduler,
+    MultifactorScheduler,
+    PriorityWeights,
+)
 from repro.sim import simulate
 from repro.sim.machine import Machine
+from repro.workload import get_trace
 
-from tests.helpers import make_record
+from tests.helpers import guard_backfill, make_record
 
 
 class TestPriorityWeights:
@@ -79,3 +86,64 @@ class TestMultifactorScheduler:
         sched = make_scheduler("multifactor-sjbf")
         assert isinstance(sched, MultifactorScheduler)
         assert sched.backfill_order == "sjbf"
+
+
+class RankedPerRecord(LegacyEasyScheduler):
+    """The twin: the multifactor re-rank as written down in the module
+    docstring, both maxima recomputed over the whole queue for every
+    record ranked, in front of the frozen per-pass-sort EASY -- no queue
+    code shared with the scheduler under test.  It ranks over a *copy* of
+    the queue: CPython detaches a list's items while ``list.sort`` runs,
+    so a key function that reads the list being sorted sees it empty."""
+
+    def __init__(self, weights, backfill_order):
+        super().__init__(backfill_order)
+        self.weights = weights
+
+    def _priority(self, record, now, machine, waiting):
+        longest_wait = max(now - r.submit_time for r in waiting)
+        age = (now - record.submit_time) / longest_wait if longest_wait > 0 else 0.0
+        size = 1.0 - record.processors / machine.processors
+        longest_pred = max(r.predicted_runtime for r in waiting)
+        short = 1.0 - record.predicted_runtime / longest_pred if longest_pred > 0 else 0.0
+        w = self.weights
+        return w.age * age + w.size * size + w.short * short
+
+    def select_jobs(self, now, machine):
+        waiting = tuple(self._queue)
+        self._queue.sort(
+            key=lambda r: (-self._priority(r, now, machine, waiting), r.submit_time, r.job_id)
+        )
+        return super().select_jobs(now, machine)
+
+
+def _rows(result):
+    return sorted((r.job_id, r.start_time, r.end_time, r.corrections) for r in result)
+
+
+@pytest.mark.parametrize("order", ["fcfs", "sjbf"])
+@pytest.mark.parametrize(
+    "weights",
+    [PriorityWeights(), PriorityWeights(age=1.0, size=2.0, short=0.5),
+     PriorityWeights(age=0.0, size=1.0, short=1.0)],
+    ids=["age", "age-size-short", "size-short"],
+)
+def test_schedule_equals_the_per_record_rerank(order, weights):
+    """One pair of maxima per pass gives the floats, the ranking and the
+    schedule of one pair per record; with size/short weights the head is
+    a job from the middle of the backfill order, not its first."""
+    trace = get_trace("CTC-SP2", n_jobs=300, seed=7)
+    modern = MultifactorScheduler(weights, backfill_order=order)
+    seen = guard_backfill(modern)
+    new, old = (
+        simulate(trace, scheduler, RecentAveragePredictor(2), IncrementalCorrector())
+        for scheduler in (modern, RankedPerRecord(weights, order))
+    )
+    assert _rows(new) == _rows(old)
+    assert seen["picks"] > 0 and new.total_corrections() > 0
+    assert new.stats.max_queue_length == old.stats.max_queue_length >= 10
+    # what the registry builds (age only): oldest first is arrival order
+    plain = simulate(
+        trace, LegacyEasyScheduler(order), RecentAveragePredictor(2), IncrementalCorrector()
+    )
+    assert (_rows(new) == _rows(plain)) == (weights == PriorityWeights())

@@ -7,6 +7,11 @@ session's own run counters; at the end the schedule must equal a batch
 replay of the same inputs (and the frozen ``legacy-*`` scheduler's), and
 the telemetry snapshot must equal the one-shot replay's -- *how the
 calls were chunked never shows in the numbers*.
+
+The EASY family is also held to its own structure and guarantee, with no
+oracle involved: after every rule the backfill candidates are exactly
+the queue in backfill order, and every backfill pick of every pass
+respects the head's reservation (``tests.helpers.guard_backfill``).
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.correct import make_corrector
 from repro.obs import Telemetry
 from repro.predict import make_predictor
-from repro.sched import make_scheduler
+from repro.sched import EasyScheduler, make_scheduler
 from repro.sim import SimSession, simulate
 from repro.workload import Trace
 
-from tests.helpers import make_job
+from tests.helpers import guard_backfill, make_job
 
 PROCESSORS = 16
 #: drains never take more than this in total, and no job is wider than
@@ -71,7 +76,7 @@ def _comparable(telemetry: Telemetry, queried: bool) -> dict:
 
 class SessionMachine(RuleBasedStateMachine):
     @initialize(
-        scheduler=st.sampled_from(["easy", "easy-sjbf", "conservative"]),
+        scheduler=st.sampled_from(["easy", "easy-sjbf", "easy-narrow", "conservative"]),
         components=st.sampled_from([("requested", None), ("ave2", "incremental")]),
     )
     def open_session(self, scheduler, components):
@@ -79,7 +84,10 @@ class SessionMachine(RuleBasedStateMachine):
         self.predictor, self.corrector = components
         self.telemetry = Telemetry(component="live")
         self.session = self._session(scheduler, self.telemetry)
-        self.jobs: list = []  # in feed order; ids count up with it
+        if isinstance(self.session.scheduler, EasyScheduler):
+            guard_backfill(self.session.scheduler)
+        self.jobs: list = []  # in feed order
+        self.fed_in_id_order = True
         self.machine_events: list = []
         self.completions: list[tuple[int, float]] = []
         self.last_now = self.session.now
@@ -102,15 +110,20 @@ class SessionMachine(RuleBasedStateMachine):
         return self.session._events.floor < now and self.last_completion < now
 
     # -- rules ---------------------------------------------------------------
-    @rule(gap=_GAPS, jobs=_JOBS)
-    def feed(self, gap, jobs):
+    @rule(gap=_GAPS, jobs=_JOBS, descending=st.booleans())
+    def feed(self, gap, jobs, descending):
+        """``descending`` puts the whole feed on one instant, highest id
+        first: the queue takes jobs as fed, ``fcfs_key`` orders by id."""
         time = self.session.now + (gap if gap or self._quiet_now() else 1)
+        ids = range(len(self.jobs) + 1, len(self.jobs) + len(jobs) + 1)
         batch = []
-        for delay, runtime, factor, width, user in jobs:
-            time += delay
+        for job_id, (delay, runtime, factor, width, user) in zip(
+            reversed(ids) if descending else ids, jobs, strict=True
+        ):
+            time += 0 if descending else delay
             batch.append(
                 make_job(
-                    job_id=len(self.jobs) + len(batch) + 1,
+                    job_id=job_id,
                     submit_time=time,
                     runtime=float(runtime),
                     processors=width,
@@ -120,6 +133,7 @@ class SessionMachine(RuleBasedStateMachine):
             )
         assert self.session.feed(batch) == len(batch)
         self.jobs += batch
+        self.fed_in_id_order &= not descending or len(batch) == 1
 
     @rule()
     def step(self):
@@ -188,10 +202,18 @@ class SessionMachine(RuleBasedStateMachine):
         self.last_now = session.now
         session.machine.check_invariants()
 
+    @invariant()
+    def candidates_are_the_queue_in_backfill_order(self):
+        scheduler = self.session.scheduler
+        if isinstance(scheduler, EasyScheduler):  # records compare by identity
+            assert scheduler._candidates == sorted(scheduler._queue, key=scheduler._key)
+
     # -- the oracles ---------------------------------------------------------
     def _one_shot(self, scheduler: str, telemetry: Telemetry | None) -> list[tuple]:
-        """Everything the live session was given, handed over up front."""
-        if not self.machine_events and not self.completions:
+        """Everything the live session was given, handed over up front
+        (a ``Trace`` sorts each instant by id, so it cannot hand over an
+        instant that was fed in another order)."""
+        if not self.machine_events and not self.completions and self.fed_in_id_order:
             return _rows(
                 simulate(
                     Trace(self.jobs, PROCESSORS),
