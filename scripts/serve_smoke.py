@@ -16,7 +16,16 @@ Proves ``repro serve`` end to end, with a real subprocess and pipes:
 5. with ``--telemetry-dir`` it also reconciles the server's telemetry
    snapshot: ``serve.requests.total`` must equal the number of piped
    commands and the warm/cold/probe query counters must cover every
-   query sent.
+   query sent;
+6. differential leg on the *default* configuration (``easy-sjbf`` /
+   ``ave2`` / ``incremental``, what ``build_serve_session`` and the repo
+   benchmark serve): per job a submit+advance, its query twice, a
+   hypothetical probe, and a ``complete`` at its batch end time once the
+   stream has passed it -- so finishes, corrections and starts land
+   between the queries.  *Every* reply, ``elapsed_us`` aside, must equal
+   the one an in-process ``SessionServer`` over the frozen
+   ``legacy-easy-sjbf`` gives: the oracle answers each query from the
+   machine alone, the served scheduler from the plan it carries.
 
 Exit code 0 only if every check passes.
 
@@ -41,10 +50,14 @@ if _SRC not in sys.path:
 
 from repro.predict import ClairvoyantPredictor  # noqa: E402
 from repro.sched import make_scheduler  # noqa: E402
+from repro.serve import SessionServer, build_serve_session  # noqa: E402
 from repro.sim import simulate  # noqa: E402
 from repro.workload import Trace, get_trace  # noqa: E402
 
 MIN_PREDICTION = 60.0
+#: stream length of the default-configuration leg: deep enough to queue
+#: (the leg's own "does it bite" floor below was set at this length)
+DIFFERENTIAL_JOBS = 400
 
 
 def build_trace(n_jobs: int) -> Trace:
@@ -59,27 +72,113 @@ def build_trace(n_jobs: int) -> Trace:
     return Trace(jobs, processors=base.processors, name="serve-smoke")
 
 
+_CLOSING = [{"cmd": "drain"}, {"cmd": "result"}, {"cmd": "stats"}, {"cmd": "quit"}]
+
+
+def submit_command(job) -> dict:
+    return {
+        "cmd": "submit",
+        "advance": True,
+        "job": {
+            "job_id": job.job_id,
+            "submit_time": job.submit_time,
+            "processors": job.processors,
+            "requested_time": job.requested_time,
+            "runtime": job.runtime,
+            "user": job.user,
+        },
+    }
+
+
 def command_script(trace: Trace) -> list[dict]:
     commands: list[dict] = []
     for job in trace:
-        commands.append(
-            {
-                "cmd": "submit",
-                "advance": True,
-                "job": {
-                    "job_id": job.job_id,
-                    "submit_time": job.submit_time,
-                    "processors": job.processors,
-                    "requested_time": job.requested_time,
-                    "runtime": job.runtime,
-                    "user": job.user,
-                },
-            }
-        )
+        commands.append(submit_command(job))
         commands.append({"cmd": "query", "job_id": job.job_id})
-    commands += [{"cmd": "drain"}, {"cmd": "result"}, {"cmd": "stats"},
-                 {"cmd": "quit"}]
-    return commands
+    return commands + _CLOSING
+
+
+def differential_script(trace: Trace, ends: dict[int, float]) -> list[dict]:
+    """The default-configuration leg: cold query, repeated query and a
+    probe per job, and ``complete`` lines at the batch end times."""
+    jobs = list(trace)
+    by_end = sorted((end, job_id) for job_id, end in ends.items())
+    commands: list[dict] = []
+    done = 0
+    for i, job in enumerate(jobs):
+        query = {"cmd": "query", "job_id": job.job_id}
+        probe = {
+            "job_id": 10**9 + i,
+            "submit_time": job.submit_time,
+            "processors": 1 << (i % 4),
+            "requested_time": 900.0 * (1 + i % 7),
+            "user": job.user,
+        }
+        commands += [submit_command(job), query, query, {"cmd": "query", "job": probe}]
+        horizon = jobs[i + 1].submit_time if i + 1 < len(jobs) else float("inf")
+        while done < len(by_end) and by_end[done][0] <= horizon:
+            end, job_id = by_end[done]
+            commands.append({"cmd": "complete", "job_id": job_id, "time": end})
+            done += 1
+    return commands + _CLOSING
+
+
+def pipe_through_serve(
+    commands: list[dict], processors: int, options: list[str]
+) -> list[dict] | None:
+    """The replies of a real ``repro serve`` subprocess, one per command."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--processors", str(processors), *options],
+        input="".join(json.dumps(c) + "\n" for c in commands),
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    print(proc.stderr.strip())
+    if proc.returncode != 0:
+        print(f"FAIL: repro serve exited {proc.returncode}")
+        return None
+    responses = [json.loads(line) for line in proc.stdout.splitlines()]
+    if len(responses) != len(commands):
+        print(f"FAIL: {len(commands)} command(s) but {len(responses)} response(s)")
+        return None
+    bad = [r for r in responses if not r.get("ok")]
+    if bad:
+        print(f"FAIL: {len(bad)} error response(s), first: {bad[0]}")
+        return None
+    return responses
+
+
+def differential_leg() -> int:
+    """Failures of the default configuration against the frozen oracle."""
+    trace = get_trace("KTH-SP2", n_jobs=DIFFERENTIAL_JOBS)
+    batch = build_serve_session(trace.processors)
+    batch.feed(trace)
+    batch.drain()
+    commands = differential_script(trace, {r.job_id: r.end_time for r in batch.result()})
+    served = pipe_through_serve(commands, trace.processors, [])
+    if served is None:
+        return 1
+    oracle = SessionServer(build_serve_session(trace.processors, scheduler="legacy-easy-sjbf"))
+    failures = 0
+    waiting = 0
+    for command, reply in zip(commands, served, strict=True):
+        expected = json.loads(json.dumps(oracle.handle_line(json.dumps(command))))
+        expected.pop("elapsed_us", None)
+        reply.pop("elapsed_us", None)
+        waiting += reply.get("state") == "waiting"
+        if reply != expected and failures < 5:
+            print(f"FAIL: {command} answered {reply}, the oracle says {expected}")
+        failures += reply != expected
+    if waiting < DIFFERENTIAL_JOBS // 4:
+        print(f"FAIL: only {waiting} quer(ies) met a waiting job; the leg does not bite")
+        failures += 1
+    if not failures:
+        print(
+            f"OK: {len(commands)} repl(ies) of the default configuration identical to "
+            f"legacy-easy-sjbf's, {waiting} of them start estimates of waiting jobs"
+        )
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,31 +204,12 @@ def main(argv: list[str] | None = None) -> int:
     batch_starts = {r.job_id: r.start_time for r in batch}
 
     commands = command_script(trace)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    serve_cmd = [sys.executable, "-m", "repro", "serve",
-                 "--processors", str(trace.processors),
-                 "--scheduler", "conservative",
-                 "--predictor", "clairvoyant",
-                 "--corrector", "none"]
+    options = ["--scheduler", "conservative", "--predictor", "clairvoyant",
+               "--corrector", "none"]
     if args.telemetry_dir:
-        serve_cmd += ["--telemetry", args.telemetry_dir]
-    proc = subprocess.run(
-        serve_cmd,
-        input="".join(json.dumps(c) + "\n" for c in commands),
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    print(proc.stderr.strip())
-    if proc.returncode != 0:
-        print(f"FAIL: repro serve exited {proc.returncode}")
-        return 1
-    responses = [json.loads(line) for line in proc.stdout.splitlines()]
-    if len(responses) != len(commands):
-        print(f"FAIL: {len(commands)} command(s) but {len(responses)} response(s)")
-        return 1
-    bad = [r for r in responses if not r.get("ok")]
-    if bad:
-        print(f"FAIL: {len(bad)} error response(s), first: {bad[0]}")
+        options += ["--telemetry", args.telemetry_dir]
+    responses = pipe_through_serve(commands, trace.processors, options)
+    if responses is None:
         return 1
     by_cmd: dict[str, list[dict]] = {}
     for response in responses:
@@ -200,13 +280,13 @@ def main(argv: list[str] | None = None) -> int:
                 f"{counters.get('serve.errors', 0):.0f} error(s)"
             )
 
-    if failures:
-        return 1
-    print(
-        f"OK: {len(batch_rows)} job(s) served identical to batch, "
-        f"{len(query_times)} quer(ies) exact"
-    )
-    return 0
+    if not failures:
+        print(
+            f"OK: {len(batch_rows)} job(s) served identical to batch, "
+            f"{len(query_times)} quer(ies) exact"
+        )
+    failures += differential_leg()
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ and the machine's predicted-release profile -- never actual runtimes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
@@ -82,22 +83,34 @@ class Scheduler(ABC):
         now: float,
         machine: Machine,
         extra: Sequence[JobRecord] = (),
-    ) -> dict[int, float]:
+    ) -> Mapping[int, float]:
         """Side-effect-free start estimates for the waiting jobs.
 
-        Gives every waiting job (plus any ``extra`` hypothetical records,
-        appended behind the queue) a reservation in queue-priority order
-        on the predicted availability profile, and returns each job's
-        reserved start -- conservative backfilling's exact allocation,
-        and for EASY-family schedulers the guaranteed-start bound that
-        generalises the head's shadow time.  The default recomputes the
-        profile from the machine; structure-backed schedulers override
-        this to serve it from their incremental state.
+        Every waiting job gets a reservation in queue-priority order on
+        the predicted availability profile (:meth:`_reservations`); its
+        reserved start is conservative backfilling's exact allocation, and
+        for EASY-family schedulers the guaranteed-start bound that
+        generalises the head's shadow time.  With ``extra`` (hypothetical
+        records) the answer is *their* starts alone, reserved behind the
+        queue on a copy, so a probe leaves no trace.  The mapping is a
+        read-only view, possibly of the scheduler's carried plan: it is
+        the answer at ``now`` only, not to be read once the session moved.
         """
+        plan, starts = self._reservations(now, machine)
+        if extra:
+            starts = self._reserve_in_order(plan.copy(), extra, now)
+        return MappingProxyType(starts)
+
+    def _reservations(
+        self, now: float, machine: Machine
+    ) -> tuple[AvailabilityProfile, dict[int, float]]:
+        """The profile left after the queue's reservations, and their starts.
+        The default recomputes both from the machine; structure-backed
+        schedulers serve them from their incremental state."""
         profile = AvailabilityProfile.from_releases(
             machine.processors, now, machine.free, machine.predicted_releases(now)
         )
-        return self._reserve_in_order(profile, (*self.queue, *extra), now)
+        return profile, self._reserve_in_order(profile, self._queue, now)
 
     @staticmethod
     def _reserve_in_order(

@@ -147,31 +147,26 @@ class ConservativeScheduler(Scheduler):
             return sorted(self._queue, key=self._key), None
         return order + arrivals, len(order)
 
-    def estimated_starts(self, now, machine, extra=()):
+    def _reservations(self, now, machine):
         """Exact reservation starts, in this scheduler's own order.
 
         Conservative backfilling *is* a reservation-per-job policy, so
         the session query reproduces ``select_jobs``'s allocation: one
         reservation per waiting job in ``reservation_order``.  With exact
         predictions the estimate equals the start the job will really
-        get.  While the carried plan holds, the waiting jobs' answers are
-        the starts it recorded and only ``extra`` is placed, on a copy.
+        get.  While the carried plan holds, the answer is that plan and
+        the starts it recorded.
         """
         ordered, n_placed = self._reservation_order()
         if n_placed == len(ordered) and self._plan_holds(now, machine):
-            starts = dict(self._starts)
-            if extra:
-                profile = self._plan.copy()
-                profile.trim(now)
-                starts.update(self._reserve_in_order(profile, extra, now))
-            return starts
+            return self._plan, self._starts
         if self._hook_fed(machine):
             profile = self._base.snapshot(now)
         else:
             profile = AvailabilityProfile.from_releases(
                 machine.processors, now, machine.free, machine.predicted_releases(now)
             )
-        return self._reserve_in_order(profile, (*ordered, *extra), now)
+        return profile, self._reserve_in_order(profile, ordered, now)
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         if not self._queue:

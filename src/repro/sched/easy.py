@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 
 from ..sim.machine import Machine
+from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
 from .base import Scheduler
 from .ordering import BACKFILL_ORDERS
@@ -79,6 +80,8 @@ class EasyScheduler(Scheduler):
     removed at start; a waiting job's prediction never changes).  The
     schedule produced is identical to the seed per-pass rescan (kept as
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
+    Start-estimate queries extend a reservation plan carried from one
+    query to the next (:meth:`_reservations`), with a rebuild's answers.
     """
 
     def __init__(self, backfill_order: str = "fcfs") -> None:
@@ -98,6 +101,8 @@ class EasyScheduler(Scheduler):
         #: every waiting job (the head too), sorted by ``_key``; keys end
         #: in the job id, so each record has exactly one position.
         self._candidates: list[JobRecord] = []
+        #: :meth:`_reservations`' (free, entries, placed jobs, plan, starts)
+        self._carried: tuple | None = None
 
     # -- engine delta feed --------------------------------------------------
     def on_submit(self, record: JobRecord) -> None:
@@ -132,18 +137,44 @@ class EasyScheduler(Scheduler):
         """Release-table length = the sweep a shadow-time query may walk."""
         return {"release_table": float(len(self._releases))}
 
-    def estimated_starts(self, now, machine, extra=()):
-        """Guaranteed-start estimates served from the release table.
+    def _reservations(self, now, machine):
+        """The reservation plan, carried from query to query.
 
-        Same reservation-in-queue-order semantics as the base
-        implementation, but the availability profile is built from the
-        incrementally-sorted :class:`ReleaseTable` instead of re-sorting
-        the machine's running set on every query.
+        Kept from the last call: the release profile minus a reservation
+        per waiting job, the reserved starts, the jobs placed, and the
+        ``machine.free`` and release entries it was built from.  A waiting
+        job's prediction is fixed at submission and every breakpoint of
+        the base profile is a running job's predicted end, where a FINISH
+        or EXPIRE fires and changes the table; so while ``free`` and the
+        entries are the same, the placed jobs still lead the queue in
+        order and no reserved start is behind ``now``, a fresh computation
+        would place each of them where it is, and only the queue's new
+        tail is placed.  Anything else replans from the table; out of
+        step with the machine (or never hook-fed) the answer is the
+        stateless one and no plan is kept.
         """
-        if not self._delta_fed or not self._releases.in_sync_with(machine):
-            return super().estimated_starts(now, machine, extra)
-        profile = self._releases.as_profile(machine.processors, now, machine.free)
-        return self._reserve_in_order(profile, (*self.queue, *extra), now)
+        carried, self._carried = self._carried, None  # kept only by a call that completes
+        releases, queue = self._releases, self._queue
+        if not self._delta_fed or not releases.in_sync_with(machine):
+            return super()._reservations(now, machine)
+        free, entries, placed, plan, starts = carried or (None, None, [], None, {})
+        if (
+            free == machine.free
+            and entries == releases.entries
+            and placed == queue[: len(placed)]
+            and min(starts.values(), default=now) >= now
+        ):
+            plan.trim(now)
+        else:
+            free, entries, placed, starts = machine.free, releases.entries.copy(), [], {}
+            plan = AvailabilityProfile.from_releases(
+                machine.processors, now, free, releases.releases(now)
+            )
+        todo = queue[len(placed) :]
+        starts.update(self._reserve_in_order(plan, todo, now))
+        placed += todo
+        self._carried = free, entries, placed, plan, starts
+        return plan, starts
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         started: list[JobRecord] = []

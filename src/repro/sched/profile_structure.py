@@ -147,20 +147,11 @@ class ReleaseTable:
         """
         return [(end if end > now else now, procs) for end, _, procs in self._entries]
 
-    def as_profile(
-        self, processors: int, now: float, free: int
-    ) -> AvailabilityProfile:
-        """The availability step function implied by the tracked releases.
-
-        Session-query entry point: a throwaway
-        :class:`~repro.sim.profile.AvailabilityProfile` built from the
-        incrementally-maintained (already sorted) release list, so live
-        ``query()`` probes skip the per-call sort of
-        :meth:`repro.sim.machine.Machine.predicted_releases`.
-        """
-        return AvailabilityProfile.from_releases(
-            processors, now, free, self.releases(now)
-        )
+    @property
+    def entries(self) -> list[tuple[float, int, int]]:
+        """The sorted entries themselves (read only): a copy taken earlier
+        equals them exactly when no release was added, dropped or moved."""
+        return self._entries
 
     def shadow(
         self,

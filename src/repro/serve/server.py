@@ -107,6 +107,15 @@ def build_serve_session(
     )
 
 
+def _finite(value: Any, field: str) -> float:
+    """``value`` as a float, refused by name unless finite: ``json.loads``
+    takes ``NaN`` and ``Infinity``, the session's clock and jobs must not."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_job(payload: Any) -> Job:
     if not isinstance(payload, dict):
         raise ValueError("job must be an object of SWF-style fields")
@@ -120,6 +129,8 @@ def _parse_job(payload: Any) -> Job:
     # serving analogue of "runtime unknown until observed": schedule as if
     # the job runs to its requested bound, correct via `complete` later
     data.setdefault("runtime", data["requested_time"])
+    for field in ("submit_time", "requested_time", "runtime"):
+        _finite(data[field], f"job {field}")
     return Job(**data)
 
 
@@ -211,7 +222,7 @@ class SessionServer:
     def _cmd_advance(self, request: dict) -> dict:
         if "time" not in request:
             raise ValueError("advance needs a 'time'")
-        steps = self.session.advance_to(float(request["time"]))
+        steps = self.session.advance_to(_finite(request["time"], "time"))
         return {"steps": steps}
 
     def _cmd_step(self, request: dict) -> dict:
@@ -261,7 +272,7 @@ class SessionServer:
             raise ValueError("complete needs a 'job_id'")
         when = request.get("time")
         record = self.session.complete(
-            int(request["job_id"]), None if when is None else float(when)
+            int(request["job_id"]), None if when is None else _finite(when, "time")
         )
         return {
             "job_id": record.job_id,
@@ -274,12 +285,12 @@ class SessionServer:
         if "runtime" not in request:
             raise ValueError("observe needs a 'runtime'")
         job = _parse_job(request.get("job"))
-        self.session.observe_completion(job, float(request["runtime"]))
+        self.session.observe_completion(job, _finite(request["runtime"], "runtime"))
         return {"job_id": job.job_id}
 
     def _cmd_machine(self, request: dict) -> dict:
         event = MachineEvent(
-            time=float(request.get("time", self.session.now)),
+            time=_finite(request.get("time", self.session.now), "time"),
             kind=request.get("kind", ""),
             processors=int(request.get("processors", 0)),
         )

@@ -107,9 +107,6 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     @property
     def floor(self) -> float:
         """The monotonic time floor (largest timestamp ever popped)."""
@@ -119,7 +116,7 @@ class EventQueue:
         self, time: float, kind: EventType, job_id: int, version: int = 0
     ) -> None:
         """Add an event given by its fields; events never change once pushed."""
-        if time < self._floor or time < 0:
+        if not time >= self._floor or time < 0:
             raise self._rejected(time)
         heappush(self._heap, (time, kind, self._seq, job_id, version))
         self._seq += 1
@@ -128,7 +125,7 @@ class EventQueue:
         """Add an event; :meth:`schedule` spelled out, because forwarding
         through a star-call costs more than the heap push itself."""
         time, kind, job_id, version = event
-        if time < self._floor or time < 0:
+        if not time >= self._floor or time < 0:
             raise self._rejected(time)
         heappush(self._heap, (time, kind, self._seq, job_id, version))
         self._seq += 1
@@ -143,10 +140,7 @@ class EventQueue:
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        try:
-            time, kind, _, job_id, version = heappop(self._heap)
-        except IndexError:
-            raise IndexError("pop from empty EventQueue") from None
+        time, kind, _, job_id, version = heappop(self._heap)
         self._floor = time
         return _new_event(Event, (time, kind, job_id, version))
 

@@ -35,10 +35,6 @@ class RunningJob:
     def predicted_end(self) -> float:
         return self.start_time + self.record.predicted_runtime
 
-    @property
-    def actual_end(self) -> float:
-        return self.start_time + self.record.runtime
-
 
 class Machine:
     """A pool of identical processors with running-job book-keeping."""

@@ -39,13 +39,18 @@ waiting job, the start time it would get if every queued job took a
 reservation *in queue-priority order* on the current predicted
 availability profile (exactly conservative backfilling's allocation; for
 EASY it is the guaranteed-bound analogue of the head's reservation).
-Queries are side-effect-free and memoised until the next state change,
-so a hot session answers repeated queries in microseconds.
+Queries are side-effect-free.  The session memoises the waiting jobs'
+answers until its next state change, so a repeated query is a lookup;
+*across* state changes the EASY-family and conservative schedulers carry
+the reservation plan itself, place only the submissions that arrived,
+and replan when the running set, the free count or the queue order moved
+under it (:meth:`repro.sched.easy.EasyScheduler._reservations`); a
+probe is placed on a copy of the plan.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from functools import cache
 from math import inf, isfinite
@@ -219,8 +224,8 @@ class SimSession:
 
         if min_prediction <= 0:
             raise ValueError("min_prediction must be positive")
-        if start_time < 0:
-            raise ValueError("start_time must be >= 0")
+        if not start_time >= 0:
+            raise ValueError(f"start_time must be >= 0, got {start_time}")
         #: instrumentation registry, current whenever a public call has
         #: returned: the loop counts into ``_tally`` (None when off)
         self.telemetry = telemetry if telemetry is not None else NOOP
@@ -240,7 +245,7 @@ class SimSession:
         self._machine_events: dict[int, MachineEvent] = {}
         self._machine_seq = 0
         #: memoised waiting-queue start estimates; dropped on any mutation.
-        self._query_cache: dict[int, float] | None = None
+        self._query_cache: Mapping[int, float] | None = None
 
     # -- introspection -------------------------------------------------------
     @property
@@ -312,7 +317,7 @@ class SimSession:
             jobs = (jobs,)
         count = 0
         for job in jobs:
-            if job.submit_time < self._now:
+            if not job.submit_time >= self._now:  # NaN is behind every clock
                 raise MonotonicityError(
                     f"job {job.job_id} submitted at t={job.submit_time}, behind "
                     f"the session clock t={self._now}"
@@ -341,7 +346,7 @@ class SimSession:
                 kind=kind or "",
                 processors=0 if processors is None else int(processors),
             )
-        if event.time < self._now:
+        if not event.time >= self._now:
             raise MonotonicityError(
                 f"machine event at t={event.time} is behind the session "
                 f"clock t={self._now}"
@@ -370,7 +375,7 @@ class SimSession:
     def advance_to(self, time: float) -> int:
         """Process every timestamp up to and including ``time``; move the
         clock to ``time``.  Returns the number of timestamps processed."""
-        if time < self._now:
+        if not time >= self._now:
             raise MonotonicityError(
                 f"cannot advance to t={time}, behind the session clock t={self._now}"
             )
@@ -446,7 +451,7 @@ class SimSession:
             predicted_runtime=probe.predicted_runtime,
         )
 
-    def _waiting_starts(self) -> dict[int, float]:
+    def _waiting_starts(self) -> Mapping[int, float]:
         if self._query_cache is None:
             self._query_cache = self.scheduler.estimated_starts(
                 self._now, self._machine
@@ -468,7 +473,7 @@ class SimSession:
         record = self.record(job_id)
         if time is None:
             time = self._now
-        elif time < self._now:
+        elif not time >= self._now:
             raise MonotonicityError(f"cannot complete at t={time}, behind the clock t={self._now}")
         try:
             self._process_timestamps(time)

@@ -1,4 +1,4 @@
-"""Carried reservation plan vs the seed's per-pass rebuild.
+"""Carried reservation plans vs the seed's rebuild from the machine.
 
 ``ConservativeScheduler`` keeps its reservation plan between passes and
 replans only when the running set moved under it.  Every way a pass can
@@ -6,28 +6,47 @@ be reached -- on-time and early finishes, EXPIRE storms, machine events,
 external completions, mid-stream feeds, interleaved queries -- must give
 the schedule of ``legacy-conservative*``, which rebuilds everything from
 the machine at every pass and shares no profile-update code with it.
+
+The EASY family carries a plan too, from *query* to query
+(``EasyScheduler._reservations``): every answer must be the one the
+seed's profile gives when built from the machine alone, and a query must
+cost placements only for what changed since the one before.
 """
 
 import random
 from collections import Counter
+from math import inf
 
 import pytest
 
 from repro.correct import IncrementalCorrector
+from repro.learn import LinearSoftmaxPolicy, RLBackfillScheduler
 from repro.predict import ClairvoyantPredictor, RequestedTimePredictor
 from repro.predict.base import Predictor
-from repro.sched import make_scheduler
+from repro.sched import MultifactorScheduler, PriorityWeights, make_scheduler
 from repro.sched.legacy import _SeedProfile
 from repro.sched.ordering import order_queue
 from repro.sim import SimSession
 from repro.sim.profile import AvailabilityProfile
 from repro.workload import Trace
 from tests.helpers import make_job, make_record
+from tests.sched.test_profile_equivalence import EASY_PAIRS
 
 PAIRS = [
     ("conservative", "legacy-conservative"),
     ("conservative-sjbf", "legacy-conservative-sjbf"),
 ]
+#: schedulers the registry does not build the way these tests want them:
+#: weights under which the queue really re-ranks from pass to pass, and
+#: the greedy learned pick; neither has a ``legacy-`` twin
+BUILT = {
+    "multifactor": lambda: MultifactorScheduler(
+        PriorityWeights(age=1.0, size=1.0, short=0.5), backfill_order="sjbf"
+    ),
+    "rl-backfill": lambda: RLBackfillScheduler(LinearSoftmaxPolicy.sjbf_init()),
+}
+#: every scheduler whose queries are held to the oracle -> its schedule's reference
+QUERIED = {**dict(PAIRS), **dict(EASY_PAIRS), "multifactor": None, "rl-backfill": None}
 SEEDS = [1, 2, 3]
 PROCESSORS = 16
 
@@ -39,6 +58,8 @@ class HalfPredictor(Predictor):
 
     def predict(self, record, now):
         return record.runtime / 2.0
+
+    estimate = predict
 
 
 def make_trace(seed, n_jobs=120, over=(1.0, 1.5, 3.0), max_width=10):
@@ -66,7 +87,7 @@ def make_trace(seed, n_jobs=120, over=(1.0, 1.5, 3.0), max_width=10):
 def make_session(name, predictor=RequestedTimePredictor, corrector=None):
     return SimSession(
         PROCESSORS,
-        make_scheduler(name),
+        BUILT[name]() if name in BUILT else make_scheduler(name),
         predictor(),
         corrector() if corrector else None,
         min_prediction=1.0,
@@ -191,38 +212,81 @@ class TestSchedulesIdentical:
         assert schedule_of(run(modern)) == schedule_of(run(legacy))
 
     def test_queries_between_passes(self, modern, legacy, seed):
-        """query() answers what the seed profile would reserve, in this
-        scheduler's order, and leaves the plan as it was."""
-        trace = make_trace(seed)
-        probe = make_record(job_id=10_000, runtime=50.0, processors=3)
-        order = make_scheduler(modern).reservation_order
-        session = make_session(modern)
-        session.feed(trace)
-        n_queries = 0
-        while session.step() is not None:
-            before = plan_state(session.scheduler)
-            expected = seed_starts(session, order, extra=(probe,))
-            assert session.query(probe.job).start_time == expected.pop(probe.job_id)
-            for job_id, start in expected.items():
-                assert session.query(job_id=job_id).start_time == start
-                n_queries += 1
-            assert plan_state(session.scheduler) == before
-        assert n_queries > len(trace)
-        assert schedule_of(session) == schedule_of(replay(legacy, trace))
+        check_queries_between_passes(modern, seed, "early-finishes")
 
 
-def seed_starts(session, order, extra=()):
-    """Reservation starts computed the seed's way, from the machine alone."""
-    now, machine = session.now, session.machine
+def seed_starts(session, extra=()):
+    """Reservation starts computed the seed's way, from the machine alone:
+    in the queue's own order, or for conservative sorted by its
+    reservation order; a job wider than the undrained machine is held --
+    ``inf``, and it reserves nothing."""
+    now, machine, scheduler = session.now, session.machine, session.scheduler
     profile = _SeedProfile.from_releases(
         machine.processors, now, machine.free, machine.predicted_releases(now)
     )
+    queue = list(scheduler.queue)
+    if hasattr(scheduler, "reservation_order"):
+        queue = order_queue(queue, scheduler.reservation_order)
     starts = {}
-    for record in (*order_queue(list(session.scheduler.queue), order), *extra):
+    for record in (*queue, *extra):
+        if record.processors > machine.processors - machine.drained:
+            starts[record.job_id] = inf
+            continue
         start = profile.earliest_fit(record.processors, record.predicted_runtime, now)
         profile.reserve(start, record.predicted_runtime, record.processors)
         starts[record.job_id] = start
     return starts
+
+
+def assert_queries_exact(session, probe_job):
+    """The probe first, then every waiting job: each answer is the
+    oracle's.  Returns how many waiting jobs were asked about."""
+    answer = session.query(probe_job)
+    probe = make_record(job_id=probe_job.job_id, processors=probe_job.processors)
+    probe.predicted_runtime = answer.predicted_runtime
+    expected = seed_starts(session, extra=(probe,))
+    assert answer.start_time == expected.pop(probe.job_id)
+    for job_id, start in expected.items():
+        assert session.query(job_id=job_id).start_time == start
+    return len(expected)
+
+
+def check_queries_between_passes(name, seed, components):
+    """query() answers what the seed profile would reserve, in this
+    scheduler's order, at every instant of a run -- and neither the
+    schedule nor conservative's plan knows it was asked."""
+    trace = make_trace(seed)
+    components = (
+        dict(predictor=HalfPredictor, corrector=IncrementalCorrector)
+        if components == "expire-storms"
+        else {}
+    )
+    probe = make_job(job_id=10_000, runtime=50.0, processors=3)
+    session = make_session(name, **components)
+    session.feed(trace)
+    n_queries = 0
+    while session.step() is not None:
+        conservative = name.startswith("conservative")
+        before = plan_state(session.scheduler) if conservative else None
+        n_queries += assert_queries_exact(session, probe)
+        if conservative:
+            assert plan_state(session.scheduler) == before
+    assert n_queries > len(trace)
+    assert schedule_of(session) == schedule_of(
+        replay(QUERIED[name] or name, trace, **components)
+    )
+
+
+@pytest.mark.parametrize(
+    "name,seed,components",
+    [
+        *((name, seed, "early-finishes") for name in QUERIED for seed in SEEDS
+          if not name.startswith("conservative")),  # those run in TestSchedulesIdentical
+        *((name, 1, "expire-storms") for name in QUERIED),
+    ],
+)
+def test_queries_between_passes(name, seed, components):
+    check_queries_between_passes(name, seed, components)
 
 
 def test_out_of_order_arrival_invalidates_sjbf_plan():
@@ -265,3 +329,271 @@ def test_submit_only_passes_place_one_reservation(monkeypatch):
             assert session.scheduler.introspect()["plan_reused"] == 1.0
             n_submit_passes += 1
     assert n_submit_passes > len(trace) // 4
+
+
+# -- EASY: the plan carried from query to query -------------------------------
+class Placements:
+    """Counts ``earliest_fit`` calls made inside one scheduler's
+    ``estimated_starts``: one per reservation a query really placed."""
+
+    def __init__(self, monkeypatch, scheduler):
+        self.n = 0
+        self._inside = False
+        earliest_fit = AvailabilityProfile.earliest_fit
+        answer = scheduler.estimated_starts
+
+        def counting(profile, *args, **kwargs):
+            self.n += self._inside
+            return earliest_fit(profile, *args, **kwargs)
+
+        def entered(*args, **kwargs):
+            self._inside = True
+            try:
+                return answer(*args, **kwargs)
+            finally:
+                self._inside = False
+
+        monkeypatch.setattr(AvailabilityProfile, "earliest_fit", counting)
+        scheduler.estimated_starts = entered
+
+    def during(self, call):
+        before = self.n
+        call()
+        return self.n - before
+
+
+class OddHalfPredictor(HalfPredictor):
+    """Under-predicts the odd job ids only, so both early finishes and
+    EXPIRE corrections come between the submissions."""
+
+    def predict(self, record, now):
+        return record.runtime / 2.0 if record.job_id % 2 else record.requested_time
+
+    estimate = predict
+
+
+def running_state(session):
+    machine = session.machine
+    return machine.free, sorted((r.record.job_id, r.predicted_end) for r in machine.running)
+
+
+def test_queries_place_only_what_changed(monkeypatch):
+    """Under ``easy-sjbf`` on a flurry trace: after an instant that only
+    queued its submissions, a cold query places those and nobody else;
+    after one that started, finished or corrected anything, it replaces
+    the whole queue once; the probe then costs one placement either way,
+    and the repeated query none."""
+    trace = make_trace(4)
+    session = make_session(
+        "easy-sjbf", predictor=OddHalfPredictor, corrector=IncrementalCorrector
+    )
+    placements = Placements(monkeypatch, session.scheduler)
+    probe = make_job(job_id=10_000, runtime=50.0, processors=3)
+    session.feed(trace)
+    seen = Counter()
+    waiting_before, state_before = set(), running_state(session)
+    while session.step() is not None:
+        queue = session.scheduler.queue
+        state = running_state(session)
+        arrivals = [r for r in queue if r.job_id not in waiting_before]
+        kind = "submit-only" if state == state_before else "moved"
+        if queue:
+            asked = queue[-1].job_id
+            cold = placements.during(lambda: session.query(job_id=asked))
+            assert cold == (len(arrivals) if kind == "submit-only" else len(queue)), kind
+            assert placements.during(lambda: session.query(job_id=asked)) == 0
+            seen[kind] += 1
+        assert placements.during(lambda: session.query(probe)) == 1
+        waiting_before, state_before = {r.job_id for r in queue}, state
+    assert session.stats.n_corrections > 20
+    assert seen["submit-only"] > 20 and seen["moved"] > 20
+
+
+def full_machine_session(name="easy-sjbf"):
+    """Jobs 2 (10 wide, ends at 1000 as predicted) and 1 (6 wide, ends at
+    300 but predicted to end at 150) fill the machine from t=0; jobs 4 and
+    6 (8 wide, an hour each, side by side from t=1000) queue behind them
+    at t=10 and t=20."""
+    session = make_session(name, predictor=OddHalfPredictor, corrector=IncrementalCorrector)
+    session.feed(
+        [
+            make_job(job_id=2, runtime=1000.0, processors=10, requested_time=1000.0),
+            make_job(job_id=1, runtime=300.0, processors=6, requested_time=2000.0),
+            *(
+                make_job(job_id=job_id, submit_time=submit, runtime=3600.0, processors=8,
+                         requested_time=3600.0)
+                for job_id, submit in ((4, 10.0), (6, 20.0))
+            ),
+        ]
+    )
+    session.advance_to(20.0)
+    assert [r.job_id for r in session.scheduler.queue] == [4, 6]
+    return session
+
+
+PROBE = make_job(job_id=10_000, runtime=50.0, processors=3)
+
+
+@pytest.mark.parametrize(
+    "trigger",
+    ["correction", "finish", "start", "drain", "restore", "quiet-advance", "submission"],
+)
+def test_what_replans_the_query_plan(monkeypatch, trigger):
+    """A correction, a finish, a start and a machine event each cost the
+    next query one placement per waiting job and the one after none; a
+    clock that merely moved, or a submission that queued, cost none."""
+    session = full_machine_session()
+    placements = Placements(monkeypatch, session.scheduler)
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 2 + 1
+    replans = True
+    if trigger == "correction":
+        session.advance_to(150.0)  # job 1 outlives its prediction
+        assert session.stats.n_corrections == 1
+    elif trigger == "finish":
+        session.advance_to(300.0)  # 6 processors come free, nobody fits them
+        assert session.machine.free == 6
+    elif trigger == "start":
+        session.advance_to(300.0)
+        assert_queries_exact(session, PROBE)
+        session.feed(make_job(job_id=8, submit_time=310.0, runtime=60.0, processors=6))
+        session.advance_to(310.0)  # backfilled on arrival: the queue is as it was
+        assert session.machine.is_running(8)
+    elif trigger in ("drain", "restore"):
+        session.advance_to(300.0)
+        for kind in ("drain", "restore") if trigger == "restore" else ("drain",):
+            assert_queries_exact(session, PROBE)  # so the event is the only news
+            session.feed_machine_event(kind=kind, processors=4)
+            session.advance_to(300.0)
+    elif trigger == "quiet-advance":
+        session.advance_to(100.0)
+        replans = False
+    else:
+        session.feed(make_job(job_id=8, submit_time=30.0, runtime=60.0, processors=8))
+        session.advance_to(30.0)
+        replans = False
+    n_waiting = session.scheduler.queue_length
+    new = 1 if trigger == "submission" else 0
+    first = placements.during(lambda: assert_queries_exact(session, PROBE))
+    assert first == (n_waiting if replans else new) + 1
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 1
+
+
+def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
+    """The probe is placed on a copy: the arrival queued after it gets the
+    start it would have had without the probe ever being asked."""
+    session = full_machine_session()
+    wide_probe = make_job(job_id=10_000, runtime=3000.0, processors=16)
+    assert session.query(wide_probe).start_time == 1000.0 + 3600.0
+    session.feed(make_job(job_id=8, submit_time=30.0, runtime=60.0, processors=16))
+    session.advance_to(30.0)
+    assert session.query(job_id=8).start_time == 1000.0 + 3600.0
+    assert_queries_exact(session, PROBE)
+
+
+@pytest.mark.parametrize("name", ["easy-sjbf", "conservative", "legacy-easy-sjbf"])
+def test_the_answer_is_a_read_only_view(name):
+    """What comes back may be the scheduler's own carried starts: a caller
+    cannot write through it, so it cannot change a later answer."""
+    session = full_machine_session(name)
+    scheduler, machine = session.scheduler, session.machine
+    probe = make_record(job_id=10_000, processors=3)
+    for starts in (
+        scheduler.estimated_starts(20.0, machine),
+        scheduler.estimated_starts(20.0, machine, extra=(probe,)),
+    ):
+        with pytest.raises(TypeError):
+            starts[4] = 0.0
+        with pytest.raises(TypeError):
+            del starts[4]
+    assert dict(scheduler.estimated_starts(20.0, machine)) == {4: 1000.0, 6: 1000.0}
+    assert_queries_exact(session, PROBE)
+
+
+def test_a_held_head_lets_reserved_starts_fall_behind_the_clock():
+    """Drained to 12 processors, a 14-wide head holds the whole queue, and
+    the job behind it keeps a reservation at the instant it was made: no
+    event has to fire before the clock passes it.  The next query replans."""
+    session = make_session("easy-sjbf")
+    session.feed(make_job(job_id=1, runtime=500.0, processors=8, requested_time=500.0))
+    session.feed_machine_event(kind="drain", processors=4)
+    session.feed(make_job(job_id=2, submit_time=5.0, processors=14))
+    session.feed(make_job(job_id=3, submit_time=5.0, processors=2))
+    session.advance_to(5.0)
+    assert [r.job_id for r in session.scheduler.queue] == [2, 3]
+    assert session.query(job_id=2).start_time == inf
+    assert session.query(job_id=3).start_time == 5.0
+    session.advance_to(50.0)
+    assert session.query(job_id=3).start_time == 50.0
+    assert_queries_exact(session, PROBE)
+    session.feed_machine_event(kind="restore", processors=4)
+    session.drain()
+    assert session.record(2).start_time == 500.0
+
+
+def test_a_reranked_queue_replans_under_multifactor():
+    """``multifactor`` re-sorts its queue at every pass: with nothing
+    started, finished or corrected in between, the 8-wide job overtakes
+    the 12-wide one once their ages are close, and the plan made in the
+    old order is not the one a fresh computation would build."""
+    session = make_session("multifactor")
+    session.feed(make_job(job_id=1, runtime=5000.0, processors=16, requested_time=5000.0))
+    session.feed(make_job(job_id=2, submit_time=5.0, processors=12))
+    session.feed(make_job(job_id=3, submit_time=10.0, processors=8))
+    session.advance_to(10.0)
+    assert [r.job_id for r in session.scheduler.queue] == [2, 3]
+    assert_queries_exact(session, PROBE)
+    assert session.query(job_id=2).start_time < session.query(job_id=3).start_time
+    session.feed(make_job(job_id=4, submit_time=1000.0, processors=16))
+    session.advance_to(1000.0)
+    assert [r.job_id for r in session.scheduler.queue] == [3, 2, 4]
+    assert_queries_exact(session, PROBE)
+    assert session.query(job_id=3).start_time < session.query(job_id=2).start_time
+
+
+class FailsOnce(RequestedTimePredictor):
+    """``on_finish`` raises for job 1: the machine has finished a job the
+    scheduler is never told about."""
+
+    def on_finish(self, record, now):
+        if record.job_id == 1:
+            raise OSError("model store unreachable")
+
+
+def test_out_of_step_scheduler_answers_statelessly_and_drops_its_plan(monkeypatch):
+    """The one stateless route left: a release table that no longer
+    counts what the machine runs.  The answers come from the machine
+    alone, no plan is kept, and the query after the resync replans."""
+    session = make_session("easy-sjbf", predictor=FailsOnce)
+    placements = Placements(monkeypatch, session.scheduler)
+    session.feed(make_job(job_id=1, runtime=100.0, processors=6, requested_time=100.0))
+    session.feed(make_job(job_id=2, runtime=900.0, processors=10, requested_time=900.0))
+    session.feed(make_job(job_id=3, submit_time=10.0, processors=12))
+    session.feed(make_job(job_id=4, submit_time=20.0, processors=12))
+    session.advance_to(20.0)
+    assert_queries_exact(session, PROBE)
+    assert session.scheduler._carried is not None
+    with pytest.raises(OSError):
+        session.advance_to(100.0)
+    assert not session.scheduler._releases.in_sync_with(session.machine)
+    stateless = (2 + 1) + 2  # the probe's call places the queue, the cold query again
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == stateless
+    assert session.scheduler._carried is None
+    # the session still remembers the waiting jobs' answers; the probe pays in full
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 2 + 1
+    session.feed(make_job(job_id=5, submit_time=110.0, processors=12))
+    session.advance_to(110.0)  # the head cannot start: the pass resyncs the table
+    assert session.scheduler._releases.in_sync_with(session.machine)
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 3 + 1
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 1
+
+
+def test_a_scheduler_the_hooks_never_fed_keeps_no_plan():
+    scheduler = make_scheduler("easy-sjbf")
+    session = make_session("easy-sjbf")
+    session.feed(make_job(job_id=1, processors=16))
+    session.advance_to(0.0)
+    waiting = make_record(job_id=2, processors=4)
+    scheduler.on_submit(waiting)  # driven by hand: no start was ever reported
+    starts = scheduler.estimated_starts(0.0, session.machine)
+    assert starts == {2: session.record(1).predicted_end}
+    assert scheduler._carried is None

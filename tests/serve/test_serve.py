@@ -14,6 +14,8 @@ from repro.workload import Trace, get_trace
 
 from tests.helpers import make_job
 
+NAN, INF = float("nan"), float("inf")
+
 
 def make_server(processors: int = 8, **kwargs) -> SessionServer:
     return SessionServer(build_serve_session(processors, **kwargs))
@@ -150,6 +152,81 @@ class TestErrors:
         server.handle({"cmd": "fandango"})
         server.handle_line("{nope")
         assert server.stats.n_errors == 2
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` takes ``NaN`` and ``Infinity``; the session must not.
+    Each such line is refused by field name, and what follows is served
+    as if it had never been sent."""
+
+    SETUP = [
+        {"cmd": "submit", "job": job_payload(1, processors=8), "advance": True},
+        {"cmd": "submit", "job": job_payload(2, submit=5000.0, processors=8)},
+        {"cmd": "advance", "time": 10.0},
+    ]
+    FOLLOW_UP = [
+        {"cmd": "submit", "job": job_payload(3, submit=20.0, processors=2), "advance": True},
+        {"cmd": "query", "job_id": 3},
+        {"cmd": "query", "job": job_payload(9, submit=20.0)},
+        {"cmd": "complete", "job_id": 1, "time": 90.0},
+        {"cmd": "snapshot"},
+        {"cmd": "drain"},
+        {"cmd": "result"},
+        {"cmd": "stats"},
+    ]
+    BAD = {
+        "advance-nan": ({"cmd": "advance", "time": NAN}, "time"),
+        "advance-inf-string": ({"cmd": "advance", "time": "inf"}, "time"),
+        "complete-nan": ({"cmd": "complete", "job_id": 1, "time": NAN}, "time"),
+        "complete-inf": ({"cmd": "complete", "job_id": 1, "time": INF}, "time"),
+        "machine-nan": (
+            {"cmd": "machine", "kind": "drain", "processors": 1, "time": NAN}, "time",
+        ),
+        "submit-nan-submit-time": (
+            {"cmd": "submit", "job": job_payload(4, submit=NAN)}, "submit_time",
+        ),
+        "submit-nan-requested": (
+            {"cmd": "submit", "job": job_payload(4, submit=30.0, requested=NAN),
+             "advance": True},
+            "requested_time",
+        ),
+        "submit-inf-requested": (
+            {"cmd": "submit", "job": job_payload(4, submit=30.0, requested=INF)},
+            "requested_time",
+        ),
+        "submit-nan-runtime": (
+            {"cmd": "submit", "job": job_payload(4, submit=30.0, runtime=NAN)}, "runtime",
+        ),
+        "probe-nan-requested": (
+            {"cmd": "query", "job": job_payload(9, submit=10.0, requested=NAN)},
+            "requested_time",
+        ),
+        "observe-nan-runtime": (
+            {"cmd": "observe", "job": job_payload(8, user=1), "runtime": NAN}, "runtime",
+        ),
+    }
+
+    @staticmethod
+    def replies(server, requests):
+        out = []
+        for request in requests:
+            reply = server.handle_line(json.dumps(request))  # NaN/Infinity on the wire
+            reply.pop("elapsed_us", None)
+            out.append(reply)
+        return out
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_refused_by_field_and_leaves_no_trace(self, case):
+        bad, field = self.BAD[case]
+        hit, clean = make_server(), make_server()
+        assert self.replies(hit, self.SETUP) == self.replies(clean, self.SETUP)
+        (reply,) = self.replies(hit, [bad])
+        assert reply["ok"] is False and reply["cmd"] == bad["cmd"]
+        assert field in reply["error"] and "finite" in reply["error"]
+        follow_up = self.replies(hit, self.FOLLOW_UP)
+        assert follow_up == self.replies(clean, self.FOLLOW_UP)
+        assert all(r["ok"] for r in follow_up)
+        assert [row[0] for row in follow_up[-2]["jobs"]] == [1, 2, 3]
 
 
 class TestServeLoop:

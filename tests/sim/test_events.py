@@ -38,6 +38,20 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(Event(-1.0, EventType.SUBMIT, 1))
 
+    @pytest.mark.parametrize("floor", [None, 5.0])
+    def test_nan_time_rejected(self, floor):
+        """NaN is behind every floor, the open one included: in the heap it
+        would surface at whichever instant the sift happened to leave it."""
+        q = EventQueue()
+        if floor is not None:
+            q.schedule(floor, EventType.SUBMIT, 1)
+            q.pop_instant()
+        with pytest.raises(ValueError, match="t=nan"):
+            q.schedule(float("nan"), EventType.SUBMIT, 2)
+        with pytest.raises(ValueError, match="t=nan"):
+            q.push(Event(float("nan"), EventType.MACHINE, 3))
+        assert len(q) == 0
+
     def test_bool_and_len(self):
         q = EventQueue()
         assert not q

@@ -29,6 +29,8 @@ from repro.workload import Trace, get_trace
 
 from tests.helpers import make_job
 
+NAN = float("nan")
+
 
 def schedule_bytes(result) -> bytes:
     """Canonical byte serialisation of a per-job schedule."""
@@ -136,6 +138,40 @@ class TestMonotonicity:
         session.advance_to(10.0)
         assert session.advance_to(10.0) == 0
         assert session.now == 10.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: s.advance_to(NAN),
+            lambda s: s.complete(1, NAN),
+            lambda s: s.feed(make_job(job_id=3, submit_time=NAN)),
+            lambda s: s.feed_machine_event(time=NAN, kind="drain", processors=1),
+            lambda s: s.feed_machine_event(MachineEvent(NAN, "drain", 1)),
+        ],
+        ids=["advance_to", "complete", "feed", "machine_fields", "machine_object"],
+    )
+    def test_nan_time_is_refused_before_any_state_is_touched(self, call):
+        """``nan < now`` is false, so a ``<`` guard waves NaN through to the
+        clock; every entry point says so by name and leaves the session --
+        one job running, one fed 5 000 s ahead -- exactly as it was."""
+        session = SimSession(4, make_scheduler("easy"), RequestedTimePredictor())
+        session.feed(make_job(job_id=1, runtime=1000.0))
+        session.feed(make_job(job_id=2, submit_time=5000.0))
+        session.advance_to(10.0)
+        before = session.snapshot()
+        with pytest.raises(MonotonicityError, match="t=nan"):
+            call(session)
+        assert session.snapshot() == before
+        assert session.n_jobs == 2 and session.now == 10.0
+        assert not session.record(2).started
+        session.drain()  # and it still runs dry on a finite clock
+        assert session.now == 5000.0 + session.record(2).runtime
+
+    def test_infinite_times_stay_legal_at_the_python_api(self):
+        session = SimSession(4, make_scheduler("easy"), RequestedTimePredictor())
+        session.feed(make_job(job_id=1))
+        assert session.advance_to(float("inf")) == 2
+        assert session.now == float("inf") and session.record(1).finished
 
     def test_clock_advances_even_without_events(self):
         session = SimSession(4, make_scheduler("easy"), RequestedTimePredictor())

@@ -8,6 +8,14 @@ replay of the same inputs (and the frozen ``legacy-*`` scheduler's), and
 the telemetry snapshot must equal the one-shot replay's -- *how the
 calls were chunked never shows in the numbers*.
 
+Queries have an exact oracle of their own: every waiting job's estimate
+and the probe's equal the reservations the seed's profile makes when it
+is built from the machine alone (``tests.sched.test_plan_reuse``), in
+whatever state the walk has reached -- behind a held head, after a
+restore, an early external completion, a descending-id feed, a
+correction storm, a ``predictor.on_finish`` that raised -- and again
+after the clock moved with no event at all.
+
 The EASY family is also held to its own structure and guarantee, with no
 oracle involved: after every rule the backfill candidates are exactly
 the queue in backfill order, and every backfill pick of every pass
@@ -25,18 +33,22 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.correct import make_corrector
 from repro.obs import Telemetry
-from repro.predict import make_predictor
+from repro.predict import RecentAveragePredictor, make_predictor
 from repro.sched import EasyScheduler, make_scheduler
 from repro.sim import SimSession, simulate
 from repro.workload import Trace
 
 from tests.helpers import guard_backfill, make_job
+from tests.sched.test_plan_reuse import BUILT, assert_queries_exact
 
 PROCESSORS = 16
-#: drains never take more than this in total, and no job is wider than
-#: what is left, so every job can always start eventually
+#: drains never take more than this in total; a job wider than what is
+#: left is *held* at the head of the queue until a restore (teardown
+#: gives everything back, so every job starts eventually)
 MAX_DRAINED = 4
-MAX_WIDTH = PROCESSORS - MAX_DRAINED
+#: ``multifactor`` is ``test_plan_reuse.BUILT``'s: weights under which the
+#: queue really re-ranks between passes.  It has no ``legacy-`` twin.
+SCHEDULERS = ("easy", "easy-sjbf", "easy-narrow", "conservative", "multifactor")
 TIMERS = ("engine.time.predict.seconds", "engine.time.sched.seconds")
 
 _GAPS = st.sampled_from([0, 1, 7, 60, 400, 3000])
@@ -45,12 +57,42 @@ _JOBS = st.lists(
         st.sampled_from([0, 0, 3, 50]),  # delay after the previous job of the feed
         st.sampled_from([1, 10, 30, 100, 600, 3000]),  # runtime
         st.sampled_from([1, 2, 5]),  # requested / runtime
-        st.integers(min_value=1, max_value=MAX_WIDTH),
+        st.integers(min_value=1, max_value=PROCESSORS),
         st.integers(min_value=1, max_value=3),  # user
     ),
     min_size=1,
     max_size=4,
 )
+
+
+class InjectedFault(OSError):
+    pass
+
+
+class FaultyAve2(RecentAveragePredictor):
+    """AVE2 whose ``on_finish`` raises, before it learns anything, the
+    first time it is handed every third job: the machine has then
+    finished a job the scheduler was never told about."""
+
+    def __init__(self) -> None:
+        super().__init__(k=2)
+        self.failed: set[int] = set()
+
+    def on_finish(self, record, now):
+        if record.job_id % 3 == 0 and record.job_id not in self.failed:
+            self.failed.add(record.job_id)
+            raise InjectedFault(f"model store unreachable for job {record.job_id}")
+        super().on_finish(record, now)
+
+
+def riding_out_faults(call):
+    """``call()``, again after every injected fault: the failing event is
+    consumed, so each retry gets further, here and in the replay alike."""
+    while True:
+        try:
+            return call()
+        except InjectedFault:
+            pass
 
 
 def _rows(records) -> list[tuple]:
@@ -76,8 +118,10 @@ def _comparable(telemetry: Telemetry, queried: bool) -> dict:
 
 class SessionMachine(RuleBasedStateMachine):
     @initialize(
-        scheduler=st.sampled_from(["easy", "easy-sjbf", "easy-narrow", "conservative"]),
-        components=st.sampled_from([("requested", None), ("ave2", "incremental")]),
+        scheduler=st.sampled_from(SCHEDULERS),
+        components=st.sampled_from(
+            [("requested", None), ("ave2", "incremental"), ("faulty-ave2", "incremental")]
+        ),
     )
     def open_session(self, scheduler, components):
         self.scheduler = scheduler
@@ -93,12 +137,16 @@ class SessionMachine(RuleBasedStateMachine):
         self.last_now = self.session.now
         self.last_completion = -1.0
         self.queried = False
+        self.held = False
+
+    def _predictor(self):
+        return FaultyAve2() if self.predictor == "faulty-ave2" else make_predictor(self.predictor)
 
     def _session(self, scheduler: str, telemetry: Telemetry | None) -> SimSession:
         return SimSession(
             PROCESSORS,
-            make_scheduler(scheduler),
-            make_predictor(self.predictor),
+            BUILT[scheduler]() if scheduler in BUILT else make_scheduler(scheduler),
+            self._predictor(),
             make_corrector(self.corrector) if self.corrector else None,
             telemetry=telemetry,
         )
@@ -138,12 +186,15 @@ class SessionMachine(RuleBasedStateMachine):
     @rule()
     def step(self):
         pending = self.session.n_pending_events
-        assert (self.session.step() is None) == (pending == 0)
+        try:
+            assert (self.session.step() is None) == (pending == 0)
+        except InjectedFault:
+            pass  # the failing FINISH is consumed, the rest of its instant pending
 
     @rule(gap=_GAPS)
     def advance_to(self, gap):
         target = self.session.now + gap
-        self.session.advance_to(target)
+        riding_out_faults(lambda: self.session.advance_to(target))
         assert self.session.now == target
 
     @rule(pick=st.integers(min_value=0), delay=st.sampled_from([0, 1, 20, 500]))
@@ -153,7 +204,7 @@ class SessionMachine(RuleBasedStateMachine):
             return
         job_id = running[pick % len(running)]
         time = self.session.now + delay
-        record = self.session.complete(job_id, time)
+        record = riding_out_faults(lambda: self.session.complete(job_id, time))
         assert record.finished and record.end_time <= time
         self.completions.append((job_id, time))
         self.last_completion = time
@@ -162,7 +213,9 @@ class SessionMachine(RuleBasedStateMachine):
     def feed_machine_event(self, gap, drain, share):
         """A legal capacity change, landing on an instant of its own so
         the machine it meets is the machine the rule saw."""
-        self.session.advance_to(self.session.now + gap)
+        target = self.session.now + gap
+        riding_out_faults(lambda: self.session.advance_to(target))
+        self._note_holds()  # the next lines may restore what held a job on the way here
         machine = self.session.machine
         room = min(machine.free, MAX_DRAINED - machine.drained) if drain else machine.drained
         if room <= 0 or not self._quiet_now():
@@ -173,21 +226,35 @@ class SessionMachine(RuleBasedStateMachine):
         self.session.advance_to(event.time)
         self.machine_events.append(event)
 
-    @rule(pick=st.integers(min_value=0), width=st.integers(min_value=1, max_value=MAX_WIDTH))
+    @rule(pick=st.integers(min_value=0), width=st.integers(min_value=1, max_value=PROCESSORS))
     def query(self, pick, width):
+        """Every waiting job and a probe get exactly the oracle's start;
+        started jobs their own."""
         session = self.session
         self.queried = True
         before = session.snapshot()
-        waiting = {job_id for job_id, _width, _predicted in before.waiting}
         for job in self.jobs[pick % (len(self.jobs) + 1) :][:3]:
             record = session.record(job.job_id)
             if record.started:
                 assert session.query(job_id=job.job_id).start_time == record.start_time
-            elif job.job_id in waiting:
-                assert session.query(job_id=job.job_id).start_time >= session.now
         probe = make_job(job_id=10**6, submit_time=session.now, processors=width)
-        assert session.query(probe).start_time >= session.now
+        assert assert_queries_exact(session, probe) == len(before.waiting)
         assert session.snapshot() == before  # queries never mutate
+
+    @rule(width=st.integers(min_value=1, max_value=PROCESSORS), share=st.sampled_from([2, 3, 10]))
+    def query_around_a_quiet_advance(self, width, share):
+        """The clock moves part of the way to the next pending event and
+        nothing fires: whatever a scheduler carried over from the first
+        round of answers must still give the oracle's in the second."""
+        session = self.session
+        riding_out_faults(lambda: session.advance_to(session.now))  # what was fed at now
+        self.query(0, width)
+        heap = session._events._heap
+        gap = (heap[0][0] - session.now) / share if heap else 100.0
+        passes = session.stats.n_scheduling_passes
+        session.advance_to(session.now + gap)
+        assert session.stats.n_scheduling_passes == passes
+        self.query(0, width)
 
     # -- invariants ----------------------------------------------------------
     @invariant()
@@ -201,6 +268,13 @@ class SessionMachine(RuleBasedStateMachine):
         assert session.now >= self.last_now
         self.last_now = session.now
         session.machine.check_invariants()
+        self._note_holds()
+
+    def _note_holds(self):
+        """A waiting job wider than the undrained machine: the modern
+        schedulers hold it for a restore, the seed's cannot place it."""
+        room = PROCESSORS - self.session.machine.drained
+        self.held |= any(r.processors > room for r in self.session.scheduler.queue)
 
     @invariant()
     def candidates_are_the_queue_in_backfill_order(self):
@@ -213,29 +287,41 @@ class SessionMachine(RuleBasedStateMachine):
         """Everything the live session was given, handed over up front
         (a ``Trace`` sorts each instant by id, so it cannot hand over an
         instant that was fed in another order)."""
-        if not self.machine_events and not self.completions and self.fed_in_id_order:
-            return _rows(
-                simulate(
-                    Trace(self.jobs, PROCESSORS),
-                    make_scheduler(scheduler),
-                    make_predictor(self.predictor),
-                    make_corrector(self.corrector) if self.corrector else None,
-                    telemetry=telemetry,
-                )
-            )
         session = self._session(scheduler, telemetry)
-        session.feed(self.jobs)
-        for event in self.machine_events:
-            session.feed_machine_event(event)
-        for job_id, time in self.completions:
-            session.complete(job_id, time)
-        session.drain()
-        return _rows(session.result())
+        if (
+            self.machine_events
+            or self.completions
+            or not self.fed_in_id_order
+            or self.predictor == "faulty-ave2"
+        ):
+            session.feed(self.jobs)
+            for event in self.machine_events:
+                session.feed_machine_event(event)
+            for job_id, time in self.completions:
+                riding_out_faults(lambda: session.complete(job_id, time))
+            riding_out_faults(session.drain)
+            return _rows(session.result())
+        return _rows(
+            simulate(
+                Trace(self.jobs, PROCESSORS),
+                session.scheduler,
+                session.predictor,
+                session.corrector,
+                telemetry=telemetry,
+            )
+        )
 
     def teardown(self):
         if not hasattr(self, "session"):
             return
-        self.session.drain()
+        while self.session.machine.drained:  # on the first instant quiet enough
+            self.feed_machine_event(1, False, MAX_DRAINED)
+        riding_out_faults(self.session.drain)
+        while self.session.scheduler.queue_length:
+            # a fault in an instant's last event takes its pass with it,
+            # and a pass only ever follows an event: send one
+            self.feed(gap=1, jobs=[(0, 1, 1, 1, 1)], descending=False)
+            riding_out_faults(self.session.drain)
         self.registry_is_current_and_the_machine_sound()
         live = _rows(self.session.result())
         assert len(live) == len(self.jobs)
@@ -244,7 +330,8 @@ class SessionMachine(RuleBasedStateMachine):
         assert _comparable(replayed, self.queried) == _comparable(
             self.telemetry, self.queried
         )
-        if not self.completions:
+        # the seed can neither hold a head nor be told of a completion
+        if not (self.completions or self.held or self.scheduler == "multifactor"):
             assert self._one_shot(f"legacy-{self.scheduler}", None) == live
 
 
@@ -256,3 +343,61 @@ TestSessionStateful.settings = settings(
     derandomize=bool(os.environ.get("CI")),
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+
+
+def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
+    """What Hypothesis is free to find, this walk is sure to: one pass
+    through the machine's own rules that puts a query behind a correction
+    storm, an external completion ahead of the predicted end, a head held
+    by a drain (and a clock that moves under it), a scheduler a raising
+    ``predictor.on_finish`` left out of step, a restore, and an instant
+    fed in descending id order."""
+    walk = SessionMachine()
+    walk.open_session("easy-sjbf", ("faulty-ave2", "incremental"))
+
+    def then(rule, *args, **kwargs):
+        rule(*args, **kwargs)
+        walk.registry_is_current_and_the_machine_sound()
+        walk.candidates_are_the_queue_in_backfill_order()
+
+    session, scheduler = walk.session, walk.session.scheduler
+    # user 1's last two runtimes are 10 s: AVE2 will predict the floor for it
+    then(walk.feed, gap=0, jobs=[(0, 10, 1, 1, 1), (0, 10, 1, 1, 1)], descending=False)
+    then(walk.advance_to, gap=60)
+    # jobs 3 and 4 fill the machine for 600 s on a 60 s prediction; 5 and 6 queue
+    then(
+        walk.feed, gap=0, descending=False,
+        jobs=[(0, 600, 5, 8, 1), (0, 600, 5, 8, 1), (0, 100, 1, 14, 2), (0, 30, 2, 2, 2)],
+    )
+    then(walk.query, pick=0, width=3)
+    then(walk.advance_to, gap=60)  # both predictions expire in one instant
+    assert session.stats.n_corrections == 2
+    then(walk.query_around_a_quiet_advance, width=3, share=2)
+    then(walk.complete, pick=1, delay=1)  # job 4, far ahead of its corrected end
+    assert walk.completions and session.record(4).end_time < session.record(4).predicted_end
+    then(walk.query, pick=0, width=16)
+    then(walk.feed_machine_event, gap=7, drain=True, share=4)  # 14-wide job 5 is held
+    assert walk.held and scheduler.queue[0].job_id == 5
+    then(walk.feed, gap=1, jobs=[(0, 30, 2, 2, 2)], descending=False)
+    then(walk.query_around_a_quiet_advance, width=2, share=3)
+    assert session.query(job_id=5).start_time == float("inf")
+    # job 6 (backfilled when 4 left) ends alone in its instant and the predictor
+    # raises on it: no pass follows, the release table keeps a phantom
+    assert session.machine.is_running(6)
+    then(walk.advance_to, gap=session.record(6).start_time + 30 - session.now)
+    assert session.predictor.failed == {6}
+    assert not scheduler._releases.in_sync_with(session.machine)
+    then(walk.query, pick=0, width=3)
+    then(walk.advance_to, gap=3000)  # job 3 raises too; the held head's pass resyncs
+    assert session.predictor.failed == {3, 6}
+    assert scheduler._releases.in_sync_with(session.machine)
+    then(walk.query, pick=0, width=3)
+    then(walk.feed_machine_event, gap=1, drain=False, share=4)
+    assert not session.machine.drained and session.record(5).started
+    then(walk.feed, gap=0, jobs=[(0, 100, 2, 12, 3)] * 3, descending=True)
+    assert not walk.fed_in_id_order
+    then(walk.step)
+    then(walk.query_around_a_quiet_advance, width=8, share=10)
+    storms = walk.telemetry.snapshot()["histograms"]["engine.expire_storm.size"]
+    assert storms["max"] >= 2
+    walk.teardown()
