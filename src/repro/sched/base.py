@@ -84,7 +84,7 @@ class Scheduler(ABC):
         machine: Machine,
         extra: Sequence[JobRecord] = (),
     ) -> Mapping[int, float]:
-        """Side-effect-free start estimates for the waiting jobs.
+        """Start estimates for the waiting jobs; asking changes no schedule.
 
         Every waiting job gets a reservation in queue-priority order on
         the predicted availability profile (:meth:`_reservations`); its

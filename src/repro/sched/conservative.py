@@ -13,6 +13,8 @@ paper's campaign proper uses EASY and EASY-SJBF.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
@@ -32,17 +34,25 @@ class ConservativeScheduler(Scheduler):
 
     The running jobs' availability step function is maintained in an
     :class:`IncrementalProfile` fed by engine deltas.  The *plan* -- that
-    profile minus one reservation per waiting job -- is carried from pass
-    to pass together with every reserved start.  Waiting jobs' predictions
-    are fixed at submission and every breakpoint of the plan is a running
-    job's predicted end, where a FINISH or EXPIRE event fires; so as long
-    as no running job finished early, was corrected, or saw the machine
-    resized, every placed job would get the same start again and a pass
-    only starts the jobs whose reservation has come due and places the
-    submissions that arrived since.  Anything else replans the whole
-    queue on a fresh snapshot -- the same loop over the full order.
-    Schedules are identical to the seed's per-pass rebuild (kept as
-    :class:`repro.sched.legacy.LegacyConservativeScheduler`).
+    profile minus one reservation per placed job -- is carried from pass
+    to pass with the reserved starts; the placed jobs are always a
+    *prefix* of the waiting jobs in reservation order (``_ordered``).
+
+    Reservations only take availability away, so a job the full plan
+    starts at ``now`` fits at ``now`` on every partial plan: a pass places
+    the queue only up to the last job that still fits at ``now`` on the
+    plan so far (:meth:`_place_startable`).  The jobs behind it start later
+    whatever is placed before them, and wait for a later pass or a query.
+
+    Waiting jobs' predictions are fixed at submission and every
+    breakpoint of the plan is a running job's predicted end, where a
+    FINISH or EXPIRE event fires; so as long as no running job finished
+    early, was corrected, or saw the machine resized, each placed job
+    would get the same start again given the ones before it (true of any
+    prefix): a pass starts the due ones and extends the prefix.  Anything
+    else, or an arrival that outranks a placed job, replans on a fresh
+    snapshot.  Schedules are identical to the seed's per-pass rebuild
+    (:class:`repro.sched.legacy.LegacyConservativeScheduler`).
     """
 
     def __init__(self, reservation_order: str = "fcfs") -> None:
@@ -63,18 +73,22 @@ class ConservativeScheduler(Scheduler):
         #: set on the first delta; drivers that never feed deltas (unit
         #: tests poking select_jobs by hand) get a full resync per pass.
         self._delta_fed = False
-        #: the carried plan: base profile minus every reservation below;
-        #: None once a hook has seen the base change under it.
+        #: base profile minus every reservation below; None once a hook saw it go stale
         self._plan: AvailabilityProfile | None = None
-        #: waiting jobs placed by the last pass, in reservation order
-        #: (corrections never reorder *waiting* jobs); the queue's tail
-        #: beyond ``len(_order_cache)`` is what was submitted since.
-        self._order_cache: list[JobRecord] = []
-        #: reserved start per placed job (``inf``: held, no reservation).
+        #: every waiting job, sorted by ``_key`` (keys end in the job id)
+        self._ordered: list[JobRecord] = []
+        #: reserved start of ``_ordered``'s first ``len(_starts)`` jobs, in order (``inf``: held)
         self._starts: dict[int, float] = {}
         self._plan_reused = False
 
     # -- engine delta feed --------------------------------------------------
+    def on_submit(self, record: JobRecord) -> None:
+        super().on_submit(record)
+        idx = bisect_left(self._ordered, self._key(record), key=self._key)
+        if idx < len(self._starts):
+            self._plan = None  # it outranks a placed job: later starts may move
+        self._ordered.insert(idx, record)
+
     def on_start(self, record: JobRecord, now: float) -> None:
         self._delta_fed = True
         if self._base is not None:
@@ -137,51 +151,44 @@ class ConservativeScheduler(Scheduler):
             and min(self._starts.values(), default=now) >= now
         )
 
-    def _reservation_order(self) -> tuple[list[JobRecord], int | None]:
-        """The queue in reservation order, and how many of its leading jobs
-        the last pass placed -- None when an arrival outranks one of them,
-        so that every later reservation may move."""
-        order = self._order_cache
-        arrivals = sorted(self._queue[len(order):], key=self._key)
-        if order and arrivals and self._key(arrivals[0]) < self._key(order[-1]):
-            return sorted(self._queue, key=self._key), None
-        return order + arrivals, len(order)
-
     def _reservations(self, now, machine):
-        """Exact reservation starts, in this scheduler's own order.
-
-        Conservative backfilling *is* a reservation-per-job policy, so
-        the session query reproduces ``select_jobs``'s allocation: one
-        reservation per waiting job in ``reservation_order``.  With exact
-        predictions the estimate equals the start the job will really
-        get.  While the carried plan holds, the answer is that plan and
-        the starts it recorded.
-        """
-        ordered, n_placed = self._reservation_order()
-        if n_placed == len(ordered) and self._plan_holds(now, machine):
-            return self._plan, self._starts
-        if self._hook_fed(machine):
-            profile = self._base.snapshot(now)
+        """Exact reservation starts: the allocation ``select_jobs`` works
+        from, so with exact predictions the start the job will really get.
+        While the carried plan holds, the jobs the passes left unplaced are
+        placed on it and kept (a query may lengthen the prefix, it never
+        moves a placed start); else the machine alone answers, nothing kept."""
+        if self._plan_holds(now, machine):
+            plan, starts = self._plan, self._starts
         else:
-            profile = AvailabilityProfile.from_releases(
+            starts = {}
+            plan = AvailabilityProfile.from_releases(
                 machine.processors, now, machine.free, machine.predicted_releases(now)
             )
-        return profile, self._reserve_in_order(profile, ordered, now)
+        starts.update(self._reserve_in_order(plan, self._ordered[len(starts) :], now))
+        return plan, starts
+
+    def _place_startable(self, plan: AvailabilityProfile, now: float) -> None:
+        """Extend the placed prefix to the last waiting job that fits at
+        ``now`` on the plan so far, in one scan (``plan`` starts at ``now``)."""
+        ordered, starts = self._ordered, self._starts
+        times, floor = plan.floor_from_start()
+        for idx in range(len(starts), len(ordered)):
+            if not floor[0]:
+                return  # no processor left at ``now``
+            record = ordered[idx]
+            end, width = now + record.predicted_runtime, record.processors
+            if width <= floor[0] and floor[bisect_left(times, end) - 1] >= width:
+                starts.update(self._reserve_in_order(plan, ordered[len(starts) : idx + 1], now))
+                times, floor = plan.floor_from_start()
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         if not self._queue:
             self._plan_reused = False
             return []
-        starts = self._starts
-        ordered, n_placed = self._reservation_order()
-        self._plan_reused = n_placed is not None and self._plan_holds(now, machine)
-        if self._plan_reused:
-            # base untouched since the last pass: every reservation stands,
-            # the due ones start and only the arrivals need a place
-            plan = self._plan
-            plan.trim(now)
-            started = [r for r in ordered[:n_placed] if starts[r.job_id] == now]
-            todo = ordered[n_placed:]
+        starts, ordered = self._starts, self._ordered
+        self._plan_reused = self._plan_holds(now, machine)
+        if self._plan_reused:  # base untouched since the last pass: every reservation stands
+            self._plan.trim(now)
         else:
             if not self._hook_fed(machine):
                 # first pass, or driven outside the engine (unit tests
@@ -189,17 +196,15 @@ class ConservativeScheduler(Scheduler):
                 if self._base is None:
                     self._base = IncrementalProfile(machine.processors, now)
                 self._base.resync(machine, now)
-            plan = self._plan = self._base.snapshot(now)
+            self._plan = self._base.snapshot(now)
             starts.clear()
-            started = []
-            todo = ordered
-        placed = self._reserve_in_order(plan, todo, now)
-        starts.update(placed)
-        started.extend(r for r in todo if placed[r.job_id] == now)
+        self._place_startable(self._plan, now)
+        placed = ordered[: len(starts)]
+        started = [r for r in placed if starts[r.job_id] == now]
         if started:
-            for record in started:
-                del starts[record.job_id]
-            self._queue = [r for r in self._queue if r.job_id in starts]
-            ordered = [r for r in ordered if r.job_id in starts]
-        self._order_cache = ordered
+            gone = {r.job_id for r in started}
+            ordered[: len(placed)] = [r for r in placed if r.job_id not in gone]
+            self._queue = [r for r in self._queue if r.job_id not in gone]
+            for job_id in gone:
+                del starts[job_id]
         return started

@@ -234,25 +234,16 @@ class IncrementalProfile(AvailabilityProfile):
             return True
         return False
 
-    def job_corrected(self, job_id: int, new_end: float) -> None:
-        """A running job's predicted end moved (always later): extend its claim.
-
-        The engine fires corrections exactly when the old predicted end
-        expires, so the old claim has already lapsed; the extension spans
-        ``[old end, new end)``.
-        """
-        self.jobs_corrected({job_id: new_end})
-
     def jobs_corrected(
         self, moves: Sequence[tuple[int, float]] | dict[int, float]
     ) -> None:
         """Apply a whole correction storm with **one** profile rebuild.
 
-        ``moves`` maps ``job_id -> new predicted end``.  Semantically a
-        sequence of :meth:`job_corrected` calls, but all claim extensions
-        are merged into a single sweep over the step function
-        (:meth:`AvailabilityProfile._apply_deltas`) instead of one
-        splice per job.
+        ``moves`` maps ``job_id -> new predicted end`` (always later).  The
+        engine corrects a job exactly when its old predicted end expires,
+        so the old claim has lapsed and the extension spans ``[old end,
+        new end)``; all extensions go into the step function in a single
+        sweep (:meth:`AvailabilityProfile._apply_deltas`).
         """
         targets = dict(moves)
         deltas: list[tuple[float, float, int]] = []

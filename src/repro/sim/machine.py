@@ -65,10 +65,6 @@ class Machine:
     def n_running(self) -> int:
         return len(self._running)
 
-    def fits(self, processors: int) -> bool:
-        """Whether a job of the given width can start right now."""
-        return processors <= self.free
-
     def start(self, record: JobRecord, now: float) -> RunningJob:
         """Allocate processors to a job. The caller pushes FINISH/EXPIRE."""
         if record.job_id in self._running:
@@ -133,9 +129,6 @@ class Machine:
 
     def is_running(self, job_id: int) -> bool:
         return job_id in self._running
-
-    def get_running(self, job_id: int) -> RunningJob:
-        return self._running[job_id]
 
     def predicted_releases(self, now: float) -> list[tuple[float, int]]:
         """(predicted end, processors) per running job, soonest first.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import accumulate
 
 __all__ = ["AvailabilityProfile"]
 
@@ -100,18 +101,19 @@ class AvailabilityProfile:
         idx = bisect.bisect_right(self._times, time) - 1
         return self._avail[idx]
 
+    def floor_from_start(self) -> tuple[list[float], list[int]]:
+        """The breakpoints (read only) and the running minimum of
+        availability over them: ``floor[bisect_left(times, end) - 1]``
+        processors stay free from the profile's start until ``end``."""
+        return self._times, list(accumulate(self._avail, min))
+
     def min_available(self, start: float, duration: float) -> int:
         """Minimum availability over ``[start, start + duration)``."""
         if duration <= 0:
             raise ValueError("duration must be positive")
-        end = start + duration
-        idx = bisect.bisect_right(self._times, start) - 1
-        lowest = self._avail[idx]
-        idx += 1
-        while idx < len(self._times) and self._times[idx] < end:
-            lowest = min(lowest, self._avail[idx])
-            idx += 1
-        return lowest
+        lo = bisect.bisect_right(self._times, start) - 1
+        hi = bisect.bisect_left(self._times, start + duration, lo + 1)
+        return min(self._avail[lo:hi])
 
     def earliest_fit(self, processors: int, duration: float, not_before: float) -> float:
         """Earliest ``t >= not_before`` where ``processors`` stay free for

@@ -6,7 +6,7 @@ opened up for *live* use: jobs, externally-observed completions and
 machine capacity events can be fed in while the session runs, time
 advances monotonically under caller control, and "when will this job
 start?" queries are answered from the current availability profile
-without mutating any scheduling state.
+without changing any schedule.
 
 The loop body *is* the batch semantics (``simulate()`` feeds a whole
 trace into a session and drains it), so streaming and batch replay of
@@ -39,10 +39,10 @@ waiting job, the start time it would get if every queued job took a
 reservation *in queue-priority order* on the current predicted
 availability profile (exactly conservative backfilling's allocation; for
 EASY it is the guaranteed-bound analogue of the head's reservation).
-Queries are side-effect-free.  The session memoises the waiting jobs'
+Queries change no schedule.  The session memoises the waiting jobs'
 answers until its next state change, so a repeated query is a lookup;
 *across* state changes the EASY-family and conservative schedulers carry
-the reservation plan itself, place only the submissions that arrived,
+the reservation plan itself, place only the jobs it does not hold yet,
 and replan when the running set, the free count or the queue order moved
 under it (:meth:`repro.sched.easy.EasyScheduler._reservations`); a
 probe is placed on a copy of the plan.
@@ -241,6 +241,7 @@ class SimSession:
         self._records: dict[int, JobRecord] = {}
         self._now = float(start_time)
         self._corrected: list[JobRecord] = []
+        self._pass_owed = False  # a fault took an instant's pass with it: the next call runs it
         #: MACHINE events by sequence id (the event's job_id field).
         self._machine_events: dict[int, MachineEvent] = {}
         self._machine_seq = 0
@@ -309,9 +310,9 @@ class SimSession:
     def feed(self, jobs: Iterable[Job] | Job) -> int:
         """Queue SUBMIT events for jobs; returns how many were fed.
 
-        Jobs must not be behind the clock (``submit_time >= now``) and
-        must carry session-unique ids.  Feeding in trace order keeps
-        streaming byte-identical to batch replay (see module docstring).
+        Jobs must not be behind the clock (``submit_time >= now``), carry
+        session-unique ids and fit the machine (drained or not).  Trace
+        order keeps streaming byte-identical to batch replay (see above).
         """
         if isinstance(jobs, Job):
             jobs = (jobs,)
@@ -324,6 +325,11 @@ class SimSession:
                 )
             if job.job_id in self._records:
                 raise ValueError(f"job {job.job_id} was already fed")
+            if job.processors > self._machine.processors:
+                raise ValueError(
+                    f"job {job.job_id} requests {job.processors} processors but "
+                    f"the machine only has {self._machine.processors}"
+                )
             self._records[job.job_id] = JobRecord(job=job)
             self._events.schedule(job.submit_time, _SUBMIT, job.job_id)
             count += 1
@@ -363,8 +369,8 @@ class SimSession:
 
         One step = every event at the earliest pending instant, the
         batched correction notification, and one scheduling pass --
-        exactly one iteration of the batch loop.  Returns None (and does
-        nothing) when no events are pending.
+        exactly one iteration of the batch loop.  Returns None (having
+        run at most a pass it owed) when no events are pending.
         """
         try:
             return self._now if self._process_timestamps(inf, 1) else None
@@ -401,7 +407,7 @@ class SimSession:
     def query(
         self, job: Job | None = None, *, job_id: int | None = None
     ) -> EstimatedStart:
-        """Estimate when a job starts, without mutating any state.
+        """Estimate when a job starts, without changing any schedule.
 
         Pass ``job_id`` (or a fed ``job``) for session jobs: waiting jobs
         get a reservation-profile estimate, running/finished jobs their
@@ -489,15 +495,14 @@ class SimSession:
             record.observed_runtime = max(time - record.start_time, 1e-9)
             record.version += 1  # pending EXPIRE events become stale
             self._machine.finish(job_id, time)
-            tally = self._tally
-            if tally is None:
-                self.predictor.on_finish(record, time)
-            else:
-                t0 = perf_counter()
-                self.predictor.on_finish(record, time)
-                tally.counts[_PREDICT_S] += perf_counter() - t0
-                tally.note_outcome(record, record.observed_runtime)
+            self._pass_owed = True  # from here on, whatever raises before it runs
+            t0 = perf_counter()
+            self.predictor.on_finish(record, time)
+            if self._tally is not None:
+                self._tally.counts[_PREDICT_S] += perf_counter() - t0
+                self._tally.note_outcome(record, record.observed_runtime)
             self.scheduler.on_finish(record)
+            self._pass_owed = False
             self._schedule_pass(time)
             return record
         finally:
@@ -535,10 +540,10 @@ class SimSession:
 
     # -- event loop (the batch semantics, one timestamp at a time) -----------
     def _process_timestamps(self, until: float, limit: float = inf) -> int:
-        """The event loop: process pending instants in time order, none
-        later than ``until`` and at most ``limit`` of them; returns how
-        many.  Per instant: every event of it (one queue call), the
-        batched correction notification, one scheduling pass."""
+        """The event loop: first the pass a raising call still owes, then
+        pending instants in time order, none later than ``until`` and at
+        most ``limit`` of them; returns how many.  Per instant: its events
+        (one queue call), its corrections as one batch, one scheduling pass."""
         events = self._events
         stats = self.stats
         tally = self._tally
@@ -549,6 +554,9 @@ class SimSession:
         predictor = self.predictor
         corrector = self.corrector
         corrected = self._corrected
+        if self._pass_owed:
+            self._pass_owed = False
+            self._schedule_pass(self._now)
         steps = 0
         while steps < limit:
             batch = events.pop_instant(until)
@@ -632,6 +640,7 @@ class SimSession:
                     events.schedule(time, kind, job_id, version)
                 stats.n_events -= len(rest)
                 del batch[len(batch) - len(rest) :]
+                self._pass_owed = not rest  # the instant is over: its pass is owed
                 raise
             finally:
                 if tally is not None:  # what the instant consumed, failed or not

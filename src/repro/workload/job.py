@@ -83,15 +83,15 @@ def validate_job(job: Job) -> None:
 
     The model requires a positive processor count, a non-negative submit
     time, a strictly positive runtime and a requested time that upper
-    bounds the runtime (jobs are killed at the requested time).
+    bounds the runtime (jobs are killed at it); a NaN fails every check.
     """
-    if job.processors <= 0:
+    if not job.processors > 0:
         raise ValueError(f"job {job.job_id}: processors must be > 0, got {job.processors}")
-    if job.submit_time < 0:
+    if not job.submit_time >= 0:
         raise ValueError(f"job {job.job_id}: submit_time must be >= 0, got {job.submit_time}")
-    if job.runtime <= 0:
+    if not job.runtime > 0:
         raise ValueError(f"job {job.job_id}: runtime must be > 0, got {job.runtime}")
-    if job.requested_time <= 0:
+    if not job.requested_time > 0:
         raise ValueError(
             f"job {job.job_id}: requested_time must be > 0, got {job.requested_time}"
         )

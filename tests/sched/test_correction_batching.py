@@ -147,7 +147,7 @@ class TestJobsCorrected:
         moves = [(1, 120.0), (2, 90.0)]
         batched.jobs_corrected(moves)
         for jid, end in moves:
-            sequential.job_corrected(jid, end)
+            sequential.jobs_corrected({jid: end})
         assert batched.steps() == sequential.steps()
 
     def test_backwards_move_rejected(self):

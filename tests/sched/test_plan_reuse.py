@@ -1,11 +1,16 @@
 """Carried reservation plans vs the seed's rebuild from the machine.
 
-``ConservativeScheduler`` keeps its reservation plan between passes and
-replans only when the running set moved under it.  Every way a pass can
-be reached -- on-time and early finishes, EXPIRE storms, machine events,
-external completions, mid-stream feeds, interleaved queries -- must give
-the schedule of ``legacy-conservative*``, which rebuilds everything from
-the machine at every pass and shares no profile-update code with it.
+``ConservativeScheduler`` keeps its reservation plan between passes,
+replans only when the running set moved under it, and places the queue
+only as far as the last job that can still start now; queries place the
+rest.  Every way a pass can be reached -- on-time and early finishes,
+EXPIRE storms, machine events, external completions, mid-stream feeds,
+interleaved queries -- must give the schedule of
+``legacy-conservative*``, which rebuilds everything from the machine at
+every pass and shares no profile-update code with it; and at every
+instant on the way the placed jobs must be a prefix of the reservation
+order, placed where the seed's profile places them, with nobody left
+out who could start now (``assert_prefix_plan``).
 
 The EASY family carries a plan too, from *query* to query
 (``EasyScheduler._reservations``): every answer must be the one the
@@ -13,6 +18,7 @@ seed's profile gives when built from the machine alone, and a query must
 cost placements only for what changed since the one before.
 """
 
+import inspect
 import random
 from collections import Counter
 from math import inf
@@ -23,13 +29,14 @@ from repro.correct import IncrementalCorrector
 from repro.learn import LinearSoftmaxPolicy, RLBackfillScheduler
 from repro.predict import ClairvoyantPredictor, RequestedTimePredictor
 from repro.predict.base import Predictor
-from repro.sched import MultifactorScheduler, PriorityWeights, make_scheduler
+from repro.sched import MultifactorScheduler, PriorityWeights, conservative, make_scheduler
 from repro.sched.legacy import _SeedProfile
 from repro.sched.ordering import order_queue
-from repro.sim import SimSession
+from repro.sim import SimSession, simulate
 from repro.sim.profile import AvailabilityProfile
 from repro.workload import Trace
 from tests.helpers import make_job, make_record
+from tests.sched import test_easy
 from tests.sched.test_profile_equivalence import EASY_PAIRS
 
 PAIRS = [
@@ -101,50 +108,66 @@ def schedule_of(session):
     )
 
 
-def plan_state(scheduler):
-    """Everything the carried plan consists of, as comparable values."""
-    return (
-        None if scheduler._plan is None else scheduler._plan.steps(),
-        dict(scheduler._starts),
-        [r.job_id for r in scheduler._order_cache],
-        [r.job_id for r in scheduler.queue],
-    )
-
-
-def replay(name, trace, **components):
+def replay(name, trace, check=None, **components):
+    """Feed everything, then step to the end; ``check(session)`` after
+    every instant."""
     session = make_session(name, **components)
     session.feed(trace)
-    session.drain()
+    while session.step() is not None:
+        if check:
+            check(session)
     return session
+
+
+def descending_instants(trace):
+    """The jobs of ``trace``, each instant highest id first: the queue
+    takes them as fed, ``fcfs_key`` orders by id."""
+    return sorted(trace, key=lambda job: (job.submit_time, -job.job_id))
 
 
 @pytest.mark.parametrize("modern,legacy", PAIRS)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestSchedulesIdentical:
+    """Every scenario under the seed's rebuild and under the carried
+    plan, watched at every instant; where ``test_queries_between_passes``
+    does not go (machine events, completions, feeds) a third time watched
+    *and queried* at every instant -- a query completes the plan, so the
+    two walk different prefixes.  One schedule."""
+
+    @staticmethod
+    def same_schedule(run, modern, legacy, queried=False):
+        expected = schedule_of(run(legacy, None))
+        assert schedule_of(run(modern, assert_prefix_plan)) == expected
+        if queried:
+            assert schedule_of(run(modern, assert_queried_plan)) == expected
+
     def test_on_time_finishes(self, modern, legacy, seed):
         """runtime == requested: no finish ever invalidates the plan, so
         every start after the first is a reservation coming due."""
         trace = make_trace(seed, over=(1.0,))
-        new, old = replay(modern, trace), replay(legacy, trace)
-        assert schedule_of(new) == schedule_of(old)
+        self.same_schedule(lambda name, check: replay(name, trace, check), modern, legacy)
 
     def test_exact_predictions_of_loose_requests(self, modern, legacy, seed):
         trace = make_trace(seed)
-        new = replay(modern, trace, predictor=ClairvoyantPredictor)
-        old = replay(legacy, trace, predictor=ClairvoyantPredictor)
-        assert schedule_of(new) == schedule_of(old)
+        self.same_schedule(
+            lambda name, check: replay(name, trace, check, predictor=ClairvoyantPredictor),
+            modern, legacy,
+        )
 
     def test_early_finishes(self, modern, legacy, seed):
         trace = make_trace(seed)
-        new, old = replay(modern, trace), replay(legacy, trace)
-        assert schedule_of(new) == schedule_of(old)
+        self.same_schedule(lambda name, check: replay(name, trace, check), modern, legacy)
 
     def test_expire_storms(self, modern, legacy, seed):
         trace = make_trace(seed)
         components = dict(predictor=HalfPredictor, corrector=IncrementalCorrector)
-        new, old = replay(modern, trace, **components), replay(legacy, trace, **components)
-        assert new.stats.n_corrections >= len(trace)
-        assert schedule_of(new) == schedule_of(old)
+
+        def run(name, check):
+            session = replay(name, trace, check, **components)
+            assert session.stats.n_corrections >= len(trace)
+            return session
+
+        self.same_schedule(run, modern, legacy)
 
     def test_machine_events_with_a_queued_plan(self, modern, legacy, seed):
         """Drain two processors whenever two are free under a queue of
@@ -152,11 +175,13 @@ class TestSchedulesIdentical:
         # nothing is wider than the drained machine: the seed cannot hold jobs
         trace = make_trace(seed, max_width=PROCESSORS - 2)
 
-        def run(name):
+        def run(name, check):
             session = make_session(name)
             session.feed(trace)
             n_events = 0
             while session.step() is not None:
+                if check:
+                    check(session)
                 snap = session.snapshot()
                 if snap.drained:
                     if session.stats.n_scheduling_passes % 5 == 0:
@@ -172,44 +197,64 @@ class TestSchedulesIdentical:
             assert n_events >= 4
             return session
 
-        assert schedule_of(run(modern)) == schedule_of(run(legacy))
+        self.same_schedule(run, modern, legacy, queried=True)
 
     def test_external_completions(self, modern, legacy, seed):
         """Every third pass, the job that has run longest is reported
         complete from outside, a moment after the last event."""
         trace = make_trace(seed)
 
-        def run(name):
+        def run(name, check):
             session = make_session(name)
             session.feed(trace)
             n_completed = 0
             while session.step() is not None:
+                if check:
+                    check(session)
                 running = session.snapshot().running
                 if running and session.stats.n_scheduling_passes % 3 == 0:
                     job_id = min(running, key=lambda run: (run[1], run[0]))[0]
                     session.complete(job_id, session.now + 0.25)
                     n_completed += 1
+                    if check:
+                        check(session)
             assert n_completed >= 10
             return session
 
-        assert schedule_of(run(modern)) == schedule_of(run(legacy))
+        self.same_schedule(run, modern, legacy, queried=True)
 
     def test_mid_stream_feed(self, modern, legacy, seed):
         """One job per feed, submit ties newest-first: a late arrival can
         sort ahead of a queue that was already planned at that instant."""
         trace = make_trace(seed)
-        jobs = sorted(trace, key=lambda job: (job.submit_time, -job.job_id))
 
-        def run(name):
+        def run(name, check):
             session = make_session(name)
-            for job in jobs:
+            for job in descending_instants(trace):
                 session.advance_to(job.submit_time)
                 session.feed(job)
                 session.advance_to(job.submit_time)
+                if check:
+                    check(session)
             session.drain()
             return session
 
-        assert schedule_of(run(modern)) == schedule_of(run(legacy))
+        self.same_schedule(run, modern, legacy, queried=True)
+
+    def test_instants_fed_in_descending_id_order(self, modern, legacy, seed):
+        """The feed order within an instant is not the reservation order:
+        the queue holds each instant newest-first, the plan is by key."""
+        trace = make_trace(seed)
+        jobs = descending_instants(trace)
+        assert jobs != list(trace)
+        components = dict(predictor=OddHalfPredictor, corrector=IncrementalCorrector)
+
+        def run(name, check):
+            session = replay(name, jobs, check, **components)
+            assert session.stats.n_corrections > 20
+            return session
+
+        self.same_schedule(run, modern, legacy, queried=True)
 
     def test_queries_between_passes(self, modern, legacy, seed):
         check_queries_between_passes(modern, seed, "early-finishes")
@@ -240,7 +285,7 @@ def seed_starts(session, extra=()):
 
 def assert_queries_exact(session, probe_job):
     """The probe first, then every waiting job: each answer is the
-    oracle's.  Returns how many waiting jobs were asked about."""
+    oracle's.  Returns the oracle's starts of the waiting jobs."""
     answer = session.query(probe_job)
     probe = make_record(job_id=probe_job.job_id, processors=probe_job.processors)
     probe.predicted_runtime = answer.predicted_runtime
@@ -248,29 +293,53 @@ def assert_queries_exact(session, probe_job):
     assert answer.start_time == expected.pop(probe.job_id)
     for job_id, start in expected.items():
         assert session.query(job_id=job_id).start_time == start
-    return len(expected)
+    return expected
+
+
+def assert_prefix_plan(session, placed=None, expected=None):
+    """Conservative's carried plan at a settled instant, against the
+    machine alone: the placed jobs are a prefix of the queue in
+    reservation order, each at the start the seed's profile gives it, and
+    every waiting job, left unplaced or not, starts later than now -- the
+    stop rule is sound, checked by code the fast path does not share."""
+    placed = session.scheduler._starts if placed is None else placed
+    expected = seed_starts(session) if expected is None else expected  # in reservation order
+    assert list(placed) == list(expected)[: len(placed)]
+    assert placed == {job_id: expected[job_id] for job_id in placed}
+    assert all(start > session.now for start in expected.values())
+
+
+def assert_queried_plan(session):
+    """A query may extend the placed prefix -- to the whole queue; no
+    placed start and no queue entry changes, every answer is the
+    oracle's (returned)."""
+    scheduler = session.scheduler
+    placed, queue = dict(scheduler._starts), scheduler.queue
+    expected = assert_queries_exact(session, PROBE)
+    assert_prefix_plan(session, placed, expected)
+    assert scheduler._starts == expected and scheduler.queue == queue
+    return expected
 
 
 def check_queries_between_passes(name, seed, components):
     """query() answers what the seed profile would reserve, in this
-    scheduler's order, at every instant of a run -- and neither the
-    schedule nor conservative's plan knows it was asked."""
+    scheduler's order, at every instant of a run.  A query may extend
+    conservative's placed prefix; no placed start, no ``_queue`` entry
+    and no schedule changes."""
     trace = make_trace(seed)
     components = (
         dict(predictor=HalfPredictor, corrector=IncrementalCorrector)
         if components == "expire-storms"
         else {}
     )
-    probe = make_job(job_id=10_000, runtime=50.0, processors=3)
     session = make_session(name, **components)
     session.feed(trace)
     n_queries = 0
+    conservative = name.startswith("conservative")
     while session.step() is not None:
-        conservative = name.startswith("conservative")
-        before = plan_state(session.scheduler) if conservative else None
-        n_queries += assert_queries_exact(session, probe)
-        if conservative:
-            assert plan_state(session.scheduler) == before
+        n_queries += len(
+            assert_queried_plan(session) if conservative else assert_queries_exact(session, PROBE)
+        )
     assert n_queries > len(trace)
     assert schedule_of(session) == schedule_of(
         replay(QUERIED[name] or name, trace, **components)
@@ -289,22 +358,31 @@ def test_queries_between_passes(name, seed, components):
     check_queries_between_passes(name, seed, components)
 
 
-def test_out_of_order_arrival_invalidates_sjbf_plan():
-    """A short job submitted behind a planned long one sorts ahead of it."""
+@pytest.mark.parametrize("placed", [True, False])
+def test_out_of_order_arrival_invalidates_sjbf_plan(placed):
+    """A short job submitted behind a long one sorts ahead of it: the
+    plan starts over when the long one holds a reservation (here a query
+    asked for it) and carries on when no pass had needed to place it."""
     session = make_session("conservative-sjbf")
     session.feed(make_job(job_id=1, runtime=100.0, processors=PROCESSORS))
     session.feed(make_job(job_id=2, submit_time=1.0, runtime=300.0, processors=PROCESSORS))
     session.feed(make_job(job_id=3, submit_time=2.0, runtime=20.0, processors=PROCESSORS))
     session.advance_to(1.0)
     assert session.scheduler.introspect()["plan_reused"] == 1.0
+    if placed:
+        assert session.query(job_id=2).start_time == session.record(1).predicted_end
+    assert list(session.scheduler._starts) == ([2] if placed else [])
     session.advance_to(2.0)
-    assert session.scheduler.introspect()["plan_reused"] == 0.0
+    assert session.scheduler.introspect()["plan_reused"] == (0.0 if placed else 1.0)
     assert session.query(job_id=3).start_time < session.query(job_id=2).start_time
+    assert_prefix_plan(session)
 
 
 def test_submit_only_passes_place_one_reservation(monkeypatch):
     """FCFS with on-time finishes: once the first start has fed the delta
-    hooks, a pass reserves for its arrivals and for nobody else."""
+    hooks, a pass reserves for nobody it has placed before -- at most as
+    many reservations as jobs arrived since the first pass, however the
+    passes share them out."""
     plan_reserves = []
     reserve = AvailabilityProfile.reserve
 
@@ -321,14 +399,43 @@ def test_submit_only_passes_place_one_reservation(monkeypatch):
     session.feed(trace)
     session.step()  # the first pass builds the plan from scratch
     n_submit_passes = 0
+    n_arrived = session.scheduler.queue_length - len(session.scheduler._starts)  # left unplaced
+    before = len(plan_reserves)
     while session.n_pending_events:
-        before = len(plan_reserves)
         now = session.step()
-        assert len(plan_reserves) - before == arrivals_at[now]
+        n_arrived += arrivals_at[now]
+        assert len(plan_reserves) - before <= n_arrived
         if arrivals_at[now]:
             assert session.scheduler.introspect()["plan_reused"] == 1.0
             n_submit_passes += 1
     assert n_submit_passes > len(trace) // 4
+    assert len(plan_reserves) - before == n_arrived  # every job is placed before it starts
+
+
+@pytest.mark.parametrize("name", ["conservative", "conservative-sjbf"])
+def test_plan_placements_per_job_stay_bounded(name, monkeypatch):
+    """Requested-time predictions on a flurry trace: two finishes in three
+    are early and drop the plan, the queue passes 150 -- and a pass still
+    places only as far as the last job that can start now, not the queue:
+    4.1 placements per job under fcfs and 2.8 under sjbf (39 and 85 when
+    every replan placed the queue; 24 and 53 with a stop rule that looks
+    at widths alone).  Counted in ``earliest_fit`` calls: no clock."""
+    placements = [0]
+    earliest_fit = AvailabilityProfile.earliest_fit
+
+    def counting(profile, *args, **kwargs):
+        placements[0] += 1
+        return earliest_fit(profile, *args, **kwargs)
+
+    monkeypatch.setattr(AvailabilityProfile, "earliest_fit", counting)
+    trace = test_easy.TestNoPerPassSort.flurries(processors=128)
+    result = simulate(trace, make_scheduler(name), RequestedTimePredictor())
+    assert len(trace) >= 2000 and result.stats.max_queue_length >= 100
+    assert len(trace) <= placements[0] <= 5 * len(trace)
+
+
+def test_no_sort_in_the_module():
+    assert "sorted(" not in inspect.getsource(conservative)
 
 
 # -- EASY: the plan carried from query to query -------------------------------

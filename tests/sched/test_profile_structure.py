@@ -129,9 +129,9 @@ def apply_random_ops(profile, machine, rng, n_ops=40):
             idx = int(rng.integers(0, len(active)))
             job_id, end = active[idx]
             new_end = max(end, now) + float(rng.uniform(1.0, 100.0))
-            run = machine.get_running(job_id)
+            run = next(r for r in machine.running if r.record.job_id == job_id)
             run.record.predicted_runtime = new_end - run.start_time
-            profile.job_corrected(job_id, new_end)
+            profile.jobs_corrected({job_id: new_end})
             active[idx] = (job_id, new_end)
     return now
 
@@ -167,7 +167,7 @@ class TestIncrementalProfile:
     def test_correction_extends_claim(self):
         profile = IncrementalProfile(8, 0.0)
         profile.job_started(1, 0.0, 100.0, 6)
-        profile.job_corrected(1, 250.0)
+        profile.jobs_corrected({1: 250.0})
         assert profile.available_at(150.0) == 2
         assert profile.available_at(250.0) == 8
 
@@ -175,7 +175,7 @@ class TestIncrementalProfile:
         profile = IncrementalProfile(8, 0.0)
         profile.job_started(1, 0.0, 100.0, 6)
         with pytest.raises(ValueError):
-            profile.job_corrected(1, 50.0)
+            profile.jobs_corrected({1: 50.0})
 
     def test_trim_drops_stale_segments(self):
         profile = IncrementalProfile(8, 0.0)

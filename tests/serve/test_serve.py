@@ -147,6 +147,15 @@ class TestErrors:
         assert response["ok"] is False and "behind" in response["error"]
         assert server.handle({"cmd": "ping"})["ok"]  # connection survives
 
+    def test_a_job_wider_than_the_machine_is_refused_by_name(self):
+        server = make_server(processors=8)
+        before = server.handle({"cmd": "snapshot"})
+        response = server.handle({"cmd": "submit", "job": job_payload(7, processors=9)})
+        assert response["ok"] is False
+        assert "job 7 requests 9 processors" in response["error"]
+        assert server.handle({"cmd": "snapshot"}) == before
+        assert server.handle({"cmd": "submit", "job": job_payload(7, processors=8)})["ok"]
+
     def test_errors_are_counted(self):
         server = make_server()
         server.handle({"cmd": "fandango"})

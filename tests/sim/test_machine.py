@@ -76,8 +76,3 @@ class TestPredictedReleases:
         m.start(a, now=0.0)
         releases = m.predicted_releases(now=25.0)
         assert releases == [(25.0, 2)]
-
-    def test_fits(self):
-        m = Machine(4)
-        assert m.fits(4)
-        assert not m.fits(5)

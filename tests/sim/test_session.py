@@ -40,6 +40,13 @@ def schedule_bytes(result) -> bytes:
     return json.dumps(rows).encode("utf-8")
 
 
+def _late_nan(job):
+    """``Job`` refuses a NaN when it is built; a field set afterwards is
+    still ``feed``'s to refuse."""
+    job.submit_time = NAN
+    return job
+
+
 def build(triple: str) -> tuple:
     """Fresh ``(scheduler, predictor, corrector)`` for a triple key."""
     return CellSpec.from_triple("KTH-SP2", triple).build_components()
@@ -144,7 +151,7 @@ class TestMonotonicity:
         [
             lambda s: s.advance_to(NAN),
             lambda s: s.complete(1, NAN),
-            lambda s: s.feed(make_job(job_id=3, submit_time=NAN)),
+            lambda s: s.feed(_late_nan(make_job(job_id=3))),
             lambda s: s.feed_machine_event(time=NAN, kind="drain", processors=1),
             lambda s: s.feed_machine_event(MachineEvent(NAN, "drain", 1)),
         ],
@@ -184,6 +191,29 @@ class TestMonotonicity:
         session.feed(make_job(job_id=7))
         with pytest.raises(ValueError, match="already fed"):
             session.feed(make_job(job_id=7, submit_time=10.0))
+
+    @pytest.mark.parametrize("scheduler", ["easy", "fcfs", "conservative"])
+    def test_a_job_wider_than_the_machine_is_refused_at_feed(self, scheduler):
+        """It could never start: under ``easy`` / ``fcfs`` it would hold
+        the queue forever (``drain()`` returning normally), ``conservative``
+        would skip it silently.  Refused by name before anything is
+        stored -- the rest of its feed included -- while a job only the
+        *drained* machine is too small for stays legal: a restore starts it."""
+        session = SimSession(4, make_scheduler(scheduler), RequestedTimePredictor())
+        session.feed(make_job(job_id=1, runtime=1000.0, processors=2))
+        session.feed_machine_event(kind="drain", processors=2)
+        session.advance_to(10.0)
+        before = session.snapshot()
+        with pytest.raises(ValueError, match="job 3 requests 5 processors .* only has 4"):
+            session.feed(
+                [make_job(job_id=3, submit_time=20.0, processors=5),
+                 make_job(job_id=4, submit_time=20.0, processors=2)]
+            )
+        assert session.snapshot() == before and session.n_jobs == 1
+        session.feed(make_job(job_id=2, submit_time=20.0, processors=4))  # held, not refused
+        session.feed_machine_event(time=5000.0, kind="restore", processors=2)
+        session.drain()
+        assert session.record(2).start_time == 5000.0
 
 
 class TestMidStreamFeed:
@@ -680,6 +710,73 @@ class TestFaultRecovery:
         assert busy.max() <= trace.processors
         if scheduler != "conservative":
             assert session.scheduler.introspect()["release_table"] == 0
+
+
+class _FailsOnJob1(RequestedTimePredictor):
+    def on_finish(self, record, now):
+        if record.job_id == 1:
+            raise OSError("model store unreachable")
+
+
+class TestOwedPass:
+    """A fault in the *last* event of an instant used to take the
+    instant's scheduling pass with it: the freed processors sat idle
+    until some unrelated event brought the next pass.  The pass is owed,
+    and the next public call of any kind runs it first, at the instant
+    it belongs to."""
+
+    RECOVER = {
+        "step": lambda s: s.step(),
+        "advance_to": lambda s: s.advance_to(10.0),
+        "drain": lambda s: s.drain(),
+        "complete": lambda s: s.complete(9, 20.0),
+    }
+
+    @pytest.mark.parametrize("recover", RECOVER)
+    @pytest.mark.parametrize("scheduler", ["easy", "conservative"])
+    def test_a_waiting_job_starts_at_the_instant_of_the_fault(self, scheduler, recover):
+        session = SimSession(6, make_scheduler(scheduler), _FailsOnJob1())
+        session.feed(make_job(job_id=9, runtime=1000.0, processors=2, requested_time=1000.0))
+        session.feed(make_job(job_id=1, runtime=10.0, processors=4, requested_time=10.0))
+        session.feed(make_job(job_id=2, submit_time=1.0, runtime=50.0, processors=4))
+        session.feed(make_job(job_id=3, submit_time=500.0, processors=1))  # unrelated
+        with pytest.raises(OSError):
+            session.advance_to(100.0)
+        # job 1's FINISH was alone in its instant: 4 processors free, job 2 waiting
+        assert session.now == 10.0 and session.machine.free == 4
+        assert not session.record(2).started
+        passes = session.stats.n_scheduling_passes
+        self.RECOVER[recover](session)
+        assert session.record(2).start_time == 10.0
+        if recover == "advance_to":  # nothing else was pending up to t=10
+            assert session.stats.n_scheduling_passes == passes + 1
+        session.drain()
+        assert len(session.result()) == 4
+
+    def test_a_fault_inside_complete_owes_its_pass_too(self):
+        """The machine has let the job go when ``predictor.on_finish``
+        raises: the retry finds it finished, and still runs the pass."""
+        session = SimSession(4, make_scheduler("easy"), _FailsOnJob1())
+        session.feed(make_job(job_id=1, runtime=1000.0, processors=4, requested_time=1000.0))
+        session.feed(make_job(job_id=2, submit_time=1.0, runtime=50.0, processors=4))
+        session.advance_to(5.0)
+        with pytest.raises(OSError):
+            session.complete(1, 10.0)
+        assert session.machine.free == 4 and not session.record(2).started
+        assert session.complete(1, 10.0).end_time == 10.0
+        assert session.record(2).start_time == 10.0
+
+    def test_a_fault_with_events_left_in_the_instant_owes_nothing(self):
+        """The re-queued rest of the instant brings its own pass."""
+        session = SimSession(6, make_scheduler("easy"), _FailsOnJob1())
+        session.feed(make_job(job_id=1, runtime=10.0, processors=4, requested_time=10.0))
+        session.feed(make_job(job_id=2, submit_time=10.0, runtime=50.0, processors=4))
+        with pytest.raises(OSError):
+            session.advance_to(10.0)
+        passes = session.stats.n_scheduling_passes
+        assert session.advance_to(10.0) == 1
+        assert session.stats.n_scheduling_passes == passes + 1
+        assert session.record(2).start_time == 10.0
 
 
 class TestEngineStatsPins:

@@ -20,6 +20,11 @@ The EASY family is also held to its own structure and guarantee, with no
 oracle involved: after every rule the backfill candidates are exactly
 the queue in backfill order, and every backfill pick of every pass
 respects the head's reservation (``tests.helpers.guard_backfill``).
+Conservative's carried plan is held to the seed's profile after every
+rule: a prefix of the reservation order, placed where the seed places
+it, and nobody left out who could start now.  And no settled session
+sits on processors its queue head fits: a fault that took an instant's
+scheduling pass with it leaves the pass *owed*, and the next call runs it.
 """
 
 from __future__ import annotations
@@ -29,17 +34,23 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.correct import make_corrector
 from repro.obs import Telemetry
 from repro.predict import RecentAveragePredictor, make_predictor
-from repro.sched import EasyScheduler, make_scheduler
+from repro.sched import ConservativeScheduler, EasyScheduler, make_scheduler
 from repro.sim import SimSession, simulate
 from repro.workload import Trace
 
 from tests.helpers import guard_backfill, make_job
-from tests.sched.test_plan_reuse import BUILT, assert_queries_exact
+from tests.sched.test_plan_reuse import BUILT, assert_prefix_plan, assert_queries_exact
 
 PROCESSORS = 16
 #: drains never take more than this in total; a job wider than what is
@@ -48,7 +59,9 @@ PROCESSORS = 16
 MAX_DRAINED = 4
 #: ``multifactor`` is ``test_plan_reuse.BUILT``'s: weights under which the
 #: queue really re-ranks between passes.  It has no ``legacy-`` twin.
-SCHEDULERS = ("easy", "easy-sjbf", "easy-narrow", "conservative", "multifactor")
+SCHEDULERS = (
+    "easy", "easy-sjbf", "easy-narrow", "conservative", "conservative-sjbf", "multifactor"
+)
 TIMERS = ("engine.time.predict.seconds", "engine.time.sched.seconds")
 
 _GAPS = st.sampled_from([0, 1, 7, 60, 400, 3000])
@@ -103,13 +116,15 @@ def _comparable(telemetry: Telemetry, queried: bool) -> dict:
     """A registry snapshot without what legitimately differs between two
     runs of the same schedule: the wall-clock timers, the last bits of
     the one real-valued sum (added up in a different order) and -- when
-    queries were made -- conservative's sampled segment count, because
-    a query trims the stale head of its base profile."""
+    queries were made -- conservative's samples of its own state: a
+    query trims the stale head of its base profile, and it places jobs a
+    later arrival may then outrank, so that the next pass replans."""
     snap = telemetry.snapshot()
     for name in TIMERS:
         snap["counters"].pop(name, None)
     if queried:
         snap["histograms"].pop("engine.sched.profile_segments", None)
+        snap["histograms"].pop("engine.sched.plan_reused", None)
     error = snap["histograms"].get("predict.abs_error.seconds")
     if error is not None:
         error["sum"] = pytest.approx(error["sum"], rel=1e-9)
@@ -138,6 +153,8 @@ class SessionMachine(RuleBasedStateMachine):
         self.last_completion = -1.0
         self.queried = False
         self.held = False
+        #: False between a ``step`` that raised and the next call that returns
+        self.settled = True
 
     def _predictor(self):
         return FaultyAve2() if self.predictor == "faulty-ave2" else make_predictor(self.predictor)
@@ -183,18 +200,44 @@ class SessionMachine(RuleBasedStateMachine):
         self.jobs += batch
         self.fed_in_id_order &= not descending or len(batch) == 1
 
+    def _riding_out_faults(self, call):
+        result = riding_out_faults(call)
+        self.settled = True
+        return result
+
     @rule()
     def step(self):
         pending = self.session.n_pending_events
         try:
-            assert (self.session.step() is None) == (pending == 0)
+            # (an owed pass may start a job, whose FINISH is then the step)
+            assert (self.session.step() is None) == (pending == 0) or not self.settled
+            self.settled = True
         except InjectedFault:
-            pass  # the failing FINISH is consumed, the rest of its instant pending
+            # the failing FINISH is consumed: the rest of its instant is
+            # pending or, if it was the last of it, the instant's pass owed
+            self.settled = False
+
+    def _owes_a_pass(self) -> bool:
+        """The ``step`` that raised consumed the last event of its instant."""
+        heap = self.session._events._heap
+        return not self.settled and (not heap or heap[0][0] > self.session.now)
+
+    @precondition(_owes_a_pass)
+    @rule()
+    def run_the_owed_pass(self):
+        """A call with no event to process still runs the pass the fault
+        took with it -- the first such call, and only that one."""
+        session = self.session
+        passes = session.stats.n_scheduling_passes
+        for _ in range(2):
+            assert session.advance_to(session.now) == 0
+            assert session.stats.n_scheduling_passes == passes + 1
+        self.settled = True
 
     @rule(gap=_GAPS)
     def advance_to(self, gap):
         target = self.session.now + gap
-        riding_out_faults(lambda: self.session.advance_to(target))
+        self._riding_out_faults(lambda: self.session.advance_to(target))
         assert self.session.now == target
 
     @rule(pick=st.integers(min_value=0), delay=st.sampled_from([0, 1, 20, 500]))
@@ -204,7 +247,7 @@ class SessionMachine(RuleBasedStateMachine):
             return
         job_id = running[pick % len(running)]
         time = self.session.now + delay
-        record = riding_out_faults(lambda: self.session.complete(job_id, time))
+        record = self._riding_out_faults(lambda: self.session.complete(job_id, time))
         assert record.finished and record.end_time <= time
         self.completions.append((job_id, time))
         self.last_completion = time
@@ -214,7 +257,7 @@ class SessionMachine(RuleBasedStateMachine):
         """A legal capacity change, landing on an instant of its own so
         the machine it meets is the machine the rule saw."""
         target = self.session.now + gap
-        riding_out_faults(lambda: self.session.advance_to(target))
+        self._riding_out_faults(lambda: self.session.advance_to(target))
         self._note_holds()  # the next lines may restore what held a job on the way here
         machine = self.session.machine
         room = min(machine.free, MAX_DRAINED - machine.drained) if drain else machine.drained
@@ -238,7 +281,7 @@ class SessionMachine(RuleBasedStateMachine):
             if record.started:
                 assert session.query(job_id=job.job_id).start_time == record.start_time
         probe = make_job(job_id=10**6, submit_time=session.now, processors=width)
-        assert assert_queries_exact(session, probe) == len(before.waiting)
+        assert len(assert_queries_exact(session, probe)) == len(before.waiting)
         assert session.snapshot() == before  # queries never mutate
 
     @rule(width=st.integers(min_value=1, max_value=PROCESSORS), share=st.sampled_from([2, 3, 10]))
@@ -247,7 +290,7 @@ class SessionMachine(RuleBasedStateMachine):
         nothing fires: whatever a scheduler carried over from the first
         round of answers must still give the oracle's in the second."""
         session = self.session
-        riding_out_faults(lambda: session.advance_to(session.now))  # what was fed at now
+        self._riding_out_faults(lambda: session.advance_to(session.now))  # what was fed at now
         self.query(0, width)
         heap = session._events._heap
         gap = (heap[0][0] - session.now) / share if heap else 100.0
@@ -281,6 +324,22 @@ class SessionMachine(RuleBasedStateMachine):
         scheduler = self.session.scheduler
         if isinstance(scheduler, EasyScheduler):  # records compare by identity
             assert scheduler._candidates == sorted(scheduler._queue, key=scheduler._key)
+        elif isinstance(scheduler, ConservativeScheduler):
+            assert scheduler._ordered == sorted(scheduler._queue, key=scheduler._key)
+
+    @invariant()
+    def nobody_who_could_start_is_waiting(self):
+        """Once a call has returned, every pass the session owed has run:
+        the head does not fit the free processors (EASY family, no
+        oracle), and conservative's carried plan is the seed's -- a prefix
+        of the reservation order, nobody in it or behind it due now."""
+        session, scheduler = self.session, self.session.scheduler
+        if not self.settled:
+            return
+        if isinstance(scheduler, ConservativeScheduler):
+            assert_prefix_plan(session)
+        elif scheduler.queue:
+            assert scheduler.queue[0].processors > session.machine.free
 
     # -- the oracles ---------------------------------------------------------
     def _one_shot(self, scheduler: str, telemetry: Telemetry | None) -> list[tuple]:
@@ -316,12 +375,9 @@ class SessionMachine(RuleBasedStateMachine):
             return
         while self.session.machine.drained:  # on the first instant quiet enough
             self.feed_machine_event(1, False, MAX_DRAINED)
-        riding_out_faults(self.session.drain)
-        while self.session.scheduler.queue_length:
-            # a fault in an instant's last event takes its pass with it,
-            # and a pass only ever follows an event: send one
-            self.feed(gap=1, jobs=[(0, 1, 1, 1, 1)], descending=False)
-            riding_out_faults(self.session.drain)
+        self._riding_out_faults(self.session.drain)
+        # a fault in the last event of all still gets its pass: nobody is left waiting
+        assert not self.session.scheduler.queue_length
         self.registry_is_current_and_the_machine_sound()
         live = _rows(self.session.result())
         assert len(live) == len(self.jobs)
@@ -359,6 +415,7 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
         rule(*args, **kwargs)
         walk.registry_is_current_and_the_machine_sound()
         walk.candidates_are_the_queue_in_backfill_order()
+        walk.nobody_who_could_start_is_waiting()
 
     session, scheduler = walk.session, walk.session.scheduler
     # user 1's last two runtimes are 10 s: AVE2 will predict the floor for it
@@ -384,11 +441,15 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     # job 6 (backfilled when 4 left) ends alone in its instant and the predictor
     # raises on it: no pass follows, the release table keeps a phantom
     assert session.machine.is_running(6)
-    then(walk.advance_to, gap=session.record(6).start_time + 30 - session.now)
-    assert session.predictor.failed == {6}
+    then(walk.advance_to, gap=session.record(6).start_time + 29 - session.now)
+    then(walk.step)
+    assert session.predictor.failed == {6} and walk._owes_a_pass()
     assert not scheduler._releases.in_sync_with(session.machine)
     then(walk.query, pick=0, width=3)
-    then(walk.advance_to, gap=3000)  # job 3 raises too; the held head's pass resyncs
+    then(walk.run_the_owed_pass)  # the held head's pass resyncs
+    assert scheduler._releases.in_sync_with(session.machine)
+    then(walk.query, pick=0, width=3)
+    then(walk.advance_to, gap=3000)  # job 3 raises too, and the retry runs its pass
     assert session.predictor.failed == {3, 6}
     assert scheduler._releases.in_sync_with(session.machine)
     then(walk.query, pick=0, width=3)

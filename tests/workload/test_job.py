@@ -40,6 +40,16 @@ class TestJobValidation:
         with pytest.raises(ValueError, match="exceeds requested_time"):
             make_job(runtime=200.0, requested_time=100.0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "runtime", "requested_time", "processors"])
+    def test_nan_is_refused_by_the_field_that_carries_it(self, field):
+        """``nan < 0`` and ``nan <= 0`` are false: a check spelled that way
+        waves a NaN through, all three times at once included."""
+        with pytest.raises(ValueError, match=f"job 7: {field} must be .* got nan"):
+            make_job(job_id=7, **{field: float("nan")})
+        nan = float("nan")
+        with pytest.raises(ValueError, match="job 7: submit_time"):
+            Job(job_id=7, submit_time=nan, runtime=nan, processors=1, requested_time=nan)
+
     def test_runtime_equal_requested_allowed(self):
         job = make_job(runtime=100.0, requested_time=100.0)
         assert job.runtime == job.requested_time
