@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_predictions, paper_cells, run_cells
+from repro.obs import JsonlTraceSink, Telemetry
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 CACHE_DIR = os.path.join(_HERE, ".cache")
@@ -90,12 +91,19 @@ def campaign():
     """The full 6-log x 130-triple campaign (cached on disk)."""
     n_jobs, replicas = bench_n_jobs(), bench_replicas()
     stem = os.path.join(CACHE_DIR, f"campaign_n{n_jobs}_r{replicas}")
-    return run_cells(
-        paper_cells(n_jobs=n_jobs, replicas=replicas),
-        cache_path=f"{stem}.jsonl",
-        progress=True,
-        progress_path=f"{stem}.progress.jsonl",
+    # events only (registry off: the cells run without engine metrics);
+    # watch a long run with `repro metrics <stem>.progress.jsonl`
+    telemetry = Telemetry(
+        "campaign", enabled=False, trace=JsonlTraceSink(f"{stem}.progress.jsonl")
     )
+    try:
+        return run_cells(
+            paper_cells(n_jobs=n_jobs, replicas=replicas),
+            cache_path=f"{stem}.jsonl",
+            telemetry=telemetry,
+        )
+    finally:
+        telemetry.close()
 
 
 @pytest.fixture(scope="session")

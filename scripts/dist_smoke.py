@@ -9,15 +9,20 @@ Proves the fsqueue dispatch subsystem end to end, with real processes:
    SIGKILLed mid-run to prove lease-expiry retry recovers its shard;
 3. canonicalises both result caches (``repro.dist.merge``) and asserts
    they are **byte-identical**;
-4. reconciles the workers' telemetry against the merged cache: every
+4. prints what ``repro metrics`` would, from the one event stream: the
+   coordinator's (``--telemetry-dir``) and the workers'
+   (``QUEUE/progress/``, written with or without ``--telemetry``);
+5. reconciles the workers' telemetry against the merged cache: every
    unique cell must be accounted for by a *surviving* worker's
    ``worker.cells.simulated + worker.cells.cached`` counters (survivors
    re-claim the victim's shard and serve its proven cells from the shard
    cache), claims and lease renewals must be non-zero, and the
    SIGKILLed victim must have left **no** snapshot (snapshots land only
    on clean exit);
-5. leaves the merged cache at ``--out`` and the telemetry directory
-   (``--telemetry-dir``) for CI artifact upload.
+
+and leaves the merged cache at ``--out``, the telemetry directory
+(``--telemetry-dir``) and, under an explicit ``--workdir``, the queue with
+the workers' streams for CI artifact upload.
 
 Exit code 0 only if every step, including the byte comparison and the
 telemetry reconciliation, passes.
@@ -106,12 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         ["campaign", *campaign_args, "--cache", dist_cache,
          "--backend", "fsqueue", "--queue", queue_dir,
          "--lease-ttl", "10", "--dist-timeout", str(args.timeout),
-         "--telemetry", telemetry_dir,
-         "--progress-log", os.path.join(workdir, "coordinator.jsonl")],
+         "--telemetry", telemetry_dir],
         env, os.path.join(workdir, "coordinator.log"),
     )
-    # kill the victim the moment it claims its first shard: its lease
-    # must expire and the shard must be retried by a surviving worker
+    # kill the victim the moment it claims its first shard (its stream is
+    # in the queue from its first action): its lease must expire and the
+    # shard must be retried by a surviving worker
     victim_progress = os.path.join(queue_dir, "progress", "smoke-victim.jsonl")
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
@@ -154,11 +159,13 @@ def main(argv: list[str] | None = None) -> int:
     print("[smoke] 4/5 worker participation ...")
     shard_results = [p for p in os.listdir(os.path.join(queue_dir, "results"))]
     progress_dir = os.path.join(queue_dir, "progress")
-    from repro.core.reporting import format_dist_progress, load_progress, load_progress_dir
+    from repro.obs import format_events, load_events
 
-    events = load_progress(os.path.join(workdir, "coordinator.jsonl"))
-    events += load_progress_dir(progress_dir)
-    print(format_dist_progress(events))
+    report = format_events(load_events(telemetry_dir) + load_events(progress_dir))
+    print(report)
+    if not all(f"worker-smoke-w{i}: " in report for i in (1, 2)):
+        print("[smoke] FAIL: a surviving worker left no event stream in the queue")
+        return 1
 
     print("[smoke] 5/5 telemetry reconciliation ...")
     from repro.obs import load_snapshots

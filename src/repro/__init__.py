@@ -30,8 +30,8 @@ Declarative experiment specs (any scenario grid, not just the paper's)::
     cells = expand_spec_file("experiments/paper.toml")
     result = run_cells(cells, cache_path="campaign.jsonl")
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured record.
+See README.md: "Layout" is the system inventory, "Engine benchmark"
+the measured record.
 """
 
 from .core import (

@@ -18,13 +18,16 @@ Subcommands::
     repro merge --out merged.jsonl /shared/q/results
     repro check [--json] [--rules ...]   # static invariant checker
     repro table --which 1|6|7|8      # print a paper table reproduction
-    repro metrics RUN_DIR            # render telemetry snapshots
+    repro metrics RUN_DIR            # counters + campaign/worker progress
+    repro metrics /shared/q/progress # the workers of a live fsqueue campaign
     repro metrics BEFORE_DIR AFTER_DIR   # counter deltas between two runs
 
-``sim``, ``campaign``, ``worker`` and ``serve`` accept ``--telemetry
-DIR``: counters/histograms land in ``DIR/metrics-<component>.json`` (+
-Prometheus text) and spans in ``DIR/trace-<component>.jsonl``; render
-with ``repro metrics DIR``.  ``-v``/``-vv`` (or ``REPRO_LOG=INFO``)
+``sim``, ``campaign``, ``serve``, ``train``, ``eval`` and ``worker``
+accept ``--telemetry DIR``: counters/histograms land in
+``DIR/metrics-<component>.json`` (+ Prometheus text) on exit, spans and
+lifecycle events in ``DIR/trace-<component>.jsonl`` as they happen (a
+worker's, always, in ``QUEUE/progress/<id>.jsonl``); ``repro metrics``
+renders both, live or afterwards.  ``-v``/``-vv`` (or ``REPRO_LOG=INFO``)
 raises the log level.  ``python -m repro`` works as well as the
 installed ``repro`` script.
 """
@@ -32,6 +35,8 @@ installed ``repro`` script.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .core import (
@@ -84,15 +89,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("logs", help="list the archive logs (paper Table 4)")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)  # main() calls it with the parsed namespace
+        return p
 
-    p_synth = sub.add_parser("synth", help="write a synthetic SWF trace")
+    command("logs", _cmd_logs, "list the archive logs (paper Table 4)")
+
+    p_synth = command("synth", _cmd_synth, "write a synthetic SWF trace")
     p_synth.add_argument("output", help="output .swf path")
     p_synth.add_argument("--log", required=True, choices=LOG_NAMES)
     p_synth.add_argument("--n-jobs", type=int, default=2000)
     p_synth.add_argument("--seed", type=int, default=None)
 
-    p_sim = sub.add_parser("sim", help="run one heuristic triple on one log")
+    p_sim = command("sim", _cmd_sim, "run one heuristic triple on one log")
     p_sim.add_argument("--log", required=True, choices=LOG_NAMES)
     p_sim.add_argument("--n-jobs", type=int, default=2000)
     p_sim.add_argument("--seed", type=int, default=None)
@@ -102,9 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--tau", type=float, default=10.0)
     p_sim.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
 
-    p_camp = sub.add_parser(
-        "campaign",
-        help="run the paper's 128-triple campaign, or any experiment spec file",
+    p_camp = command(
+        "campaign", _cmd_campaign,
+        "run the paper's 128-triple campaign, or any experiment spec file",
     )
     p_camp.add_argument(
         "--spec",
@@ -117,11 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--replicas", type=int, default=3)
     p_camp.add_argument("--cache", default=None, help="JSONL result-cache path")
     p_camp.add_argument("--workers", type=int, default=None)
-    p_camp.add_argument(
-        "--progress-log",
-        default=None,
-        help="stream JSONL progress events here (render with core.format_progress)",
-    )
     p_camp.add_argument(
         "--backend",
         choices=["local", "fsqueue"],
@@ -150,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="long-running simulation session speaking JSONL on stdin/stdout",
+    p_serve = command(
+        "serve", _cmd_serve,
+        "long-running simulation session speaking JSONL on stdin/stdout",
     )
     p_serve.add_argument(
         "--processors", type=int, required=True, help="machine size to serve"
@@ -164,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--name", default="serve", help="session/trace label")
     p_serve.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
 
-    p_worker = sub.add_parser(
-        "worker", help="claim and simulate shards from a campaign queue"
+    p_worker = command(
+        "worker", _cmd_worker, "claim and simulate shards from a campaign queue"
     )
     p_worker.add_argument("--queue", required=True, help="the shared queue directory")
     p_worker.add_argument("--worker-id", default=None, help="default: <host>-<pid>")
@@ -181,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP
     )
 
-    p_merge = sub.add_parser(
-        "merge", help="merge shard result caches into one canonical cache"
+    p_merge = command(
+        "merge", _cmd_merge, "merge shard result caches into one canonical cache"
     )
     p_merge.add_argument(
         "inputs", nargs="+",
@@ -194,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="accept cells from other CACHE_VERSION/ENGINE_VERSION codes (unsafe)",
     )
 
-    p_spec = sub.add_parser(
-        "spec", help="validate / expand declarative experiment spec files"
+    p_spec = command(
+        "spec", _cmd_spec, "validate / expand declarative experiment spec files"
     )
     spec_sub = p_spec.add_subparsers(dest="spec_command", required=True)
     p_validate = spec_sub.add_parser(
@@ -215,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, help="print at most N entries"
     )
 
-    p_train = sub.add_parser(
-        "train",
-        help="train a backfilling policy (REINFORCE) and checkpoint it",
+    p_train = command(
+        "train", _cmd_train, "train a backfilling policy (REINFORCE) and checkpoint it"
     )
     p_train.add_argument("--log", default="KTH-SP2", choices=LOG_NAMES)
     p_train.add_argument("--n-jobs", type=int, default=500)
@@ -252,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--json", action="store_true", help="machine-readable summary")
     p_train.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
 
-    p_eval = sub.add_parser(
-        "eval",
-        help="rank a trained policy against heuristic baselines (leaderboard)",
+    p_eval = command(
+        "eval", _cmd_eval,
+        "rank a trained policy against heuristic baselines (leaderboard)",
     )
     p_eval.add_argument("--policy", required=True, help="checkpoint digest to evaluate")
     p_eval.add_argument(
@@ -289,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", action="store_true", help="machine-readable leaderboard")
     p_eval.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
 
-    p_metrics = sub.add_parser(
-        "metrics", help="render telemetry snapshots written by --telemetry DIR"
+    p_metrics = command(
+        "metrics", _cmd_metrics,
+        "render a --telemetry DIR or a queue's progress/: counter snapshots, "
+        "campaign and worker progress",
     )
     p_metrics.add_argument(
         "dirs", nargs="+", metavar="DIR",
-        help="one snapshot directory to render, or two to diff (before after)",
+        help="one directory to render, or two to diff (before after)",
     )
     p_metrics.add_argument(
         "--format", choices=["text", "prom", "json"], default="text",
@@ -302,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         "exposition, or raw snapshot JSON",
     )
 
-    p_check = sub.add_parser(
-        "check",
-        help="run the static invariant checker (determinism/durability/"
+    p_check = command(
+        "check", _cmd_check,
+        "run the static invariant checker (determinism/durability/"
         "cache-identity rules; README: Static analysis & invariants)",
     )
     p_check.add_argument(
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-proven semantics change (or an ENGINE_VERSION bump)",
     )
 
-    p_table = sub.add_parser("table", help="print a paper table reproduction")
+    p_table = command("table", _cmd_table, "print a paper table reproduction")
     p_table.add_argument("--which", required=True, choices=["1", "4", "6", "7", "8"])
     p_table.add_argument("--n-jobs", type=int, default=2000)
     p_table.add_argument("--replicas", type=int, default=3)
@@ -338,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_logs() -> int:
+def _cmd_logs(_args: argparse.Namespace | None = None) -> int:
     rows = table4_rows()
     print(
         format_table(
@@ -362,30 +368,27 @@ def _resolve_seed(args: argparse.Namespace) -> tuple[int, bool]:
     return stable_seed(args.log), True
 
 
-def _telemetry_from_args(args: argparse.Namespace, component: str):
-    """``(telemetry, dir)`` from ``--telemetry DIR``, or ``(None, None)``.
+@contextlib.contextmanager
+def _telemetry(args: argparse.Namespace, component: str):
+    """The command's registry under ``--telemetry DIR``, else ``None``.
 
-    The registry traces into ``DIR/trace-<component>.jsonl`` as it runs;
-    call :func:`_finish_telemetry` to land the counter snapshot.
+    It traces into ``DIR/trace-<component>.jsonl`` as the block runs; the
+    counter snapshot lands when the block is left, normally or not.
     """
     directory = getattr(args, "telemetry", None)
     if not directory:
-        return None, None
-    import os
-
+        yield None
+        return
     from .obs import JsonlTraceSink, Telemetry
 
-    os.makedirs(directory, exist_ok=True)
     trace = JsonlTraceSink(os.path.join(directory, f"trace-{component}.jsonl"))
-    return Telemetry(component=component, trace=trace), directory
-
-
-def _finish_telemetry(telemetry, directory: str | None) -> None:
-    if telemetry is None or directory is None:
-        return
-    path = telemetry.write(directory)
-    telemetry.close()
-    print(f"telemetry written to {path}", file=sys.stderr)
+    telemetry = Telemetry(component=component, trace=trace)
+    try:
+        yield telemetry
+    finally:
+        path = telemetry.write(directory)
+        telemetry.close()
+        print(f"telemetry written to {path}", file=sys.stderr)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -399,9 +402,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usage_error(command: str, exc: Exception) -> int:
-    """A bad name, number or spec file from the command line: one line on
-    stderr, exit status 2 (argparse's own usage-error status)."""
+def _usage_error(command: str, exc: Exception | str) -> int:
+    """A bad name, number, spec file or option combination from the command
+    line: one line on stderr, exit status 2 (argparse's own usage-error
+    status)."""
     message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
     print(f"repro {command}: {message}", file=sys.stderr)
     return 2
@@ -419,11 +423,8 @@ def _cmd_sim(args: argparse.Namespace) -> int:
         )
     except (KeyError, ValueError) as exc:
         return _usage_error("sim", exc)
-    telemetry, tele_dir = _telemetry_from_args(args, "sim")
-    try:
+    with _telemetry(args, "sim") as telemetry:
         outcome = run_spec(spec, telemetry=telemetry)
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
     origin = "derived from log name" if derived else "from --seed"
     print(f"log        : {outcome.log}")
     print(f"seed       : {outcome.seed} ({origin})")
@@ -435,13 +436,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_from_args(args: argparse.Namespace):
+def _run_cells_from_args(args: argparse.Namespace, cells: list[CellSpec]):
+    """Run ``cells`` with the cache/dispatch/telemetry options of ``repro
+    campaign`` (``repro table`` carries only the cache and worker ones)."""
     backend = getattr(args, "backend", "local")
     if backend == "fsqueue":
         from .dist import FsQueueBroker
 
-        if not args.queue:
-            raise SystemExit("campaign --backend fsqueue requires --queue DIR")
         backend = FsQueueBroker(
             args.queue,
             n_shards=args.shards,
@@ -449,25 +450,14 @@ def _backend_from_args(args: argparse.Namespace):
             max_attempts=args.max_attempts,
             timeout=args.dist_timeout,
         )
-    return backend
-
-
-def _run_cells_from_args(args: argparse.Namespace, cells: list[CellSpec]):
-    """Run ``cells`` with the cache/dispatch/telemetry options of ``repro
-    campaign`` (``repro table`` carries only the cache and worker ones)."""
-    telemetry, tele_dir = _telemetry_from_args(args, "campaign")
-    try:
+    with _telemetry(args, "campaign") as telemetry:
         return run_cells(
             cells,
             cache_path=args.cache,
             workers=args.workers,
-            progress=True,
-            progress_path=getattr(args, "progress_log", None),
-            backend=_backend_from_args(args),
+            backend=backend,
             telemetry=telemetry,
         )
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
 
 
 def _print_table6(result) -> None:
@@ -496,6 +486,8 @@ def _print_table6(result) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: the paper grid over ``--logs/--n-jobs/
     --replicas``, or with ``--spec FILE`` any experiment file."""
+    if args.backend == "fsqueue" and not args.queue:
+        return _usage_error("campaign", "--backend fsqueue requires --queue DIR")
     try:
         if args.spec:
             name, cells = validate_spec_file(args.spec)
@@ -560,26 +552,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: JSONL protocol loop over one live SimSession."""
     from .serve import build_serve_session, serve_loop
 
-    telemetry, tele_dir = _telemetry_from_args(args, "serve")
-    session = build_serve_session(
-        processors=args.processors,
-        scheduler=args.scheduler,
-        predictor=args.predictor,
-        corrector=args.corrector,
-        min_prediction=args.min_prediction,
-        name=args.name,
-        telemetry=telemetry,
-    )
-    print(
-        f"serving m={args.processors} scheduler={args.scheduler} "
-        f"predictor={args.predictor} corrector={args.corrector}; "
-        "one JSON request per line (see README 'Serving mode')",
-        file=sys.stderr,
-    )
-    try:
+    with _telemetry(args, "serve") as telemetry:
+        session = build_serve_session(
+            processors=args.processors,
+            scheduler=args.scheduler,
+            predictor=args.predictor,
+            corrector=args.corrector,
+            min_prediction=args.min_prediction,
+            name=args.name,
+            telemetry=telemetry,
+        )
+        print(
+            f"serving m={args.processors} scheduler={args.scheduler} "
+            f"predictor={args.predictor} corrector={args.corrector}; "
+            "one JSON request per line (see README 'Serving mode')",
+            file=sys.stderr,
+        )
         stats = serve_loop(session, sys.stdin, sys.stdout, telemetry=telemetry)
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
     print(
         f"serve session closed: {stats.n_requests} request(s), "
         f"{stats.n_submitted} submitted, {stats.n_queries} query(ies), "
@@ -598,7 +587,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         poll_interval=args.poll,
         max_idle=args.max_idle,
         max_shards=args.max_shards,
-        echo=True,
         telemetry_dir=args.telemetry,
     )
     print(
@@ -645,13 +633,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         min_prediction=args.min_prediction,
         tau=args.tau,
     )
-    telemetry, tele_dir = _telemetry_from_args(args, "train")
-    try:
+    with _telemetry(args, "train") as telemetry:
         result = train(
             config, broker=LocalBroker(workers=args.workers), telemetry=telemetry
         )
-    finally:
-        _finish_telemetry(telemetry, tele_dir)
     path = result.checkpoint.save(args.store)
     if args.json:
         print(
@@ -704,38 +689,41 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     """``repro eval``: leaderboard of a trained policy vs heuristics."""
     import json
-    import os
 
     from .learn import DEFAULT_STORE_ENV, evaluate_policy
-    from .workload.archive import stable_seed as _stable
 
-    if args.store:
-        # resolve the store via the environment, not the spec params, so
-        # the learned cells' cache identity stays store-location-free
-        os.environ[DEFAULT_STORE_ENV] = args.store
     if args.seeds:
         seeds = [int(s) for s in args.seeds]
     else:
-        base = _stable(args.log) + args.holdout_offset
+        base = stable_seed(args.log) + args.holdout_offset
         seeds = [base + r for r in range(args.replicas)]
-    telemetry, tele_dir = _telemetry_from_args(args, "eval")
+    # the store is resolved via the environment, not the spec params, so
+    # the learned cells' cache identity stays store-location-free -- for
+    # this evaluation only: an in-process caller gets its own value back
+    previous = os.environ.get(DEFAULT_STORE_ENV)
+    if args.store:
+        os.environ[DEFAULT_STORE_ENV] = args.store
     try:
-        result = evaluate_policy(
-            args.policy,
-            args.log,
-            seeds=seeds,
-            n_jobs=args.n_jobs,
-            predictor=args.predictor,
-            corrector=args.corrector,
-            min_prediction=args.min_prediction,
-            tau=args.tau,
-            baselines=args.baselines,
-            cache_path=args.cache,
-            workers=args.workers,
-            telemetry=telemetry,
-        )
+        with _telemetry(args, "eval") as telemetry:
+            result = evaluate_policy(
+                args.policy,
+                args.log,
+                seeds=seeds,
+                n_jobs=args.n_jobs,
+                predictor=args.predictor,
+                corrector=args.corrector,
+                min_prediction=args.min_prediction,
+                tau=args.tau,
+                baselines=args.baselines,
+                cache_path=args.cache,
+                workers=args.workers,
+                telemetry=telemetry,
+            )
     finally:
-        _finish_telemetry(telemetry, tele_dir)
+        if previous is not None:
+            os.environ[DEFAULT_STORE_ENV] = previous
+        elif args.store:
+            del os.environ[DEFAULT_STORE_ENV]
     board = result.leaderboard()
     if args.json:
         print(
@@ -769,32 +757,43 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    """``repro metrics DIR [DIR2]``: render or diff telemetry snapshots."""
+    """``repro metrics DIR [DIR2]``: render a directory's counter snapshots
+    and event streams, or diff the snapshots of two."""
     import json
 
-    from .obs import diff_snapshots, format_snapshots, load_snapshots
-    from .obs.sinks import prom_text
+    from . import obs
 
     if len(args.dirs) > 2:
-        raise SystemExit("metrics takes one directory, or two to diff")
+        return _usage_error("metrics", "takes one directory, or two to diff")
     if len(args.dirs) == 2:
-        baseline = load_snapshots(args.dirs[0])
-        current = load_snapshots(args.dirs[1])
+        baseline = obs.load_snapshots(args.dirs[0])
+        current = obs.load_snapshots(args.dirs[1])
         if not baseline and not current:
             print(f"no metrics-*.json snapshots under {args.dirs[0]} or {args.dirs[1]}")
             return 1
-        print(diff_snapshots(baseline, current))
+        print(obs.diff_snapshots(baseline, current))
         return 0
-    snapshots = load_snapshots(args.dirs[0])
-    if not snapshots:
-        print(f"no metrics-*.json snapshots under {args.dirs[0]}")
+    snapshots = obs.load_snapshots(args.dirs[0])
+    # under the tables, what the event streams say of a campaign and its
+    # workers; the machine-readable formats carry snapshots only
+    progress = obs.format_events(obs.load_events(args.dirs[0]))
+    if not snapshots and not progress:
+        print(f"no metrics-*.json snapshots or event streams under {args.dirs[0]}")
+        return 1
+    if not snapshots and args.format != "text":
+        print(
+            f"no metrics-*.json snapshots under {args.dirs[0]}: --format "
+            f"{args.format} carries snapshots only, the event streams there "
+            "render as text"
+        )
         return 1
     if args.format == "prom":
-        print("\n".join(prom_text(snap) for snap in snapshots))
+        print("\n".join(obs.prom_text(snap) for snap in snapshots))
     elif args.format == "json":
         print(json.dumps(snapshots, indent=2, sort_keys=True))
     else:
-        print(format_snapshots(snapshots))
+        tables = obs.format_snapshots(snapshots) if snapshots else ""
+        print("\n\n".join(filter(None, [tables, progress])))
     return 0
 
 
@@ -831,7 +830,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             args.paths, root=root, config=CheckConfig(select=select)
         )
     except KeyError as exc:
-        raise SystemExit(f"repro check: {exc.args[0]}") from None
+        return _usage_error("check", exc)
     if args.json:
         print(format_json(findings, len(files), rules))
     else:
@@ -907,33 +906,7 @@ def main(argv: list[str] | None = None) -> int:
     from .obs import setup_logging
 
     setup_logging(verbosity=args.verbose)
-    if args.command == "logs":
-        return _cmd_logs()
-    if args.command == "synth":
-        return _cmd_synth(args)
-    if args.command == "sim":
-        return _cmd_sim(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
-    if args.command == "merge":
-        return _cmd_merge(args)
-    if args.command == "spec":
-        return _cmd_spec(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    if args.command == "metrics":
-        return _cmd_metrics(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "table":
-        return _cmd_table(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,9 @@ A campaign is a list of :class:`repro.spec.CellSpec` cells -- the paper's
 is every heuristic triple (128 of them) plus the two clairvoyant
 references on every workload log, over ``replicas`` independent synthetic
 trace draws per log, since a simulation-sized synthetic subset is one
-sample of a stochastic workload (the paper runs each real log once; see
-DESIGN.md for the protocol difference).  :func:`run_cells` runs any such
+sample of a stochastic workload (the paper runs each real log once; the
+note on synthetic stand-ins that closes README "Layout" says why the
+logs here are generated).  :func:`run_cells` runs any such
 list and returns a :class:`SpecCampaignResult`, which also carries the
 paper's aggregations (Tables 1 and 6, the learning ranges, the best
 triple).
@@ -23,15 +24,16 @@ The runner is built for throughput and restartability:
   cache keyed by (trace digest, spec digest, engine version), so a
   killed campaign resumes where it stopped and a finished campaign
   re-runs with **zero** simulations -- under either backend;
-* progress is streamed to a JSONL file (and optionally stdout) that
-  :mod:`repro.core.reporting` can render at any time.
+* every lifecycle step (``start``, one ``cell`` per finished cell,
+  ``end``) is a :meth:`repro.obs.Telemetry.event` on the ``telemetry``
+  the caller hands in, so a live campaign is watched with ``repro
+  metrics DIR`` (README "Observability").
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +41,7 @@ from typing import IO, TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ..obs import get_logger
 from ..obs.telemetry import NOOP, Telemetry
 from ..sim.engine import ENGINE_VERSION
 from ..spec import CellSpec, WorkloadSpec, scheduler_registry
@@ -60,6 +63,8 @@ __all__ = [
     "iter_cache_records",
     "parse_cache_record",
 ]
+
+_log = get_logger("campaign")
 
 #: Bump when the cache record layout changes.  Engine/workload semantic
 #: changes are covered separately: the cache token embeds ENGINE_VERSION
@@ -195,54 +200,6 @@ class ResultCache:
     def flush(self) -> None:
         if self._fh is not None:
             self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-class ProgressLog:
-    """JSONL progress stream consumed by :mod:`repro.core.reporting`.
-
-    The one writer behind every progress stream: the campaign
-    coordinator uses it bare, distributed workers
-    (:mod:`repro.dist.worker`) tag each event with their ``worker`` id
-    and append (their stream outlives claim/restart cycles) -- so the
-    streams :func:`repro.core.reporting.format_dist_progress` merges can
-    never drift in format.
-    """
-
-    def __init__(
-        self,
-        path: str | None,
-        echo: bool = False,
-        worker: str | None = None,
-        append: bool = False,
-    ) -> None:
-        self.path = path
-        self.echo = echo
-        self.worker = worker
-        self._fh: IO[str] | None = None
-        self._t0 = time.monotonic()
-        if path:
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            self._fh = open(path, "a" if append else "w", encoding="utf-8")
-
-    def emit(self, event: dict) -> None:
-        if self.worker is not None:
-            event = {**event, "worker": self.worker}
-        event = {**event, "elapsed": round(time.monotonic() - self._t0, 3)}
-        if self._fh is not None:
-            self._fh.write(json.dumps(event) + "\n")
-            self._fh.flush()
-        if self.echo:
-            detail = {
-                k: v for k, v in event.items() if k not in ("event", "worker")
-            }
-            print(f"[{self.worker or 'campaign'}] {event.get('event')}: {detail}")
 
     def close(self) -> None:
         if self._fh is not None:
@@ -393,8 +350,6 @@ def run_cells(
     cells: Sequence[CellSpec],
     cache_path: str | None = None,
     workers: int | None = None,
-    progress: bool = False,
-    progress_path: str | None = None,
     backend: Broker | str = "local",
     queue_dir: str | None = None,
     telemetry: Telemetry | None = None,
@@ -406,14 +361,16 @@ def run_cells(
     dispatch backend key them by spec digest, and the result comes back
     digest-indexed.
 
-    ``progress_path`` streams JSONL progress events; ``progress=True``
-    additionally prints a line every 50 finished simulations.
     ``backend`` selects the dispatch strategy: ``"local"`` (process pool
     on this host, honouring ``workers``), ``"fsqueue"`` (coordinate
     external ``repro worker`` processes over the shared ``queue_dir``),
     or any ready :class:`repro.dist.Broker` instance.  ``telemetry``
     collects campaign/dispatch counters and, under the local broker, the
-    engine/predictor metrics merged back from every simulated cell.
+    engine/predictor metrics merged back from every simulated cell; its
+    trace sink, when it has one, receives the lifecycle events (``start``,
+    a ``cell`` per result under either backend, ``end``) as they happen.
+    Built with ``enabled=False`` it does the second only: the event
+    stream at no cost to the cells.
     """
     from ..dist.broker import resolve_backend
 
@@ -423,7 +380,6 @@ def run_cells(
     scores: dict[str, float] = {}
     durations: dict[str, float] = {}
     cache = ResultCache(cache_path)
-    plog = ProgressLog(progress_path)
     try:
         tokens = {spec.digest(): cell_token(spec) for spec in cells}
         pending: list[CellSpec] = []
@@ -433,17 +389,14 @@ def run_cells(
                 pending.append(spec)
             else:
                 scores[spec.digest()] = value
-        if tele.enabled:
-            tele.inc("campaign.cells.total", len(cells))
-            tele.inc("campaign.cells.cached", len(cells) - len(pending))
-        plog.emit(
-            {
-                "event": "start",
-                "total": len(cells),
-                "cached": len(cells) - len(pending),
-                "pending": len(pending),
-                "logs": list(dict.fromkeys(spec.workload.log for spec in cells)),
-            }
+        tele.inc("campaign.cells.total", len(cells))
+        tele.inc("campaign.cells.cached", len(cells) - len(pending))
+        tele.event(
+            "start",
+            total=len(cells),
+            cached=len(cells) - len(pending),
+            pending=len(pending),
+            logs=list(dict.fromkeys(spec.workload.log for spec in cells)),
         )
         if pending:
             # group-major dispatch order: same-trace cells land adjacently
@@ -462,33 +415,30 @@ def run_cells(
                 cache.put(tokens[spec.digest()], score)
                 if seconds is not None:
                     durations[spec.digest()] = seconds
-                event = {
-                    "event": "cell",
-                    "log": spec.workload.log,
-                    "triple": spec.label,
-                    "seed": spec.workload.seed,
-                    "avebsld": score,
-                    "done": done,
-                    "total": len(pending),
-                }
-                if seconds is not None:
-                    event["seconds"] = round(seconds, 4)
-                plog.emit(event)
-                if progress and done % 50 == 0:
-                    print(f"  campaign: {done}/{len(pending)} simulations done")
+                tele.event(
+                    "cell",
+                    log=spec.workload.log,
+                    label=spec.label,
+                    seed=spec.workload.seed,
+                    avebsld=score,
+                    seconds=None if seconds is None else round(seconds, 6),
+                    done=done,
+                    total=len(pending),
+                )
+                if done % 50 == 0:
+                    _log.info("%d/%d simulations done", done, len(pending))
 
             with tele.span("campaign.dispatch", pending=len(pending)):
-                broker.dispatch(pending, record, emit=plog.emit, telemetry=telemetry)
+                broker.dispatch(pending, record, telemetry=telemetry)
             cache.flush()
         missing = [spec for spec in cells if spec.digest() not in scores]
         if missing:
             raise RuntimeError(
                 f"campaign cache missing {tokens[missing[0].digest()]}"
             )
-        plog.emit({"event": "end", "total": len(cells)})
+        tele.event("end", total=len(cells))
     finally:
-        # a failing worker must not leak the cache/progress handles; every
-        # cell finished before the failure is already flushed to disk
-        plog.close()
+        # a failing worker must not leak the cache handle; every cell
+        # finished before the failure is already flushed to disk
         cache.close()
     return SpecCampaignResult(cells=cells, scores=scores, durations=durations)

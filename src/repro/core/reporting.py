@@ -6,26 +6,15 @@ tests can all consume the same formatting.
 
 from __future__ import annotations
 
-import json
-import os
 from collections.abc import Sequence
 
 import numpy as np
-
-from ..obs import get_logger
-
-_log = get_logger("reporting")
 
 __all__ = [
     "format_table",
     "format_leaderboard",
     "ascii_scatter",
     "format_percent",
-    "load_progress",
-    "format_progress",
-    "load_progress_dir",
-    "aggregate_worker_progress",
-    "format_dist_progress",
 ]
 
 #: scheduler family marking a leaderboard row as learned (trained
@@ -78,205 +67,6 @@ def format_leaderboard(
 def format_percent(value: float) -> str:
     """Render a reduction percentage the way the paper does: (28%)."""
     return f"({value:.0f}%)"
-
-
-def load_progress(path: str) -> list[dict]:
-    """Parse a campaign progress JSONL stream (tolerates torn tail lines).
-
-    Lines that fail to parse, or parse to something other than an
-    object, are skipped and counted -- a live writer's partial append or
-    a corrupted stream must never take the reader down.
-    """
-    events: list[dict] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1  # partial trailing write from a live campaign
-                continue
-            if not isinstance(event, dict):
-                skipped += 1
-                continue
-            events.append(event)
-    if skipped:
-        _log.warning("skipped %d unparseable line(s) in %s", skipped, path)
-    return events
-
-
-def format_progress(events: Sequence[dict]) -> str:
-    """Render a campaign progress stream as a human-readable report.
-
-    Works on a finished stream or a snapshot of a live one: reports cells
-    finished versus pending, per-log completion, throughput, and -- while
-    the campaign is still running -- a wall-clock estimate of the
-    remainder.
-    """
-    start = next((e for e in events if e.get("event") == "start"), None)
-    cells = [e for e in events if e.get("event") == "cell"]
-    end = next((e for e in events if e.get("event") == "end"), None)
-    if start is None:
-        return "campaign progress: no start event recorded"
-
-    total = int(start.get("total", 0))
-    cached = int(start.get("cached", 0))
-    pending = int(start.get("pending", max(total - cached, 0)))
-    done = len(cells)
-    lines = [
-        f"campaign: {total} cells ({cached} cached, {pending} to simulate)",
-        f"simulated: {done}/{pending}",
-    ]
-    if cells:
-        per_log: dict[str, int] = {}
-        for cell in cells:
-            per_log[cell.get("log", "?")] = per_log.get(cell.get("log", "?"), 0) + 1
-        for log in start.get("logs", sorted(per_log)):
-            if log in per_log:
-                lines.append(f"  {log}: {per_log[log]} cells")
-        elapsed = float(cells[-1].get("elapsed", 0.0))
-        if elapsed > 0:
-            rate = done / elapsed
-            lines.append(f"throughput: {rate:.2f} simulations/s over {elapsed:.0f}s")
-            if end is None and rate > 0 and done < pending:
-                lines.append(f"estimated remaining: {(pending - done) / rate:.0f}s")
-    if end is not None:
-        lines.append(f"finished in {float(end.get('elapsed', 0.0)):.0f}s")
-    return "\n".join(lines)
-
-
-def load_progress_dir(directory: str) -> list[dict]:
-    """Merge every ``*.jsonl`` progress stream under ``directory``.
-
-    Used for a distributed campaign's ``queue/progress/`` directory,
-    where each worker appends its own stream.  Events missing a
-    ``worker`` field are tagged with their file stem so aggregation can
-    still attribute them.  File order (then line order) is preserved --
-    ``elapsed`` values are per-worker clocks and must not be compared
-    across streams.
-    """
-    events: list[dict] = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".jsonl"):
-            continue
-        stem = name[: -len(".jsonl")]
-        try:
-            stream = load_progress(os.path.join(directory, name))
-        except OSError as exc:
-            # directory expansion is racy: a worker may rotate or remove
-            # its stream between listdir and open
-            _log.warning("could not read progress stream %s: %s", name, exc)
-            continue
-        for event in stream:
-            events.append(event if "worker" in event else {**event, "worker": stem})
-    return events
-
-
-def aggregate_worker_progress(events: Sequence[dict]) -> dict[str, dict]:
-    """Fold a multi-worker event stream into per-worker summaries.
-
-    Returns ``{worker: {"cells": int, "shards_done": int,
-    "shards_abandoned": int, "claims": int, "elapsed": float,
-    "status": "running"|"exited", "reason": str}}``.
-    """
-    workers: dict[str, dict] = {}
-
-    def entry(worker: str) -> dict:
-        return workers.setdefault(
-            worker,
-            {
-                "cells": 0,
-                "shards_done": 0,
-                "shards_abandoned": 0,
-                "claims": 0,
-                "elapsed": 0.0,
-                "status": "running",
-                "reason": "",
-            },
-        )
-
-    for event in events:
-        worker = str(event.get("worker", "?"))
-        kind = event.get("event")
-        summary = entry(worker)
-        summary["elapsed"] = max(
-            summary["elapsed"], float(event.get("elapsed", 0.0))
-        )
-        if kind == "cell":
-            summary["cells"] += 1
-        elif kind == "claim":
-            summary["claims"] += 1
-        elif kind == "shard_done":
-            summary["shards_done"] += 1
-        elif kind == "shard_abandoned":
-            summary["shards_abandoned"] += 1
-        elif kind == "worker_exit":
-            summary["status"] = "exited"
-            summary["reason"] = str(event.get("reason", ""))
-    return workers
-
-
-def format_dist_progress(events: Sequence[dict]) -> str:
-    """Render a distributed campaign's multi-worker progress.
-
-    Accepts the concatenation of the coordinator's progress stream and
-    the workers' streams (see :func:`load_progress_dir`); any subset
-    renders sensibly, including a snapshot of a live campaign.
-    """
-    enqueue = next((e for e in events if e.get("event") == "enqueue"), None)
-    done = next((e for e in events if e.get("event") == "dist_done"), None)
-    requeues = [e for e in events if e.get("event") == "requeue"]
-    failures = [e for e in events if e.get("event") == "shard_failed"]
-    workers = aggregate_worker_progress(
-        [e for e in events if "worker" in e]
-    )
-
-    lines: list[str] = []
-    if enqueue is not None:
-        lines.append(
-            f"distributed campaign: {enqueue.get('shards', '?')} shard(s), "
-            f"{enqueue.get('cells', '?')} cell(s) enqueued "
-            f"(generation {enqueue.get('generation', '?')})"
-        )
-    else:
-        lines.append("distributed campaign: no enqueue event recorded")
-    total_cells = 0
-    for worker in sorted(workers):
-        summary = workers[worker]
-        total_cells += summary["cells"]
-        state = (
-            f"exited ({summary['reason']})"
-            if summary["status"] == "exited"
-            else "running"
-        )
-        abandoned = (
-            f", {summary['shards_abandoned']} abandoned"
-            if summary["shards_abandoned"]
-            else ""
-        )
-        lines.append(
-            f"  {worker}: {summary['cells']} cell(s), "
-            f"{summary['shards_done']}/{summary['claims']} shard(s) "
-            f"done{abandoned}, {state}, {summary['elapsed']:.0f}s"
-        )
-    if workers:
-        lines.append(f"cells simulated across workers: {total_cells}")
-    if requeues:
-        shards = ", ".join(sorted({str(e.get("shard")) for e in requeues}))
-        lines.append(f"lease expiries re-queued: {len(requeues)} ({shards})")
-    if failures:
-        shards = ", ".join(sorted({str(e.get("shard")) for e in failures}))
-        lines.append(f"shards FAILED (attempts exhausted): {shards}")
-    if done is not None:
-        merge = done.get("merge")
-        lines.append(
-            f"finished: {done.get('shards', '?')} shard(s)"
-            + (f"; {merge}" if merge else "")
-        )
-    return "\n".join(lines)
 
 
 def format_table(

@@ -39,8 +39,6 @@ __all__ = ["Broker", "LocalBroker", "FsQueueBroker", "resolve_backend"]
 
 #: on_result(cell_spec, avebsld, wall_seconds | None)
 ResultCallback = Callable[..., None]
-#: emit(progress_event_dict)
-EmitCallback = Callable[[dict], None]
 
 _log = get_logger("dist.coordinator")
 
@@ -53,7 +51,6 @@ class Broker(ABC):
         self,
         cells: Sequence[CellSpec],
         on_result: ResultCallback,
-        emit: EmitCallback | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         """Simulate every cell, calling ``on_result`` as each finishes.
@@ -62,8 +59,9 @@ class Broker(ABC):
         when the broker measured the cell's wall time.  Must deliver each
         cell exactly once (dedup is the broker's job) and raise if any
         cell cannot be produced.  ``telemetry`` (optional) receives the
-        broker's own dispatch counters; brokers that run cells in this
-        process tree also fold per-cell engine metrics into it.
+        broker's own dispatch counters and lifecycle events; brokers that
+        run cells in this process tree also fold per-cell engine metrics
+        into it while its registry is enabled.
         """
 
     def map_tasks(self, fn: Callable, payloads: Sequence) -> list:
@@ -99,7 +97,6 @@ class LocalBroker(Broker):
         self,
         cells: Sequence[CellSpec],
         on_result: ResultCallback,
-        emit: EmitCallback | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         tele = telemetry if telemetry is not None else NOOP
@@ -114,14 +111,6 @@ class LocalBroker(Broker):
                 snap = report.get("telemetry")
                 if snap:
                     tele.merge_snapshot(snap)
-                tele.event(
-                    "cell",
-                    log=spec.workload.log,
-                    label=spec.label,
-                    seed=spec.workload.seed,
-                    seconds=None if seconds is None else round(seconds, 6),
-                    avebsld=score,
-                )
             on_result(spec, score, seconds)
 
         jobs = list(cells)
@@ -206,13 +195,11 @@ class FsQueueBroker(Broker):
         self,
         cells: Sequence[CellSpec],
         on_result: ResultCallback,
-        emit: EmitCallback | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
         from ..core.campaign import cell_token
 
         tele = telemetry if telemetry is not None else NOOP
-        emit = emit or (lambda event: None)
         queue = FsQueue.create(self.queue_dir, lease_ttl=self.lease_ttl)
         queue.check_versions()
         # a fresh campaign reopens the queue: a stale DONE would make
@@ -248,7 +235,6 @@ class FsQueueBroker(Broker):
                 "DONE",
                 {"generation": int(queue.read_meta().get("generation", 0))},
             )
-            emit({"event": "dist_done", "shards": 0, "cells": 0})
             return
 
         stale = queue.clear_todo()
@@ -269,20 +255,12 @@ class FsQueueBroker(Broker):
             generation=generation,
             shards=len(shards),
             cells=len(remaining),
+            stale_dropped=stale,
+            est_costs=[round(s.est_cost, 2) for s in shards],
         )
         _log.info(
             "enqueued %d shard(s) / %d cell(s) on %s (generation %d)",
             len(shards), len(remaining), queue.root, generation,
-        )
-        emit(
-            {
-                "event": "enqueue",
-                "generation": generation,
-                "shards": len(shards),
-                "cells": len(remaining),
-                "stale_dropped": stale,
-                "est_costs": [round(s.est_cost, 2) for s in shards],
-            }
         )
 
         started = time.monotonic()
@@ -291,19 +269,16 @@ class FsQueueBroker(Broker):
             for shard_id, attempt, disposition in queue.requeue_expired(
                 lease_ttl=self.lease_ttl, max_attempts=self.max_attempts
             ):
-                requeued = disposition == "requeued"
-                tele.inc("dist.requeues" if requeued else "dist.shards.failed")
                 _log.warning(
                     "shard %s (attempt %d) lease expired: %s",
                     shard_id, attempt, disposition,
                 )
-                emit(
-                    {
-                        "event": "requeue" if requeued else "shard_failed",
-                        "shard": shard_id,
-                        "attempt": attempt,
-                    }
-                )
+                if disposition == "requeued":
+                    tele.inc("dist.requeues")
+                    tele.event("requeue", shard=shard_id, attempt=attempt)
+                else:
+                    tele.inc("dist.shards.failed")
+                    tele.event("shard_failed", shard=shard_id, attempt=attempt)
             done = queue.done_ids()
             failed = queue.failed_ids() & own
             if failed:
@@ -353,14 +328,6 @@ class FsQueueBroker(Broker):
         _log.info(
             "distributed campaign done: %d shard(s), %d cell(s); %s",
             len(shards), len(remaining), report.describe(),
-        )
-        emit(
-            {
-                "event": "dist_done",
-                "shards": len(shards),
-                "cells": len(remaining),
-                "merge": report.describe(),
-            }
         )
 
 

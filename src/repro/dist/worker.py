@@ -19,9 +19,10 @@ Per shard, a worker
 
 Workers exit when the coordinator posts a ``DONE``/``STOP`` marker, when
 ``max_shards`` is reached, or after ``max_idle`` seconds without
-claimable work.  Every lifecycle step is appended to the worker's own
-progress stream (``progress/<worker>.jsonl``) for
-:func:`repro.core.reporting.format_dist_progress`.
+claimable work.  Every lifecycle step is a :meth:`Telemetry.event
+<repro.obs.Telemetry.event>` appended to the worker's own stream,
+``progress/<worker>.jsonl`` on the queue's filesystem, which ``repro
+metrics QUEUE/progress`` renders from any host.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..core.campaign import ProgressLog, iter_cache_records
+from ..core.campaign import iter_cache_records
 from ..obs import JsonlTraceSink, Telemetry, get_logger
-from ..obs.telemetry import NOOP
 from .fsqueue import (
     DEFAULT_LEASE_TTL,
     FsQueue,
@@ -84,7 +84,7 @@ class _Heartbeat(threading.Thread):
         queue: FsQueue,
         lease: Lease,
         interval: float,
-        telemetry: Telemetry = NOOP,
+        telemetry: Telemetry,
     ) -> None:
         super().__init__(daemon=True, name=f"heartbeat-{lease.shard_id}")
         self.queue = queue
@@ -106,15 +106,12 @@ class _Heartbeat(threading.Thread):
                 return
             except OSError:
                 continue  # transient fs hiccup; retry next beat
-            if self.telemetry.enabled:
-                now = time.monotonic()
-                # age of the heartbeat when it landed: how close the
-                # lease's mtime came to looking dead before this renewal
-                self.telemetry.observe(
-                    "worker.heartbeat.age.seconds", now - last_beat
-                )
-                self.telemetry.inc("worker.lease.renewals")
-                last_beat = now
+            now = time.monotonic()
+            # age of the heartbeat when it landed: how close the lease's
+            # mtime came to looking dead before this renewal
+            self.telemetry.observe("worker.heartbeat.age.seconds", now - last_beat)
+            self.telemetry.inc("worker.lease.renewals")
+            last_beat = now
 
     def stop(self) -> None:
         self._halt.set()
@@ -127,18 +124,19 @@ def run_worker(
     poll_interval: float = 0.5,
     max_idle: float | None = None,
     max_shards: int | None = None,
-    echo: bool = False,
     telemetry_dir: str | None = None,
 ) -> WorkerStats:
     """Claim-and-simulate until the queue is finished (see module doc).
 
     ``max_idle=None`` waits for a DONE/STOP marker forever; a float exits
     after that many seconds without claimable work (0 drains and exits).
-    ``telemetry_dir`` enables per-worker counters (claims, simulated vs
-    cached cells, lease renewals, heartbeat ages, per-cell seconds) and
-    writes ``metrics-worker-<id>.{json,prom}`` plus a span trace there on
-    clean exit -- a SIGKILLed worker leaves no snapshot, which is exactly
-    the signal the smoke reconciliation relies on.
+    The worker's registry is always live: its events go to
+    ``QUEUE/progress/<id>.jsonl`` as they happen, and its counters
+    (claims, simulated vs cached cells, lease renewals, heartbeat ages,
+    per-cell seconds) are written as ``metrics-worker-<id>.{json,prom}``
+    under ``telemetry_dir``, when one is given, on clean exit -- a
+    SIGKILLed worker leaves no snapshot, which is exactly the signal the
+    smoke reconciliation relies on.
     """
     from ..core.run import run_cell
 
@@ -158,22 +156,12 @@ def run_worker(
     meta = queue.check_versions()  # refuse version-skewed queues up front
     worker_id = sanitize_id(worker_id or default_worker_id())
     stats = WorkerStats(worker_id=worker_id)
-    component = f"worker-{worker_id}"
-    if telemetry_dir:
-        tele = Telemetry(
-            component=component,
-            trace=JsonlTraceSink(
-                os.path.join(telemetry_dir, f"trace-{component}.jsonl")
-            ),
-        )
-    else:
-        tele = NOOP
     progress_path = queue.progress_path(worker_id)
-    progress = ProgressLog(progress_path, echo=echo, worker=worker_id, append=True)
-    progress.emit({"event": "worker_start", "queue": queue.root,
-                   "lease_ttl": meta.get("lease_ttl")})
+    tele = Telemetry(
+        component=f"worker-{worker_id}", trace=JsonlTraceSink(progress_path)
+    )
+    tele.event("worker_start", queue=queue.root, lease_ttl=meta.get("lease_ttl"))
     _log.info("worker %s serving queue %s", worker_id, queue.root)
-    tele.event("worker_start", queue=queue.root)
     # the progress file was just written on the *queue's* filesystem, so
     # its mtime is a start-of-service stamp on the same clock that
     # stamps DONE markers -- immune to cross-host wall-clock skew
@@ -234,7 +222,7 @@ def run_worker(
             except (OSError, ValueError):
                 lease_ttl = float(meta.get("lease_ttl", DEFAULT_LEASE_TTL))
             _run_shard(
-                queue, lease, run_cell, progress, stats,
+                queue, lease, run_cell, stats,
                 heartbeat_interval=max(0.05, lease_ttl / 4.0),
                 telemetry=tele,
             )
@@ -242,26 +230,21 @@ def run_worker(
                 stats.reason = "max-shards"
                 break
     finally:
-        progress.emit(
-            {
-                "event": "worker_exit",
-                "reason": stats.reason or "error",
-                "shards": stats.shards,
-                "cells": stats.cells,
-                "cached": stats.cached_cells,
-                "abandoned": stats.abandoned,
-            }
+        tele.event(
+            "worker_exit",
+            reason=stats.reason or "error",
+            shards=stats.shards,
+            cells=stats.cells,
+            cached=stats.cached_cells,
+            abandoned=stats.abandoned,
         )
-        progress.close()
         _log.info(
             "worker %s exiting (%s): %d shard(s), %d cell(s) simulated",
             worker_id, stats.reason or "error", stats.shards, stats.cells,
         )
-        if tele.enabled:
-            tele.event("worker_exit", reason=stats.reason or "error")
-            if telemetry_dir:
-                tele.write(telemetry_dir)
-            tele.close()
+        if telemetry_dir:
+            tele.write(telemetry_dir)
+        tele.close()
     return stats
 
 
@@ -269,10 +252,9 @@ def _run_shard(
     queue: FsQueue,
     lease: Lease,
     run_cell,
-    progress: ProgressLog,
     stats: WorkerStats,
-    heartbeat_interval: float = DEFAULT_LEASE_TTL / 4.0,
-    telemetry: Telemetry = NOOP,
+    heartbeat_interval: float,
+    telemetry: Telemetry,
 ) -> None:
     """Simulate one claimed shard; never raises on a lost lease.
 
@@ -308,15 +290,6 @@ def _run_shard(
         "claimed shard %s (attempt %d, %d cells in %d trace group(s))",
         lease.shard_id, lease.attempt, len(cells), len(grouped),
     )
-    progress.emit(
-        {
-            "event": "claim",
-            "shard": lease.shard_id,
-            "attempt": lease.attempt,
-            "cells": len(cells),
-            "trace_groups": len(grouped),
-        }
-    )
     # Earlier attempts may have proved some cells before dying: harvest
     # every result file of this shard so retries only pay the remainder.
     proven: set[str] = set()
@@ -327,7 +300,7 @@ def _run_shard(
     cache = ResultCache(queue.result_path(lease.shard_id, lease.attempt))
     started = time.monotonic()
     ran = 0
-    heartbeat = _Heartbeat(queue, lease, heartbeat_interval, telemetry=telemetry)
+    heartbeat = _Heartbeat(queue, lease, heartbeat_interval, telemetry)
     heartbeat.start()
     try:
         for spec in (spec for _key, group in grouped for spec in group):
@@ -348,16 +321,14 @@ def _run_shard(
             telemetry.observe("worker.cell.seconds", cell_seconds)
             queue.renew(lease)  # heartbeat; raises LeaseLost if re-queued
             telemetry.inc("worker.lease.renewals")
-            progress.emit(
-                {
-                    "event": "cell",
-                    "shard": lease.shard_id,
-                    "log": spec.workload.log,
-                    "triple": spec.label,
-                    "seed": spec.workload.seed,
-                    "avebsld": value,
-                    "seconds": round(cell_seconds, 4),
-                }
+            telemetry.event(
+                "cell",
+                shard=lease.shard_id,
+                log=spec.workload.log,
+                label=spec.label,
+                seed=spec.workload.seed,
+                avebsld=value,
+                seconds=round(cell_seconds, 6),
             )
         heartbeat.stop()
         queue.complete(lease)
@@ -374,14 +345,6 @@ def _run_shard(
             "abandoning shard %s (attempt %d): lease re-queued",
             lease.shard_id, lease.attempt,
         )
-        progress.emit(
-            {
-                "event": "shard_abandoned",
-                "shard": lease.shard_id,
-                "attempt": lease.attempt,
-                "cells_run": ran,
-            }
-        )
         return
     finally:
         heartbeat.stop()
@@ -396,15 +359,6 @@ def _run_shard(
         shard=lease.shard_id,
         attempt=lease.attempt,
         cells_run=ran,
+        cells_cached=len(cells) - ran,
         seconds=round(shard_seconds, 3),
-    )
-    progress.emit(
-        {
-            "event": "shard_done",
-            "shard": lease.shard_id,
-            "attempt": lease.attempt,
-            "cells_run": ran,
-            "cells_cached": len(cells) - ran,
-            "seconds": round(shard_seconds, 3),
-        }
     )

@@ -1,6 +1,6 @@
 """Unified telemetry: tracing spans, counters/histograms, introspection.
 
-The package has three parts:
+The package has four parts:
 
 * :mod:`repro.obs.telemetry` -- the instrumentation core.  A
   :class:`Telemetry` registry records counters, power-of-two bucketed
@@ -11,6 +11,9 @@ The package has three parts:
   trace sink for spans/events, Prometheus text exposition, and the
   snapshot-directory layout (``metrics-<component>.json``/``.prom``)
   that ``repro metrics`` renders and diffs.
+* :mod:`repro.obs.render` -- what ``repro metrics`` prints: snapshot
+  tables and diffs, and the campaign / worker lifecycle events read
+  back from the trace streams.
 * :mod:`repro.obs.log` -- the shared stdlib-logging setup
   (``REPRO_LOG`` / ``--verbose``) every long-running component adopts.
 
@@ -19,7 +22,7 @@ it without cycles.
 """
 
 from .log import get_logger, resolve_level, setup_logging
-from .render import diff_snapshots, format_snapshots
+from .render import diff_snapshots, format_events, format_snapshots, load_events
 from .sinks import JsonlTraceSink, load_snapshots, prom_text, write_snapshot
 from .telemetry import NOOP, Histogram, Telemetry
 
@@ -33,6 +36,8 @@ __all__ = [
     "load_snapshots",
     "format_snapshots",
     "diff_snapshots",
+    "load_events",
+    "format_events",
     "get_logger",
     "setup_logging",
     "resolve_level",

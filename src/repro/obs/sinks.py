@@ -9,7 +9,9 @@ component, up to three files:
 ``metrics-<component>.prom``
     the same state in Prometheus text exposition, scrape-ready;
 ``trace-<component>.jsonl``
-    an append-only stream of span/event records written live.
+    an append-only stream of span/event records written live (a worker's
+    is ``QUEUE/progress/<worker>.jsonl`` instead: same writer, same
+    records, on the queue's filesystem where every host can read it).
 
 Components never share files, so concurrent writers (a coordinator and
 several workers on one shared directory) cannot corrupt each other.
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from typing import IO
 
 from .telemetry import bucket_bound
@@ -42,13 +45,17 @@ class JsonlTraceSink:
     that emits nothing leaves no file behind.  Each line is flushed:
     trace records are rare (spans, lifecycle events -- not per-event
     counters), and a crash must not swallow the records explaining it.
+    Every record is stamped ``elapsed``: monotonic seconds since the
+    sink was built, the clock throughput and ETA are read from.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._fh: IO[str] | None = None
+        self._t0 = time.monotonic()
 
     def write(self, record: dict) -> None:
+        record = {**record, "elapsed": round(time.monotonic() - self._t0, 3)}
         if self._fh is None:
             directory = os.path.dirname(self.path)
             if directory:

@@ -193,7 +193,10 @@ class Telemetry:
     threads); every recording call takes the lock once, and costs one
     ``enabled`` check when off.  ``trace`` is an optional
     :class:`repro.obs.sinks.JsonlTraceSink` receiving span/``event``
-    records as they happen.
+    records as they happen.  ``enabled`` is the registry's switch, not the
+    sink's: ``Telemetry(name, enabled=False, trace=sink)`` records no
+    counter, histogram or span -- so a campaign's cells run without engine
+    metrics -- and still writes its lifecycle events.
     """
 
     def __init__(
@@ -259,7 +262,7 @@ class Telemetry:
 
     def event(self, kind: str, **fields) -> None:
         """Append one record to the trace sink (no-op without a sink)."""
-        if not self.enabled or self._trace is None:
+        if self._trace is None:
             return
         record = {"kind": kind, "component": self.component}
         record.update(fields)

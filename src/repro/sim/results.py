@@ -157,10 +157,6 @@ class SimulationResult:
     def initial_predictions(self) -> np.ndarray:
         return self.array("initial_prediction")
 
-    @property
-    def requested_times(self) -> np.ndarray:
-        return self.array("requested_time")
-
     def bounded_slowdowns(self, tau: float = 10.0) -> np.ndarray:
         """Per-job bounded slowdowns (paper Section 5.3)."""
         waits = self.wait_times

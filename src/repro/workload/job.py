@@ -64,11 +64,6 @@ class Job:
         return self.runtime * self.processors
 
     @property
-    def requested_area(self) -> float:
-        """Requested area ``p~_j * q_j`` (processor-seconds)."""
-        return self.requested_time * self.processors
-
-    @property
     def overestimation_factor(self) -> float:
         """Ratio ``p~_j / p_j`` measuring user over-estimation (>= 1)."""
         return self.requested_time / max(self.runtime, 1e-12)

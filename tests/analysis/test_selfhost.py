@@ -6,8 +6,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import run_check
 from repro.cli import main
 
@@ -44,9 +42,9 @@ class TestSelfHost:
         for rule_id in ("DET001", "DUR001", "FRZ001", "SPEC001"):
             assert rule_id in out
 
-    def test_cli_unknown_rule_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["check", SRC, "--rules", "NOPE999"])
+    def test_cli_unknown_rule_is_an_error(self, capsys):
+        assert main(["check", SRC, "--rules", "NOPE999"]) == 2
+        assert "NOPE999" in capsys.readouterr().err
 
     def test_cli_nonzero_on_findings(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("[project]\n", encoding="utf-8")

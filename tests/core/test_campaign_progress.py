@@ -7,19 +7,16 @@ These pin the PR's campaign-throughput guarantees:
 * cache cells are invalidated by anything that changes the numbers
   (trace content, engine version) and survive torn writes;
 * the parallel fan-out produces exactly the serial results;
-* the JSONL progress stream is complete and renderable.
+* the lifecycle events a traced campaign emits are complete and
+  renderable (``repro.obs.load_events`` / ``format_events``).
 """
 
 import pytest
 
 import repro.core.campaign as campaign_mod
 import repro.core.run as run_mod
-from repro.core import (
-    ResultCache,
-    format_progress,
-    load_progress,
-    run_cells,
-)
+from repro.core import ResultCache, run_cells
+from repro.obs import JsonlTraceSink, Telemetry, format_events, load_events
 
 from tests.helpers import triple_cells
 
@@ -39,9 +36,9 @@ CELLS = triple_cells(TRIPLES, logs=("KTH-SP2",), n_jobs=120, replicas=REPLICAS)
 def warm_campaign(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cache") / "cells.jsonl"
     progress = tmp_path_factory.mktemp("progress") / "progress.jsonl"
-    result = run_cells(
-        CELLS, cache_path=str(cache), workers=1, progress_path=str(progress)
-    )
+    telemetry = Telemetry("campaign", trace=JsonlTraceSink(str(progress)))
+    result = run_cells(CELLS, cache_path=str(cache), workers=1, telemetry=telemetry)
+    telemetry.close()
     return result, cache, progress
 
 
@@ -108,33 +105,93 @@ class TestParallelEqualsSerial:
 class TestProgressStream:
     def test_events_complete(self, warm_campaign):
         _, _, progress = warm_campaign
-        events = load_progress(str(progress))
-        kinds = [e["event"] for e in events]
+        events = load_events(str(progress))
+        kinds = [e["kind"] for e in events]
         n_cells = len(TRIPLES) * REPLICAS
-        assert kinds[0] == "start"
-        assert kinds[-1] == "end"
-        assert kinds.count("cell") == n_cells
+        assert kinds == ["start"] + ["cell"] * n_cells + ["span", "end"]
+        assert all(e["component"] == "campaign" for e in events)
+        elapsed = [e["elapsed"] for e in events]
+        assert elapsed == sorted(elapsed) and elapsed[0] >= 0.0
         start = events[0]
         assert start["total"] == n_cells
         assert start["pending"] == n_cells
-        done = [e["done"] for e in events if e["event"] == "cell"]
-        assert done == list(range(1, n_cells + 1))
+        assert start["logs"] == ["KTH-SP2"]
+        cells = [e for e in events if e["kind"] == "cell"]
+        assert [e["done"] for e in cells] == list(range(1, n_cells + 1))
+        assert {e["total"] for e in cells} == {n_cells}
+        assert {e["label"] for e in cells} == set(TRIPLES)
+        assert all(e["seconds"] > 0 and e["avebsld"] >= 1.0 for e in cells)
 
     def test_format_progress_renders(self, warm_campaign):
         _, _, progress = warm_campaign
-        text = format_progress(load_progress(str(progress)))
-        assert "KTH-SP2" in text
-        assert "8/8" in text
+        text = format_events(load_events(str(progress)))
+        assert "campaign: 8 cells (0 cached, 8 to simulate)" in text
+        assert "  KTH-SP2: 8 cells" in text
+        assert "simulated: 8/8" in text
         assert "finished in" in text
 
     def test_format_progress_live_snapshot(self, warm_campaign):
         """A truncated stream (live campaign) still renders, with an ETA."""
         _, _, progress = warm_campaign
-        events = load_progress(str(progress))
-        snapshot = [e for e in events if e["event"] != "end"][:-2]
-        text = format_progress(snapshot)
-        assert "simulated:" in text
+        events = load_events(str(progress))
+        snapshot = [e for e in events if e["kind"] not in ("span", "end")][:-2]
+        snapshot[-1]["elapsed"] = snapshot[0]["elapsed"] + 3.0  # 6 cells in 3 s
+        text = format_events(snapshot)
+        assert "simulated: 6/8" in text
+        assert "throughput: 2.00 simulations/s over 3s" in text
+        assert "estimated remaining: 1s" in text
         assert "finished" not in text
+
+    def test_events_without_the_registry(self, warm_campaign, tmp_path, monkeypatch):
+        """``enabled=False`` + a sink is the progress-only spelling: the same
+        lifecycle records, nothing counted, and no cell pays for engine
+        metrics (what ``progress_path=`` alone cost)."""
+        result, _, progress = warm_campaign
+        asked = []
+        real = run_mod.run_cell_report
+
+        def spying(spec, with_telemetry=False):
+            asked.append(with_telemetry)
+            return real(spec, with_telemetry=with_telemetry)
+
+        monkeypatch.setattr(run_mod, "run_cell_report", spying)
+        path = tmp_path / "events.jsonl"
+        telemetry = Telemetry("campaign", enabled=False, trace=JsonlTraceSink(str(path)))
+        again = run_cells(CELLS, workers=1, telemetry=telemetry)
+        telemetry.close()
+        assert again.scores == result.scores
+        assert asked == [False] * len(CELLS)
+        assert telemetry.snapshot()["counters"] == {}
+        assert telemetry.snapshot()["histograms"] == {}
+
+        def shape(events):
+            return [
+                (e["kind"], e.get("label"), e.get("done"), e.get("total"))
+                for e in events
+                if e["kind"] != "span"  # timed by the registry, so off with it
+            ]
+
+        events = load_events(str(path))
+        assert "span" not in [e["kind"] for e in events]
+        assert shape(events) == shape(load_events(str(progress)))
+
+    def test_two_runs_appended_to_one_file_render_the_second(
+        self, warm_campaign, tmp_path
+    ):
+        """The sink appends: a file that several runs traced into holds them
+        all, and the renderer shows the last (here the warm re-run)."""
+        _, cache, progress = warm_campaign
+        both = tmp_path / "progress.jsonl"
+        both.write_bytes(progress.read_bytes())
+        telemetry = Telemetry("campaign", trace=JsonlTraceSink(str(both)))
+        run_cells(CELLS, cache_path=str(cache), workers=1, telemetry=telemetry)
+        telemetry.close()
+        kinds = [e["kind"] for e in load_events(str(both))]
+        assert kinds.count("start") == 2 and kinds[-2:] == ["start", "end"]
+        text = format_events(load_events(str(both)))
+        assert "campaign: 8 cells (8 cached, 0 to simulate)" in text
+        assert "simulated: 0/0" in text
+        assert "KTH-SP2" not in text  # the first run's cells are not counted
 
 
 class TestResultCache:

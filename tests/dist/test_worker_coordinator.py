@@ -19,6 +19,7 @@ from repro.dist import (
     resolve_backend,
     run_worker,
 )
+from repro.obs import JsonlTraceSink, Telemetry, format_events, load_events
 
 from tests.helpers import triple_cells
 
@@ -231,6 +232,97 @@ class TestCrashRecovery:
         with pytest.raises(RuntimeError, match="exhausted"):
             run_cells(cells, backend=broker)
         thread.join(timeout=10)
+
+
+class TestOneEventStream:
+    """Every lifecycle step is one record in one stream per component: the
+    coordinator's wherever its caller traces to, a worker's always in
+    ``QUEUE/progress/<id>.jsonl`` -- telemetry directory or not."""
+
+    def test_coordinator_and_worker_streams(self, tmp_path):
+        qdir = str(tmp_path / "q")
+        trace = str(tmp_path / "coordinator.jsonl")
+        thread, results = start_worker(qdir, "w0")  # no telemetry_dir
+        broker = FsQueueBroker(
+            qdir, n_shards=2, lease_ttl=60.0, poll_interval=0.05, timeout=300.0
+        )
+        telemetry = Telemetry("campaign", trace=JsonlTraceSink(trace))
+        run_cells(CELLS, backend=broker, telemetry=telemetry)
+        telemetry.close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        n_cells = len(CELLS)
+
+        coordinator = load_events(trace)
+        kinds = [e["kind"] for e in coordinator if e["kind"] != "span"]
+        assert kinds == ["start", "enqueue"] + ["cell"] * n_cells + ["dist_done", "end"]
+        cells = [e for e in coordinator if e["kind"] == "cell"]
+        assert [e["done"] for e in cells] == list(range(1, n_cells + 1))
+        assert {e["total"] for e in cells} == {n_cells}
+        enqueue = coordinator[1]
+        assert (enqueue["shards"], enqueue["cells"]) == (2, n_cells)
+        assert len(enqueue["est_costs"]) == 2
+
+        worker = load_events(FsQueue(qdir).progress_path("w0"))
+        kinds = [e["kind"] for e in worker]
+        assert kinds[0] == "worker_start"  # the start stamp: before any claim
+        assert kinds[-1] == "worker_exit"
+        assert kinds.count("claim") == kinds.count("shard_done") == 2
+        assert kinds.count("cell") == results["stats"].cells == n_cells
+        assert sorted(set(kinds)) == [
+            "cell", "claim", "shard_done", "worker_exit", "worker_start",
+        ]
+        assert worker[-1]["reason"] == "done" and worker[-1]["cells"] == n_cells
+        assert {e["shard"] for e in worker if e["kind"] == "cell"} == {
+            e["shard"] for e in worker if e["kind"] == "claim"
+        }
+
+        for event in coordinator + worker:
+            assert {"kind", "component", "elapsed"} <= set(event)
+        assert {e["component"] for e in coordinator} == {"campaign"}
+        assert {e["component"] for e in worker} == {"worker-w0"}
+        # and nothing else was written on the worker's behalf
+        assert os.listdir(os.path.join(qdir, "progress")) == ["w0.jsonl"]
+
+        text = format_events(coordinator + worker)
+        assert f"campaign: {n_cells} cells (0 cached, {n_cells} to simulate)" in text
+        assert f"simulated: {n_cells}/{n_cells}" in text
+        assert f"2 shard(s), {n_cells} cell(s) enqueued" in text
+        assert f"  worker-w0: {n_cells} cell(s), 2/2 shard(s) done, exited (done)" in text
+
+    def test_lease_expiry_shows_as_requeue_in_the_coordinator_stream(self, tmp_path):
+        qdir = str(tmp_path / "q")
+        trace = str(tmp_path / "coordinator.jsonl")
+        queue = FsQueue.create(qdir, lease_ttl=5.0)
+        cells = triple_cells(TRIPLES[:2], logs=("KTH-SP2",), n_jobs=40)
+        broker = FsQueueBroker(
+            qdir, cells_per_shard=64, lease_ttl=5.0, poll_interval=0.05, timeout=120.0
+        )
+        healthy = {}
+
+        def zombie_then_healthy():
+            # a zombie claims the only shard and its heartbeat dies at once;
+            # only then does a worker that can finish the job show up
+            while True:
+                lease = queue.claim("zombie")
+                if lease is not None:
+                    os.utime(lease.path, (0, 0))
+                    break
+            healthy["thread"], _ = start_worker(qdir, "healthy")
+
+        thread = threading.Thread(target=zombie_then_healthy, daemon=True)
+        thread.start()
+        telemetry = Telemetry("campaign", trace=JsonlTraceSink(trace))
+        run_cells(cells, backend=broker, telemetry=telemetry)
+        telemetry.close()
+        thread.join(timeout=10)
+        healthy["thread"].join(timeout=60)
+
+        events = load_events(trace)
+        requeues = [e for e in events if e["kind"] == "requeue"]
+        assert [(e["shard"], e["attempt"]) for e in requeues] == [("g1-0000", 1)]
+        assert "shard_failed" not in {e["kind"] for e in events}
+        assert "lease expiries re-queued: 1 (g1-0000)" in format_events(events)
 
 
 class TestSignalHygiene:

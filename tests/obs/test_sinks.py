@@ -22,8 +22,11 @@ class TestJsonlTraceSink:
         sink.write({"kind": "a", "n": 1})
         sink.write({"kind": "b"})
         sink.close()
-        lines = path.read_text().splitlines()
-        assert [json.loads(line)["kind"] for line in lines] == ["a", "b"]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["kind"] for record in records] == ["a", "b"]
+        # stamped with the sink's own monotonic clock
+        assert 0.0 <= records[0]["elapsed"] <= records[1]["elapsed"]
+        assert records[0] == {"kind": "a", "n": 1, "elapsed": records[0]["elapsed"]}
 
     def test_telemetry_events_and_spans_reach_the_sink(self, tmp_path):
         path = tmp_path / "trace-t.jsonl"
@@ -38,6 +41,19 @@ class TestJsonlTraceSink:
         assert records[1]["kind"] == "span"
         assert records[1]["name"] == "shard"
         assert records[1]["ok"] is True
+
+    def test_disabled_registry_still_traces_events(self, tmp_path):
+        """``enabled`` switches the registry, not the sink: events are
+        written, counters and spans are not."""
+        path = tmp_path / "trace-t.jsonl"
+        tele = Telemetry(component="t", enabled=False, trace=JsonlTraceSink(str(path)))
+        tele.inc("n")
+        with tele.span("shard"):
+            tele.event("claim", shard="g1-0")
+        tele.close()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["kind"], r["component"]) for r in records] == [("claim", "t")]
+        assert tele.snapshot()["counters"] == {}
 
     def test_span_failure_is_recorded_as_not_ok(self, tmp_path):
         path = tmp_path / "trace-t.jsonl"

@@ -92,7 +92,9 @@ class TestInSimulation:
         )
         assert len(result) == len(kth_trace)
         # predictions were bounded by requested times
-        assert (result.initial_predictions <= result.requested_times + 1e-9).all()
+        assert (
+            result.initial_predictions <= result.array("requested_time") + 1e-9
+        ).all()
 
     def test_ml_beats_requested_time_mae_eventually(self, kth_trace):
         """On a history-rich synthetic log, the learning predictor's MAE

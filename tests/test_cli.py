@@ -93,7 +93,8 @@ class TestSimCommand:
 
 
 class TestUsageErrors:
-    """Bad names, numbers and spec files: exit 2, one line, no traceback."""
+    """Bad names, numbers, spec files and option combinations: exit 2, one
+    line, no traceback."""
 
     @pytest.mark.parametrize(
         "argv, needle",
@@ -112,6 +113,10 @@ class TestUsageErrors:
             (["campaign", "--spec", "/no/such/spec.toml"], "/no/such/spec.toml"),
             (["table", "--which", "6", "--replicas", "0"],
              "replicas must be an integer >= 1"),
+            (["metrics", "a", "b", "c"], "one directory, or two to diff"),
+            (["check", "--rules", "NOPE"], "NOPE"),
+            (["campaign", "--backend", "fsqueue", "--logs", "KTH-SP2",
+              "--n-jobs", "50", "--replicas", "1"], "requires --queue"),
         ],
     )
     def test_exits_2_with_one_line(self, argv, needle, capsys):
@@ -249,6 +254,26 @@ class TestVersionAndMetrics:
         assert main(["metrics", str(tmp_path)]) == 1
         assert "no metrics-" in capsys.readouterr().out
 
+    def test_metrics_renders_the_campaign_under_the_tables(self, tmp_path, capsys):
+        path = tmp_path / "mini.toml"
+        path.write_text(MINI_SPEC)
+        tele_dir = tmp_path / "tele"
+        assert main([
+            "campaign", "--spec", str(path), "--workers", "1",
+            "--telemetry", str(tele_dir),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["metrics", str(tele_dir)]) == 0
+        out = capsys.readouterr().out
+        tables, _, progress = out.partition("campaign: 2 cells (0 cached, 2 to simulate)")
+        assert "== campaign ==" in tables and "campaign.cells.simulated" in tables
+        assert "simulated: 2/2" in progress
+        assert "  KTH-SP2: 2 cells" in progress
+        assert "finished in" in progress
+        # the machine-readable formats carry the snapshots alone
+        assert main(["metrics", str(tele_dir), "--format", "prom"]) == 0
+        assert "simulated: 2/2" not in capsys.readouterr().out
+
     def test_campaign_telemetry_covers_engine_and_campaign(self, tmp_path, capsys):
         path = tmp_path / "mini.toml"
         path.write_text(MINI_SPEC)
@@ -264,10 +289,10 @@ class TestVersionAndMetrics:
         assert snap["counters"]["campaign.cells.simulated"] == 2
         assert snap["counters"]["engine.cells"] == 2  # folded in from the cells
         assert "campaign.cell.seconds" in snap["histograms"]
-        # the dispatch span also landed in the trace stream
+        # the dispatch span and the lifecycle events are one stream
         trace_lines = (tele_dir / "trace-campaign.jsonl").read_text().splitlines()
-        kinds = {jsonlib.loads(line)["kind"] for line in trace_lines}
-        assert "span" in kinds and "cell" in kinds
+        kinds = [jsonlib.loads(line)["kind"] for line in trace_lines]
+        assert kinds == ["start", "cell", "cell", "span", "end"]
 
 
 class TestDistCommands:
@@ -275,12 +300,13 @@ class TestDistCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker"])
 
-    def test_campaign_fsqueue_requires_queue(self):
-        with pytest.raises(SystemExit, match="--queue"):
-            main([
-                "campaign", "--backend", "fsqueue",
-                "--logs", "KTH-SP2", "--n-jobs", "50", "--replicas", "1",
-            ])
+    def test_campaign_fsqueue_requires_queue(self, capsys):
+        code = main([
+            "campaign", "--backend", "fsqueue",
+            "--logs", "KTH-SP2", "--n-jobs", "50", "--replicas", "1",
+        ])
+        assert code == 2
+        assert "--queue" in capsys.readouterr().err
 
     def test_worker_drains_prepared_queue(self, tmp_path, capsys):
         """A worker pointed at a pre-enqueued queue completes the shard
@@ -300,6 +326,19 @@ class TestDistCommands:
         out = capsys.readouterr().out
         assert "1 shard(s), 1 simulated cell(s)" in out
         assert queue.done_ids() == {"shard-0000"}
+        # no --telemetry: the worker's stream is in the queue all the same,
+        # and `repro metrics` reads it (one line per worker)
+        assert main(["metrics", str(tmp_path / "q" / "progress")]) == 0
+        out = capsys.readouterr().out
+        assert "  worker-t1: 1 cell(s), 1/1 shard(s) done, exited (idle)" in out
+        assert "cells simulated across workers: 1" in out
+        # prom / json carry snapshots only; with none, they say so rather
+        # than deny the streams that are there
+        for fmt in ("prom", "json"):
+            assert main(["metrics", str(tmp_path / "q" / "progress"), "--format", fmt]) == 1
+            out = capsys.readouterr().out
+            assert f"--format {fmt} carries snapshots only" in out
+            assert "event streams" in out and "or event streams" not in out
 
     def test_merge_command(self, tmp_path, capsys):
         import json as jsonlib
@@ -314,6 +353,41 @@ class TestDistCommands:
         assert main(["merge", "--out", str(out), str(src)]) == 0
         assert "1 unique cells" in capsys.readouterr().out
         assert out.exists()
+
+
+class TestEvalStore:
+    @pytest.mark.parametrize("preset", [None, "/some/other/store"])
+    def test_store_option_does_not_leak_into_the_caller(
+        self, preset, tmp_path, monkeypatch, capsys
+    ):
+        """``--store`` reaches the learned cell through the environment (so
+        cache identity stays store-location-free) -- for the evaluation
+        only: the process gets its own value, or its absence, back."""
+        import os
+
+        from repro.learn import DEFAULT_STORE_ENV, CheckpointError, TrainConfig, train
+
+        trained = train(
+            TrainConfig(log="KTH-SP2", n_jobs=100, replicas=1, epochs=1, episodes=2, seed=3)
+        )
+        store = str(tmp_path / "store")
+        trained.checkpoint.save(store)
+        if preset is None:
+            monkeypatch.delenv(DEFAULT_STORE_ENV, raising=False)
+        else:
+            monkeypatch.setenv(DEFAULT_STORE_ENV, preset)
+        before = dict(os.environ)
+        code = main([
+            "eval", "--policy", trained.digest, "--store", store, "--log", "KTH-SP2",
+            "--n-jobs", "100", "--workers", "1", "--baselines", "easy", "--json",
+        ])
+        assert code == 0
+        assert "rl-backfill" in capsys.readouterr().out  # it did find the store
+        assert dict(os.environ) == before
+        # ... and on the way out of a failing evaluation too
+        with pytest.raises(CheckpointError, match=store):
+            main(["eval", "--policy", "0" * 16, "--store", store, "--workers", "1"])
+        assert dict(os.environ) == before
 
 
 class TestTableCommands:

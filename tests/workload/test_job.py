@@ -60,10 +60,6 @@ class TestJobDerived:
         job = make_job(runtime=100.0, processors=4)
         assert job.area == 400.0
 
-    def test_requested_area(self):
-        job = make_job(runtime=100.0, requested_time=300.0, processors=4)
-        assert job.requested_area == 1200.0
-
     def test_overestimation_factor(self):
         job = make_job(runtime=100.0, requested_time=250.0)
         assert job.overestimation_factor == pytest.approx(2.5)
