@@ -45,10 +45,8 @@ def bounded_slowdowns(
     return np.maximum((wait_times + runtimes) / np.maximum(runtimes, tau), 1.0)
 
 
-def average_bounded_slowdown(
-    result: SimulationResult, tau: float = DEFAULT_TAU
-) -> float:
+def average_bounded_slowdown(result: SimulationResult, tau: float = DEFAULT_TAU) -> float:
     """AVEbsld of a simulation run (the paper's headline metric)."""
-    return float(
-        bounded_slowdowns(result.wait_times, result.runtimes, tau).mean()
-    )
+    if not len(result):
+        raise ValueError("AVEbsld is undefined for a run with no finished job")
+    return float(bounded_slowdowns(result.wait_times, result.runtimes, tau).mean())

@@ -124,10 +124,6 @@ class Histogram:
         for index, n in other.buckets.items():
             buckets[index] = buckets.get(index, 0) + n
 
-    def merge_obj(self, obj: dict) -> None:
-        """Fold a :meth:`to_obj` snapshot into this one."""
-        self.merge(Histogram.from_obj(obj))
-
     @classmethod
     def from_obj(cls, obj: dict) -> Histogram:
         hist = cls()
@@ -233,13 +229,14 @@ class Telemetry:
         counters: Iterable[tuple[str, float]],
         samples: Mapping[tuple[str, float], int],
         histograms: Iterable[tuple[str, Histogram]] = (),
+        observations: Iterable[tuple[str, float]] = (),
     ) -> None:
-        """Record pre-aggregated data under one lock acquisition: counter
-        increments as (name, amount) pairs, histogram observations as
-        (name, value) -> count, and whole histograms to merge by name.
-        Zero amounts and empty histograms create nothing.  The
-        observations are for sizes that repeat: they stay an exact tally,
-        one entry per distinct pair, until the registry is next read."""
+        """Record under one lock acquisition: counter increments as (name,
+        amount) pairs, histogram samples as (name, value) -> count, whole
+        histograms to merge by name, single observations as (name, value)
+        pairs.  Zero amounts and empty histograms create nothing.  The
+        samples are for sizes that repeat: they stay an exact tally, one
+        entry per distinct pair, until the registry is next read."""
         if not self.enabled:
             return
         with self._lock:
@@ -253,6 +250,8 @@ class Telemetry:
             for name, hist in histograms:
                 if hist.count:
                     self._histograms[name].merge(hist)
+            for name, value in observations:
+                self._histograms[name].observe(value)
 
     def span(self, name: str, **fields: object) -> _Span | _NoopSpan:
         """Time a block: ``with tele.span("campaign.dispatch"): ...``."""

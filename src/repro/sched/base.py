@@ -140,13 +140,11 @@ class Scheduler(ABC):
     def introspect(self) -> dict[str, float]:
         """Sizes of the scheduler's internal availability structures.
 
-        Sampled by the session once per scheduling pass when telemetry
-        is enabled (surfaced as ``engine.sched.<key>`` histograms), so
-        implementations must keep this O(1) and side-effect-free, and the
-        values integer-valued sizes (the session tallies them per distinct
-        value between two folds, so reals would grow that tally).  The
-        base scheduler has no structure beyond the queue -- which the
-        session samples itself -- so the default is empty.
+        Read by a telemetry-on session after one scheduling pass in
+        sixteen (the ``engine.sched.<key>`` histograms are a systematic
+        sample): keep it O(1) and side-effect-free, and the values integer
+        sizes (the session tallies them per distinct value).  The default
+        is empty: the queue is the session's own sample.
         """
         return {}
 

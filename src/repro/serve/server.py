@@ -48,6 +48,7 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import IO, Any
 
 from ..obs import get_logger
@@ -62,6 +63,8 @@ __all__ = ["SessionServer", "ServeStats", "build_serve_session", "serve_loop"]
 #: Job fields accepted from the wire (everything the dataclass carries).
 _JOB_FIELDS = frozenset(f.name for f in fields(Job))
 _REQUIRED_JOB_FIELDS = ("job_id", "submit_time", "processors", "requested_time")
+#: the counter increment of a request, by command: each name is built once
+_request = cache(lambda cmd: (f"serve.requests.{cmd}", 1))
 
 
 @dataclass
@@ -149,6 +152,9 @@ class SessionServer:
         self.telemetry = telemetry if telemetry is not None else NOOP
         self.stats = ServeStats()
         self.closed = False
+        #: telemetry on: what the request in hand has counted and timed, (name, amount)
+        self._counted: list[tuple[str, float]] = []
+        self._timed: list[tuple[str, float]] = []
 
     # -- entry points --------------------------------------------------------
     def handle_line(self, line: str) -> dict | None:
@@ -163,52 +169,55 @@ class SessionServer:
         try:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
-            self.stats.n_errors += 1
-            self.telemetry.inc("serve.errors")
-            return {"ok": False, "error": f"bad JSON: {exc}"}
+            return self._refused(error=f"bad JSON: {exc}")
         return self.handle(request)
 
     def handle(self, request: Any) -> dict:
         self.stats.n_requests += 1
         tele = self.telemetry
         if tele.enabled:
-            tele.inc("serve.requests.total")
+            self._counted.append(("serve.requests.total", 1))
         if not isinstance(request, dict) or "cmd" not in request:
-            self.stats.n_errors += 1
-            tele.inc("serve.errors")
-            return {"ok": False, "error": "request must be an object with a 'cmd'"}
+            return self._refused(error="request must be an object with a 'cmd'")
         cmd = request["cmd"]
         handler = getattr(self, f"_cmd_{cmd}", None)
         if handler is None:
-            self.stats.n_errors += 1
-            tele.inc("serve.errors")
-            return {"ok": False, "cmd": cmd, "error": f"unknown command {cmd!r}"}
+            return self._refused(cmd=cmd, error=f"unknown command {cmd!r}")
         t0 = _time.perf_counter() if tele.enabled else 0.0
         try:
             response = handler(request)
         except Exception as exc:
             # a malformed or adversarial request must never tear down the
             # session: answer with a structured error and keep serving
-            self.stats.n_errors += 1
             if tele.enabled:
-                tele.inc("serve.errors")
-                tele.inc(f"serve.requests.{cmd}")
+                self._counted.append(_request(cmd))
             if isinstance(exc, (ValueError, KeyError, TypeError)):  # a bad request
                 _log.debug("request %r failed: %s", cmd, exc)
-                return {"ok": False, "cmd": cmd, "error": str(exc)}
+                return self._refused(cmd=cmd, error=str(exc))
             _log.exception("request %r raised unexpectedly", cmd)
-            return {
-                "ok": False,
-                "cmd": str(cmd),
-                "error": f"internal error: {type(exc).__name__}: {exc}",
-            }
+            error = f"internal error: {type(exc).__name__}: {exc}"
+            return self._refused(cmd=str(cmd), error=error)
         if tele.enabled:
-            tele.inc(f"serve.requests.{cmd}")
-            tele.observe("serve.request.seconds", _time.perf_counter() - t0)
+            self._counted.append(_request(cmd))
+            self._timed.append(("serve.request.seconds", _time.perf_counter() - t0))
+            self._hand_over()
         response.setdefault("ok", True)
         response.setdefault("cmd", cmd)
         response.setdefault("now", self.session.now)
         return response
+
+    def _refused(self, **fields: Any) -> dict:
+        """An ``ok: false`` answer, counted; it ends the request."""
+        self.stats.n_errors += 1
+        if self.telemetry.enabled:
+            self._counted.append(("serve.errors", 1))
+            self._hand_over()
+        return {"ok": False, **fields}
+
+    def _hand_over(self) -> None:  # one lock per answered request
+        self.telemetry.add_batch(self._counted, {}, (), self._timed)
+        self._counted.clear()
+        self._timed.clear()
 
     # -- commands ------------------------------------------------------------
     def _cmd_submit(self, request: dict) -> dict:
@@ -240,21 +249,19 @@ class SessionServer:
             if tele.enabled:
                 # warm = the memoised waiting-start table survives from a
                 # previous query at this state; cold pays a profile sweep
-                tele.inc(
-                    "serve.query.warm"
-                    if self.session.query_cache_warm
-                    else "serve.query.cold"
-                )
+                warm = self.session.query_cache_warm
+                self._counted.append(("serve.query.warm" if warm else "serve.query.cold", 1))
             answer = self.session.query(job_id=int(request["job_id"]))
         elif "job" in request:
-            tele.inc("serve.query.probe")
+            if tele.enabled:
+                self._counted.append(("serve.query.probe", 1))
             answer = self.session.query(_parse_job(request["job"]))
         else:
             raise ValueError("query needs a 'job_id' or a 'job'")
         elapsed_us = (_time.perf_counter() - t0) * 1e6
         self.stats.n_queries += 1
         if tele.enabled:
-            tele.observe("serve.query.seconds", elapsed_us / 1e6)
+            self._timed.append(("serve.query.seconds", elapsed_us / 1e6))
         # a held job (wider than the undrained capacity) estimates inf,
         # which strict JSON cannot carry: send null instead
         finite = math.isfinite(answer.start_time)
@@ -360,12 +367,9 @@ def serve_loop(
             # a response that cannot serialise (e.g. a request smuggled a
             # non-JSON value into the echo fields) still gets a structured
             # answer instead of tearing down the loop
-            server.stats.n_errors += 1
-            server.telemetry.inc("serve.errors")
             _log.exception("response for %r not serialisable", line.strip()[:200])
-            encoded = json.dumps(
-                {"ok": False, "error": "internal error: unserialisable response"}
-            )
+            error = "internal error: unserialisable response"
+            encoded = json.dumps(server._refused(error=error))
         out_stream.write(encoded + "\n")
         out_stream.flush()
         if server.closed:

@@ -165,6 +165,8 @@ class SimulationResult:
 
     def avebsld(self, tau: float = 10.0) -> float:
         """AVEbsld, the paper's headline objective."""
+        if not self._records:
+            raise ValueError("AVEbsld is undefined for a run with no finished job")
         return float(self.bounded_slowdowns(tau).mean())
 
     def utilization(self) -> float:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from functools import cache
 from math import inf, isfinite
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -89,8 +88,7 @@ _COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType) + 
 )
 _PREDICT_S, _SCHED_S, _PASSES, _STARTED, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(4, 12)
 _NO_COUNTS = (0,) * len(_COUNTERS)
-#: registry name of the histogram a ``scheduler.introspect()`` key feeds
-_sched_sample = cache("engine.sched.{}".format)
+_SAMPLE_STRIDE = 16  #: the ``engine.sched.<size>`` histograms sample passes 1 modulo this
 
 
 class MonotonicityError(ValueError):
@@ -167,16 +165,21 @@ class SessionSnapshot:
 class _Tally:
     """What a session recorded since its last fold, in plain unlocked
     containers; a public session call hands it to the registry on return.
-    Nothing grows with the number of jobs processed in between: per-pass
-    samples are counted per (histogram, value), the error is a histogram."""
+    The pass count and the expire storms of one are read off ``EngineStats``
+    at the fold.  Nothing grows with the number of jobs processed in between:
+    sizes are counted per (histogram, value), the error is a histogram."""
 
-    __slots__ = ("counts", "samples", "abs_error")
+    __slots__ = ("counts", "samples", "abs_error", "passes", "corrections")
 
     def __init__(self) -> None:
         self.counts: list[float] = list(_NO_COUNTS)
-        #: (histogram name, value) -> count since the last fold, per-pass integers
+        #: (histogram name, value) -> count since the last fold, integer sizes
         self.samples: dict[tuple[str, float], int] = {}
         self.abs_error = Histogram()
+        self.passes = self.corrections = 0  # of ``EngineStats``, accounted for so far
+
+    def sample(self, name: str, size: float) -> None:
+        self.samples[name, size] = self.samples.get((name, size), 0) + 1
 
     def note_outcome(self, record: JobRecord, runtime: float) -> None:
         """Online prediction-quality metrics, recorded as jobs finish."""
@@ -189,16 +192,18 @@ class _Tally:
             self.counts[_UNDER] += 1
         self.abs_error.observe(abs(error))
 
-    def fold(self, telemetry: Telemetry) -> None:
+    def fold(self, telemetry: Telemetry, stats: EngineStats) -> None:
         """Hand what was recorded to ``telemetry`` (one lock) and zero in place."""
         counts = self.counts
+        counts[_PASSES] = stats.n_scheduling_passes - self.passes
         if any(counts) and telemetry.enabled:  # a sample never comes without a count
+            ones = stats.n_corrections - self.corrections  # the loop accounts for larger storms
+            if ones:
+                self.samples["engine.expire_storm.size", 1] = ones
+            self.passes, self.corrections = stats.n_scheduling_passes, stats.n_corrections
             errors = self.abs_error
-            telemetry.add_batch(
-                zip(_COUNTERS, counts, strict=True),
-                self.samples,
-                (("predict.abs_error.seconds", errors),),
-            )
+            counters = zip(_COUNTERS, counts, strict=True)
+            telemetry.add_batch(counters, self.samples, (("predict.abs_error.seconds", errors),))
             counts[:] = _NO_COUNTS
             self.samples.clear()
             if errors.count:
@@ -242,6 +247,7 @@ class SimSession:
         self._now = float(start_time)
         self._corrected: list[JobRecord] = []
         self._pass_owed = False  # a fault took an instant's pass with it: the next call runs it
+        self._n_waiting = 0  # jobs submitted and not started: ``scheduler.queue_length``
         #: MACHINE events by sequence id (the event's job_id field).
         self._machine_events: dict[int, MachineEvent] = {}
         self._machine_seq = 0
@@ -376,7 +382,7 @@ class SimSession:
             return self._now if self._process_timestamps(inf, 1) else None
         finally:
             if self._tally is not None:
-                self._tally.fold(self.telemetry)
+                self._tally.fold(self.telemetry, self.stats)
 
     def advance_to(self, time: float) -> int:
         """Process every timestamp up to and including ``time``; move the
@@ -389,7 +395,7 @@ class SimSession:
             steps = self._process_timestamps(time)
         finally:
             if self._tally is not None:
-                self._tally.fold(self.telemetry)
+                self._tally.fold(self.telemetry, self.stats)
         if time > self._now:
             self._now = float(time)
             self._query_cache = None
@@ -401,7 +407,7 @@ class SimSession:
             return self._process_timestamps(inf)
         finally:
             if self._tally is not None:
-                self._tally.fold(self.telemetry)
+                self._tally.fold(self.telemetry, self.stats)
 
     # -- queries -------------------------------------------------------------
     def query(
@@ -507,7 +513,7 @@ class SimSession:
             return record
         finally:
             if self._tally is not None:
-                self._tally.fold(self.telemetry)
+                self._tally.fold(self.telemetry, self.stats)
 
     def observe_completion(self, job: Job, runtime: float) -> None:
         """Feed an out-of-band completion to the predictor only.
@@ -567,7 +573,6 @@ class SimSession:
             self._query_cache = None
             stats.n_events += len(batch)
             predict_s = 0.0
-            submitted = False
             pending = iter(batch)
             try:
                 for _, kind, _, job_id, version in pending:
@@ -584,10 +589,11 @@ class SimSession:
                         # Contract enforcement: progress past the elapsed
                         # time, capped by the requested time which
                         # upper-bounds any feasible runtime.
-                        prediction = min(
-                            max(float(corrector.correct(record, now)), now - start + 1.0),
-                            record.requested_time,
-                        )
+                        prediction = max(float(corrector.correct(record, now)), now - start + 1.0)
+                        if prediction >= record.requested_time:
+                            prediction = record.requested_time
+                            if prediction < record.runtime:  # it would expire at the cap forever
+                                raise ValueError(f"job {job_id} outlives its requested time")
                         record.corrections += 1
                         record.version = version + 1
                         record.predicted_runtime = prediction
@@ -624,7 +630,7 @@ class SimSession:
                             self._clamp(raw, record.requested_time)
                         )
                         scheduler.on_submit(record)
-                        submitted = True
+                        self._n_waiting += 1
                     else:  # MACHINE
                         change = self._machine_events.pop(job_id)
                         if change.kind == "drain":
@@ -648,10 +654,8 @@ class SimSession:
                     for entry in batch:
                         counts[entry[1]] += 1
                     counts[_PREDICT_S] += predict_s
-            if submitted:  # the queue only grows within an instant's events
-                stats.max_queue_length = max(
-                    stats.max_queue_length, scheduler.queue_length
-                )
+            if self._n_waiting > stats.max_queue_length:  # the queue grows in the events only
+                stats.max_queue_length = self._n_waiting
             self._schedule_pass(now)
         return steps
 
@@ -672,44 +676,39 @@ class SimSession:
             stats.n_corrections += n_corrected
             scheduler.on_corrections(self._corrected)
             self._corrected.clear()
-        tally = self._tally
-        if tally is not None:
+        if self._tally is None:
+            started = scheduler.select_jobs(now, machine)
+        else:
+            tally = self._tally
             counts = tally.counts
-            samples = tally.samples
-            if n_corrected:
-                key = ("engine.expire_storm.size", n_corrected)
-                samples[key] = samples.get(key, 0) + 1
-            queued_before = scheduler.queue_length
+            if n_corrected > 1:  # the storms of one are what the fold finds unaccounted
+                tally.sample("engine.expire_storm.size", n_corrected)
+                tally.corrections += n_corrected
             t0 = perf_counter()
             started = scheduler.select_jobs(now, machine)
             counts[_SCHED_S] += perf_counter() - t0
-            counts[_PASSES] += 1
-            n_started = len(started)
-            if n_started:
-                counts[_STARTED] += n_started
-                if scheduler.queue_length:
-                    # jobs left waiting means some head was held: every
-                    # start past it this pass came from backfilling (an
-                    # upper bound on true backfills -- phase-1 FCFS
-                    # starts ahead of a later hold are included)
-                    counts[_BACKFILLED] += n_started
-            elif queued_before:
+            if started:
+                counts[_STARTED] += len(started)
+                if self._n_waiting > len(started):
+                    # jobs left waiting: a head was held, the starts past it were backfills
+                    # (an upper bound: phase-1 FCFS starts ahead of a later hold count too)
+                    counts[_BACKFILLED] += len(started)
+            elif self._n_waiting:
                 counts[_HELD] += 1
-            key = ("engine.sched.queue_length", queued_before)
-            samples[key] = samples.get(key, 0) + 1
-            for key, value in scheduler.introspect().items():
-                key = (_sched_sample(key), value)
-                samples[key] = samples.get(key, 0) + 1
-        else:
-            started = scheduler.select_jobs(now, machine)
-        schedule = self._events.schedule
-        for record in started:
-            machine.start(record, now)
-            scheduler.on_start(record, now)
-            self.predictor.on_start(record, now)
-            runtime = record.runtime
-            schedule(now + runtime, _FINISH, record.job_id)
-            if record.predicted_runtime < runtime:  # will expire before it ends
-                schedule(
-                    now + record.predicted_runtime, _EXPIRE, record.job_id, record.version
-                )
+            if stats.n_scheduling_passes % _SAMPLE_STRIDE == 1:
+                tally.sample("engine.sched.queue_length", self._n_waiting)
+                for name, value in scheduler.introspect().items():
+                    tally.sample(f"engine.sched.{name}", value)
+        if started:
+            self._n_waiting -= len(started)
+            schedule = self._events.schedule
+            for record in started:
+                machine.start(record, now)
+                scheduler.on_start(record, now)
+                self.predictor.on_start(record, now)
+                runtime = record.runtime
+                schedule(now + runtime, _FINISH, record.job_id)
+                if record.predicted_runtime < runtime:  # will expire before it ends
+                    schedule(
+                        now + record.predicted_runtime, _EXPIRE, record.job_id, record.version
+                    )

@@ -9,15 +9,17 @@ own visible outcome (jobs in == jobs finished == predictions scored).
 from __future__ import annotations
 
 import json
+from math import ceil
 
 import pytest
 
 from repro.core import run_cells
 from repro.core.run import build_workload, run_cell_report, run_spec
 from repro.obs import Histogram, Telemetry
-from repro.predict import RequestedTimePredictor
+from repro.correct import make_corrector
+from repro.predict import RecentAveragePredictor, RequestedTimePredictor, make_predictor
 from repro.sched import make_scheduler
-from repro.sim.session import SimSession
+from repro.sim.session import _SAMPLE_STRIDE, SimSession
 from repro.spec import CellSpec
 
 from tests.helpers import make_job
@@ -104,14 +106,14 @@ class TestEngineCounters:
         assert 0 <= tele.counter_value("predict.underestimates") <= finished
         assert tele.histogram("predict.abs_error.seconds").count == finished
 
-    def test_queue_depth_sampled_per_pass(self, run):
+    def test_queue_depth_sampled_one_pass_in_sixteen(self, run):
         _spec_, tele, _outcome = run
         passes = tele.counter_value("engine.sched.passes")
-        assert passes > 0
+        assert passes > _SAMPLE_STRIDE == 16
         queue = tele.histogram("engine.sched.queue_length")
-        assert queue.count == passes
+        assert queue.count == ceil(passes / 16)
         # easy-sjbf exposes its release-table size via introspect()
-        assert tele.histogram("engine.sched.release_table").count == passes
+        assert tele.histogram("engine.sched.release_table").count == queue.count
 
     def test_time_split_and_cell_span(self, run):
         _spec_, tele, _outcome = run
@@ -136,13 +138,15 @@ class TestSnapshotPins:
     """What a drained session leaves in the registry, cell by cell, as
     the loop recorded it while every number was its own locked registry
     call (values computed at the commit before the per-session tally;
-    120 KTH-SP2 jobs, seed 7).  Timers are wall-clock sums, so only
-    their presence is pinned; the real-valued error's sum is not pinned
-    and its max only to 1e-9.  Histograms: (count, sum, min, max,
-    buckets)."""
+    120 KTH-SP2 jobs, seed 7) -- except the ``engine.sched.*`` size
+    histograms, which since PR 23 hold the passes numbered 1 modulo 16
+    of that per-pass series (``TestSizesAreSampled`` holds them to it).
+    Timers are wall-clock sums, so only their presence is pinned; the
+    real-valued error's sum is not pinned and its max only to 1e-9.
+    Histograms: (count, sum, min, max, buckets)."""
 
     TIMERS = {"engine.time.predict.seconds", "engine.time.sched.seconds"}
-    _EASY_QUEUE = (239, 941, 0, 25, {-1075: 84, 0: 83, 1: 1, 2: 4, 3: 24, 4: 26, 5: 17})
+    _EASY_QUEUE = (15, 60, 0, 21, {-1075: 5, 0: 6, 3: 1, 4: 2, 5: 1})
     _REQUESTED_ERROR = (
         120, None, 0, 215941.5431429155,
         {-1075: 5, 10: 12, 11: 10, 12: 13, 13: 13, 14: 4, 16: 10, 18: 53},
@@ -158,7 +162,7 @@ class TestSnapshotPins:
             {
                 "engine.sched.queue_length": _EASY_QUEUE,
                 "engine.sched.release_table": (
-                    239, 532, 0, 16, {-1075: 60, 0: 74, 1: 25, 2: 46, 3: 25, 4: 9},
+                    15, 32, 0, 7, {-1075: 3, 0: 5, 1: 3, 2: 1, 3: 3},
                 ),
                 "predict.abs_error.seconds": _REQUESTED_ERROR,
             },
@@ -174,11 +178,10 @@ class TestSnapshotPins:
             {
                 "engine.expire_storm.size": (109, 135, 1, 8, {0: 103, 2: 3, 3: 3}),
                 "engine.sched.queue_length": (
-                    348, 1170, 0, 21,
-                    {-1075: 181, 0: 84, 1: 2, 2: 2, 3: 27, 4: 18, 5: 34},
+                    22, 80, 0, 20, {-1075: 9, 0: 8, 3: 1, 4: 2, 5: 2},
                 ),
                 "engine.sched.release_table": (
-                    348, 924, 0, 14, {-1075: 59, 0: 107, 1: 40, 2: 74, 3: 51, 4: 17},
+                    22, 52, 0, 7, {-1075: 3, 0: 9, 1: 2, 2: 3, 3: 5},
                 ),
                 "predict.abs_error.seconds": (
                     120, None, 0, 215413.96252677846,
@@ -195,9 +198,9 @@ class TestSnapshotPins:
                 "predict.finished": 120,
             },
             {
-                "engine.sched.plan_reused": (239, 75, 0, 1, {-1075: 164, 0: 75}),
+                "engine.sched.plan_reused": (15, 6, 0, 1, {-1075: 9, 0: 6}),
                 "engine.sched.profile_segments": (
-                    239, 904, 1, 12, {0: 34, 1: 78, 2: 45, 3: 67, 4: 15},
+                    15, 61, 1, 9, {0: 2, 1: 3, 2: 6, 3: 2, 4: 2},
                 ),
                 "engine.sched.queue_length": _EASY_QUEUE,
                 "predict.abs_error.seconds": _REQUESTED_ERROR,
@@ -216,11 +219,10 @@ class TestSnapshotPins:
                     266, 349, 1, 15, {0: 256, 1: 2, 3: 2, 4: 6},
                 ),
                 "engine.sched.queue_length": (
-                    505, 1639, 0, 21,
-                    {-1075: 298, 0: 84, 1: 5, 2: 2, 3: 40, 4: 29, 5: 47},
+                    32, 103, 0, 21, {-1075: 17, 0: 7, 1: 1, 3: 2, 4: 2, 5: 3},
                 ),
                 "engine.sched.release_table": (
-                    505, 1362, 0, 15, {-1075: 59, 0: 178, 1: 58, 2: 116, 3: 73, 4: 21},
+                    32, 93, 0, 15, {-1075: 2, 0: 11, 1: 7, 2: 5, 3: 6, 4: 1},
                 ),
                 "predict.abs_error.seconds": (
                     120, None, 0, 215161.64679260447,
@@ -251,6 +253,159 @@ class TestSnapshotPins:
             assert got["min"] == low, name
             assert got["max"] == pytest.approx(high, rel=1e-9), name
             assert got["buckets"] == {str(k): n for k, n in buckets.items()}, name
+            if name.startswith("engine.sched."):  # the first pass, then every sixteenth
+                assert count == ceil(counters["engine.sched.passes"] / 16), name
+
+
+def _storm_session(telemetry: Telemetry | None, predictor=None) -> SimSession:
+    """Twelve one-processor jobs of user 1 start together at t=100 on a
+    60 s AVE2 prediction (the user's two jobs before them ran 10 s) and
+    run 150 s to 15 000 s: ``incremental`` corrects whoever is left at
+    the same instants, so the storms shrink from twelve jobs to one.
+    Jobs 20 and 21 start at 130 and 145 and expire alone."""
+    session = SimSession(
+        16, make_scheduler("easy-sjbf"), predictor or make_predictor("ave2"),
+        make_corrector("incremental"), telemetry=telemetry,
+    )
+    session.feed([make_job(job_id=i, submit_time=0.0, runtime=10.0) for i in (1, 2)])
+    runtimes = (150, 150, 400, 400, 400, 1000, 1000, 3000, 3000, 8000, 8000, 15000)
+    session.feed(
+        make_job(job_id=3 + i, submit_time=100.0, runtime=float(runtime), requested_time=40000.0)
+        for i, runtime in enumerate(runtimes)
+    )
+    session.feed(make_job(job_id=20, submit_time=130.0, runtime=2000.0, requested_time=40000.0))
+    session.feed(make_job(job_id=21, submit_time=145.0, runtime=700.0, requested_time=40000.0))
+    return session
+
+
+def _storms(tele: Telemetry) -> tuple:
+    hist = tele.histogram("engine.expire_storm.size")
+    return hist.count, hist.total, hist.min, hist.max, dict(sorted(hist.buckets.items()))
+
+
+class TestExpireStorms:
+    """``engine.expire_storm.size`` is exact although the loop tallies
+    only the storms of two jobs and more: the storms of one are what is
+    left of ``stats.n_corrections`` at the fold."""
+
+    #: as the parent commit recorded it, one sample per pass with corrections
+    PIN = (14, 50, 1, 12, {0: 8, 2: 2, 3: 2, 4: 2})
+
+    def test_a_storm_heavy_trace_keeps_the_per_pass_series(self):
+        tele = Telemetry(component="test")
+        session = _storm_session(tele)
+        sizes = []
+        notify = session.scheduler.on_corrections
+        session.scheduler.on_corrections = lambda records: (
+            sizes.append(len(records)), notify(records)
+        )
+        session.drain()
+        assert sizes == [12, 1, 1, 12, 1, 1, 7, 1, 1, 5, 1, 3, 3, 1]
+        want = Histogram()
+        for size in sizes:
+            want.observe(size)
+        assert _storms(tele) == self.PIN == (
+            want.count, want.total, want.min, want.max, dict(sorted(want.buckets.items()))
+        )
+        assert tele.histogram("engine.expire_storm.size").total == session.stats.n_corrections
+
+    def test_a_fold_in_the_middle_of_the_storms_changes_nothing(self):
+        """One public call per instant, per hundred seconds of session
+        time, or one for everything: the ones are derived fold by fold,
+        from what ``n_corrections`` moved since the last one."""
+        for drive in ("step", "advance"):
+            tele = Telemetry(component="test")
+            session = _storm_session(tele)
+            while session.n_pending_events:
+                if drive == "step":
+                    session.step()
+                else:
+                    session.advance_to(session.now + 100.0)
+                storms = tele.histogram("engine.expire_storm.size")
+                assert (storms.total if storms else 0) == session.stats.n_corrections
+            assert _storms(tele) == self.PIN, drive
+
+    @pytest.mark.parametrize("late", [2, 1])
+    def test_a_fault_in_the_last_event_of_the_instant_owes_the_storm_too(self, late):
+        """The instant's corrections wait with its pass (PR 21): the call
+        that raised folds no storm, the call that runs the owed pass does
+        -- a storm of two from the loop's tally, a storm of one derived."""
+
+        class Flaky(RecentAveragePredictor):
+            def predict(self, record, now):
+                return float("nan") if record.job_id == 99 else super().predict(record, now)
+
+        tele = Telemetry(component="test")
+        session = _storm_session(tele, Flaky(k=2))
+        # storms of twelve at 160 and 220, seven at 520, ... job 20 alone at 550 and 1450
+        at, owed = {2: (520.0, 7), 1: (1450.0, 1)}[late]
+        session.feed(make_job(job_id=99, submit_time=at, runtime=5.0))
+        session.advance_to(at - 1.0)
+        before = _storms(tele)
+        corrections = session.stats.n_corrections
+        with pytest.raises(ValueError, match="non-finite"):
+            session.advance_to(at)
+        assert session._pass_owed and len(session._corrected) == owed
+        assert _storms(tele) == before and session.stats.n_corrections == corrections
+        session.advance_to(at)  # nothing pending at ``at``: the owed pass
+        count, total, *_ = _storms(tele)
+        assert count == before[0] + 1
+        assert total == session.stats.n_corrections == corrections + owed
+        session.drain()
+        assert _storms(tele) == self.PIN
+
+
+class TestSizesAreSampled:
+    """``engine.sched.queue_length`` and the ``introspect()`` sizes hold
+    the passes numbered 1 modulo 16 of the series the parent recorded
+    pass by pass: the queue before the pass, the structures after it."""
+
+    @pytest.mark.parametrize("triple_key", TRIPLES)
+    def test_the_histograms_are_every_sixteenth_pass_of_the_series(self, triple_key):
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec(triple_key), tele)
+        series: list[dict[str, float]] = []
+        select = session.scheduler.select_jobs
+
+        def recording(now, machine):
+            sizes = {"queue_length": session.scheduler.queue_length}
+            started = select(now, machine)
+            series.append(sizes | session.scheduler.introspect())
+            return started
+
+        session.scheduler.select_jobs = recording
+        session.drain()
+        assert len(series) == session.stats.n_scheduling_passes > 32
+        for name in series[0]:
+            want = Histogram()
+            for sizes in series[::16]:
+                want.observe(sizes[name])
+            got = tele.histogram(f"engine.sched.{name}")
+            assert got.to_obj() == want.to_obj(), name
+            assert got.count == ceil(len(series) / 16)
+
+    def test_the_first_pass_is_sampled_and_the_stride_is_the_sessions(self):
+        """Pass numbers are the session's, not the call's: stepping one
+        instant a call samples passes 1, 17, 33, ... all the same."""
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf"), tele)
+        while session.step() is not None:
+            passes = session.stats.n_scheduling_passes
+            assert tele.histogram("engine.sched.queue_length").count == ceil(passes / 16)
+            assert tele.histogram("engine.sched.release_table").count == ceil(passes / 16)
+
+    def test_a_one_pass_session_has_one_sample(self):
+        tele = Telemetry(component="test")
+        session = SimSession(
+            8, make_scheduler("conservative"), RequestedTimePredictor(), telemetry=tele
+        )
+        session.feed(make_job(job_id=1, submit_time=0.0))
+        assert session.step() == 0.0 and session.stats.n_scheduling_passes == 1
+        snap = tele.snapshot()
+        assert snap["counters"]["engine.sched.passes"] == 1
+        for name in ("queue_length", "profile_segments", "plan_reused"):
+            assert snap["histograms"][f"engine.sched.{name}"]["count"] == 1, name
+        assert snap["histograms"]["engine.sched.queue_length"]["max"] == 1  # before the pass
 
 
 def _counted_events(tele: Telemetry) -> float:
@@ -290,8 +445,8 @@ class TestRegistryIsCurrent:
         _assert_reconciled(tele, session)
         assert tele.counter_value("predict.finished") == 120
         assert tele.histogram("predict.abs_error.seconds").count == 120
-        assert tele.histogram("engine.sched.queue_length").count == (
-            session.stats.n_scheduling_passes
+        assert tele.histogram("engine.sched.queue_length").count == ceil(
+            session.stats.n_scheduling_passes / 16
         )
 
     def test_two_sessions_sharing_one_registry_add_up(self):

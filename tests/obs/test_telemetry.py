@@ -74,7 +74,7 @@ class TestHistogram:
             b.observe(value)
         # snapshots cross process boundaries as JSON
         obj = json.loads(json.dumps(a.to_obj()))
-        b.merge_obj(obj)
+        b.merge(Histogram.from_obj(obj))
         assert b.count == 5
         assert b.total == pytest.approx(73.6)
         assert b.min == 0.1
@@ -231,14 +231,26 @@ class TestAddBatch:
         tele.observe("depth", 0.5)
         assert tele.snapshot()["histograms"]["depth"]["buckets"] == {"-1": 1, "2": 3000, "4": 1}
 
-    def test_histogram_merge_is_merge_obj_without_the_json(self):
+    def test_single_observations_are_bucketed_at_once(self):
+        """The fourth argument is for reals that never repeat (latencies):
+        they go straight into the buckets, as ``observe`` puts them."""
+        direct, batched = Telemetry(component="t"), Telemetry(component="t")
+        for value in (0.25, 3e-5, 0.25, 7.0):
+            direct.observe("lat", value)
+        batched.add_batch([("n", 1)], {}, (), [("lat", 0.25), ("lat", 3e-5)])
+        batched.add_batch((), {}, observations=[("lat", 0.25), ("lat", 7.0)])
+        assert not batched._pending
+        assert batched.snapshot()["histograms"] == direct.snapshot()["histograms"]
+        assert batched.counter_value("n") == 1
+
+    def test_histogram_merge_is_the_same_with_and_without_the_json(self):
         a, b, c = Histogram(), Histogram(), Histogram()
         for value in (0.0, 0.5, 3.0):
             a.observe(value)
         for hist in (b, c):
             hist.observe(64.0, 2)
         b.merge(a)
-        c.merge_obj(json.loads(json.dumps(a.to_obj())))
+        c.merge(Histogram.from_obj(json.loads(json.dumps(a.to_obj()))))
         assert b.to_obj() == c.to_obj()
         assert (b.count, b.min, b.max, b.total) == (5, 0.0, 64.0, 131.5)
 

@@ -22,9 +22,11 @@ the queue in backfill order, and every backfill pick of every pass
 respects the head's reservation (``tests.helpers.guard_backfill``).
 Conservative's carried plan is held to the seed's profile after every
 rule: a prefix of the reservation order, placed where the seed places
-it, and nobody left out who could start now.  And no settled session
-sits on processors its queue head fits: a fault that took an instant's
-scheduling pass with it leaves the pass *owed*, and the next call runs it.
+it, and nobody left out who could start now.  The session's own count
+of waiting jobs is the scheduler's queue length after every rule.  And
+no settled session sits on processors its queue head fits: a fault that
+took an instant's scheduling pass with it leaves the pass *owed*, and the
+next call runs it.
 """
 
 from __future__ import annotations
@@ -320,6 +322,13 @@ class SessionMachine(RuleBasedStateMachine):
         self.held |= any(r.processors > room for r in self.session.scheduler.queue)
 
     @invariant()
+    def the_session_counts_the_waiting_jobs(self):
+        """``_n_waiting`` is ``scheduler.queue_length`` without the call:
+        +1 per ``on_submit``, minus what each pass started -- also between
+        a call that raised and the one that runs the owed pass."""
+        assert self.session._n_waiting == self.session.scheduler.queue_length
+
+    @invariant()
     def candidates_are_the_queue_in_backfill_order(self):
         scheduler = self.session.scheduler
         if isinstance(scheduler, EasyScheduler):  # records compare by identity
@@ -414,6 +423,7 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     def then(rule, *args, **kwargs):
         rule(*args, **kwargs)
         walk.registry_is_current_and_the_machine_sound()
+        walk.the_session_counts_the_waiting_jobs()
         walk.candidates_are_the_queue_in_backfill_order()
         walk.nobody_who_could_start_is_waiting()
 
