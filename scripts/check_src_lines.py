@@ -9,7 +9,7 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 15575  # PR 22; PR 23 is net 0
+CEILING = 15572  # the count after the last change that shrank src/
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

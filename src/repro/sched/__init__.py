@@ -2,7 +2,7 @@
 
 from .base import Scheduler
 from .conservative import ConservativeScheduler
-from .easy import EasyScheduler, compute_shadow
+from .easy import EasyScheduler
 from .fcfs import FcfsScheduler
 from .legacy import LegacyConservativeScheduler, LegacyEasyScheduler
 from .ordering import BACKFILL_ORDERS, order_queue
@@ -13,7 +13,6 @@ __all__ = [
     "Scheduler",
     "ConservativeScheduler",
     "EasyScheduler",
-    "compute_shadow",
     "FcfsScheduler",
     "LegacyConservativeScheduler",
     "LegacyEasyScheduler",

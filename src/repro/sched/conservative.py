@@ -51,7 +51,8 @@ class ConservativeScheduler(Scheduler):
     would get the same start again given the ones before it (true of any
     prefix): a pass starts the due ones and extends the prefix.  Anything
     else, or an arrival that outranks a placed job, replans on a fresh
-    snapshot.  Schedules are identical to the seed's per-pass rebuild
+    snapshot.  A started job leaves both lists by identity (``list.remove``,
+    no rebuild).  Schedules are identical to the seed's per-pass rebuild
     (:class:`repro.sched.legacy.LegacyConservativeScheduler`).
     """
 
@@ -199,12 +200,9 @@ class ConservativeScheduler(Scheduler):
             self._plan = self._base.snapshot(now)
             starts.clear()
         self._place_startable(self._plan, now)
-        placed = ordered[: len(starts)]
-        started = [r for r in placed if starts[r.job_id] == now]
-        if started:
-            gone = {r.job_id for r in started}
-            ordered[: len(placed)] = [r for r in placed if r.job_id not in gone]
-            self._queue = [r for r in self._queue if r.job_id not in gone]
-            for job_id in gone:
-                del starts[job_id]
+        started = [r for r in ordered[: len(starts)] if starts[r.job_id] == now]
+        for record in started:
+            ordered.remove(record)
+            self._queue.remove(record)
+            del starts[record.job_id]
         return started

@@ -21,7 +21,7 @@ paper), which is exactly how the on-line algorithm absorbs misprediction.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 
 from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
@@ -30,41 +30,7 @@ from .base import Scheduler
 from .ordering import BACKFILL_ORDERS
 from .profile_structure import ReleaseTable
 
-__all__ = ["EasyScheduler", "compute_shadow"]
-
-
-def compute_shadow(
-    head_processors: int, free: int, releases: list[tuple[float, int]], now: float
-) -> tuple[float, int]:
-    """Compute the head job's (shadow time, extra processors).
-
-    ``releases`` is the machine's predicted-release profile, soonest
-    first.  Returns ``(shadow_time, extra)`` where ``extra`` is the
-    number of processors that will still be free at ``shadow_time`` after
-    the head starts; jobs running past the shadow may use at most
-    ``extra`` processors.
-
-    Raises :class:`ValueError` if the head can never start (it is wider
-    than the machine) -- trace validation prevents that upstream.
-    """
-    available = free
-    if head_processors <= available:
-        return now, available - head_processors
-    shadow: float | None = None
-    for predicted_end, processors in releases:
-        if shadow is not None and predicted_end > shadow:
-            break
-        available += processors
-        if shadow is None and available >= head_processors:
-            # Keep absorbing releases predicted at the same instant: they
-            # are free at the shadow too and belong to the extra pool.
-            shadow = max(predicted_end, now)
-    if shadow is None:
-        raise ValueError(
-            f"head job needing {head_processors} processors can never start "
-            f"(free={free}, releases={releases})"
-        )
-    return shadow, available - head_processors
+__all__ = ["EasyScheduler"]
 
 
 class EasyScheduler(Scheduler):
@@ -76,8 +42,10 @@ class EasyScheduler(Scheduler):
     The machine's predicted-release profile is tracked incrementally in a
     :class:`ReleaseTable` fed by the engine's start/finish/correction
     deltas, and the waiting jobs are kept twice: ``_queue`` in priority
-    order and ``_candidates`` in backfill order (placed by key at submit,
-    removed at start; a waiting job's prediction never changes).  The
+    order and ``_candidates`` in backfill order (placed by key at submit;
+    a waiting job's prediction never changes), and a started job leaves
+    both by identity (``list.remove``: no key call, no rebuild; within an
+    instant arrival order need not be ``fcfs_key``'s).  The
     schedule produced is identical to the seed per-pass rescan (kept as
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
     Start-estimate queries extend a reservation plan carried from one
@@ -98,8 +66,7 @@ class EasyScheduler(Scheduler):
         #: tests poking select_jobs by hand) get a full resync per pass.
         self._delta_fed = False
         self._key = BACKFILL_ORDERS[backfill_order]
-        #: every waiting job (the head too), sorted by ``_key``; keys end
-        #: in the job id, so each record has exactly one position.
+        #: every waiting job (the head too), sorted by ``_key`` (keys end in the job id)
         self._candidates: list[JobRecord] = []
         #: :meth:`_reservations`' (free, entries, placed jobs, plan, starts)
         self._carried: tuple | None = None
@@ -179,15 +146,15 @@ class EasyScheduler(Scheduler):
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         started: list[JobRecord] = []
         free = machine.free
-        candidates = self._candidates
+        queue, candidates = self._queue, self._candidates
 
         # Phase 1: start the queue head(s) while they fit (FCFS priority).
-        while self._queue and self._queue[0].processors <= free:
-            record = self._queue.pop(0)
-            del candidates[bisect_left(candidates, self._key(record), key=self._key)]
+        while queue and queue[0].processors <= free:
+            record = queue.pop(0)
+            candidates.remove(record)
             free -= record.processors
             started.append(record)
-        if not self._queue:
+        if not queue:
             return started
 
         # Phase 2: the head cannot start; compute its reservation.  The
@@ -196,27 +163,22 @@ class EasyScheduler(Scheduler):
         if not self._delta_fed or not self._releases.in_sync_with(machine):
             # driven outside the engine (unit tests): rebuild from state
             self._releases.resync(machine)
-        head = self._queue[0]
+        head = queue[0]
         if head.processors > machine.processors - machine.drained:
             # The head is wider than the undrained capacity (live-session
             # drains only): no reservation exists, and backfilling without
             # one would starve it, so the whole queue holds for a restore.
             return started
-        shadow, extra = self._releases.shadow(
-            head.processors,
-            free,
-            now,
-            [(now + rec.predicted_runtime, rec.processors) for rec in started],
-        )
+        pending = [(now + rec.predicted_runtime, rec.processors) for rec in started]
+        shadow, extra = self._releases.shadow(head.processors, free, now, pending)
 
         # Phase 3: backfill.  A candidate may start iff it fits now and
         # does not delay the head's reservation.
         picked = self._backfill(now, free, shadow, extra) if free else ()
-        if picked:
-            gone = {record.job_id for record in picked}
-            self._queue = [r for r in self._queue if r.job_id not in gone]
-            self._candidates = [r for r in candidates if r.job_id not in gone]
-            started.extend(picked)
+        for record in picked:
+            queue.remove(record)
+            candidates.remove(record)
+        started.extend(picked)
         return started
 
     def _backfill(

@@ -4,12 +4,9 @@ These are the pre-profile implementations of EASY and conservative
 backfilling: every scheduling pass rebuilds the machine's future
 availability from scratch (sorting the full predicted-release list,
 or reconstructing a whole :class:`AvailabilityProfile` release by
-release).  They are retained verbatim so that
-
-* the equivalence test suite can assert the profile-based hot path
-  produces *identical* schedules, job for job, and
-* ``benchmarks/bench_engine.py`` can measure the speedup against the
-  exact seed behaviour.
+release).  They are retained verbatim, importing nothing from the
+modules they check, so that the equivalence tests can assert the
+profile-based hot path produces *identical* schedules, job for job.
 
 Do not use these in campaigns; they are O(running x queued) per pass.
 """
@@ -23,10 +20,43 @@ from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
 from .base import Scheduler
-from .easy import compute_shadow
 from .ordering import BACKFILL_ORDERS, order_queue
 
-__all__ = ["LegacyEasyScheduler", "LegacyConservativeScheduler"]
+__all__ = ["LegacyEasyScheduler", "LegacyConservativeScheduler", "compute_shadow"]
+
+
+def compute_shadow(
+    head_processors: int, free: int, releases: list[tuple[float, int]], now: float
+) -> tuple[float, int]:
+    """Compute the head job's (shadow time, extra processors).
+
+    ``releases`` is the machine's predicted-release profile, soonest
+    first.  Returns ``(shadow_time, extra)`` where ``extra`` is the
+    number of processors that will still be free at ``shadow_time`` after
+    the head starts; jobs running past the shadow may use at most
+    ``extra`` processors.
+
+    Raises :class:`ValueError` if the head can never start (it is wider
+    than the machine) -- trace validation prevents that upstream.
+    """
+    available = free
+    if head_processors <= available:
+        return now, available - head_processors
+    shadow: float | None = None
+    for predicted_end, processors in releases:
+        if shadow is not None and predicted_end > shadow:
+            break
+        available += processors
+        if shadow is None and available >= head_processors:
+            # Keep absorbing releases predicted at the same instant: they
+            # are free at the shadow too and belong to the extra pool.
+            shadow = max(predicted_end, now)
+    if shadow is None:
+        raise ValueError(
+            f"head job needing {head_processors} processors can never start "
+            f"(free={free}, releases={releases})"
+        )
+    return shadow, available - head_processors
 
 
 class _SeedProfile(AvailabilityProfile):

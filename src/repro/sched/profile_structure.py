@@ -162,7 +162,7 @@ class ReleaseTable:
     ) -> tuple[float, int]:
         """Compute the head job's ``(shadow time, extra processors)``.
 
-        Semantically identical to :func:`repro.sched.easy.compute_shadow`
+        Semantically identical to the oracle's :func:`repro.sched.legacy.compute_shadow`
         over the clamped release list merged with ``pending`` (releases of
         jobs selected earlier in the same pass, not yet started on the
         machine) -- but lazily: the scan stops at the shadow instead of

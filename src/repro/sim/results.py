@@ -22,14 +22,17 @@ if TYPE_CHECKING:  # imported for type hints only; avoids an import cycle
 __all__ = ["JobRecord", "SimulationResult"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class JobRecord:
     """Mutable simulation state for one job.
 
     ``job_id``, ``submit_time``, ``processors`` and ``requested_time``
     are copied from ``job`` at construction (the schedulers' scans read
     them per candidate per pass), so a fed :class:`Job` is treated as
-    immutable: editing it afterwards does not reach the record.
+    immutable: editing it afterwards does not reach the record.  Records
+    compare and hash by identity (two of one job differ): their fields
+    change as the job runs, so value equality is neither stable nor cheap,
+    and a scheduler's ``list.remove`` of a started one is a C pointer scan.
     """
 
     job: Job

@@ -13,14 +13,16 @@ SWF conventions honoured here:
 * the requested-time field may be missing (``-1``), in which case we fall
   back to the actual runtime (the job is then "perfectly estimated" --
   the same convention pyss uses);
-* jobs with non-positive runtime or processor count are skipped (they
-  represent cancelled-before-start entries) and counted in the parse
-  report.
+* no data line raises: one that cannot be a job is skipped and counted in
+  ``ParseReport.skipped_reasons`` under the first of ``short line``, ``non-numeric
+  field``, ``non-finite field`` (nan/inf), ``nonpositive runtime`` / ``nonpositive
+  processors`` (cancelled before start) and ``negative submit time`` (``-1``).
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -49,13 +51,10 @@ class ParseReport:
 
 
 def _parse_header_line(line: str, report: ParseReport) -> None:
-    body = line.lstrip(";").strip()
-    if ":" in body:
-        key, _, value = body.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key and key not in report.header:
-            report.header[key] = value
+    key, colon, value = line.lstrip(";").partition(":")
+    key = key.strip()
+    if colon and key and key not in report.header:
+        report.header[key] = value.strip()
 
 
 def _job_from_fields(fields: list[float], report: ParseReport) -> Job | None:
@@ -69,6 +68,9 @@ def _job_from_fields(fields: list[float], report: ParseReport) -> Job | None:
         return None
     if procs <= 0:
         report.note_skip("nonpositive processors")
+        return None
+    if fields[SwfField.SUBMIT_TIME] < 0:
+        report.note_skip("negative submit time")
         return None
     requested = float(fields[SwfField.REQUESTED_TIME])
     if requested <= 0:
@@ -120,6 +122,9 @@ def _parse_stream(stream: TextIO, name: str, processors: int | None) -> tuple[Tr
             values = [float(p) for p in parts[:18]]
         except ValueError:
             report.note_skip("non-numeric field")
+            continue
+        if not all(map(math.isfinite, values)):
+            report.note_skip("non-finite field")
             continue
         job = _job_from_fields(values, report)
         if job is None:

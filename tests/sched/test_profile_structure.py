@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched.easy import compute_shadow
-from repro.sched.legacy import _SeedProfile
+from repro.sched.legacy import _SeedProfile, compute_shadow
 from repro.sched.profile_structure import IncrementalProfile, ReleaseTable
 from repro.sim.machine import Machine
 from repro.sim.profile import AvailabilityProfile

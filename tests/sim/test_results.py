@@ -113,3 +113,17 @@ class TestJobRecordSlots:
         rec = JobRecord(job=job)
         job.processors = 4
         assert rec.processors == 2
+
+    def test_records_are_identity_objects(self):
+        """Two records of one job are distinct, unequal and hashable; a
+        record equals itself -- so removing one from a list is a pointer
+        scan that never compares fields."""
+        job = make_job(job_id=3)
+        first, second = JobRecord(job=job), JobRecord(job=job)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+        assert {first: "a", second: "b"}[second] == "b"
+        # by value the two are equal, and this would remove ``first``
+        waiting = [first, second]
+        waiting.remove(second)
+        assert waiting == [first] and waiting[0] is first

@@ -1,8 +1,10 @@
 """Unit tests for the SWF parser and writer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.workload import Trace, dumps_swf, load_swf, loads_swf, save_swf
+from repro.workload import Job, Trace, dumps_swf, load_swf, loads_swf, save_swf
 
 from tests.helpers import make_job
 
@@ -97,6 +99,38 @@ class TestParsing:
         assert trace.processors == 128
 
 
+class TestHostileLines:
+    """A data line that cannot be a job is a counted skip under a named
+    reason; the rest of the log parses as if the line were not there."""
+
+    @pytest.mark.parametrize(
+        "line,reason",
+        [
+            ("4 -1 -1 100 4 -1 -1 4 300 -1 1 7 1 3 1 0 -1 -1", "negative submit time"),
+            ("nan 30 -1 100 4 -1 -1 4 300 -1 1 7 1 3 1 0 -1 -1", "non-finite field"),
+            ("4 30 -1 nan 4 -1 -1 4 300 -1 1 7 1 3 1 0 -1 -1", "non-finite field"),
+            ("4 30 -1 100 inf -1 -1 4 300 -1 1 7 1 3 1 0 -1 -1", "non-finite field"),
+            ("4 30 -1 100 4 -1 -1 4 nan -1 1 7 1 3 1 0 -1 -1", "non-finite field"),
+            ("4 30 -1 100 4 -1 -1 4 300 -1 1 -inf 1 3 1 0 -1 -1", "non-finite field"),
+        ],
+        ids=["submit-minus-one", "nan-job-id", "nan-runtime", "inf-processors",
+             "nan-requested", "inf-user"],
+    )
+    def test_skipped_and_counted(self, line, reason):
+        clean, _ = loads_swf(SAMPLE)
+        trace, report = loads_swf(SAMPLE + line + "\n")
+        assert report.skipped_reasons == {reason: 1}
+        assert report.n_skipped == 1 and report.n_jobs == 3
+        assert list(trace) == list(clean)
+
+    def test_non_monotone_submits_are_sorted_not_skipped(self):
+        body = SAMPLE.splitlines(keepends=True)
+        shuffled = "".join(body[:5] + body[:4:-1])  # the three data lines reversed
+        trace, report = loads_swf(shuffled)
+        assert report.n_skipped == 0
+        assert [job.job_id for job in trace] == [1, 2, 3]
+
+
 class TestRoundTrip:
     def test_dumps_then_loads_preserves_jobs(self):
         jobs = [
@@ -136,3 +170,54 @@ class TestRoundTrip:
         # runtimes are written as integer seconds; tolerate rounding
         for a, b in zip(kth_trace, back, strict=True):
             assert abs(a.runtime - b.runtime) <= 0.5 + 1e-9
+
+
+def draw_job(draw, job_id):
+    """A job whose every field survives the SWF text form exactly."""
+    runtime = draw(st.integers(1, 10**6))
+    count = st.integers(-1, 10**6)
+    return Job(
+        job_id=job_id,
+        submit_time=float(draw(st.integers(0, 10**8))),
+        runtime=float(runtime),
+        processors=draw(st.integers(1, 256)),
+        requested_time=float(runtime + draw(st.integers(0, 10**6))),
+        user=draw(count),
+        group=draw(count),
+        executable=draw(count),
+        queue=draw(count),
+        partition=draw(count),
+        status=draw(st.integers(-1, 5)),
+        cpu_time=float(draw(count)),
+        memory=float(draw(count)),
+        requested_processors=draw(st.integers(1, 256)),
+        requested_memory=float(draw(count)),
+        preceding_job=draw(count),
+        think_time=float(draw(count)),
+    )
+
+
+@st.composite
+def swf_traces(draw):
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    jobs = [draw_job(draw, job_id) for job_id in ids]
+    widest = max(job.processors for job in jobs)
+    return Trace(
+        jobs,
+        processors=widest + draw(st.integers(0, 64)),
+        name="rt",
+        unix_start_time=draw(st.integers(0, 2**31)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(trace=swf_traces())
+def test_dump_parse_round_trip(trace):
+    """dumps -> loads gives the same jobs, field for field, and dumping
+    the parse again gives the same bytes."""
+    text = dumps_swf(trace)
+    back, report = loads_swf(text, name=trace.name)
+    assert report.n_skipped == 0 and report.n_jobs == len(trace)
+    assert list(back) == list(trace)
+    assert (back.processors, back.unix_start_time) == (trace.processors, trace.unix_start_time)
+    assert dumps_swf(back) == text
