@@ -9,7 +9,7 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 15572  # the count after the last change that shrank src/
+CEILING = 15378  # the count after the last change that shrank src/
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

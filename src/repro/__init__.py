@@ -59,10 +59,8 @@ from .correct import (
 from .metrics import (
     average_bounded_slowdown,
     bounded_slowdowns,
-    ecdf,
     mean_absolute_error,
     mean_loss,
-    pearson,
 )
 from .predict import (
     E_LOSS,
@@ -140,10 +138,8 @@ __all__ = [
     "make_corrector",
     "average_bounded_slowdown",
     "bounded_slowdowns",
-    "ecdf",
     "mean_absolute_error",
     "mean_loss",
-    "pearson",
     "E_LOSS",
     "SQUARED_LOSS",
     "ClairvoyantPredictor",

@@ -31,7 +31,7 @@ from .prediction_analysis import (
     analyze_predictions,
     table8_rows,
 )
-from .reporting import ascii_scatter, format_percent, format_table
+from .reporting import format_percent, format_table
 from .run import (
     RunOutcome,
     build_workload,
@@ -75,7 +75,6 @@ __all__ = [
     "PredictionAnalysis",
     "analyze_predictions",
     "table8_rows",
-    "ascii_scatter",
     "format_percent",
     "format_table",
     "RunOutcome",

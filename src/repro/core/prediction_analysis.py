@@ -16,13 +16,14 @@ from ..predict.loss import E_LOSS
 from ..sim.results import SimulationResult
 from ..spec import CellSpec, WorkloadSpec
 from .run import run_spec_result
+from .triples import ELOSS_TRIPLE
 
 __all__ = ["PredictionAnalysis", "analyze_predictions", "DEFAULT_TECHNIQUES"]
 
-#: The four prediction techniques of Figure 4/5, plus clairvoyance for the
-#: "actual value" ECDF of Figure 5.
+#: The four prediction techniques of Figures 4 and 5; E-Loss regression
+#: is the winning triple's predictor.
 DEFAULT_TECHNIQUES: dict[str, str] = {
-    "E-Loss Regression": "ml:sq-lin-large-area",
+    "E-Loss Regression": ELOSS_TRIPLE.split("|")[0],
     "Squared Loss Regression": "ml:sq-sq-constant",
     "Requested Time": "requested",
     "AVE2": "ave2",

@@ -1,19 +1,16 @@
-"""Plain-text rendering of the paper's tables and figures.
+"""Plain-text rendering of the paper's tables and campaign leaderboards.
 
-Everything renders to strings (not stdout) so benchmarks, the CLI and
-tests can all consume the same formatting.
+Everything renders to strings (not stdout); ``repro table`` and ``repro
+campaign`` print them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 __all__ = [
     "format_table",
     "format_leaderboard",
-    "ascii_scatter",
     "format_percent",
 ]
 
@@ -101,48 +98,3 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_row(row) for row in rendered)
     return "\n".join(lines)
-
-
-def ascii_scatter(
-    points: dict[str, list[tuple[float, float]]],
-    width: int = 64,
-    height: int = 20,
-    x_label: str = "",
-    y_label: str = "",
-    log_scale: bool = False,
-) -> str:
-    """Scatter plot with one marker per series (paper Figure 3 style)."""
-    all_pts = [p for series in points.values() for p in series]
-    if not all_pts:
-        raise ValueError("no points to plot")
-    xs = np.array([p[0] for p in all_pts], dtype=float)
-    ys = np.array([p[1] for p in all_pts], dtype=float)
-    if log_scale:
-        if xs.min() <= 0 or ys.min() <= 0:
-            raise ValueError("log-scale scatter needs positive values")
-        xs, ys = np.log10(xs), np.log10(ys)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    markers = "*o+x#@%&"
-    grid = [[" "] * width for _ in range(height)]
-    legend = []
-    for idx, (name, series) in enumerate(points.items()):
-        marker = markers[idx % len(markers)]
-        legend.append(f"  {marker} {name}")
-        for x, y in series:
-            if log_scale:
-                x, y = np.log10(x), np.log10(y)
-            col = int(round((x - x_lo) / x_span * (width - 1)))
-            row = height - 1 - int(round((y - y_lo) / y_span * (height - 1)))
-            grid[row][col] = marker
-    lines = ["".join(row) for row in grid]
-    body = "\n".join(f"|{line}" for line in lines)
-    axis = "+" + "-" * width
-    out = body + "\n" + axis
-    if x_label or y_label:
-        scale_note = " [log10 scale]" if log_scale else ""
-        out += f"\n x: {x_label}{scale_note}   y: {y_label}{scale_note}"
-    return out + "\n" + "\n".join(legend)

@@ -1,7 +1,5 @@
 """Objective functions and analysis metrics."""
 
-from .correlation import correlation_summary, pairwise_correlations, pearson
-from .ecdf import ascii_ecdf_chart, ecdf, ecdf_at
 from .prediction import (
     mean_absolute_error,
     mean_loss,
@@ -16,12 +14,6 @@ from .slowdown import (
 )
 
 __all__ = [
-    "correlation_summary",
-    "pairwise_correlations",
-    "pearson",
-    "ascii_ecdf_chart",
-    "ecdf",
-    "ecdf_at",
     "mean_absolute_error",
     "mean_loss",
     "prediction_errors",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workload import Trace, get_trace
+from repro.workload import Trace, get_trace, stable_seed
 
 from tests.helpers import make_job, make_record
 
@@ -42,3 +42,16 @@ def kth_trace() -> Trace:
 def curie_trace() -> Trace:
     """A small Curie-class synthetic trace shared across tests (read-only)."""
     return get_trace("Curie", n_jobs=600)
+
+
+@pytest.fixture(scope="session")
+def traces() -> dict[str, list[Trace]]:
+    """Three 1200-job replicas of two contrasting logs (read-only).
+
+    Individual small traces are noisy samples of a queueing process, so
+    shape assertions on them average the replicas.
+    """
+    return {
+        name: [get_trace(name, n_jobs=1200, seed=stable_seed(name) + r) for r in (0, 1, 2)]
+        for name in ("KTH-SP2", "Curie")
+    }

@@ -3,9 +3,7 @@
 import contextlib
 import logging
 
-import pytest
-
-from repro.core.reporting import ascii_scatter, format_percent, format_table
+from repro.core.reporting import format_percent, format_table
 
 
 class TestFormatTable:
@@ -29,36 +27,6 @@ class TestFormatPercent:
     def test_paper_style(self):
         assert format_percent(28.4) == "(28%)"
         assert format_percent(-72.0) == "(-72%)"
-
-
-class TestAsciiScatter:
-    def test_renders_series_markers(self):
-        chart = ascii_scatter(
-            {"one": [(1.0, 1.0), (2.0, 2.0)], "two": [(3.0, 1.0)]},
-            x_label="x", y_label="y",
-        )
-        assert "one" in chart and "two" in chart
-        assert "*" in chart and "o" in chart
-
-    def test_log_scale(self):
-        chart = ascii_scatter({"s": [(1.0, 1.0), (1000.0, 1000.0)]}, log_scale=True)
-        assert "log10" not in chart  # only shown with labels
-        chart = ascii_scatter(
-            {"s": [(1.0, 1.0), (1000.0, 1000.0)]}, log_scale=True, x_label="a", y_label="b"
-        )
-        assert "log10" in chart
-
-    def test_log_scale_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ascii_scatter({"s": [(0.0, 1.0)]}, log_scale=True)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ascii_scatter({})
-
-    def test_single_point_no_crash(self):
-        chart = ascii_scatter({"s": [(5.0, 5.0)]})
-        assert "*" in chart
 
 
 @contextlib.contextmanager
