@@ -15,9 +15,8 @@ The moving parts:
   :func:`register`; ids never get reused, so suppression comments and
   CI configurations stay meaningful across versions.
 * path scopes -- every rule declares the repo-relative ``fnmatch``
-  patterns it polices (overridable per :class:`CheckConfig`), because
-  the contracts are *regional*: wall-clock reads are fine in the
-  coordinator but forbidden in the engine.
+  patterns it polices, because the contracts are *regional*: wall-clock
+  reads are fine in the coordinator but forbidden in the engine.
 * suppressions -- ``# repro: noqa[RULE001]`` on the offending line (or
   bare ``# repro: noqa`` for all rules; ``# repro: noqa-file[RULE001]``
   anywhere in the file for the whole file).
@@ -32,8 +31,8 @@ import ast
 import fnmatch
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 
 __all__ = [
     "Finding",
@@ -206,12 +205,10 @@ class Rule:
     paths: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
 
-    def applies_to(self, relpath: str, config: CheckConfig) -> bool:
-        patterns = config.rule_paths.get(self.id, self.paths)
-        exclude = config.rule_excludes.get(self.id, self.exclude)
-        if any(fnmatch.fnmatch(relpath, pattern) for pattern in exclude):
+    def applies_to(self, relpath: str) -> bool:
+        if any(fnmatch.fnmatch(relpath, pattern) for pattern in self.exclude):
             return False
-        return any(fnmatch.fnmatch(relpath, pattern) for pattern in patterns)
+        return any(fnmatch.fnmatch(relpath, pattern) for pattern in self.paths)
 
 
 class FileRule(Rule):
@@ -269,11 +266,9 @@ def resolve_rules(select: Iterable[str] | None) -> list[Rule]:
 
 @dataclass
 class CheckConfig:
-    """Path-scope overrides and rule selection for one check run."""
+    """Rule selection for one check run."""
 
     select: tuple[str, ...] | None = None
-    rule_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    rule_excludes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
 
 def find_root(start: str) -> str:
@@ -321,7 +316,6 @@ def run_check(
     paths: Iterable[str],
     root: str | None = None,
     config: CheckConfig | None = None,
-    on_error: Callable[[str, str], None] | None = None,
 ) -> tuple[list[Finding], list[str]]:
     """Run the battery over ``paths``.
 
@@ -343,7 +337,7 @@ def run_check(
 
     contexts: dict[str, FileContext] = {}
     for relpath in files:
-        applicable = [r for r in file_rules if r.applies_to(relpath, config)]
+        applicable = [r for r in file_rules if r.applies_to(relpath)]
         if not applicable:
             continue
         abspath = os.path.join(root, *relpath.split("/"))
@@ -355,8 +349,6 @@ def run_check(
             findings.append(
                 Finding(relpath, 1, 0, "PARSE", f"could not analyze: {exc}")
             )
-            if on_error is not None:
-                on_error(relpath, str(exc))
             continue
         contexts[relpath] = ctx
         for rule in applicable:
@@ -367,7 +359,7 @@ def run_check(
     if project_rules:
         project_ctx = ProjectContext(root, files)
         for rule in project_rules:
-            if not any(rule.applies_to(relpath, config) for relpath in files):
+            if not any(rule.applies_to(relpath) for relpath in files):
                 continue
             for finding in rule.check_project(project_ctx):
                 ctx = contexts.get(finding.path)

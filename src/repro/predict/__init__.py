@@ -19,7 +19,6 @@ from .loss import (
 )
 from .ml import MLPredictor
 from .nag import NagOptimizer
-from .quantile import QuantilePredictor
 
 __all__ = [
     "Predictor",
@@ -41,7 +40,6 @@ __all__ = [
     "weight_factor",
     "MLPredictor",
     "NagOptimizer",
-    "QuantilePredictor",
     "make_predictor",
 ]
 
@@ -50,7 +48,7 @@ def make_predictor(spec) -> Predictor:
     """Construct a predictor from the unified component registry.
 
     Accepts a legacy string (``clairvoyant``, ``requested``, ``ave2`` /
-    ``ave<k>``, ``quantile<q>``, ``ml:<over>-<under>-<weight>`` with
+    ``ave<k>``, ``ml:<over>-<under>-<weight>`` with
     over/under in {sq, lin} and weight a Table 3 scheme, e.g.
     ``ml:sq-lin-large-area`` -- the E-Loss), a parameterized spec dict
     like ``{"name": "ml", "params": {"over": "sq", "under": "lin",

@@ -6,7 +6,6 @@ from .easy import EasyScheduler
 from .fcfs import FcfsScheduler
 from .legacy import LegacyConservativeScheduler, LegacyEasyScheduler
 from .ordering import BACKFILL_ORDERS, order_queue
-from .priority import MultifactorScheduler, PriorityWeights
 from .profile_structure import IncrementalProfile, ReleaseTable
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "FcfsScheduler",
     "LegacyConservativeScheduler",
     "LegacyEasyScheduler",
-    "MultifactorScheduler",
-    "PriorityWeights",
     "IncrementalProfile",
     "ReleaseTable",
     "BACKFILL_ORDERS",
@@ -29,11 +26,12 @@ def make_scheduler(spec) -> Scheduler:
     """Construct a scheduler from the unified component registry.
 
     Accepts a legacy string (``fcfs``, ``easy``, ``easy-sjbf``,
-    ``easy-saf``, ``easy-narrow``, ``conservative``,
-    ``conservative-sjbf``, ``multifactor``[``-sjbf``], and the seed
-    ``legacy-*`` oracles -- the ``-<order>`` suffix is shorthand for the
-    ``order`` param), a ``{"name": "easy", "params": {"order": "sjbf"}}``
-    dict, or a ready :class:`repro.spec.ComponentSpec`.
+    ``conservative``, ``conservative-sjbf``, and the seed ``legacy-*``
+    oracles -- the ``-<order>`` suffix is shorthand for the ``order``
+    param, which is ``fcfs`` or ``sjbf``), a
+    ``{"name": "easy", "params": {"order": "sjbf"}}`` dict (``rl-backfill``
+    needs one, for its ``policy`` checkpoint), or a ready
+    :class:`repro.spec.ComponentSpec`.
     """
     from ..spec.components import scheduler_registry
 

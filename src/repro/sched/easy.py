@@ -68,7 +68,7 @@ class EasyScheduler(Scheduler):
         self._key = BACKFILL_ORDERS[backfill_order]
         #: every waiting job (the head too), sorted by ``_key`` (keys end in the job id)
         self._candidates: list[JobRecord] = []
-        #: :meth:`_reservations`' (free, entries, placed jobs, plan, starts)
+        #: :meth:`_reservations`' (free, entries, plan, starts)
         self._carried: tuple | None = None
 
     # -- engine delta feed --------------------------------------------------
@@ -99,6 +99,9 @@ class EasyScheduler(Scheduler):
             [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
         )
 
+    def on_machine_change(self, now, machine) -> None:
+        self._carried = None  # a capacity move ends the carried plan (_reservations)
+
     # -- session queries ------------------------------------------------------
     def introspect(self) -> dict[str, float]:
         """Release-table length = the sweep a shadow-time query may walk."""
@@ -108,39 +111,40 @@ class EasyScheduler(Scheduler):
         """The reservation plan, carried from query to query.
 
         Kept from the last call: the release profile minus a reservation
-        per waiting job, the reserved starts, the jobs placed, and the
-        ``machine.free`` and release entries it was built from.  A waiting
-        job's prediction is fixed at submission and every breakpoint of
-        the base profile is a running job's predicted end, where a FINISH
-        or EXPIRE fires and changes the table; so while ``free`` and the
-        entries are the same, the placed jobs still lead the queue in
-        order and no reserved start is behind ``now``, a fresh computation
-        would place each of them where it is, and only the queue's new
-        tail is placed.  Anything else replans from the table; out of
-        step with the machine (or never hook-fed) the answer is the
+        per waiting job, the reserved starts of the queue's first
+        ``len(starts)`` jobs, and the ``machine.free`` and release entries
+        it was built from.  A waiting job's prediction is fixed at
+        submission and every breakpoint of the base profile is a running
+        job's predicted end, where a FINISH or EXPIRE fires and changes
+        the table.  The queue only grows at its tail and shrinks by
+        starts, and a placed job can only start once a running job has
+        finished (its entry never comes back) or the capacity has changed
+        (:meth:`on_machine_change` drops the plan); so while ``free`` and
+        the entries are the same, the placed jobs still lead the queue in
+        order.  If no reserved start is behind ``now`` either, a fresh
+        computation would place each of them where it is, and only the
+        queue's new tail is placed.  Anything else replans from the table;
+        out of step with the machine (or never hook-fed) the answer is the
         stateless one and no plan is kept.
         """
         carried, self._carried = self._carried, None  # kept only by a call that completes
-        releases, queue = self._releases, self._queue
+        releases = self._releases
         if not self._delta_fed or not releases.in_sync_with(machine):
             return super()._reservations(now, machine)
-        free, entries, placed, plan, starts = carried or (None, None, [], None, {})
+        free, entries, plan, starts = carried or (None, None, None, {})
         if (
             free == machine.free
             and entries == releases.entries
-            and placed == queue[: len(placed)]
             and min(starts.values(), default=now) >= now
         ):
             plan.trim(now)
         else:
-            free, entries, placed, starts = machine.free, releases.entries.copy(), [], {}
+            free, entries, starts = machine.free, releases.entries.copy(), {}
             plan = AvailabilityProfile.from_releases(
                 machine.processors, now, free, releases.releases(now)
             )
-        todo = queue[len(placed) :]
-        starts.update(self._reserve_in_order(plan, todo, now))
-        placed += todo
-        self._carried = free, entries, placed, plan, starts
+        starts.update(self._reserve_in_order(plan, self._queue[len(starts) :], now))
+        self._carried = free, entries, plan, starts
         return plan, starts
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:

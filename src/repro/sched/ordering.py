@@ -8,8 +8,7 @@ orders:
 * **SJBF**  -- Shortest (predicted) Job Backfilled First, from Tsafrir et
   al., which the paper's winning triple uses.
 
-Additional orders (not in the paper's campaign, provided for ablation
-studies) follow the same interface: a key function over job records.
+Each order is a key function over job records.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from collections.abc import Callable
 
 from ..sim.results import JobRecord
 
-__all__ = ["BACKFILL_ORDERS", "order_queue", "fcfs_key", "sjbf_key", "saf_key", "expansion_key"]
+__all__ = ["BACKFILL_ORDERS", "order_queue", "fcfs_key", "sjbf_key"]
 
 OrderKey = Callable[[JobRecord], tuple]
 
@@ -33,26 +32,10 @@ def sjbf_key(record: JobRecord) -> tuple:
     return (record.predicted_runtime, record.submit_time, record.job_id)
 
 
-def saf_key(record: JobRecord) -> tuple:
-    """Smallest predicted area (p*q) first -- ablation extra."""
-    return (
-        record.predicted_runtime * record.processors,
-        record.submit_time,
-        record.job_id,
-    )
-
-
-def expansion_key(record: JobRecord) -> tuple:
-    """Narrowest job first -- ablation extra."""
-    return (record.processors, record.submit_time, record.job_id)
-
-
 #: Registry of named backfill orders.
 BACKFILL_ORDERS: dict[str, OrderKey] = {
     "fcfs": fcfs_key,
     "sjbf": sjbf_key,
-    "saf": saf_key,
-    "narrow": expansion_key,
 }
 
 

@@ -260,8 +260,6 @@ _ML_KEY = re.compile(r"^ml:(sq|lin)-(sq|lin)-([a-z-]+)$")
 def _parse_predictor(name: str) -> ComponentSpec | None:
     if re.fullmatch(r"ave\d+", name):
         return ComponentSpec.make("ave", {"k": int(name[3:])})
-    if re.fullmatch(r"quantile[0-9.]+", name):
-        return ComponentSpec.make("quantile", {"quantile": float(name[8:])})
     match = _ML_KEY.match(name)
     if match:
         return ComponentSpec.make(
@@ -282,8 +280,6 @@ def _unparse_predictor(spec: ComponentSpec) -> str | None:
         if extras != {"eta": 0.5, "l2": 1e-6, "target_scale": 3600.0, "forgetting": 1.0}:
             return None  # tuned hyperparameters have no legacy spelling
         return f"ml:{params['over']}-{params['under']}-{params['weight']}"
-    if spec.name == "quantile" and params.get("eta") == 0.2:
-        return f"quantile{params['quantile']:g}"
     return None
 
 
@@ -295,7 +291,6 @@ def _build_predictor_registry() -> ComponentRegistry:
     )
     from ..predict.loss import LossSpec
     from ..predict.ml import MLPredictor
-    from ..predict.quantile import QuantilePredictor
 
     registry = ComponentRegistry(
         "predictor", parse=_parse_predictor, unparse=_unparse_predictor
@@ -303,9 +298,6 @@ def _build_predictor_registry() -> ComponentRegistry:
     registry.register("requested", RequestedTimePredictor)
     registry.register("clairvoyant", ClairvoyantPredictor)
     registry.register("ave", RecentAveragePredictor, defaults={"k": 2})
-    registry.register(
-        "quantile", QuantilePredictor, defaults={"quantile": 0.25, "eta": 0.2}
-    )
 
     long = {"sq": "squared", "lin": "linear"}
 
@@ -351,17 +343,12 @@ def _build_corrector_registry() -> ComponentRegistry:
 
 # -- scheduler registry --------------------------------------------------------
 
-#: legacy "<base>-<order>" scheduler spellings (base name carries fcfs).
-_SCHED_ORDERS = ("sjbf", "saf", "narrow")
-
-
 def _parse_scheduler(name: str) -> ComponentSpec | None:
-    for base in ("easy", "conservative", "multifactor", "legacy-easy", "legacy-conservative"):
-        if name == base:
-            return ComponentSpec.make(base)
-        for order in _SCHED_ORDERS:
-            if name == f"{base}-{order}":
-                return ComponentSpec.make(base, {"order": order})
+    """``<base>-sjbf`` is shorthand for ``order="sjbf"`` (the bare base name
+    is the registered ``fcfs`` default)."""
+    base, _, order = name.rpartition("-")
+    if order == "sjbf" and base in ("easy", "conservative", "legacy-easy", "legacy-conservative"):
+        return ComponentSpec.make(base, {"order": order})
     return None
 
 
@@ -380,7 +367,6 @@ def _build_scheduler_registry() -> ComponentRegistry:
     from ..sched.easy import EasyScheduler
     from ..sched.fcfs import FcfsScheduler
     from ..sched.legacy import LegacyConservativeScheduler, LegacyEasyScheduler
-    from ..sched.priority import MultifactorScheduler
 
     registry = ComponentRegistry(
         "scheduler", parse=_parse_scheduler, unparse=_unparse_scheduler
@@ -392,11 +378,6 @@ def _build_scheduler_registry() -> ComponentRegistry:
     registry.register(
         "conservative",
         lambda order: ConservativeScheduler(order),
-        defaults={"order": "fcfs"},
-    )
-    registry.register(
-        "multifactor",
-        lambda order: MultifactorScheduler(backfill_order=order),
         defaults={"order": "fcfs"},
     )
     def make_rl_backfill(policy: str, store: str) -> Scheduler:
@@ -429,10 +410,7 @@ def _build_scheduler_registry() -> ComponentRegistry:
 
 
 def _build_filter_registry() -> ComponentRegistry:
-    from ..workload import filters as wf
-
     registry = ComponentRegistry("filter")
-    registry.register("drop-oversized", lambda: wf.drop_oversized)
     registry.register(
         "max-width",
         lambda processors: (
@@ -442,18 +420,6 @@ def _build_filter_registry() -> ComponentRegistry:
             )
         ),
         required={"processors": int},
-    )
-    registry.register(
-        "clamp-requested",
-        lambda max_seconds: (lambda trace: wf.clamp_requested(trace, max_seconds)),
-        required={"max_seconds": float},
-    )
-    registry.register(
-        "drop-flurries",
-        lambda user_jobs_per_hour: (
-            lambda trace: wf.drop_flurries(trace, user_jobs_per_hour)
-        ),
-        defaults={"user_jobs_per_hour": 120.0},
     )
     return registry
 

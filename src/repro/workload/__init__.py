@@ -5,9 +5,7 @@ from .estimates import ROUND_VALUES, EstimateStyle, round_up_to_round_value
 from .filters import (
     clamp_requested,
     drop_flurries,
-    drop_oversized,
     drop_status,
-    restrict_interval,
     standard_clean,
 )
 from .job import Job, validate_job
@@ -27,9 +25,7 @@ __all__ = [
     "round_up_to_round_value",
     "clamp_requested",
     "drop_flurries",
-    "drop_oversized",
     "drop_status",
-    "restrict_interval",
     "standard_clean",
     "Job",
     "validate_job",

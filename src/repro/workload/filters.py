@@ -12,19 +12,7 @@ from __future__ import annotations
 from .job import Job
 from .trace import Trace
 
-__all__ = [
-    "drop_oversized",
-    "drop_status",
-    "clamp_requested",
-    "restrict_interval",
-    "drop_flurries",
-    "standard_clean",
-]
-
-
-def drop_oversized(trace: Trace) -> Trace:
-    """Drop jobs requesting more processors than the machine has."""
-    return trace.filter(lambda j: j.processors <= trace.processors)
+__all__ = ["drop_status", "clamp_requested", "drop_flurries", "standard_clean"]
 
 
 def drop_status(trace: Trace, statuses: tuple[int, ...] = (5,)) -> Trace:
@@ -56,13 +44,6 @@ def clamp_requested(trace: Trace, max_seconds: float) -> Trace:
     )
 
 
-def restrict_interval(trace: Trace, start: float, end: float) -> Trace:
-    """Keep only jobs submitted in ``[start, end)`` and rebase time."""
-    if end <= start:
-        raise ValueError("end must be greater than start")
-    return trace.filter(lambda j: start <= j.submit_time < end).rebase_time()
-
-
 def drop_flurries(trace: Trace, user_jobs_per_hour: float = 120.0) -> Trace:
     """Remove per-user submission flurries (PWA cleaning heuristic).
 
@@ -88,8 +69,7 @@ def drop_flurries(trace: Trace, user_jobs_per_hour: float = 120.0) -> Trace:
 
 def standard_clean(trace: Trace, max_requested_seconds: float | None = None) -> Trace:
     """Apply the standard cleaning pipeline used before simulation."""
-    cleaned = drop_oversized(trace)
-    cleaned = drop_status(cleaned, statuses=(5,))
+    cleaned = drop_status(trace, statuses=(5,))
     if max_requested_seconds is not None:
         cleaned = clamp_requested(cleaned, max_requested_seconds)
     cleaned = drop_flurries(cleaned)

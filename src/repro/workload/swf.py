@@ -16,7 +16,9 @@ SWF conventions honoured here:
 * no data line raises: one that cannot be a job is skipped and counted in
   ``ParseReport.skipped_reasons`` under the first of ``short line``, ``non-numeric
   field``, ``non-finite field`` (nan/inf), ``nonpositive runtime`` / ``nonpositive
-  processors`` (cancelled before start) and ``negative submit time`` (``-1``).
+  processors`` (cancelled before start), ``negative submit time`` (``-1``) and
+  ``wider than the machine`` (more processors than ``processors=`` or the
+  ``MaxProcs`` / ``MaxNodes`` header give).
 """
 
 from __future__ import annotations
@@ -103,9 +105,7 @@ def _job_from_fields(fields: list[float], report: ParseReport) -> Job | None:
 
 def _parse_stream(stream: TextIO, name: str, processors: int | None) -> tuple[Trace, ParseReport]:
     report = ParseReport()
-    jobs: list[Job] = []
-    seen_ids: set[int] = set()
-    next_fresh_id = 0
+    parsed: list[Job] = []
     for line in stream:
         report.n_lines += 1
         stripped = line.strip()
@@ -127,18 +127,10 @@ def _parse_stream(stream: TextIO, name: str, processors: int | None) -> tuple[Tr
             report.note_skip("non-finite field")
             continue
         job = _job_from_fields(values, report)
-        if job is None:
-            continue
-        if job.job_id in seen_ids:
-            # PWA logs are 1-indexed and occasionally repeat ids across
-            # partitions; remap duplicates to fresh negative-free ids.
-            next_fresh_id = max(max(seen_ids) + 1, next_fresh_id)
-            job = job.with_updates(job_id=next_fresh_id)
-            next_fresh_id += 1
-        seen_ids.add(job.job_id)
-        jobs.append(job)
-        report.n_jobs += 1
+        if job is not None:
+            parsed.append(job)
 
+    # the header may follow data lines: size the machine before keeping jobs
     if processors is None:
         for key in ("MaxProcs", "MaxNodes"):
             if key in report.header:
@@ -148,7 +140,23 @@ def _parse_stream(stream: TextIO, name: str, processors: int | None) -> tuple[Tr
                 except ValueError:
                     continue
     if processors is None or processors <= 0:
-        processors = max((j.processors for j in jobs), default=1)
+        processors = max((j.processors for j in parsed), default=1)
+    jobs: list[Job] = []
+    seen_ids: set[int] = set()
+    next_fresh_id = 0
+    for job in parsed:
+        if job.processors > processors:
+            report.note_skip("wider than the machine")
+            continue
+        if job.job_id in seen_ids:
+            # PWA logs are 1-indexed and occasionally repeat ids across
+            # partitions; remap duplicates to fresh negative-free ids.
+            next_fresh_id = max(max(seen_ids) + 1, next_fresh_id)
+            job = job.with_updates(job_id=next_fresh_id)
+            next_fresh_id += 1
+        seen_ids.add(job.job_id)
+        jobs.append(job)
+    report.n_jobs = len(jobs)
     unix_start = 0
     if "UnixStartTime" in report.header:
         try:
@@ -164,7 +172,7 @@ def load_swf(path: str | os.PathLike, processors: int | None = None) -> tuple[Tr
 
     ``processors`` overrides the machine size; when omitted it is taken
     from the ``MaxProcs``/``MaxNodes`` header or, failing that, the widest
-    job in the log.
+    job in the log; a job wider than it is a counted skip.
     Returns ``(trace, report)``.
     """
     name = os.path.splitext(os.path.basename(os.fspath(path)))[0]

@@ -38,7 +38,7 @@ class TestCostModel:
 
     def test_unknown_scheduler_uses_worst_weight(self):
         model = CellCostModel()
-        exotic = model.cell_cost(cell("KTH-SP2", "requested|none|multifactor", 1, 100))
+        exotic = model.cell_cost(cell("KTH-SP2", "requested|none|legacy-easy", 1, 100))
         assert exotic == max(model.scheduler_weights.values()) * 100
 
     def test_parameterized_scheduler_keys_match_weight_names(self):

@@ -16,8 +16,8 @@ from repro import (
     simulate,
 )
 from repro.correct import IncrementalCorrector
-from repro.predict import ClairvoyantPredictor, RequestedTimePredictor
-from repro.sched import EasyScheduler, FcfsScheduler
+from repro.predict import ClairvoyantPredictor
+from repro.sched import EasyScheduler
 from repro.workload import LOG_NAMES
 
 
@@ -35,8 +35,8 @@ class TestPaperShapes:
         """The premise of the whole line of work."""
         for name, replicas in traces.items():
             for trace in replicas:
-                easy = simulate(trace, EasyScheduler("fcfs"), RequestedTimePredictor())
-                fcfs = simulate(trace, FcfsScheduler(), RequestedTimePredictor())
+                easy = run_triple_on_trace(trace, EASY_TRIPLE)
+                fcfs = run_triple_on_trace(trace, "requested|none|fcfs")
                 assert easy.avebsld() < fcfs.avebsld(), name
 
     def test_clairvoyant_sjbf_is_best_in_class(self, traces):

@@ -204,3 +204,23 @@ class TestNonFiniteDerivative:
             pred.on_finish(rec, 1250.0)
         assert np.array_equal(pred.weights, weights)
         assert pred._optimizer.t == pred.n_updates == 3
+
+
+class TestForgettingVariant:
+    def test_forgetting_validation(self):
+        with pytest.raises(ValueError):
+            MLPredictor(SQUARED_LOSS, forgetting=0.0)
+        with pytest.raises(ValueError):
+            MLPredictor(SQUARED_LOSS, forgetting=1.5)
+
+    def test_forgetting_adapts_faster_to_regime_change(self):
+        """After a user's runtime scale jumps 10x, the forgetting variant
+        must track the new scale at least as fast as the long-memory one."""
+        runtimes = [600.0] * 150 + [6000.0] * 150
+
+        def final_error(forgetting):
+            pred = MLPredictor(SQUARED_LOSS, forgetting=forgetting)
+            predictions = feed_user_stream(pred, list(runtimes), requested=1e6)
+            return abs(np.median(predictions[-30:]) - 6000.0)
+
+        assert final_error(0.98) <= final_error(1.0) * 1.2

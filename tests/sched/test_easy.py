@@ -147,7 +147,7 @@ class TestNoPerPassSort:
             )
         return Trace(jobs, processors)
 
-    @pytest.mark.parametrize("name", ["easy", "easy-sjbf", "easy-saf", "easy-narrow"])
+    @pytest.mark.parametrize("name", ["easy", "easy-sjbf"])
     def test_order_key_calls_stay_logarithmic_per_job(self, name, monkeypatch):
         order = make_scheduler(name).backfill_order
         key, calls = ordering.BACKFILL_ORDERS[order], [0]

@@ -29,8 +29,6 @@ PROCESSORS = 16
 SCHEDULERS = {
     "easy": "legacy-easy",
     "easy-sjbf": "legacy-easy-sjbf",
-    "multifactor": None,
-    "multifactor-sjbf": None,
     "rl-backfill": None,
     "conservative": "legacy-conservative",
     "conservative-sjbf": "legacy-conservative-sjbf",
@@ -63,9 +61,8 @@ def _spying(select, second, seen):
 @contextmanager
 def removal_spy():
     """Check every EASY-family / conservative pass run inside the block;
-    yields the live ``{"passes", "started"}``
-    tally.  Patched on the classes, so a multifactor pass is checked on
-    its re-ranked queue (the re-rank runs before ``super().select_jobs``)."""
+    yields the live ``{"passes", "started"}`` tally.  Patched on the
+    classes, so an ``rl-backfill`` pass is checked too."""
     seen = {"passes": 0, "started": 0}
     with pytest.MonkeyPatch.context() as patch:
         for cls, second in ((EasyScheduler, "_candidates"), (ConservativeScheduler, "_ordered")):
@@ -152,8 +149,7 @@ def test_same_instant_fed_in_decreasing_id_order(name):
     session.advance_to(0.0)
     queue = session.scheduler.queue
     assert len(queue) >= 2
-    if not name.startswith("multifactor"):  # which re-ranks its queue every pass
-        assert list(queue) != sorted(queue, key=fcfs_key)
+    assert list(queue) != sorted(queue, key=fcfs_key)
     with removal_spy() as seen:
         schedule = run(name, jobs)
     assert seen["started"] == len(jobs) and seen["passes"] > len(jobs) // 2

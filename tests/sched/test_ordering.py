@@ -28,13 +28,6 @@ class TestOrderings:
     def test_sjbf_order(self):
         assert [r.job_id for r in order_queue(self.make_queue(), "sjbf")] == [3, 1, 2]
 
-    def test_saf_order(self):
-        # areas: 800, 300, 200
-        assert [r.job_id for r in order_queue(self.make_queue(), "saf")] == [3, 2, 1]
-
-    def test_narrow_order(self):
-        assert [r.job_id for r in order_queue(self.make_queue(), "narrow")] == [2, 3, 1]
-
     def test_sjbf_ties_broken_fcfs(self):
         queue = [
             make_record(job_id=2, submit_time=5.0, predicted_runtime=100.0),
@@ -53,7 +46,7 @@ class TestOrderings:
             order_queue([], "bogus")
 
     def test_registry_names(self):
-        assert set(BACKFILL_ORDERS) == {"fcfs", "sjbf", "saf", "narrow"}
+        assert set(BACKFILL_ORDERS) == {"fcfs", "sjbf"}
 
 
 class TestSchedulerRegistry:
@@ -63,8 +56,6 @@ class TestSchedulerRegistry:
             ("fcfs", FcfsScheduler, None),
             ("easy", EasyScheduler, "fcfs"),
             ("easy-sjbf", EasyScheduler, "sjbf"),
-            ("easy-saf", EasyScheduler, "saf"),
-            ("easy-narrow", EasyScheduler, "narrow"),
             ("conservative", ConservativeScheduler, "fcfs"),
             ("conservative-sjbf", ConservativeScheduler, "sjbf"),
         ],

@@ -29,7 +29,7 @@ from repro.correct import IncrementalCorrector
 from repro.learn import LinearSoftmaxPolicy, RLBackfillScheduler
 from repro.predict import ClairvoyantPredictor, RequestedTimePredictor
 from repro.predict.base import Predictor
-from repro.sched import MultifactorScheduler, PriorityWeights, conservative, make_scheduler
+from repro.sched import conservative, make_scheduler
 from repro.sched.legacy import _SeedProfile
 from repro.sched.ordering import order_queue
 from repro.sim import SimSession, simulate
@@ -44,16 +44,12 @@ PAIRS = [
     ("conservative-sjbf", "legacy-conservative-sjbf"),
 ]
 #: schedulers the registry does not build the way these tests want them:
-#: weights under which the queue really re-ranks from pass to pass, and
-#: the greedy learned pick; neither has a ``legacy-`` twin
+#: the greedy learned pick, which has no ``legacy-`` twin
 BUILT = {
-    "multifactor": lambda: MultifactorScheduler(
-        PriorityWeights(age=1.0, size=1.0, short=0.5), backfill_order="sjbf"
-    ),
     "rl-backfill": lambda: RLBackfillScheduler(LinearSoftmaxPolicy.sjbf_init()),
 }
 #: every scheduler whose queries are held to the oracle -> its schedule's reference
-QUERIED = {**dict(PAIRS), **dict(EASY_PAIRS), "multifactor": None, "rl-backfill": None}
+QUERIED = {**dict(PAIRS), **dict(EASY_PAIRS), "rl-backfill": None}
 SEEDS = [1, 2, 3]
 PROCESSORS = 16
 
@@ -119,6 +115,25 @@ def replay(name, trace, check=None, **components):
     return session
 
 
+def step_with_machine_events(session, check=None):
+    """Step to the end, ``check(session)`` after every instant; drain two
+    processors whenever two are free under a queue of two, give them
+    back every fifth pass.  Returns the number of machine events fed."""
+    n_events = 0
+    while session.step() is not None:
+        if check:
+            check(session)
+        snap = session.snapshot()
+        if snap.drained:
+            if session.stats.n_scheduling_passes % 5 == 0:
+                session.feed_machine_event(time=session.now, kind="restore", processors=2)
+                n_events += 1
+        elif snap.free >= 2 and len(snap.waiting) >= 2:
+            session.feed_machine_event(time=session.now, kind="drain", processors=2)
+            n_events += 1
+    return n_events
+
+
 def descending_instants(trace):
     """The jobs of ``trace``, each instant highest id first: the queue
     takes them as fed, ``fcfs_key`` orders by id."""
@@ -178,23 +193,7 @@ class TestSchedulesIdentical:
         def run(name, check):
             session = make_session(name)
             session.feed(trace)
-            n_events = 0
-            while session.step() is not None:
-                if check:
-                    check(session)
-                snap = session.snapshot()
-                if snap.drained:
-                    if session.stats.n_scheduling_passes % 5 == 0:
-                        session.feed_machine_event(
-                            time=session.now, kind="restore", processors=2
-                        )
-                        n_events += 1
-                elif snap.free >= 2 and len(snap.waiting) >= 2:
-                    session.feed_machine_event(
-                        time=session.now, kind="drain", processors=2
-                    )
-                    n_events += 1
-            assert n_events >= 4
+            assert step_with_machine_events(session, check) >= 4
             return session
 
         self.same_schedule(run, modern, legacy, queried=True)
@@ -323,34 +322,46 @@ def assert_queried_plan(session):
 
 def check_queries_between_passes(name, seed, components):
     """query() answers what the seed profile would reserve, in this
-    scheduler's order, at every instant of a run.  A query may extend
-    conservative's placed prefix; no placed start, no ``_queue`` entry
-    and no schedule changes."""
-    trace = make_trace(seed)
+    scheduler's order, at every instant of a run (under
+    ``machine-events``, one ``step_with_machine_events`` drives).  A
+    query may extend conservative's placed prefix; no placed start, no
+    ``_queue`` entry and no schedule changes."""
+    events = components == "machine-events"
+    # nothing is wider than the drained machine: the seed cannot hold jobs
+    trace = make_trace(seed, max_width=PROCESSORS - 2) if events else make_trace(seed)
     components = (
         dict(predictor=HalfPredictor, corrector=IncrementalCorrector)
         if components == "expire-storms"
         else {}
     )
-    session = make_session(name, **components)
-    session.feed(trace)
-    n_queries = 0
     conservative = name.startswith("conservative")
-    while session.step() is not None:
+    n_queries = 0
+
+    def query_every_job(session):
+        nonlocal n_queries
         n_queries += len(
             assert_queried_plan(session) if conservative else assert_queries_exact(session, PROBE)
         )
+
+    def run(name, check=None):
+        if not events:
+            return replay(name, trace, check, **components)
+        session = make_session(name, **components)
+        session.feed(trace)
+        assert step_with_machine_events(session, check) >= 4
+        return session
+
+    session = run(name, query_every_job)
     assert n_queries > len(trace)
-    assert schedule_of(session) == schedule_of(
-        replay(QUERIED[name] or name, trace, **components)
-    )
+    assert schedule_of(session) == schedule_of(run(QUERIED[name] or name))
 
 
 @pytest.mark.parametrize(
     "name,seed,components",
     [
-        *((name, seed, "early-finishes") for name in QUERIED for seed in SEEDS
-          if not name.startswith("conservative")),  # those run in TestSchedulesIdentical
+        # conservative runs both in TestSchedulesIdentical
+        *((name, seed, components) for components in ("early-finishes", "machine-events")
+          for name in QUERIED for seed in SEEDS if not name.startswith("conservative")),
         *((name, 1, "expire-storms") for name in QUERIED),
     ],
 )
@@ -585,6 +596,32 @@ def test_what_replans_the_query_plan(monkeypatch, trigger):
     assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 1
 
 
+@pytest.mark.parametrize("name", QUERIED)
+def test_a_redrain_after_a_start_and_its_finish_replans(name):
+    """Drained to 12, the query plans 6-wide job 2 at 1000 and 10-wide
+    job 3 behind it; a restore starts job 2, it finishes, and the same
+    drain brings back the free count and the running set of that query.
+    Job 2 is gone from the queue all the same: the next query places
+    job 3 at 1000 and answers for job 4, queued since."""
+    session = make_session(name)
+    session.feed(make_job(job_id=1, runtime=1000.0, processors=8, requested_time=1000.0))
+    session.feed_machine_event(time=5.0, kind="drain", processors=4)
+    session.feed(make_job(job_id=2, submit_time=10.0, runtime=50.0, processors=6,
+                          requested_time=50.0))
+    session.feed(make_job(job_id=3, submit_time=10.0, runtime=100.0, processors=10))
+    session.advance_to(10.0)
+    assert assert_queries_exact(session, PROBE) == {2: 1000.0, 3: 1050.0}
+    state = running_state(session)
+    session.feed_machine_event(time=20.0, kind="restore", processors=4)
+    session.advance_to(70.0)
+    assert session.record(2).end_time == 70.0
+    session.feed_machine_event(kind="drain", processors=4)
+    session.feed(make_job(job_id=4, submit_time=80.0, processors=5))
+    session.advance_to(80.0)
+    assert running_state(session) == state
+    assert assert_queries_exact(session, PROBE) == {3: 1000.0, 4: 1200.0}
+
+
 def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
     """The probe is placed on a copy: the arrival queued after it gets the
     start it would have had without the probe ever being asked."""
@@ -635,26 +672,6 @@ def test_a_held_head_lets_reserved_starts_fall_behind_the_clock():
     session.feed_machine_event(kind="restore", processors=4)
     session.drain()
     assert session.record(2).start_time == 500.0
-
-
-def test_a_reranked_queue_replans_under_multifactor():
-    """``multifactor`` re-sorts its queue at every pass: with nothing
-    started, finished or corrected in between, the 8-wide job overtakes
-    the 12-wide one once their ages are close, and the plan made in the
-    old order is not the one a fresh computation would build."""
-    session = make_session("multifactor")
-    session.feed(make_job(job_id=1, runtime=5000.0, processors=16, requested_time=5000.0))
-    session.feed(make_job(job_id=2, submit_time=5.0, processors=12))
-    session.feed(make_job(job_id=3, submit_time=10.0, processors=8))
-    session.advance_to(10.0)
-    assert [r.job_id for r in session.scheduler.queue] == [2, 3]
-    assert_queries_exact(session, PROBE)
-    assert session.query(job_id=2).start_time < session.query(job_id=3).start_time
-    session.feed(make_job(job_id=4, submit_time=1000.0, processors=16))
-    session.advance_to(1000.0)
-    assert [r.job_id for r in session.scheduler.queue] == [3, 2, 4]
-    assert_queries_exact(session, PROBE)
-    assert session.query(job_id=3).start_time < session.query(job_id=2).start_time
 
 
 class FailsOnce(RequestedTimePredictor):

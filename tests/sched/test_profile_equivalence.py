@@ -25,8 +25,6 @@ from tests.helpers import guard_backfill, make_job
 EASY_PAIRS = [
     ("easy", "legacy-easy"),
     ("easy-sjbf", "legacy-easy-sjbf"),
-    ("easy-saf", "legacy-easy-saf"),
-    ("easy-narrow", "legacy-easy-narrow"),
 ]
 PAIRS = [
     *EASY_PAIRS,
@@ -150,7 +148,6 @@ def test_feed_order_within_an_instant_is_not_the_backfill_order(modern, legacy, 
 GUARDED = {
     "easy": lambda: make_scheduler("easy"),
     "easy-sjbf": lambda: make_scheduler("easy-sjbf"),
-    "multifactor": lambda: make_scheduler("multifactor"),
     "rl-backfill": lambda: RLBackfillScheduler(LinearSoftmaxPolicy.sjbf_init()),
 }
 TRACES = {

@@ -52,18 +52,14 @@ from repro.sim import SimSession, simulate
 from repro.workload import Trace
 
 from tests.helpers import guard_backfill, make_job
-from tests.sched.test_plan_reuse import BUILT, assert_prefix_plan, assert_queries_exact
+from tests.sched.test_plan_reuse import assert_prefix_plan, assert_queries_exact
 
 PROCESSORS = 16
 #: drains never take more than this in total; a job wider than what is
 #: left is *held* at the head of the queue until a restore (teardown
 #: gives everything back, so every job starts eventually)
 MAX_DRAINED = 4
-#: ``multifactor`` is ``test_plan_reuse.BUILT``'s: weights under which the
-#: queue really re-ranks between passes.  It has no ``legacy-`` twin.
-SCHEDULERS = (
-    "easy", "easy-sjbf", "easy-narrow", "conservative", "conservative-sjbf", "multifactor"
-)
+SCHEDULERS = ("easy", "easy-sjbf", "conservative", "conservative-sjbf")
 TIMERS = ("engine.time.predict.seconds", "engine.time.sched.seconds")
 
 _GAPS = st.sampled_from([0, 1, 7, 60, 400, 3000])
@@ -164,7 +160,7 @@ class SessionMachine(RuleBasedStateMachine):
     def _session(self, scheduler: str, telemetry: Telemetry | None) -> SimSession:
         return SimSession(
             PROCESSORS,
-            BUILT[scheduler]() if scheduler in BUILT else make_scheduler(scheduler),
+            make_scheduler(scheduler),
             self._predictor(),
             make_corrector(self.corrector) if self.corrector else None,
             telemetry=telemetry,
@@ -396,7 +392,7 @@ class SessionMachine(RuleBasedStateMachine):
             self.telemetry, self.queried
         )
         # the seed can neither hold a head nor be told of a completion
-        if not (self.completions or self.held or self.scheduler == "multifactor"):
+        if not (self.completions or self.held):
             assert self._one_shot(f"legacy-{self.scheduler}", None) == live
 
 

@@ -99,22 +99,23 @@ class TestCanonicalEquivalence:
 
         raw = WorkloadSpec(
             "KTH-SP2", n_jobs=100, seed=1,
-            filters=(ComponentSpec.make("drop-flurries"),),
+            filters=(ComponentSpec.make("max-width", {"processors": 64}),),
         )
         a = CellSpec.make(raw, "requested", None, "easy")
         b = CellSpec.make(
             workload={"log": "KTH-SP2", "n_jobs": 100, "seed": 1,
-                      "filters": ["drop-flurries"]},
+                      "filters": [{"name": "max-width", "params": {"processors": 64}}]},
             predictor="requested", corrector=None, scheduler="easy",
         )
         assert a.digest() == b.digest()
-        # string filters and an unresolved seed work too
+        # dict filters and an unresolved seed work too
         c = CellSpec.make(
-            WorkloadSpec("KTH-SP2", n_jobs=100, filters=("drop-oversized",)),
+            WorkloadSpec("KTH-SP2", n_jobs=100, filters=({"name": "max-width",
+                                                          "params": {"processors": 64}},)),
             "requested", None, "easy",
         )
         assert c.workload.seed is not None
-        assert c.workload.filters[0].name == "drop-oversized"
+        assert c.workload.filters[0].name == "max-width"
 
     def test_int_float_param_spelling_invariance(self):
         a = CellSpec.make(
@@ -227,17 +228,25 @@ class TestBuildWorkload:
             build_workload(workload)
 
     def test_run_spec_on_modified_workload(self):
-        from repro.core import run_spec
+        """The filtered workload on the shrunken machine schedules exactly
+        as the seed's ``legacy-easy`` schedules it."""
+        from repro.core import run_spec, run_spec_result
 
-        spec = CellSpec.make(
-            workload={
-                "log": "KTH-SP2", "n_jobs": 60, "seed": 5, "processors": 25,
-                "filters": [{"name": "max-width", "params": {"processors": 25}}],
-            },
-            predictor="requested",
-            corrector=None,
-            scheduler="easy",
-        )
+        def cell(scheduler):
+            return CellSpec.make(
+                workload={
+                    "log": "KTH-SP2", "n_jobs": 60, "seed": 5, "processors": 25,
+                    "filters": [{"name": "max-width", "params": {"processors": 25}}],
+                },
+                predictor="requested",
+                corrector=None,
+                scheduler=scheduler,
+            )
+
+        spec = cell("easy")
         outcome = run_spec(spec)
         assert outcome.avebsld >= 1.0
         assert outcome.spec_digest == spec.digest()
+        new, old = (run_spec_result(cell(name)) for name in ("easy", "legacy-easy"))
+        assert max(r.processors for r in new) <= 25
+        assert [(r.job_id, r.start_time) for r in new] == [(r.job_id, r.start_time) for r in old]

@@ -1,14 +1,33 @@
 """The unified component registry: normalization, building, lowering."""
 
+import re
+
 import pytest
 
 from repro.spec import (
+    CellSpec,
     ComponentSpec,
     corrector_registry,
     filter_registry,
     predictor_registry,
+    registry_for,
     scheduler_registry,
 )
+
+#: scheduler spelling -> digest of the cell ``KTH-SP2`` (100 jobs, seed 1)
+#: | ``requested`` | no corrector | that scheduler
+SCHEDULER_DIGESTS = {
+    "fcfs": "cd72ad880f6906cd",
+    "easy": "7eda35ff2809804f",
+    "easy-sjbf": "ec18b6f1c218744b",
+    "conservative": "eafdec3a15a854bd",
+    "conservative-sjbf": "31538ea162c1d8fd",
+    "legacy-easy": "769daedc87a7ae0c",
+    "legacy-easy-sjbf": "7f5d21d568005b84",
+    "legacy-conservative": "b61e1415f85d3b75",
+    "legacy-conservative-sjbf": "cb72ae69f6c64fe0",
+    "rl-backfill": "9d82cc5c7d687ed4",
+}
 
 
 class TestComponentSpec:
@@ -120,10 +139,24 @@ class TestSchedulerRegistry:
 
     def test_legacy_name_round_trips(self):
         registry = scheduler_registry()
-        for name in ("fcfs", "easy", "easy-sjbf", "easy-saf", "easy-narrow",
-                     "conservative", "conservative-sjbf", "multifactor",
-                     "multifactor-sjbf", "legacy-easy", "legacy-conservative-sjbf"):
+        for name in ("fcfs", "easy", "easy-sjbf", "conservative",
+                     "conservative-sjbf", "legacy-easy", "legacy-conservative-sjbf"):
             assert registry.legacy_name(registry.normalize(name)) == name
+
+    @pytest.mark.parametrize("spelling", SCHEDULER_DIGESTS)
+    def test_a_spelling_keeps_its_cell_digest(self, spelling):
+        """Cache tokens and shard manifests hold these digests; the golden
+        identity cells reach only ``easy`` and ``easy-sjbf``."""
+        scheduler = (
+            {"name": "rl-backfill", "params": {"policy": "bb92e6bdf85cf158",
+                                               "store": "checkpoints"}}
+            if spelling == "rl-backfill" else spelling
+        )
+        cell = CellSpec.make(
+            workload={"log": "KTH-SP2", "n_jobs": 100, "seed": 1},
+            predictor="requested", corrector=None, scheduler=scheduler,
+        )
+        assert cell.digest() == SCHEDULER_DIGESTS[spelling]
 
     def test_builds_ordered_schedulers(self):
         sched = scheduler_registry().build("easy-sjbf")
@@ -155,6 +188,49 @@ class TestCorrectorAndFilterRegistries:
             filter_registry().normalize("max-width")
 
 
+#: spellings of components that left the registry: each one is an unknown
+#: name, never lowered to a component that stayed
+REMOVED = [
+    ("predictor", "quantile"),
+    ("predictor", "quantile0.25"),
+    ("predictor", "quantile0.9"),
+    ("scheduler", "multifactor"),
+    ("scheduler", "multifactor-fcfs"),
+    ("scheduler", "multifactor-sjbf"),
+    *(("scheduler", f"{base}-{order}")
+      for base in ("easy", "conservative", "legacy-easy", "legacy-conservative")
+      for order in ("saf", "narrow")),
+    ("filter", "drop-oversized"),
+    ("filter", "clamp-requested"),
+    ("filter", "drop-flurries"),
+]
+
+
+class TestRemovedComponents:
+    @pytest.mark.parametrize("kind,name", REMOVED, ids=[f"{k}:{n}" for k, n in REMOVED])
+    def test_a_removed_spelling_is_unknown(self, kind, name):
+        registry = registry_for(kind)
+        message = f"unknown {kind} '{name}'; known: {', '.join(registry.names())}"
+        with pytest.raises(KeyError, match=re.escape(message)):
+            registry.normalize(name)
+        with pytest.raises(KeyError, match=re.escape(message)):
+            registry.build({"name": name})
+
+    @pytest.mark.parametrize("order", ["saf", "narrow"])
+    @pytest.mark.parametrize(
+        "name", ["easy", "conservative", "legacy-easy", "legacy-conservative"]
+    )
+    def test_a_removed_order_is_refused_at_build(self, name, order):
+        """``order`` is still a spec param; a removed order normalizes
+        (the param is a free string) but builds no scheduler."""
+        spec = {"name": name, "params": {"order": order}}
+        assert scheduler_registry().normalize(spec).param_dict == {"order": order}
+        with pytest.raises(
+            KeyError, match=f"unknown (backfill|reservation) order '{order}'; known: fcfs, sjbf"
+        ):
+            scheduler_registry().build(spec)
+
+
 class TestMakeFactories:
     """The redesigned make_* factories accept every spelling."""
 
@@ -167,7 +243,7 @@ class TestMakeFactories:
     def test_make_scheduler_accepts_dict(self):
         from repro.sched import make_scheduler
 
-        assert make_scheduler({"name": "easy", "params": {"order": "saf"}}).name == "easy-saf"
+        assert make_scheduler({"name": "easy", "params": {"order": "sjbf"}}).name == "easy-sjbf"
 
     def test_make_corrector_accepts_dict(self):
         from repro.correct import make_corrector

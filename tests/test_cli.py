@@ -117,6 +117,13 @@ class TestUsageErrors:
             (["check", "--rules", "NOPE"], "NOPE"),
             (["campaign", "--backend", "fsqueue", "--logs", "KTH-SP2",
               "--n-jobs", "50", "--replicas", "1"], "requires --queue"),
+            # spellings of components that left the registry are not lowered
+            (["sim", "--log", "KTH-SP2", "--predictor", "quantile0.25"],
+             "unknown predictor 'quantile0.25'; known: ave, clairvoyant, ml, requested"),
+            (["sim", "--log", "KTH-SP2", "--scheduler", "multifactor"],
+             "unknown scheduler 'multifactor'; known: "),
+            (["sim", "--log", "KTH-SP2", "--scheduler", "easy-saf"],
+             "unknown scheduler 'easy-saf'; known: "),
         ],
     )
     def test_exits_2_with_one_line(self, argv, needle, capsys):
@@ -133,6 +140,28 @@ class TestUsageErrors:
         path.write_text(MINI_SPEC.replace("replicas = 1", "replicas = 0"))
         assert main(["campaign", "--spec", str(path)]) == 2
         assert "replicas must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, needle",
+        [
+            ("replicas = 1", 'replicas = 1\nfilters = [{ name = "drop-flurries" }]',
+             "unknown filter 'drop-flurries'; known: max-width"),
+            ('predictor = ["requested"]', 'predictor = ["quantile0.5"]',
+             "unknown predictor 'quantile0.5'; known: ave, clairvoyant, ml, requested"),
+            ('"easy-sjbf"]', '"easy-narrow"]', "unknown scheduler 'easy-narrow'; known: "),
+        ],
+        ids=["drop-flurries", "quantile", "easy-narrow"],
+    )
+    def test_spec_file_with_a_removed_component_rejected(self, old, new, needle,
+                                                         tmp_path, capsys):
+        path = tmp_path / "removed.toml"
+        path.write_text(MINI_SPEC.replace(old, new))
+        assert main(["campaign", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("repro campaign: ")
+        assert needle in captured.err
 
 
 MINI_SPEC = """

@@ -6,9 +6,7 @@ from repro.workload import Trace
 from repro.workload.filters import (
     clamp_requested,
     drop_flurries,
-    drop_oversized,
     drop_status,
-    restrict_interval,
     standard_clean,
 )
 
@@ -33,9 +31,6 @@ class TestBasicFilters:
         assert all(j.status != 5 for j in cleaned)
         assert len(cleaned) == 3
 
-    def test_drop_oversized_noop_on_valid_trace(self, mixed_trace):
-        assert len(drop_oversized(mixed_trace)) == len(mixed_trace)
-
     def test_clamp_requested(self, mixed_trace):
         cleaned = clamp_requested(mixed_trace, max_seconds=10000.0)
         job3 = next(j for j in cleaned if j.job_id == 3)
@@ -51,15 +46,6 @@ class TestBasicFilters:
     def test_clamp_requested_rejects_nonpositive(self, mixed_trace):
         with pytest.raises(ValueError):
             clamp_requested(mixed_trace, 0.0)
-
-    def test_restrict_interval(self, mixed_trace):
-        cleaned = restrict_interval(mixed_trace, 5.0, 3000.0)
-        assert len(cleaned) == 2
-        assert cleaned[0].submit_time == 0.0  # rebased
-
-    def test_restrict_interval_validates(self, mixed_trace):
-        with pytest.raises(ValueError):
-            restrict_interval(mixed_trace, 10.0, 10.0)
 
 
 class TestFlurries:

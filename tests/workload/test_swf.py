@@ -123,6 +123,59 @@ class TestHostileLines:
         assert report.n_skipped == 1 and report.n_jobs == 3
         assert list(trace) == list(clean)
 
+    @pytest.mark.parametrize(
+        "header,processors",
+        [("; MaxProcs: 4\n", None), ("; MaxNodes: 4\n", None), ("", 4)],
+        ids=["maxprocs", "maxnodes", "override"],
+    )
+    def test_wider_than_the_machine_skipped_and_counted(self, header, processors):
+        narrow = "1 0 -1 100 2 -1 -1 2 300 -1 1 7 1 3 1 0 -1 -1\n"
+        wide = "2 10 -1 100 8 -1 -1 8 300 -1 1 7 1 3 1 0 -1 -1\n"
+        clean, _ = loads_swf(header + narrow, processors=processors)
+        trace, report = loads_swf(header + narrow + wide, processors=processors)
+        assert report.skipped_reasons == {"wider than the machine": 1}
+        assert report.n_skipped == 1 and report.n_jobs == 1
+        assert trace.processors == 4 and list(trace) == list(clean)
+
+    def test_a_skipped_wide_line_takes_no_job_id(self):
+        """The wide job's id 7 stays free, so the later job keeps it."""
+        text = (
+            "; MaxProcs: 4\n"
+            "7 0 -1 100 8 -1 -1 8 300 -1 1 7 1 3 1 0 -1 -1\n"
+            "7 10 -1 100 2 -1 -1 2 300 -1 1 7 1 3 1 0 -1 -1\n"
+        )
+        trace, _ = loads_swf(text)
+        assert [job.job_id for job in trace] == [7]
+
+    def test_a_job_as_wide_as_the_machine_is_kept(self):
+        text = "; MaxProcs: 4\n1 0 -1 100 4 -1 -1 4 300 -1 1 7 1 3 1 0 -1 -1\n"
+        trace, report = loads_swf(text)
+        assert report.n_skipped == 0 and [job.processors for job in trace] == [4]
+
+    def test_the_processors_override_beats_the_header(self):
+        """``SAMPLE`` says 64; on a 4-processor machine its 8-wide job 2 goes."""
+        trace, report = loads_swf(SAMPLE, processors=4)
+        assert report.skipped_reasons == {"wider than the machine": 1}
+        assert trace.processors == 4 and [job.job_id for job in trace] == [1, 3]
+
+    def test_a_header_after_the_data_still_sizes_the_machine(self):
+        text = (
+            "1 0 -1 100 2 -1 -1 2 300 -1 1 7 1 3 1 0 -1 -1\n"
+            "2 10 -1 100 8 -1 -1 8 300 -1 1 7 1 3 1 0 -1 -1\n"
+            "; MaxProcs: 4\n"
+        )
+        trace, report = loads_swf(text)
+        assert report.skipped_reasons == {"wider than the machine": 1}
+        assert trace.processors == 4 and [job.job_id for job in trace] == [1]
+
+    def test_maxprocs_is_read_before_maxnodes(self):
+        text = (
+            "; MaxNodes: 4\n; MaxProcs: 8\n"
+            "1 0 -1 100 8 -1 -1 8 300 -1 1 7 1 3 1 0 -1 -1\n"
+        )
+        trace, report = loads_swf(text)
+        assert report.n_skipped == 0 and trace.processors == 8 and len(trace) == 1
+
     def test_non_monotone_submits_are_sorted_not_skipped(self):
         body = SAMPLE.splitlines(keepends=True)
         shuffled = "".join(body[:5] + body[:4:-1])  # the three data lines reversed
