@@ -1,8 +1,8 @@
 """``repro.analysis`` -- the AST-based invariant checker behind
 ``repro check``.
 
-A small rule framework (:mod:`repro.analysis.core`) plus a battery of
-repo-specific rules (:mod:`repro.analysis.rules`) that statically
+A small rule framework (:mod:`repro.analysis.core`) plus the battery of
+repo-specific rules (:data:`repro.analysis.rules.RULES`) that statically
 enforce the contracts the reproduction rests on: engine-path
 determinism (DET*), crash-durable queue writes (DUR*), encoding
 discipline (ENC*), NOOP-guarded telemetry and stdout hygiene (OBS*),
@@ -12,46 +12,25 @@ completeness of engine knobs (SPEC001).
 
 Typical use::
 
-    from repro.analysis import run_check, all_rules
+    from repro.analysis import format_text, run_check
     findings, files = run_check(["src"])
+    print(format_text(findings, len(files)))
 
-Suppress a deliberate violation on its line with ``# repro: noqa[ID]``.
+There are no suppression comments: a file a rule must not police goes
+into that rule's ``exclude`` patterns.
 """
 
-from .core import (
-    CheckConfig,
-    FileContext,
-    FileRule,
-    Finding,
-    ProjectContext,
-    ProjectRule,
-    Rule,
-    all_rules,
-    collect_files,
-    find_root,
-    resolve_rules,
-    run_check,
-)
+from .core import Finding, find_root, format_text, run_check
 from .frozen import compute_frozen, load_frozen, write_frozen
-from .report import format_json, format_text, to_json_obj
+from .rules import RULES
 
 __all__ = [
-    "CheckConfig",
-    "FileContext",
-    "FileRule",
+    "RULES",
     "Finding",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "all_rules",
-    "collect_files",
     "find_root",
-    "resolve_rules",
+    "format_text",
     "run_check",
     "compute_frozen",
     "load_frozen",
     "write_frozen",
-    "format_json",
-    "format_text",
-    "to_json_obj",
 ]

@@ -1,4 +1,4 @@
-"""The invariant-checker framework: findings, rules, suppressions, the checker.
+"""The invariant-checker framework: findings, rules, the checker, its report.
 
 ``repro.analysis`` is a rule-based static analyzer over Python ASTs that
 enforces the repo's *semantic* contracts -- determinism of the engine
@@ -10,19 +10,15 @@ The moving parts:
 * :class:`Finding` -- one violation: rule id, file, position, message.
 * :class:`Rule` -- base of :class:`FileRule` (runs per matching file
   against its AST) and :class:`ProjectRule` (runs once per check over
-  the repository; digest and cross-file consistency checks).
-* a registry -- rules are singletons registered by stable id via
-  :func:`register`; ids never get reused, so suppression comments and
-  CI configurations stay meaningful across versions.
+  the repository; digest and cross-file consistency checks).  Rule ids
+  never get reused, so they stay meaningful across versions.
 * path scopes -- every rule declares the repo-relative ``fnmatch``
   patterns it polices, because the contracts are *regional*: wall-clock
-  reads are fine in the coordinator but forbidden in the engine.
-* suppressions -- ``# repro: noqa[RULE001]`` on the offending line (or
-  bare ``# repro: noqa`` for all rules; ``# repro: noqa-file[RULE001]``
-  anywhere in the file for the whole file).
+  reads are fine in the coordinator but forbidden in the engine.  A
+  rule's ``exclude`` patterns are the one way to exempt a file.
 
-Run everything with :func:`run_check`; render results with
-:mod:`repro.analysis.report`.
+:func:`run_check` runs the battery (``rules.RULES``) over some paths;
+:func:`format_text` renders the result.
 """
 
 from __future__ import annotations
@@ -30,8 +26,8 @@ from __future__ import annotations
 import ast
 import fnmatch
 import os
-import re
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 __all__ = [
@@ -41,17 +37,11 @@ __all__ = [
     "ProjectRule",
     "FileContext",
     "ProjectContext",
-    "CheckConfig",
-    "register",
-    "all_rules",
-    "resolve_rules",
     "find_root",
     "collect_files",
     "run_check",
+    "format_text",
 ]
-
-_NOQA_LINE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_,\s]+)\])?")
-_NOQA_FILE = re.compile(r"#\s*repro:\s*noqa-file(?:\[([A-Za-z0-9_,\s]+)\])?")
 
 
 @dataclass(frozen=True, order=True)
@@ -64,77 +54,45 @@ class Finding:
     rule: str
     message: str
 
-    def to_obj(self) -> dict:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
-class _Suppressions:
-    """Per-file ``# repro: noqa`` state, parsed once from the source."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self.by_line: dict[int, set[str] | None] = {}  # None == all rules
-        self.whole_file: set[str] | None | bool = False  # False == none
-        for lineno, text in enumerate(lines, start=1):
-            if "repro:" not in text:
-                continue
-            m = _NOQA_FILE.search(text)
-            if m:
-                ids = _parse_id_list(m.group(1))
-                if ids is None:
-                    self.whole_file = None
-                elif self.whole_file is False:
-                    self.whole_file = set(ids)
-                elif isinstance(self.whole_file, set):
-                    self.whole_file.update(ids)
-                continue
-            m = _NOQA_LINE.search(text)
-            if m:
-                ids = _parse_id_list(m.group(1))
-                existing = self.by_line.get(lineno, set())
-                if ids is None or existing is None:
-                    self.by_line[lineno] = None
-                else:
-                    assert isinstance(existing, set)
-                    self.by_line[lineno] = existing | set(ids)
-
-    def suppressed(self, rule_id: str, line: int) -> bool:
-        if self.whole_file is None:
-            return True
-        if isinstance(self.whole_file, set) and rule_id in self.whole_file:
-            return True
-        if line in self.by_line:
-            ids = self.by_line[line]
-            return ids is None or rule_id in ids
-        return False
-
-
-def _parse_id_list(raw: str | None) -> list[str] | None:
-    """``"DET001, DET002"`` -> ids; ``None`` (bare noqa) stays ``None``."""
-    if raw is None:
-        return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
+def _import_map(tree: ast.Module) -> dict[str, str]:
+    """Each name the file's imports bind -> the dotted name it stands for."""
+    imports: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:  # a bare `import a.b` binds `a`: itself
+                    imports[alias.asname] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (f"{node.module}." if node.module else "")
+            for alias in node.names:
+                imports[alias.asname or alias.name] = module + alias.name
+    return imports
 
 
 class FileContext:
     """Everything a :class:`FileRule` may inspect about one file."""
 
-    def __init__(self, root: str, relpath: str, source: str) -> None:
-        self.root = root
+    def __init__(self, relpath: str, source: str) -> None:
         self.relpath = relpath  # posix separators, repo-relative
-        self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=relpath)
-        self.suppressions = _Suppressions(self.lines)
+        self._imports = _import_map(self.tree)
         self._parents: dict[ast.AST, ast.AST] | None = None
+
+    def dotted_name(self, node: ast.AST) -> str | None:
+        """``a.b.c`` for Name/Attribute chains, else ``None``.  The first
+        name reads as what it was imported as: after ``import numpy as
+        np``, ``np.random.rand`` is ``numpy.random.rand``; after ``from
+        time import time``, ``time`` is ``time.time``."""
+        if isinstance(node, ast.Name):
+            return self._imports.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            base = self.dotted_name(node.value)
+            return f"{base}.{node.attr}" if base else None
+        return None
 
     @property
     def parents(self) -> dict[ast.AST, ast.AST]:
@@ -167,9 +125,8 @@ class FileContext:
 class ProjectContext:
     """Repo-level context for :class:`ProjectRule`; parses on demand."""
 
-    def __init__(self, root: str, files: list[str]) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
-        self.files = files  # repo-relative posix paths in this check run
         self._trees: dict[str, ast.Module | None] = {}
 
     def read(self, relpath: str) -> str | None:
@@ -193,7 +150,7 @@ class ProjectContext:
 
 
 class Rule:
-    """Base rule: stable id, one-line title, default path scope.
+    """Base rule: stable id and path scope.
 
     ``paths`` are ``fnmatch`` patterns over repo-relative posix paths;
     ``exclude`` wins over ``paths``.  Subclass :class:`FileRule` or
@@ -201,7 +158,6 @@ class Rule:
     """
 
     id: str = ""
-    title: str = ""
     paths: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
 
@@ -228,47 +184,6 @@ class ProjectRule(Rule):
 
     def check_project(self, ctx: ProjectContext) -> Iterable[Finding]:
         raise NotImplementedError
-
-
-_REGISTRY: dict[str, Rule] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    """Class decorator: instantiate and register a rule by its id."""
-    rule = cls()
-    if not rule.id:
-        raise ValueError(f"rule {cls.__name__} has no id")
-    if rule.id in _REGISTRY:
-        raise ValueError(f"duplicate rule id {rule.id}")
-    _REGISTRY[rule.id] = rule
-    return cls
-
-
-def all_rules() -> list[Rule]:
-    from . import rules as _rules  # noqa: F401  (import registers the battery)
-
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def resolve_rules(select: Iterable[str] | None) -> list[Rule]:
-    """The rule battery, optionally narrowed to explicit ids."""
-    rules = all_rules()
-    if select is None:
-        return rules
-    known = {rule.id for rule in rules}
-    wanted = list(select)
-    unknown = [rule_id for rule_id in wanted if rule_id not in known]
-    if unknown:
-        raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-    wanted_set = set(wanted)
-    return [rule for rule in rules if rule.id in wanted_set]
-
-
-@dataclass
-class CheckConfig:
-    """Rule selection for one check run."""
-
-    select: tuple[str, ...] | None = None
 
 
 def find_root(start: str) -> str:
@@ -313,9 +228,7 @@ def collect_files(paths: Iterable[str], root: str) -> list[str]:
 
 
 def run_check(
-    paths: Iterable[str],
-    root: str | None = None,
-    config: CheckConfig | None = None,
+    paths: Iterable[str], root: str | None = None
 ) -> tuple[list[Finding], list[str]]:
     """Run the battery over ``paths``.
 
@@ -324,18 +237,16 @@ def run_check(
     rather than aborting the run (ruff owns syntax; we still refuse to
     silently skip).
     """
+    from .rules import RULES  # the battery builds on this module
+
     paths = list(paths)
     if root is None:
         root = find_root(paths[0] if paths else os.getcwd())
-    config = config or CheckConfig()
-    rules = resolve_rules(config.select)
     files = collect_files(paths, root)
+    file_rules = [r for r in RULES if isinstance(r, FileRule)]
+    project_rules = [r for r in RULES if isinstance(r, ProjectRule)]
 
     findings: list[Finding] = []
-    file_rules = [r for r in rules if isinstance(r, FileRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-
-    contexts: dict[str, FileContext] = {}
     for relpath in files:
         applicable = [r for r in file_rules if r.applies_to(relpath)]
         if not applicable:
@@ -343,31 +254,39 @@ def run_check(
         abspath = os.path.join(root, *relpath.split("/"))
         try:
             with open(abspath, encoding="utf-8") as fh:
-                source = fh.read()
-            ctx = FileContext(root, relpath, source)
+                ctx = FileContext(relpath, fh.read())
         except (OSError, SyntaxError, ValueError) as exc:
             findings.append(
                 Finding(relpath, 1, 0, "PARSE", f"could not analyze: {exc}")
             )
             continue
-        contexts[relpath] = ctx
         for rule in applicable:
-            for finding in rule.check_file(ctx):
-                if not ctx.suppressions.suppressed(finding.rule, finding.line):
-                    findings.append(finding)
+            findings.extend(rule.check_file(ctx))
 
-    if project_rules:
-        project_ctx = ProjectContext(root, files)
-        for rule in project_rules:
-            if not any(rule.applies_to(relpath) for relpath in files):
-                continue
-            for finding in rule.check_project(project_ctx):
-                ctx = contexts.get(finding.path)
-                if ctx is not None and ctx.suppressions.suppressed(
-                    finding.rule, finding.line
-                ):
-                    continue
-                findings.append(finding)
+    project_ctx = ProjectContext(root)
+    for rule in project_rules:
+        if any(rule.applies_to(relpath) for relpath in files):
+            findings.extend(rule.check_project(project_ctx))
 
     findings.sort()
     return findings, files
+
+
+def format_text(findings: Sequence[Finding], files_checked: int) -> str:
+    """Human-facing report: one line per finding plus a summary line."""
+    from .rules import RULES
+
+    lines = [finding.render() for finding in findings]
+    if findings:
+        counts = Counter(finding.rule for finding in findings)
+        by_rule = ", ".join(f"{rule}:{n}" for rule, n in sorted(counts.items()))
+        lines.append("")
+        lines.append(
+            f"{len(findings)} finding(s) in {files_checked} file(s) ({by_rule})"
+        )
+    else:
+        lines.append(
+            f"ok: {files_checked} file(s) clean under {len(RULES)} rule(s) "
+            f"({', '.join(rule.id for rule in RULES)})"
+        )
+    return "\n".join(lines)

@@ -2,9 +2,9 @@
 
 Every rule here encodes a contract the rest of the repository states in
 prose (module docstrings, ROADMAP invariants) but until now could only
-enforce dynamically.  Rule ids are stable forever -- suppression
-comments and CI configs depend on them -- so retired rules leave a gap
-rather than freeing their id.
+enforce dynamically.  Rule ids are stable forever, so retired rules
+leave a gap rather than freeing their id.  :data:`RULES` at the end is
+the battery :func:`repro.analysis.run_check` runs.
 
 File rules (per-AST):
 
@@ -30,65 +30,10 @@ import ast
 import re
 from collections.abc import Iterable, Iterator
 
-from .core import (
-    FileContext,
-    FileRule,
-    Finding,
-    ProjectContext,
-    ProjectRule,
-    register,
-)
+from .core import FileContext, FileRule, Finding, ProjectContext, ProjectRule, Rule
+from .frozen import check_frozen
 
-__all__ = [
-    "ENGINE_PATHS",
-    "COORDINATION_PATHS",
-    "LIBRARY_PATHS",
-]
-
-#: The byte-determinism region: code on these paths decides (or feeds
-#: decisions about) when jobs start, so any nondeterminism here breaks
-#: the frozen-oracle guarantee.
-ENGINE_PATHS = (
-    "src/repro/sim/*",
-    "src/repro/sched/*",
-    "src/repro/predict/*",
-    "src/repro/learn/*",
-)
-
-#: Coordination code whose scan order decides claim order, harvest
-#: order, or merge content across hosts and filesystems.
-COORDINATION_PATHS = (
-    "src/repro/dist/*",
-    "src/repro/core/*",
-    "src/repro/obs/*",
-)
-
-#: Library (non-CLI) code: everything under ``src/repro`` except the
-#: command front end and the reporting layer, which own stdout.
-LIBRARY_PATHS = (
-    "src/repro/sim/*",
-    "src/repro/sched/*",
-    "src/repro/predict/*",
-    "src/repro/correct/*",
-    "src/repro/workload/*",
-    "src/repro/dist/*",
-    "src/repro/obs/*",
-    "src/repro/serve/*",
-    "src/repro/learn/*",
-    "src/repro/spec/*",
-    "src/repro/metrics/*",
-    "src/repro/analysis/*",
-)
-
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for Name/Attribute chains, else ``None``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
+__all__ = ["RULES"]
 
 
 def _walk_calls(ctx: FileContext) -> Iterator[ast.Call]:
@@ -127,13 +72,9 @@ _DET001_EXACT = {
     "time.gmtime": "wall clock",
     "time.ctime": "wall clock",
     "datetime.datetime.now": "wall clock",
-    "datetime.now": "wall clock",
     "datetime.datetime.utcnow": "wall clock",
-    "datetime.utcnow": "wall clock",
     "datetime.datetime.today": "wall clock",
-    "datetime.today": "wall clock",
     "datetime.date.today": "wall clock",
-    "date.today": "wall clock",
     "os.urandom": "entropy",
     "uuid.uuid1": "entropy",
     "uuid.uuid4": "entropy",
@@ -164,26 +105,31 @@ def _det001_reason(name: str) -> str | None:
         # the module-level functions share one ambient, unseeded state;
         # random.Random(seed) instances are the sanctioned spelling
         return "ambient RNG state"
-    for prefix in ("numpy.random.", "np.random."):
-        if name.startswith(prefix) and name[len(prefix):] not in _NP_RANDOM_OK:
-            return "ambient RNG state"
+    member = name.removeprefix("numpy.random.")
+    if member != name and member not in _NP_RANDOM_OK:
+        return "ambient RNG state"
     return None
 
 
-@register
 class Det001WallClockEntropy(FileRule):
-    """Engine paths must be pure functions of trace + spec + seed."""
+    """Engine paths must be pure functions of trace + spec + seed: code
+    there decides (or feeds decisions about) when jobs start, so any
+    nondeterminism breaks the frozen-oracle guarantee."""
 
     id = "DET001"
-    title = "wall-clock/entropy source in an engine path"
-    paths = ENGINE_PATHS
+    paths = (
+        "src/repro/sim/*",
+        "src/repro/sched/*",
+        "src/repro/predict/*",
+        "src/repro/learn/*",
+    )
     # the checkpoint store is I/O plumbing (env-addressed file cache),
     # not schedule semantics; its wall-clock metadata stamps are benign
     exclude = ("src/repro/learn/checkpoint.py",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
-            name = dotted_name(call.func)
+            name = ctx.dotted_name(call.func)
             if name is None:
                 continue
             reason = _det001_reason(name)
@@ -212,18 +158,17 @@ _SCAN_CALLS = {"os.listdir", "os.scandir", "glob.glob", "glob.iglob"}
 _SCAN_METHODS = {"iterdir", "glob", "rglob"}
 
 
-@register
 class Det002UnsortedScan(FileRule):
     """Directory iteration order is filesystem-dependent; coordination
-    code must sort it (or reduce it to an order-free set)."""
+    code must sort it (or reduce it to an order-free set): its scan order
+    decides claim order, harvest order, or merge content across hosts."""
 
     id = "DET002"
-    title = "unsorted directory scan in coordination code"
-    paths = COORDINATION_PATHS
+    paths = ("src/repro/dist/*", "src/repro/core/*", "src/repro/obs/*")
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
-            name = dotted_name(call.func)
+            name = ctx.dotted_name(call.func)
             is_scan = name in _SCAN_CALLS or (
                 name not in ("glob.glob", "glob.iglob")
                 and isinstance(call.func, ast.Attribute)
@@ -248,7 +193,7 @@ class Det002UnsortedScan(FileRule):
         node: ast.AST = call
         for ancestor in ctx.ancestors(call):
             if isinstance(ancestor, ast.Call):
-                fname = dotted_name(ancestor.func)
+                fname = ctx.dotted_name(ancestor.func)
                 if fname in ("sorted", "set", "frozenset", "len") and (
                     node in ancestor.args
                     or any(node is kw.value for kw in ancestor.keywords)
@@ -268,18 +213,16 @@ class Det002UnsortedScan(FileRule):
 # -- DET003 -------------------------------------------------------------------
 
 
-@register
 class Det003EnvRead(FileRule):
     """Configuration must flow through the spec (and so the cache
     digest), never through ambient process environment."""
 
     id = "DET003"
-    title = "environment read in an engine path"
     paths = ("src/repro/sim/*", "src/repro/sched/*", "src/repro/predict/*")
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):
-            name = dotted_name(node) if isinstance(node, (ast.Attribute,)) else None
+            name = ctx.dotted_name(node) if isinstance(node, (ast.Attribute, ast.Name)) else None
             if name == "os.environ":
                 yield Finding(
                     ctx.relpath, node.lineno, node.col_offset, self.id,
@@ -287,7 +230,7 @@ class Det003EnvRead(FileRule):
                     "be a function of the CellSpec (cache identity), not the "
                     "process environment",
                 )
-            elif isinstance(node, ast.Call) and dotted_name(node.func) == "os.getenv":
+            elif isinstance(node, ast.Call) and ctx.dotted_name(node.func) == "os.getenv":
                 yield Finding(
                     ctx.relpath, node.lineno, node.col_offset, self.id,
                     "os.getenv() in an engine path; thread the knob through "
@@ -298,18 +241,16 @@ class Det003EnvRead(FileRule):
 # -- DUR001 -------------------------------------------------------------------
 
 
-@register
 class Dur001NonAtomicWrite(FileRule):
     """A crash mid-write must never leave a half-written final file in
     the shared queue directory: write a tmp name, then ``os.replace``."""
 
     id = "DUR001"
-    title = "non-atomic write to a final path in repro.dist"
     paths = ("src/repro/dist/*",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
-            if dotted_name(call.func) != "open":
+            if ctx.dotted_name(call.func) != "open":
                 continue
             mode = _call_mode_literal(call)
             if mode is None or not any(ch in mode for ch in "wx"):
@@ -329,7 +270,7 @@ class Dur001NonAtomicWrite(FileRule):
         if func is None:
             return False
         for node in ast.walk(func):
-            if isinstance(node, ast.Call) and dotted_name(node.func) in (
+            if isinstance(node, ast.Call) and ctx.dotted_name(node.func) in (
                 "os.replace", "os.rename"
             ):
                 return True
@@ -339,18 +280,16 @@ class Dur001NonAtomicWrite(FileRule):
 # -- ENC001 -------------------------------------------------------------------
 
 
-@register
 class Enc001OpenEncoding(FileRule):
     """Queue directories and caches cross hosts; the platform default
     text encoding must never decide what bytes land in them."""
 
     id = "ENC001"
-    title = "text-mode open() without an explicit encoding"
     paths = ("src/repro/*",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
-            if dotted_name(call.func) != "open":
+            if ctx.dotted_name(call.func) != "open":
                 continue
             mode = _call_mode_literal(call)
             if mode is None or "b" in mode:
@@ -374,13 +313,12 @@ _TELE_PER_RECORD = {"inc", "observe"}
 
 
 def _test_checks_enabled(test: ast.expr) -> bool:
-    return any(
-        isinstance(node, ast.Attribute) and node.attr == "enabled"
-        for node in ast.walk(test)
-    )
+    """``X.enabled``, alone or as one conjunct of an ``and``."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        return any(_test_checks_enabled(value) for value in test.values)
+    return isinstance(test, ast.Attribute) and test.attr == "enabled"
 
 
-@register
 class Obs001UnguardedTelemetry(FileRule):
     """The hot layers count into a private tally and hand it over with
     ``add_batch``; a per-record ``inc``/``observe`` is a finding even
@@ -389,7 +327,6 @@ class Obs001UnguardedTelemetry(FileRule):
     when disabled and needs no guard)."""
 
     id = "OBS001"
-    title = "per-record or unguarded telemetry call in an engine hot path"
     paths = ("src/repro/sim/*", "src/repro/sched/*", "src/repro/predict/*")
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -397,7 +334,7 @@ class Obs001UnguardedTelemetry(FileRule):
             func = call.func
             if not isinstance(func, ast.Attribute) or func.attr not in _TELE_MUTATORS:
                 continue
-            receiver = dotted_name(func.value)
+            receiver = ctx.dotted_name(func.value)
             if receiver is None or not _TELE_RECEIVER.match(receiver):
                 continue
             if func.attr in _TELE_PER_RECORD:
@@ -421,29 +358,42 @@ class Obs001UnguardedTelemetry(FileRule):
 
     @staticmethod
     def _guarded(ctx: FileContext, call: ast.Call) -> bool:
+        """Inside the *body* of an ``if``/``while``/ternary whose test
+        checks ``.enabled`` -- never its test or its ``else``."""
+        node: ast.AST = call
         for ancestor in ctx.ancestors(call):
-            if isinstance(ancestor, (ast.If, ast.While)) and _test_checks_enabled(
-                ancestor.test
-            ):
-                return True
-            if isinstance(ancestor, ast.IfExp) and _test_checks_enabled(
-                ancestor.test
-            ):
-                return True
+            if isinstance(ancestor, (ast.If, ast.While, ast.IfExp)):
+                body = ancestor.body  # statements, or the ternary's one value
+                in_body = node in body if isinstance(body, list) else node is body
+                if in_body and _test_checks_enabled(ancestor.test):
+                    return True
+            node = ancestor
         return False
 
 
 # -- OBS002 -------------------------------------------------------------------
 
 
-@register
 class Obs002PrintInLibrary(FileRule):
     """Library layers report through ``repro.obs`` (metrics, logging) or
-    return data; stdout belongs to the CLI and the reporting layer."""
+    return data; stdout belongs to the CLI and the reporting layer, the
+    two parts of ``src/repro`` outside these paths."""
 
     id = "OBS002"
-    title = "print() in library code"
-    paths = LIBRARY_PATHS
+    paths = (
+        "src/repro/sim/*",
+        "src/repro/sched/*",
+        "src/repro/predict/*",
+        "src/repro/correct/*",
+        "src/repro/workload/*",
+        "src/repro/dist/*",
+        "src/repro/obs/*",
+        "src/repro/serve/*",
+        "src/repro/learn/*",
+        "src/repro/spec/*",
+        "src/repro/metrics/*",
+        "src/repro/analysis/*",
+    )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
@@ -459,13 +409,11 @@ class Obs002PrintInLibrary(FileRule):
 # -- IMP001 -------------------------------------------------------------------
 
 
-@register
 class Imp001ObsDependencyFree(FileRule):
     """``repro.obs`` is importable from every layer *because* it imports
     none of them (telemetry.py states the contract; this enforces it)."""
 
     id = "IMP001"
-    title = "repro.obs importing another repro module"
     paths = ("src/repro/obs/*",)
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -496,13 +444,11 @@ class Imp001ObsDependencyFree(FileRule):
 # -- FRZ001 -------------------------------------------------------------------
 
 
-@register
 class Frz001FrozenOracle(ProjectRule):
     """The byte-frozen oracle and the semantics/ENGINE_VERSION pact;
     heavy lifting in :mod:`repro.analysis.frozen`."""
 
     id = "FRZ001"
-    title = "frozen-oracle / ENGINE_VERSION digest drift"
     paths = (
         "src/repro/sched/*",
         "src/repro/sim/*",
@@ -511,8 +457,6 @@ class Frz001FrozenOracle(ProjectRule):
     )
 
     def check_project(self, ctx: ProjectContext) -> Iterable[Finding]:
-        from .frozen import check_frozen
-
         return check_frozen(ctx)
 
 
@@ -542,13 +486,11 @@ _SPEC_ENGINE_ENTRYPOINTS = {
 }
 
 
-@register
 class Spec001KnobEscapesDigest(ProjectRule):
     """Every semantic engine knob must be a ``CellSpec`` engine field,
     or two different configurations share one cache token."""
 
     id = "SPEC001"
-    title = "engine knob outside the CellSpec cache digest"
     paths = (_SPEC_CELLSPEC, "src/repro/sim/engine.py", "src/repro/sim/session.py")
 
     def check_project(self, ctx: ProjectContext) -> Iterable[Finding]:
@@ -625,3 +567,18 @@ def _find_function(
 def _all_args(func: ast.FunctionDef) -> list[ast.arg]:
     args = func.args
     return [*args.posonlyargs, *args.args, *args.kwonlyargs]
+
+
+#: The battery, one instance per rule, in id order.
+RULES: tuple[Rule, ...] = (
+    Det001WallClockEntropy(),
+    Det002UnsortedScan(),
+    Det003EnvRead(),
+    Dur001NonAtomicWrite(),
+    Enc001OpenEncoding(),
+    Frz001FrozenOracle(),
+    Imp001ObsDependencyFree(),
+    Obs001UnguardedTelemetry(),
+    Obs002PrintInLibrary(),
+    Spec001KnobEscapesDigest(),
+)

@@ -16,7 +16,7 @@ Subcommands::
     repro serve --processors 1024    # live JSONL session (README: Serving mode)
     repro worker --queue /shared/q   # drain shards from a queue dir
     repro merge --out merged.jsonl /shared/q/results
-    repro check [--json] [--rules ...]   # static invariant checker
+    repro check [PATH ...]           # static invariant checker
     repro table --which 1|6|7|8      # print a paper table reproduction
     repro metrics RUN_DIR            # counters + campaign/worker progress
     repro metrics /shared/q/progress # the workers of a live fsqueue campaign
@@ -318,18 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to check (default: src)",
     )
     p_check.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: the whole battery)",
-    )
-    p_check.add_argument(
-        "--json", action="store_true",
-        help="machine-readable report on stdout (schema: analysis.report)",
-    )
-    p_check.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule battery (id, scope, title) and exit",
-    )
-    p_check.add_argument(
         "--update-frozen", action="store_true",
         help="regenerate the FRZ001 digest file after a deliberate, "
         "oracle-proven semantics change (or an ENGINE_VERSION bump)",
@@ -393,7 +381,10 @@ def _telemetry(args: argparse.Namespace, component: str):
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     seed, derived = _resolve_seed(args)
-    trace = get_trace(args.log, n_jobs=args.n_jobs, seed=seed)
+    try:
+        trace = get_trace(args.log, n_jobs=args.n_jobs, seed=seed)
+    except ValueError as exc:
+        return _usage_error("synth", exc)
     save_swf(trace, args.output)
     stats = trace.stats()
     origin = "derived from log name; pass --seed to override" if derived else "from --seed"
@@ -528,7 +519,10 @@ def _cmd_spec(args: argparse.Namespace) -> int:
             )
         return 1 if failures else 0
 
-    name, cells = validate_spec_file(args.file)
+    try:
+        name, cells = validate_spec_file(args.file)
+    except SpecFileError as exc:
+        return _usage_error("spec", exc)
     if args.format == "keys":
         entries = triple_keys_of(cells)
     elif args.format == "json":
@@ -553,15 +547,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import build_serve_session, serve_loop
 
     with _telemetry(args, "serve") as telemetry:
-        session = build_serve_session(
-            processors=args.processors,
-            scheduler=args.scheduler,
-            predictor=args.predictor,
-            corrector=args.corrector,
-            min_prediction=args.min_prediction,
-            name=args.name,
-            telemetry=telemetry,
-        )
+        try:
+            session = build_serve_session(
+                processors=args.processors,
+                scheduler=args.scheduler,
+                predictor=args.predictor,
+                corrector=args.corrector,
+                min_prediction=args.min_prediction,
+                name=args.name,
+                telemetry=telemetry,
+            )
+        except (KeyError, ValueError) as exc:
+            return _usage_error("serve", exc)
         print(
             f"serving m={args.processors} scheduler={args.scheduler} "
             f"predictor={args.predictor} corrector={args.corrector}; "
@@ -601,11 +598,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     from .dist import merge_caches
 
-    _cells, report = merge_caches(
-        args.inputs,
-        out_path=args.out,
-        check_versions=not args.no_version_check,
-    )
+    try:
+        _cells, report = merge_caches(
+            args.inputs,
+            out_path=args.out,
+            check_versions=not args.no_version_check,
+        )
+    except FileNotFoundError as exc:  # an input or --out path that isn't there
+        return _usage_error("merge", exc)
     print(report.describe())
     print(f"wrote {args.out}")
     return 0
@@ -690,8 +690,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     """``repro eval``: leaderboard of a trained policy vs heuristics."""
     import json
 
-    from .learn import DEFAULT_STORE_ENV, evaluate_policy
+    from .learn import DEFAULT_STORE_ENV, CheckpointError, PolicyCheckpoint, evaluate_policy
 
+    try:
+        PolicyCheckpoint.load_by_digest(args.policy, store=args.store)
+    except CheckpointError as exc:
+        return _usage_error("eval", exc)
     if args.seeds:
         seeds = [int(s) for s in args.seeds]
     else:
@@ -799,42 +803,19 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: the static invariant checker (repro.analysis)."""
-    from .analysis import (
-        CheckConfig,
-        format_json,
-        format_text,
-        resolve_rules,
-        run_check,
-        write_frozen,
-    )
-    from .analysis.core import FileRule, find_root
+    from .analysis import find_root, format_text, run_check, write_frozen
 
-    if args.list_rules:
-        for rule in resolve_rules(None):
-            kind = "file" if isinstance(rule, FileRule) else "project"
-            scope = ", ".join(rule.paths)
-            print(f"{rule.id}  [{kind}]  {rule.title}  ({scope})")
-        return 0
-    select = None
-    if args.rules:
-        select = tuple(
-            part.strip() for part in args.rules.split(",") if part.strip()
-        )
-    root = find_root(args.paths[0] if args.paths else ".")
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    if missing:
+        return _usage_error("check", f"no such file or directory: {', '.join(missing)}")
+    root = find_root(args.paths[0])
     if args.update_frozen:
         path = write_frozen(root)
         print(f"frozen digests regenerated: {path}", file=sys.stderr)
-    try:
-        rules = resolve_rules(select)
-        findings, files = run_check(
-            args.paths, root=root, config=CheckConfig(select=select)
-        )
-    except KeyError as exc:
-        return _usage_error("check", exc)
-    if args.json:
-        print(format_json(findings, len(files), rules))
-    else:
-        print(format_text(findings, len(files), rules))
+    findings, files = run_check(args.paths, root=root)
+    if not files:
+        return _usage_error("check", f"no .py files under {', '.join(args.paths)}")
+    print(format_text(findings, len(files)))
     return 1 if findings else 0
 
 

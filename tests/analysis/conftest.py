@@ -1,11 +1,13 @@
 """Shared helpers for the analyzer tests.
 
 The fixture corpus under ``fixtures/<rule>/{bad,good}.py`` drives the
-per-rule contract: every rule must flag its bad snippet and pass its
-good one.  Each corpus file's first line declares where in a repository
-it pretends to live (``# dest: src/repro/.../fixture.py``), because the
-rules are path-scoped; ``fixture_repo`` materialises a throwaway repo
-with the snippet at that path.
+per-rule contract: every rule must flag its bad snippet -- exactly the
+lines that end in ``# caught`` -- and pass its good one.  Each corpus
+file's first line declares where in a repository it pretends to live
+(``# dest: src/repro/.../fixture.py``), because the rules are
+path-scoped; ``fixture_repo`` materialises a throwaway repo with the
+snippet at that path.  ``check`` runs the whole battery; a test
+keeps the findings of the rule it is about with :func:`of_rule`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ def fixture_dest(text: str) -> str:
     return match.group(1)
 
 
+def of_rule(findings, rule_id: str) -> list:
+    return [f for f in findings if f.rule == rule_id]
+
+
 class FixtureRepo:
     """A throwaway repository rooted at ``root``."""
 
@@ -46,15 +52,10 @@ class FixtureRepo:
         self.add(dest, text)
         return dest
 
-    def check(self, select: tuple[str, ...] | None = None):
-        from repro.analysis import CheckConfig, run_check
+    def check(self):
+        from repro.analysis import run_check
 
-        findings, files = run_check(
-            [os.fspath(self.root / "src")],
-            root=os.fspath(self.root),
-            config=CheckConfig(select=select),
-        )
-        return findings, files
+        return run_check([os.fspath(self.root / "src")], root=os.fspath(self.root))
 
 
 @pytest.fixture

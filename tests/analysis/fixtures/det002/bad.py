@@ -6,7 +6,7 @@ import os
 
 def scan(directory: str) -> list[str]:
     names = []
-    for name in os.listdir(directory):
+    for name in os.listdir(directory):  # caught
         names.append(name)
-    names.extend(glob.glob(directory + "/*.json"))
+    names.extend(glob.glob(directory + "/*.json"))  # caught
     return names

@@ -4,5 +4,5 @@ import json
 
 
 def save(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:  # caught
         json.dump(payload, fh)

@@ -3,10 +3,10 @@
 
 
 def read(path: str) -> str:
-    with open(path) as fh:
+    with open(path) as fh:  # caught
         return fh.read()
 
 
 def write(path: str, text: str) -> None:
-    with open(path, "w") as fh:  # repro: noqa[DUR001]
+    with open(path, "w") as fh:  # caught
         fh.write(text)

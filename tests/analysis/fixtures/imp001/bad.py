@@ -1,7 +1,7 @@
 # dest: src/repro/obs/fixture.py
 """Known-bad IMP001 corpus: obs reaching into other layers."""
-import repro.spec
-from ..sim.engine import ENGINE_VERSION
+import repro.spec  # caught
+from ..sim.engine import ENGINE_VERSION  # caught
 
 
 def version() -> int:

@@ -3,4 +3,4 @@
 
 
 def harvest(shard: str) -> None:
-    print(f"harvested {shard}")
+    print(f"harvested {shard}")  # caught

@@ -6,6 +6,8 @@ import pytest
 
 from repro.analysis.frozen import compute_frozen, load_frozen, write_frozen
 
+from .conftest import of_rule
+
 pytestmark = []
 
 
@@ -19,8 +21,8 @@ def semantics_repo(fixture_repo):
 
 
 def _check(repo):
-    findings, _ = repo.check(select=("FRZ001",))
-    return findings
+    findings, _ = repo.check()
+    return of_rule(findings, "FRZ001")
 
 
 class TestFrozenDigests:
@@ -71,7 +73,7 @@ class TestFrozenDigests:
 
     def test_missing_data_file_flagged(self, fixture_repo):
         fixture_repo.add("src/repro/sim/engine.py", "ENGINE_VERSION = 1\n")
-        findings, _ = fixture_repo.check(select=("FRZ001",))
+        findings = _check(fixture_repo)
         assert len(findings) == 1
         assert "--update-frozen" in findings[0].message
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, of_rule
 
 FILE_RULES = (
     "DET001",
@@ -26,129 +26,172 @@ def _corpus(rule_id: str, kind: str):
 @pytest.mark.parametrize("rule_id", FILE_RULES)
 class TestCorpus:
     def test_bad_fixture_caught(self, rule_id, fixture_repo):
-        dest = fixture_repo.add_corpus(_corpus(rule_id, "bad"))
-        findings, files = fixture_repo.check(select=(rule_id,))
+        corpus = _corpus(rule_id, "bad")
+        dest = fixture_repo.add_corpus(corpus)
+        findings, files = fixture_repo.check()
+        findings = of_rule(findings, rule_id)
         assert files == [dest]
         assert findings, f"{rule_id} missed its known-bad fixture"
-        assert {f.rule for f in findings} == {rule_id}
         assert all(f.path == dest for f in findings)
-        assert all(f.line > 0 for f in findings)
+        marked = {
+            lineno
+            for lineno, line in enumerate(
+                corpus.read_text(encoding="utf-8").splitlines(), start=1
+            )
+            if line.endswith("# caught")
+        }
+        assert {f.line for f in findings} == marked
 
     def test_good_fixture_clean(self, rule_id, fixture_repo):
         fixture_repo.add_corpus(_corpus(rule_id, "good"))
-        findings, _files = fixture_repo.check(select=(rule_id,))
-        assert findings == [], f"{rule_id} false-positived on its good fixture"
+        findings, _files = fixture_repo.check()
+        assert of_rule(findings, rule_id) == [], (
+            f"{rule_id} false-positived on its good fixture"
+        )
 
 
 class TestFindingDetails:
     def test_det001_names_every_source(self, fixture_repo):
+        # each name reads as what it was imported as
         fixture_repo.add_corpus(_corpus("DET001", "bad"))
-        findings, _ = fixture_repo.check(select=("DET001",))
-        blob = " ".join(f.message for f in findings)
-        for source in ("time.time", "random.random", "datetime.now"):
-            assert source in blob
-        assert len(findings) >= 3
+        findings, _ = fixture_repo.check()
+        named = {f.message.split("()")[0] for f in of_rule(findings, "DET001")}
+        assert named == {
+            "random.seed",
+            "random.random",
+            "time.time",
+            "time.time_ns",
+            "datetime.datetime.now",
+            "numpy.random.rand",
+        }
 
     def test_det002_flags_both_scan_kinds(self, fixture_repo):
         fixture_repo.add_corpus(_corpus("DET002", "bad"))
-        findings, _ = fixture_repo.check(select=("DET002",))
-        assert len(findings) == 2  # os.listdir and glob.glob
-
-    def test_enc001_unrelated_noqa_does_not_suppress(self, fixture_repo):
-        # the bad ENC001 corpus carries a `# repro: noqa[DUR001]` on one
-        # offending line; ENC001 must still fire there
-        fixture_repo.add_corpus(_corpus("ENC001", "bad"))
-        findings, _ = fixture_repo.check(select=("ENC001",))
-        assert len(findings) == 2
+        findings, _ = fixture_repo.check()
+        assert len(of_rule(findings, "DET002")) == 2  # os.listdir and glob.glob
 
     def test_obs001_tells_per_record_calls_from_unguarded_batches(self, fixture_repo):
         fixture_repo.add_corpus(_corpus("OBS001", "bad"))
-        findings, _ = fixture_repo.check(select=("OBS001",))
+        findings, _ = fixture_repo.check()
+        findings = of_rule(findings, "OBS001")
         per_record = [f for f in findings if "session tally" in f.message]
         unguarded = [f for f in findings if "outside an `if" in f.message]
-        # inc (bare), inc (guarded -- still a finding), observe; a bare add_batch
-        assert len(per_record) == 3 and len(unguarded) == 1
-        assert "add_batch" in unguarded[0].message
-        assert len(findings) == 4
+        # inc (bare), inc (guarded -- still a finding), observe; add_batch
+        # bare, under `if not ....enabled:` and in the else of the guard
+        assert len(per_record) == 3 and len(unguarded) == 3
+        assert all("add_batch" in f.message for f in unguarded)
+        assert len(findings) == 6
 
     def test_rules_out_of_scope_are_silent(self, fixture_repo):
         # a DET001-bad file placed outside the engine paths is none of
         # DET001's business
         corpus = (FIXTURES / "det001" / "bad.py").read_text(encoding="utf-8")
         fixture_repo.add("src/repro/core/fixture.py", corpus)
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert findings == []
+        findings, _ = fixture_repo.check()
+        assert of_rule(findings, "DET001") == []
 
 
-class TestSuppressions:
-    BAD_LINE = "import time\n\n\ndef f():\n    return time.time()%s\n"
+class TestImportMap:
+    """``dotted_name`` reads a name's head as what the file imported it as."""
 
-    def _write(self, repo, comment: str):
-        repo.add("src/repro/sim/fixture.py", self.BAD_LINE % comment)
+    @pytest.mark.parametrize(
+        ("imports", "expr", "expected"),
+        [
+            ("import numpy as np", "np.random.rand", "numpy.random.rand"),
+            ("import numpy.random as npr", "npr.rand", "numpy.random.rand"),
+            ("import os.path", "os.path.join", "os.path.join"),
+            ("from time import perf_counter", "perf_counter", "time.perf_counter"),
+            ("from datetime import datetime as dt", "dt.now", "datetime.datetime.now"),
+            ("from . import engine", "engine.simulate", ".engine.simulate"),
+            ("from ..sim import engine", "engine.simulate", "..sim.engine.simulate"),
+            ("import time", "sorted", "sorted"),
+        ],
+    )
+    def test_resolves_the_head(self, imports, expr, expected):
+        from repro.analysis.core import FileContext
 
-    def test_unsuppressed_fires(self, fixture_repo):
-        self._write(fixture_repo, "")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert len(findings) == 1
+        ctx = FileContext("src/repro/sim/fixture.py", f"{imports}\n{expr}\n")
+        assert ctx.dotted_name(ctx.tree.body[-1].value) == expected
 
-    def test_line_noqa_with_rule_id(self, fixture_repo):
-        self._write(fixture_repo, "  # repro: noqa[DET001]")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert findings == []
 
-    def test_line_noqa_bare_suppresses_all(self, fixture_repo):
-        self._write(fixture_repo, "  # repro: noqa")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert findings == []
+class TestObs001Guards:
+    """A batch hand-over is guarded only inside the body of a test that is
+    ``X.enabled`` or an ``and`` with it as a conjunct."""
 
-    def test_line_noqa_other_rule_does_not_suppress(self, fixture_repo):
-        self._write(fixture_repo, "  # repro: noqa[DET002]")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert len(findings) == 1
+    @pytest.mark.parametrize(
+        ("snippet", "caught"),
+        [
+            ("while tele.enabled:\n        tele.add_batch([], {})", False),
+            ("_ = tele.add_batch([], {}) if tele.enabled else None", False),
+            ("_ = None if tele.enabled else tele.add_batch([], {})", True),
+            ("if tele.enabled or flag:\n        tele.add_batch([], {})", True),
+            ("if tele.enabled:\n        pass\n    elif flag:\n        tele.add_batch([], {})",
+             True),
+        ],
+        ids=["while-body", "ternary-body", "ternary-else", "or-test", "elif-of-the-guard"],
+    )
+    def test_guard_shape(self, snippet, caught, fixture_repo):
+        fixture_repo.add(
+            "src/repro/sim/fixture.py", f"def fold(tele, flag) -> None:\n    {snippet}\n"
+        )
+        findings, _ = fixture_repo.check()
+        assert bool(of_rule(findings, "OBS001")) is caught
 
-    def test_file_level_noqa(self, fixture_repo):
-        text = "# repro: noqa-file[DET001]\n" + self.BAD_LINE % ""
+
+class TestExemptions:
+    """A rule's ``exclude`` paths are the one exemption; comments are
+    just comments."""
+
+    CLOCKY = "import time\n\n\ndef f():\n    return time.time(){}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            CLOCKY.format("  # repro: noqa[DET001]"),
+            CLOCKY.format("  # repro: noqa"),
+            "# repro: noqa-file[DET001]\n" + CLOCKY.format(""),
+        ],
+        ids=["line-with-id", "line-bare", "file"],
+    )
+    def test_a_comment_does_not_exempt(self, text, fixture_repo):
         fixture_repo.add("src/repro/sim/fixture.py", text)
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert findings == []
+        findings, _ = fixture_repo.check()
+        assert len(of_rule(findings, "DET001")) == 1
 
-    def test_file_level_noqa_scoped_to_its_rule(self, fixture_repo):
-        text = "# repro: noqa-file[DET002]\n" + self.BAD_LINE % ""
-        fixture_repo.add("src/repro/sim/fixture.py", text)
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert len(findings) == 1
-
-    def test_multiple_ids_in_one_noqa(self, fixture_repo):
-        self._write(fixture_repo, "  # repro: noqa[DET002, DET001]")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert findings == []
+    def test_an_excluded_path_is_exempt(self, fixture_repo):
+        text = self.CLOCKY.format("")
+        fixture_repo.add("src/repro/learn/checkpoint.py", text)  # DET001's exclude
+        fixture_repo.add("src/repro/learn/fixture.py", text)
+        findings, _ = fixture_repo.check()
+        assert [f.path for f in of_rule(findings, "DET001")] == [
+            "src/repro/learn/fixture.py"
+        ]
 
 
 class TestRegistry:
     def test_battery_is_stable(self):
-        from repro.analysis import all_rules
+        from repro.analysis import RULES
 
-        ids = [rule.id for rule in all_rules()]
-        assert ids == sorted(ids)
-        assert set(FILE_RULES) <= set(ids)
-        assert {"FRZ001", "SPEC001"} <= set(ids)
-        assert len(ids) == len(set(ids))
+        assert [rule.id for rule in RULES] == [
+            "DET001",
+            "DET002",
+            "DET003",
+            "DUR001",
+            "ENC001",
+            "FRZ001",
+            "IMP001",
+            "OBS001",
+            "OBS002",
+            "SPEC001",
+        ]
 
-    def test_unknown_rule_id_rejected(self):
-        from repro.analysis import resolve_rules
+    def test_every_rule_has_a_scope(self):
+        from repro.analysis import RULES
 
-        with pytest.raises(KeyError):
-            resolve_rules(("NOPE999",))
-
-    def test_every_rule_has_scope_and_title(self):
-        from repro.analysis import all_rules
-
-        for rule in all_rules():
+        for rule in RULES:
             assert rule.paths, rule.id
-            assert rule.title, rule.id
 
     def test_parse_error_is_a_finding_not_a_crash(self, fixture_repo):
         fixture_repo.add("src/repro/sim/broken.py", "def f(:\n")
-        findings, _ = fixture_repo.check(select=("DET001",))
-        assert len(findings) == 1
-        assert findings[0].rule == "PARSE"
+        findings, _ = fixture_repo.check()
+        assert [f.rule for f in findings if f.path.endswith("broken.py")] == ["PARSE"]

@@ -3,7 +3,6 @@ the CLI must speak the documented exit codes."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.analysis import run_check
@@ -24,33 +23,11 @@ class TestSelfHost:
         out = capsys.readouterr().out
         assert out.startswith("ok:")
 
-    def test_cli_json_artifact(self, capsys):
-        assert main(["check", SRC, "--json"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["ok"] is True
-        assert obj["version"] == 1
-        assert obj["files_checked"] > 50
-
-    def test_cli_rule_selection(self, capsys):
-        assert main(["check", SRC, "--rules", "DET001,FRZ001", "--json"]) == 0
-        obj = json.loads(capsys.readouterr().out)
-        assert obj["rules"] == ["DET001", "FRZ001"]
-
-    def test_cli_list_rules(self, capsys):
-        assert main(["check", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("DET001", "DUR001", "FRZ001", "SPEC001"):
-            assert rule_id in out
-
-    def test_cli_unknown_rule_is_an_error(self, capsys):
-        assert main(["check", SRC, "--rules", "NOPE999"]) == 2
-        assert "NOPE999" in capsys.readouterr().err
-
     def test_cli_nonzero_on_findings(self, tmp_path, capsys):
         (tmp_path / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
         bad = tmp_path / "src" / "repro" / "sim" / "clocky.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("import time\nNOW = time.time()\n", encoding="utf-8")
-        assert main(["check", str(tmp_path / "src"), "--rules", "DET001"]) == 1
+        assert main(["check", str(tmp_path / "src")]) == 1
         out = capsys.readouterr().out
         assert "DET001" in out and "clocky.py" in out

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from .conftest import of_rule
+
 _CELLSPEC = (
     "class CellSpec:\n"
     "    def to_obj(self):\n"
@@ -37,8 +39,8 @@ def spec_repo(fixture_repo):
 
 
 def _check(repo):
-    findings, _ = repo.check(select=("SPEC001",))
-    return findings
+    findings, _ = repo.check()
+    return of_rule(findings, "SPEC001")
 
 
 class TestSpecIdentity:
@@ -82,12 +84,8 @@ class TestSpecIdentity:
     def test_real_repo_is_clean(self):
         from pathlib import Path
 
-        from repro.analysis import CheckConfig, run_check
+        from repro.analysis import run_check
 
         root = Path(__file__).resolve().parents[2]
-        findings, _ = run_check(
-            [str(root / "src")],
-            root=str(root),
-            config=CheckConfig(select=("SPEC001",)),
-        )
-        assert findings == []
+        findings, _ = run_check([str(root / "src")], root=str(root))
+        assert of_rule(findings, "SPEC001") == []

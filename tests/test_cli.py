@@ -1,9 +1,13 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.workload import load_swf
+
+README = str(Path(__file__).resolve().parents[1] / "README.md")
 
 
 class TestParser:
@@ -114,7 +118,7 @@ class TestUsageErrors:
             (["table", "--which", "6", "--replicas", "0"],
              "replicas must be an integer >= 1"),
             (["metrics", "a", "b", "c"], "one directory, or two to diff"),
-            (["check", "--rules", "NOPE"], "NOPE"),
+            (["check", "srcx"], "no such file or directory: srcx"),
             (["campaign", "--backend", "fsqueue", "--logs", "KTH-SP2",
               "--n-jobs", "50", "--replicas", "1"], "requires --queue"),
             # spellings of components that left the registry are not lowered
@@ -124,6 +128,16 @@ class TestUsageErrors:
              "unknown scheduler 'multifactor'; known: "),
             (["sim", "--log", "KTH-SP2", "--scheduler", "easy-saf"],
              "unknown scheduler 'easy-saf'; known: "),
+            # a bad path, number or name turned into an object by other commands
+            (["spec", "expand", "no.toml"], "no.toml"),
+            (["merge", "--out", "m.jsonl", "/nonexistent"], "'/nonexistent' does not exist"),
+            (["synth", "--log", "KTH-SP2", "--n-jobs", "-5", "x.swf"],
+             "n_jobs must be positive"),
+            (["serve", "--processors", "0"], "must have > 0 processors"),
+            (["serve", "--processors", "8", "--scheduler", "nope"],
+             "unknown scheduler 'nope'"),
+            (["eval", "--policy", "deadbeef"], "no checkpoint 'deadbeef'"),
+            (["check", README], "no .py files under"),
         ],
     )
     def test_exits_2_with_one_line(self, argv, needle, capsys):
@@ -394,7 +408,7 @@ class TestEvalStore:
         only: the process gets its own value, or its absence, back."""
         import os
 
-        from repro.learn import DEFAULT_STORE_ENV, CheckpointError, TrainConfig, train
+        from repro.learn import DEFAULT_STORE_ENV, TrainConfig, train
 
         trained = train(
             TrainConfig(log="KTH-SP2", n_jobs=100, replicas=1, epochs=1, episodes=2, seed=3)
@@ -413,9 +427,17 @@ class TestEvalStore:
         assert code == 0
         assert "rl-backfill" in capsys.readouterr().out  # it did find the store
         assert dict(os.environ) == before
-        # ... and on the way out of a failing evaluation too
-        with pytest.raises(CheckpointError, match=store):
-            main(["eval", "--policy", "0" * 16, "--store", store, "--workers", "1"])
+        # ... and on the way out of a failing evaluation too (a cache path
+        # that is a directory fails inside it, after the store is set)
+        with pytest.raises(IsADirectoryError):
+            main([
+                "eval", "--policy", trained.digest, "--store", store,
+                "--cache", str(tmp_path), "--workers", "1",
+            ])
+        assert dict(os.environ) == before
+        # an unknown digest is refused before the environment is touched
+        assert main(["eval", "--policy", "0" * 16, "--store", store]) == 2
+        assert store in capsys.readouterr().err
         assert dict(os.environ) == before
 
 
