@@ -2,7 +2,6 @@
 
 from .batch import (
     BundleCache,
-    TraceBundle,
     bundle_cache,
     clear_bundle_cache,
     get_bundle,
@@ -53,7 +52,6 @@ from .triples import (
 
 __all__ = [
     "BundleCache",
-    "TraceBundle",
     "bundle_cache",
     "clear_bundle_cache",
     "get_bundle",

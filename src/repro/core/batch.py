@@ -1,37 +1,31 @@
-"""Batched campaign execution: share traces and feature matrices.
+"""Batched campaign execution: share traces and their digests.
 
 The paper's campaign is a 128+2-cell matrix replayed over a handful of
 workloads, so most cells differ only in their component triple while the
-trace underneath is identical.  Before this module every cell paid its
-own fixed cost -- regenerate (or re-parse) the trace, re-digest it,
-re-derive the predictor's schedule-independent feature columns -- which
-dominates small cells.  Here that cost is paid **once per trace identity
-per process** and shared:
+trace underneath is identical.  Regenerating (or re-parsing) and
+re-digesting the trace per cell would dominate small cells, so that
+cost is paid **once per trace identity per process** and shared:
 
 * :func:`workload_key` names a trace identity: the canonical JSON of the
   workload spec (log, n_jobs, seed, filters, processors override).  Two
   cells with equal keys replay byte-identical job streams.
-* :class:`TraceBundle` is the shared, immutable artifact of one
-  identity: the materialised :class:`~repro.workload.trace.Trace`, its
-  content digest, and (lazily, only when an ML cell asks) the
-  precomputed static feature rows of
-  :func:`repro.predict.features.compute_static_features`.
-* :class:`BundleCache` is a small per-process LRU of bundles whose
-  digest memo survives eviction, replacing the ad-hoc digest dicts the
-  campaign layer used to keep.  :func:`run_spec
-  <repro.core.run.run_spec>` sources every trace through it, so the
-  sharing works identically in the serial path, pool children and
-  ``repro worker`` processes.
+* :class:`BundleCache` is a small per-process LRU of materialised
+  :class:`~repro.workload.trace.Trace` objects (a "bundle" is one such
+  trace) plus a ``workload key -> digest`` memo that survives eviction.
+  :func:`run_spec <repro.core.run.run_spec>` sources every trace
+  through it, so the sharing works identically in the serial path, pool
+  children and ``repro worker`` processes.
 * :func:`group_cells` / :func:`plan_batches` organise a cell list into
   trace-pure groups (and bounded chunks of them) so dispatch layers can
   keep same-trace cells adjacent in one process.
 * :func:`run_batch_report` runs one such batch through the shared cell
   runner; it is module-level, so process pools can pickle it.
 
-Schedules are **byte-identical** to the unbatched path: the bundle only
-changes *when* work happens (once per group instead of once per cell),
-never what is computed.  Memory cost is bounded by the LRU capacity
-(a few simulation-sized traces, a handful of MB).
+Schedules are **byte-identical** to the unbatched path: a shared trace
+only changes *when* it is built (once per group instead of once per
+cell), never what a cell computes -- every predictor extracts its
+features live.  Memory cost is bounded by the LRU capacity (a few
+simulation-sized traces, a handful of MB).
 """
 
 from __future__ import annotations
@@ -49,7 +43,6 @@ __all__ = [
     "DEFAULT_BUNDLE_CAPACITY",
     "DEFAULT_MAX_BATCH",
     "workload_key",
-    "TraceBundle",
     "BundleCache",
     "bundle_cache",
     "get_bundle",
@@ -80,101 +73,57 @@ def workload_key(workload: WorkloadSpec) -> str:
     return canonical_json(workload.to_obj())
 
 
-class TraceBundle:
-    """One materialised workload, shared read-only by a group of cells.
-
-    Everything here is schedule-independent: the trace itself, its
-    content digest, and the static feature rows.  Bundles are built by
-    :class:`BundleCache` and must never be mutated -- concurrent cells
-    of one group all read the same objects.
-    """
-
-    def __init__(self, workload: WorkloadSpec, trace: Trace) -> None:
-        self.workload = workload
-        self.key = workload_key(workload)
-        self.trace = trace
-        self._digest: str | None = None
-        self._static_rows: dict[int, tuple[float, ...]] | None = None
-
-    @property
-    def digest(self) -> str:
-        """Content digest of the trace (lazily computed, then memoised)."""
-        if self._digest is None:
-            self._digest = self.trace.digest()
-        return self._digest
-
-    def static_rows(self) -> dict[int, tuple[float, ...]]:
-        """job_id -> precomputed static feature row, for ML predictors.
-
-        Computed on first request only (non-ML groups never pay) and
-        bit-identical to what :func:`repro.predict.features
-        .extract_features` derives live -- the trace iterates in
-        (submit_time, job_id) order, which is exactly the order SUBMIT
-        events drain, so per-user request aggregates replay exactly.
-        """
-        if self._static_rows is None:
-            from ..predict.features import compute_static_features
-
-            self._static_rows = compute_static_features(self.trace)
-        return self._static_rows
-
-
 class BundleCache:
-    """Bounded per-process LRU of :class:`TraceBundle` objects.
+    """Bounded per-process LRU of materialised traces, plus a digest memo.
 
-    The digest memo outlives eviction: digests are 16-hex strings the
-    campaign layer asks for constantly (every cache token embeds one),
-    while the trace itself is only needed when a cell actually
-    simulates.
+    A bundle is one workload's :class:`~repro.workload.trace.Trace`,
+    shared read-only by every cell that replays it -- cells never mutate
+    a trace.  The ``workload key -> digest`` memo is unbounded and
+    outlives eviction: digests are 16-hex strings the campaign layer
+    asks for constantly (every cache token embeds one), while the trace
+    itself is only needed when a cell actually simulates.
     """
 
     def __init__(self, capacity: int = DEFAULT_BUNDLE_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"bundle cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._bundles: OrderedDict[str, TraceBundle] = OrderedDict()
-        #: workload key -> trace digest, kept across bundle eviction.
+        self._traces: OrderedDict[str, Trace] = OrderedDict()
+        #: workload key -> trace digest, kept across eviction.
         self._digests: dict[str, str] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._bundles)
+        return len(self._traces)
 
-    def get(self, workload: WorkloadSpec) -> TraceBundle:
-        """The (shared) bundle for a workload, materialising on miss."""
+    def get(self, workload: WorkloadSpec) -> Trace:
+        """The (shared) trace of a workload, materialising on miss."""
         key = workload_key(workload)
-        bundle = self._bundles.get(key)
-        if bundle is not None:
-            self._bundles.move_to_end(key)
+        trace = self._traces.get(key)
+        if trace is not None:
+            self._traces.move_to_end(key)
             self.hits += 1
-            return bundle
+            return trace
         from .run import build_workload
 
         self.misses += 1
-        bundle = TraceBundle(workload, build_workload(workload))
-        self._bundles[key] = bundle
-        while len(self._bundles) > self.capacity:
-            evicted_key, evicted = self._bundles.popitem(last=False)
-            if evicted._digest is not None:
-                self._digests[evicted_key] = evicted._digest
-        return bundle
+        trace = self._traces[key] = build_workload(workload)
+        while len(self._traces) > self.capacity:
+            self._traces.popitem(last=False)
+        return trace
 
     def digest_of(self, workload: WorkloadSpec) -> str:
         """Trace content digest for a workload (memo survives eviction)."""
         key = workload_key(workload)
-        bundle = self._bundles.get(key)
-        if bundle is not None:
-            self._bundles.move_to_end(key)
-            digest = bundle.digest
-        else:
-            digest = self._digests.get(key) or self.get(workload).digest
-        self._digests[key] = digest
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = self.get(workload).digest()
         return digest
 
     def clear(self) -> None:
-        """Drop every bundle *and* the digest memo (cold-start state)."""
-        self._bundles.clear()
+        """Drop every trace *and* the digest memo (cold-start state)."""
+        self._traces.clear()
         self._digests.clear()
 
 
@@ -188,8 +137,8 @@ def bundle_cache() -> BundleCache:
     return _CACHE
 
 
-def get_bundle(workload: WorkloadSpec) -> TraceBundle:
-    """Shared bundle for a workload from the process-global cache."""
+def get_bundle(workload: WorkloadSpec) -> Trace:
+    """Shared trace of a workload from the process-global cache."""
     return _CACHE.get(workload)
 
 

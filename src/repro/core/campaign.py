@@ -33,6 +33,7 @@ The runner is built for throughput and restartability:
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -121,13 +122,20 @@ def parse_cache_record(line: str) -> tuple[str, float] | None:
     (:class:`ResultCache`), the distributed merge
     (:mod:`repro.dist.merge`), the coordinator's incremental result
     tailer and the worker's proven-cell harvest all route through it, so
-    tolerance rules cannot drift between them.
+    tolerance rules cannot drift between them.  A record counts only if
+    its token is a string and its value a finite ``int`` or ``float``
+    (not ``bool``): ``NaN``, ``Infinity``, ``true`` or ``"2.5"`` mark a
+    damaged row, which is re-simulated rather than trusted.
     """
     try:
         rec = json.loads(line)
-        return str(rec["token"]), float(rec["value"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        token, value = rec["token"], rec["value"]
+        if not isinstance(token, str) or type(value) not in (int, float):
+            return None
+        value = float(value)
+    except (ValueError, KeyError, TypeError, OverflowError):
         return None
+    return (token, value) if math.isfinite(value) else None
 
 
 def iter_cache_records(path: str) -> tuple[list[tuple[int, str, float]], int]:

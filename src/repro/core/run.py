@@ -93,17 +93,9 @@ def build_workload(workload: WorkloadSpec) -> Trace:
 def _cell_inputs(spec: CellSpec) -> tuple:
     """``(trace, scheduler, predictor, corrector)`` of one cell: the trace
     from the shared per-process bundle cache (same-trace cells of a
-    batched campaign pay the materialisation once) and fresh components,
-    with the bundle's precomputed static feature rows handed to
-    predictors that can use them (duck-typed: only ML predictors expose
-    the hook).
+    batched campaign pay the materialisation once) and fresh components.
     """
-    bundle = get_bundle(spec.workload)
-    scheduler, predictor, corrector = spec.build_components()
-    binder = getattr(predictor, "bind_static_features", None)
-    if binder is not None:
-        binder(bundle.static_rows())
-    return bundle.trace, scheduler, predictor, corrector
+    return (get_bundle(spec.workload), *spec.build_components())
 
 
 def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> RunOutcome:

@@ -21,8 +21,6 @@ class PolynomialBasis:
             raise ValueError("n_features must be positive")
         self.n_features = int(n_features)
         iu, ju = np.triu_indices(n_features, k=1)
-        self._iu = iu
-        self._ju = ju
         self.dim = 1 + 2 * n_features + n_features * (n_features - 1) // 2
         # Every term is a product of two entries of (1, x): 1*1, x_i*1,
         # x_i*x_i, x_i*x_j -- so the whole row is one gather-and-multiply.
@@ -43,19 +41,3 @@ class PolynomialBasis:
         one_x = self._one_x
         one_x[1:] = x
         return one_x[self._left] * one_x[self._right]
-
-    def term_names(self, feature_names: tuple[str, ...] | None = None) -> list[str]:
-        """Human-readable names of the basis terms (for model inspection)."""
-        n = self.n_features
-        if feature_names is None:
-            feature_names = tuple(f"x{i}" for i in range(n))
-        if len(feature_names) != n:
-            raise ValueError("feature_names length mismatch")
-        names = ["1"]
-        names.extend(feature_names)
-        names.extend(f"{f}^2" for f in feature_names)
-        names.extend(
-            f"{feature_names[i]}*{feature_names[j]}"
-            for i, j in zip(self._iu, self._ju, strict=True)
-        )
-        return names

@@ -19,13 +19,7 @@ import numpy as np
 from ..workload.job import Job
 from .base import UserHistoryTracker
 
-__all__ = [
-    "FEATURE_NAMES",
-    "N_FEATURES",
-    "STATIC_FEATURE_INDICES",
-    "compute_static_features",
-    "extract_features",
-]
+__all__ = ["FEATURE_NAMES", "N_FEATURES", "compute_static_features", "extract_features"]
 
 _DAY = 86400.0
 _WEEK = 7.0 * _DAY
@@ -56,67 +50,12 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
-#: Columns of :data:`FEATURE_NAMES` that depend only on the job stream
-#: itself -- the job's own description, the per-user submission-request
-#: aggregates, and the time of day/week at release -- never on runtimes,
-#: completions, or anything the scheduler decides.  These are identical
-#: across every cell replaying one trace and can be precomputed once.
-STATIC_FEATURE_INDICES: tuple[int, ...] = (0, 7, 8, 9, 16, 17, 18, 19)
 
-
-def compute_static_features(jobs: Iterable[Job]) -> dict[int, tuple[float, ...]]:
-    """Precompute the schedule-independent feature columns of a trace.
-
-    ``jobs`` must arrive in submission order -- the order SUBMIT events
-    drain, i.e. sorted by (submit_time, job_id) -- so the per-user
-    request aggregates replay exactly the accumulation
-    ``UserHistoryTracker.on_submit`` performs live.  Each row holds the
-    :data:`STATIC_FEATURE_INDICES` values for one job, bit-identical to
-    what :func:`extract_features` would compute at that job's release,
-    keyed by job id.  Rows are tuples of plain floats: unpacking an
-    ``ndarray`` row into eight ``np.float64`` scalars cost the extractor
-    more than computing the columns live.
-    """
-    n_submitted: dict[int, int] = {}
-    sum_processors: dict[int, float] = {}
-    rows: dict[int, tuple[float, ...]] = {}
-    for job in jobs:
-        now = job.submit_time
-        count = n_submitted.get(job.user, 0)
-        total = sum_processors.get(job.user, 0.0)
-        ave_hist_q = total / count if count else 0.0
-        q_over_hist = job.processors / ave_hist_q if ave_hist_q > 0 else 1.0
-        day_angle = 2.0 * math.pi * ((now % _DAY) / _DAY)
-        week_angle = 2.0 * math.pi * ((now % _WEEK) / _WEEK)
-        rows[job.job_id] = (
-            float(job.requested_time),
-            float(job.processors),
-            ave_hist_q,
-            q_over_hist,
-            math.cos(day_angle),
-            math.sin(day_angle),
-            math.cos(week_angle),
-            math.sin(week_angle),
-        )
-        n_submitted[job.user] = count + 1
-        sum_processors[job.user] = total + job.processors
-    return rows
-
-
-def extract_features(
-    job: Job,
-    tracker: UserHistoryTracker,
-    now: float,
-    static: tuple[float, ...] | None = None,
-) -> np.ndarray:
+def extract_features(job: Job, tracker: UserHistoryTracker, now: float) -> np.ndarray:
     """Feature vector for ``job`` released at ``now``.
 
     The tracker must *not* yet include this job's own submission (call
-    ``tracker.on_submit`` after extracting).  ``static`` (optional) is
-    this job's precomputed row from :func:`compute_static_features`,
-    valid only when ``now`` equals the job's submit time and the tracker
-    has replayed exactly the preceding submissions of the same trace;
-    the dynamic columns are always computed live.
+    ``tracker.on_submit`` after extracting).
     """
     state = tracker.state(job.user)
     recent = state.recent_runtimes
@@ -128,30 +67,10 @@ def extract_features(
     ave3 = (last1 + last2 + last3) / n_recent if n_recent else 0.0
     aveall = state.sum_runtimes / state.n_completed if state.n_completed else 0.0
 
-    if static is not None:
-        (
-            requested_time,
-            processors_f,
-            ave_hist_q,
-            q_over_hist,
-            cos_day,
-            sin_day,
-            cos_week,
-            sin_week,
-        ) = static
-    else:
-        requested_time = job.requested_time
-        processors_f = float(job.processors)
-        ave_hist_q = (
-            state.sum_processors / state.n_submitted if state.n_submitted else 0.0
-        )
-        q_over_hist = job.processors / ave_hist_q if ave_hist_q > 0 else 1.0
-        day_angle = 2.0 * math.pi * ((now % _DAY) / _DAY)
-        week_angle = 2.0 * math.pi * ((now % _WEEK) / _WEEK)
-        cos_day = math.cos(day_angle)
-        sin_day = math.sin(day_angle)
-        cos_week = math.cos(week_angle)
-        sin_week = math.sin(week_angle)
+    ave_hist_q = state.sum_processors / state.n_submitted if state.n_submitted else 0.0
+    q_over_hist = job.processors / ave_hist_q if ave_hist_q > 0 else 1.0
+    day_angle = 2.0 * math.pi * ((now % _DAY) / _DAY)
+    week_angle = 2.0 * math.pi * ((now % _WEEK) / _WEEK)
 
     running = state.running
     n_running = len(running)
@@ -173,14 +92,14 @@ def extract_features(
 
     return np.array(
         [
-            requested_time,
+            job.requested_time,
             last1,
             last2,
             last3,
             ave2,
             ave3,
             aveall,
-            processors_f,
+            float(job.processors),
             ave_hist_q,
             q_over_hist,
             ave_curr_q,
@@ -189,10 +108,29 @@ def extract_features(
             total,
             float(occupied),
             break_time,
-            cos_day,
-            sin_day,
-            cos_week,
-            sin_week,
+            math.cos(day_angle),
+            math.sin(day_angle),
+            math.cos(week_angle),
+            math.sin(week_angle),
         ],
         dtype=float,
     )
+
+
+def compute_static_features(jobs: Iterable[Job]) -> dict[int, np.ndarray]:
+    """job_id -> :func:`extract_features` at each job's submit time, over
+    a replay of the submissions alone (``jobs`` in submission order).
+
+    No job starts or finishes in the replay, so only the columns that
+    depend on the job stream alone -- the request, the width, the user's
+    request history, the time of day and week -- equal what a live run
+    extracts.  Nothing in the program reads these rows; the benchmark
+    suite's feature probe (``benchmarks/suite/micro.py``) times this
+    function by name.
+    """
+    tracker = UserHistoryTracker()
+    rows: dict[int, np.ndarray] = {}
+    for job in jobs:
+        rows[job.job_id] = extract_features(job, tracker, job.submit_time)
+        tracker.on_submit(job, job.submit_time)
+    return rows

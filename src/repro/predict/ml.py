@@ -22,8 +22,6 @@ Design notes:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 import numpy as np
 
 from ..sim.results import JobRecord
@@ -60,40 +58,19 @@ class MLPredictor(Predictor):
         )
         #: submission-time basis vectors awaiting their completion label.
         self._pending: dict[int, np.ndarray] = {}
-        #: job_id -> precomputed static feature row (shared, read-only).
-        self._static_rows: Mapping[int, tuple[float, ...]] | None = None
-        #: cumulative training loss (seconds-based), for diagnostics.
-        self.cumulative_loss = 0.0
         self.n_updates = 0
 
-    def bind_static_features(self, rows: Mapping[int, tuple[float, ...]] | None) -> None:
-        """Attach a shared table of precomputed static feature rows.
-
-        Batched campaign runs compute the schedule-independent feature
-        columns once per trace (:meth:`repro.core.batch.TraceBundle
-        .static_rows`) and bind the table to every predictor replaying
-        that trace.  Rows are read-only, keyed by job id, and only valid
-        for submission-time prediction of that exact trace; jobs without
-        a row fall back to live extraction.  ``None`` unbinds.
-        """
-        self._static_rows = rows
-
     # -- Predictor protocol ----------------------------------------------------
-    def _evaluate(
-        self, job: Job, now: float, static: tuple[float, ...] | None
-    ) -> tuple[np.ndarray, float]:
+    def _evaluate(self, job: Job, now: float) -> tuple[np.ndarray, float]:
         """Basis row of ``job`` at ``now`` and the clamped model output."""
-        phi = self._basis.expand(extract_features(job, self._tracker, now, static))
+        phi = self._basis.expand(extract_features(job, self._tracker, now))
         raw = self._optimizer.predict(phi) * self.target_scale
         # max/min in this order let a NaN through to the engine's check
         return phi, min(max(raw, 0.0), job.requested_time)
 
     def predict(self, record: JobRecord, now: float) -> float:
         job = record.job
-        rows = self._static_rows
-        phi, prediction = self._evaluate(
-            job, now, None if rows is None else rows.get(job.job_id)
-        )
+        phi, prediction = self._evaluate(job, now)
         self._tracker.on_submit(job, now)
         self._pending[job.job_id] = phi
         return prediction
@@ -101,10 +78,8 @@ class MLPredictor(Predictor):
     def estimate(self, record: JobRecord, now: float) -> float:
         # read-only twin of predict(): the features are extracted against
         # the current user history but no submission is registered and no
-        # pending label slot is created.  Never consults the bound static
-        # rows -- probes may run at a different `now` than the submit time
-        # the precomputed day/week angles assume.
-        return self._evaluate(record.job, now, None)[1]
+        # pending label slot is created.
+        return self._evaluate(record.job, now)[1]
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._tracker.on_start(record.job, now)
@@ -125,14 +100,13 @@ class MLPredictor(Predictor):
         # The constant 1/target_scale chain factor is absorbed by NAG's
         # AdaGrad normalisation.
         f_seconds = self._optimizer.predict(phi) * self.target_scale
-        value, grad = self.loss.value_and_gradient(
+        _value, grad = self.loss.value_and_gradient(
             f_seconds, runtime, float(job.processors)
         )
         try:
             self._optimizer.update(phi, grad)
         except ValueError as exc:
             raise ValueError(f"job {job.job_id}: {exc}") from None
-        self.cumulative_loss += value
         self.n_updates += 1
 
     # -- diagnostics -----------------------------------------------------------
@@ -140,9 +114,3 @@ class MLPredictor(Predictor):
     def weights(self) -> np.ndarray:
         """Current model weights (copy)."""
         return self._optimizer.w.copy()
-
-    def mean_training_loss(self) -> float:
-        """Average seconds-based loss over the updates so far."""
-        if self.n_updates == 0:
-            return 0.0
-        return self.cumulative_loss / self.n_updates

@@ -141,12 +141,3 @@ class NagOptimizer:
         grad *= self.eta * math.sqrt(self.t / self._norm)
         np.divide(grad, tmp, out=grad, where=where)
         np.subtract(w, grad, out=w, where=where)
-
-    def state_summary(self) -> dict[str, float]:
-        """Diagnostics for tests and reports."""
-        return {
-            "t": float(self.t),
-            "weight_norm": float(np.linalg.norm(self.w)),
-            "seen_coordinates": float(np.count_nonzero(self._scale)),
-            "normalizer": self._norm,
-        }

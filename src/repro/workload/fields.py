@@ -4,15 +4,15 @@ The SWF is the de-facto standard of the Parallel Workloads Archive
 (Feitelson, Tsafrir & Krakov 2014).  Each non-comment line holds 18
 whitespace-separated fields; header comments start with ``;``.
 
-This module centralises field indices and header keys so the parser and
-writer stay in sync.
+This module centralises the field indices so the parser and writer stay
+in sync.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
-__all__ = ["SwfField", "SWF_FIELD_COUNT", "HEADER_KEYS", "STATUS_MEANINGS"]
+__all__ = ["SwfField", "SWF_FIELD_COUNT"]
 
 
 class SwfField(IntEnum):
@@ -39,40 +39,3 @@ class SwfField(IntEnum):
 
 
 SWF_FIELD_COUNT = 18
-
-#: Recognised SWF header directive keys (subset relevant to simulation).
-HEADER_KEYS = (
-    "Version",
-    "Computer",
-    "Installation",
-    "Conversion",
-    "MaxJobs",
-    "MaxRecords",
-    "UnixStartTime",
-    "TimeZoneString",
-    "StartTime",
-    "EndTime",
-    "MaxNodes",
-    "MaxProcs",
-    "MaxRuntime",
-    "MaxMemory",
-    "AllowOveruse",
-    "MaxQueues",
-    "Queues",
-    "Queue",
-    "MaxPartitions",
-    "Partitions",
-    "Partition",
-    "Note",
-)
-
-#: SWF status field semantics.
-STATUS_MEANINGS = {
-    0: "failed",
-    1: "completed",
-    2: "partial-to-be-continued",
-    3: "partial-last",
-    4: "partial-failed",
-    5: "cancelled",
-    -1: "unknown",
-}

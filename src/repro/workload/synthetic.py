@@ -1,18 +1,16 @@
 """Calibrated synthetic workload generation.
 
-:func:`synthesize` turns a :class:`WorkloadModel` into a
-:class:`~repro.workload.trace.Trace`:
+:func:`synthesize` turns a resized :class:`WorkloadModel` (its span and
+its simulation machine fixed) into a :class:`~repro.workload.trace.Trace`:
 
 1. sample a user population (:mod:`repro.workload.usermodel`);
-2. estimate the trace duration needed to hit the target offered load from
-   a pilot sample of job areas;
-3. emit user sessions whose start times follow a non-homogeneous Poisson
+2. emit user sessions whose start times follow a non-homogeneous Poisson
    process with daily and weekly cycles (so the paper's time-of-day /
    time-of-week features carry signal);
-4. rescale runtimes by a single global factor so the achieved offered
+3. rescale runtimes by a single global factor so the achieved offered
    load matches the target (requested times are re-derived afterwards so
    the round-value structure survives);
-5. package everything as a trace, sorted by submit time.
+4. package everything as a trace, sorted by submit time.
 
 The guarantees relied on elsewhere in the code base:
 
@@ -60,6 +58,11 @@ class WorkloadModel:
     estimate_margin_range: tuple[float, float]
     max_requested_hours: float
     failure_prob: float
+    #: machine size of the simulation-sized subsets.  Production machines
+    #: are far larger than a subset trace can saturate, so each log pins a
+    #: scaled-down machine that preserves its width-mix character (see
+    #: DESIGN.md).
+    sim_processors: int
     #: population of minimum-request habits (seconds); the floor below
     #: which each user never bothers to tune their walltime request.
     min_request_choices: tuple[float, float, float, float] = (
@@ -72,12 +75,8 @@ class WorkloadModel:
     #: characteristic submission rate of the system being modelled; used
     #: by :meth:`resized` to keep subset traces at the real log's tempo.
     throughput_jobs_per_day: float = 150.0
-    #: machine size to use for simulation-sized subsets; ``None`` derives
-    #: one from the load calibration.  Production machines are far larger
-    #: than a subset trace can saturate, so each log pins a scaled-down
-    #: machine that preserves its width-mix character (see DESIGN.md).
-    sim_processors: int | None = None
-    #: desired trace span in days; ``None`` lets the load calibration pick.
+    #: trace span in days, set by :meth:`resized`; :func:`synthesize`
+    #: refuses a model without one.
     target_days: float | None = None
 
     def resized(self, n_jobs: int) -> WorkloadModel:
@@ -86,13 +85,12 @@ class WorkloadModel:
         The user population shrinks with the square root of the job count
         so per-user history depth stays comparable across sizes.  The
         target span follows the real log's submission tempo
-        (``n_jobs / throughput_jobs_per_day``), and the *effective*
-        machine size is derived at synthesis time so the target offered
-        load is achievable over that span: full production logs sustain
-        their load with 100x more jobs than a simulation subset, and
-        shrinking the machine proportionally preserves the contention
-        that drives backfilling, which is what the paper's results hinge
-        on (see DESIGN.md, "Substitutions").
+        (``n_jobs / throughput_jobs_per_day``) and the trace runs on the
+        scaled-down ``sim_processors`` machine: full production logs
+        sustain their load with 100x more jobs than a simulation subset,
+        and shrinking the machine preserves the contention that drives
+        backfilling, which is what the paper's results hinge on (see
+        DESIGN.md, "Substitutions").
         """
         if n_jobs <= 0:
             raise ValueError("n_jobs must be positive")
@@ -120,21 +118,21 @@ def arrival_intensity(
     return max(1e-3, day_factor * week_factor)
 
 
-def _pilot_mean_area(profiles: list[UserProfile], rng: np.random.Generator, n: int = 400) -> float:
-    """Estimate the mean job area by sampling sessions without side effects."""
+def _pilot_draws(profiles: list[UserProfile], rng: np.random.Generator, n: int = 400) -> None:
+    """Draw ``n`` jobs' worth of sessions from copies of the profiles.
+
+    What is drawn goes unused: the sessions once estimated a load, and
+    their draws stay in every trace's random stream so that no trace
+    digest moves.
+    """
     import copy
 
-    total_area = 0.0
-    total_jobs = 0
     weights = np.array([p.weight for p in profiles])
     weights = weights / weights.sum()
     scratch = [copy.deepcopy(p) for p in profiles]
-    while total_jobs < n:
-        profile = scratch[int(rng.choice(len(scratch), p=weights))]
-        for sj in profile.generate_session(rng):
-            total_area += sj.runtime * sj.processors
-            total_jobs += 1
-    return total_area / max(1, total_jobs)
+    drawn = 0
+    while drawn < n:
+        drawn += len(scratch[int(rng.choice(len(scratch), p=weights))].generate_session(rng))
 
 
 def _sample_session_starts(
@@ -192,48 +190,19 @@ def _profiles_for(model: WorkloadModel, rng: np.random.Generator, processors: in
 
 def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
     """Generate a synthetic trace realising ``model``. Deterministic in seed."""
-    rng = np.random.default_rng(seed)
-    # Derive the effective machine size.  A production log sustains its
-    # offered load with far more jobs than a simulation subset; to keep the
-    # same *contention* with model.n_jobs jobs over model.target_days days
-    # we shrink the machine (never grow it) until the load is achievable.
-    # Job widths are sampled relative to the machine, so the mix keeps its
-    # character at any size.
-    if model.target_days is not None and model.sim_processors is not None:
-        # Subset mode with a pinned simulation machine: the span and the
-        # machine are fixed, the runtime rescale below absorbs the rest.
-        m_eff = min(model.sim_processors, model.processors)
-        profiles = _profiles_for(model, rng, m_eff)
-        mean_area = _pilot_mean_area(profiles, rng)
-    else:
-        m_cap = (
-            model.processors
-            if model.target_days is None
-            else min(model.processors, 768)
+    if model.target_days is None:
+        raise ValueError(
+            f"model {model.name!r} has no target_days: synthesize a "
+            f"simulation-sized subset, model.resized(n_jobs)"
         )
-        m_eff = m_cap
-        profiles = _profiles_for(model, rng, m_eff)
-        mean_area = _pilot_mean_area(profiles, rng)
-        if model.target_days is not None:
-            span_target = model.target_days * _DAY
-            for _ in range(3):
-                needed_m = mean_area * model.n_jobs / (model.offered_load * span_target)
-                m_new = int(np.clip(round(needed_m), 64, m_cap))
-                if abs(m_new - m_eff) <= max(1, m_eff // 10):
-                    # Converged: keep the machine the profiles were sampled for.
-                    break
-                m_eff = m_new
-                profiles = _profiles_for(model, rng, m_eff)
-                mean_area = _pilot_mean_area(profiles, rng)
-    # Duration that would realise the target load for the expected mix.
-    if model.target_days is not None and model.sim_processors is not None:
-        # Pinned machine: the span is the target span; the runtime rescale
-        # further below makes the load match over it.
-        duration = model.target_days * _DAY
-    else:
-        target_area = mean_area * model.n_jobs
-        duration = target_area / (model.offered_load * m_eff)
-    duration = max(duration, _DAY)
+    rng = np.random.default_rng(seed)
+    # The span and the simulation machine are fixed; the runtime rescale
+    # below makes the offered load match over them.  Job widths are
+    # sampled relative to the machine, so the mix keeps its character.
+    m_eff = min(model.sim_processors, model.processors)
+    profiles = _profiles_for(model, rng, m_eff)
+    _pilot_draws(profiles, rng)
+    duration = max(model.target_days * _DAY, _DAY)
 
     mean_session_len = float(np.mean([p.session_jobs_mean for p in profiles]))
     n_sessions = max(1, int(round(model.n_jobs / mean_session_len)))

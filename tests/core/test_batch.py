@@ -1,12 +1,11 @@
 """Batched campaign execution (repro.core.batch).
 
-The contract under test is the tentpole guarantee: sharing one
-materialised trace bundle (trace + digest + static feature rows) across
-every cell of a trace-identity group changes **nothing** about the
-schedules -- cold per-cell runs and warm shared-bundle runs are
-byte-identical, for every scheduler family x predictor family, and the
-batched campaign path writes exactly the cache rows of the per-cell
-path.
+The contract under test: sharing one materialised trace (and its
+memoised digest) across every cell of a trace-identity group changes
+**nothing** about the schedules -- cold per-cell runs and warm
+shared-trace runs are byte-identical, for every scheduler family x
+predictor family, and the batched campaign path writes exactly the
+cache rows of the per-cell path.
 """
 
 import json
@@ -28,6 +27,7 @@ from repro.core import (
 )
 from repro.dist import LocalBroker
 from repro.spec import CellSpec, WorkloadSpec, expand_spec_file
+from repro.workload import Trace
 
 from tests.helpers import schedule_bytes
 
@@ -99,60 +99,6 @@ class TestByteIdentity:
         warm = [schedule_bytes(spec) for spec in cells]
         assert cold == warm
 
-    def test_static_rows_match_live_extraction(self):
-        """The precomputed static columns equal a live extraction replay
-        bit for bit."""
-        import numpy as np
-
-        from repro.predict.base import UserHistoryTracker
-        from repro.predict.features import (
-            STATIC_FEATURE_INDICES,
-            extract_features,
-        )
-
-        clear_bundle_cache()
-        bundle = get_bundle(WorkloadSpec.make(LOG, n_jobs=N_JOBS, seed=SEED))
-        rows = bundle.static_rows()
-        tracker = UserHistoryTracker()
-        for job in bundle.trace:
-            live = extract_features(job, tracker, job.submit_time)
-            tracker.on_submit(job, job.submit_time)
-            np.testing.assert_array_equal(
-                rows[job.job_id], live[list(STATIC_FEATURE_INDICES)]
-            )
-
-    def test_predictor_replay_with_rows_bound_is_bit_identical(self):
-        """The other half: a whole ``MLPredictor`` replay (predict at
-        submit, learn at completion, jobs overlapping) with the rows bound
-        returns the same floats and ends on the same weights as one that
-        extracts every column live."""
-        import numpy as np
-
-        from repro.predict import E_LOSS, MLPredictor
-        from repro.sim.results import JobRecord
-
-        clear_bundle_cache()
-        bundle = get_bundle(WorkloadSpec.make(LOG, n_jobs=300, seed=SEED))
-        live, bound = MLPredictor(E_LOSS), MLPredictor(E_LOSS)
-        bound.bind_static_features(bundle.static_rows())
-        events = sorted(
-            [(job.submit_time, 0, job.job_id) for job in bundle.trace]
-            + [(job.submit_time + job.runtime, -1, job.job_id) for job in bundle.trace]
-        )
-        records = {job.job_id: JobRecord(job=job) for job in bundle.trace}
-        for now, kind, job_id in events:
-            record = records[job_id]
-            if kind == 0:
-                assert bound.predict(record, now) == live.predict(record, now)
-                for pred in (live, bound):
-                    pred.on_start(record, now)
-            else:
-                for pred in (live, bound):
-                    pred.on_finish(record, now)
-        assert live.n_updates == bound.n_updates == 300
-        assert np.array_equal(live.weights, bound.weights)
-        assert live.cumulative_loss == bound.cumulative_loss
-
 
 class TestGrouping:
     def cells(self):
@@ -211,7 +157,8 @@ class TestBundleCache:
     def test_digest_survives_eviction(self):
         cache = BundleCache(capacity=1)
         workloads = self.workloads(2)
-        first_digest = cache.get(workloads[0]).digest
+        first_digest = cache.digest_of(workloads[0])
+        assert first_digest == cache.get(workloads[0]).digest()
         cache.get(workloads[1])  # evicts workloads[0]
         assert len(cache) == 1
         misses_before = cache.misses
@@ -221,8 +168,15 @@ class TestBundleCache:
     def test_hit_returns_same_bundle_object(self):
         cache = BundleCache(capacity=2)
         workload = self.workloads(1)[0]
-        assert cache.get(workload) is cache.get(workload)
+        trace = cache.get(workload)
+        assert isinstance(trace, Trace)
+        assert cache.get(workload) is trace
         assert cache.hits == 1
+
+    def test_get_bundle_returns_the_shared_trace(self):
+        clear_bundle_cache()
+        workload = self.workloads(1)[0]
+        assert get_bundle(workload) is bundle_cache().get(workload)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
@@ -231,7 +185,7 @@ class TestBundleCache:
     def test_clear_resets_everything(self):
         cache = BundleCache(capacity=2)
         workload = self.workloads(1)[0]
-        cache.get(workload).digest
+        cache.digest_of(workload)
         cache.clear()
         assert len(cache) == 0
         misses_before = cache.misses

@@ -213,3 +213,48 @@ class TestResultCache:
         cache.put("a", 2.0)
         cache.close()
         assert ResultCache(str(path)).get("a") == 2.0
+
+    def test_a_nan_row_is_a_miss(self, tmp_path):
+        path = tmp_path / "cells.jsonl"
+        path.write_text('{"token": "a", "value": NaN}\n{"token": "b", "value": 1.5}\n')
+        cache = ResultCache(str(path))
+        assert cache.get("a") is None
+        assert cache.get("b") == 1.5
+        assert len(cache) == 1
+
+
+class TestParseCacheRecord:
+    @pytest.mark.parametrize(
+        "line, expected",
+        [
+            ('{"token": "t", "value": 2.5}', ("t", 2.5)),
+            ('{"token": "t", "value": 3}', ("t", 3.0)),
+            ('{"token": "t", "value": -0.0}', ("t", -0.0)),
+        ],
+    )
+    def test_a_finite_number_parses(self, line, expected):
+        parsed = campaign_mod.parse_cache_record(line)
+        assert parsed == expected
+        assert type(parsed[1]) is float
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"token": "t", "value": NaN}',
+            '{"token": "t", "value": Infinity}',
+            '{"token": "t", "value": -Infinity}',
+            '{"token": "t", "value": 1e400}',  # overflows to inf
+            pytest.param('{"token": "t", "value": 1' + "0" * 400 + "}", id="1e400-int"),
+            '{"token": "t", "value": true}',
+            '{"token": "t", "value": "2.5"}',
+            '{"token": "t", "value": null}',
+            '{"token": "t", "value": [1.0]}',
+            '{"token": 7, "value": 1.0}',
+            '{"token": null, "value": 1.0}',
+            '{"token": "t"}',
+            "[1.0, 2.0]",
+            '{"token": "t", "val',
+        ],
+    )
+    def test_anything_else_is_torn(self, line):
+        assert campaign_mod.parse_cache_record(line) is None

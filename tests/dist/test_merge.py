@@ -135,6 +135,14 @@ class TestTornTails:
         assert cells == {token("aa"): 1.5, token("bb"): 2.5}
         assert report.torn_lines == 1
 
+    def test_nan_rows_are_torn_not_a_conflict(self, tmp_path):
+        """NaN != NaN, so trusting the rows would raise a false conflict."""
+        for name in ("a.jsonl", "b.jsonl"):
+            write_cache(tmp_path / name, [(token("aa"), float("nan")), (token("bb"), 2.5)])
+        cells, report = merge_caches([str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")])
+        assert cells == {token("bb"): 2.5}
+        assert report.torn_lines == 2
+
     def test_iter_cache_records_counts_trailing_torn(self, tmp_path):
         write_cache(tmp_path / "a.jsonl", [(token("aa"), 1.0)], tail="garbage")
         records, torn = iter_cache_records(str(tmp_path / "a.jsonl"))

@@ -36,15 +36,6 @@ class TestExpansion:
         with pytest.raises(ValueError):
             basis.expand(np.array([1.0, np.nan]))
 
-    def test_term_names(self):
-        basis = PolynomialBasis(2)
-        names = basis.term_names(("a", "b"))
-        assert names == ["1", "a", "b", "a^2", "b^2", "a*b"]
-
-    def test_term_names_length_matches_dim(self):
-        basis = PolynomialBasis(7)
-        assert len(basis.term_names()) == basis.dim
-
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             PolynomialBasis(0)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from repro.predict.base import UserHistoryTracker
-from repro.predict.features import FEATURE_NAMES, N_FEATURES, extract_features
+from repro.predict.features import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    compute_static_features,
+    extract_features,
+)
 
 from tests.helpers import make_job
 
@@ -189,30 +194,18 @@ class TestLastRuntimes:
         assert x[idx("ave2_runtime")] == x[idx("ave3_runtime")] == 200.0
 
 
-class TestStaticRow:
-    def test_row_is_plain_floats_and_replaces_the_eight_columns(self):
-        from repro.predict.features import (
-            STATIC_FEATURE_INDICES,
-            compute_static_features,
-        )
-
+class TestSubmissionReplay:
+    def test_rows_extract_each_job_at_its_submit_time(self):
         jobs = [
-            make_job(job_id=i, submit_time=3600.0 * i, runtime=50.0 * i,
-                     processors=i, user=1 + i % 2)
-            for i in range(1, 9)
+            make_job(job_id=i, submit_time=3600.0 * i, processors=i, user=1 + i % 2)
+            for i in range(1, 7)
         ]
         rows = compute_static_features(jobs)
-        assert all(
-            type(row) is tuple and len(row) == 8 and all(type(v) is float for v in row)
-            for row in rows.values()
-        )
+        assert list(rows) == [job.job_id for job in jobs]
         tracker = UserHistoryTracker()
         for job in jobs:
-            live = extract_features(job, tracker, job.submit_time)
-            bound = extract_features(job, tracker, job.submit_time, rows[job.job_id])
-            assert np.array_equal(live, bound)
-            assert tuple(live[list(STATIC_FEATURE_INDICES)]) == rows[job.job_id]
+            assert np.array_equal(rows[job.job_id], extract_features(job, tracker, job.submit_time))
             tracker.on_submit(job, job.submit_time)
-            tracker.on_start(job, job.submit_time)
-            if job.job_id % 3:
-                tracker.on_finish(job, job.submit_time + job.runtime)
+            assert rows[job.job_id][idx("n_running")] == 0.0
+        # job 5 (user 2) follows that user's jobs 1 and 3
+        assert rows[5][idx("ave_hist_processors")] == (1 + 3) / 2

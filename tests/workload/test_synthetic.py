@@ -86,6 +86,14 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             ARCHIVE["KTH-SP2"].model.resized(0)
 
+    def test_a_model_without_a_span_is_refused(self):
+        """Every caller synthesizes a resized model; a full-size one has no
+        span to fit the trace into, and is refused rather than calibrated."""
+        full = ARCHIVE["KTH-SP2"].model
+        assert full.target_days is None
+        with pytest.raises(ValueError, match=r"KTH-SP2.*resized\("):
+            synthesize(full, seed=1)
+
     def test_requested_times_overestimate_on_average(self):
         trace = synthesize(small_model(), seed=6)
         ratios = [j.requested_time / j.runtime for j in trace]
