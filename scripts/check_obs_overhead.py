@@ -4,12 +4,17 @@
 Reads a traced result of the repo benchmark (``benchmarks/suite/run.py
 --trace 1 --out FILE``) and fails when a run's per-layer
 ``obs.enabled_overhead_pct`` -- what a live ``Telemetry`` registry adds
-to a pass, in percent of the plain pass -- is above the ceiling.  On
-``corrections_narrow`` it read 105-114 while every recorded number was
-its own locked registry call, 40-53 with the per-session tally (PR 17)
+to a pass, in percent of the plain pass -- is above its workload's
+ceiling (a workload without one fails too).  On ``corrections_narrow`` it
+read 105-114 while every recorded number was its own locked registry
+call, 40-53 with a per-session tally handed over once per public call,
 and reads 25-33 since a pass records only what that pass alone can tell
-(PR 23: counters derived at the fold, size histograms sampled one pass
-in sixteen); the ceiling sits between the last two.  Usage::
+(counters derived from the engine's own, size histograms sampled one
+pass in sixteen); the ceiling sits between the last two.  On
+``serve_closed_loop``, one instant per request, it read 31-37 while every
+public session call and every request handed its tally over, and reads
+10-26 since the registry reads the session's and the server's tallies
+where they are kept; the ceiling sits between.  Usage::
 
     python scripts/check_obs_overhead.py layers-corrections_narrow.json
 """
@@ -20,7 +25,7 @@ import json
 import sys
 
 METRIC = "obs.enabled_overhead_pct"
-CEILING = 45.0
+CEILINGS = {"corrections_narrow": 45.0, "serve_closed_loop": 28.0}
 
 
 def main(path: str) -> int:
@@ -29,15 +34,19 @@ def main(path: str) -> int:
     failed = False
     for run in runs:
         value = run.get("per_layer", {}).get(METRIC)
+        ceiling = CEILINGS.get(run.get("workload"))
         label = f"{run.get('workload')} seed {run.get('seed')}: {METRIC}"
-        if value is None:
+        if ceiling is None:
+            print(f"{label}: no ceiling for this workload", file=sys.stderr)
+            failed = True
+        elif value is None:
             print(f"{label} missing (not a traced run?)", file=sys.stderr)
             failed = True
-        elif value > CEILING:
-            print(f"{label} = {value:.1f} > {CEILING:g}", file=sys.stderr)
+        elif value > ceiling:
+            print(f"{label} = {value:.1f} > {ceiling:g}", file=sys.stderr)
             failed = True
         else:
-            print(f"{label} = {value:.1f} <= {CEILING:g}")
+            print(f"{label} = {value:.1f} <= {ceiling:g}")
     return 1 if failed or not runs else 0
 
 

@@ -13,7 +13,7 @@ File rules (per-AST):
 * ``DET003`` -- no environment reads in engine paths.
 * ``DUR001`` -- ``repro.dist`` writes final files via tmp + ``os.replace``.
 * ``ENC001`` -- text-mode ``open()`` must pin ``encoding=``.
-* ``OBS001`` -- hot layers tally privately; ``add_batch`` behind ``enabled``.
+* ``OBS001`` -- hot layers never write the registry; ``attach`` behind ``enabled``.
 * ``OBS002`` -- no ``print()`` in library code.
 * ``IMP001`` -- ``repro.obs`` stays dependency-free.
 
@@ -307,9 +307,9 @@ class Enc001OpenEncoding(FileRule):
 # -- OBS001 -------------------------------------------------------------------
 
 _TELE_RECEIVER = re.compile(r"^(self\.)?_?tele(metry)?$")
-_TELE_MUTATORS = {"inc", "observe", "add_batch", "event"}
-#: one lock round-trip per recorded number: never from the hot layers
-_TELE_PER_RECORD = {"inc", "observe"}
+_TELE_MUTATORS = {"inc", "observe", "add_batch", "attach", "event"}
+#: a registry write: never from the hot layers, whose tallies the registry reads
+_TELE_WRITES = {"inc", "observe", "add_batch"}
 
 
 def _test_checks_enabled(test: ast.expr) -> bool:
@@ -320,14 +320,13 @@ def _test_checks_enabled(test: ast.expr) -> bool:
 
 
 class Obs001UnguardedTelemetry(FileRule):
-    """The hot layers count into a private tally and hand it over with
-    ``add_batch``; a per-record ``inc``/``observe`` is a finding even
-    when guarded.  What they do call sits behind ``if tele.enabled:``,
-    so the disabled path is one attribute check (``span()`` is inert
-    when disabled and needs no guard)."""
+    """The hot layers keep a tally the registry reads: ``inc``/``observe``/
+    ``add_batch`` there is a finding even when guarded.  What they do call
+    (``attach``, once; ``event``) sits behind ``if tele.enabled:``, so the
+    disabled path is one attribute check (``span()`` needs no guard)."""
 
     id = "OBS001"
-    paths = ("src/repro/sim/*", "src/repro/sched/*", "src/repro/predict/*")
+    paths = ("src/repro/sim/*", "src/repro/sched/*", "src/repro/predict/*", "src/repro/serve/*")
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
         for call in _walk_calls(ctx):
@@ -337,11 +336,11 @@ class Obs001UnguardedTelemetry(FileRule):
             receiver = ctx.dotted_name(func.value)
             if receiver is None or not _TELE_RECEIVER.match(receiver):
                 continue
-            if func.attr in _TELE_PER_RECORD:
+            if func.attr in _TELE_WRITES:
                 message = (
-                    "takes the registry lock once per recorded number; count "
-                    "into the session tally; `add_batch` is the one registry "
-                    "call the hot layers make"
+                    "writes the registry from a hot layer; count into the "
+                    "layer's own tally, which the registry reads: `attach`, "
+                    "once, is the one registry call a hot layer makes"
                 )
             elif self._guarded(ctx, call):
                 continue

@@ -6,8 +6,8 @@ Design constraints, in priority order:
    written as ``if tele.enabled: ...`` against either a real
    :class:`Telemetry` or the module-level :data:`NOOP` singleton, so the
    disabled cost is one attribute load and a branch.  The per-event
-   layers (``sim``/``sched``/``predict``) tally privately and reach the
-   registry through :meth:`Telemetry.add_batch`, one lock per public call.
+   layers (``sim``/``serve``) keep a :class:`Tally` for their whole life
+   and attach it once; the registry reads it, so nothing is handed over.
 2. **Mergeable.**  Campaign cells run in pool worker *processes*;
    their metrics come home as plain-dict snapshots and are folded into
    the coordinator's registry with :meth:`Telemetry.merge_snapshot`.
@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 import threading
 import time
-from collections import defaultdict
-from collections.abc import Iterable, Mapping
+import weakref
+from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .sinks import JsonlTraceSink
 
-__all__ = ["Histogram", "Telemetry", "NOOP"]
+__all__ = ["Histogram", "Tally", "Telemetry", "NOOP"]
 
 #: bucket index for values <= 0 (log buckets cannot hold them).
 _ZERO_BUCKET = -1075  # below the exponent of the smallest positive float
@@ -75,9 +75,8 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float, n: int = 1) -> None:
-        """Record ``value``, ``n`` times over."""
+        """Record ``value``, ``n`` times over (the count last, for readers)."""
         value = float(value)
-        self.count += n
         self.total += value * n
         if value < self.min:
             self.min = value
@@ -85,6 +84,7 @@ class Histogram:
             self.max = value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + n
+        self.count += n
 
     @property
     def mean(self) -> float:
@@ -121,7 +121,7 @@ class Histogram:
         if other.max > self.max:
             self.max = other.max
         buckets = self.buckets
-        for index, n in other.buckets.items():
+        for index, n in list(other.buckets.items()):  # one atomic copy: ``other`` may be live
             buckets[index] = buckets.get(index, 0) + n
 
     @classmethod
@@ -134,6 +134,25 @@ class Histogram:
         hist.max = -math.inf if hi is None else float(hi)
         hist.buckets = {int(k): int(n) for k, n in obj.get("buckets", {}).items()}
         return hist
+
+
+class Tally:
+    """Counters and histograms that a hot layer keeps, unlocked, for its
+    whole life and a registry reads (:meth:`Telemetry.attach`)."""
+
+    __slots__ = ("counters", "histograms")
+
+    def __init__(self) -> None:
+        self.counters: defaultdict[str, float] = defaultdict(float)
+        self.histograms: defaultdict[str, Histogram] = defaultdict(Histogram)
+
+    def report(self, counters: defaultdict, histograms: defaultdict) -> None:
+        """Add what was recorded to a read (an empty histogram adds nothing)."""
+        for name, value in list(self.counters.items()):
+            counters[name] += value
+        for name, hist in list(self.histograms.items()):
+            if hist.count:
+                histograms[name].merge(hist)
 
 
 class _Span:
@@ -192,7 +211,8 @@ class Telemetry:
     records as they happen.  ``enabled`` is the registry's switch, not the
     sink's: ``Telemetry(name, enabled=False, trace=sink)`` records no
     counter, histogram or span -- so a campaign's cells run without engine
-    metrics -- and still writes its lifecycle events.
+    metrics -- and still writes its lifecycle events.  A read adds every
+    attached tally to what was recorded here and zeroes nothing.
     """
 
     def __init__(
@@ -203,11 +223,11 @@ class Telemetry:
     ) -> None:
         self.component = component
         self.enabled = enabled
-        self._counters: defaultdict[str, float] = defaultdict(float)
-        #: created on first touch; readers go through ``.get``
-        self._histograms: defaultdict[str, Histogram] = defaultdict(Histogram)
-        #: (histogram, value) -> count handed to add_batch, bucketed on the next read
-        self._pending: defaultdict[tuple[str, float], int] = defaultdict(int)
+        #: what ``inc`` / ``observe`` / ``merge_snapshot`` recorded, and retired tallies
+        self._totals = Tally()
+        #: the tallies of live owners; those of collected ones, to fold into the totals
+        self._tallies: list[Tally] = []
+        self._retired: deque[Tally] = deque()
         self._trace = trace
         self._lock = threading.Lock()
 
@@ -216,42 +236,22 @@ class Telemetry:
         if not self.enabled:
             return
         with self._lock:
-            self._counters[name] += value
+            self._totals.counters[name] += value
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
         with self._lock:
-            self._histograms[name].observe(value)
+            self._totals.histograms[name].observe(value)
 
-    def add_batch(
-        self,
-        counters: Iterable[tuple[str, float]],
-        samples: Mapping[tuple[str, float], int],
-        histograms: Iterable[tuple[str, Histogram]] = (),
-        observations: Iterable[tuple[str, float]] = (),
-    ) -> None:
-        """Record under one lock acquisition: counter increments as (name,
-        amount) pairs, histogram samples as (name, value) -> count, whole
-        histograms to merge by name, single observations as (name, value)
-        pairs.  Zero amounts and empty histograms create nothing.  The
-        samples are for sizes that repeat: they stay an exact tally, one
-        entry per distinct pair, until the registry is next read."""
-        if not self.enabled:
-            return
+    def attach(self, tally: Tally, owner: object) -> None:
+        """Read ``tally`` on every read; once ``owner`` is collected, fold
+        it into the totals and drop it.  A hot layer's one registry call."""
         with self._lock:
-            totals = self._counters
-            for name, value in counters:
-                if value:
-                    totals[name] += value
-            pending = self._pending
-            for key, n in samples.items():
-                pending[key] += n
-            for name, hist in histograms:
-                if hist.count:
-                    self._histograms[name].merge(hist)
-            for name, value in observations:
-                self._histograms[name].observe(value)
+            self._retire()
+            self._tallies.append(tally)
+        # only queued: the collection may fall inside a locked read (a GC pass)
+        weakref.finalize(owner, self._retired.append, tally)
 
     def span(self, name: str, **fields: object) -> _Span | _NoopSpan:
         """Time a block: ``with tele.span("campaign.dispatch"): ...``."""
@@ -269,41 +269,52 @@ class Telemetry:
 
     # -- reading (tests, renderers) ----------------------------------------
     def counter_value(self, name: str, default: float = 0.0) -> float:
-        return self._counters.get(name, default)
+        with self._lock:
+            return self._read()[0].get(name, default)
 
     def histogram(self, name: str) -> Histogram | None:
         with self._lock:
-            return self._settled().get(name)
+            return self._read()[1].get(name)
 
-    def _settled(self) -> dict[str, Histogram]:
-        """The histograms, every batched observation bucketed (lock held)."""
-        for (name, value), n in self._pending.items():
-            self._histograms[name].observe(value, n)
-        self._pending.clear()
-        return self._histograms
+    def _retire(self) -> None:
+        """Fold the tallies of collected owners into the totals (lock held)."""
+        while self._retired:
+            tally = self._retired.popleft()
+            self._tallies.remove(tally)
+            tally.report(self._totals.counters, self._totals.histograms)
+
+    def _read(self) -> tuple[dict[str, float], dict[str, Histogram]]:
+        """Fresh totals plus every attached tally (lock held)."""
+        self._retire()
+        read = Tally()
+        for tally in (self._totals, *self._tallies):
+            tally.report(read.counters, read.histograms)
+        return read.counters, read.histograms
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:
         """A plain-dict, JSON-serialisable copy of everything recorded."""
         with self._lock:
+            counters, histograms = self._read()
             return {
                 "component": self.component,
-                "counters": dict(self._counters),
-                "histograms": {
-                    name: hist.to_obj()
-                    for name, hist in self._settled().items()
-                },
+                "counters": dict(counters),
+                "histograms": {name: hist.to_obj() for name, hist in histograms.items()},
             }
 
     def merge_snapshot(self, snap: dict) -> None:
         """Fold another registry's snapshot into this one (counters and
         histograms add): how per-cell metrics travel home from workers."""
-        if snap:
-            self.add_batch(
-                snap.get("counters", {}).items(),
-                {},
-                ((n, Histogram.from_obj(o)) for n, o in snap.get("histograms", {}).items()),
-            )
+        if not snap or not self.enabled:
+            return
+        with self._lock:
+            for name, value in snap.get("counters", {}).items():
+                if value:
+                    self._totals.counters[name] += value
+            for name, obj in snap.get("histograms", {}).items():
+                hist = Histogram.from_obj(obj)
+                if hist.count:
+                    self._totals.histograms[name].merge(hist)
 
     # -- output ------------------------------------------------------------
     def write(self, directory: str) -> str:

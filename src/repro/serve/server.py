@@ -48,11 +48,10 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, fields
-from functools import cache
 from typing import IO, Any
 
 from ..obs import get_logger
-from ..obs.telemetry import NOOP, Telemetry
+from ..obs.telemetry import NOOP, Tally, Telemetry
 from ..sim.session import MachineEvent, SimSession
 from ..workload.job import Job
 
@@ -62,9 +61,12 @@ __all__ = ["SessionServer", "ServeStats", "build_serve_session", "serve_loop"]
 
 #: Job fields accepted from the wire (everything the dataclass carries).
 _JOB_FIELDS = frozenset(f.name for f in fields(Job))
-_REQUIRED_JOB_FIELDS = ("job_id", "submit_time", "processors", "requested_time")
-#: the counter increment of a request, by command: each name is built once
-_request = cache(lambda cmd: (f"serve.requests.{cmd}", 1))
+#: (field, type) pairs a wire job may carry: never a bool, a string, or a real for an int
+_WIRE_TYPES = frozenset(
+    (f.name, t) for f in fields(Job) for t in (int, float) if t is int or f.type != "int"
+)
+_REQUIRED_JOB_FIELDS = frozenset(("job_id", "submit_time", "processors", "requested_time"))
+_TIMES = ("submit_time", "requested_time", "runtime")
 
 
 @dataclass
@@ -119,21 +121,33 @@ def _finite(value: Any, field: str) -> float:
     return number
 
 
+def _integer(value: Any, field: str) -> int:
+    """``value`` if a JSON integer (a bool, real or string is refused by name)."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_job(payload: Any) -> Job:
+    # a good job is checked in C; the loops only name what is refused
     if not isinstance(payload, dict):
         raise ValueError("job must be an object of SWF-style fields")
-    unknown = set(payload) - _JOB_FIELDS
-    if unknown:
-        raise ValueError(f"unknown job field(s): {', '.join(sorted(unknown))}")
-    missing = [f for f in _REQUIRED_JOB_FIELDS if f not in payload]
-    if missing:
-        raise ValueError(f"job is missing required field(s): {', '.join(missing)}")
+    if not _WIRE_TYPES.issuperset(zip(payload, map(type, payload.values()))):
+        bad = next(f for f, value in payload.items() if (f, type(value)) not in _WIRE_TYPES)
+        if bad not in _JOB_FIELDS:
+            raise ValueError(f"unknown job field {bad!r}")
+        kind = "a number" if (bad, float) in _WIRE_TYPES else "an integer"
+        raise ValueError(f"job {bad} must be {kind}, got {payload[bad]!r}")
+    if not payload.keys() >= _REQUIRED_JOB_FIELDS:
+        missing = ", ".join(sorted(_REQUIRED_JOB_FIELDS - payload.keys()))
+        raise ValueError(f"job is missing required field(s): {missing}")
     data = dict(payload)
     # serving analogue of "runtime unknown until observed": schedule as if
     # the job runs to its requested bound, correct via `complete` later
     data.setdefault("runtime", data["requested_time"])
-    for field in ("submit_time", "requested_time", "runtime"):
-        _finite(data[field], f"job {field}")
+    if not all(map(math.isfinite, map(data.__getitem__, _TIMES))):
+        for field in _TIMES:
+            _finite(data[field], f"job {field}")
     return Job(**data)
 
 
@@ -152,9 +166,11 @@ class SessionServer:
         self.telemetry = telemetry if telemetry is not None else NOOP
         self.stats = ServeStats()
         self.closed = False
-        #: telemetry on: what the request in hand has counted and timed, (name, amount)
-        self._counted: list[tuple[str, float]] = []
-        self._timed: list[tuple[str, float]] = []
+        #: what the server counts and times over its life (None when off)
+        self._tally: Tally | None = None
+        if self.telemetry.enabled:
+            self._tally = Tally()
+            self.telemetry.attach(self._tally, self)
 
     # -- entry points --------------------------------------------------------
     def handle_line(self, line: str) -> dict | None:
@@ -174,33 +190,31 @@ class SessionServer:
 
     def handle(self, request: Any) -> dict:
         self.stats.n_requests += 1
-        tele = self.telemetry
-        if tele.enabled:
-            self._counted.append(("serve.requests.total", 1))
+        tally = self._tally
+        if tally is not None:
+            tally.counters["serve.requests.total"] += 1
         if not isinstance(request, dict) or "cmd" not in request:
             return self._refused(error="request must be an object with a 'cmd'")
         cmd = request["cmd"]
         handler = getattr(self, f"_cmd_{cmd}", None)
         if handler is None:
             return self._refused(cmd=cmd, error=f"unknown command {cmd!r}")
-        t0 = _time.perf_counter() if tele.enabled else 0.0
+        if tally is not None:
+            tally.counters[f"serve.requests.{cmd}"] += 1
+            t0 = _time.perf_counter()
         try:
             response = handler(request)
         except Exception as exc:
             # a malformed or adversarial request must never tear down the
             # session: answer with a structured error and keep serving
-            if tele.enabled:
-                self._counted.append(_request(cmd))
             if isinstance(exc, (ValueError, KeyError, TypeError)):  # a bad request
                 _log.debug("request %r failed: %s", cmd, exc)
                 return self._refused(cmd=cmd, error=str(exc))
             _log.exception("request %r raised unexpectedly", cmd)
             error = f"internal error: {type(exc).__name__}: {exc}"
             return self._refused(cmd=str(cmd), error=error)
-        if tele.enabled:
-            self._counted.append(_request(cmd))
-            self._timed.append(("serve.request.seconds", _time.perf_counter() - t0))
-            self._hand_over()
+        if tally is not None:
+            tally.histograms["serve.request.seconds"].observe(_time.perf_counter() - t0)
         response.setdefault("ok", True)
         response.setdefault("cmd", cmd)
         response.setdefault("now", self.session.now)
@@ -209,15 +223,9 @@ class SessionServer:
     def _refused(self, **fields: Any) -> dict:
         """An ``ok: false`` answer, counted; it ends the request."""
         self.stats.n_errors += 1
-        if self.telemetry.enabled:
-            self._counted.append(("serve.errors", 1))
-            self._hand_over()
+        if self._tally is not None:
+            self._tally.counters["serve.errors"] += 1
         return {"ok": False, **fields}
-
-    def _hand_over(self) -> None:  # one lock per answered request
-        self.telemetry.add_batch(self._counted, {}, (), self._timed)
-        self._counted.clear()
-        self._timed.clear()
 
     # -- commands ------------------------------------------------------------
     def _cmd_submit(self, request: dict) -> dict:
@@ -243,25 +251,25 @@ class SessionServer:
         return {"steps": steps}
 
     def _cmd_query(self, request: dict) -> dict:
-        tele = self.telemetry
+        tally = self._tally
         t0 = _time.perf_counter()
         if "job_id" in request:
-            if tele.enabled:
+            if tally is not None:
                 # warm = the memoised waiting-start table survives from a
                 # previous query at this state; cold pays a profile sweep
                 warm = self.session.query_cache_warm
-                self._counted.append(("serve.query.warm" if warm else "serve.query.cold", 1))
-            answer = self.session.query(job_id=int(request["job_id"]))
+                tally.counters["serve.query.warm" if warm else "serve.query.cold"] += 1
+            answer = self.session.query(job_id=_integer(request["job_id"], "job_id"))
         elif "job" in request:
-            if tele.enabled:
-                self._counted.append(("serve.query.probe", 1))
+            if tally is not None:
+                tally.counters["serve.query.probe"] += 1
             answer = self.session.query(_parse_job(request["job"]))
         else:
             raise ValueError("query needs a 'job_id' or a 'job'")
         elapsed_us = (_time.perf_counter() - t0) * 1e6
         self.stats.n_queries += 1
-        if tele.enabled:
-            self._timed.append(("serve.query.seconds", elapsed_us / 1e6))
+        if tally is not None:
+            tally.histograms["serve.query.seconds"].observe(elapsed_us / 1e6)
         # a held job (wider than the undrained capacity) estimates inf,
         # which strict JSON cannot carry: send null instead
         finite = math.isfinite(answer.start_time)
@@ -279,7 +287,7 @@ class SessionServer:
             raise ValueError("complete needs a 'job_id'")
         when = request.get("time")
         record = self.session.complete(
-            int(request["job_id"]), None if when is None else _finite(when, "time")
+            _integer(request["job_id"], "job_id"), None if when is None else _finite(when, "time")
         )
         return {
             "job_id": record.job_id,
@@ -299,7 +307,7 @@ class SessionServer:
         event = MachineEvent(
             time=_finite(request.get("time", self.session.now), "time"),
             kind=request.get("kind", ""),
-            processors=int(request.get("processors", 0)),
+            processors=_integer(request.get("processors", 0), "processors"),
         )
         self.session.feed_machine_event(event)
         return {"kind": event.kind, "processors": event.processors, "at": event.time}

@@ -56,7 +56,7 @@ from math import inf, isfinite
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..obs.telemetry import NOOP, Histogram
+from ..obs.telemetry import NOOP, Tally
 from ..workload.job import Job
 from .events import EventQueue, EventType
 from .machine import Machine
@@ -82,12 +82,11 @@ _FINISH, _EXPIRE, _SUBMIT, _MACHINE = EventType
 #: registry counters a session feeds, by slot of ``_Tally.counts`` (the
 #: first four are indexed by event kind), and the slots of the rest
 _COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType) + (
-    "engine.time.predict.seconds", "engine.time.sched.seconds", "engine.sched.passes",
+    "engine.time.predict.seconds", "engine.time.sched.seconds",
     "engine.sched.jobs_started", "engine.sched.backfill_starts", "engine.sched.hold_passes",
     "predict.finished", "predict.underestimates",
 )
-_PREDICT_S, _SCHED_S, _PASSES, _STARTED, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(4, 12)
-_NO_COUNTS = (0,) * len(_COUNTERS)
+_PREDICT_S, _SCHED_S, _STARTED, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(4, 11)
 _SAMPLE_STRIDE = 16  #: the ``engine.sched.<size>`` histograms sample passes 1 modulo this
 
 
@@ -162,21 +161,20 @@ class SessionSnapshot:
     stats: EngineStats
 
 
-class _Tally:
-    """What a session recorded since its last fold, in plain unlocked
-    containers; a public session call hands it to the registry on return.
-    The pass count and the expire storms of one are read off ``EngineStats``
-    at the fold.  Nothing grows with the number of jobs processed in between:
-    sizes are counted per (histogram, value), the error is a histogram."""
+class _Tally(Tally):
+    """What a session records over its life: counter slots, the error, sizes
+    per (histogram, value) -- nothing grows with the jobs processed.  The pass
+    count and the expire storms of one are read off ``EngineStats``."""
 
-    __slots__ = ("counts", "samples", "abs_error", "passes", "corrections")
+    __slots__ = ("stats", "counts", "samples", "abs_error", "corrections")
 
-    def __init__(self) -> None:
-        self.counts: list[float] = list(_NO_COUNTS)
-        #: (histogram name, value) -> count since the last fold, integer sizes
+    def __init__(self, stats: EngineStats) -> None:
+        super().__init__()
+        self.stats = stats
+        self.counts: list[float] = [0] * len(_COUNTERS)
         self.samples: dict[tuple[str, float], int] = {}
-        self.abs_error = Histogram()
-        self.passes = self.corrections = 0  # of ``EngineStats``, accounted for so far
+        self.abs_error = self.histograms["predict.abs_error.seconds"]
+        self.corrections = 0  # of ``stats.n_corrections``: those in storms of two and more
 
     def sample(self, name: str, size: float) -> None:
         self.samples[name, size] = self.samples.get((name, size), 0) + 1
@@ -192,22 +190,18 @@ class _Tally:
             self.counts[_UNDER] += 1
         self.abs_error.observe(abs(error))
 
-    def fold(self, telemetry: Telemetry, stats: EngineStats) -> None:
-        """Hand what was recorded to ``telemetry`` (one lock) and zero in place."""
-        counts = self.counts
-        counts[_PASSES] = stats.n_scheduling_passes - self.passes
-        if any(counts) and telemetry.enabled:  # a sample never comes without a count
-            ones = stats.n_corrections - self.corrections  # the loop accounts for larger storms
-            if ones:
-                self.samples["engine.expire_storm.size", 1] = ones
-            self.passes, self.corrections = stats.n_scheduling_passes, stats.n_corrections
-            errors = self.abs_error
-            counters = zip(_COUNTERS, counts, strict=True)
-            telemetry.add_batch(counters, self.samples, (("predict.abs_error.seconds", errors),))
-            counts[:] = _NO_COUNTS
-            self.samples.clear()
-            if errors.count:
-                self.abs_error = Histogram()
+    def report(self, counters, histograms) -> None:
+        super().report(counters, histograms)
+        stats = self.stats
+        slots = (*zip(_COUNTERS, self.counts), ("engine.sched.passes", stats.n_scheduling_passes))
+        for name, value in slots:
+            if value:
+                counters[name] += value
+        for (name, size), n in list(self.samples.items()):
+            histograms[name].observe(size, n)
+        ones = stats.n_corrections - self.corrections  # the loop samples the larger storms
+        if ones > 0:
+            histograms["engine.expire_storm.size"].observe(1, ones)
 
 
 class SimSession:
@@ -231,16 +225,18 @@ class SimSession:
             raise ValueError("min_prediction must be positive")
         if not start_time >= 0:
             raise ValueError(f"start_time must be >= 0, got {start_time}")
-        #: instrumentation registry, current whenever a public call has
-        #: returned: the loop counts into ``_tally`` (None when off)
         self.telemetry = telemetry if telemetry is not None else NOOP
-        self._tally = _Tally() if self.telemetry.enabled else None
         self.scheduler = scheduler
         self.predictor = predictor
         self.corrector = corrector
         self.min_prediction = float(min_prediction)
         self.trace_name = trace_name
         self.stats = EngineStats()
+        #: what the loop counts over the session's life (None when off)
+        self._tally: _Tally | None = None
+        if self.telemetry.enabled:
+            self._tally = _Tally(self.stats)
+            self.telemetry.attach(self._tally, self)
         self._machine = Machine(processors)
         self._events = EventQueue()
         self._records: dict[int, JobRecord] = {}
@@ -378,11 +374,7 @@ class SimSession:
         exactly one iteration of the batch loop.  Returns None (having
         run at most a pass it owed) when no events are pending.
         """
-        try:
-            return self._now if self._process_timestamps(inf, 1) else None
-        finally:
-            if self._tally is not None:
-                self._tally.fold(self.telemetry, self.stats)
+        return self._now if self._process_timestamps(inf, 1) else None
 
     def advance_to(self, time: float) -> int:
         """Process every timestamp up to and including ``time``; move the
@@ -391,11 +383,7 @@ class SimSession:
             raise MonotonicityError(
                 f"cannot advance to t={time}, behind the session clock t={self._now}"
             )
-        try:
-            steps = self._process_timestamps(time)
-        finally:
-            if self._tally is not None:
-                self._tally.fold(self.telemetry, self.stats)
+        steps = self._process_timestamps(time)
         if time > self._now:
             self._now = float(time)
             self._query_cache = None
@@ -403,11 +391,7 @@ class SimSession:
 
     def drain(self) -> int:
         """Process everything pending; returns timestamps processed."""
-        try:
-            return self._process_timestamps(inf)
-        finally:
-            if self._tally is not None:
-                self._tally.fold(self.telemetry, self.stats)
+        return self._process_timestamps(inf)
 
     # -- queries -------------------------------------------------------------
     def query(
@@ -487,33 +471,29 @@ class SimSession:
             time = self._now
         elif not time >= self._now:
             raise MonotonicityError(f"cannot complete at t={time}, behind the clock t={self._now}")
-        try:
-            self._process_timestamps(time)
-            self._now = float(time)
-            self._query_cache = None
-            if not self._machine.is_running(job_id):
-                if record.finished:
-                    return record
-                raise ValueError(
-                    f"job {job_id} is not running at t={time}; only running jobs "
-                    "can be completed externally"
-                )
-            record.observed_runtime = max(time - record.start_time, 1e-9)
-            record.version += 1  # pending EXPIRE events become stale
-            self._machine.finish(job_id, time)
-            self._pass_owed = True  # from here on, whatever raises before it runs
-            t0 = perf_counter()
-            self.predictor.on_finish(record, time)
-            if self._tally is not None:
-                self._tally.counts[_PREDICT_S] += perf_counter() - t0
-                self._tally.note_outcome(record, record.observed_runtime)
-            self.scheduler.on_finish(record)
-            self._pass_owed = False
-            self._schedule_pass(time)
-            return record
-        finally:
-            if self._tally is not None:
-                self._tally.fold(self.telemetry, self.stats)
+        self._process_timestamps(time)
+        self._now = float(time)
+        self._query_cache = None
+        if not self._machine.is_running(job_id):
+            if record.finished:
+                return record
+            raise ValueError(
+                f"job {job_id} is not running at t={time}; only running jobs "
+                "can be completed externally"
+            )
+        record.observed_runtime = max(time - record.start_time, 1e-9)
+        record.version += 1  # pending EXPIRE events become stale
+        self._machine.finish(job_id, time)
+        self._pass_owed = True  # from here on, whatever raises before it runs
+        t0 = perf_counter()
+        self.predictor.on_finish(record, time)
+        if self._tally is not None:
+            self._tally.counts[_PREDICT_S] += perf_counter() - t0
+            self._tally.note_outcome(record, record.observed_runtime)
+        self.scheduler.on_finish(record)
+        self._pass_owed = False
+        self._schedule_pass(time)
+        return record
 
     def observe_completion(self, job: Job, runtime: float) -> None:
         """Feed an out-of-band completion to the predictor only.
@@ -681,7 +661,7 @@ class SimSession:
         else:
             tally = self._tally
             counts = tally.counts
-            if n_corrected > 1:  # the storms of one are what the fold finds unaccounted
+            if n_corrected > 1:  # the storms of one are what a read finds unaccounted
                 tally.sample("engine.expire_storm.size", n_corrected)
                 tally.corrections += n_corrected
             t0 = perf_counter()

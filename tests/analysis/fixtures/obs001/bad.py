@@ -1,6 +1,6 @@
 # dest: src/repro/sim/fixture.py
-"""Known-bad OBS001 corpus: per-record registry calls (guarded or not)
-and batch hand-overs outside the body of an enabled guard."""
+"""Known-bad OBS001 corpus: registry writes (guarded or not) and
+attachments outside the body of an enabled guard."""
 
 
 def record(tele, n: int) -> None:
@@ -12,16 +12,16 @@ def guarded_is_still_per_record(tele, n: int) -> None:
         tele.inc("engine.events", n)  # caught
 
 
-def under_the_disabled_branch(telemetry, counters: dict) -> None:
+def under_the_disabled_branch(telemetry, tally, owner) -> None:
     if not telemetry.enabled:
-        telemetry.add_batch(counters.items(), {})  # caught
+        telemetry.attach(tally, owner)  # caught
 
 
-def in_the_else_branch(telemetry, counters: dict) -> None:
+def in_the_else_branch(telemetry, tally, owner) -> None:
     if telemetry.enabled:
         pass
     else:
-        telemetry.add_batch(counters.items(), {})  # caught
+        telemetry.attach(tally, owner)  # caught
 
 
 class Engine:
@@ -34,3 +34,8 @@ class Engine:
 
     def fold(self) -> None:
         self.telemetry.add_batch([("engine.sched.passes", self.passes)], {})  # caught
+
+    def guarded_hand_over(self) -> None:
+        tele = self.telemetry
+        if tele.enabled:
+            tele.add_batch([("engine.sched.passes", self.passes)], {})  # caught

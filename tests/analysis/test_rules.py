@@ -74,13 +74,22 @@ class TestFindingDetails:
         fixture_repo.add_corpus(_corpus("OBS001", "bad"))
         findings, _ = fixture_repo.check()
         findings = of_rule(findings, "OBS001")
-        per_record = [f for f in findings if "session tally" in f.message]
+        writes = [f for f in findings if "writes the registry" in f.message]
         unguarded = [f for f in findings if "outside an `if" in f.message]
-        # inc (bare), inc (guarded -- still a finding), observe; add_batch
-        # bare, under `if not ....enabled:` and in the else of the guard
-        assert len(per_record) == 3 and len(unguarded) == 3
-        assert all("add_batch" in f.message for f in unguarded)
-        assert len(findings) == 6
+        # inc (bare), inc (guarded -- still a finding), observe, add_batch
+        # (bare and guarded); attach under `if not ....enabled:` and in the
+        # else of the guard
+        assert len(writes) == 5 and len(unguarded) == 2
+        assert sum("add_batch" in f.message for f in writes) == 2
+        assert all("attach" in f.message for f in unguarded)
+        assert len(findings) == 7
+
+    @pytest.mark.parametrize("layer", ["sim", "sched", "predict", "serve"])
+    def test_obs001_covers_every_hot_layer(self, layer, fixture_repo):
+        corpus = (FIXTURES / "obs001" / "bad.py").read_text(encoding="utf-8")
+        fixture_repo.add(f"src/repro/{layer}/fixture.py", corpus)
+        findings, _ = fixture_repo.check()
+        assert len(of_rule(findings, "OBS001")) == 7
 
     def test_rules_out_of_scope_are_silent(self, fixture_repo):
         # a DET001-bad file placed outside the engine paths is none of
@@ -115,24 +124,25 @@ class TestImportMap:
 
 
 class TestObs001Guards:
-    """A batch hand-over is guarded only inside the body of a test that is
+    """An attachment is guarded only inside the body of a test that is
     ``X.enabled`` or an ``and`` with it as a conjunct."""
 
     @pytest.mark.parametrize(
         ("snippet", "caught"),
         [
-            ("while tele.enabled:\n        tele.add_batch([], {})", False),
-            ("_ = tele.add_batch([], {}) if tele.enabled else None", False),
-            ("_ = None if tele.enabled else tele.add_batch([], {})", True),
-            ("if tele.enabled or flag:\n        tele.add_batch([], {})", True),
-            ("if tele.enabled:\n        pass\n    elif flag:\n        tele.add_batch([], {})",
+            ("while tele.enabled:\n        tele.attach(tally, owner)", False),
+            ("_ = tele.attach(tally, owner) if tele.enabled else None", False),
+            ("_ = None if tele.enabled else tele.attach(tally, owner)", True),
+            ("if tele.enabled or flag:\n        tele.attach(tally, owner)", True),
+            ("if tele.enabled:\n        pass\n    elif flag:\n        tele.attach(tally, owner)",
              True),
         ],
         ids=["while-body", "ternary-body", "ternary-else", "or-test", "elif-of-the-guard"],
     )
     def test_guard_shape(self, snippet, caught, fixture_repo):
         fixture_repo.add(
-            "src/repro/sim/fixture.py", f"def fold(tele, flag) -> None:\n    {snippet}\n"
+            "src/repro/sim/fixture.py",
+            f"def attach(tele, tally, owner, flag) -> None:\n    {snippet}\n",
         )
         findings, _ = fixture_repo.check()
         assert bool(of_rule(findings, "OBS001")) is caught

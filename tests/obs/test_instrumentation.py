@@ -8,6 +8,7 @@ own visible outcome (jobs in == jobs finished == predictions scored).
 
 from __future__ import annotations
 
+import gc
 import json
 from math import ceil
 
@@ -471,19 +472,22 @@ class TestRegistryIsCurrent:
             assert other["buckets"] == {k: 2 * n for k, n in hist["buckets"].items()}
 
     @pytest.mark.parametrize("telemetry", [None, Telemetry(enabled=False)])
-    def test_a_telemetry_off_session_tallies_and_folds_nothing(
+    def test_a_telemetry_off_session_keeps_and_attaches_no_tally(
         self, telemetry, monkeypatch
     ):
-        def no_fold(self, counters, samples):
+        def no_call(*_args):
             raise AssertionError("a telemetry-off session reached the registry")
 
-        monkeypatch.setattr(Telemetry, "add_batch", no_fold)
+        for name in ("attach", "inc", "observe"):
+            monkeypatch.setattr(Telemetry, name, no_call)
         session = _fed_session(_spec("ave2|incremental|easy-sjbf", 40), telemetry)
         assert session._tally is None
         session.step()
         session.advance_to(session.now + 60.0)
         session.drain()
-        assert session.telemetry.snapshot()["counters"] == {}
+        snap = session.telemetry.snapshot()
+        assert snap["counters"] == {} and snap["histograms"] == {}
+        assert not session.telemetry._tallies
 
     def test_a_failed_instant_keeps_its_consumed_events_on_the_books(self):
         """An event that raises mid-instant never reaches the scheduling
@@ -532,32 +536,52 @@ class TestRegistryIsCurrent:
 
 
 class TestTallyIsBounded:
-    def test_one_drain_of_3000_jobs_never_holds_a_per_job_container(self, monkeypatch):
-        """What a session holds between folds is bounded by the machine
-        and the queue, not by how many jobs the call processed."""
-        handed_over: list[int] = []
-        add_batch = Telemetry.add_batch
-
-        def measuring(self, counters, samples, histograms=()):
-            counters = list(counters)
-            handed_over.extend([len(counters), len(samples)])
-            handed_over.extend(len(hist.buckets) for _name, hist in histograms)
-            add_batch(self, counters, samples, histograms)
-
-        monkeypatch.setattr(Telemetry, "add_batch", measuring)
+    def test_one_drain_of_3000_jobs_never_holds_a_per_job_container(self):
+        """What a session keeps for its whole life is bounded by the
+        machine and the queue, not by how many jobs it processed."""
         tele = Telemetry(component="test")
         session = _fed_session(_spec("ave2|incremental|easy-sjbf", n_jobs=3000), tele)
-        session.drain()  # one public call: the tally only grew until its one fold
-        kept_until_read = len(tele._pending)  # the registry's own (name, value) tally
+        session.drain()
         assert tele.counter_value("predict.finished") == 3000
-        n_buckets = len(tele.histogram("predict.abs_error.seconds").buckets)
+        tally = session._tally
+        assert tele._tallies == [tally]  # attached once, at construction
+        n_buckets = len(tally.abs_error.buckets)
         bound = session.stats.max_queue_length + session.machine.processors + n_buckets
         assert bound < 3000 // 4
-        assert len(handed_over) == 3  # counters, samples, the error histogram: one fold
-        assert max(handed_over) <= bound and 0 < kept_until_read <= bound
-        assert not tele._pending  # histogram() read it into the buckets
-        tally = session._tally
-        assert not any(tally.counts) and not tally.samples and not tally.abs_error.count
+        assert 0 < len(tally.samples) <= bound and len(tally.counts) == 11
+        assert tally.abs_error.count == 3000  # a read folds nothing out of the tally
+
+    def test_dropped_sessions_retire_into_the_registry(self):
+        """500 sessions built and dropped on one registry: the registry
+        keeps only the tallies of sessions still alive, and its totals are
+        500 times one session's."""
+        spec = _spec("ave2|incremental|easy-sjbf", n_jobs=20)
+        trace = build_workload(spec.workload)
+
+        def drained(telemetry: Telemetry) -> None:
+            session = SimSession(trace.processors, *spec.build_components(), telemetry=telemetry)
+            session.feed(trace)
+            session.drain()
+
+        alone = Telemetry(component="test")
+        drained(alone)
+        shared = Telemetry(component="test")
+        for _ in range(500):
+            drained(shared)
+            assert len(shared._tallies) <= 2  # an attach retires what was collected
+        gc.collect()
+        shared.snapshot()
+        assert shared._tallies == []
+        want, got = alone.snapshot(), shared.snapshot()
+        for name, value in want["counters"].items():
+            if name not in TestSnapshotPins.TIMERS:
+                assert got["counters"][name] == 500 * value, name
+        assert set(got["histograms"]) == set(want["histograms"])
+        for name, hist in want["histograms"].items():
+            other = got["histograms"][name]
+            assert other["count"] == 500 * hist["count"], name
+            assert (other["min"], other["max"]) == (hist["min"], hist["max"]), name
+            assert other["buckets"] == {k: 500 * n for k, n in hist["buckets"].items()}, name
 
 
 class TestCellReport:

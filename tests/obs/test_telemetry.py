@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.obs import NOOP, Histogram, Telemetry
-from repro.obs.telemetry import _ZERO_BUCKET, bucket_bound, bucket_index
+from repro.obs.telemetry import _ZERO_BUCKET, Tally, bucket_bound, bucket_index
 
 
 class TestBuckets:
@@ -176,72 +177,94 @@ _RECORDINGS = st.lists(
 )
 
 
-class TestAddBatch:
-    @given(_RECORDINGS, st.integers(min_value=1, max_value=5))
-    def test_equals_the_same_data_recorded_one_call_at_a_time(self, recordings, n_batches):
-        """Any interleaving of ``inc``/``observe`` leaves the registry in
-        the state the same data reaches through ``add_batch``, however it
-        is cut into batches (empty ones included)."""
-        direct, batched = Telemetry(component="t"), Telemetry(component="t")
-        batches = [({}, {}, {}) for _ in range(n_batches)]
+class _Owner:
+    """Something a tally lives as long as (a session, a server)."""
+
+
+def _attached(tele: Telemetry) -> tuple[Tally, _Owner]:
+    tally, owner = Tally(), _Owner()
+    tele.attach(tally, owner)
+    return tally, owner
+
+
+def _assert_same_registry(got: dict, want: dict, integral: set[str] = frozenset()) -> None:
+    """Equal counters and histograms; a sum of reals only to rounding."""
+    assert got["counters"] == want["counters"]
+    assert set(got["histograms"]) == set(want["histograms"])
+    for name, hist in want["histograms"].items():
+        other = dict(got["histograms"][name])
+        total = other.pop("sum")
+        if name in integral:
+            assert total == hist["sum"], name
+        else:
+            assert total == pytest.approx(hist["sum"], rel=1e-12, abs=1e-12), name
+        assert other == {k: v for k, v in hist.items() if k != "sum"}, name
+
+
+class TestAttach:
+    @given(_RECORDINGS, st.integers(min_value=1, max_value=4), st.integers(0, 3))
+    def test_equals_the_same_data_recorded_one_call_at_a_time(
+        self, recordings, n_tallies, n_collected
+    ):
+        """Any interleaving of ``inc``/``observe`` reads the same as the
+        same data recorded in attached tallies, read at any point, with
+        any of the owners collected before the read (their tallies folded
+        in), and an empty histogram creates nothing."""
+        direct, read = Telemetry(component="t"), Telemetry(component="t")
+        attached = [_attached(read) for _ in range(n_tallies)]
         for i, (op, name, value, *rest) in enumerate(recordings):
-            counters, samples, histograms = batches[i % n_batches]
+            tally = attached[i % n_tallies][0]
             if op == "inc":
                 direct.inc(name, value)
-                counters[name] = counters.get(name, 0) + value
+                tally.counters[name] += value
                 continue
             for _ in range(rest[0]):
                 direct.observe(name, value)
-            if name == "z":  # handed over as a session-owned histogram
-                histograms.setdefault(name, Histogram()).observe(value, rest[0])
-            else:  # handed over as (name, value) -> count
-                samples[name, value] = samples.get((name, value), 0) + rest[0]
-        for counters, samples, histograms in batches:
-            counters["never"] = 0  # zero amounts and empty histograms create nothing
-            batched.add_batch(counters.items(), samples, [*histograms.items(), ("no", Histogram())])
-        want, got = direct.snapshot(), batched.snapshot()
-        assert got["counters"] == want["counters"]
-        assert set(got["histograms"]) == set(want["histograms"])
-        for name, hist in want["histograms"].items():
-            other = dict(got["histograms"][name])
-            integral = all(
-                float(value).is_integer()
-                for op, n, value, *_ in recordings
-                if op == "observe" and n == name
-            )
-            total = other.pop("sum")
-            if integral:
-                assert total == hist["sum"], name
-            else:
-                assert total == pytest.approx(hist["sum"], rel=1e-12, abs=1e-12), name
-            assert other == {k: v for k, v in hist.items() if k != "sum"}, name
+            tally.histograms[name].observe(value, rest[0])
+            if i == len(recordings) // 2:
+                read.snapshot()  # a read in between zeroes nothing
+        attached[0][0].histograms["no"] = Histogram()
+        del attached[:n_collected]
+        gc.collect()
+        integral = {
+            name for op, name, value, *_ in recordings if op == "observe"
+        } - {
+            name for op, name, value, *_ in recordings
+            if op == "observe" and not float(value).is_integer()
+        }
+        want = direct.snapshot()
+        _assert_same_registry(read.snapshot(), want, integral)
+        _assert_same_registry(read.snapshot(), want, integral)
+        assert len(read._tallies) == max(0, n_tallies - n_collected)
 
-    def test_batched_observations_are_bucketed_on_the_next_read(self):
-        """``add_batch`` keeps its observations as an exact tally -- one
-        entry per distinct (name, value), however many batches -- and
-        every reader sees them bucketed."""
+    def test_a_read_zeroes_nothing_and_sees_what_came_after(self):
         tele = Telemetry(component="t")
-        for _ in range(1000):
-            tele.add_batch((), {("depth", 3): 2, ("depth", 4): 1})
-        assert len(tele._pending) == 2
-        hist = tele.histogram("depth")
-        assert (hist.count, hist.total, hist.min, hist.max) == (3000, 10000.0, 3.0, 4.0)
-        assert hist.buckets == {2: 3000} and not tele._pending
-        tele.add_batch((), {("depth", 9): 1})
+        tally, _owner = _attached(tele)
+        tally.counters["n"] += 2
+        tally.histograms["depth"].observe(3, 2)
+        assert tele.counter_value("n") == 2 and tele.histogram("depth").count == 2
+        assert tally.counters == {"n": 2} and tally.histograms["depth"].count == 2
+        tally.counters["n"] += 1
+        tele.inc("n", 10)
+        tally.histograms["depth"].observe(9)
         tele.observe("depth", 0.5)
-        assert tele.snapshot()["histograms"]["depth"]["buckets"] == {"-1": 1, "2": 3000, "4": 1}
+        assert tele.counter_value("n") == 13
+        assert tele.snapshot()["histograms"]["depth"]["buckets"] == {"-1": 1, "2": 2, "4": 1}
+        assert tele.counter_value("absent", default=-1.0) == -1.0
+        assert tele.histogram("absent") is None
 
-    def test_single_observations_are_bucketed_at_once(self):
-        """The fourth argument is for reals that never repeat (latencies):
-        they go straight into the buckets, as ``observe`` puts them."""
-        direct, batched = Telemetry(component="t"), Telemetry(component="t")
-        for value in (0.25, 3e-5, 0.25, 7.0):
-            direct.observe("lat", value)
-        batched.add_batch([("n", 1)], {}, (), [("lat", 0.25), ("lat", 3e-5)])
-        batched.add_batch((), {}, observations=[("lat", 0.25), ("lat", 7.0)])
-        assert not batched._pending
-        assert batched.snapshot()["histograms"] == direct.snapshot()["histograms"]
-        assert batched.counter_value("n") == 1
+    def test_a_collected_owners_tally_is_folded_in_once_and_dropped(self):
+        tele = Telemetry(component="t")
+        tally, owner = _attached(tele)
+        tally.counters["n"] += 5
+        tally.histograms["depth"].observe(4)
+        before = tele.snapshot()
+        del owner
+        gc.collect()
+        assert tele.snapshot() == before  # folded, not lost and not doubled
+        assert not tele._tallies and not tele._retired
+        tally.counters["n"] += 1  # nobody reads a retired tally
+        assert tele.counter_value("n") == 5
 
     def test_histogram_merge_is_the_same_with_and_without_the_json(self):
         a, b, c = Histogram(), Histogram(), Histogram()
@@ -254,22 +277,32 @@ class TestAddBatch:
         assert b.to_obj() == c.to_obj()
         assert (b.count, b.min, b.max, b.total) == (5, 0.0, 64.0, 131.5)
 
-    def test_batches_and_single_calls_from_two_threads_lose_nothing(self):
-        """The worker heartbeat records from its own thread while the
-        main thread folds: that is why ``add_batch`` takes the lock."""
+    def test_merges_attachments_and_single_calls_from_threads_lose_nothing(self):
+        """The worker heartbeat records from its own thread while the main
+        thread merges cell snapshots and sessions come and go: every
+        recording call and every attach takes the lock."""
         tele = Telemetry(component="t")
         rounds = 2000
+        cell = {"counters": {"n": 2, "merges": 1}, "histograms": {}}
+        cell["histograms"]["h"] = {"count": 3, "sum": 3.0, "min": 1.0, "max": 1.0,
+                                   "buckets": {"0": 3}}
 
-        def fold():
+        def merge():
             for _ in range(rounds):
-                tele.add_batch([("n", 2), ("folds", 1)], {("h", 1.0): 3})
+                tele.merge_snapshot(cell)
 
         def single():
             for _ in range(rounds):
                 tele.inc("n")
                 tele.observe("h", 1.0)
 
-        threads = [threading.Thread(target=fn) for fn in (fold, single, fold, single)]
+        def sessions():
+            for _ in range(rounds // 10):
+                tally, _owner = _attached(tele)
+                tally.counters["attached"] += 1
+                tally.histograms["h"].observe(1.0, 2)
+
+        threads = [threading.Thread(target=fn) for fn in (merge, single, merge, single, sessions)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -280,18 +313,21 @@ class TestAddBatch:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
+        gc.collect()
         assert tele.counter_value("n") == 2 * rounds * 3
-        assert tele.counter_value("folds") == 2 * rounds
+        assert tele.counter_value("merges") == 2 * rounds
+        assert tele.counter_value("attached") == rounds // 10
         hist = tele.histogram("h")
-        assert (hist.count, hist.total) == (2 * rounds * 4, 2 * rounds * 4.0)
-        assert hist.buckets == {0: 2 * rounds * 4}
+        n = 2 * rounds * 4 + 2 * (rounds // 10)
+        assert (hist.count, hist.total) == (n, float(n))
+        assert hist.buckets == {0: n}
+        assert not tele._tallies
 
 
 class TestNoop:
     def test_noop_records_nothing(self):
         NOOP.inc("a")
         NOOP.observe("h", 1.0)
-        NOOP.add_batch([("a", 1)], {("h", 1.0): 2}, [("g", Histogram())])
         NOOP.event("e", x=1)
         with NOOP.span("op"):
             pass

@@ -238,6 +238,80 @@ class TestNonFiniteNumbers:
         assert [row[0] for row in follow_up[-2]["jobs"]] == [1, 2, 3]
 
 
+class TestIntegerFields:
+    """The ``int`` fields of a job and the ``job_id`` / ``processors`` of a
+    request take JSON integers only -- not a bool, a real or a string --
+    and the ``float`` fields refuse a bool.  Each such request is refused
+    by field name and leaves no trace: what follows is served as if it had
+    never been sent."""
+
+    SETUP = TestNonFiniteNumbers.SETUP
+    FOLLOW_UP = TestNonFiniteNumbers.FOLLOW_UP
+    BAD = {
+        "submit-job_id-string": ({"cmd": "submit", "job": job_payload("4")}, "job_id"),
+        "submit-job_id-real": ({"cmd": "submit", "job": job_payload(4.0)}, "job_id"),
+        "submit-job_id-bool": ({"cmd": "submit", "job": job_payload(True)}, "job_id"),
+        "submit-processors-real": (
+            {"cmd": "submit", "job": job_payload(4, processors=2.5), "advance": True},
+            "processors",
+        ),
+        "submit-processors-bool": (
+            {"cmd": "submit", "job": job_payload(4, processors=True), "advance": True},
+            "processors",
+        ),
+        "submit-user-string": ({"cmd": "submit", "job": job_payload(4, user="3")}, "user"),
+        "submit-submit_time-bool": (
+            {"cmd": "submit", "job": job_payload(4, submit=True)}, "submit_time",
+        ),
+        "submit-requested-bool": (
+            {"cmd": "submit", "job": job_payload(4, submit=30.0, requested=True)},
+            "requested_time",
+        ),
+        "submit-runtime-string": (
+            {"cmd": "submit", "job": job_payload(4, submit=30.0, runtime="60")}, "runtime",
+        ),
+        "probe-processors-real": (
+            {"cmd": "query", "job": job_payload(9, submit=10.0, processors=1.5)}, "processors",
+        ),
+        "query-job_id-real": ({"cmd": "query", "job_id": 2.9}, "job_id"),
+        "query-job_id-string": ({"cmd": "query", "job_id": "2"}, "job_id"),
+        "query-job_id-bool": ({"cmd": "query", "job_id": True}, "job_id"),
+        "complete-job_id-real": ({"cmd": "complete", "job_id": 1.5, "time": 60.0}, "job_id"),
+        "machine-processors-real": (
+            {"cmd": "machine", "kind": "drain", "processors": 1.9}, "processors",
+        ),
+        "machine-processors-bool": (
+            {"cmd": "machine", "kind": "drain", "processors": True}, "processors",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_refused_by_field_and_leaves_no_trace(self, case):
+        bad, field = self.BAD[case]
+        hit, clean = make_server(), make_server()
+        replies = TestNonFiniteNumbers.replies
+        assert replies(hit, self.SETUP) == replies(clean, self.SETUP)
+        (reply,) = replies(hit, [bad])
+        assert reply["ok"] is False and reply["cmd"] == bad["cmd"]
+        assert field in reply["error"] and "must be" in reply["error"]
+        assert replies(hit, [{"cmd": "stats"}]) == replies(clean, [{"cmd": "stats"}])
+        follow_up = replies(hit, self.FOLLOW_UP)
+        assert follow_up == replies(clean, self.FOLLOW_UP)
+        assert all(r["ok"] for r in follow_up)
+        assert [row[0] for row in follow_up[-2]["jobs"]] == [1, 2, 3]
+
+    def test_a_string_id_no_longer_breaks_the_session(self):
+        """A ``"2"`` id was answered ``ok`` once, and every ``snapshot`` /
+        ``result`` after it failed comparing a str with an int."""
+        server = make_server()
+        assert server.handle({"cmd": "submit", "job": job_payload(1), "advance": True})["ok"]
+        assert not server.handle({"cmd": "submit", "job": job_payload("2")})["ok"]
+        assert server.handle({"cmd": "submit", "job": job_payload(3), "advance": True})["ok"]
+        assert server.handle({"cmd": "snapshot"})["ok"]
+        server.handle({"cmd": "drain"})
+        assert [row[0] for row in server.handle({"cmd": "result"})["jobs"]] == [1, 3]
+
+
 class TestServeLoop:
     def run_protocol(self, requests: list[dict], **kwargs) -> list[dict]:
         session = build_serve_session(8, **kwargs)
