@@ -9,9 +9,9 @@ scheduling context (Incremental + EASY-SJBF) and reports both prediction
 metrics and the resulting AVEbsld -- demonstrating the paper's finding
 that prediction accuracy (MAE) and scheduling usefulness diverge.
 
-Each configuration is spelled the registry way (``"ml:<loss key>"``) and
-run on the shared trace with :func:`repro.run_components_on_trace` -- the
-same component stack a ``[[grid]]`` spec file expands to.
+Each configuration is spelled the registry way (``"ml:<loss key>"``),
+built with :func:`repro.make_predictor` and simulated on the shared trace
+-- the same component stack a ``[[grid]]`` spec file expands to.
 
 Run: ``python examples/custom_loss_functions.py``.  Set
 ``REPRO_EXAMPLE_JOBS`` to shrink the workload for smoke runs.
@@ -19,7 +19,14 @@ Run: ``python examples/custom_loss_functions.py``.  Set
 
 import os
 
-from repro import E_LOSS, get_trace, run_components_on_trace
+from repro import (
+    E_LOSS,
+    get_trace,
+    make_corrector,
+    make_predictor,
+    make_scheduler,
+    simulate,
+)
 from repro.metrics import mean_absolute_error, mean_loss
 from repro.predict import all_loss_specs
 
@@ -36,8 +43,11 @@ def main() -> None:
     )
     rows = []
     for spec in all_loss_specs():
-        result = run_components_on_trace(
-            trace, f"ml:{spec.key}", "incremental", "easy-sjbf"
+        result = simulate(
+            trace,
+            make_scheduler("easy-sjbf"),
+            make_predictor(f"ml:{spec.key}"),
+            make_corrector("incremental"),
         )
         rows.append(
             (

@@ -15,7 +15,7 @@ shrink the workload (CI smoke runs use a few hundred jobs).
 
 import os
 
-from repro import CellSpec, get_trace, run_spec_result
+from repro import CellSpec, get_trace, run_spec
 
 N_JOBS = int(os.environ.get("REPRO_EXAMPLE_JOBS", "1500"))
 LOG = "KTH-SP2"
@@ -40,7 +40,7 @@ def main() -> None:
             corrector=corrector,
             scheduler=scheduler,
         )
-        result = run_spec_result(spec)
+        result = run_spec(spec)
         print(
             f"{label:45s} {result.avebsld():8.1f} "
             f"{result.total_corrections():12d}"

@@ -5,8 +5,8 @@
    format of the Parallel Workloads Archive);
 2. parse it back, apply the standard cleaning filters;
 3. simulate the paper's winning component triple on the cleaned trace
-   via :func:`repro.run_components_on_trace` (registry spellings, the
-   same stack spec files expand to).
+   with :func:`repro.simulate` (components built from registry
+   spellings, the same stack spec files expand to).
 
 This is the exact workflow for running the library on *real* archive
 logs: drop a ``.swf`` file in place of the synthetic one (or set
@@ -19,7 +19,15 @@ to shrink the workload for smoke runs.
 import os
 import tempfile
 
-from repro import get_trace, load_swf, run_components_on_trace, save_swf
+from repro import (
+    get_trace,
+    load_swf,
+    make_corrector,
+    make_predictor,
+    make_scheduler,
+    save_swf,
+    simulate,
+)
 from repro.workload import standard_clean
 
 N_JOBS = int(os.environ.get("REPRO_EXAMPLE_JOBS", "800"))
@@ -48,7 +56,12 @@ def main() -> None:
 
     # 3. simulate the winning triple
     predictor, corrector, scheduler = WINNER
-    result = run_components_on_trace(cleaned, predictor, corrector, scheduler)
+    result = simulate(
+        cleaned,
+        make_scheduler(scheduler),
+        make_predictor(predictor),
+        make_corrector(corrector),
+    )
     print(f"components  : {predictor} + {corrector} + {scheduler}")
     print(f"AVEbsld     : {result.avebsld():.1f}")
     print(f"utilization : {result.utilization():.2f}")

@@ -4,7 +4,7 @@
 1. synthesise a SDSC-BLUE-class trace and print its population statistics
    (runtime/width distributions, estimate accuracy, arrival pattern);
 2. run EASY and the paper's winning triple on it, each spelled as
-   registry components and run via :func:`repro.run_components_on_trace`;
+   registry components (``make_scheduler`` & co.) and :func:`repro.simulate`;
 3. render machine utilization over time for both schedules and show where
    the learned predictions reclaim backfilling holes.
 
@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from repro import get_trace, run_components_on_trace
+from repro import get_trace, make_corrector, make_predictor, make_scheduler, simulate
 from repro.sim import ascii_timeline, queue_timeline
 
 N_JOBS = int(os.environ.get("REPRO_EXAMPLE_JOBS", "1500"))
@@ -61,7 +61,12 @@ def main() -> None:
     )
 
     for label, predictor, corrector, scheduler in SCENARIOS:
-        result = run_components_on_trace(trace, predictor, corrector, scheduler)
+        result = simulate(
+            trace,
+            make_scheduler(scheduler),
+            make_predictor(predictor),
+            make_corrector(corrector) if corrector else None,
+        )
         _times, depth = queue_timeline(result)
         print(f"=== {label} ===")
         print(f"AVEbsld {result.avebsld():.1f}, max queue depth {depth.max()}")

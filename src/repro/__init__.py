@@ -17,6 +17,12 @@ Simulation of one heuristic triple::
                       IncrementalCorrector())
     print(result.avebsld())
 
+One declarative cell, the way campaigns run it (``run_spec`` returns the
+same :class:`SimulationResult`)::
+
+    from repro import CellSpec, ELOSS_TRIPLE, run_spec
+    result = run_spec(CellSpec.from_triple("KTH-SP2", ELOSS_TRIPLE, n_jobs=1000))
+
 The paper's campaign and analyses::
 
     from repro import paper_cells, run_cells, leave_one_out
@@ -44,9 +50,7 @@ from .core import (
     leave_one_out,
     paper_cells,
     run_cells,
-    run_components_on_trace,
     run_spec,
-    run_spec_result,
     selection_consensus,
 )
 from .correct import (
@@ -122,8 +126,6 @@ __all__ = [
     "leave_one_out",
     "run_cells",
     "run_spec",
-    "run_spec_result",
-    "run_components_on_trace",
     "selection_consensus",
     "SPEC_VERSION",
     "CellSpec",

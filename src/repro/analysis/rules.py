@@ -307,9 +307,9 @@ class Enc001OpenEncoding(FileRule):
 # -- OBS001 -------------------------------------------------------------------
 
 _TELE_RECEIVER = re.compile(r"^(self\.)?_?tele(metry)?$")
-_TELE_MUTATORS = {"inc", "observe", "add_batch", "attach", "event"}
+_TELE_MUTATORS = {"inc", "observe", "attach", "event"}
 #: a registry write: never from the hot layers, whose tallies the registry reads
-_TELE_WRITES = {"inc", "observe", "add_batch"}
+_TELE_WRITES = {"inc", "observe"}
 
 
 def _test_checks_enabled(test: ast.expr) -> bool:
@@ -320,8 +320,8 @@ def _test_checks_enabled(test: ast.expr) -> bool:
 
 
 class Obs001UnguardedTelemetry(FileRule):
-    """The hot layers keep a tally the registry reads: ``inc``/``observe``/
-    ``add_batch`` there is a finding even when guarded.  What they do call
+    """The hot layers keep a tally the registry reads: ``inc``/``observe``
+    there is a finding even when guarded.  What they do call
     (``attach``, once; ``event``) sits behind ``if tele.enabled:``, so the
     disabled path is one attribute check (``span()`` needs no guard)."""
 

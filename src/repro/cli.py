@@ -415,23 +415,23 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         return _usage_error("sim", exc)
     with _telemetry(args, "sim") as telemetry:
-        outcome = run_spec(spec, telemetry=telemetry)
+        result = run_spec(spec, telemetry=telemetry)
     origin = "derived from log name" if derived else "from --seed"
-    print(f"log        : {outcome.log}")
-    print(f"seed       : {outcome.seed} ({origin})")
+    print(f"log        : {spec.workload.log}")
+    print(f"seed       : {spec.workload.seed} ({origin})")
     print(f"triple     : {TRIPLE_NAMES.get(spec.label, spec.label)}")
-    print(f"AVEbsld    : {outcome.avebsld:.2f}")
-    print(f"utilization: {outcome.utilization:.3f}")
-    print(f"corrections: {outcome.corrections}")
-    print(f"max queue  : {outcome.max_queue_length}")
+    print(f"AVEbsld    : {result.avebsld(spec.tau):.2f}")
+    print(f"utilization: {result.utilization():.3f}")
+    print(f"corrections: {result.total_corrections()}")
+    print(f"max queue  : {result.stats.max_queue_length}")
     return 0
 
 
 def _run_cells_from_args(args: argparse.Namespace, cells: list[CellSpec]):
     """Run ``cells`` with the cache/dispatch/telemetry options of ``repro
     campaign`` (``repro table`` carries only the cache and worker ones)."""
-    backend = getattr(args, "backend", "local")
-    if backend == "fsqueue":
+    backend = None
+    if getattr(args, "backend", "local") == "fsqueue":
         from .dist import FsQueueBroker
 
         backend = FsQueueBroker(

@@ -15,7 +15,6 @@ from .campaign import (
     SpecCampaignResult,
     cell_token,
     run_cells,
-    trace_digest,
     workload_digest,
 )
 from .crossval import (
@@ -31,14 +30,7 @@ from .prediction_analysis import (
     table8_rows,
 )
 from .reporting import format_percent, format_table
-from .run import (
-    RunOutcome,
-    build_workload,
-    run_cell,
-    run_components_on_trace,
-    run_spec,
-    run_spec_result,
-)
+from .run import build_workload, run_cell_report, run_spec
 from .triples import (
     CLAIRVOYANT_EASY,
     CLAIRVOYANT_SJBF,
@@ -63,7 +55,6 @@ __all__ = [
     "SpecCampaignResult",
     "cell_token",
     "run_cells",
-    "trace_digest",
     "workload_digest",
     "CrossValidationRow",
     "average_reductions",
@@ -75,12 +66,9 @@ __all__ = [
     "table8_rows",
     "format_percent",
     "format_table",
-    "RunOutcome",
     "build_workload",
-    "run_cell",
     "run_spec",
-    "run_spec_result",
-    "run_components_on_trace",
+    "run_cell_report",
     "EASY_TRIPLE",
     "EASYPP_TRIPLE",
     "ELOSS_TRIPLE",

@@ -194,8 +194,8 @@ def run_batch_report(
 
     One pool submission carries a whole trace-pure batch, so the child
     process pays the bundle build once and every other cell of the batch
-    rides the warm cache.  Results are identical to calling
-    :func:`repro.core.run.run_cell` per cell.
+    rides the warm cache.  Each cell goes through
+    :func:`repro.core.run.run_cell_report`.
     """
     from .run import run_cell_report
 

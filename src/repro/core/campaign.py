@@ -16,10 +16,10 @@ The runner is built for throughput and restartability:
 * simulations fan out through a pluggable :class:`repro.dist.Broker`:
   the default :class:`~repro.dist.broker.LocalBroker` is a single-host
   :class:`~concurrent.futures.ProcessPoolExecutor` whose results are
-  consumed as they complete; ``backend="fsqueue"`` shards the cell
-  matrix onto a filesystem work queue that any number of ``repro
-  worker`` processes -- on any number of hosts -- drain cooperatively
-  (see :mod:`repro.dist`);
+  consumed as they complete; ``backend=FsQueueBroker(queue_dir)``
+  shards the cell matrix onto a filesystem work queue that any number
+  of ``repro worker`` processes -- on any number of hosts -- drain
+  cooperatively (see :mod:`repro.dist`);
 * every finished cell is appended immediately to an on-disk JSONL result
   cache keyed by (trace digest, spec digest, engine version), so a
   killed campaign resumes where it stopped and a finished campaign
@@ -56,7 +56,6 @@ __all__ = [
     "SpecCampaignResult",
     "LeaderboardRow",
     "run_cells",
-    "trace_digest",
     "workload_digest",
     "cell_token",
     "CACHE_VERSION",
@@ -72,20 +71,6 @@ _log = get_logger("campaign")
 #: and the per-trace content digest; component/engine-knob changes are
 #: covered by the CellSpec digest.  Version 5: spec-digest cache keys.
 CACHE_VERSION = 5
-
-
-def trace_digest(log: str, n_jobs: int, seed: int) -> str:
-    """Content digest of the synthetic trace a campaign cell runs on.
-
-    Delegates to the per-process :class:`repro.core.batch.BundleCache`:
-    the first call materialises the trace -- the **same** bundle a
-    subsequent :func:`~repro.core.run.run_spec` on that workload reuses
-    -- and hashes its job arrays, so generator changes or reseeding
-    invalidate exactly the affected cache cells and nothing else.
-    """
-    return bundle_cache().digest_of(
-        WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed)
-    )
 
 
 def workload_digest(workload: WorkloadSpec) -> str:
@@ -358,8 +343,7 @@ def run_cells(
     cells: Sequence[CellSpec],
     cache_path: str | None = None,
     workers: int | None = None,
-    backend: Broker | str = "local",
-    queue_dir: str | None = None,
+    backend: Broker | None = None,
     telemetry: Telemetry | None = None,
 ) -> SpecCampaignResult:
     """Run (or warm-load) a list of cell specs: the campaign driver.
@@ -369,10 +353,11 @@ def run_cells(
     dispatch backend key them by spec digest, and the result comes back
     digest-indexed.
 
-    ``backend`` selects the dispatch strategy: ``"local"`` (process pool
-    on this host, honouring ``workers``), ``"fsqueue"`` (coordinate
-    external ``repro worker`` processes over the shared ``queue_dir``),
-    or any ready :class:`repro.dist.Broker` instance.  ``telemetry``
+    ``backend`` is the dispatch strategy, a :class:`repro.dist.Broker`:
+    ``None`` is a :class:`~repro.dist.broker.LocalBroker` (process pool
+    on this host, honouring ``workers``); a
+    :class:`~repro.dist.broker.FsQueueBroker` coordinates external
+    ``repro worker`` processes over its queue directory.  ``telemetry``
     collects campaign/dispatch counters and, under the local broker, the
     engine/predictor metrics merged back from every simulated cell; its
     trace sink, when it has one, receives the lifecycle events (``start``,
@@ -380,10 +365,11 @@ def run_cells(
     Built with ``enabled=False`` it does the second only: the event
     stream at no cost to the cells.
     """
-    from ..dist.broker import resolve_backend
+    if backend is None:
+        from ..dist.broker import LocalBroker
 
+        backend = LocalBroker(workers)
     cells = list(cells)
-    broker = resolve_backend(backend, workers=workers, queue_dir=queue_dir)
     tele = telemetry if telemetry is not None else NOOP
     scores: dict[str, float] = {}
     durations: dict[str, float] = {}
@@ -437,7 +423,7 @@ def run_cells(
                     _log.info("%d/%d simulations done", done, len(pending))
 
             with tele.span("campaign.dispatch", pending=len(pending)):
-                broker.dispatch(pending, record, telemetry=telemetry)
+                backend.dispatch(pending, record, telemetry=telemetry)
             cache.flush()
         missing = [spec for spec in cells if spec.digest() not in scores]
         if missing:

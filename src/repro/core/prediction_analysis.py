@@ -15,7 +15,7 @@ import numpy as np
 from ..predict.loss import E_LOSS
 from ..sim.results import SimulationResult
 from ..spec import CellSpec, WorkloadSpec
-from .run import run_spec_result
+from .run import run_spec
 from .triples import ELOSS_TRIPLE
 
 __all__ = ["PredictionAnalysis", "analyze_predictions", "DEFAULT_TECHNIQUES"]
@@ -73,7 +73,7 @@ def analyze_predictions(
     result: SimulationResult | None = None
     for label, predictor_key in techniques.items():
         needs_correction = predictor_key not in ("requested", "clairvoyant")
-        result = run_spec_result(
+        result = run_spec(
             CellSpec.make(
                 workload,
                 predictor_key,

@@ -23,7 +23,7 @@ into a sharded, restartable, multi-host system:
   dedup and ``CACHE_VERSION``/``ENGINE_VERSION`` conflict detection.
 """
 
-from .broker import Broker, FsQueueBroker, LocalBroker, resolve_backend
+from .broker import Broker, FsQueueBroker, LocalBroker
 from .fsqueue import FsQueue, Lease, LeaseLost, QueueVersionError
 from .merge import (
     CellConflictError,
@@ -39,7 +39,6 @@ __all__ = [
     "Broker",
     "FsQueueBroker",
     "LocalBroker",
-    "resolve_backend",
     "FsQueue",
     "Lease",
     "LeaseLost",

@@ -35,7 +35,7 @@ from .fsqueue import DEFAULT_LEASE_TTL, DEFAULT_MAX_ATTEMPTS, FsQueue
 from .merge import merge_caches
 from .shards import DEFAULT_CELLS_PER_SHARD, plan_shards
 
-__all__ = ["Broker", "LocalBroker", "FsQueueBroker", "resolve_backend"]
+__all__ = ["Broker", "LocalBroker", "FsQueueBroker"]
 
 #: on_result(cell_spec, avebsld, wall_seconds | None)
 ResultCallback = Callable[..., None]
@@ -93,6 +93,12 @@ class LocalBroker(Broker):
     def __init__(self, workers: int | None = None) -> None:
         self.workers = workers
 
+    def _pool_size(self) -> int:
+        """``workers``, or every CPU but one (at most 16) when unset."""
+        if self.workers is not None:
+            return self.workers
+        return max(1, min((os.cpu_count() or 1) - 1, 16))
+
     def dispatch(
         self,
         cells: Sequence[CellSpec],
@@ -114,10 +120,7 @@ class LocalBroker(Broker):
             on_result(spec, score, seconds)
 
         jobs = list(cells)
-        workers = self.workers
-        if workers is None:
-            cpu = os.cpu_count() or 1
-            workers = max(1, min(cpu - 1, 16))
+        workers = self._pool_size()
         # never batch so coarsely that the pool has fewer batches than
         # workers: a tiny campaign still spreads over every worker
         cap = max(1, min(DEFAULT_MAX_BATCH, -(-len(jobs) // max(1, workers))))
@@ -148,11 +151,7 @@ class LocalBroker(Broker):
     def map_tasks(self, fn: Callable, payloads: Sequence) -> list:
         """Order-preserving process-pool map (serial for tiny batches)."""
         payloads = list(payloads)
-        workers = self.workers
-        if workers is None:
-            cpu = os.cpu_count() or 1
-            workers = max(1, min(cpu - 1, 16))
-        workers = min(workers, len(payloads)) if payloads else 1
+        workers = min(self._pool_size(), len(payloads)) if payloads else 1
         if workers <= 1 or len(payloads) <= 2:
             return [fn(payload) for payload in payloads]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -372,26 +371,3 @@ class _ResultTailer:
                     continue  # torn line; the final merge re-validates
                 out.append(parsed)
         return out
-
-
-def resolve_backend(
-    backend: Broker | str,
-    workers: int | None = None,
-    queue_dir: str | None = None,
-    **fsqueue_kwargs,
-) -> Broker:
-    """Turn ``run_cells``'s backend argument into a broker instance.
-
-    Accepts a ready broker, ``"local"`` (uses ``workers``) or
-    ``"fsqueue"`` (needs ``queue_dir``; extra kwargs reach
-    :class:`FsQueueBroker`).
-    """
-    if isinstance(backend, Broker):
-        return backend
-    if backend == "local":
-        return LocalBroker(workers=workers)
-    if backend == "fsqueue":
-        if not queue_dir:
-            raise ValueError("backend 'fsqueue' requires queue_dir (--queue)")
-        return FsQueueBroker(queue_dir, **fsqueue_kwargs)
-    raise ValueError(f"unknown campaign backend {backend!r} (local|fsqueue)")

@@ -9,8 +9,8 @@ Per shard, a worker
 2. **skips** cells already proven by earlier attempts (it re-reads every
    result file of the shard, so a crashed predecessor's partial work is
    kept, not redone);
-3. **streams** the remaining cells through the shared cell runner
-   (:func:`repro.core.run.run_cell`), appending each result to its own
+3. **streams** the remaining cells through the shared cell scorer
+   (:func:`repro.core.run.run_cell_report`), appending each result to its own
    per-attempt JSONL cache the moment it finishes;
 4. **renews** its lease after every cell -- if the renewal discovers the
    lease was re-queued (this worker was presumed dead), it abandons the
@@ -138,8 +138,6 @@ def run_worker(
     SIGKILLed worker leaves no snapshot, which is exactly the signal the
     smoke reconciliation relies on.
     """
-    from ..core.run import run_cell
-
     queue = FsQueue(queue_dir)
     # Workers may be launched before the coordinator initialises the
     # queue (common in scripted deployments): wait for it, bounded by
@@ -222,7 +220,7 @@ def run_worker(
             except (OSError, ValueError):
                 lease_ttl = float(meta.get("lease_ttl", DEFAULT_LEASE_TTL))
             _run_shard(
-                queue, lease, run_cell, stats,
+                queue, lease, stats,
                 heartbeat_interval=max(0.05, lease_ttl / 4.0),
                 telemetry=tele,
             )
@@ -251,20 +249,18 @@ def run_worker(
 def _run_shard(
     queue: FsQueue,
     lease: Lease,
-    run_cell,
     stats: WorkerStats,
     heartbeat_interval: float,
     telemetry: Telemetry,
 ) -> None:
     """Simulate one claimed shard; never raises on a lost lease.
 
-    Cells run group-major by trace identity: the planner already emits
-    trace-grouped shards, and regrouping here also batches manifests
-    from older planners, so each shard pays one trace materialisation
-    per group through the process-shared bundle cache.
+    Cells run in manifest order: the planner emits trace-grouped shards,
+    so each shard pays one trace materialisation per group through the
+    process-shared bundle cache.
     """
-    from ..core.batch import group_cells
     from ..core.campaign import ResultCache, cell_token
+    from ..core.run import run_cell_report
     from ..spec import SPEC_VERSION, CellSpec
 
     manifest = lease.spec
@@ -277,18 +273,18 @@ def _run_shard(
             f"{shard_spec_version!r}, this worker speaks {SPEC_VERSION}"
         )
     cells = [CellSpec.from_obj(cell) for cell in manifest["cells"]]
-    grouped = group_cells(cells)
+    trace_groups = len(manifest["trace_keys"])
     telemetry.inc("worker.claims")
     telemetry.event(
         "claim",
         shard=lease.shard_id,
         attempt=lease.attempt,
         cells=len(cells),
-        trace_groups=len(grouped),
+        trace_groups=trace_groups,
     )
     _log.debug(
         "claimed shard %s (attempt %d, %d cells in %d trace group(s))",
-        lease.shard_id, lease.attempt, len(cells), len(grouped),
+        lease.shard_id, lease.attempt, len(cells), trace_groups,
     )
     # Earlier attempts may have proved some cells before dying: harvest
     # every result file of this shard so retries only pay the remainder.
@@ -303,7 +299,7 @@ def _run_shard(
     heartbeat = _Heartbeat(queue, lease, heartbeat_interval, telemetry)
     heartbeat.start()
     try:
-        for spec in (spec for _key, group in grouped for spec in group):
+        for spec in cells:
             if heartbeat.lost:
                 raise LeaseLost(f"lease on {lease.shard_id} re-queued mid-shard")
             token = cell_token(spec)
@@ -311,9 +307,8 @@ def _run_shard(
                 stats.cached_cells += 1
                 telemetry.inc("worker.cells.cached")
                 continue
-            cell_t0 = time.monotonic()
-            value = run_cell(spec)
-            cell_seconds = time.monotonic() - cell_t0
+            value, report = run_cell_report(spec)
+            cell_seconds = report["seconds"]
             cache.put(token, value)
             ran += 1
             stats.cells += 1

@@ -256,8 +256,6 @@ def evaluate_policy(
     baselines: Sequence[str] = ("easy", "easy-sjbf"),
     cache_path: str | None = None,
     workers: int | None = None,
-    backend="local",
-    queue_dir: str | None = None,
     telemetry: Telemetry | None = None,
 ):
     """Score a trained policy against heuristic baselines as a campaign.
@@ -266,10 +264,9 @@ def evaluate_policy(
     ``rl-backfill(policy=digest)`` plus each baseline scheduler, sharing
     predictor/corrector/workload -- and runs them through
     :func:`repro.core.campaign.run_cells`, so results cache under spec
-    digests (the learned cells' digests embed the checkpoint digest) and
-    any dispatch backend works.  The checkpoint itself is resolved from
-    ``$REPRO_CHECKPOINT_DIR`` at build time: the store *location* stays
-    out of the cache key.
+    digests (the learned cells' digests embed the checkpoint digest).
+    The checkpoint itself is resolved from ``$REPRO_CHECKPOINT_DIR`` at
+    build time: the store *location* stays out of the cache key.
 
     Returns the :class:`~repro.core.campaign.SpecCampaignResult`; rank
     with ``.leaderboard()``.
@@ -297,7 +294,5 @@ def evaluate_policy(
         cells,
         cache_path=cache_path,
         workers=workers,
-        backend=backend,
-        queue_dir=queue_dir,
         telemetry=telemetry,
     )

@@ -75,8 +75,9 @@ class Histogram:
         self.max = -math.inf
 
     def observe(self, value: float, n: int = 1) -> None:
-        """Record ``value``, ``n`` times over (the count last, for readers)."""
+        """Record ``value``, ``n`` times over."""
         value = float(value)
+        self.count += n
         self.total += value * n
         if value < self.min:
             self.min = value
@@ -84,7 +85,6 @@ class Histogram:
             self.max = value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + n
-        self.count += n
 
     @property
     def mean(self) -> float:
@@ -113,15 +113,22 @@ class Histogram:
         }
 
     def merge(self, other: Histogram) -> None:
-        """Fold another histogram (same bucketing) into this one."""
-        self.count += other.count
+        """Fold another histogram (same bucketing) into this one.
+
+        ``other`` may be live on another thread: its buckets are copied in
+        one atomic step and the count is summed from that copy, so the two
+        always agree; ``total``/``min``/``max`` may include a sample the
+        copied buckets do not show yet.
+        """
+        copied = list(other.buckets.items())
+        self.count += sum(n for _index, n in copied)
         self.total += other.total
         if other.min < self.min:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
         buckets = self.buckets
-        for index, n in list(other.buckets.items()):  # one atomic copy: ``other`` may be live
+        for index, n in copied:
             buckets[index] = buckets.get(index, 0) + n
 
     @classmethod

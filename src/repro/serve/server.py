@@ -48,7 +48,7 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, fields
-from typing import IO, Any
+from typing import IO, Any, get_type_hints
 
 from ..obs import get_logger
 from ..obs.telemetry import NOOP, Tally, Telemetry
@@ -61,10 +61,10 @@ __all__ = ["SessionServer", "ServeStats", "build_serve_session", "serve_loop"]
 
 #: Job fields accepted from the wire (everything the dataclass carries).
 _JOB_FIELDS = frozenset(f.name for f in fields(Job))
-#: (field, type) pairs a wire job may carry: never a bool, a string, or a real for an int
-_WIRE_TYPES = frozenset(
-    (f.name, t) for f in fields(Job) for t in (int, float) if t is int or f.type != "int"
-)
+#: the job fields that take a JSON integer only; the others take any number
+_INT_FIELDS = frozenset(name for name, kind in get_type_hints(Job).items() if kind is int)
+#: the types of a JSON number (``bool`` is an ``int`` subclass, not one of them)
+_NUMBERS = frozenset((int, float))
 _REQUIRED_JOB_FIELDS = frozenset(("job_id", "submit_time", "processors", "requested_time"))
 _TIMES = ("submit_time", "requested_time", "runtime")
 
@@ -113,12 +113,13 @@ def build_serve_session(
 
 
 def _finite(value: Any, field: str) -> float:
-    """``value`` as a float, refused by name unless finite: ``json.loads``
-    takes ``NaN`` and ``Infinity``, the session's clock and jobs must not."""
-    number = float(value)
-    if not math.isfinite(number):
+    """``value`` as a float if a finite JSON number, refused by name
+    otherwise: a bool or a string is not a number, and ``json.loads``
+    takes ``NaN`` and ``Infinity``, which the session's clock and jobs
+    must not."""
+    if type(value) not in _NUMBERS or not math.isfinite(value):
         raise ValueError(f"{field} must be a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _integer(value: Any, field: str) -> int:
@@ -129,15 +130,16 @@ def _integer(value: Any, field: str) -> int:
 
 
 def _parse_job(payload: Any) -> Job:
-    # a good job is checked in C; the loops only name what is refused
     if not isinstance(payload, dict):
         raise ValueError("job must be an object of SWF-style fields")
-    if not _WIRE_TYPES.issuperset(zip(payload, map(type, payload.values()))):
-        bad = next(f for f, value in payload.items() if (f, type(value)) not in _WIRE_TYPES)
-        if bad not in _JOB_FIELDS:
-            raise ValueError(f"unknown job field {bad!r}")
-        kind = "a number" if (bad, float) in _WIRE_TYPES else "an integer"
-        raise ValueError(f"job {bad} must be {kind}, got {payload[bad]!r}")
+    for field, value in payload.items():
+        if field in _INT_FIELDS:
+            if type(value) is not int:
+                raise ValueError(f"job {field} must be an integer, got {value!r}")
+        elif field not in _JOB_FIELDS:
+            raise ValueError(f"unknown job field {field!r}")
+        elif type(value) not in _NUMBERS:
+            raise ValueError(f"job {field} must be a number, got {value!r}")
     if not payload.keys() >= _REQUIRED_JOB_FIELDS:
         missing = ", ".join(sorted(_REQUIRED_JOB_FIELDS - payload.keys()))
         raise ValueError(f"job is missing required field(s): {missing}")
@@ -145,9 +147,8 @@ def _parse_job(payload: Any) -> Job:
     # serving analogue of "runtime unknown until observed": schedule as if
     # the job runs to its requested bound, correct via `complete` later
     data.setdefault("runtime", data["requested_time"])
-    if not all(map(math.isfinite, map(data.__getitem__, _TIMES))):
-        for field in _TIMES:
-            _finite(data[field], f"job {field}")
+    for field in _TIMES:
+        _finite(data[field], f"job {field}")
     return Job(**data)
 
 

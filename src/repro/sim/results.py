@@ -161,16 +161,18 @@ class SimulationResult:
         return self.array("initial_prediction")
 
     def bounded_slowdowns(self, tau: float = 10.0) -> np.ndarray:
-        """Per-job bounded slowdowns (paper Section 5.3)."""
-        waits = self.wait_times
-        runs = self.runtimes
-        return np.maximum((waits + runs) / np.maximum(runs, tau), 1.0)
+        """Per-job bounded slowdowns (paper Section 5.3), by
+        :func:`repro.metrics.slowdown.bounded_slowdowns` and its checks."""
+        from ..metrics.slowdown import bounded_slowdowns
+
+        return bounded_slowdowns(self.wait_times, self.runtimes, tau)
 
     def avebsld(self, tau: float = 10.0) -> float:
-        """AVEbsld, the paper's headline objective."""
-        if not self._records:
-            raise ValueError("AVEbsld is undefined for a run with no finished job")
-        return float(self.bounded_slowdowns(tau).mean())
+        """AVEbsld, the paper's headline objective
+        (:func:`repro.metrics.slowdown.average_bounded_slowdown`)."""
+        from ..metrics.slowdown import average_bounded_slowdown
+
+        return average_bounded_slowdown(self, tau)
 
     def utilization(self) -> float:
         """Fraction of processor-time used between first start and last end."""

@@ -27,15 +27,6 @@ def in_the_else_branch(telemetry, tally, owner) -> None:
 class Engine:
     def __init__(self, telemetry) -> None:
         self.telemetry = telemetry
-        self.passes = 0
 
     def step(self, depth: int) -> None:
         self.telemetry.observe("engine.queue_depth", depth)  # caught
-
-    def fold(self) -> None:
-        self.telemetry.add_batch([("engine.sched.passes", self.passes)], {})  # caught
-
-    def guarded_hand_over(self) -> None:
-        tele = self.telemetry
-        if tele.enabled:
-            tele.add_batch([("engine.sched.passes", self.passes)], {})  # caught

@@ -76,20 +76,18 @@ class TestFindingDetails:
         findings = of_rule(findings, "OBS001")
         writes = [f for f in findings if "writes the registry" in f.message]
         unguarded = [f for f in findings if "outside an `if" in f.message]
-        # inc (bare), inc (guarded -- still a finding), observe, add_batch
-        # (bare and guarded); attach under `if not ....enabled:` and in the
-        # else of the guard
-        assert len(writes) == 5 and len(unguarded) == 2
-        assert sum("add_batch" in f.message for f in writes) == 2
+        # inc (bare), inc (guarded -- still a finding), observe; attach
+        # under `if not ....enabled:` and in the else of the guard
+        assert len(writes) == 3 and len(unguarded) == 2
         assert all("attach" in f.message for f in unguarded)
-        assert len(findings) == 7
+        assert len(findings) == 5
 
     @pytest.mark.parametrize("layer", ["sim", "sched", "predict", "serve"])
     def test_obs001_covers_every_hot_layer(self, layer, fixture_repo):
         corpus = (FIXTURES / "obs001" / "bad.py").read_text(encoding="utf-8")
         fixture_repo.add(f"src/repro/{layer}/fixture.py", corpus)
         findings, _ = fixture_repo.check()
-        assert len(of_rule(findings, "OBS001")) == 7
+        assert len(of_rule(findings, "OBS001")) == 5
 
     def test_rules_out_of_scope_are_silent(self, fixture_repo):
         # a DET001-bad file placed outside the engine paths is none of

@@ -21,7 +21,7 @@ from repro.core import (
     group_cells,
     plan_batches,
     run_batch_report,
-    run_cell,
+    run_cell_report,
     run_cells,
     workload_key,
 )
@@ -194,7 +194,7 @@ class TestBundleCache:
 
 
 class TestRunBatchReport:
-    def test_scores_match_per_cell_run_cell(self):
+    def test_scores_match_per_cell_scores(self):
         cells = family_matrix(n_jobs=60)[:6]
         clear_bundle_cache()
         misses_before = bundle_cache().misses
@@ -202,21 +202,21 @@ class TestRunBatchReport:
         assert bundle_cache().misses == misses_before + 1  # one trace, built once
         assert [spec for spec, _s, _r in results] == cells
         for spec, score, report in results:
-            assert score == run_cell(spec)
+            assert score == run_cell_report(spec)[0]
             assert report["seconds"] >= 0.0
 
 
 class TestCampaignCacheRows:
     def test_batched_path_writes_the_per_cell_rows(self, tmp_path):
         """run_cells under the batched LocalBroker writes exactly the
-        cache rows (same tokens, same values) that per-cell ``run_cell``
-        calls produce."""
+        cache rows (same tokens, same values) that per-cell
+        ``run_cell_report`` calls produce."""
         cells = family_matrix(n_jobs=60)[:8]
         batched = str(tmp_path / "batched.jsonl")
         got = run_cells(
             cells, cache_path=batched, backend=LocalBroker(workers=1)
         )
-        per_cell = {spec.digest(): run_cell(spec) for spec in cells}
+        per_cell = {spec.digest(): run_cell_report(spec)[0] for spec in cells}
         assert got.scores == per_cell
 
         with open(batched, encoding="utf-8") as fh:

@@ -11,8 +11,9 @@ from repro.core import (
     paper_cells,
     run_cells,
     run_spec,
+    workload_digest,
 )
-from repro.spec import CellSpec
+from repro.spec import CellSpec, WorkloadSpec
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +25,17 @@ def small_campaign(tmp_path_factory):
 
 
 class TestRunTriple:
-    def test_outcome_fields(self):
-        outcome = run_spec(CellSpec.from_triple("KTH-SP2", EASY_TRIPLE, n_jobs=150))
-        assert outcome.triple_key == EASY_TRIPLE
-        assert outcome.avebsld >= 1.0
-        assert 0.0 < outcome.utilization <= 1.0
-        assert outcome.corrections == 0  # requested time never under-predicts
+    def test_result_fields(self):
+        result = run_spec(CellSpec.from_triple("KTH-SP2", EASY_TRIPLE, n_jobs=150))
+        assert len(result) == 150
+        assert result.avebsld() >= 1.0
+        assert 0.0 < result.utilization() <= 1.0
+        assert result.total_corrections() == 0  # requested time never under-predicts
 
     def test_deterministic(self):
         a = run_spec(CellSpec.from_triple("KTH-SP2", EASYPP_TRIPLE, n_jobs=150))
         b = run_spec(CellSpec.from_triple("KTH-SP2", EASYPP_TRIPLE, n_jobs=150))
-        assert a.avebsld == b.avebsld
+        assert a.avebsld() == b.avebsld()
 
 
 class TestCampaign:
@@ -117,16 +118,18 @@ class TestCampaign:
         assert token() != token(seed=2)
 
     def test_cache_token_embeds_trace_digest_and_engine_version(self):
-        from repro.core import trace_digest
         from repro.sim.engine import ENGINE_VERSION
+
+        def digest(seed):
+            return workload_digest(WorkloadSpec.make("KTH-SP2", n_jobs=100, seed=seed))
 
         token = cell_token(
             CellSpec.from_triple("KTH-SP2", EASY_TRIPLE, n_jobs=100, seed=7)
         )
-        assert trace_digest("KTH-SP2", 100, 7) in token
+        assert digest(7) in token
         assert f"e{ENGINE_VERSION}" in token
         # different seeds draw different traces, so the digests differ too
-        assert trace_digest("KTH-SP2", 100, 7) != trace_digest("KTH-SP2", 100, 8)
+        assert digest(7) != digest(8)
 
 
 class TestDiskCache:

@@ -16,7 +16,6 @@ from repro.dist import (
     FsQueueBroker,
     LocalBroker,
     merge_caches,
-    resolve_backend,
     run_worker,
 )
 from repro.obs import JsonlTraceSink, Telemetry, format_events, load_events
@@ -59,21 +58,23 @@ def single_host(tmp_path_factory):
         return result, fh.read()
 
 
-class TestResolveBackend:
-    def test_local_default(self):
-        assert isinstance(resolve_backend("local", workers=2), LocalBroker)
+class TestBackend:
+    def test_none_is_a_local_pool(self, monkeypatch):
+        used = []
+        dispatch = LocalBroker.dispatch
 
-    def test_broker_instance_passthrough(self, tmp_path):
-        broker = FsQueueBroker(str(tmp_path / "q"))
-        assert resolve_backend(broker) is broker
+        def spy(self, cells, on_result, telemetry=None):
+            used.append(self.workers)
+            dispatch(self, cells, on_result, telemetry=telemetry)
 
-    def test_fsqueue_requires_queue_dir(self):
-        with pytest.raises(ValueError, match="queue_dir"):
-            resolve_backend("fsqueue")
+        monkeypatch.setattr(LocalBroker, "dispatch", spy)
+        result = run_cells(CELLS[:2], workers=1)
+        assert used == [1]
+        assert len(result.scores) == 2
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown campaign backend"):
-            resolve_backend("carrier-pigeon")
+    def test_fsqueue_broker_requires_a_queue_directory(self):
+        with pytest.raises(ValueError, match="queue directory"):
+            FsQueueBroker("")
 
 
 class TestTwoWorkerCampaign:
@@ -178,12 +179,12 @@ class TestCrashRecovery:
             queue.enqueue(shard.manifest())
         zombie = queue.claim("zombie")
         assert zombie is not None
-        from repro.core import run_cell
+        from repro.core import run_cell_report
         from repro.core.campaign import cell_token
         from repro.spec import CellSpec
 
         zombie_cell = CellSpec.from_obj(zombie.spec["cells"][0])
-        value = run_cell(zombie_cell)
+        value, _report = run_cell_report(zombie_cell)
         zombie_cache = ResultCache(queue.result_path(zombie.shard_id, zombie.attempt))
         zombie_cache.put(cell_token(zombie_cell), value)
         zombie_cache.close()

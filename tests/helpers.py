@@ -10,12 +10,35 @@ from __future__ import annotations
 
 import json
 
-from repro.core import run_spec_result
-from repro.sim.results import JobRecord
+from repro.core import run_spec
+from repro.correct import make_corrector
+from repro.predict import make_predictor
+from repro.sched import make_scheduler
+from repro.sim import simulate
+from repro.sim.results import JobRecord, SimulationResult
 from repro.spec import CellSpec
-from repro.workload import Job, stable_seed
+from repro.workload import Job, Trace, stable_seed
 
-__all__ = ["guard_backfill", "make_job", "make_record", "schedule_bytes", "triple_cells"]
+__all__ = [
+    "guard_backfill",
+    "make_job",
+    "make_record",
+    "run_triple",
+    "schedule_bytes",
+    "triple_cells",
+]
+
+
+def run_triple(trace: Trace, triple: str) -> SimulationResult:
+    """Simulate a ``predictor|corrector|scheduler`` key (``none`` for no
+    corrector) on an existing trace, components built from the registries."""
+    predictor, corrector, scheduler = triple.split("|")
+    return simulate(
+        trace,
+        make_scheduler(scheduler),
+        make_predictor(predictor),
+        None if corrector == "none" else make_corrector(corrector),
+    )
 
 
 def triple_cells(
@@ -74,7 +97,7 @@ def schedule_bytes(spec: CellSpec) -> bytes:
     correction count and raw prediction, exact to the last bit."""
     rows = sorted(
         (r.job_id, r.start_time, r.end_time, r.corrections, r.raw_prediction)
-        for r in run_spec_result(spec)
+        for r in run_spec(spec)
     )
     return json.dumps(rows).encode("utf-8")
 

@@ -12,7 +12,6 @@ from repro import (
     EASYPP_TRIPLE,
     ELOSS_TRIPLE,
     get_trace,
-    run_components_on_trace,
     simulate,
 )
 from repro.correct import IncrementalCorrector
@@ -20,14 +19,11 @@ from repro.predict import ClairvoyantPredictor
 from repro.sched import EasyScheduler
 from repro.workload import LOG_NAMES
 
-
-def run_triple_on_trace(trace, triple):
-    """Run a ``predictor|corrector|scheduler`` key on an existing trace."""
-    return run_components_on_trace(trace, *triple.split("|"))
+from tests.helpers import run_triple
 
 
 def mean_avebsld(traces, triple):
-    return float(np.mean([run_triple_on_trace(t, triple).avebsld() for t in traces]))
+    return float(np.mean([run_triple(t, triple).avebsld() for t in traces]))
 
 
 class TestPaperShapes:
@@ -35,8 +31,8 @@ class TestPaperShapes:
         """The premise of the whole line of work."""
         for name, replicas in traces.items():
             for trace in replicas:
-                easy = run_triple_on_trace(trace, EASY_TRIPLE)
-                fcfs = run_triple_on_trace(trace, "requested|none|fcfs")
+                easy = run_triple(trace, EASY_TRIPLE)
+                fcfs = run_triple(trace, "requested|none|fcfs")
                 assert easy.avebsld() < fcfs.avebsld(), name
 
     def test_clairvoyant_sjbf_is_best_in_class(self, traces):
@@ -61,7 +57,7 @@ class TestPaperShapes:
         trace = traces["KTH-SP2"][0]
         clair = simulate(trace, EasyScheduler("fcfs"), ClairvoyantPredictor(),
                          IncrementalCorrector())
-        easypp = run_triple_on_trace(trace, EASYPP_TRIPLE)
+        easypp = run_triple(trace, EASYPP_TRIPLE)
         assert clair.total_corrections() == 0
         assert easypp.total_corrections() > 0
 
@@ -69,6 +65,6 @@ class TestPaperShapes:
         """All six archive logs run the winning triple to completion."""
         for name in LOG_NAMES:
             trace = get_trace(name, n_jobs=250)
-            result = run_triple_on_trace(trace, ELOSS_TRIPLE)
+            result = run_triple(trace, ELOSS_TRIPLE)
             assert len(result) == 250
             assert result.avebsld() >= 1.0

@@ -241,7 +241,8 @@ class TestNonFiniteNumbers:
 class TestIntegerFields:
     """The ``int`` fields of a job and the ``job_id`` / ``processors`` of a
     request take JSON integers only -- not a bool, a real or a string --
-    and the ``float`` fields refuse a bool.  Each such request is refused
+    and the ``float`` fields of a job or a request (``time``, ``runtime``)
+    take JSON numbers only -- not a bool or a string.  Each such request is refused
     by field name and leaves no trace: what follows is served as if it had
     never been sent."""
 
@@ -282,6 +283,19 @@ class TestIntegerFields:
         ),
         "machine-processors-bool": (
             {"cmd": "machine", "kind": "drain", "processors": True}, "processors",
+        ),
+        "advance-time-bool": ({"cmd": "advance", "time": True}, "time"),
+        "advance-time-string": ({"cmd": "advance", "time": "60"}, "time"),
+        "complete-time-string": ({"cmd": "complete", "job_id": 1, "time": "90"}, "time"),
+        "complete-time-bool": ({"cmd": "complete", "job_id": 1, "time": True}, "time"),
+        "machine-time-string": (
+            {"cmd": "machine", "kind": "drain", "processors": 1, "time": "60"}, "time",
+        ),
+        "observe-runtime-string": (
+            {"cmd": "observe", "job": job_payload(8, user=1), "runtime": "60"}, "runtime",
+        ),
+        "observe-runtime-bool": (
+            {"cmd": "observe", "job": job_payload(8, user=1), "runtime": True}, "runtime",
         ),
     }
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import run_components_on_trace
 from repro.workload import Trace, get_trace
+
+from tests.helpers import run_triple
 
 #: (predictor, corrector) pairs: the fixed and clairvoyant baselines, the
 #: history average, and the paper's ML predictor under both correctors.
@@ -48,7 +49,7 @@ def relabel_users(trace: Trace, seed: int) -> Trace:
 
 
 def schedule_rows(trace: Trace, predictor: str, corrector: str | None, scheduler: str):
-    result = run_components_on_trace(trace, predictor, corrector, scheduler)
+    result = run_triple(trace, f"{predictor}|{corrector or 'none'}|{scheduler}")
     return sorted((r.job_id, r.start_time, r.end_time) for r in result)
 
 

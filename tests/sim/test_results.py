@@ -59,6 +59,19 @@ class TestSimulationResult:
         result = SimulationResult(records, machine_processors=8)
         assert result.avebsld() == pytest.approx((1.0 + 2.0) / 2)
 
+    def test_avebsld_refuses_a_negative_wait(self):
+        """A start before submit is a simulation bug: the result's AVEbsld
+        goes through the metrics layer's checks instead of scoring it."""
+        records = [
+            finished_record(job_id=1, submit=0.0, start=0.0, runtime=100.0),
+            finished_record(job_id=2, submit=50.0, start=20.0, runtime=100.0),
+        ]
+        result = SimulationResult(records, machine_processors=8)
+        with pytest.raises(ValueError, match="negative wait time"):
+            result.avebsld()
+        with pytest.raises(ValueError, match="negative wait time"):
+            result.bounded_slowdowns()
+
     def test_iteration_in_submit_order(self):
         records = [
             finished_record(job_id=2, submit=50.0),

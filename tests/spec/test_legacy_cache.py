@@ -13,7 +13,7 @@ from repro.core.campaign import (
     CACHE_VERSION,
     ResultCache,
     cell_token,
-    trace_digest,
+    workload_digest,
 )
 from repro.sim.engine import ENGINE_VERSION
 from repro.spec import CellSpec
@@ -24,7 +24,7 @@ SPEC = CellSpec.from_triple("KTH-SP2", "requested|none|easy", n_jobs=60, seed=7)
 def v4_token(spec):
     """A token exactly as CACHE_VERSION 4 wrote it (positional tuple)."""
     workload = spec.workload
-    digest = trace_digest(workload.log, workload.n_jobs, workload.seed)
+    digest = workload_digest(workload)
     return (
         f"v4|e{ENGINE_VERSION}|{workload.log}@{digest}|{spec.triple_key}"
         f"|n={workload.n_jobs}|s={workload.seed}"

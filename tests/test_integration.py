@@ -5,7 +5,9 @@ any triple's schedule is physically possible (the session ``traces``
 fixture).
 """
 
-from repro import ELOSS_TRIPLE, run_components_on_trace
+from repro import ELOSS_TRIPLE
+
+from tests.helpers import run_triple
 
 
 class TestSchedulePhysics:
@@ -19,7 +21,7 @@ class TestSchedulePhysics:
             "ave2|doubling|easy",
             "ml:lin-sq-small-area|requested|easy-sjbf",
         ):
-            result = run_components_on_trace(trace, *key.split("|"))
+            result = run_triple(trace, key)
             events = []
             for rec in result:
                 events.append((rec.start_time, rec.processors))
@@ -32,5 +34,5 @@ class TestSchedulePhysics:
 
     def test_no_job_starts_before_submission(self, traces):
         trace = traces["KTH-SP2"][1]
-        result = run_components_on_trace(trace, *ELOSS_TRIPLE.split("|"))
+        result = run_triple(trace, ELOSS_TRIPLE)
         assert (result.wait_times >= 0.0).all()

@@ -1,6 +1,13 @@
 """Contract tests for the top-level public API."""
 
+import contextlib
+import io
+import pathlib
+import re
+
 import repro
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestPublicSurface:
@@ -33,6 +40,18 @@ class TestPublicSurface:
             IncrementalCorrector(),
         )
         assert result.avebsld() >= 1.0
+
+    def test_readme_one_cell_snippet(self):
+        """README's one-cell snippet, read out of README.md, runs as written
+        (at a tiny ``n_jobs``) and prints an AVEbsld."""
+        snippet = re.search(
+            r"^\$ python - <<'PY'\n(.*?)^PY$", README.read_text(encoding="utf-8"), re.M | re.S
+        ).group(1)
+        assert "run_spec(" in snippet and "n_jobs=1000" in snippet
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(snippet.replace("n_jobs=1000", "n_jobs=60"), {})
+        assert float(out.getvalue()) >= 1.0
 
     def test_module_docstring_campaign_snippet(self):
         from repro import paper_cells, run_cells
