@@ -122,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     print("[train-smoke] 2/3 held-out eval vs heuristics ...")
     proc = run_cli(
         ["eval", "--policy", digest, "--store", store, "--log", LOG,
-         "--n-jobs", str(args.n_jobs), "--replicas", "1", "--json",
+         "--n-jobs", str(args.n_jobs), "--json",
          "--cache", os.path.join(workdir, "eval.jsonl"),
          "--telemetry", telemetry_dir],
         env, args.timeout,

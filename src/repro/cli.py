@@ -2,7 +2,6 @@
 
 Subcommands::
 
-    repro logs                       # list the archive logs (Table 4)
     repro synth --log Curie out.swf  # write a synthetic SWF file
     repro sim --log KTH-SP2 --predictor ml:sq-lin-large-area \\
               --corrector incremental --scheduler easy-sjbf
@@ -17,7 +16,7 @@ Subcommands::
     repro worker --queue /shared/q   # drain shards from a queue dir
     repro merge --out merged.jsonl /shared/q/results
     repro check [PATH ...]           # static invariant checker
-    repro table --which 1|6|7|8      # print a paper table reproduction
+    repro table --which 1|4|6|7|8    # print a paper table reproduction
     repro metrics RUN_DIR            # counters + campaign/worker progress
     repro metrics /shared/q/progress # the workers of a live fsqueue campaign
     repro metrics BEFORE_DIR AFTER_DIR   # counter deltas between two runs
@@ -30,12 +29,19 @@ worker's, always, in ``QUEUE/progress/<id>.jsonl``); ``repro metrics``
 renders both, live or afterwards.  ``-v``/``-vv`` (or ``REPRO_LOG=INFO``)
 raises the log level.  ``python -m repro`` works as well as the
 installed ``repro`` script.
+
+A command passes on only the options that were typed (:func:`_given`),
+so an option left out takes the default of the function the command
+calls.  The CLI holds only the defaults no callee has: ``sim``'s triple,
+``train``/``eval``'s ``--log``, ``campaign --backend``, ``spec expand
+--format``, ``check``'s path and ``-v``.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import os
 import sys
 
@@ -43,6 +49,7 @@ from .core import (
     TRIPLE_NAMES,
     analyze_predictions,
     average_reductions,
+    build_workload,
     leave_one_out,
     paper_cells,
     run_cells,
@@ -52,7 +59,7 @@ from .core import (
 )
 from .core.reporting import format_leaderboard, format_percent, format_table
 from .spec import CellSpec, SpecFileError, WorkloadSpec, validate_spec_file
-from .workload import LOG_NAMES, get_trace, save_swf, stable_seed, table4_rows
+from .workload import LOG_NAMES, save_swf, stable_seed, table4_rows
 
 __all__ = ["main", "build_parser"]
 
@@ -90,27 +97,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, run, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
+        # an option left out stays out of the namespace (see _given)
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.set_defaults(run=run)  # main() calls it with the parsed namespace
         return p
 
-    command("logs", _cmd_logs, "list the archive logs (paper Table 4)")
+    def telemetry_option(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--telemetry", dest="telemetry_dir", metavar="DIR", help=_TELEMETRY_HELP)
 
     p_synth = command("synth", _cmd_synth, "write a synthetic SWF trace")
     p_synth.add_argument("output", help="output .swf path")
     p_synth.add_argument("--log", required=True, choices=LOG_NAMES)
-    p_synth.add_argument("--n-jobs", type=int, default=2000)
-    p_synth.add_argument("--seed", type=int, default=None)
+    p_synth.add_argument("--n-jobs", type=int)
+    p_synth.add_argument("--seed", type=int)
 
     p_sim = command("sim", _cmd_sim, "run one heuristic triple on one log")
     p_sim.add_argument("--log", required=True, choices=LOG_NAMES)
-    p_sim.add_argument("--n-jobs", type=int, default=2000)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--n-jobs", type=int)
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--predictor", default="requested")
     p_sim.add_argument("--corrector", default="none")
     p_sim.add_argument("--scheduler", default="easy")
-    p_sim.add_argument("--tau", type=float, default=10.0)
-    p_sim.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
+    p_sim.add_argument("--tau", type=float)
+    telemetry_option(p_sim)
 
     p_camp = command(
         "campaign", _cmd_campaign,
@@ -118,15 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_camp.add_argument(
         "--spec",
-        default=None,
         help="run the cells expanded from this experiment spec file "
         "(TOML/JSON) instead of the paper grid over --logs/--n-jobs/--replicas",
     )
-    p_camp.add_argument("--logs", nargs="*", default=list(LOG_NAMES))
-    p_camp.add_argument("--n-jobs", type=int, default=2000)
-    p_camp.add_argument("--replicas", type=int, default=3)
-    p_camp.add_argument("--cache", default=None, help="JSONL result-cache path")
-    p_camp.add_argument("--workers", type=int, default=None)
+    p_camp.add_argument("--logs", nargs="*")
+    p_camp.add_argument("--n-jobs", type=int)
+    p_camp.add_argument("--replicas", type=int)
+    p_camp.add_argument("--cache", dest="cache_path", help="JSONL result-cache path")
+    p_camp.add_argument("--workers", type=int)
     p_camp.add_argument(
         "--backend",
         choices=["local", "fsqueue"],
@@ -135,25 +143,25 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro worker` processes over a shared queue directory",
     )
     p_camp.add_argument(
-        "--queue", default=None, help="fsqueue: the shared queue directory"
+        "--queue", dest="queue_dir", help="fsqueue: the shared queue directory"
     )
     p_camp.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", dest="n_shards", type=int,
         help="fsqueue: fixed shard count (default: ~16 cells per shard)",
     )
     p_camp.add_argument(
-        "--lease-ttl", type=float, default=300.0,
+        "--lease-ttl", type=float,
         help="fsqueue: seconds without heartbeat before a shard is re-queued",
     )
     p_camp.add_argument(
-        "--max-attempts", type=int, default=3,
+        "--max-attempts", type=int,
         help="fsqueue: attempts per shard before the campaign fails",
     )
     p_camp.add_argument(
-        "--dist-timeout", type=float, default=None,
+        "--dist-timeout", dest="timeout", type=float,
         help="fsqueue: give up after this many seconds without completion",
     )
-    p_camp.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
+    telemetry_option(p_camp)
 
     p_serve = command(
         "serve", _cmd_serve,
@@ -162,29 +170,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--processors", type=int, required=True, help="machine size to serve"
     )
-    p_serve.add_argument("--scheduler", default="easy-sjbf")
-    p_serve.add_argument("--predictor", default="ave2")
-    p_serve.add_argument("--corrector", default="incremental")
-    p_serve.add_argument("--min-prediction", type=float, default=60.0)
-    p_serve.add_argument("--name", default="serve", help="session/trace label")
-    p_serve.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
+    p_serve.add_argument("--scheduler")
+    p_serve.add_argument("--predictor")
+    p_serve.add_argument("--corrector")
+    p_serve.add_argument("--min-prediction", type=float)
+    p_serve.add_argument("--name", help="session/trace label")
+    telemetry_option(p_serve)
 
     p_worker = command(
         "worker", _cmd_worker, "claim and simulate shards from a campaign queue"
     )
-    p_worker.add_argument("--queue", required=True, help="the shared queue directory")
-    p_worker.add_argument("--worker-id", default=None, help="default: <host>-<pid>")
-    p_worker.add_argument("--poll", type=float, default=0.5, help="claim poll seconds")
     p_worker.add_argument(
-        "--max-idle", type=float, default=None,
+        "--queue", dest="queue_dir", required=True, help="the shared queue directory"
+    )
+    p_worker.add_argument("--worker-id", help="default: <host>-<pid>")
+    p_worker.add_argument(
+        "--poll", dest="poll_interval", type=float, help="claim poll seconds"
+    )
+    p_worker.add_argument(
+        "--max-idle", type=float,
         help="exit after this many idle seconds (default: wait for DONE/STOP)",
     )
-    p_worker.add_argument(
-        "--max-shards", type=int, default=None, help="exit after completing N shards"
-    )
-    p_worker.add_argument(
-        "--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP
-    )
+    p_worker.add_argument("--max-shards", type=int, help="exit after completing N shards")
+    telemetry_option(p_worker)
 
     p_merge = command(
         "merge", _cmd_merge, "merge shard result caches into one canonical cache"
@@ -194,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard cache files and/or directories of *.jsonl (e.g. QUEUE/results)",
     )
     p_merge.add_argument("--out", required=True, help="canonical merged cache path")
-    p_merge.add_argument(
-        "--no-version-check", action="store_true",
-        help="accept cells from other CACHE_VERSION/ENGINE_VERSION codes (unsafe)",
-    )
 
     p_spec = command(
         "spec", _cmd_spec, "validate / expand declarative experiment spec files"
@@ -216,82 +220,60 @@ def build_parser() -> argparse.ArgumentParser:
         help="cells: one line per cell; keys: unique legacy triple keys; "
         "json: canonical cell objects",
     )
-    p_expand.add_argument(
-        "--limit", type=int, default=None, help="print at most N entries"
-    )
 
+    store_help = "checkpoint directory (default: $REPRO_CHECKPOINT_DIR or ./checkpoints)"
     p_train = command(
         "train", _cmd_train, "train a backfilling policy (REINFORCE) and checkpoint it"
     )
     p_train.add_argument("--log", default="KTH-SP2", choices=LOG_NAMES)
-    p_train.add_argument("--n-jobs", type=int, default=500)
+    p_train.add_argument("--n-jobs", type=int)
     p_train.add_argument(
-        "--replicas", type=int, default=2,
-        help="training trace seeds: stable_seed(log) + 0..N-1",
+        "--replicas", type=int, help="training trace seeds: stable_seed(log) + 0..N-1"
     )
     p_train.add_argument(
-        "--train-seeds", type=int, nargs="*", default=None,
+        "--train-seeds", type=int, nargs="+",
         help="pin the training trace seeds explicitly (overrides --replicas)",
     )
-    p_train.add_argument("--epochs", type=int, default=4)
-    p_train.add_argument(
-        "--episodes", type=int, default=8, help="sampled episodes per epoch"
-    )
-    p_train.add_argument("--lr", type=float, default=0.05)
-    p_train.add_argument("--temperature", type=float, default=1.0)
-    p_train.add_argument(
-        "--seed", type=int, default=0, help="master seed for action noise"
-    )
-    p_train.add_argument("--predictor", default="ave2")
-    p_train.add_argument("--corrector", default="incremental")
-    p_train.add_argument("--min-prediction", type=float, default=60.0)
-    p_train.add_argument("--tau", type=float, default=10.0)
-    p_train.add_argument(
-        "--store", default=None,
-        help="checkpoint directory (default: $REPRO_CHECKPOINT_DIR or ./checkpoints)",
-    )
-    p_train.add_argument(
-        "--workers", type=int, default=None, help="parallel rollout workers"
-    )
+    p_train.add_argument("--epochs", type=int)
+    p_train.add_argument("--episodes", type=int, help="sampled episodes per epoch")
+    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--temperature", type=float)
+    p_train.add_argument("--seed", type=int, help="master seed for action noise")
+    p_train.add_argument("--predictor")
+    p_train.add_argument("--corrector")
+    p_train.add_argument("--min-prediction", type=float)
+    p_train.add_argument("--tau", type=float)
+    p_train.add_argument("--store", help=store_help)
+    p_train.add_argument("--workers", type=int, help="parallel rollout workers")
     p_train.add_argument("--json", action="store_true", help="machine-readable summary")
-    p_train.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
+    telemetry_option(p_train)
 
     p_eval = command(
         "eval", _cmd_eval,
         "rank a trained policy against heuristic baselines (leaderboard)",
     )
-    p_eval.add_argument("--policy", required=True, help="checkpoint digest to evaluate")
     p_eval.add_argument(
-        "--store", default=None,
-        help="checkpoint directory (default: $REPRO_CHECKPOINT_DIR or ./checkpoints)",
+        "--policy", dest="digest", required=True, help="checkpoint digest to evaluate"
     )
+    p_eval.add_argument("--store", help=store_help)
     p_eval.add_argument("--log", default="KTH-SP2", choices=LOG_NAMES)
-    p_eval.add_argument("--n-jobs", type=int, default=500)
+    p_eval.add_argument("--n-jobs", type=int)
     p_eval.add_argument(
-        "--seeds", type=int, nargs="*", default=None,
-        help="evaluation trace seeds (default: one held-out seed per --replicas)",
+        "--seeds", type=int, nargs="*",
+        help="evaluation trace seeds (default: stable_seed(log) + 2, the first "
+        "seed past the two that `repro train` uses by default)",
     )
+    p_eval.add_argument("--predictor")
+    p_eval.add_argument("--corrector")
+    p_eval.add_argument("--min-prediction", type=float)
+    p_eval.add_argument("--tau", type=float)
     p_eval.add_argument(
-        "--replicas", type=int, default=1,
-        help="without --seeds: evaluate on stable_seed(log)+offset..+offset+N-1",
+        "--baselines", nargs="*", help="heuristic schedulers to rank against"
     )
-    p_eval.add_argument(
-        "--holdout-offset", type=int, default=2,
-        help="without --seeds: first evaluation seed is stable_seed(log)+OFFSET "
-        "(keep it >= the training replicas so evaluation is held out)",
-    )
-    p_eval.add_argument("--predictor", default="ave2")
-    p_eval.add_argument("--corrector", default="incremental")
-    p_eval.add_argument("--min-prediction", type=float, default=60.0)
-    p_eval.add_argument("--tau", type=float, default=10.0)
-    p_eval.add_argument(
-        "--baselines", nargs="*", default=["easy", "easy-sjbf"],
-        help="heuristic schedulers to rank against",
-    )
-    p_eval.add_argument("--cache", default=None, help="JSONL result-cache path")
-    p_eval.add_argument("--workers", type=int, default=None)
+    p_eval.add_argument("--cache", dest="cache_path", help="JSONL result-cache path")
+    p_eval.add_argument("--workers", type=int)
     p_eval.add_argument("--json", action="store_true", help="machine-readable leaderboard")
-    p_eval.add_argument("--telemetry", default=None, metavar="DIR", help=_TELEMETRY_HELP)
+    telemetry_option(p_eval)
 
     p_metrics = command(
         "metrics", _cmd_metrics,
@@ -301,11 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument(
         "dirs", nargs="+", metavar="DIR",
         help="one directory to render, or two to diff (before after)",
-    )
-    p_metrics.add_argument(
-        "--format", choices=["text", "prom", "json"], default="text",
-        help="single-directory rendering: human text, Prometheus "
-        "exposition, or raw snapshot JSON",
     )
 
     p_check = command(
@@ -325,35 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = command("table", _cmd_table, "print a paper table reproduction")
     p_table.add_argument("--which", required=True, choices=["1", "4", "6", "7", "8"])
-    p_table.add_argument("--n-jobs", type=int, default=2000)
-    p_table.add_argument("--replicas", type=int, default=3)
-    p_table.add_argument("--cache", default=None)
-    p_table.add_argument("--workers", type=int, default=None)
+    p_table.add_argument("--n-jobs", type=int)
+    p_table.add_argument("--replicas", type=int)
+    p_table.add_argument("--cache", dest="cache_path")
+    p_table.add_argument("--workers", type=int)
     return parser
 
 
-def _cmd_logs(_args: argparse.Namespace | None = None) -> int:
-    rows = table4_rows()
-    print(
-        format_table(
-            ["Name", "Year", "# CPUs", "# Jobs", "Duration"],
-            rows,
-            title="Workload logs (paper Table 4; published metadata)",
-        )
-    )
-    return 0
-
-
-def _resolve_seed(args: argparse.Namespace) -> tuple[int, bool]:
-    """The run's seed and whether it was derived (``--seed`` omitted).
-
-    Derived seeds use :func:`repro.workload.stable_seed`, the same
-    default the campaign uses -- and are *printed*, so every CLI run is
-    reproducible from its own output.
-    """
-    if args.seed is not None:
-        return args.seed, False
-    return stable_seed(args.log), True
+def _given(args: argparse.Namespace, callee) -> dict:
+    """The options typed on the command line that ``callee`` takes, by
+    parameter name; the ones left out keep the callee's own default."""
+    params = inspect.signature(callee).parameters
+    return {name: value for name, value in vars(args).items() if name in params}
 
 
 @contextlib.contextmanager
@@ -363,7 +323,7 @@ def _telemetry(args: argparse.Namespace, component: str):
     It traces into ``DIR/trace-<component>.jsonl`` as the block runs; the
     counter snapshot lands when the block is left, normally or not.
     """
-    directory = getattr(args, "telemetry", None)
+    directory = getattr(args, "telemetry_dir", None)
     if not directory:
         yield None
         return
@@ -380,16 +340,16 @@ def _telemetry(args: argparse.Namespace, component: str):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    seed, derived = _resolve_seed(args)
     try:
-        trace = get_trace(args.log, n_jobs=args.n_jobs, seed=seed)
+        workload = WorkloadSpec.make(**_given(args, WorkloadSpec.make))
     except ValueError as exc:
         return _usage_error("synth", exc)
+    trace = build_workload(workload)
     save_swf(trace, args.output)
-    stats = trace.stats()
-    origin = "derived from log name; pass --seed to override" if derived else "from --seed"
-    print(f"seed {seed} ({origin})")
-    print(f"wrote {args.output}: {stats.describe()}")
+    # a derived seed is printed too, so every run is reproducible from its output
+    origin = "from --seed" if "seed" in args else "derived from log name; pass --seed to override"
+    print(f"seed {workload.seed} ({origin})")
+    print(f"wrote {args.output}: {trace.stats().describe()}")
     return 0
 
 
@@ -403,20 +363,16 @@ def _usage_error(command: str, exc: Exception | str) -> int:
 
 
 def _cmd_sim(args: argparse.Namespace) -> int:
-    seed, derived = _resolve_seed(args)
     try:
         spec = CellSpec.make(
-            WorkloadSpec.make(args.log, n_jobs=args.n_jobs, seed=seed),
-            args.predictor,
-            args.corrector,
-            args.scheduler,
-            tau=args.tau,
+            WorkloadSpec.make(**_given(args, WorkloadSpec.make)),
+            **_given(args, CellSpec.make),
         )
     except (KeyError, ValueError) as exc:
         return _usage_error("sim", exc)
     with _telemetry(args, "sim") as telemetry:
         result = run_spec(spec, telemetry=telemetry)
-    origin = "derived from log name" if derived else "from --seed"
+    origin = "from --seed" if "seed" in args else "derived from log name"
     print(f"log        : {spec.workload.log}")
     print(f"seed       : {spec.workload.seed} ({origin})")
     print(f"triple     : {TRIPLE_NAMES.get(spec.label, spec.label)}")
@@ -430,25 +386,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 def _run_cells_from_args(args: argparse.Namespace, cells: list[CellSpec]):
     """Run ``cells`` with the cache/dispatch/telemetry options of ``repro
     campaign`` (``repro table`` carries only the cache and worker ones)."""
-    backend = None
-    if getattr(args, "backend", "local") == "fsqueue":
+    given = _given(args, run_cells)
+    if given.pop("backend", None) == "fsqueue":  # the option's name becomes a broker
         from .dist import FsQueueBroker
 
-        backend = FsQueueBroker(
-            args.queue,
-            n_shards=args.shards,
-            lease_ttl=args.lease_ttl,
-            max_attempts=args.max_attempts,
-            timeout=args.dist_timeout,
-        )
+        given["backend"] = FsQueueBroker(**_given(args, FsQueueBroker))
     with _telemetry(args, "campaign") as telemetry:
-        return run_cells(
-            cells,
-            cache_path=args.cache,
-            workers=args.workers,
-            backend=backend,
-            telemetry=telemetry,
-        )
+        return run_cells(cells, **given, telemetry=telemetry)
 
 
 def _print_table6(result) -> None:
@@ -477,15 +421,15 @@ def _print_table6(result) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: the paper grid over ``--logs/--n-jobs/
     --replicas``, or with ``--spec FILE`` any experiment file."""
-    if args.backend == "fsqueue" and not args.queue:
+    if args.backend == "fsqueue" and not getattr(args, "queue_dir", None):
         return _usage_error("campaign", "--backend fsqueue requires --queue DIR")
     try:
-        if args.spec:
+        if "spec" in args:
             name, cells = validate_spec_file(args.spec)
             print(f"spec {args.spec} ({name}): {len(cells)} cell(s)")
         else:
             name = "paper-sc15"
-            cells = paper_cells(args.logs, n_jobs=args.n_jobs, replicas=args.replicas)
+            cells = paper_cells(**_given(args, paper_cells))
     except SpecFileError as exc:
         return _usage_error("campaign", exc)
     result = _run_cells_from_args(args, cells)
@@ -533,11 +477,8 @@ def _cmd_spec(args: argparse.Namespace) -> int:
             f"s={cell.workload.seed} {cell.label} [{cell.digest()}]"
             for cell in cells
         ]
-    shown = entries if args.limit is None else entries[: args.limit]
-    for entry in shown:
+    for entry in entries:
         print(entry)
-    if len(shown) < len(entries):
-        print(f"... ({len(entries) - len(shown)} more)")
     print(f"# {name}: {len(cells)} cell(s), {len(triple_keys_of(cells))} unique triple key(s)")
     return 0
 
@@ -546,22 +487,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: JSONL protocol loop over one live SimSession."""
     from .serve import build_serve_session, serve_loop
 
+    given = _given(args, build_serve_session)
     with _telemetry(args, "serve") as telemetry:
         try:
-            session = build_serve_session(
-                processors=args.processors,
-                scheduler=args.scheduler,
-                predictor=args.predictor,
-                corrector=args.corrector,
-                min_prediction=args.min_prediction,
-                name=args.name,
-                telemetry=telemetry,
-            )
+            session = build_serve_session(**given, telemetry=telemetry)
         except (KeyError, ValueError) as exc:
             return _usage_error("serve", exc)
+        params = inspect.signature(build_serve_session).parameters
+        shown = {name: given.get(name, params[name].default) for name in params}
         print(
-            f"serving m={args.processors} scheduler={args.scheduler} "
-            f"predictor={args.predictor} corrector={args.corrector}; "
+            f"serving m={shown['processors']} scheduler={shown['scheduler']} "
+            f"predictor={shown['predictor']} corrector={shown['corrector']}; "
             "one JSON request per line (see README 'Serving mode')",
             file=sys.stderr,
         )
@@ -576,16 +512,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    from .dist import run_worker
+    from .dist import QueueVersionError, run_worker
 
-    stats = run_worker(
-        args.queue,
-        worker_id=args.worker_id,
-        poll_interval=args.poll,
-        max_idle=args.max_idle,
-        max_shards=args.max_shards,
-        telemetry_dir=args.telemetry,
-    )
+    try:
+        stats = run_worker(**_given(args, run_worker))
+    except (FileNotFoundError, QueueVersionError) as exc:
+        # raised only as the worker starts: no queue, or another version's
+        return _usage_error("worker", exc)
     print(
         f"worker {stats.worker_id} exiting ({stats.reason}): "
         f"{stats.shards} shard(s), {stats.cells} simulated cell(s), "
@@ -596,15 +529,12 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    from .dist import merge_caches
+    from .dist import CellConflictError, MergeVersionError, merge_caches
 
     try:
-        _cells, report = merge_caches(
-            args.inputs,
-            out_path=args.out,
-            check_versions=not args.no_version_check,
-        )
-    except FileNotFoundError as exc:  # an input or --out path that isn't there
+        _cells, report = merge_caches(args.inputs, out_path=args.out)
+    except (FileNotFoundError, MergeVersionError, CellConflictError) as exc:
+        # an input that isn't there, another version's cells, two values for one cell
         return _usage_error("merge", exc)
     print(report.describe())
     print(f"wrote {args.out}")
@@ -618,27 +548,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
     from .dist import LocalBroker
     from .learn import TrainConfig, resolve_store, train
 
-    config = TrainConfig(
-        log=args.log,
-        n_jobs=args.n_jobs,
-        replicas=args.replicas,
-        train_seeds=tuple(args.train_seeds) if args.train_seeds else None,
-        epochs=args.epochs,
-        episodes=args.episodes,
-        lr=args.lr,
-        temperature=args.temperature,
-        seed=args.seed,
-        predictor=args.predictor,
-        corrector=args.corrector,
-        min_prediction=args.min_prediction,
-        tau=args.tau,
-    )
+    given = _given(args, TrainConfig)
+    if "train_seeds" in given:
+        given["train_seeds"] = tuple(given["train_seeds"])
+    try:
+        config = TrainConfig(**given)
+    except (KeyError, ValueError) as exc:
+        return _usage_error("train", exc)
     with _telemetry(args, "train") as telemetry:
         result = train(
-            config, broker=LocalBroker(workers=args.workers), telemetry=telemetry
+            config, broker=LocalBroker(**_given(args, LocalBroker)), telemetry=telemetry
         )
-    path = result.checkpoint.save(args.store)
-    if args.json:
+    store = getattr(args, "store", None)
+    path = result.checkpoint.save(store)
+    if "json" in args:
         print(
             json.dumps(
                 {
@@ -655,7 +578,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
         return 0
     print(f"checkpoint : {result.digest}")
-    print(f"saved to   : {path} (store: {resolve_store(args.store)})")
+    print(f"saved to   : {path} (store: {resolve_store(store)})")
     print(f"train seeds: {list(config.resolved_train_seeds())}")
     print(
         f"AVEbsld    : {result.train_avebsld:.3f} trained "
@@ -680,8 +603,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             )
         )
     print(
-        f"evaluate with: repro eval --policy {result.digest} --log {args.log}"
-        + (f" --store {args.store}" if args.store else "")
+        f"evaluate with: repro eval --policy {result.digest} --log {config.log}"
+        + (f" --store {store}" if store else "")
     )
     return 0
 
@@ -692,48 +615,37 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     from .learn import DEFAULT_STORE_ENV, CheckpointError, PolicyCheckpoint, evaluate_policy
 
+    store = getattr(args, "store", None)
     try:
-        PolicyCheckpoint.load_by_digest(args.policy, store=args.store)
+        PolicyCheckpoint.load_by_digest(args.digest, store=store)
     except CheckpointError as exc:
         return _usage_error("eval", exc)
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds]
-    else:
-        base = stable_seed(args.log) + args.holdout_offset
-        seeds = [base + r for r in range(args.replicas)]
+    # held out: the first seed past the two that `repro train` uses by default
+    seeds = getattr(args, "seeds", None) or [stable_seed(args.log) + 2]
     # the store is resolved via the environment, not the spec params, so
     # the learned cells' cache identity stays store-location-free -- for
     # this evaluation only: an in-process caller gets its own value back
     previous = os.environ.get(DEFAULT_STORE_ENV)
-    if args.store:
-        os.environ[DEFAULT_STORE_ENV] = args.store
+    if store:
+        os.environ[DEFAULT_STORE_ENV] = store
     try:
         with _telemetry(args, "eval") as telemetry:
             result = evaluate_policy(
-                args.policy,
-                args.log,
-                seeds=seeds,
-                n_jobs=args.n_jobs,
-                predictor=args.predictor,
-                corrector=args.corrector,
-                min_prediction=args.min_prediction,
-                tau=args.tau,
-                baselines=args.baselines,
-                cache_path=args.cache,
-                workers=args.workers,
-                telemetry=telemetry,
+                **{**_given(args, evaluate_policy), "seeds": seeds}, telemetry=telemetry
             )
+    except SpecFileError as exc:  # a bad size or baseline name, refused before any run
+        return _usage_error("eval", exc)
     finally:
         if previous is not None:
             os.environ[DEFAULT_STORE_ENV] = previous
-        elif args.store:
+        elif store:
             del os.environ[DEFAULT_STORE_ENV]
     board = result.leaderboard()
-    if args.json:
+    if "json" in args:
         print(
             json.dumps(
                 {
-                    "policy": args.policy,
+                    "policy": args.digest,
                     "log": args.log,
                     "seeds": seeds,
                     "leaderboard": [
@@ -751,7 +663,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    print(f"policy {args.policy} on {args.log} seeds {seeds}")
+    print(f"policy {args.digest} on {args.log} seeds {seeds}")
     print(
         format_leaderboard(
             board, title=f"Learned vs heuristic ({args.log})"
@@ -762,9 +674,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     """``repro metrics DIR [DIR2]``: render a directory's counter snapshots
-    and event streams, or diff the snapshots of two."""
-    import json
-
+    and event streams, or diff the snapshots of two.  The snapshots'
+    Prometheus and JSON forms are the ``metrics-*.prom`` / ``.json``
+    files in the directory itself."""
     from . import obs
 
     if len(args.dirs) > 2:
@@ -778,26 +690,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(obs.diff_snapshots(baseline, current))
         return 0
     snapshots = obs.load_snapshots(args.dirs[0])
-    # under the tables, what the event streams say of a campaign and its
-    # workers; the machine-readable formats carry snapshots only
+    # under the tables, what the event streams say of a campaign and its workers
     progress = obs.format_events(obs.load_events(args.dirs[0]))
     if not snapshots and not progress:
         print(f"no metrics-*.json snapshots or event streams under {args.dirs[0]}")
         return 1
-    if not snapshots and args.format != "text":
-        print(
-            f"no metrics-*.json snapshots under {args.dirs[0]}: --format "
-            f"{args.format} carries snapshots only, the event streams there "
-            "render as text"
-        )
-        return 1
-    if args.format == "prom":
-        print("\n".join(obs.prom_text(snap) for snap in snapshots))
-    elif args.format == "json":
-        print(json.dumps(snapshots, indent=2, sort_keys=True))
-    else:
-        tables = obs.format_snapshots(snapshots) if snapshots else ""
-        print("\n\n".join(filter(None, [tables, progress])))
+    tables = obs.format_snapshots(snapshots) if snapshots else ""
+    print("\n\n".join(filter(None, [tables, progress])))
     return 0
 
 
@@ -809,7 +708,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if missing:
         return _usage_error("check", f"no such file or directory: {', '.join(missing)}")
     root = find_root(args.paths[0])
-    if args.update_frozen:
+    if "update_frozen" in args:
         path = write_frozen(root)
         print(f"frozen digests regenerated: {path}", file=sys.stderr)
     findings, files = run_check(args.paths, root=root)
@@ -821,12 +720,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.which == "4":
-        return _cmd_logs()
+        print(
+            format_table(
+                ["Name", "Year", "# CPUs", "# Jobs", "Duration"],
+                table4_rows(),
+                title="Workload logs (paper Table 4; published metadata)",
+            )
+        )
+        return 0
+    try:
+        if args.which == "8":
+            analysis = analyze_predictions(**_given(args, analyze_predictions))
+        else:
+            cells = paper_cells(**_given(args, paper_cells))
+    except SpecFileError as exc:  # a bad size or count, refused before any run
+        return _usage_error("table", exc)
     if args.which == "8":
-        analysis, _result, procs = analyze_predictions(n_jobs=args.n_jobs)
         rows = [
-            (name, round(mae), f"{eloss:.3g}")
-            for name, mae, eloss in table8_rows(analysis, procs)
+            (name, round(mae), f"{eloss:.3g}") for name, mae, eloss in table8_rows(analysis)
         ]
         print(
             format_table(
@@ -836,11 +747,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
             )
         )
         return 0
-
-    try:
-        cells = paper_cells(n_jobs=args.n_jobs, replicas=args.replicas)
-    except SpecFileError as exc:
-        return _usage_error("table", exc)
     result = _run_cells_from_args(args, cells)
     if args.which == "1":
         rows = [

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..metrics.prediction import mean_absolute_error, mean_loss, prediction_errors
 from ..predict.loss import E_LOSS
 from ..sim.results import SimulationResult
-from ..spec import CellSpec, WorkloadSpec
+from ..spec import expand_spec_obj
 from .run import run_spec
 from .triples import ELOSS_TRIPLE
 
@@ -32,26 +33,31 @@ DEFAULT_TECHNIQUES: dict[str, str] = {
 
 @dataclass
 class PredictionAnalysis:
-    """Per-technique prediction vectors on a common trace."""
+    """Each technique's run of a common trace; every measure reads
+    through :mod:`repro.metrics.prediction`."""
 
     log: str
-    runtimes: np.ndarray
-    #: predictions[technique] = submission-time predictions, seconds.
-    predictions: dict[str, np.ndarray]
+    #: results[technique] = the run under that technique's predictor.
+    results: dict[str, SimulationResult]
+
+    @property
+    def runtimes(self) -> np.ndarray:
+        return next(iter(self.results.values())).runtimes
+
+    @property
+    def predictions(self) -> dict[str, np.ndarray]:
+        """Submission-time predictions per technique, seconds."""
+        return {name: result.initial_predictions for name, result in self.results.items()}
 
     def errors(self, technique: str) -> np.ndarray:
         """Signed prediction errors f - p for one technique (Figure 4)."""
-        return self.predictions[technique] - self.runtimes
+        return prediction_errors(self.results[technique])
 
     def mae(self, technique: str) -> float:
-        return float(np.abs(self.errors(technique)).mean())
+        return mean_absolute_error(self.results[technique])
 
-    def mean_eloss(self, technique: str, processors: np.ndarray) -> float:
-        total = 0.0
-        preds = self.predictions[technique]
-        for f, p, q in zip(preds, self.runtimes, processors, strict=True):
-            total += E_LOSS.value(float(f), float(p), float(q))
-        return total / len(preds)
+    def mean_eloss(self, technique: str) -> float:
+        return mean_loss(self.results[technique], E_LOSS)
 
 
 def analyze_predictions(
@@ -61,47 +67,33 @@ def analyze_predictions(
     techniques: dict[str, str] | None = None,
     corrector: str = "incremental",
     scheduler: str = "easy-sjbf",
-) -> tuple[PredictionAnalysis, SimulationResult, np.ndarray]:
-    """Run each technique on the same trace; return predictions + context.
+) -> PredictionAnalysis:
+    """Run each technique on the same trace inside one scheduling context
+    (techniques that never under-predict run uncorrected).
 
-    Returns ``(analysis, last_result, processors)`` where ``processors``
-    is the per-job width vector used by the E-Loss weights.
+    A bad log, size or component name is a
+    :class:`~repro.spec.SpecFileError`, raised before any run.
     """
     techniques = dict(techniques or DEFAULT_TECHNIQUES)
-    workload = WorkloadSpec.make(log, n_jobs=n_jobs, seed=seed)
-    predictions: dict[str, np.ndarray] = {}
-    result: SimulationResult | None = None
-    for label, predictor_key in techniques.items():
-        needs_correction = predictor_key not in ("requested", "clairvoyant")
-        result = run_spec(
-            CellSpec.make(
-                workload,
-                predictor_key,
-                corrector if needs_correction else None,
-                scheduler,
-            )
-        )
-        predictions[label] = result.initial_predictions
-    assert result is not None
-    analysis = PredictionAnalysis(
-        log=log,
-        runtimes=result.runtimes,
-        predictions=predictions,
+    seeds = {} if seed is None else {"seeds": [seed]}  # one replica: stable_seed(log)
+    grid = [
+        {
+            "predictor": [key],
+            "corrector": ["none" if key in ("requested", "clairvoyant") else corrector],
+            "scheduler": [scheduler],
+        }
+        for key in techniques.values()
+    ]
+    cells = expand_spec_obj(
+        {"campaign": {"logs": [log], "n_jobs": n_jobs, **seeds}, "grid": grid},
+        source="prediction analysis",
     )
-    return analysis, result, result.array("processors")
+    runs = {label: run_spec(cell) for label, cell in zip(techniques, cells, strict=True)}
+    return PredictionAnalysis(log=log, results=runs)
 
 
-def table8_rows(
-    analysis: PredictionAnalysis, processors: np.ndarray
-) -> list[tuple[str, float, float]]:
+def table8_rows(analysis: PredictionAnalysis) -> list[tuple[str, float, float]]:
     """(technique, MAE, mean E-Loss) rows, AVE2 and E-Loss learning first."""
-    order = [
-        name
-        for name in ("AVE2", "E-Loss Regression")
-        if name in analysis.predictions
-    ]
-    order += [n for n in analysis.predictions if n not in order]
-    return [
-        (name, analysis.mae(name), analysis.mean_eloss(name, processors))
-        for name in order
-    ]
+    order = [name for name in ("AVE2", "E-Loss Regression") if name in analysis.results]
+    order += [n for n in analysis.results if n not in order]
+    return [(name, analysis.mae(name), analysis.mean_eloss(name)) for name in order]

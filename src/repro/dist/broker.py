@@ -305,7 +305,7 @@ class FsQueueBroker(Broker):
         # Authoritative merge: dedups across attempts, detects value
         # conflicts and version skew loudly, and catches any result the
         # incremental tailer missed.
-        merged, report = merge_caches(queue.result_paths(), check_versions=True)
+        merged, report = merge_caches(queue.result_paths())
         for token, value in merged.items():
             if token in token_map and token not in seen:
                 seen.add(token)

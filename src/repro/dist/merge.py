@@ -97,10 +97,8 @@ def _expand_inputs(inputs: Iterable[str]) -> list[str]:
     return paths
 
 
-def _check_token_version(
-    token: str, path: str, lineno: int, prefix: str | None
-) -> None:
-    if prefix is not None and not token.startswith(prefix):
+def _check_token_version(token: str, path: str, lineno: int, prefix: str) -> None:
+    if not token.startswith(prefix):
         raise MergeVersionError(
             f"{path}:{lineno}: cell token {token!r} does not match this "
             f"code's version prefix {prefix!r}; it was produced by a "
@@ -110,18 +108,16 @@ def _check_token_version(
 
 
 def merge_caches(
-    inputs: Sequence[str],
-    out_path: str | None = None,
-    check_versions: bool = True,
+    inputs: Sequence[str], out_path: str | None = None
 ) -> tuple[dict[str, float], MergeReport]:
     """Merge shard caches; returns ``(cells, report)``.
 
     ``inputs`` are cache files and/or directories of ``*.jsonl`` shard
-    caches.  With ``check_versions`` every token must carry the running
-    code's ``v<CACHE_VERSION>|e<ENGINE_VERSION>|`` prefix.  ``out_path``
+    caches.  Every token must carry the running code's
+    ``v<CACHE_VERSION>|e<ENGINE_VERSION>|`` prefix.  ``out_path``
     (optional) receives the canonical sorted merge, written atomically.
     """
-    prefix = _version_prefix() if check_versions else None
+    prefix = _version_prefix()
     cells: dict[str, float] = {}
     first_seen: dict[str, str] = {}
     report = MergeReport()

@@ -10,7 +10,7 @@ bookkeeping to the hot loop.
 
 The environment is deliberately *not* a step-API gym: the engine drives
 time and asks the policy for decisions (the scheduler callback IS the
-policy query), so a rollout is a single ``session.drain()`` with a
+policy query), so a rollout is a single batch ``simulate()`` with a
 recorder attached.  The per-decision score-function terms are
 accumulated incrementally into one episode gradient
 (``sum_t  e(a_t) - sum_i pi_i e(i)`` in augmented F+1 space), which is
@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from ..metrics.slowdown import average_bounded_slowdown
-from ..sim.session import SimSession
+from ..sim.engine import simulate
 from ..spec import corrector_registry, predictor_registry
 from ..workload.archive import get_trace
 from ..workload.trace import Trace
@@ -189,18 +189,10 @@ class BackfillEnv:
             if cfg.corrector not in (None, "none")
             else None
         )
-        trace = self.trace(seed)
-        session = SimSession(
-            trace.processors,
-            scheduler,
-            predictor,
-            corrector,
-            min_prediction=cfg.min_prediction,
-            trace_name=trace.name,
+        result = simulate(
+            self.trace(seed), scheduler, predictor, corrector, min_prediction=cfg.min_prediction
         )
-        session.feed(trace)
-        session.drain()
-        avebsld = average_bounded_slowdown(session.result(), cfg.tau)
+        avebsld = average_bounded_slowdown(result, cfg.tau)
         episode = Episode(seed=seed, avebsld=avebsld, return_=-avebsld)
         if recorder is not None:
             episode.grad = recorder.grad

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs.telemetry import NOOP, Telemetry
+from ..spec import WorkloadSpec, corrector_registry, predictor_registry
 from ..workload.archive import stable_seed
 from .checkpoint import PolicyCheckpoint
 from .env import EnvConfig, Episode
@@ -64,6 +65,15 @@ class TrainConfig:
     corrector: str = "incremental"
     min_prediction: float = 60.0
     tau: float = 10.0
+
+    def __post_init__(self) -> None:
+        # a bad size, seed count or component name is refused here, before any rollout
+        if not self.resolved_train_seeds():
+            raise ValueError("training needs at least one train seed")
+        WorkloadSpec.make(self.log, n_jobs=self.n_jobs)
+        predictor_registry().normalize(self.predictor)
+        if self.corrector not in (None, "none"):
+            corrector_registry().normalize(self.corrector)
 
     def resolved_train_seeds(self) -> tuple[int, ...]:
         if self.train_seeds is not None:
@@ -131,8 +141,6 @@ def train(
     tele = telemetry if telemetry is not None else NOOP
     env = config.env_config()
     train_seeds = config.resolved_train_seeds()
-    if not train_seeds:
-        raise ValueError("training needs at least one train seed")
 
     policy = LinearSoftmaxPolicy.sjbf_init()
     init_score = _greedy_score(broker, env, policy, train_seeds)
@@ -269,30 +277,27 @@ def evaluate_policy(
     build time: the store *location* stays out of the cache key.
 
     Returns the :class:`~repro.core.campaign.SpecCampaignResult`; rank
-    with ``.leaderboard()``.
+    with ``.leaderboard()``.  A bad size, seed list or component name is
+    a :class:`~repro.spec.SpecFileError`, raised before any cell runs.
     """
     from ..core.campaign import run_cells
-    from ..spec import CellSpec, WorkloadSpec
+    from ..spec import expand_spec_obj
 
-    schedulers: list = [
-        {"name": "rl-backfill", "params": {"policy": digest}},
-        *baselines,
-    ]
-    cells = [
-        CellSpec.make(
-            workload=WorkloadSpec.make(log, n_jobs=n_jobs, seed=int(seed)),
-            predictor=predictor,
-            corrector=corrector,
-            scheduler=scheduler,
-            min_prediction=min_prediction,
-            tau=tau,
-        )
-        for scheduler in schedulers
-        for seed in seeds
-    ]
-    return run_cells(
-        cells,
-        cache_path=cache_path,
-        workers=workers,
-        telemetry=telemetry,
+    cells = expand_spec_obj(
+        {
+            "campaign": {
+                "logs": [log],
+                "n_jobs": n_jobs,
+                "seeds": list(seeds),
+                "min_prediction": min_prediction,
+                "tau": tau,
+            },
+            "grid": {
+                "predictor": [predictor],
+                "corrector": [corrector],
+                "scheduler": [{"name": "rl-backfill", "params": {"policy": digest}}, *baselines],
+            },
+        },
+        source="policy evaluation",
     )
+    return run_cells(cells, cache_path=cache_path, workers=workers, telemetry=telemetry)

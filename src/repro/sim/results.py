@@ -94,10 +94,6 @@ class JobRecord:
             raise ValueError(f"job {self.job_id} has no predicted end before start")
         return self.start_time + self.predicted_runtime
 
-    def bounded_slowdown(self, tau: float = 10.0) -> float:
-        """The paper's bsld metric: max((wait + p) / max(p, tau), 1)."""
-        return max((self.wait_time + self.runtime) / max(self.runtime, tau), 1.0)
-
 
 class SimulationResult:
     """Immutable outcome of one simulation run."""

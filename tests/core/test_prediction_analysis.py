@@ -14,38 +14,32 @@ def analysis():
 
 class TestAnalysis:
     def test_all_techniques_present(self, analysis):
-        result, _, _ = analysis
-        assert set(result.predictions) == set(DEFAULT_TECHNIQUES)
+        assert set(analysis.predictions) == set(DEFAULT_TECHNIQUES)
 
     def test_common_trace(self, analysis):
-        result, _, _ = analysis
-        lengths = {len(v) for v in result.predictions.values()}
+        lengths = {len(v) for v in analysis.predictions.values()}
         assert lengths == {500}
-        assert len(result.runtimes) == 500
+        assert len(analysis.runtimes) == 500
 
     def test_requested_time_never_underpredicts(self, analysis):
-        result, _, _ = analysis
-        errors = result.errors("Requested Time")
+        errors = analysis.errors("Requested Time")
         assert (errors >= -1e-9).all()
 
     def test_eloss_underpredicts_more_than_squared(self, analysis):
         """Figure 4's headline: the E-Loss error ECDF sits left of the
         squared-loss one (more under-prediction)."""
-        result, _, _ = analysis
-        under_eloss = float(np.mean(result.errors("E-Loss Regression") < 0))
-        under_sq = float(np.mean(result.errors("Squared Loss Regression") < 0))
+        under_eloss = float(np.mean(analysis.errors("E-Loss Regression") < 0))
+        under_sq = float(np.mean(analysis.errors("Squared Loss Regression") < 0))
         assert under_eloss > under_sq
 
     def test_table8_shape(self, analysis):
         """AVE2 must beat E-Loss learning on MAE but lose on mean E-Loss
         (by a wide margin) -- the paper's Table 8."""
-        result, _, procs = analysis
-        rows = {name: (mae, eloss) for name, mae, eloss in table8_rows(result, procs)}
+        rows = {name: (mae, eloss) for name, mae, eloss in table8_rows(analysis)}
         ave2_mae, ave2_eloss = rows["AVE2"]
         ml_mae, ml_eloss = rows["E-Loss Regression"]
         assert ml_eloss < ave2_eloss
 
     def test_mae_accessor(self, analysis):
-        result, _, _ = analysis
-        for name in result.predictions:
-            assert result.mae(name) >= 0.0
+        for name in analysis.predictions:
+            assert analysis.mae(name) >= 0.0

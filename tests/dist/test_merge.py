@@ -116,12 +116,6 @@ class TestVersionFencing:
         with pytest.raises(MergeVersionError, match=r"a\.jsonl:2"):
             merge_caches([str(tmp_path / "a.jsonl")])
 
-    def test_opt_out_accepts_foreign_versions(self, tmp_path):
-        stale = token("aa").replace(f"v{CACHE_VERSION}|", "v0|")
-        write_cache(tmp_path / "a.jsonl", [(stale, 1.0)])
-        cells, _ = merge_caches([str(tmp_path / "a.jsonl")], check_versions=False)
-        assert cells == {stale: 1.0}
-
 
 class TestTornTails:
     def test_torn_tail_does_not_poison_merge(self, tmp_path):

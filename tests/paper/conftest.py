@@ -37,5 +37,5 @@ def campaign():
 
 @pytest.fixture(scope="session")
 def curie():
-    """``(analysis, last technique's result, per-job widths)``."""
+    """The :class:`repro.core.PredictionAnalysis`: each technique's run."""
     return analyze_predictions(log="Curie", n_jobs=CURIE_JOBS)

@@ -126,18 +126,15 @@ class TestFigure4:
     """
 
     def test_requested_time_never_under_predicts(self, curie):
-        analysis, _, _ = curie
-        assert (analysis.errors("Requested Time") >= -1e-9).all()
+        assert (curie.errors("Requested Time") >= -1e-9).all()
 
     def test_eloss_under_predicts_more_than_squared_loss(self, curie):
-        analysis, _, _ = curie
-        eloss = float(np.mean(analysis.errors("E-Loss Regression") < 0))
-        squared = float(np.mean(analysis.errors("Squared Loss Regression") < 0))
+        eloss = float(np.mean(curie.errors("E-Loss Regression") < 0))
+        squared = float(np.mean(curie.errors("Squared Loss Regression") < 0))
         assert eloss > squared, f"under-prediction rate: E-Loss {eloss:.2f}, squared {squared:.2f}"
 
     def test_eloss_under_predicts_most_jobs(self, curie):
-        analysis, _, _ = curie
-        eloss = float(np.mean(analysis.errors("E-Loss Regression") < 0))
+        eloss = float(np.mean(curie.errors("E-Loss Regression") < 0))
         assert eloss > 0.5, f"E-Loss under-prediction rate {eloss:.2f}"
 
 
@@ -152,8 +149,7 @@ class TestFigure5:
     """
 
     def series(self, curie) -> dict[str, np.ndarray]:
-        analysis, _, _ = curie
-        return {"Actual value": analysis.runtimes, **analysis.predictions}
+        return {"Actual value": curie.runtimes, **curie.predictions}
 
     def test_eloss_median_is_below_the_actual_median(self, curie):
         series = self.series(curie)

@@ -211,8 +211,7 @@ class TestTable8:
 
     @staticmethod
     def scores(curie) -> dict[str, tuple[float, float]]:
-        analysis, _, processors = curie
-        return {name: (mae, eloss) for name, mae, eloss in table8_rows(analysis, processors)}
+        return {name: (mae, eloss) for name, mae, eloss in table8_rows(curie)}
 
     def test_eloss_model_wins_mean_eloss_by_an_order_of_magnitude(self, curie):
         scores = self.scores(curie)

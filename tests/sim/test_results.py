@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.metrics.slowdown import bounded_slowdowns
 from repro.sim.results import JobRecord, SimulationResult
 
 from tests.helpers import make_job, make_record
+
+
+def bsld(rec):
+    """The record's bounded slowdown, through the one bsld formula."""
+    return bounded_slowdowns([rec.wait_time], [rec.runtime])[0]
 
 
 def finished_record(job_id=1, submit=0.0, start=10.0, runtime=100.0, processors=1):
@@ -29,16 +35,16 @@ class TestJobRecord:
     def test_bounded_slowdown_long_job(self):
         rec = finished_record(submit=0.0, start=100.0, runtime=100.0)
         # (100 + 100) / max(100, 10) = 2
-        assert rec.bounded_slowdown() == pytest.approx(2.0)
+        assert bsld(rec) == pytest.approx(2.0)
 
     def test_bounded_slowdown_short_job_uses_tau(self):
         rec = finished_record(submit=0.0, start=0.0, runtime=1.0)
         # max((0+1)/max(1,10), 1) = 1
-        assert rec.bounded_slowdown() == 1.0
+        assert bsld(rec) == 1.0
 
     def test_bounded_slowdown_floor_is_one(self):
         rec = finished_record(submit=0.0, start=0.0, runtime=5.0)
-        assert rec.bounded_slowdown() >= 1.0
+        assert bsld(rec) >= 1.0
 
     def test_predicted_end(self):
         rec = finished_record(start=50.0)

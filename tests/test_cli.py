@@ -1,10 +1,18 @@
 """Unit tests for the command-line interface."""
 
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import analyze_predictions, paper_cells, run_cells
+from repro.dist import FsQueueBroker, run_worker
+from repro.dist.broker import LocalBroker
+from repro.learn import TrainConfig, evaluate_policy
+from repro.serve import build_serve_session
+from repro.spec import CellSpec, WorkloadSpec
 from repro.workload import load_swf
 
 README = str(Path(__file__).resolve().parents[1] / "README.md")
@@ -22,7 +30,7 @@ class TestParser:
 
 class TestLogsCommand:
     def test_prints_table4(self, capsys):
-        assert main(["logs"]) == 0
+        assert main(["table", "--which", "4"]) == 0
         out = capsys.readouterr().out
         for name in ("KTH-SP2", "Curie", "Metacentrum"):
             assert name in out
@@ -96,6 +104,62 @@ class TestSimCommand:
         assert capsys.readouterr().out == first
 
 
+class TestDefaultsLiveInTheCallee:
+    """A bare command parses to a namespace with none of its callees'
+    parameters, so each default is the callee's alone; only the defaults
+    no callee has (and what the command requires) are set."""
+
+    @pytest.mark.parametrize(
+        "argv, callees, cli_only",
+        [
+            (["synth", "out.swf", "--log", "KTH-SP2"], [WorkloadSpec.make], {"log"}),
+            (["sim", "--log", "KTH-SP2"], [WorkloadSpec.make, CellSpec.make],
+             {"log", "predictor", "corrector", "scheduler"}),
+            (["campaign"], [paper_cells, run_cells, FsQueueBroker], {"backend"}),
+            (["serve", "--processors", "8"], [build_serve_session], {"processors"}),
+            (["worker", "--queue", "q"], [run_worker], {"queue_dir"}),
+            (["train"], [TrainConfig, LocalBroker], {"log"}),
+            (["eval", "--policy", "x"], [evaluate_policy], {"digest", "log"}),
+            (["table", "--which", "1"], [paper_cells, run_cells, analyze_predictions], set()),
+        ],
+        ids=["synth", "sim", "campaign", "serve", "worker", "train", "eval", "table"],
+    )
+    def test_bare_command_restates_no_default(self, argv, callees, cli_only):
+        namespace = vars(build_parser().parse_args(argv))
+        params = {name for callee in callees for name in inspect.signature(callee).parameters}
+        assert namespace.keys() & params <= cli_only
+
+
+@pytest.fixture(scope="class")
+def refusal_inputs(tmp_path_factory):
+    """What the refusal rows name: a saved policy, a cache from another
+    code version, and two caches that disagree on one cell."""
+    from repro.core.campaign import CACHE_VERSION
+    from repro.learn import train
+    from repro.sim.engine import ENGINE_VERSION
+
+    root = tmp_path_factory.mktemp("refusals")
+    store = str(root / "store")
+    policy = train(TrainConfig(log="KTH-SP2", n_jobs=60, replicas=1, epochs=0))
+    policy.checkpoint.save(store)
+    token = f"v{CACHE_VERSION}|e{ENGINE_VERSION}|x"
+    caches = {
+        "stale": [("v0|e0|x", 1.0)],
+        "conflict_a": [(token, 1.0)],
+        "conflict_b": [(token, 2.0)],
+    }
+    for name, rows in caches.items():
+        (root / f"{name}.jsonl").write_text(
+            "".join(json.dumps({"token": t, "value": v}) + "\n" for t, v in rows)
+        )
+    return {
+        "policy": policy.digest,
+        "store": store,
+        **{name: str(root / f"{name}.jsonl") for name in caches},
+        "out": str(root / "merged.jsonl"),
+    }
+
+
 class TestUsageErrors:
     """Bad names, numbers, spec files and option combinations: exit 2, one
     line, no traceback."""
@@ -138,9 +202,23 @@ class TestUsageErrors:
              "unknown scheduler 'nope'"),
             (["eval", "--policy", "deadbeef"], "no checkpoint 'deadbeef'"),
             (["check", README], "no .py files under"),
+            # refused by name before any work starts, as the rows above are
+            (["table", "--which", "8", "--n-jobs", "0"], "n_jobs must be positive"),
+            (["train", "--n-jobs", "0"], "n_jobs must be positive"),
+            (["train", "--replicas", "0"], "training needs at least one train seed"),
+            (["train", "--predictor", "nosuch"], "unknown predictor 'nosuch'"),
+            (["eval", "--policy", "{policy}", "--store", "{store}", "--n-jobs", "0"],
+             "n_jobs must be positive"),
+            (["eval", "--policy", "{policy}", "--store", "{store}", "--baselines", "nosuch"],
+             "unknown scheduler 'nosuch'"),
+            (["worker", "--queue", "/nonexistent/queue", "--max-idle", "0"], "no queue at"),
+            (["merge", "--out", "{out}", "{stale}"], "CACHE_VERSION/ENGINE_VERSION"),
+            (["merge", "--out", "{out}", "{conflict_a}", "{conflict_b}"],
+             "has conflicting values"),
         ],
     )
-    def test_exits_2_with_one_line(self, argv, needle, capsys):
+    def test_exits_2_with_one_line(self, argv, needle, refusal_inputs, capsys):
+        argv = [arg.format(**refusal_inputs) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -215,10 +293,7 @@ class TestSpecCommands:
         assert "requested|none|easy-sjbf" in out
 
     def test_expand_checked_in_paper_spec(self, capsys):
-        assert main([
-            "spec", "expand", "experiments/paper.toml",
-            "--format", "keys", "--limit", "3",
-        ]) == 0
+        assert main(["spec", "expand", "experiments/paper.toml", "--format", "keys"]) == 0
         out = capsys.readouterr().out
         assert "requested|none|easy" in out
         assert "130 unique triple key(s)" in out
@@ -266,19 +341,15 @@ class TestVersionAndMetrics:
         assert "engine.events.submit" in out
 
     def test_metrics_prom_and_json_formats(self, tmp_path, capsys):
+        """The snapshot's Prometheus and JSON forms are files beside it."""
         tele_dir = tmp_path / "tele"
         assert main([
             "sim", "--log", "KTH-SP2", "--n-jobs", "60",
             "--telemetry", str(tele_dir),
         ]) == 0
-        capsys.readouterr()
-        assert main(["metrics", str(tele_dir), "--format", "prom"]) == 0
-        assert "repro_engine_events_submit_total" in capsys.readouterr().out
-        assert main(["metrics", str(tele_dir), "--format", "json"]) == 0
-        import json as jsonlib
-
-        snaps = jsonlib.loads(capsys.readouterr().out)
-        assert snaps[0]["component"] == "sim"
+        assert "repro_engine_events_submit_total" in (tele_dir / "metrics-sim.prom").read_text()
+        snap = json.loads((tele_dir / "metrics-sim.json").read_text())
+        assert snap["component"] == "sim"
 
     def test_metrics_diff_between_two_runs(self, tmp_path, capsys):
         before, after = tmp_path / "before", tmp_path / "after"
@@ -313,9 +384,10 @@ class TestVersionAndMetrics:
         assert "simulated: 2/2" in progress
         assert "  KTH-SP2: 2 cells" in progress
         assert "finished in" in progress
-        # the machine-readable formats carry the snapshots alone
-        assert main(["metrics", str(tele_dir), "--format", "prom"]) == 0
-        assert "simulated: 2/2" not in capsys.readouterr().out
+        # the machine-readable form beside it carries the snapshot alone
+        prom = (tele_dir / "metrics-campaign.prom").read_text()
+        assert 'repro_campaign_cells_simulated_total{component="campaign"} 2' in prom
+        assert "simulated: 2/2" not in prom
 
     def test_campaign_telemetry_covers_engine_and_campaign(self, tmp_path, capsys):
         path = tmp_path / "mini.toml"
@@ -375,13 +447,9 @@ class TestDistCommands:
         out = capsys.readouterr().out
         assert "  worker-t1: 1 cell(s), 1/1 shard(s) done, exited (idle)" in out
         assert "cells simulated across workers: 1" in out
-        # prom / json carry snapshots only; with none, they say so rather
-        # than deny the streams that are there
-        for fmt in ("prom", "json"):
-            assert main(["metrics", str(tmp_path / "q" / "progress"), "--format", fmt]) == 1
-            out = capsys.readouterr().out
-            assert f"--format {fmt} carries snapshots only" in out
-            assert "event streams" in out and "or event streams" not in out
+        # without --telemetry the streams are all there is: no snapshot
+        # files, so nothing for a Prometheus scrape to pick up
+        assert not list((tmp_path / "q" / "progress").glob("metrics-*"))
 
     def test_merge_command(self, tmp_path, capsys):
         import json as jsonlib
