@@ -9,7 +9,7 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 14402  # the count after the last change that shrank src/
+CEILING = 14392  # the count after the last change that shrank src/
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -25,7 +25,15 @@ Proves ``repro serve`` end to end, with a real subprocess and pipes:
    between the queries.  *Every* reply, ``elapsed_us`` aside, must equal
    the one an in-process ``SessionServer`` over the frozen
    ``legacy-easy-sjbf`` gives: the oracle answers each query from the
-   machine alone, the served scheduler from the plan it carries.
+   machine alone, the served scheduler from the plan it carries.  The
+   same script then runs under ``--scheduler conservative`` (still
+   ``ave2`` / ``incremental``) against ``legacy-conservative``: its
+   plan is carried from pass to pass, and a probe is fitted on it.
+   The oracles share the probe's fit (``Scheduler.estimated_starts``)
+   with the served schedulers, so for a probe this leg checks the plan
+   under it, not the fit; ``assert_queries_exact`` in
+   ``tests/sched/test_plan_reuse.py`` checks probe answers against an
+   independent profile.
 
 Exit code 0 only if every check passes.
 
@@ -55,9 +63,12 @@ from repro.sim import simulate  # noqa: E402
 from repro.workload import Trace, get_trace  # noqa: E402
 
 MIN_PREDICTION = 60.0
-#: stream length of the default-configuration leg: deep enough to queue
-#: (the leg's own "does it bite" floor below was set at this length)
+#: stream length of the differential legs: deep enough to queue
+#: (the legs' own "does it bite" floor below was set at this length)
 DIFFERENTIAL_JOBS = 400
+#: the differential legs: the served scheduler (None: the default, no
+#: option given) and the frozen oracle its every reply must equal
+DIFFERENTIAL_LEGS = ((None, "legacy-easy-sjbf"), ("conservative", "legacy-conservative"))
 
 
 def build_trace(n_jobs: int) -> Trace:
@@ -149,17 +160,19 @@ def pipe_through_serve(
     return responses
 
 
-def differential_leg() -> int:
-    """Failures of the default configuration against the frozen oracle."""
+def differential_leg(scheduler: str | None, oracle_name: str) -> int:
+    """Failures of one served configuration against its frozen oracle."""
     trace = get_trace("KTH-SP2", n_jobs=DIFFERENTIAL_JOBS)
-    batch = build_serve_session(trace.processors)
+    named = {} if scheduler is None else {"scheduler": scheduler}
+    batch = build_serve_session(trace.processors, **named)
     batch.feed(trace)
     batch.drain()
     commands = differential_script(trace, {r.job_id: r.end_time for r in batch.result()})
-    served = pipe_through_serve(commands, trace.processors, [])
+    options = [] if scheduler is None else ["--scheduler", scheduler]
+    served = pipe_through_serve(commands, trace.processors, options)
     if served is None:
         return 1
-    oracle = SessionServer(build_serve_session(trace.processors, scheduler="legacy-easy-sjbf"))
+    oracle = SessionServer(build_serve_session(trace.processors, scheduler=oracle_name))
     failures = 0
     waiting = 0
     for command, reply in zip(commands, served, strict=True):
@@ -175,8 +188,8 @@ def differential_leg() -> int:
         failures += 1
     if not failures:
         print(
-            f"OK: {len(commands)} repl(ies) of the default configuration identical to "
-            f"legacy-easy-sjbf's, {waiting} of them start estimates of waiting jobs"
+            f"OK: {len(commands)} repl(ies) of {scheduler or 'the default configuration'} "
+            f"identical to {oracle_name}'s, {waiting} of them start estimates of waiting jobs"
         )
     return failures
 
@@ -285,7 +298,8 @@ def main(argv: list[str] | None = None) -> int:
             f"OK: {len(batch_rows)} job(s) served identical to batch, "
             f"{len(query_times)} quer(ies) exact"
         )
-    failures += differential_leg()
+    for scheduler, oracle_name in DIFFERENTIAL_LEGS:
+        failures += differential_leg(scheduler, oracle_name)
     return 1 if failures else 0
 
 

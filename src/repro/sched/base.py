@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Mapping, Sequence
+from math import inf
 from types import MappingProxyType
 
 from ..sim.machine import Machine
@@ -82,7 +83,7 @@ class Scheduler(ABC):
         self,
         now: float,
         machine: Machine,
-        extra: Sequence[JobRecord] = (),
+        probe: JobRecord | None = None,
     ) -> Mapping[int, float]:
         """Start estimates for the waiting jobs; asking changes no schedule.
 
@@ -90,15 +91,16 @@ class Scheduler(ABC):
         the predicted availability profile (:meth:`_reservations`); its
         reserved start is conservative backfilling's exact allocation, and
         for EASY-family schedulers the guaranteed-start bound that
-        generalises the head's shadow time.  With ``extra`` (hypothetical
-        records) the answer is *their* starts alone, reserved behind the
-        queue on a copy, so a probe leaves no trace.  The mapping is a
-        read-only view, possibly of the scheduler's carried plan: it is
-        the answer at ``now`` only, not to be read once the session moved.
+        generalises the head's shadow time.  With a ``probe`` (a
+        hypothetical record) the answer is *its* start alone, fitted behind
+        the queue on the plan without being placed, so a probe leaves no
+        trace.  The mapping is a read-only view, possibly of the
+        scheduler's carried plan: it is the answer at ``now`` only, not to
+        be read once the session moved.
         """
         plan, starts = self._reservations(now, machine)
-        if extra:
-            starts = self._reserve_in_order(plan.copy(), extra, now)
+        if probe is not None:
+            starts = {probe.job_id: _earliest_start(plan, probe, now)}
         return MappingProxyType(starts)
 
     def _reservations(
@@ -126,14 +128,9 @@ class Scheduler(ABC):
         """
         starts: dict[int, float] = {}
         for record in records:
-            if record.processors > profile.terminal_available:
-                starts[record.job_id] = float("inf")
-                continue
-            start = profile.earliest_fit(
-                record.processors, record.predicted_runtime, not_before=now
-            )
-            profile.reserve(start, record.predicted_runtime, record.processors)
-            starts[record.job_id] = start
+            start = starts[record.job_id] = _earliest_start(profile, record, now)
+            if start < inf:
+                profile.reserve(start, record.predicted_runtime, record.processors)
         return starts
 
     # -- introspection -------------------------------------------------------
@@ -156,3 +153,11 @@ class Scheduler(ABC):
     @property
     def queue_length(self) -> int:
         return len(self._queue)
+
+
+def _earliest_start(profile: AvailabilityProfile, record: JobRecord, now: float) -> float:
+    """``record``'s earliest fit on ``profile`` from ``now``, placing
+    nothing; ``inf`` if it is held (wider than the steady-state capacity)."""
+    if record.processors > profile.terminal_available:
+        return inf
+    return profile.earliest_fit(record.processors, record.predicted_runtime, now)

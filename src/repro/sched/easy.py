@@ -68,7 +68,7 @@ class EasyScheduler(Scheduler):
         self._key = BACKFILL_ORDERS[backfill_order]
         #: every waiting job (the head too), sorted by ``_key`` (keys end in the job id)
         self._candidates: list[JobRecord] = []
-        #: :meth:`_reservations`' (free, entries, plan, starts)
+        #: :meth:`_reservations`' (plan, starts); None once a hook moved its base
         self._carried: tuple | None = None
 
     # -- engine delta feed --------------------------------------------------
@@ -78,14 +78,17 @@ class EasyScheduler(Scheduler):
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._delta_fed = True
+        self._carried = None  # each hook below moves what the plan was built from
         self._releases.add(
             record.job_id, now + record.predicted_runtime, record.processors
         )
 
     def on_finish(self, record: JobRecord) -> None:
+        self._carried = None
         self._releases.discard(record.job_id)
 
     def on_correction(self, record: JobRecord) -> None:
+        self._carried = None
         self._releases.move(
             record.job_id, record.start_time + record.predicted_runtime
         )
@@ -95,12 +98,13 @@ class EasyScheduler(Scheduler):
         if len(records) == 1:
             self.on_correction(records[0])
             return
+        self._carried = None
         self._releases.move_many(
             [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
         )
 
     def on_machine_change(self, now, machine) -> None:
-        self._carried = None  # a capacity move ends the carried plan (_reservations)
+        self._carried = None
 
     # -- session queries ------------------------------------------------------
     def introspect(self) -> dict[str, float]:
@@ -111,40 +115,33 @@ class EasyScheduler(Scheduler):
         """The reservation plan, carried from query to query.
 
         Kept from the last call: the release profile minus a reservation
-        per waiting job, the reserved starts of the queue's first
-        ``len(starts)`` jobs, and the ``machine.free`` and release entries
-        it was built from.  A waiting job's prediction is fixed at
+        per waiting job, and the reserved starts of the queue's first
+        ``len(starts)`` jobs.  A waiting job's prediction is fixed at
         submission and every breakpoint of the base profile is a running
-        job's predicted end, where a FINISH or EXPIRE fires and changes
-        the table.  The queue only grows at its tail and shrinks by
-        starts, and a placed job can only start once a running job has
-        finished (its entry never comes back) or the capacity has changed
-        (:meth:`on_machine_change` drops the plan); so while ``free`` and
-        the entries are the same, the placed jobs still lead the queue in
-        order.  If no reserved start is behind ``now`` either, a fresh
-        computation would place each of them where it is, and only the
-        queue's new tail is placed.  Anything else replans from the table;
-        out of step with the machine (or never hook-fed) the answer is the
-        stateless one and no plan is kept.
+        job's predicted end, where a FINISH or EXPIRE fires.  Every hook
+        that moves the release table or the free count (a start, a finish,
+        a correction, a capacity change) drops the plan, and so does a
+        resync; the queue only grows at its tail in between, so the placed
+        jobs still lead it in order.  If no reserved start is behind
+        ``now`` either, a fresh computation would place each of them where
+        it is, and only the queue's new tail is placed.  Anything else
+        replans from the table; out of step with the machine (or never
+        hook-fed) the answer is the stateless one and no plan is kept.
         """
         carried, self._carried = self._carried, None  # kept only by a call that completes
         releases = self._releases
         if not self._delta_fed or not releases.in_sync_with(machine):
             return super()._reservations(now, machine)
-        free, entries, plan, starts = carried or (None, None, None, {})
-        if (
-            free == machine.free
-            and entries == releases.entries
-            and min(starts.values(), default=now) >= now
-        ):
+        if carried is not None and min(carried[1].values(), default=now) >= now:
+            plan, starts = carried
             plan.trim(now)
         else:
-            free, entries, starts = machine.free, releases.entries.copy(), {}
+            starts = {}
             plan = AvailabilityProfile.from_releases(
-                machine.processors, now, free, releases.releases(now)
+                machine.processors, now, machine.free, releases.releases(now)
             )
         starts.update(self._reserve_in_order(plan, self._queue[len(starts) :], now))
-        self._carried = free, entries, plan, starts
+        self._carried = plan, starts
         return plan, starts
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
@@ -167,6 +164,7 @@ class EasyScheduler(Scheduler):
         if not self._delta_fed or not self._releases.in_sync_with(machine):
             # driven outside the engine (unit tests): rebuild from state
             self._releases.resync(machine)
+            self._carried = None
         head = queue[0]
         if head.processors > machine.processors - machine.drained:
             # The head is wider than the undrained capacity (live-session

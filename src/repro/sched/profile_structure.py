@@ -147,12 +147,6 @@ class ReleaseTable:
         """
         return [(end if end > now else now, procs) for end, _, procs in self._entries]
 
-    @property
-    def entries(self) -> list[tuple[float, int, int]]:
-        """The sorted entries themselves (read only): a copy taken earlier
-        equals them exactly when no release was added, dropped or moved."""
-        return self._entries
-
     def shadow(
         self,
         head_processors: int,

@@ -67,6 +67,8 @@ _INT_FIELDS = frozenset(name for name, kind in get_type_hints(Job).items() if ki
 _NUMBERS = frozenset((int, float))
 _REQUIRED_JOB_FIELDS = frozenset(("job_id", "submit_time", "processors", "requested_time"))
 _TIMES = ("submit_time", "requested_time", "runtime")
+#: ``json.loads``' own scanner, less its BOM test and whitespace skips
+_scan_once = json.JSONDecoder().scan_once
 
 
 @dataclass
@@ -183,10 +185,17 @@ class SessionServer:
         line = line.strip()
         if not line:
             return None
+        # the C scanner alone for a well-formed line (no leading whitespace
+        # is left to skip); anything else goes to json.loads for its error
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return self._refused(error=f"bad JSON: {exc}")
+            request, end = _scan_once(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):
+            try:
+                request = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return self._refused(error=f"bad JSON: {exc}")
         return self.handle(request)
 
     def handle(self, request: Any) -> dict:
@@ -216,9 +225,9 @@ class SessionServer:
             return self._refused(cmd=str(cmd), error=error)
         if tally is not None:
             tally.histograms["serve.request.seconds"].observe(_time.perf_counter() - t0)
-        response.setdefault("ok", True)
-        response.setdefault("cmd", cmd)
-        response.setdefault("now", self.session.now)
+        response["ok"] = True  # no handler answers with these three keys
+        response["cmd"] = cmd
+        response["now"] = self.session.now
         return response
 
     def _refused(self, **fields: Any) -> dict:

@@ -45,7 +45,7 @@ answers until its next state change, so a repeated query is a lookup;
 the reservation plan itself, place only the jobs it does not hold yet,
 and replan when the running set, the free count or the queue order moved
 under it (:meth:`repro.sched.easy.EasyScheduler._reservations`); a
-probe is placed on a copy of the plan.
+probe is fitted on the plan without being placed.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from math import inf, isfinite
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..obs.telemetry import NOOP, Tally
 from ..workload.job import Job
@@ -121,9 +121,9 @@ class MachineEvent:
             raise ValueError(f"machine event time must be >= 0, got {self.time}")
 
 
-@dataclass(frozen=True, slots=True)
-class EstimatedStart:
-    """Answer to a "when will this job start?" query."""
+class EstimatedStart(NamedTuple):
+    """Answer to a "when will this job start?" query (a named tuple:
+    building one costs no per-field attribute store)."""
 
     job_id: int
     #: session clock when the query was answered.
@@ -412,40 +412,24 @@ class SimSession:
         if job_id is not None:
             record = self.record(job_id)
             if record.started:
-                return EstimatedStart(
-                    job_id=job_id,
-                    query_time=now,
-                    start_time=record.start_time,
-                    state="finished" if record.finished else "running",
-                    predicted_runtime=record.predicted_runtime,
-                )
+                start, state = record.start_time, "finished" if record.finished else "running"
+                return EstimatedStart(job_id, now, start, state, record.predicted_runtime)
             starts = self._waiting_starts()
             if job_id not in starts:
                 raise ValueError(
                     f"job {job_id} is fed but not yet submitted; advance the "
                     f"session to t={record.submit_time} first"
                 )
-            return EstimatedStart(
-                job_id=job_id,
-                query_time=now,
-                start_time=starts[job_id],
-                state="waiting",
-                predicted_runtime=record.predicted_runtime,
-            )
+            return EstimatedStart(job_id, now, starts[job_id], "waiting", record.predicted_runtime)
         if job is None:
             raise ValueError("query() needs a job or a job_id")
         probe = JobRecord(job=job)
         probe.predicted_runtime = self._clamp(
             float(self.predictor.estimate(probe, now)), job.requested_time
         )
-        starts = self.scheduler.estimated_starts(now, self._machine, extra=(probe,))
-        return EstimatedStart(
-            job_id=job.job_id,
-            query_time=now,
-            start_time=starts[job.job_id],
-            state="hypothetical",
-            predicted_runtime=probe.predicted_runtime,
-        )
+        starts = self.scheduler.estimated_starts(now, self._machine, probe)
+        start = starts[job.job_id]
+        return EstimatedStart(job.job_id, now, start, "hypothetical", probe.predicted_runtime)
 
     def _waiting_starts(self) -> Mapping[int, float]:
         if self._query_cache is None:

@@ -15,7 +15,8 @@ out who could start now (``assert_prefix_plan``).
 The EASY family carries a plan too, from *query* to query
 (``EasyScheduler._reservations``): every answer must be the one the
 seed's profile gives when built from the machine alone, and a query must
-cost placements only for what changed since the one before.
+cost placements only for what changed since the one before.  Under every
+scheduler a probe is fitted on the queue's plan and places nothing.
 """
 
 import inspect
@@ -623,8 +624,8 @@ def test_a_redrain_after_a_start_and_its_finish_replans(name):
 
 
 def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
-    """The probe is placed on a copy: the arrival queued after it gets the
-    start it would have had without the probe ever being asked."""
+    """The probe is fitted, never placed: the arrival queued after it gets
+    the start it would have had without the probe ever being asked."""
     session = full_machine_session()
     wide_probe = make_job(job_id=10_000, runtime=3000.0, processors=16)
     assert session.query(wide_probe).start_time == 1000.0 + 3600.0
@@ -632,6 +633,117 @@ def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
     session.advance_to(30.0)
     assert session.query(job_id=8).start_time == 1000.0 + 3600.0
     assert_queries_exact(session, PROBE)
+
+
+class ProbeCost:
+    """Counts the ``AvailabilityProfile.copy`` and ``reserve`` calls one
+    scheduler's ``estimated_starts`` makes outside ``_reservations``: what
+    a probe costs beyond the queue's own plan."""
+
+    def __init__(self, monkeypatch, scheduler):
+        self.calls = Counter()
+        counting = [False]
+
+        def counted(name):
+            method = getattr(AvailabilityProfile, name)
+
+            def call(profile, *args, **kwargs):
+                self.calls[name] += counting[0]
+                return method(profile, *args, **kwargs)
+
+            monkeypatch.setattr(AvailabilityProfile, name, call)
+
+        def scoped(method, value):
+            def call(*args, **kwargs):
+                outer, counting[0] = counting[0], value
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    counting[0] = outer
+
+            return call
+
+        counted("copy")
+        counted("reserve")
+        monkeypatch.setattr(scheduler, "estimated_starts", scoped(scheduler.estimated_starts, True))
+        monkeypatch.setattr(scheduler, "_reservations", scoped(scheduler._reservations, False))
+
+
+#: each scheduler's oracle for queries: the twin that reserves in the same
+#: order (fcfs and rl-backfill queue like classic EASY; in
+#: ``full_machine_session`` nobody has backfilled, so the states agree)
+QUERY_TWIN = {
+    "easy": "legacy-easy",
+    "easy-sjbf": "legacy-easy-sjbf",
+    "conservative": "legacy-conservative",
+    "fcfs": "legacy-easy",
+    "rl-backfill": "legacy-easy",
+}
+
+
+@pytest.mark.parametrize("name", QUERY_TWIN)
+def test_a_probe_places_nothing(monkeypatch, name):
+    """One hypothetical record is fitted on the queue's plan read-only: no
+    profile copy, no reservation; its answer is the twin's, and a waiting
+    query after it is served from the carried plan with no placement
+    (``fcfs`` carries none: it replaces the queue)."""
+    session, twin = full_machine_session(name), full_machine_session(QUERY_TWIN[name])
+    wide = make_job(job_id=10_001, runtime=3000.0, processors=PROCESSORS)
+    for each in (session, twin):
+        each.query(job_id=4)  # the queue's plan, once
+        each.advance_to(100.0)  # nothing happens: the session forgets its answers
+    cost = ProbeCost(monkeypatch, session.scheduler)
+    placements = Placements(monkeypatch, session.scheduler)
+    for probe in (PROBE, wide):
+        assert session.query(probe) == twin.query(probe)
+    assert (cost.calls["copy"], cost.calls["reserve"]) == (0, 0)
+    n_waiting = session.scheduler.queue_length
+    waiting = placements.during(lambda: session.query(job_id=6))
+    assert waiting == (n_waiting if name == "fcfs" else 0)
+    assert session.query(job_id=6) == twin.query(job_id=6)
+
+
+def test_hooks_that_start_nothing_drop_the_query_plan():
+    """An early finish, an EXPIRE storm and a lone correction come while a
+    12-wide head waits, and none of them starts anybody: the queue is what
+    the carried plan saw, the releases are not.  Queried at every instant,
+    every answer is ``legacy-easy-sjbf``'s -- a plan kept past any of these
+    hooks answers from a release that moved."""
+    jobs = [
+        make_job(job_id=2, runtime=200.0, processors=6, requested_time=2000.0),  # ends early
+        *(  # predicted to end at 500 together, corrected together
+            make_job(job_id=job_id, runtime=1000.0, processors=2, requested_time=3000.0)
+            for job_id in (1, 3)
+        ),
+        make_job(job_id=5, runtime=1400.0, processors=6, requested_time=3000.0),  # alone, at 700
+        *(
+            make_job(job_id=job_id, submit_time=submit, runtime=3600.0, processors=12,
+                     requested_time=3600.0)
+            for job_id, submit in ((4, 10.0), (6, 20.0))
+        ),
+    ]
+    session, twin = (
+        make_session(name, predictor=OddHalfPredictor, corrector=IncrementalCorrector)
+        for name in ("easy-sjbf", "legacy-easy-sjbf")
+    )
+    session.feed(jobs)
+    twin.feed(jobs)
+    probes = (PROBE, make_job(job_id=10_001, runtime=50.0, processors=8))
+    seen = Counter()
+    while session.step() is not None:
+        assert twin.step() == session.now
+        queue = [r.job_id for r in session.scheduler.queue]
+        if queue == [4, 6] and session.now > 20.0:  # no submission, no start: what else came
+            n_corrected = session.stats.n_corrections - seen["corrections"]
+            seen["corrections"] += n_corrected
+            seen["storm" if n_corrected > 1 else "lone" if n_corrected else "finish"] += 1
+        answers = [
+            [each.query(job_id=job_id) for job_id in queue] + [each.query(p) for p in probes]
+            for each in (session, twin)
+        ]
+        assert answers[0] == answers[1]
+        assert session.scheduler._carried is not None
+    assert seen["finish"] >= 1 and seen["storm"] >= 1 and seen["lone"] >= 1
 
 
 @pytest.mark.parametrize("name", ["easy-sjbf", "conservative", "legacy-easy-sjbf"])
@@ -643,7 +755,7 @@ def test_the_answer_is_a_read_only_view(name):
     probe = make_record(job_id=10_000, processors=3)
     for starts in (
         scheduler.estimated_starts(20.0, machine),
-        scheduler.estimated_starts(20.0, machine, extra=(probe,)),
+        scheduler.estimated_starts(20.0, machine, probe),
     ):
         with pytest.raises(TypeError):
             starts[4] = 0.0

@@ -1,11 +1,14 @@
 """The ``repro serve`` JSONL protocol: command dispatch, error handling,
 the stream loop, and parity of served answers with a batch run."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
+from repro.obs import Telemetry
 from repro.predict import ClairvoyantPredictor
 from repro.sched import make_scheduler
 from repro.serve import SessionServer, build_serve_session, serve_loop
@@ -114,6 +117,25 @@ class TestErrors:
         response = server.handle_line("{nope")
         assert response["ok"] is False
         assert "bad JSON" in response["error"]
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{", "[1,2", "{} x", '{"cmd": "ping"} {}', "nul", '\ufeff{"cmd": "ping"}'],
+        ids=["open-object", "open-array", "extra-word", "two-objects", "nul", "bom"],
+    )
+    def test_malformed_line_gets_the_json_loads_error(self, line):
+        """The C scanner decodes a request; what it cannot take must be
+        refused with ``json.loads``' own words, position included."""
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        server = make_server()
+        assert server.handle_line(line) == {"ok": False, "error": f"bad JSON: {expected.value}"}
+        assert server.stats.n_errors == 1
+
+    def test_surrounding_whitespace_is_accepted(self):
+        assert make_server().handle_line('  {"cmd": "ping"}  \n') == {
+            "pong": True, "ok": True, "cmd": "ping", "now": 0.0,
+        }
 
     def test_blank_line_ignored(self):
         assert make_server().handle_line("   \n") is None
@@ -423,6 +445,38 @@ class TestGarbageMidStream:
         assert "unserialisable" in responses[0]["error"]
         assert responses[1]["ok"] is True  # quit still served; loop intact
         assert stats.n_errors == 1
+
+
+class TestFreedByReferenceCounting:
+    """A served session goes when its last reference does.  With the
+    cyclic collector off, any reference cycle through the server or the
+    session (a table of bound methods built at construction, say) would
+    keep a finished connection's whole state alive until a GC pass."""
+
+    LINES = [
+        json.dumps({"cmd": "submit", "job": job_payload(1, processors=6), "advance": True}),
+        json.dumps({"cmd": "submit", "job": job_payload(2, submit=5.0, processors=4)}),
+        json.dumps({"cmd": "advance", "time": 5.0}),
+        json.dumps({"cmd": "query", "job_id": 2}),
+        json.dumps({"cmd": "query", "job_id": 2}),
+        json.dumps({"cmd": "query", "job": job_payload(99, submit=5.0, processors=3)}),
+        json.dumps({"cmd": "drain"}),
+    ]
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["off", "on"])
+    def test_server_and_session_die_without_the_cycle_collector(self, telemetry):
+        registry = Telemetry() if telemetry else None
+        gc.collect()
+        gc.disable()
+        try:
+            session = build_serve_session(8, telemetry=registry)
+            server = SessionServer(session, telemetry=registry)
+            assert all(server.handle_line(line)["ok"] for line in self.LINES)
+            refs = weakref.ref(server), weakref.ref(session)
+            del server, session
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestServedParityWithBatch:
