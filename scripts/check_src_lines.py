@@ -9,7 +9,7 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 14392  # the count after the last change that shrank src/
+CEILING = 14416  # +24: a stated budget of +25 for the cold-cell perf change
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -37,7 +37,8 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import IO, TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -309,7 +310,7 @@ class SpecCampaignResult:
         logs = self.logs() if logs is None else logs
         return min(
             self.competing_labels(),
-            key=lambda label: sum(self.mean(log, label) for log in logs),
+            key=lambda label: reduce(add, (self.mean(log, label) for log in logs), 0.0),
         )
 
     def table1_rows(self) -> list[tuple[str, float, float, float]]:

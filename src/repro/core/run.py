@@ -73,9 +73,8 @@ def run_spec(spec: CellSpec, telemetry: Telemetry | None = None) -> SimulationRe
     trace = get_bundle(spec.workload)
     components = spec.build_components()
     tele.inc("engine.time.build.seconds", perf_counter() - t0)
-    with tele.span(
-        "engine.cell", log=spec.workload.log, label=spec.label, seed=spec.workload.seed
-    ):
+    label = spec.label if tele.enabled else None  # three registry lookups; a NOOP span drops it
+    with tele.span("engine.cell", log=spec.workload.log, label=label, seed=spec.workload.seed):
         result = simulate(
             trace, *components, min_prediction=spec.min_prediction, telemetry=telemetry
         )

@@ -32,6 +32,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from ..core.batch import plan_batches, workload_key
 from ..spec import SPEC_VERSION, CellSpec
@@ -151,7 +153,7 @@ def plan_shards(
     position = {id(cell): index for index, cell in enumerate(cells)}
     chunks = [
         (
-            sum(cost_model.cell_cost(cell) for cell in chunk),
+            reduce(add, (cost_model.cell_cost(cell) for cell in chunk), 0.0),
             position[id(chunk[0])],
             chunk,
         )

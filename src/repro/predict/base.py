@@ -162,4 +162,7 @@ class UserHistoryTracker:
         last = self.last_runtimes(user, k)
         if not last:
             return None
-        return sum(last) / len(last)
+        total = 0.0  # newest first, left to right: the builtin sum compensates from 3.12
+        for runtime in last:
+            total += runtime
+        return total / len(last)

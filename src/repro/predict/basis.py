@@ -8,6 +8,8 @@ feature interactions (e.g. requested time x history average).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["PolynomialBasis"]
@@ -36,7 +38,8 @@ class PolynomialBasis:
             raise ValueError(
                 f"expected shape ({self.n_features},), got {x.shape}"
             )
-        if not np.isfinite(x).all():
+        # one dot product tests the row; a scan clears a row whose squares overflow
+        if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
             raise ValueError("features must be finite")
         one_x = self._one_x
         one_x[1:] = x

@@ -74,19 +74,16 @@ def extract_features(job: Job, tracker: UserHistoryTracker, now: float) -> np.nd
 
     running = state.running
     n_running = len(running)
-    if n_running:
-        so_far = []
-        occupied = 0
-        for start, q in running.values():  # one pass: a plain loop beats two comprehensions
-            so_far.append(now - start)
-            occupied += q
-        longest = max(so_far)
-        total = sum(so_far)
-        ave_curr_q = occupied / n_running
-    else:
-        longest = total = 0.0
-        occupied = 0
-        ave_curr_q = 0.0
+    longest = -math.inf if n_running else 0.0
+    total = 0.0  # left to right: the builtin sum compensates from Python 3.12
+    occupied = 0
+    for start, q in running.values():
+        so_far = now - start
+        if so_far > longest:
+            longest = so_far
+        total += so_far
+        occupied += q
+    ave_curr_q = occupied / n_running if n_running else 0.0
 
     break_time = now - state.last_completion if state.last_completion >= 0 else 0.0
 

@@ -28,7 +28,8 @@ model -- every coordinate has a scale and a squared gradient -- allocates
 no array.  Density latches: ``s_i`` only grows, and so does ``G_i`` when
 ``forgetting == 1`` (with ``forgetting < 1`` a long-idle ``G_i`` can
 decay to zero, so it is re-checked every step).  Until then steps 2 and
-4 run over the ``s_i > 0`` / ``G_i > 0`` masks.  The masked reduction of
+4 run over the ``s_i > 0`` / ``G_i > 0`` masks; the first is kept as
+indices, found again only when a scale grows.  The masked reduction of
 step 2 cannot be replaced by a full-row sum with zeros in the unseen
 slots: numpy sums pairwise, and a compressed array and the full row
 split into different pairs, so the two round differently.
@@ -74,6 +75,7 @@ class NagOptimizer:
         self._grad_sq = np.zeros(dim)  # G_i: accumulated squared gradients
         self._norm = 0.0  # N: accumulated normalised example norms
         self.t = 0  # examples processed
+        self._seen = np.empty(0, dtype=np.intp)  # the i with s_i > 0, ascending
         self._seen_all = False  # every s_i > 0 (latches)
         self._dense = False  # ... and every G_i > 0 (latches iff forgetting == 1)
         self._grad = np.empty(dim)  # scratch rows of update()
@@ -95,49 +97,54 @@ class NagOptimizer:
         w, scale, grad_sq = self.w, self._scale, self._grad_sq
         grad, tmp, mask = self._grad, self._tmp, self._mask
 
-        # 1. Rescale weights whose coordinate just revealed a larger range.
-        np.abs(x, out=tmp)
-        if np.count_nonzero(np.greater(tmp, scale, out=mask)):
-            new = tmp[mask]
-            ratio = scale[mask] / new
-            w[mask] *= ratio * ratio
-            scale[mask] = new
+        # 1. Rescale weights whose coordinate just revealed a larger range
+        # (a scale that grows from zero marks its coordinate seen).
+        np.abs(x, tmp)
+        if np.count_nonzero(np.greater(tmp, scale, mask)):
+            grown = mask.nonzero()  # index arrays: cheaper than the mask four times
+            new = tmp[grown]
+            ratio = scale[grown] / new
+            w[grown] *= ratio * ratio
+            scale[grown] = new
+            if not self._seen_all:
+                self._seen = np.flatnonzero(scale)
+                self._seen_all = len(self._seen) == self.dim
 
         # 2. Normalised example norm (coordinates never seen stay out).
-        if not self._seen_all:
-            seen = scale > 0
-            self._seen_all = np.count_nonzero(seen) == self.dim
         if self._seen_all:
-            np.divide(x, scale, out=tmp)
-            np.multiply(tmp, tmp, out=tmp)
+            np.divide(x, scale, tmp)
+            np.multiply(tmp, tmp, tmp)
             self._norm += float(tmp.sum())
         else:
-            ratio = x[seen] / scale[seen]
-            self._norm += float((ratio * ratio).sum())
+            ratio = x.take(self._seen)
+            ratio /= scale.take(self._seen)
+            self._norm += float(np.multiply(ratio, ratio, ratio).sum())
 
         # 3. Gradient with ridge term (after optional forgetting decay,
         # which shortens the adaptive memory and favours recent examples).
         if self.forgetting < 1.0:
             grad_sq *= self.forgetting
-        np.multiply(x, dloss_df, out=grad)
+        np.multiply(x, dloss_df, grad)
         if self.l2 > 0:
-            grad += np.multiply(w, 2.0 * self.l2, out=tmp)
-        grad_sq += np.multiply(grad, grad, out=tmp)
+            grad += np.multiply(w, 2.0 * self.l2, tmp)
+        grad_sq += np.multiply(grad, grad, tmp)
 
         # 4. Adaptive, normalised step over the active coordinates.
         if self._norm <= 0:
             return
-        where: np.ndarray | bool = True
+        active = None
         if not self._dense:
-            active = np.greater(grad_sq, 0.0, out=mask)
-            if not self._seen_all:
-                active &= seen
+            # G_i > 0 implies s_i > 0: an unseen x_i and w_i are still 0
+            active = np.greater(grad_sq, 0.0, mask)
             if np.count_nonzero(active) == self.dim:
                 self._dense = self.forgetting == 1.0
-            else:
-                where = active
-        np.sqrt(grad_sq, out=tmp)
+                active = None
+        np.sqrt(grad_sq, tmp)
         tmp *= scale
         grad *= self.eta * math.sqrt(self.t / self._norm)
-        np.divide(grad, tmp, out=grad, where=where)
-        np.subtract(w, grad, out=w, where=where)
+        if active is None:
+            np.divide(grad, tmp, grad)
+            np.subtract(w, grad, w)
+        else:
+            np.divide(grad, tmp, grad, where=active)
+            np.subtract(w, grad, w, where=active)

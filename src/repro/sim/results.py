@@ -178,7 +178,9 @@ class SimulationResult:
         end = max(r.end_time for r in self._records)
         if end <= start:
             return 0.0
-        area = sum(r.runtime * r.processors for r in self._records)
+        area = 0.0  # left to right: the builtin sum compensates from Python 3.12
+        for r in self._records:
+            area += r.runtime * r.processors
         return area / (self.machine_processors * (end - start))
 
     def total_corrections(self) -> int:

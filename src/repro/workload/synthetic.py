@@ -21,6 +21,7 @@ The guarantees relied on elsewhere in the code base:
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -118,21 +119,24 @@ def arrival_intensity(
     return max(1e-3, day_factor * week_factor)
 
 
-def _pilot_draws(profiles: list[UserProfile], rng: np.random.Generator, n: int = 400) -> None:
-    """Draw ``n`` jobs' worth of sessions from copies of the profiles.
+def _pilot_draws(profiles: list[UserProfile], p: np.ndarray, rng: np.random.Generator) -> None:
+    """Make 400 jobs' worth of session draws on copies of the profiles.
 
-    What is drawn goes unused: the sessions once estimated a load, and
-    their draws stay in every trace's random stream so that no trace
-    digest moves.
+    The draws go unused and no job is built: the sessions once estimated
+    a load, and their draws stay in every trace's random stream so that
+    no trace digest moves.  A session's owner is picked exactly as
+    ``rng.choice(len(profiles), p=p)`` picks it, from a table built
+    once: one double from the stream, searched in the normalised CDF.
     """
-    import copy
-
-    weights = np.array([p.weight for p in profiles])
-    weights = weights / weights.sum()
-    scratch = [copy.deepcopy(p) for p in profiles]
+    valid = np.isfinite(p).all() and p.min() >= 0  # what choice() checks, once
+    if not (valid and abs(p.sum() - 1.0) <= math.sqrt(np.finfo(float).eps)):
+        raise ValueError("profile weights are not a probability distribution")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    scratch = [copy.copy(profile) for profile in profiles]
     drawn = 0
-    while drawn < n:
-        drawn += len(scratch[int(rng.choice(len(scratch), p=weights))].generate_session(rng))
+    while drawn < 400:
+        drawn += len(scratch[int(cdf.searchsorted(rng.random(), side="right"))].session_draws(rng))
 
 
 def _sample_session_starts(
@@ -201,7 +205,9 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
     # sampled relative to the machine, so the mix keeps its character.
     m_eff = min(model.sim_processors, model.processors)
     profiles = _profiles_for(model, rng, m_eff)
-    _pilot_draws(profiles, rng)
+    weights = np.array([p.weight for p in profiles])
+    weights = weights / weights.sum()
+    _pilot_draws(profiles, weights, rng)
     duration = max(model.target_days * _DAY, _DAY)
 
     mean_session_len = float(np.mean([p.session_jobs_mean for p in profiles]))
@@ -215,8 +221,6 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
         model.burstiness,
     )
 
-    weights = np.array([p.weight for p in profiles])
-    weights = weights / weights.sum()
     raw: list[tuple[float, UserProfile, object]] = []
     owner_of_session = rng.choice(len(profiles), p=weights, size=len(session_starts))
     for start, owner_idx in zip(session_starts, owner_of_session, strict=True):
@@ -276,7 +280,9 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
     scale = 1.0
     pairs = realised(scale)
     for _ in range(10):
-        achieved = sum(rt * sj.processors for (_, rt), (_, _, sj) in zip(pairs, raw, strict=True))
+        achieved = 0.0  # left to right: the builtin sum compensates from Python 3.12
+        for (_, rt), (_, _, sj) in zip(pairs, raw, strict=True):
+            achieved += rt * sj.processors
         correction = wanted_area / max(achieved, 1.0)
         if 0.97 <= correction <= 1.03:
             break
@@ -287,7 +293,8 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
     # (users back off when the system clogs), which open-loop synthesis
     # lacks.  Delay submissions so the *cumulative* offered load never
     # exceeds ``overload_cap`` times capacity -- transient bursts survive,
-    # unbounded backlog build-up does not.
+    # unbounded backlog build-up does not.  The first shaped submit is
+    # ``t0`` itself, so the jobs are built rebased to it, once.
     overload_cap = 1.12
     t0 = raw[0][0] if raw else 0.0
     cumulative_area = 0.0
@@ -303,7 +310,7 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
         jobs.append(
             Job(
                 job_id=idx,
-                submit_time=float(shaped_submit),
+                submit_time=float(shaped_submit) - t0,
                 runtime=float(runtime),
                 processors=int(sj.processors),
                 requested_time=float(requested),
@@ -313,4 +320,4 @@ def synthesize(model: WorkloadModel, seed: int = 0) -> Trace:
                 status=0 if sj.failed else 1,
             )
         )
-    return Trace(jobs, processors=m_eff, name=model.name).rebase_time()
+    return Trace(jobs, processors=m_eff, name=model.name, unix_start_time=int(t0))

@@ -111,8 +111,9 @@ class UserProfile:
             self.mode_executable = int(rng.integers(1, 200))
             self._n_modes += 1
 
-    def generate_session(self, rng: np.random.Generator) -> list[SessionJob]:
-        """Emit one session's worth of jobs (offsets relative to t=0).
+    def session_draws(self, rng: np.random.Generator) -> list[tuple]:
+        """One session's random draws in stream order, building no job: per
+        job ``(failed, runtime factor, crash cap, width step, think-time gap)``.
 
         Failures are *bursty*: once a job fails (buggy script, bad input),
         the user's next submissions in the same session are likely to fail
@@ -123,27 +124,31 @@ class UserProfile:
         """
         self._maybe_switch_mode(rng)
         n_jobs = 1 + rng.poisson(max(0.0, self.session_jobs_mean - 1.0))
+        log_gap = np.log(self.session_gap_seconds)
+        draws = []
+        failed = False
+        for _ in range(n_jobs):
+            failed = rng.random() < (0.7 if failed else self.failure_prob)  # bursts persist
+            factor = rng.lognormal(0.0, self.runtime_within_sigma)
+            crash = rng.uniform(15.0, 600.0) if failed else None  # early termination
+            # an occasional one-off width change within a session
+            step = rng.integers(-1, 2) if rng.random() < 0.15 else None
+            # think time between submissions in a session: lognormal around
+            # the per-log session gap, so streams are bursty but ordered
+            draws.append((failed, factor, crash, step, rng.lognormal(log_gap, 0.8)))
+        return draws
+
+    def generate_session(self, rng: np.random.Generator) -> list[SessionJob]:
+        """Emit one session's worth of jobs (offsets relative to t=0)."""
         jobs: list[SessionJob] = []
         offset = 0.0
-        failing = False
-        for _ in range(n_jobs):
-            if failing:
-                failed = rng.random() < 0.7  # failure bursts persist
-            else:
-                failed = rng.random() < self.failure_prob
-            failing = failed
-            runtime = float(
-                self.mode_runtime
-                * rng.lognormal(mean=0.0, sigma=self.runtime_within_sigma)
-            )
-            runtime = max(runtime, 10.0)
+        for failed, factor, crash, step, gap in self.session_draws(rng):
+            runtime = max(float(self.mode_runtime * factor), 10.0)
             if failed:
-                # Erratic early termination: crash or immediate abort.
-                runtime = float(min(runtime, rng.uniform(15.0, 600.0)))
+                runtime = float(min(runtime, crash))
             width = self.mode_width
-            if rng.random() < 0.15:
-                # occasional one-off width change within a session
-                factor = 2.0 ** float(rng.integers(-1, 2))
+            if step is not None:
+                factor = 2.0 ** float(step)
                 width = int(min(max(1, round(width * factor)), self.max_width))
             # Queue-policy walltime cap for wide jobs, applied to both the
             # sampled runtime and the user's belief (requests follow it).
@@ -170,9 +175,7 @@ class UserProfile:
                     believed=believed,
                 )
             )
-            # Think time between submissions in a session: lognormal around
-            # the per-log session gap, so streams are bursty but ordered.
-            offset += float(rng.lognormal(np.log(self.session_gap_seconds), 0.8))
+            offset += float(gap)
         return jobs
 
 

@@ -5,6 +5,8 @@ feature scaling.  Rescaling any input coordinate by a constant must leave
 the model's *predictions* unchanged (it absorbs into the weights).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -278,3 +280,156 @@ class TestNonFiniteDerivative:
         assert np.array_equal(opt._scale, before[2])
         assert np.array_equal(opt._grad_sq, before[3])
         assert opt._norm == before[4]
+
+
+# -- frozen oracle ---------------------------------------------------------------
+
+
+class FrozenNag:
+    """``NagOptimizer`` as it stood when the in-place step recomputed the
+    ``s_i > 0`` mask on every young step: kept verbatim, the byte-for-byte
+    oracle of every later rewrite of the step."""
+
+    def __init__(
+        self,
+        dim: int,
+        eta: float = 0.5,
+        l2: float = 0.0,
+        forgetting: float = 1.0,
+    ) -> None:
+        if dim <= 0:
+            raise ValueError("dim must be positive")
+        if eta <= 0:
+            raise ValueError("eta must be positive")
+        if l2 < 0:
+            raise ValueError("l2 must be non-negative")
+        if not 0.0 < forgetting <= 1.0:
+            raise ValueError("forgetting must be in (0, 1]")
+        self.dim = int(dim)
+        self.eta = float(eta)
+        self.l2 = float(l2)
+        #: decay applied to the accumulated gradient statistics before each
+        #: update; < 1 makes the model favour recent jobs (the paper's
+        #: footnote-2 variant: "weigh differently the jobs to favor recent
+        #: ones").
+        self.forgetting = float(forgetting)
+        self.w = np.zeros(dim)
+        self._scale = np.zeros(dim)  # s_i: largest |x_i| seen
+        self._grad_sq = np.zeros(dim)  # G_i: accumulated squared gradients
+        self._norm = 0.0  # N: accumulated normalised example norms
+        self.t = 0  # examples processed
+        self._seen_all = False  # every s_i > 0 (latches)
+        self._dense = False  # ... and every G_i > 0 (latches iff forgetting == 1)
+        self._grad = np.empty(dim)  # scratch rows of update()
+        self._tmp = np.empty(dim)
+        self._mask = np.empty(dim, dtype=bool)
+
+    def predict(self, x: np.ndarray) -> float:
+        """Model output ``w . x``."""
+        return float(self.w.dot(x))
+
+    def update(self, x: np.ndarray, dloss_df: float) -> None:
+        """One online step given the derivative of the loss at ``w . x``."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected shape ({self.dim},), got {x.shape}")
+        if not math.isfinite(dloss_df):
+            raise ValueError(f"loss derivative must be finite, got {dloss_df}")
+        self.t += 1
+        w, scale, grad_sq = self.w, self._scale, self._grad_sq
+        grad, tmp, mask = self._grad, self._tmp, self._mask
+
+        # 1. Rescale weights whose coordinate just revealed a larger range.
+        np.abs(x, out=tmp)
+        if np.count_nonzero(np.greater(tmp, scale, out=mask)):
+            new = tmp[mask]
+            ratio = scale[mask] / new
+            w[mask] *= ratio * ratio
+            scale[mask] = new
+
+        # 2. Normalised example norm (coordinates never seen stay out).
+        if not self._seen_all:
+            seen = scale > 0
+            self._seen_all = np.count_nonzero(seen) == self.dim
+        if self._seen_all:
+            np.divide(x, scale, out=tmp)
+            np.multiply(tmp, tmp, out=tmp)
+            self._norm += float(tmp.sum())
+        else:
+            ratio = x[seen] / scale[seen]
+            self._norm += float((ratio * ratio).sum())
+
+        # 3. Gradient with ridge term (after optional forgetting decay,
+        # which shortens the adaptive memory and favours recent examples).
+        if self.forgetting < 1.0:
+            grad_sq *= self.forgetting
+        np.multiply(x, dloss_df, out=grad)
+        if self.l2 > 0:
+            grad += np.multiply(w, 2.0 * self.l2, out=tmp)
+        grad_sq += np.multiply(grad, grad, out=tmp)
+
+        # 4. Adaptive, normalised step over the active coordinates.
+        if self._norm <= 0:
+            return
+        where: np.ndarray | bool = True
+        if not self._dense:
+            active = np.greater(grad_sq, 0.0, out=mask)
+            if not self._seen_all:
+                active &= seen
+            if np.count_nonzero(active) == self.dim:
+                self._dense = self.forgetting == 1.0
+            else:
+                where = active
+        np.sqrt(grad_sq, out=tmp)
+        tmp *= scale
+        grad *= self.eta * math.sqrt(self.t / self._norm)
+        np.divide(grad, tmp, out=grad, where=where)
+        np.subtract(w, grad, out=w, where=where)
+
+
+@st.composite
+def young_streams(draw):
+    """Rows of a young model: columns that wake late or never (unseen),
+    exact zeros, scales that keep growing in bursts, mixed derivatives."""
+    dim = draw(st.sampled_from([1, 2, 7, 20, 231]))
+    steps = draw(st.integers(min_value=1, max_value=60))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    never = gen.random(dim) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    wake = gen.integers(0, steps + 1, size=dim)
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    growth = draw(st.sampled_from([1.0, 10.0, 1e4]))
+    stream = []
+    for step in range(steps):
+        x = gen.normal(size=dim) * 10.0 ** gen.uniform(-3, 3, size=dim)
+        if gen.random() < 0.2:
+            x *= growth * (1 + step)
+        x[never | (step < wake) | (gen.random(dim) < zeros)] = 0.0
+        derivative = draw(st.sampled_from(_DERIVATIVES) | st.floats(-1e3, 1e3))
+        stream.append((x, derivative))
+    return stream
+
+
+def assert_bytes_equal(new: NagOptimizer, frozen: FrozenNag) -> None:
+    assert new.t == frozen.t
+    assert new.w.tobytes() == frozen.w.tobytes()
+    assert new._scale.tobytes() == frozen._scale.tobytes()
+    assert new._grad_sq.tobytes() == frozen._grad_sq.tobytes()
+    assert new._norm.hex() == frozen._norm.hex()
+
+
+class TestFrozenOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stream=young_streams(),
+        forgetting=st.sampled_from([1.0, 0.9]),
+        l2=st.sampled_from([0.0, 1e-6]),
+    )
+    def test_every_step_is_byte_equal_to_the_frozen_step(self, stream, forgetting, l2):
+        new = NagOptimizer(len(stream[0][0]), eta=0.5, l2=l2, forgetting=forgetting)
+        frozen = FrozenNag(len(stream[0][0]), eta=0.5, l2=l2, forgetting=forgetting)
+        with np.errstate(all="ignore"):
+            for x, derivative in stream:
+                new.update(x, derivative)
+                frozen.update(x, derivative)
+                assert_bytes_equal(new, frozen)
+                assert (new._seen_all, new._dense) == (frozen._seen_all, frozen._dense)
