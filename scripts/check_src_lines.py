@@ -9,7 +9,7 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 14416  # +24: a stated budget of +25 for the cold-cell perf change
+CEILING = 14226  # -190: conservative replans from the release table
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

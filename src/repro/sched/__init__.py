@@ -6,7 +6,7 @@ from .easy import EasyScheduler
 from .fcfs import FcfsScheduler
 from .legacy import LegacyConservativeScheduler, LegacyEasyScheduler
 from .ordering import BACKFILL_ORDERS, order_queue
-from .profile_structure import IncrementalProfile, ReleaseTable
+from .profile_structure import ReleaseTable
 
 __all__ = [
     "Scheduler",
@@ -15,7 +15,6 @@ __all__ = [
     "FcfsScheduler",
     "LegacyConservativeScheduler",
     "LegacyEasyScheduler",
-    "IncrementalProfile",
     "ReleaseTable",
     "BACKFILL_ORDERS",
     "order_queue",

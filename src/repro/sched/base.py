@@ -38,28 +38,23 @@ class Scheduler(ABC):
     def on_start(self, record: JobRecord, now: float) -> None:
         """A selected job was placed on the machine.  Default: nothing.
 
-        Profile-based schedulers use this delta (with :meth:`on_finish`
-        and :meth:`on_correction`) to maintain their availability
-        structures incrementally instead of rescanning machine state.
+        Backfilling schedulers feed this delta (with :meth:`on_finish` and
+        :meth:`on_corrections`) to their
+        :class:`~repro.sched.profile_structure.ReleaseTable`, so a pass
+        reads the running jobs' releases without rescanning the machine.
         """
 
     def on_finish(self, record: JobRecord) -> None:
         """A job completed.  Default: nothing (queue unaffected)."""
-
-    def on_correction(self, record: JobRecord) -> None:
-        """A running job's prediction was corrected.  Default: nothing."""
 
     def on_corrections(self, records: Sequence[JobRecord]) -> None:
         """All corrections of one event timestamp, as a single batch.
 
         The engine collects every EXPIRE-triggered correction of a
         timestamp and delivers them together, *before* the scheduling
-        pass.  The default fans out to :meth:`on_correction` per record;
-        incremental schedulers override it to pay one availability
-        re-sort/rebuild per storm instead of one per job.
+        pass, so a release table pays one re-sort per storm instead of
+        one per job.  Default: nothing.
         """
-        for record in records:
-            self.on_correction(record)
 
     def on_machine_change(self, now: float, machine: Machine) -> None:
         """The machine's capacity changed (drain/restore).  Default: nothing.

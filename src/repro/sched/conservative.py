@@ -20,7 +20,7 @@ from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
 from .base import Scheduler
 from .ordering import BACKFILL_ORDERS
-from .profile_structure import IncrementalProfile
+from .profile_structure import ReleaseTable
 
 __all__ = ["ConservativeScheduler"]
 
@@ -32,11 +32,13 @@ class ConservativeScheduler(Scheduler):
     granted ('fcfs' is the classic algorithm; 'sjbf' is an extension that
     pairs with the paper's SJBF idea).
 
-    The running jobs' availability step function is maintained in an
-    :class:`IncrementalProfile` fed by engine deltas.  The *plan* -- that
-    profile minus one reservation per placed job -- is carried from pass
-    to pass with the reserved starts; the placed jobs are always a
-    *prefix* of the waiting jobs in reservation order (``_ordered``).
+    The running jobs' predicted releases are kept in a
+    :class:`ReleaseTable` fed by the engine's deltas, as EASY keeps them,
+    and a replan builds the availability profile from it the way EASY
+    builds its query plan.  The *plan* -- that profile minus one
+    reservation per placed job -- is carried from pass to pass with the
+    reserved starts; the placed jobs are always a *prefix* of the waiting
+    jobs in reservation order (``_ordered``).
 
     Reservations only take availability away, so a job the full plan
     starts at ``now`` fits at ``now`` on every partial plan: a pass places
@@ -50,8 +52,8 @@ class ConservativeScheduler(Scheduler):
     early, was corrected, or saw the machine resized, each placed job
     would get the same start again given the ones before it (true of any
     prefix): a pass starts the due ones and extends the prefix.  Anything
-    else, or an arrival that outranks a placed job, replans on a fresh
-    snapshot.  A started job leaves both lists by identity (``list.remove``,
+    else, or an arrival that outranks a placed job, replans from the
+    table.  A started job leaves both lists by identity (``list.remove``,
     no rebuild).  Schedules are identical to the seed's per-pass rebuild
     (:class:`repro.sched.legacy.LegacyConservativeScheduler`).
     """
@@ -70,11 +72,11 @@ class ConservativeScheduler(Scheduler):
             else f"conservative-{reservation_order}"
         )
         self._key = BACKFILL_ORDERS[reservation_order]
-        self._base: IncrementalProfile | None = None
+        self._releases = ReleaseTable()
         #: set on the first delta; drivers that never feed deltas (unit
         #: tests poking select_jobs by hand) get a full resync per pass.
         self._delta_fed = False
-        #: base profile minus every reservation below; None once a hook saw it go stale
+        #: release profile minus every reservation below; None once a hook saw it go stale
         self._plan: AvailabilityProfile | None = None
         #: every waiting job, sorted by ``_key`` (keys end in the job id)
         self._ordered: list[JobRecord] = []
@@ -92,57 +94,38 @@ class ConservativeScheduler(Scheduler):
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._delta_fed = True
-        if self._base is not None:
-            self._base.job_started(
-                record.job_id, now, record.predicted_runtime, record.processors
-            )
+        self._releases.add(
+            record.job_id, now + record.predicted_runtime, record.processors
+        )
 
     def on_finish(self, record: JobRecord) -> None:
+        self._releases.discard(record.job_id)
         # a job ending exactly at its predicted end leaves the plan as it was
-        if self._base is not None and self._base.job_finished(
-            record.job_id, record.end_time
-        ):
+        if record.start_time + record.predicted_runtime > record.end_time:
             self._plan = None
-
-    def on_correction(self, record: JobRecord) -> None:
-        self._claims_moved([record])
 
     def on_corrections(self, records) -> None:
-        # a same-timestamp correction storm costs one profile rebuild
-        self._claims_moved(records)
-
-    def _claims_moved(self, records) -> None:
-        if self._base is not None:
-            self._plan = None
-            self._base.jobs_corrected(
-                [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
-            )
+        self._plan = None
+        self._releases.move_many(
+            [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
+        )
 
     def on_machine_change(self, now, machine) -> None:
-        # drains/restores change the baseline free count the incremental
-        # profile was seeded with; the count-based sync check cannot see
-        # that, so rebuild from the machine outright
+        # drains/restores change the free count the plan was built on
         self._plan = None
-        if self._base is not None:
-            self._base.resync(machine, now)
 
     # -- session queries ------------------------------------------------------
     def introspect(self) -> dict[str, float]:
-        """Segment count of the base profile = full-replan sweep length,
-        and whether the last pass carried the plan over instead."""
-        segments = 0 if self._base is None else self._base.n_segments
+        """Release-table length = the sweep a replan walks, and whether
+        the last pass carried the plan over instead."""
         return {
-            "profile_segments": float(segments),
+            "release_table": float(len(self._releases)),
             "plan_reused": float(self._plan_reused),
         }
 
     def _hook_fed(self, machine: Machine) -> bool:
-        """True when the base profile tracks ``machine`` through the hooks."""
-        return (
-            self._base is not None
-            and self._delta_fed
-            and self._base.in_sync_with(machine)
-        )
+        """True when the release table tracks ``machine`` through the hooks."""
+        return self._delta_fed and self._releases.in_sync_with(machine)
 
     def _plan_holds(self, now: float, machine: Machine) -> bool:
         """True when the carried plan still describes the machine at ``now``."""
@@ -188,16 +171,16 @@ class ConservativeScheduler(Scheduler):
             return []
         starts, ordered = self._starts, self._ordered
         self._plan_reused = self._plan_holds(now, machine)
-        if self._plan_reused:  # base untouched since the last pass: every reservation stands
+        if self._plan_reused:  # no hook dropped the plan: every reservation stands
             self._plan.trim(now)
         else:
             if not self._hook_fed(machine):
-                # first pass, or driven outside the engine (unit tests
-                # poking select_jobs by hand): rebuild from machine state
-                if self._base is None:
-                    self._base = IncrementalProfile(machine.processors, now)
-                self._base.resync(machine, now)
-            self._plan = self._base.snapshot(now)
+                # no start seen yet, or driven outside the engine (unit
+                # tests poking select_jobs by hand): rebuild from machine state
+                self._releases.resync(machine)
+            self._plan = AvailabilityProfile.from_releases(
+                machine.processors, now, machine.free, self._releases.releases(now)
+            )
             starts.clear()
         self._place_startable(self._plan, now)
         started = [r for r in ordered[: len(starts)] if starts[r.job_id] == now]

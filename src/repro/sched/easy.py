@@ -87,18 +87,15 @@ class EasyScheduler(Scheduler):
         self._carried = None
         self._releases.discard(record.job_id)
 
-    def on_correction(self, record: JobRecord) -> None:
-        self._carried = None
-        self._releases.move(
-            record.job_id, record.start_time + record.predicted_runtime
-        )
-
     def on_corrections(self, records) -> None:
-        # a same-timestamp correction storm costs one table re-sort
-        if len(records) == 1:
-            self.on_correction(records[0])
-            return
         self._carried = None
+        if len(records) == 1:
+            # the common storm: one job; ``move_many``'s batching would cost
+            # a list and a dict per correction for nothing
+            record = records[0]
+            self._releases.move(record.job_id, record.start_time + record.predicted_runtime)
+            return
+        # a same-timestamp correction storm costs one table re-sort
         self._releases.move_many(
             [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
         )

@@ -1,28 +1,18 @@
-"""Incremental availability structures for the scheduling hot path.
+"""The running jobs' predicted releases, kept across scheduling passes.
 
-The seed implementation recomputed the machine's future availability
-from scratch at every scheduling pass: EASY sorted the full
-predicted-release list (O(running log running) per pass) and
-conservative rebuilt a whole :class:`~repro.sim.profile.AvailabilityProfile`
-release by release (O(running^2) per pass).  Over a week-long trace that
-per-pass rescan dominates simulation time.
+The seed recomputed the machine's future availability from scratch at
+every pass: EASY sorted the full predicted-release list and conservative
+rebuilt a whole :class:`~repro.sim.profile.AvailabilityProfile` release
+by release.  :class:`ReleaseTable` is the one structure that replaces
+both: a sorted multiset of the running jobs' ``(predicted end,
+processors)`` pairs, fed by the engine's start/finish/correction deltas
+(see :meth:`repro.sched.base.Scheduler.on_start` and friends).  EASY's
+shadow-time query walks only the prefix of releases it needs; every plan
+(conservative's reservations, a start-estimate query) is
+:meth:`~repro.sim.profile.AvailabilityProfile.from_releases` over
+:meth:`ReleaseTable.releases`.
 
-This module provides the two structures that replace it, both maintained
-*across* scheduling passes and updated by the engine's start/finish/
-re-prediction deltas (see :meth:`repro.sched.base.Scheduler.on_start`
-and friends):
-
-* :class:`ReleaseTable` -- a sorted multiset of the running jobs'
-  ``(predicted end, processors)`` pairs with O(log n) lookup and
-  O(log n + memmove) updates.  EASY's shadow-time query walks only the
-  prefix of releases it needs instead of rebuilding and sorting the
-  whole list.
-* :class:`IncrementalProfile` -- a persistent step function of free
-  processors over future time (the conservative scheduler's reservation
-  substrate), updated in place on every start/finish/correction and
-  snapshot-copied when a reservation plan has to be rebuilt.
-
-Both structures can resynchronise from a :class:`~repro.sim.machine.Machine`
+The table can resynchronise from a :class:`~repro.sim.machine.Machine`
 when driven outside the engine (unit tests call ``select_jobs`` by hand),
 so correctness never depends on the delta feed being wired up.
 """
@@ -33,12 +23,10 @@ import bisect
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
-from ..sim.profile import AvailabilityProfile
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.machine import Machine
 
-__all__ = ["ReleaseTable", "IncrementalProfile"]
+__all__ = ["ReleaseTable"]
 
 
 class ReleaseTable:
@@ -190,96 +178,3 @@ class ReleaseTable:
                 f"(free={free}, releases={self.releases(now)}, pending={list(pending)})"
             )
         return shadow, available - head_processors
-
-
-class IncrementalProfile(AvailabilityProfile):
-    """A persistent availability profile fed by engine deltas.
-
-    Unlike a scratch :class:`AvailabilityProfile`, one instance lives
-    for a whole simulation.  It tracks each running job's
-    predicted release so finish/correction deltas know which interval to
-    give back or take away, and hands out snapshots for reservation
-    scratch work.
-    """
-
-    def __init__(self, processors: int, now: float = 0.0) -> None:
-        super().__init__(processors, now)
-        self._jobs: dict[int, tuple[float, int]] = {}
-
-    # -- delta feed ----------------------------------------------------------
-    def job_started(self, job_id: int, now: float, predicted_runtime: float,
-                    processors: int) -> None:
-        """Claim ``processors`` over ``[now, now + predicted_runtime)``."""
-        if job_id in self._jobs:
-            raise ValueError(f"job {job_id} is already tracked")
-        end = now + predicted_runtime
-        self.reserve(now, predicted_runtime, processors)
-        self._jobs[job_id] = (end, processors)
-
-    def job_finished(self, job_id: int, now: float) -> bool:
-        """Forget a finished job, giving back ``[now, predicted end)``.
-
-        Returns whether the step function changed: a job that ends exactly
-        at its predicted end had a claim that lapses on its own.
-        """
-        end, processors = self._jobs.pop(job_id)
-        if end > now:
-            self._apply_delta(now, end, processors)
-            return True
-        return False
-
-    def jobs_corrected(
-        self, moves: Sequence[tuple[int, float]] | dict[int, float]
-    ) -> None:
-        """Apply a whole correction storm with **one** profile rebuild.
-
-        ``moves`` maps ``job_id -> new predicted end`` (always later).  The
-        engine corrects a job exactly when its old predicted end expires,
-        so the old claim has lapsed and the extension spans ``[old end,
-        new end)``; all extensions go into the step function in a single
-        sweep (:meth:`AvailabilityProfile._apply_deltas`).
-        """
-        targets = dict(moves)
-        deltas: list[tuple[float, float, int]] = []
-        updates: list[tuple[int, float, int]] = []
-        # validate everything first: a bad entry must not leave _jobs
-        # half-updated against an unchanged step function
-        for job_id, new_end in targets.items():
-            entry = self._jobs.get(job_id)
-            if entry is None:
-                raise KeyError(f"job {job_id} is not tracked")
-            old_end, processors = entry
-            if new_end == old_end:
-                continue
-            if new_end < old_end:
-                raise ValueError(
-                    f"correction moved job {job_id} backwards: {old_end} -> {new_end}"
-                )
-            deltas.append((old_end, new_end, -processors))
-            updates.append((job_id, new_end, processors))
-        self._apply_deltas(deltas)
-        for job_id, new_end, processors in updates:
-            self._jobs[job_id] = (new_end, processors)
-
-    # -- synchronisation -----------------------------------------------------
-    def in_sync_with(self, machine: Machine) -> bool:
-        """Count-based desync check; see :meth:`ReleaseTable.in_sync_with`
-        for the contract (all deltas or none)."""
-        return len(self._jobs) == machine.n_running
-
-    def resync(self, machine: Machine, now: float) -> None:
-        """Rebuild from the machine state (out-of-engine drivers)."""
-        self._jobs = {
-            run.record.job_id: (max(run.predicted_end, now), run.record.processors)
-            for run in machine.running
-        }
-        fresh = AvailabilityProfile.from_releases(
-            self.processors, now, machine.free, list(self._jobs.values())
-        )
-        self._times, self._avail = fresh._times, fresh._avail
-
-    # -- per-pass use --------------------------------------------------------
-    def snapshot(self, now: float) -> AvailabilityProfile:
-        """A throwaway copy starting at ``now`` for reservation scratch work."""
-        self.trim(now)
-        return self.copy()

@@ -1,7 +1,10 @@
 """Processor-availability profile over future time.
 
-Used by conservative backfilling (every queued job holds a reservation)
-and by tests as an independent oracle for EASY's shadow-time computation.
+Every reservation plan is one of these, built from the running jobs'
+predicted releases by :meth:`AvailabilityProfile.from_releases`:
+conservative backfilling's (every queued job holds a reservation) and a
+start-estimate query's.  Tests also use it as an independent oracle for
+EASY's shadow-time computation.
 
 The profile is a step function ``available(t)`` represented by sorted
 breakpoints; the final segment extends to infinity.  All mutating
@@ -70,20 +73,7 @@ class AvailabilityProfile:
             raise ValueError("released processors must be positive")
         self._apply_delta(time, math.inf, processors)
 
-    def copy(self) -> AvailabilityProfile:
-        """A plain profile with the same steps, for reservation scratch work."""
-        twin = AvailabilityProfile.__new__(AvailabilityProfile)
-        twin.processors = self.processors
-        twin._times = self._times.copy()
-        twin._avail = self._avail.copy()
-        return twin
-
     # -- queries --------------------------------------------------------------
-    @property
-    def n_segments(self) -> int:
-        """Number of step-function segments (profile-sweep length)."""
-        return len(self._times)
-
     @property
     def terminal_available(self) -> int:
         """Availability of the infinite final segment (steady state).
@@ -215,63 +205,6 @@ class AvailabilityProfile:
             span.append(tail - delta)
         times[lo:hi] = span_times
         avail[lo:hi] = span
-
-    def _apply_deltas(self, deltas: list[tuple[float, int | float, int]]) -> None:
-        """Apply several ``[start, end) += delta`` updates in one sweep.
-
-        Equivalent to calling :meth:`_apply_delta` per triple, but the
-        step function is rebuilt once: the delta edges are merged with the
-        existing breakpoints in a single left-to-right pass (already
-        coalesced), so a batch of k updates over S segments costs
-        O(S + k log k) instead of k splice-and-coalesce passes.
-        """
-        if not deltas:
-            return
-        if len(deltas) == 1:
-            start, end, delta = deltas[0]
-            self._apply_delta(start, end, delta)
-            return
-        edges: dict[float, int] = {}
-        for start, end, delta in deltas:
-            if start < self._times[0]:
-                raise ValueError(
-                    f"time {start} precedes profile start {self._times[0]}"
-                )
-            if end <= start:
-                continue
-            edges[start] = edges.get(start, 0) + delta
-            if not math.isinf(end):
-                edges[end] = edges.get(end, 0) - delta
-        bounds = sorted(edges)
-        times, avail = self._times, self._avail
-        n, m = len(times), len(bounds)
-        new_times: list[float] = []
-        new_avail: list[int] = []
-        i = j = 0
-        acc = 0  # running sum of the delta edges crossed so far
-        base = avail[0]  # availability of the current original segment
-        while i < n or j < m:
-            if j >= m or (i < n and times[i] <= bounds[j]):
-                t = times[i]
-                base = avail[i]
-                if j < m and bounds[j] == t:
-                    acc += edges[t]
-                    j += 1
-                i += 1
-            else:
-                t = bounds[j]
-                acc += edges[t]
-                j += 1
-            value = base + acc
-            if not 0 <= value <= self.processors:
-                raise ValueError(
-                    f"availability {value} out of [0, {self.processors}] at t={t}"
-                )
-            if not new_times or value != new_avail[-1]:
-                new_times.append(t)
-                new_avail.append(value)
-        self._times = new_times
-        self._avail = new_avail
 
     # -- introspection -------------------------------------------------------
     def steps(self) -> list[tuple[float, int]]:

@@ -553,7 +553,15 @@ class SimSession:
                         # Contract enforcement: progress past the elapsed
                         # time, capped by the requested time which
                         # upper-bounds any feasible runtime.
-                        prediction = max(float(corrector.correct(record, now)), now - start + 1.0)
+                        prediction = float(corrector.correct(record, now))
+                        if not isfinite(prediction):  # a NaN passes every comparison below
+                            raise ValueError(
+                                f"corrector {corrector.name!r} returned a non-finite "
+                                f"prediction for job {job_id}"
+                            )
+                        floor = now - start + 1.0
+                        if prediction < floor:
+                            prediction = floor
                         if prediction >= record.requested_time:
                             prediction = record.requested_time
                             if prediction < record.runtime:  # it would expire at the cap forever

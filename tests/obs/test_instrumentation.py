@@ -128,12 +128,12 @@ class TestEngineCounters:
         assert tele.counter_value("engine.cells") == 1
         assert tele.histogram("engine.cell.seconds").count == 1
 
-    def test_conservative_profile_segments_sampled(self):
+    def test_conservative_release_table_sampled(self):
         spec = _spec("requested|none|conservative", n_jobs=60)
         tele = Telemetry(component="test")
         run_spec(spec, telemetry=tele)
-        segments = tele.histogram("engine.sched.profile_segments")
-        assert segments is not None and segments.count > 0
+        table = tele.histogram("engine.sched.release_table")
+        assert table is not None and table.count > 0
 
 
 class TestSnapshotPins:
@@ -201,10 +201,10 @@ class TestSnapshotPins:
             },
             {
                 "engine.sched.plan_reused": (15, 6, 0, 1, {-1075: 9, 0: 6}),
-                "engine.sched.profile_segments": (
-                    15, 61, 1, 9, {0: 2, 1: 3, 2: 6, 3: 2, 4: 2},
-                ),
                 "engine.sched.queue_length": _EASY_QUEUE,
+                "engine.sched.release_table": (
+                    15, 32, 0, 7, {-1075: 3, 0: 5, 1: 3, 2: 1, 3: 3},
+                ),
                 "predict.abs_error.seconds": _REQUESTED_ERROR,
             },
         ),
@@ -405,7 +405,7 @@ class TestSizesAreSampled:
         assert session.step() == 0.0 and session.stats.n_scheduling_passes == 1
         snap = tele.snapshot()
         assert snap["counters"]["engine.sched.passes"] == 1
-        for name in ("queue_length", "profile_segments", "plan_reused"):
+        for name in ("queue_length", "release_table", "plan_reused"):
             assert snap["histograms"][f"engine.sched.{name}"]["count"] == 1, name
         assert snap["histograms"]["engine.sched.queue_length"]["max"] == 1  # before the pass
 

@@ -1,5 +1,5 @@
-"""Batched correction storms: one re-sort / one profile rebuild per
-timestamp must be *exactly* equivalent to the per-job delta feed."""
+"""Batched correction storms: one release-table re-sort per timestamp
+must be *exactly* equivalent to the per-job delta feed."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from repro.correct import IncrementalCorrector
 from repro.predict import RecentAveragePredictor
-from repro.sched import Scheduler, make_scheduler
-from repro.sched.profile_structure import IncrementalProfile, ReleaseTable
+from repro.sched import make_scheduler
+from repro.sched.profile_structure import ReleaseTable
 from repro.sim import simulate
-from repro.sim.profile import AvailabilityProfile
 from repro.workload import Job, Trace
 
 
@@ -68,114 +67,6 @@ class TestMoveMany:
         for jid, end in dict(moves).items():
             sequential.move(jid, end)
         assert batched._entries == sequential._entries
-
-
-class TestApplyDeltas:
-    def build_profile(self):
-        profile = AvailabilityProfile(64, now=0.0, free=20)
-        profile.add_release(30.0, 10)
-        profile.add_release(100.0, 14)
-        profile.add_release(250.0, 20)
-        return profile
-
-    def test_equivalent_to_sequential(self):
-        deltas = [(30.0, 90.0, -4), (50.0, 260.0, -6), (100.0, 120.0, -2)]
-        batched = self.build_profile()
-        sequential = self.build_profile()
-        batched._apply_deltas(deltas)
-        for start, end, delta in deltas:
-            sequential._apply_delta(start, end, delta)
-        assert batched.steps() == sequential.steps()
-
-    def test_overlapping_and_touching_intervals(self):
-        deltas = [(0.0, 30.0, -5), (30.0, 60.0, -5), (30.0, 45.0, -3)]
-        batched = self.build_profile()
-        sequential = self.build_profile()
-        batched._apply_deltas(deltas)
-        for start, end, delta in deltas:
-            sequential._apply_delta(start, end, delta)
-        assert batched.steps() == sequential.steps()
-
-    def test_out_of_range_rejected(self):
-        profile = self.build_profile()
-        with pytest.raises(ValueError):
-            profile._apply_deltas([(0.0, 10.0, -10), (0.0, 10.0, -15)])
-
-    def test_before_start_rejected(self):
-        profile = AvailabilityProfile(8, now=100.0)
-        with pytest.raises(ValueError):
-            profile._apply_deltas([(0.0, 10.0, -1), (110.0, 120.0, -1)])
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        deltas=st.lists(
-            st.tuples(
-                st.floats(0.0, 400.0),
-                st.floats(0.5, 200.0),
-                st.integers(1, 4),
-            ),
-            min_size=2,
-            max_size=6,
-        )
-    )
-    def test_property_matches_sequential(self, deltas):
-        """Random *negative* deltas (reservations), skipping any batch a
-        sequential application would reject."""
-        triples = [(start, start + length, -width) for start, length, width in deltas]
-        sequential = self.build_profile()
-        try:
-            for start, end, delta in triples:
-                sequential._apply_delta(start, end, delta)
-        except ValueError:
-            return  # infeasible batch: nothing to compare
-        batched = self.build_profile()
-        batched._apply_deltas(triples)
-        assert batched.steps() == sequential.steps()
-
-
-class TestJobsCorrected:
-    def build(self):
-        profile = IncrementalProfile(32, now=0.0)
-        profile.job_started(1, 0.0, 50.0, 8)
-        profile.job_started(2, 0.0, 50.0, 8)
-        profile.job_started(3, 0.0, 80.0, 4)
-        return profile
-
-    def test_equivalent_to_sequential(self):
-        batched = self.build()
-        sequential = self.build()
-        moves = [(1, 120.0), (2, 90.0)]
-        batched.jobs_corrected(moves)
-        for jid, end in moves:
-            sequential.jobs_corrected({jid: end})
-        assert batched.steps() == sequential.steps()
-
-    def test_backwards_move_rejected(self):
-        profile = self.build()
-        with pytest.raises(ValueError):
-            profile.jobs_corrected([(1, 120.0), (3, 10.0)])
-
-    def test_failed_batch_leaves_state_untouched(self):
-        """A rejected batch must not leave _jobs half-updated against an
-        unchanged step function (count-based sync checks can't catch it)."""
-        profile = self.build()
-        reference = self.build()
-        with pytest.raises(ValueError):
-            profile.jobs_corrected([(1, 120.0), (3, 10.0)])  # 3 goes backwards
-        with pytest.raises(KeyError):
-            profile.jobs_corrected([(2, 200.0), (99, 300.0)])  # 99 untracked
-        assert profile.steps() == reference.steps()
-        assert profile._jobs == reference._jobs
-        # and the state is still fully usable afterwards
-        profile.jobs_corrected([(1, 120.0), (2, 90.0)])
-        reference.jobs_corrected([(1, 120.0), (2, 90.0)])
-        assert profile.steps() == reference.steps()
-
-    def test_noop_move_skipped(self):
-        profile = self.build()
-        before = profile.steps()
-        profile.jobs_corrected([(1, 50.0)])
-        assert profile.steps() == before
 
 
 def storm_trace(processors=64, waves=4, wave_jobs=48, users_per_wave=8, seed=3):
@@ -239,17 +130,20 @@ class TestEngineStormBatching:
 
     @pytest.mark.parametrize("scheduler", ["easy-sjbf", "conservative"])
     def test_batched_matches_perjob_fanout(self, scheduler):
-        """Forcing the base-class per-record fan-out must not change the
-        schedule either -- batching is pure mechanics."""
+        """Delivering each correction as its own one-record batch must not
+        change the schedule either -- batching is pure mechanics."""
         trace = storm_trace(waves=3)
         batched = simulate(
             trace, make_scheduler(scheduler),
             RecentAveragePredictor(2), IncrementalCorrector(),
         )
         sched = make_scheduler(scheduler)
-        sched.on_corrections = (
-            lambda records, s=sched: Scheduler.on_corrections(s, records)
-        )
+
+        def one_at_a_time(records, batch=sched.on_corrections):
+            for record in records:
+                batch([record])
+
+        sched.on_corrections = one_at_a_time
         perjob = simulate(
             trace, sched, RecentAveragePredictor(2), IncrementalCorrector()
         )

@@ -399,9 +399,7 @@ def test_submit_only_passes_place_one_reservation(monkeypatch):
     reserve = AvailabilityProfile.reserve
 
     def counting(self, start, duration, processors):
-        # the base profile (an IncrementalProfile) claims started jobs too
-        if type(self) is AvailabilityProfile:
-            plan_reserves.append(start)
+        plan_reserves.append(start)
         reserve(self, start, duration, processors)
 
     monkeypatch.setattr(AvailabilityProfile, "reserve", counting)
@@ -636,22 +634,18 @@ def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
 
 
 class ProbeCost:
-    """Counts the ``AvailabilityProfile.copy`` and ``reserve`` calls one
-    scheduler's ``estimated_starts`` makes outside ``_reservations``: what
-    a probe costs beyond the queue's own plan."""
+    """Counts the ``AvailabilityProfile.reserve`` calls one scheduler's
+    ``estimated_starts`` makes outside ``_reservations``: what a probe
+    costs beyond the queue's own plan."""
 
     def __init__(self, monkeypatch, scheduler):
-        self.calls = Counter()
+        self.reserves = 0
         counting = [False]
+        reserve = AvailabilityProfile.reserve
 
-        def counted(name):
-            method = getattr(AvailabilityProfile, name)
-
-            def call(profile, *args, **kwargs):
-                self.calls[name] += counting[0]
-                return method(profile, *args, **kwargs)
-
-            monkeypatch.setattr(AvailabilityProfile, name, call)
+        def counted(profile, *args, **kwargs):
+            self.reserves += counting[0]
+            return reserve(profile, *args, **kwargs)
 
         def scoped(method, value):
             def call(*args, **kwargs):
@@ -663,8 +657,7 @@ class ProbeCost:
 
             return call
 
-        counted("copy")
-        counted("reserve")
+        monkeypatch.setattr(AvailabilityProfile, "reserve", counted)
         monkeypatch.setattr(scheduler, "estimated_starts", scoped(scheduler.estimated_starts, True))
         monkeypatch.setattr(scheduler, "_reservations", scoped(scheduler._reservations, False))
 
@@ -684,7 +677,7 @@ QUERY_TWIN = {
 @pytest.mark.parametrize("name", QUERY_TWIN)
 def test_a_probe_places_nothing(monkeypatch, name):
     """One hypothetical record is fitted on the queue's plan read-only: no
-    profile copy, no reservation; its answer is the twin's, and a waiting
+    reservation; its answer is the twin's, and a waiting
     query after it is served from the carried plan with no placement
     (``fcfs`` carries none: it replaces the queue)."""
     session, twin = full_machine_session(name), full_machine_session(QUERY_TWIN[name])
@@ -696,7 +689,7 @@ def test_a_probe_places_nothing(monkeypatch, name):
     placements = Placements(monkeypatch, session.scheduler)
     for probe in (PROBE, wide):
         assert session.query(probe) == twin.query(probe)
-    assert (cost.calls["copy"], cost.calls["reserve"]) == (0, 0)
+    assert cost.reserves == 0
     n_waiting = session.scheduler.queue_length
     waiting = placements.during(lambda: session.query(job_id=6))
     assert waiting == (n_waiting if name == "fcfs" else 0)

@@ -1,15 +1,19 @@
-"""Unit + property tests for the incremental scheduling structures."""
+"""Unit + property tests for the release table the schedulers keep."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.correct import IncrementalCorrector
+from repro.predict import RequestedTimePredictor
+from repro.sched import make_scheduler
 from repro.sched.legacy import _SeedProfile, compute_shadow
-from repro.sched.profile_structure import IncrementalProfile, ReleaseTable
+from repro.sched.profile_structure import ReleaseTable
+from repro.sim import SimSession
 from repro.sim.machine import Machine
 from repro.sim.profile import AvailabilityProfile
 
-from tests.helpers import make_record
+from tests.helpers import make_job, make_record
 
 
 class TestReleaseTable:
@@ -99,8 +103,8 @@ class TestReleaseTable:
             table.shadow(10, 2, 0.0)
 
 
-def apply_random_ops(profile, machine, rng, n_ops=40):
-    """Drive an IncrementalProfile + Machine through random start/finish/
+def apply_random_ops(table, machine, rng, n_ops=40):
+    """Drive a ReleaseTable + Machine through random start/finish/
     correction deltas; returns the current simulation time."""
     now = 0.0
     next_id = 1
@@ -117,73 +121,37 @@ def apply_random_ops(profile, machine, rng, n_ops=40):
                     runtime=pred, requested_time=10 * pred,
                 )
                 machine.start(rec, now)
-                profile.job_started(next_id, now, pred, procs)
+                table.add(next_id, now + pred, procs)
                 active.append((next_id, now + pred))
                 next_id += 1
         elif choice == 1:
             job_id, _end = active.pop(int(rng.integers(0, len(active))))
             machine.finish(job_id, now)
-            profile.job_finished(job_id, now)
+            table.discard(job_id)
         else:
             idx = int(rng.integers(0, len(active)))
             job_id, end = active[idx]
             new_end = max(end, now) + float(rng.uniform(1.0, 100.0))
             run = next(r for r in machine.running if r.record.job_id == job_id)
             run.record.predicted_runtime = new_end - run.start_time
-            profile.jobs_corrected({job_id: new_end})
+            table.move_many({job_id: new_end})
             active[idx] = (job_id, new_end)
     return now
 
 
-class TestIncrementalProfile:
+class TestPlanFromTable:
     def test_matches_from_releases_oracle(self, rng):
-        """Property: after any delta sequence the incremental profile is
-        the same step function the seed rebuilt from machine state."""
+        """Property: after any delta sequence the plan built from the
+        table is the step function the seed rebuilt from machine state."""
         machine = Machine(12)
-        profile = IncrementalProfile(12, 0.0)
-        now = apply_random_ops(profile, machine, rng)
-        profile.trim(now)
+        table = ReleaseTable()
+        now = apply_random_ops(table, machine, rng)
+        assert table.in_sync_with(machine)
+        plan = AvailabilityProfile.from_releases(12, now, machine.free, table.releases(now))
         oracle = AvailabilityProfile.from_releases(
             12, now, machine.free, machine.predicted_releases(now)
         )
-        assert profile.steps() == oracle.steps()
-
-    def test_snapshot_is_independent_copy(self):
-        profile = IncrementalProfile(8, 0.0)
-        profile.job_started(1, 0.0, 100.0, 4)
-        snap = profile.snapshot(0.0)
-        snap.reserve(0.0, 50.0, 2)
-        assert profile.available_at(10.0) == 4  # base untouched
-        assert snap.available_at(10.0) == 2
-
-    def test_finish_returns_claim_early(self):
-        profile = IncrementalProfile(8, 0.0)
-        profile.job_started(1, 0.0, 100.0, 6)
-        assert profile.available_at(50.0) == 2
-        profile.job_finished(1, 40.0)
-        assert profile.available_at(50.0) == 8
-
-    def test_correction_extends_claim(self):
-        profile = IncrementalProfile(8, 0.0)
-        profile.job_started(1, 0.0, 100.0, 6)
-        profile.jobs_corrected({1: 250.0})
-        assert profile.available_at(150.0) == 2
-        assert profile.available_at(250.0) == 8
-
-    def test_backward_correction_rejected(self):
-        profile = IncrementalProfile(8, 0.0)
-        profile.job_started(1, 0.0, 100.0, 6)
-        with pytest.raises(ValueError):
-            profile.jobs_corrected({1: 50.0})
-
-    def test_trim_drops_stale_segments(self):
-        profile = IncrementalProfile(8, 0.0)
-        profile.job_started(1, 0.0, 10.0, 2)
-        profile.job_started(2, 0.0, 20.0, 2)
-        profile.job_finished(1, 10.0)
-        profile.job_finished(2, 20.0)
-        profile.trim(30.0)
-        assert profile.steps() == [(30.0, 8)]
+        assert plan.steps() == oracle.steps()
 
 
 class TestEarliestFitSweep:
@@ -224,3 +192,82 @@ class TestEarliestFitSweep:
             seed.reserve(expected, duration, procs)
             fast.reserve(expected, duration, procs)
             assert fast.steps() == seed.steps()
+
+
+class _Constant(RequestedTimePredictor):
+    """Predicts 100 s for every job, whatever it requested."""
+
+    def predict(self, record, now):
+        return 100.0
+
+
+class _FinishUnreported(RequestedTimePredictor):
+    """``on_finish`` raises for job 1, so the machine finishes a job the
+    scheduler is never told about."""
+
+    def on_finish(self, record, now):
+        if record.job_id == 1:
+            raise OSError("model store unreachable")
+
+
+class TestConservativeFeed:
+    """Which hooks drop ``ConservativeScheduler``'s carried plan, and
+    whether the release table it replans from follows the machine.  Job 1
+    holds 8 of 12 processors from t=0, predicted to end at 100; 12-wide
+    job 2 queues behind it at t=10."""
+
+    def session(self, runtime, predictor=RequestedTimePredictor, corrector=None):
+        session = SimSession(12, make_scheduler("conservative"), predictor(), corrector)
+        session.feed([
+            make_job(job_id=1, runtime=runtime, processors=8, requested_time=max(runtime, 100.0)),
+            make_job(job_id=2, submit_time=10.0, runtime=50.0, processors=12),
+        ])
+        session.advance_to(10.0)
+        assert session.scheduler._plan is not None
+        return session
+
+    def test_an_on_time_finish_keeps_the_plan(self):
+        session = self.session(runtime=100.0)
+        session.advance_to(100.0)
+        assert session.record(2).start_time == 100.0
+        assert session.scheduler.introspect() == {"release_table": 1.0, "plan_reused": 1.0}
+
+    def test_an_early_finish_replans(self):
+        session = self.session(runtime=60.0)
+        session.advance_to(60.0)
+        assert session.record(2).start_time == 60.0
+        assert session.scheduler.introspect() == {"release_table": 1.0, "plan_reused": 0.0}
+
+    def test_a_correction_moves_the_release_and_replans(self):
+        session = self.session(150.0, _Constant, IncrementalCorrector())
+        session.advance_to(100.0)
+        scheduler, machine = session.scheduler, session.machine
+        assert session.stats.n_corrections == 1 and not machine.is_running(2)
+        assert scheduler.introspect()["plan_reused"] == 0.0
+        releases = scheduler._releases.releases(100.0)
+        assert releases == machine.predicted_releases(100.0) and releases[0][0] > 100.0
+        session.advance_to(150.0)
+        assert session.record(2).start_time == 150.0
+
+    def test_a_machine_change_replans_and_keeps_the_table(self):
+        """A restore frees 4 processors the carried plan never had:
+        4-wide job 3 starts on them at once."""
+        session = self.session(runtime=100.0)
+        session.feed_machine_event(time=10.0, kind="drain", processors=4)
+        session.feed(make_job(job_id=3, submit_time=10.0, runtime=20.0, processors=4))
+        session.advance_to(10.0)
+        assert not session.machine.is_running(3)
+        session.feed_machine_event(time=50.0, kind="restore", processors=4)
+        session.advance_to(50.0)
+        assert session.record(3).start_time == 50.0
+        assert session.scheduler.introspect() == {"release_table": 2.0, "plan_reused": 0.0}
+
+    def test_an_unreported_finish_resyncs_the_table(self):
+        session = self.session(60.0, _FinishUnreported)
+        with pytest.raises(OSError):
+            session.advance_to(60.0)
+        scheduler, machine = session.scheduler, session.machine
+        assert not scheduler._releases.in_sync_with(machine)
+        session.advance_to(70.0)
+        assert session.record(2).start_time == 60.0
+        assert scheduler._releases.releases(70.0) == machine.predicted_releases(70.0)

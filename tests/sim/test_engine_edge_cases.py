@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.correct import (
+    Corrector,
     IncrementalCorrector,
     RecursiveDoublingCorrector,
     RequestedTimeCorrector,
@@ -136,6 +137,44 @@ class TestRequestedBelowRuntime:
         assert result[0].end_time == 4000.0 and 1 <= result[0].corrections
         assert result[0].predicted_runtime == 4000.0
         assert result.stats.n_corrections == result[0].corrections
+
+
+class NonFiniteCorrector(Corrector):
+    name = "broken"
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def correct(self, record, now):
+        return self.value
+
+
+class TestNonFiniteCorrection:
+    """A corrector that returns NaN or inf is refused by name, like a
+    predictor that does: ``max`` keeps a leading NaN, so the floor alone
+    would hand it to the scheduler."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "scheduler",
+        ["easy", "easy-sjbf", "conservative", "legacy-easy", "legacy-conservative"],
+    )
+    def test_the_run_ends_in_a_named_error(self, scheduler, value):
+        session = SimSession(
+            4, make_scheduler(scheduler), ConstantPredictor(10.0), NonFiniteCorrector(value)
+        )
+        session.feed([
+            make_job(job_id=1, runtime=100.0, processors=4, requested_time=1000.0),
+            make_job(job_id=2, submit_time=1.0, runtime=50.0, processors=2),
+            make_job(job_id=3, submit_time=2.0, runtime=50.0, processors=4),
+        ])
+        with pytest.raises(
+            ValueError,
+            match="corrector 'broken' returned a non-finite prediction for job 1",
+        ):
+            session.drain()
+        record = session.record(1)  # refused before the record was touched
+        assert (record.predicted_runtime, record.corrections) == (record.initial_prediction, 0)
 
 
 class TestDegenerateTraces:

@@ -131,7 +131,6 @@ _op = st.one_of(
     st.tuples(st.just("reserve"), _tick, st.integers(1, 15), st.integers(1, M)),
     st.tuples(st.just("add_release"), _tick, st.integers(1, M)),
     st.tuples(st.just("delta"), _span),
-    st.tuples(st.just("deltas"), st.lists(_span, min_size=2, max_size=4)),
 )
 
 
@@ -161,9 +160,9 @@ def dense_steps(dense):
 @settings(max_examples=300, deadline=None)
 @given(free=st.integers(0, M), ops=st.lists(_op, max_size=25))
 def test_updates_match_dense_oracle(free, ops):
-    """Random reserve / add_release / _apply_delta / _apply_deltas
-    sequences: the spliced step function equals the tick-by-tick one,
-    stays canonical, and a rejected update changes nothing."""
+    """Random reserve / add_release / _apply_delta sequences: the spliced
+    step function equals the tick-by-tick one, stays canonical, and a
+    rejected update changes nothing."""
     profile = AvailabilityProfile(M, now=0.0, free=free)
     dense = [free] * (HORIZON + 1)
     for op in ops:
@@ -175,12 +174,9 @@ def test_updates_match_dense_oracle(free, ops):
             _, start, procs = op
             spans = [(start, math.inf, procs)]
             call = partial(profile.add_release, float(start), procs)
-        elif op[0] == "delta":
+        else:
             spans = [op[1]]
             call = partial(profile._apply_delta, *as_floats(op[1]))
-        else:
-            spans = op[1]
-            call = partial(profile._apply_deltas, [as_floats(span) for span in spans])
         expected = dense_apply(dense, spans)
         if expected is None:
             before = profile.steps()
@@ -210,7 +206,6 @@ class TestRejectedUpdates:
             lambda: p.reserve(40.0, 100.0, 1),
             lambda: p.add_release(40.0, 1),
             lambda: p._apply_delta(40.0, 60.0, -1),
-            lambda: p._apply_deltas([(40.0, 60.0, -1), (55.0, 70.0, -1)]),
         ):
             with pytest.raises(ValueError):
                 update()
@@ -240,9 +235,9 @@ class TestOnePassConstruction:
         with pytest.raises(ValueError):
             AvailabilityProfile.from_releases(10, 0.0, 5, [(10.0, 0)])
 
-    def test_trim_and_copy(self):
+    def test_trim(self):
         p = AvailabilityProfile.from_releases(10, 0.0, 2, [(10.0, 3), (20.0, 5)])
-        twin = p.copy()
-        twin.trim(15.0)
-        assert twin.steps() == [(15.0, 5), (20.0, 10)]
-        assert p.steps() == [(0.0, 2), (10.0, 5), (20.0, 10)]
+        p.trim(15.0)
+        assert p.steps() == [(15.0, 5), (20.0, 10)]
+        p.trim(20.0)  # a breakpoint at ``now`` is kept as the start
+        assert p.steps() == [(20.0, 10)]

@@ -390,8 +390,8 @@ class TestMachineEvents:
             MachineEvent(time=0.0, kind="drain", processors=0)
 
     def test_conservative_resyncs_on_capacity_change(self):
-        """The conservative scheduler's incremental profile must absorb a
-        capacity change, not keep planning on the old machine size."""
+        """The conservative scheduler's plan must absorb a capacity
+        change, not keep planning on the old machine size."""
         session = SimSession(
             4, make_scheduler("conservative"), RequestedTimePredictor()
         )

@@ -114,14 +114,12 @@ def _comparable(telemetry: Telemetry, queried: bool) -> dict:
     """A registry snapshot without what legitimately differs between two
     runs of the same schedule: the wall-clock timers, the last bits of
     the one real-valued sum (added up in a different order) and -- when
-    queries were made -- conservative's samples of its own state: a
-    query trims the stale head of its base profile, and it places jobs a
-    later arrival may then outrank, so that the next pass replans."""
+    queries were made -- conservative's plan-reuse sample: a query places
+    jobs a later arrival may then outrank, so that the next pass replans."""
     snap = telemetry.snapshot()
     for name in TIMERS:
         snap["counters"].pop(name, None)
     if queried:
-        snap["histograms"].pop("engine.sched.profile_segments", None)
         snap["histograms"].pop("engine.sched.plan_reused", None)
     error = snap["histograms"].get("predict.abs_error.seconds")
     if error is not None:
