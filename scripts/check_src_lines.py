@@ -9,7 +9,9 @@ review sees it.
 import sys
 from pathlib import Path
 
-CEILING = 14226  # -190: conservative replans from the release table
+# +45, the stated budget: the fused placement sweep, the per-width
+# fits-now horizon and the probe NaN check
+CEILING = 14271
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -121,12 +121,7 @@ class Scheduler(ABC):
         only when processors are drained on a live session) is *held*: it
         gets ``inf`` and takes no reservation.
         """
-        starts: dict[int, float] = {}
-        for record in records:
-            start = starts[record.job_id] = _earliest_start(profile, record, now)
-            if start < inf:
-                profile.reserve(start, record.predicted_runtime, record.processors)
-        return starts
+        return {record.job_id: _earliest_start(profile, record, now, True) for record in records}
 
     # -- introspection -------------------------------------------------------
     def introspect(self) -> dict[str, float]:
@@ -150,9 +145,13 @@ class Scheduler(ABC):
         return len(self._queue)
 
 
-def _earliest_start(profile: AvailabilityProfile, record: JobRecord, now: float) -> float:
-    """``record``'s earliest fit on ``profile`` from ``now``, placing
-    nothing; ``inf`` if it is held (wider than the steady-state capacity)."""
+def _earliest_start(
+    profile: AvailabilityProfile, record: JobRecord, now: float, place: bool = False
+) -> float:
+    """``record``'s earliest fit on ``profile`` from ``now``, reserved
+    there if ``place``; ``inf`` if it is held (wider than the steady-state
+    capacity), and then nothing is reserved."""
     if record.processors > profile.terminal_available:
         return inf
-    return profile.earliest_fit(record.processors, record.predicted_runtime, now)
+    fit = profile.place if place else profile.earliest_fit
+    return fit(record.processors, record.predicted_runtime, now)

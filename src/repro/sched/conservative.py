@@ -153,17 +153,24 @@ class ConservativeScheduler(Scheduler):
 
     def _place_startable(self, plan: AvailabilityProfile, now: float) -> None:
         """Extend the placed prefix to the last waiting job that fits at
-        ``now`` on the plan so far, in one scan (``plan`` starts at ``now``)."""
+        ``now`` on the plan so far, in one scan (``plan`` starts at ``now``):
+        one that ends by its width's ``horizon``, kept until a placement."""
         ordered, starts = self._ordered, self._starts
-        times, floor = plan.floor_from_start()
+        free, horizons = plan.available_at(now), {}
         for idx in range(len(starts), len(ordered)):
-            if not floor[0]:
+            if not free:
                 return  # no processor left at ``now``
             record = ordered[idx]
-            end, width = now + record.predicted_runtime, record.processors
-            if width <= floor[0] and floor[bisect_left(times, end) - 1] >= width:
+            width = record.processors
+            if width > free:
+                continue
+            horizon = horizons.get(width)
+            if horizon is None:
+                horizon = horizons[width] = plan.horizon(width)
+            if now + record.predicted_runtime <= horizon:
                 starts.update(self._reserve_in_order(plan, ordered[len(starts) : idx + 1], now))
-                times, floor = plan.floor_from_start()
+                free = plan.available_at(now)
+                horizons.clear()
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         if not self._queue:

@@ -3,8 +3,9 @@
 Every reservation plan is one of these, built from the running jobs'
 predicted releases by :meth:`AvailabilityProfile.from_releases`:
 conservative backfilling's (every queued job holds a reservation) and a
-start-estimate query's.  Tests also use it as an independent oracle for
-EASY's shadow-time computation.
+start-estimate query's; :meth:`AvailabilityProfile.place` takes each
+reservation, finding the earliest fit and subtracting it in one sweep.
+Tests also use it as an independent oracle for EASY's shadow times.
 
 The profile is a step function ``available(t)`` represented by sorted
 breakpoints; the final segment extends to infinity.  All mutating
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import accumulate
 
 __all__ = ["AvailabilityProfile"]
 
@@ -91,11 +91,14 @@ class AvailabilityProfile:
         idx = bisect.bisect_right(self._times, time) - 1
         return self._avail[idx]
 
-    def floor_from_start(self) -> tuple[list[float], list[int]]:
-        """The breakpoints (read only) and the running minimum of
-        availability over them: ``floor[bisect_left(times, end) - 1]``
-        processors stay free from the profile's start until ``end``."""
-        return self._times, list(accumulate(self._avail, min))
+    def horizon(self, processors: int) -> float:
+        """The first breakpoint from which fewer than ``processors`` are
+        free, ``inf`` if none: a job that wide fits at the profile's start
+        exactly when it ends by then."""
+        for time, free in zip(self._times, self._avail):
+            if free < processors:
+                return time
+        return math.inf
 
     def min_available(self, start: float, duration: float) -> int:
         """Minimum availability over ``[start, start + duration)``."""
@@ -111,6 +114,11 @@ class AvailabilityProfile:
 
         Always exists because the final segment extends to infinity --
         provided ``processors <= m`` and every reservation eventually ends.
+        """
+        return self._sweep(processors, duration, not_before)[0]
+
+    def _sweep(self, processors: int, duration: float, not_before: float) -> tuple[float, int, int]:
+        """The earliest fit's start, first segment and one past its last.
 
         Single left-to-right sweep over the segments, O(segments): the
         candidate anchor advances past every under-capacity segment and a
@@ -127,7 +135,7 @@ class AvailabilityProfile:
         n = len(times)
         anchor = max(not_before, times[0])
         # first segment overlapping the anchor
-        idx = bisect.bisect_right(times, anchor) - 1
+        idx = first = bisect.bisect_right(times, anchor) - 1
         while idx < n:
             if avail[idx] < processors:
                 # segment under capacity: the window must start after it
@@ -135,10 +143,11 @@ class AvailabilityProfile:
                 if idx >= n:
                     break
                 anchor = times[idx]
+                first = idx
                 continue
             # segment has capacity; does the clean window reach anchor + duration?
             if idx + 1 >= n or times[idx + 1] >= anchor + duration:
-                return anchor
+                return anchor, first, idx + 1
             idx += 1
         raise AssertionError(
             "no fit found; the final profile segment should make this impossible"
@@ -155,6 +164,32 @@ class AvailabilityProfile:
         if duration <= 0:
             raise ValueError("duration must be positive")
         self._apply_delta(start, start + duration, -processors)
+
+    def place(self, processors: int, duration: float, not_before: float) -> float:
+        """:meth:`earliest_fit` then :meth:`reserve` there, in one walk;
+        returns the start.  The swept segments all have the capacity: they
+        shift in place, and only the two edges can split or merge.  Raises
+        :class:`ValueError`, leaving the profile untouched, as the pair does."""
+        if not (duration > 0 and processors > 0):  # NaN fails the test too
+            raise ValueError("placed duration and processors must be positive")
+        start, lo, hi = self._sweep(processors, duration, not_before)
+        times, avail = self._times, self._avail
+        for idx in range(lo, hi):
+            avail[idx] -= processors
+        end = start + duration
+        if hi < len(times) and times[hi] == end:
+            if avail[hi] == avail[hi - 1]:  # it now runs into the segment after it
+                del times[hi], avail[hi]
+        elif end < math.inf:  # split the last segment: its remainder keeps the old value
+            times.insert(hi, end)
+            avail.insert(hi, avail[hi - 1] + processors)
+        if times[lo] < start:  # split the first segment: its head keeps the old value
+            times.insert(lo + 1, start)
+            avail.insert(lo + 1, avail[lo])
+            avail[lo] += processors
+        elif lo and avail[lo - 1] == avail[lo]:  # it now continues the segment before it
+            del times[lo], avail[lo]
+        return start
 
     def trim(self, now: float) -> None:
         """Drop stale breakpoints before ``now`` (time never rewinds)."""

@@ -424,9 +424,13 @@ class SimSession:
         if job is None:
             raise ValueError("query() needs a job or a job_id")
         probe = JobRecord(job=job)
-        probe.predicted_runtime = self._clamp(
-            float(self.predictor.estimate(probe, now)), job.requested_time
-        )
+        raw = float(self.predictor.estimate(probe, now))
+        if not isfinite(raw):  # max(nan, floor) is nan: it would answer a number
+            raise ValueError(
+                f"predictor {self.predictor.name!r} returned a non-finite "
+                f"prediction for job {job.job_id}"
+            )
+        probe.predicted_runtime = self._clamp(raw, job.requested_time)
         starts = self.scheduler.estimated_starts(now, self._machine, probe)
         start = starts[job.job_id]
         return EstimatedStart(job.job_id, now, start, "hypothetical", probe.predicted_runtime)

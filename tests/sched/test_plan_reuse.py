@@ -35,7 +35,7 @@ from repro.sched.legacy import _SeedProfile
 from repro.sched.ordering import order_queue
 from repro.sim import SimSession, simulate
 from repro.sim.profile import AvailabilityProfile
-from repro.workload import Trace
+from repro.workload import Job, Trace
 from tests.helpers import make_job, make_record
 from tests.sched import test_easy
 from tests.sched.test_profile_equivalence import EASY_PAIRS
@@ -396,13 +396,13 @@ def test_submit_only_passes_place_one_reservation(monkeypatch):
     many reservations as jobs arrived since the first pass, however the
     passes share them out."""
     plan_reserves = []
-    reserve = AvailabilityProfile.reserve
+    place = AvailabilityProfile.place
 
-    def counting(self, start, duration, processors):
-        plan_reserves.append(start)
-        reserve(self, start, duration, processors)
+    def counting(self, processors, duration, not_before):
+        plan_reserves.append(not_before)
+        return place(self, processors, duration, not_before)
 
-    monkeypatch.setattr(AvailabilityProfile, "reserve", counting)
+    monkeypatch.setattr(AvailabilityProfile, "place", counting)
     trace = make_trace(4, over=(1.0,))
     arrivals_at = Counter(job.submit_time for job in trace)
     session = make_session("conservative")
@@ -429,19 +429,103 @@ def test_plan_placements_per_job_stay_bounded(name, monkeypatch):
     places only as far as the last job that can start now, not the queue:
     4.1 placements per job under fcfs and 2.8 under sjbf (39 and 85 when
     every replan placed the queue; 24 and 53 with a stop rule that looks
-    at widths alone).  Counted in ``earliest_fit`` calls: no clock."""
+    at widths alone).  Counted in ``place`` calls: no clock."""
     placements = [0]
-    earliest_fit = AvailabilityProfile.earliest_fit
+    place = AvailabilityProfile.place
 
     def counting(profile, *args, **kwargs):
         placements[0] += 1
-        return earliest_fit(profile, *args, **kwargs)
+        return place(profile, *args, **kwargs)
 
-    monkeypatch.setattr(AvailabilityProfile, "earliest_fit", counting)
+    monkeypatch.setattr(AvailabilityProfile, "place", counting)
     trace = test_easy.TestNoPerPassSort.flurries(processors=128)
     result = simulate(trace, make_scheduler(name), RequestedTimePredictor())
     assert len(trace) >= 2000 and result.stats.max_queue_length >= 100
     assert len(trace) <= placements[0] <= 5 * len(trace)
+
+
+def deep_flurries(n_days=3, per_day=90, processors=64):
+    """Daily flurries of ``per_day`` jobs within a minute on a 64-processor
+    machine, widths 1 to 64: each flurry asks for many machines at once,
+    so the queue runs deep and the placed prefix long -- the regime of
+    conservative backfilling on a wide arrival."""
+    rng = random.Random(41)
+    jobs = []
+    for job_id in range(1, n_days * per_day + 1):
+        runtime = float(rng.randint(300, 5400))
+        jobs.append(
+            Job(
+                job_id=job_id,
+                submit_time=86400.0 * ((job_id - 1) // per_day) + rng.uniform(0.0, 60.0),
+                runtime=runtime,
+                processors=rng.choice([1, 1, 1, 2, 2, 4, 8, 16, 64]),
+                requested_time=runtime * rng.choice([1.2, 2.0, 3.0]),
+            )
+        )
+    trace = Trace(jobs, processors)
+    assert sum(job.processors for job in jobs[:per_day]) > 10 * processors
+    return trace
+
+
+def holding(seed):
+    """The seed's rebuild, which cannot hold a job, with the hold rule
+    stated outside it: a pass does not see the waiting jobs wider than
+    the undrained machine, and they keep their place in the queue."""
+    select = seed.select_jobs
+
+    def select_jobs(now, machine):
+        queue = seed._queue
+        seed._queue = [r for r in queue if r.processors <= machine.processors - machine.drained]
+        started = select(now, machine)
+        seed._queue = [r for r in queue if r not in started]
+        return started
+
+    seed.select_jobs = select_jobs
+    return seed
+
+
+@pytest.mark.parametrize("predictor", [RequestedTimePredictor, ClairvoyantPredictor])
+@pytest.mark.parametrize("modern,legacy", PAIRS)
+class TestDeepQueue:
+    """Flurries much wider than the machine: a queue of forty and more,
+    and each pass extends a long placed prefix.  One schedule with the
+    seed's rebuild, batch and on a live session drained mid-queue."""
+
+    def test_batch(self, modern, legacy, predictor):
+        trace = deep_flurries()
+        result = simulate(trace, make_scheduler(modern), predictor())
+        assert result.stats.max_queue_length >= 40
+        expected = simulate(trace, make_scheduler(legacy), predictor())
+        assert [(r.job_id, r.start_time) for r in result] == [
+            (r.job_id, r.start_time) for r in expected
+        ]
+
+    def test_drain_and_restore_mid_queue(self, modern, legacy, predictor):
+        """Drain every free processor under a queue of forty -- the
+        64-wide jobs are then held -- and restore them ten instants on."""
+        sessions = []
+        for scheduler in (make_scheduler(modern), holding(make_scheduler(legacy))):
+            session = SimSession(64, scheduler, predictor())
+            session.feed(deep_flurries())
+            sessions.append(session)
+        session, twin = sessions
+        drained_at, held, held_instants = None, [], 0
+        while (now := session.step()) is not None:
+            assert twin.step() == now
+            snap = session.snapshot()
+            if drained_at is None and len(snap.waiting) >= 40 and snap.free:
+                held = [r.job_id for r in session.scheduler.queue if r.processors > 64 - snap.free]
+                for each in sessions:
+                    each.feed_machine_event(time=now, kind="drain", processors=snap.free)
+                drained_at = session.stats.n_scheduling_passes
+            elif snap.drained and session.stats.n_scheduling_passes >= drained_at + 10:
+                for each in sessions:
+                    each.feed_machine_event(time=now, kind="restore", processors=snap.drained)
+            elif snap.drained:
+                assert {session.query(job_id=job_id).start_time for job_id in held} == {inf}
+                held_instants += 1
+        assert held_instants >= 5 and session.machine.drained == 0
+        assert schedule_of(session) == schedule_of(twin)
 
 
 def test_no_sort_in_the_module():
@@ -450,18 +534,21 @@ def test_no_sort_in_the_module():
 
 # -- EASY: the plan carried from query to query -------------------------------
 class Placements:
-    """Counts ``earliest_fit`` calls made inside one scheduler's
-    ``estimated_starts``: one per reservation a query really placed."""
+    """Counts ``place`` and ``earliest_fit`` calls made inside one
+    scheduler's ``estimated_starts``: one per reservation a query really
+    placed, and one per probe it fitted."""
 
     def __init__(self, monkeypatch, scheduler):
         self.n = 0
         self._inside = False
-        earliest_fit = AvailabilityProfile.earliest_fit
         answer = scheduler.estimated_starts
 
-        def counting(profile, *args, **kwargs):
-            self.n += self._inside
-            return earliest_fit(profile, *args, **kwargs)
+        def counting(method):
+            def call(profile, *args, **kwargs):
+                self.n += self._inside
+                return method(profile, *args, **kwargs)
+
+            return call
 
         def entered(*args, **kwargs):
             self._inside = True
@@ -470,7 +557,9 @@ class Placements:
             finally:
                 self._inside = False
 
-        monkeypatch.setattr(AvailabilityProfile, "earliest_fit", counting)
+        for name in ("place", "earliest_fit"):
+            method = getattr(AvailabilityProfile, name)
+            monkeypatch.setattr(AvailabilityProfile, name, counting(method))
         scheduler.estimated_starts = entered
 
     def during(self, call):
@@ -634,18 +723,20 @@ def test_a_probe_leaves_no_trace_in_the_carried_plan(monkeypatch):
 
 
 class ProbeCost:
-    """Counts the ``AvailabilityProfile.reserve`` calls one scheduler's
-    ``estimated_starts`` makes outside ``_reservations``: what a probe
-    costs beyond the queue's own plan."""
+    """Counts the ``AvailabilityProfile.place`` and ``reserve`` calls one
+    scheduler's ``estimated_starts`` makes outside ``_reservations``: what
+    a probe costs beyond the queue's own plan."""
 
     def __init__(self, monkeypatch, scheduler):
         self.reserves = 0
         counting = [False]
-        reserve = AvailabilityProfile.reserve
 
-        def counted(profile, *args, **kwargs):
-            self.reserves += counting[0]
-            return reserve(profile, *args, **kwargs)
+        def counted(method):
+            def call(profile, *args, **kwargs):
+                self.reserves += counting[0]
+                return method(profile, *args, **kwargs)
+
+            return call
 
         def scoped(method, value):
             def call(*args, **kwargs):
@@ -657,7 +748,9 @@ class ProbeCost:
 
             return call
 
-        monkeypatch.setattr(AvailabilityProfile, "reserve", counted)
+        for name in ("place", "reserve"):
+            method = getattr(AvailabilityProfile, name)
+            monkeypatch.setattr(AvailabilityProfile, name, counted(method))
         monkeypatch.setattr(scheduler, "estimated_starts", scoped(scheduler.estimated_starts, True))
         monkeypatch.setattr(scheduler, "_reservations", scoped(scheduler._reservations, False))
 

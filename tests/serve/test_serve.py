@@ -260,6 +260,29 @@ class TestNonFiniteNumbers:
         assert [row[0] for row in follow_up[-2]["jobs"]] == [1, 2, 3]
 
 
+class NonFiniteEstimate(ClairvoyantPredictor):
+    name = "broken-estimate"
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def estimate(self, record, now):
+        return self.value
+
+
+@pytest.mark.parametrize("value", [NAN, INF])
+def test_a_non_finite_probe_estimate_is_refused_without_a_nan_on_the_wire(value):
+    """A predictor whose probe estimate is NaN or inf gets the query an
+    ``ok: false`` reply naming it; the encoded line carries no ``NaN``."""
+    server = SessionServer(SimSession(8, make_scheduler("easy-sjbf"), NonFiniteEstimate(value)))
+    server.handle({"cmd": "submit", "job": job_payload(1, processors=8), "advance": True})
+    reply = server.handle_line(json.dumps({"cmd": "query", "job": job_payload(9)}))
+    line = json.dumps(reply)
+    assert reply["ok"] is False and "broken-estimate" in reply["error"]
+    assert "NaN" not in line and "Infinity" not in line
+    assert server.handle({"cmd": "query", "job_id": 1})["ok"]
+
+
 class TestIntegerFields:
     """The ``int`` fields of a job and the ``job_id`` / ``processors`` of a
     request take JSON integers only -- not a bool, a real or a string --

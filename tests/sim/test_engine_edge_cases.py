@@ -177,6 +177,41 @@ class TestNonFiniteCorrection:
         assert (record.predicted_runtime, record.corrections) == (record.initial_prediction, 0)
 
 
+class NonFiniteEstimate(ConstantPredictor):
+    """Predicts a sane 10 s at submission; its pure probe estimate is ``value``."""
+
+    name = "broken-estimate"
+
+    def predict(self, record, now):
+        return 10.0
+
+    def estimate(self, record, now):
+        return self.value
+
+
+class TestNonFiniteProbeEstimate:
+    """A hypothetical query whose predictor estimates NaN or inf is refused
+    by name, as a submission is: ``max(nan, floor)`` is NaN, and a fit of a
+    NaN duration would answer a number."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
+    def test_the_query_ends_in_a_named_error(self, scheduler, value):
+        session = SimSession(4, make_scheduler(scheduler), NonFiniteEstimate(value))
+        session.feed([
+            make_job(job_id=1, runtime=200.0, processors=4, requested_time=1000.0),
+            make_job(job_id=2, submit_time=1.0, runtime=50.0, processors=2),
+        ])
+        session.advance_to(5.0)
+        before = session.query(job_id=2)
+        with pytest.raises(
+            ValueError,
+            match="predictor 'broken-estimate' returned a non-finite prediction for job 9",
+        ):
+            session.query(make_job(job_id=9, submit_time=5.0, runtime=50.0, processors=2))
+        assert session.query(job_id=2) == before
+
+
 class TestDegenerateTraces:
     """Empty, one-job and single-user traces through ``simulate``, with
     telemetry on and off: finite metrics or a named error (ROADMAP 6(a))."""

@@ -1,7 +1,9 @@
 """Unit + property tests for the availability profile."""
 
 import math
+from bisect import bisect_left
 from functools import partial
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -241,3 +243,85 @@ class TestOnePassConstruction:
         assert p.steps() == [(15.0, 5), (20.0, 10)]
         p.trim(20.0)  # a breakpoint at ``now`` is kept as the start
         assert p.steps() == [(20.0, 10)]
+
+
+# -- the fused placement and the fits-now horizon -----------------------------
+@st.composite
+def release_profiles(draw):
+    """Arguments of a ``from_releases`` profile on an ``M``-machine, some of
+    it possibly drained (never released), plus reservations made on it."""
+    drained = draw(st.integers(0, M - 1))
+    free = draw(st.integers(0, M - drained))
+    releases, left = [], M - drained - free
+    while left and draw(st.booleans()):
+        width = draw(st.integers(1, left))
+        releases.append((float(draw(st.integers(-5, 40))), width))
+        left -= width
+    free += left  # whatever is neither drained nor released is free now
+    reserved = draw(st.lists(st.tuples(_tick, st.integers(1, 15), st.integers(1, M)), max_size=6))
+    return M, 0.0, free, releases, reserved
+
+
+def build(args):
+    processors, now, free, releases, reserved = args
+    profile = AvailabilityProfile.from_releases(processors, now, free, releases)
+    for not_before, duration, width in reserved:
+        if width <= profile.terminal_available:
+            profile.reserve(profile.earliest_fit(width, duration, not_before), duration, width)
+    return profile
+
+
+_durations = st.one_of(st.integers(1, 30).map(float), st.floats(0.25, 30.0))
+_jobs = st.lists(st.tuples(st.integers(1, M), _durations, _tick), min_size=1, max_size=12)
+
+
+def assert_canonical(profile):
+    steps = profile.steps()
+    assert all(t0 < t1 and a0 != a1 for (t0, a0), (t1, a1) in zip(steps, steps[1:], strict=False))
+    assert all(0 <= a <= M for _, a in steps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=release_profiles(), jobs=_jobs)
+def test_place_is_earliest_fit_then_reserve(args, jobs):
+    """``place`` returns ``earliest_fit``'s start and leaves the profile
+    ``reserve`` leaves at that start, job after job."""
+    placed, oracle = build(args), build(args)
+    for width, duration, not_before in jobs:
+        if width > oracle.terminal_available:
+            continue  # held: never placed
+        start = oracle.earliest_fit(width, duration, float(not_before))
+        oracle.reserve(start, duration, width)
+        assert placed.place(width, duration, float(not_before)) == start
+        assert placed.steps() == oracle.steps()
+        assert_canonical(placed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(args=release_profiles())
+@pytest.mark.parametrize(
+    "width, duration", [(M + 1, 10.0), (1, 0.0), (1, -5.0), (1, math.nan), (0, 10.0)]
+)
+def test_place_rejects_and_leaves_the_profile_untouched(args, width, duration):
+    profile = build(args)
+    before = profile.steps()
+    with pytest.raises(ValueError):
+        profile.place(width, duration, 0.0)
+    assert profile.steps() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=release_profiles(), jobs=_jobs, now=_tick)
+def test_horizon_verdict_is_the_running_floor_verdict(args, jobs, now):
+    """``fits at the start`` as conservative asks it -- ``width <= free
+    now`` and ``end <= horizon(width)`` -- against the running minimum of
+    availability from the start to the job's end."""
+    profile = build(args)
+    profile.trim(float(now))
+    times, avail = zip(*profile.steps())
+    floor = list(accumulate(avail, min))
+    for width, duration, _ in jobs:
+        end = now + duration
+        by_floor = floor[bisect_left(times, end) - 1] >= width
+        assert (width <= avail[0] and end <= profile.horizon(width)) == by_floor
+        assert (end <= profile.horizon(width)) == by_floor
