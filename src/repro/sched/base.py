@@ -52,8 +52,8 @@ class Scheduler(ABC):
 
         The engine collects every EXPIRE-triggered correction of a
         timestamp and delivers them together, *before* the scheduling
-        pass, so a release table pays one re-sort per storm instead of
-        one per job.  Default: nothing.
+        pass; a release table applies them at its next read, with the
+        moves of any instants before that no read saw.  Default: nothing.
         """
 
     def on_machine_change(self, now: float, machine: Machine) -> None:

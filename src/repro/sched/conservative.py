@@ -32,10 +32,9 @@ class ConservativeScheduler(Scheduler):
     granted ('fcfs' is the classic algorithm; 'sjbf' is an extension that
     pairs with the paper's SJBF idea).
 
-    The running jobs' predicted releases are kept in a
-    :class:`ReleaseTable` fed by the engine's deltas, as EASY keeps them,
-    and a replan builds the availability profile from it the way EASY
-    builds its query plan.  The *plan* -- that profile minus one
+    The running jobs' predicted releases are kept in a :class:`ReleaseTable`
+    fed the engine's deltas as EASY's is (a correction lands at the next
+    replan), and a replan builds the profile from it as EASY's query plan.  The *plan* -- that profile minus one
     reservation per placed job -- is carried from pass to pass with the
     reserved starts; the placed jobs are always a *prefix* of the waiting
     jobs in reservation order (``_ordered``).
@@ -106,9 +105,9 @@ class ConservativeScheduler(Scheduler):
 
     def on_corrections(self, records) -> None:
         self._plan = None
-        self._releases.move_many(
-            [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
-        )
+        move = self._releases.move  # each lands at the table's next read
+        for record in records:
+            move(record.job_id, record.start_time + record.predicted_runtime)
 
     def on_machine_change(self, now, machine) -> None:
         # drains/restores change the free count the plan was built on

@@ -39,13 +39,13 @@ class EasyScheduler(Scheduler):
     ``backfill_order='fcfs'`` is classic EASY; ``'sjbf'`` is EASY-SJBF
     (Tsafrir et al.), the variant the paper's winning triple uses.
 
-    The machine's predicted-release profile is tracked incrementally in a
-    :class:`ReleaseTable` fed by the engine's start/finish/correction
-    deltas, and the waiting jobs are kept twice: ``_queue`` in priority
-    order and ``_candidates`` in backfill order (placed by key at submit;
-    a waiting job's prediction never changes), and a started job leaves
-    both by identity (``list.remove``: no key call, no rebuild; within an
-    instant arrival order need not be ``fcfs_key``'s).  The
+    The machine's predicted-release profile is a :class:`ReleaseTable`
+    fed the engine's start/finish/correction deltas (a correction lands at
+    the next shadow read), and the waiting jobs are kept twice: ``_queue``
+    in priority order and ``_candidates`` in backfill order (placed by key
+    at submit; a waiting job's prediction never changes), and a started
+    job leaves both by identity (``list.remove``: no key call, no rebuild;
+    within an instant arrival order need not be ``fcfs_key``'s).  The
     schedule produced is identical to the seed per-pass rescan (kept as
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
     Start-estimate queries extend a reservation plan carried from one
@@ -89,16 +89,9 @@ class EasyScheduler(Scheduler):
 
     def on_corrections(self, records) -> None:
         self._carried = None
-        if len(records) == 1:
-            # the common storm: one job; ``move_many``'s batching would cost
-            # a list and a dict per correction for nothing
-            record = records[0]
-            self._releases.move(record.job_id, record.start_time + record.predicted_runtime)
-            return
-        # a same-timestamp correction storm costs one table re-sort
-        self._releases.move_many(
-            [(r.job_id, r.start_time + r.predicted_runtime) for r in records]
-        )
+        move = self._releases.move  # each lands at the table's next read
+        for record in records:
+            move(record.job_id, record.start_time + record.predicted_runtime)
 
     def on_machine_change(self, now, machine) -> None:
         self._carried = None

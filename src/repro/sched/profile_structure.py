@@ -36,14 +36,20 @@ class ReleaseTable:
     deterministic position.  Query-time clamping of past predicted ends
     to ``now`` (the machine's "about to finish" convention) preserves the
     order, so no re-sort is ever needed.
+
+    A corrected release lands at the next read: :meth:`move` records the
+    new end, and the only readers, :meth:`releases` and :meth:`shadow`,
+    apply what is pending (most corrections meet a pass with no queue).
     """
 
-    __slots__ = ("_entries", "_by_job")
+    __slots__ = ("_entries", "_by_job", "_moved")
 
     def __init__(self) -> None:
         #: sorted (predicted_end, job_id, processors) per running job.
         self._entries: list[tuple[float, int, int]] = []
         self._by_job: dict[int, tuple[float, int]] = {}
+        #: new predicted end by job id: the moves no read has applied yet
+        self._moved: dict[int, float] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -57,51 +63,60 @@ class ReleaseTable:
         self._by_job[job_id] = (predicted_end, processors)
 
     def discard(self, job_id: int) -> None:
-        """A job finished: drop its release (no-op if untracked)."""
+        """A job finished: drop its release, pending move too (no-op if untracked)."""
         entry = self._by_job.pop(job_id, None)
         if entry is None:
             return
+        self._moved.pop(job_id, None)
         end, processors = entry
         idx = bisect.bisect_left(self._entries, (end, job_id, processors))
         del self._entries[idx]
 
     def move(self, job_id: int, new_end: float) -> None:
-        """A job's prediction was corrected: shift its release time."""
-        end, processors = self._by_job[job_id]
-        idx = bisect.bisect_left(self._entries, (end, job_id, processors))
-        del self._entries[idx]
-        bisect.insort(self._entries, (new_end, job_id, processors))
-        self._by_job[job_id] = (new_end, processors)
+        """A job's prediction was corrected: shift its release at the next read."""
+        if job_id not in self._by_job:
+            raise KeyError(f"job {job_id} is not tracked")
+        self._moved[job_id] = new_end
 
     def move_many(self, moves: Sequence[tuple[int, float]] | dict[int, float]) -> None:
-        """Shift several jobs' release times with **one** re-sort.
+        """Shift several jobs' release times now, with **one** re-sort.
 
         ``moves`` maps ``job_id -> new_end`` (a dict, or ``(job_id,
-        new_end)`` pairs; later duplicates win).  Equivalent to calling
-        :meth:`move` per job, but a correction storm costs one filter
-        pass plus one sort of the (mostly ordered) entry list instead of
-        a per-job bisect + O(n) memmove.
+        new_end)`` pairs; later duplicates win): :meth:`move` per job, then
+        one filter pass and one sort of the (mostly ordered) entry list.
         """
         targets = dict(moves)
-        if not targets:
-            return
-        if len(targets) == 1:
-            ((job_id, new_end),) = targets.items()
-            self.move(job_id, new_end)
-            return
         missing = [job_id for job_id in targets if job_id not in self._by_job]
         if missing:
             raise KeyError(f"jobs not tracked: {missing}")
-        self._entries = [e for e in self._entries if e[1] not in targets]
-        for job_id, new_end in targets.items():
-            processors = self._by_job[job_id][1]
-            self._entries.append((new_end, job_id, processors))
-            self._by_job[job_id] = (new_end, processors)
-        self._entries.sort()
+        if targets:
+            self._moved.update(targets)
+            self._settle()
+
+    def _settle(self) -> None:
+        """Apply the pending moves: one bisect and insort, or one sort for several."""
+        moved, by_job = self._moved, self._by_job
+        if len(moved) == 1:
+            ((job_id, new_end),) = moved.items()
+            end, processors = by_job[job_id]
+            entries = self._entries
+            del entries[bisect.bisect_left(entries, (end, job_id, processors))]
+            bisect.insort(entries, (new_end, job_id, processors))
+            by_job[job_id] = (new_end, processors)
+        else:
+            entries = [e for e in self._entries if e[1] not in moved]
+            for job_id, new_end in moved.items():
+                processors = by_job[job_id][1]
+                entries.append((new_end, job_id, processors))
+                by_job[job_id] = (new_end, processors)
+            entries.sort()
+            self._entries = entries
+        moved.clear()
 
     def clear(self) -> None:
         self._entries.clear()
         self._by_job.clear()
+        self._moved.clear()
 
     def resync(self, machine: Machine) -> None:
         """Rebuild from the machine's running set (out-of-engine drivers)."""
@@ -133,6 +148,8 @@ class ReleaseTable:
         Equivalent to :meth:`repro.sim.machine.Machine.predicted_releases`
         but served from the incrementally-maintained order.
         """
+        if self._moved:
+            self._settle()
         return [(end if end > now else now, procs) for end, _, procs in self._entries]
 
     def shadow(
@@ -153,6 +170,8 @@ class ReleaseTable:
         available = free
         if head_processors <= available:
             return now, available - head_processors
+        if self._moved:
+            self._settle()
         entries = self._entries
         pend = sorted(pending) if pending else ()
         i, j = 0, 0

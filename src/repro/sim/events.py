@@ -38,12 +38,19 @@ silently diverging from batch replay.
 ``EXPIRE`` events can become stale (the prediction was corrected again,
 or the job finished first); each carries the prediction *version* it was
 scheduled for and is dropped if the job has moved on.
+
+A fed trace is in submit order, so its SUBMITs skip the heap: a SUBMIT at
+or after the last one pending waits on a FIFO *stream* that is in contract
+order by construction, and a pop merges the stream with the heap (which
+holds every other event) in that order; where an event waited never shows.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from enum import IntEnum
 from heapq import heappop, heappush
+from math import inf
 from typing import NamedTuple
 
 __all__ = ["EventType", "Event", "EventQueue"]
@@ -74,6 +81,7 @@ class Event(NamedTuple):
 
 #: builds an ``Event`` without the generated ``__new__``'s Python frame
 _new_event = tuple.__new__
+_SUBMIT = EventType.SUBMIT
 
 
 class EventQueue:
@@ -91,26 +99,36 @@ class EventQueue:
     feeder that falls behind the clock cannot diverge from batch replay
     silently.
 
-    The heap holds plain ``(time, kind, seq, job_id, version)`` tuples,
-    whose natural order is the contract's total order.  The session
-    pushes by fields (:meth:`schedule`) and takes a whole instant's
-    entries in one call (:meth:`pop_instant`); :class:`Event` objects
-    exist only at the :meth:`push`/:meth:`pop` surface.
+    Events wait, on the heap or the in-order SUBMIT stream, as plain
+    ``(time, kind, seq, job_id, version)`` tuples, whose natural order is
+    the contract's.  The session pushes by fields (:meth:`schedule`) and
+    takes an instant's entries in one call (:meth:`pop_instant`);
+    :class:`Event` exists only at the :meth:`push`/:meth:`pop` surface.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, EventType, int, int, int]] = []
+        #: SUBMITs in ``(time, seq)`` order, each at or after the one before
+        self._stream: deque[tuple[float, EventType, int, int, int]] = deque()
         self._seq = 0
         #: largest timestamp ever popped; pushes behind it are rejected.
-        self._floor = float("-inf")
+        self._floor = -inf
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._stream)
 
     @property
     def floor(self) -> float:
         """The monotonic time floor (largest timestamp ever popped)."""
         return self._floor
+
+    @property
+    def next_time(self) -> float:
+        """The earliest pending timestamp (``inf`` when nothing is pending)."""
+        heap, stream = self._heap, self._stream
+        if stream and (not heap or stream[0] < heap[0]):
+            return stream[0][0]
+        return heap[0][0] if heap else inf
 
     def schedule(
         self, time: float, kind: EventType, job_id: int, version: int = 0
@@ -118,17 +136,16 @@ class EventQueue:
         """Add an event given by its fields; events never change once pushed."""
         if not time >= self._floor or time < 0:
             raise self._rejected(time)
-        heappush(self._heap, (time, kind, self._seq, job_id, version))
+        stream = self._stream
+        if kind is _SUBMIT and (not stream or time >= stream[-1][0]):
+            stream.append((time, kind, self._seq, job_id, version))
+        else:
+            heappush(self._heap, (time, kind, self._seq, job_id, version))
         self._seq += 1
 
     def push(self, event: Event) -> None:
-        """Add an event; :meth:`schedule` spelled out, because forwarding
-        through a star-call costs more than the heap push itself."""
-        time, kind, job_id, version = event
-        if not time >= self._floor or time < 0:
-            raise self._rejected(time)
-        heappush(self._heap, (time, kind, self._seq, job_id, version))
-        self._seq += 1
+        """Add an event (:meth:`schedule` with the fields of ``event``)."""
+        self.schedule(*event)
 
     def _rejected(self, time: float) -> ValueError:
         if time < 0:
@@ -140,27 +157,42 @@ class EventQueue:
 
     def pop(self) -> Event:
         """Remove and return the earliest event."""
-        time, kind, _, job_id, version = heappop(self._heap)
+        heap, stream = self._heap, self._stream
+        if stream and (not heap or stream[0] < heap[0]):
+            time, kind, _, job_id, version = stream.popleft()
+        else:
+            time, kind, _, job_id, version = heappop(heap)
         self._floor = time
         return _new_event(Event, (time, kind, job_id, version))
 
     def pop_instant(
-        self, until: float = float("inf")
+        self, until: float = inf
     ) -> list[tuple[float, EventType, int, int, int]]:
         """Remove and return every event of the earliest pending instant.
 
-        The raw ``(time, kind, seq, job_id, version)`` heap entries, in
+        The raw ``(time, kind, seq, job_id, version)`` entries, in
         processing order -- exactly what repeated :meth:`pop` calls
         would yield for that timestamp -- or an empty list when nothing
         is pending at or before ``until``.  Raises the floor to the
         instant returned.
         """
-        heap = self._heap
-        if not heap or heap[0][0] > until:
+        heap, stream = self._heap, self._stream
+        if stream and (not heap or stream[0] < heap[0]):
+            now = stream[0][0]
+        elif heap:
+            now = heap[0][0]
+        else:
             return []
-        entry = heappop(heap)
-        now = self._floor = entry[0]
-        batch = [entry]
+        if now > until:
+            return []
+        self._floor = now
+        batch = []
         while heap and heap[0][0] == now:
             batch.append(heappop(heap))
+        if stream and stream[0][0] == now:
+            mixed = bool(batch)
+            while stream and stream[0][0] == now:
+                batch.append(stream.popleft())
+            if mixed:  # both sources hold the instant: interleave by (kind, seq)
+                batch.sort()
         return batch

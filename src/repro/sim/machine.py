@@ -12,7 +12,6 @@ computations).  Schedulers only ever read the predicted side.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .results import JobRecord
@@ -22,14 +21,10 @@ __all__ = ["Machine", "RunningJob"]
 
 @dataclass(slots=True)
 class RunningJob:
-    """Book-keeping for one running job."""
+    """A view of one running job, built by :attr:`Machine.running`."""
 
     record: JobRecord
     start_time: float
-
-    @property
-    def processors(self) -> int:
-        return self.record.processors
 
     @property
     def predicted_end(self) -> float:
@@ -48,7 +43,8 @@ class Machine:
         self.drained = 0
         #: jobs that really ended here, simulated or externally completed.
         self.n_finished = 0
-        self._running: dict[int, RunningJob] = {}
+        #: the running jobs' records (each carries its ``start_time``), by id
+        self._running: dict[int, JobRecord] = {}
 
     def __repr__(self) -> str:
         return (
@@ -57,15 +53,15 @@ class Machine:
         )
 
     @property
-    def running(self) -> Iterable[RunningJob]:
-        """View of the currently running jobs (no ordering guarantee)."""
-        return self._running.values()
+    def running(self) -> list[RunningJob]:
+        """Views of the running jobs, built on each read (no ordering guarantee)."""
+        return [RunningJob(record, record.start_time) for record in self._running.values()]
 
     @property
     def n_running(self) -> int:
         return len(self._running)
 
-    def start(self, record: JobRecord, now: float) -> RunningJob:
+    def start(self, record: JobRecord, now: float) -> None:
         """Allocate processors to a job. The caller pushes FINISH/EXPIRE."""
         if record.job_id in self._running:
             raise ValueError(f"job {record.job_id} is already running")
@@ -81,22 +77,20 @@ class Machine:
             )
         self.free -= record.processors
         record.start_time = now
-        run = RunningJob(record=record, start_time=now)
-        self._running[record.job_id] = run
-        return run
+        self._running[record.job_id] = record
 
     def finish(self, job_id: int, now: float) -> JobRecord:
         """Release a job's processors and stamp its end time."""
         try:
-            run = self._running.pop(job_id)
+            record = self._running.pop(job_id)
         except KeyError:
             raise ValueError(f"job {job_id} is not running") from None
-        self.free += run.processors
+        self.free += record.processors
         if self.free > self.processors:
             raise AssertionError("machine freed more processors than it has")
-        run.record.end_time = now
+        record.end_time = now
         self.n_finished += 1
-        return run.record
+        return record
 
     # -- capacity events (live sessions) ------------------------------------
     def drain(self, processors: int) -> None:
@@ -138,14 +132,15 @@ class Machine:
         which is the most optimistic consistent view.
         """
         releases = [
-            (max(run.predicted_end, now), run.processors) for run in self._running.values()
+            (max(record.start_time + record.predicted_runtime, now), record.processors)
+            for record in self._running.values()
         ]
         releases.sort()
         return releases
 
     def check_invariants(self) -> None:
         """Assert conservation of processors (used by tests)."""
-        used = sum(run.processors for run in self._running.values())
+        used = sum(record.processors for record in self._running.values())
         if used + self.free + self.drained != self.processors:
             raise AssertionError(
                 f"processor leak: used={used} free={self.free} "

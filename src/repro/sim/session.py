@@ -430,7 +430,7 @@ class SimSession:
                 f"predictor {self.predictor.name!r} returned a non-finite "
                 f"prediction for job {job.job_id}"
             )
-        probe.predicted_runtime = self._clamp(raw, job.requested_time)
+        probe.predicted_runtime = min(max(raw, self.min_prediction), job.requested_time)
         starts = self.scheduler.estimated_starts(now, self._machine, probe)
         start = starts[job.job_id]
         return EstimatedStart(job.job_id, now, start, "hypothetical", probe.predicted_runtime)
@@ -522,12 +522,12 @@ class SimSession:
         stats = self.stats
         tally = self._tally
         machine = self._machine
-        is_running = machine.is_running
         records = self._records
         scheduler = self.scheduler
         predictor = self.predictor
         corrector = self.corrector
         corrected = self._corrected
+        min_prediction = self.min_prediction
         if self._pass_owed:
             self._pass_owed = False
             self._schedule_pass(self._now)
@@ -546,7 +546,7 @@ class SimSession:
                 for _, kind, _, job_id, version in pending:
                     if kind is _EXPIRE:
                         record = records[job_id]
-                        if version != record.version or not is_running(job_id):
+                        if version != record.version or record.end_time >= 0:
                             continue  # stale: corrected since, or already finished
                         if corrector is None:
                             raise RuntimeError(
@@ -566,20 +566,22 @@ class SimSession:
                         floor = now - start + 1.0
                         if prediction < floor:
                             prediction = floor
+                        runtime = record.observed_runtime or record.job.runtime
                         if prediction >= record.requested_time:
                             prediction = record.requested_time
-                            if prediction < record.runtime:  # it would expire at the cap forever
+                            if prediction < runtime:  # it would expire at the cap forever
                                 raise ValueError(f"job {job_id} outlives its requested time")
                         record.corrections += 1
                         record.version = version + 1
                         record.predicted_runtime = prediction
                         corrected.append(record)
-                        if prediction < record.runtime:  # still too small: expire again
+                        if prediction < runtime:  # still too small: expire again
                             events.schedule(start + prediction, _EXPIRE, job_id, version + 1)
                     elif kind is _FINISH:
-                        if not is_running(job_id):
+                        record = records[job_id]
+                        if record.end_time >= 0:
                             continue  # stale: the job was completed externally
-                        record = machine.finish(job_id, now)
+                        machine.finish(job_id, now)
                         if tally is not None:
                             t0 = perf_counter()
                             predictor.on_finish(record, now)
@@ -602,9 +604,10 @@ class SimSession:
                                 f"prediction for job {job_id}"
                             )
                         record.raw_prediction = raw
-                        record.initial_prediction = record.predicted_runtime = (
-                            self._clamp(raw, record.requested_time)
-                        )
+                        prediction = min_prediction if min_prediction > raw else raw
+                        if record.requested_time < prediction:  # min(max(raw, floor), cap)
+                            prediction = record.requested_time
+                        record.initial_prediction = record.predicted_runtime = prediction
                         scheduler.on_submit(record)
                         self._n_waiting += 1
                     else:  # MACHINE
@@ -634,9 +637,6 @@ class SimSession:
                 stats.max_queue_length = self._n_waiting
             self._schedule_pass(now)
         return steps
-
-    def _clamp(self, raw: float, requested_time: float) -> float:
-        return min(max(raw, self.min_prediction), requested_time)
 
     def _schedule_pass(self, now: float) -> None:
         """Close an instant: its corrections go to the scheduler as one
@@ -682,7 +682,7 @@ class SimSession:
                 machine.start(record, now)
                 scheduler.on_start(record, now)
                 self.predictor.on_start(record, now)
-                runtime = record.runtime
+                runtime = record.observed_runtime or record.job.runtime  # an observed one is > 0
                 schedule(now + runtime, _FINISH, record.job_id)
                 if record.predicted_runtime < runtime:  # will expire before it ends
                     schedule(

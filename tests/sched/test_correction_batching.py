@@ -14,6 +14,12 @@ from repro.sim import simulate
 from repro.workload import Job, Trace
 
 
+def settled(table):
+    """The table as its next read sees it: a ``move`` lands only then, so
+    the entries are compared after a read, with the read's answer."""
+    return table.releases(0.0), table._entries
+
+
 class TestMoveMany:
     def build(self, n=6):
         table = ReleaseTable()
@@ -28,8 +34,7 @@ class TestMoveMany:
         batched.move_many(moves)
         for jid, end in moves:
             sequential.move(jid, end)
-        assert batched.releases(0.0) == sequential.releases(0.0)
-        assert batched._entries == sequential._entries
+        assert settled(batched) == settled(sequential)
 
     def test_single_move_delegates(self):
         table = self.build()
@@ -48,9 +53,14 @@ class TestMoveMany:
         assert (300.0, 2) in table.releases(0.0)
 
     def test_unknown_job_rejected(self):
-        table = self.build()
+        """An untracked id raises before anything changes, the tracked
+        moves beside it included, by batch or one at a time."""
+        table, untouched = self.build(), self.build()
         with pytest.raises(KeyError):
             table.move_many([(99, 5.0), (1, 5.0)])
+        with pytest.raises(KeyError):
+            table.move(99, 5.0)
+        assert settled(table) == settled(untouched)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -66,7 +76,7 @@ class TestMoveMany:
         batched.move_many(moves)
         for jid, end in dict(moves).items():
             sequential.move(jid, end)
-        assert batched._entries == sequential._entries
+        assert settled(batched) == settled(sequential)
 
 
 def storm_trace(processors=64, waves=4, wave_jobs=48, users_per_wave=8, seed=3):

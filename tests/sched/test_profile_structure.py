@@ -103,6 +103,143 @@ class TestReleaseTable:
             table.shadow(10, 2, 0.0)
 
 
+class EagerTable:
+    """The oracle: each job's release in a dict, the sorted list rebuilt
+    from it at every read, and every move applied when it is made."""
+
+    def __init__(self):
+        self.ends: dict[int, tuple[float, int]] = {}
+
+    def add(self, job_id, end, processors):
+        if job_id in self.ends:
+            raise ValueError(f"job {job_id} is already tracked")
+        self.ends[job_id] = (end, processors)
+
+    def move_many(self, moves):
+        targets = dict(moves)
+        if any(job_id not in self.ends for job_id in targets):
+            raise KeyError("untracked")
+        for job_id, end in targets.items():
+            self.ends[job_id] = (end, self.ends[job_id][1])
+
+    def move(self, job_id, end):
+        self.move_many([(job_id, end)])
+
+    def discard(self, job_id):
+        self.ends.pop(job_id, None)
+
+    def releases(self, now):
+        ordered = sorted((end, job_id, q) for job_id, (end, q) in self.ends.items())
+        return [(end if end > now else now, q) for end, _, q in ordered]
+
+    def shadow(self, head, free, now, pending):
+        merged = sorted(self.releases(now) + [(max(end, now), q) for end, q in pending])
+        return compute_shadow(head, free, merged, now)
+
+
+_PICK = st.integers(min_value=0, max_value=7)
+_ENDS = st.one_of(st.sampled_from([1.0, 5.0, 5.0, 40.0, 300.0]), st.floats(0.001, 1000.0))
+_WIDTHS = st.integers(min_value=1, max_value=4)
+_NOW = st.sampled_from([0.0, 5.0, 40.0])
+#: ``pick`` names a tracked job by position (an untracked id when ``pick``
+#: is past them), so most moves and discards find a job
+_TABLE_OPS = st.one_of(
+    st.tuples(st.just("add"), _PICK, _ENDS, _WIDTHS),
+    st.tuples(st.just("add"), _PICK, _ENDS, _WIDTHS),
+    st.tuples(st.just("move"), _PICK, _ENDS),
+    st.tuples(st.just("move"), _PICK, _ENDS),
+    st.tuples(st.just("move_many"), st.lists(st.tuples(_PICK, _ENDS), max_size=3)),
+    st.tuples(st.just("discard"), _PICK),
+    # corrected, then finished before any read (an early finish after an
+    # EXPIRE whose pass had no queue to read the table for)
+    st.tuples(st.just("move_discard"), _PICK, _ENDS),
+    st.tuples(st.just("resync"), st.frozensets(_PICK)),
+    st.tuples(st.just("releases"), _NOW),
+    # the head's width is drawn within what can ever be free (wider ones
+    # raise on both sides, ``test_shadow_never_startable_raises``)
+    st.tuples(
+        st.just("shadow"),
+        st.integers(min_value=0, max_value=30),
+        st.sampled_from([0, 0, 1, 2]),
+        _NOW,
+        st.lists(st.tuples(_ENDS, _WIDTHS), max_size=2),
+    ),
+    st.tuples(st.just("shadow"), st.integers(min_value=0, max_value=30), st.just(0), _NOW, st.just(())),
+)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc)
+
+
+class TestAgainstAnEagerTable:
+    def test_a_discard_drops_its_pending_move(self):
+        table = ReleaseTable()
+        table.add(1, 10.0, 2)
+        table.add(2, 20.0, 3)
+        table.move(1, 300.0)
+        table.discard(1)
+        table.add(1, 7.0, 4)  # the id comes back: the old move must not reach it
+        assert table.releases(0.0) == [(7.0, 4), (20.0, 3)]
+
+    def test_shadow_applies_the_pending_moves_first(self):
+        table = ReleaseTable()
+        table.add(1, 5.0, 3)
+        table.add(2, 50.0, 2)
+        table.move(1, 300.0)
+        assert table.shadow(3, 0, 0.0) == (300.0, 2)
+        table.move(2, 1.0)
+        table.move(1, 2.0)  # two pending: one re-sort
+        assert table.shadow(4, 0, 0.0) == (2.0, 1)
+        assert table.releases(0.0) == [(1.0, 2), (2.0, 3)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_TABLE_OPS, min_size=1, max_size=30))
+    def test_reads_match_a_table_rebuilt_at_every_read(self, ops):
+        """Property: a move waits for the next read, but no read, length or
+        error can tell -- under any mix of adds, moves, batched moves,
+        discards and resyncs, ``releases``, ``shadow`` and ``len`` equal the
+        eager oracle's, and a rejected batch moves nothing."""
+        table, oracle = ReleaseTable(), EagerTable()
+
+        def job(pick):
+            tracked = sorted(oracle.ends)
+            return tracked[pick] if pick < len(tracked) else pick
+
+        for name, *args in ops:
+            if name == "resync":
+                # the machine runs the tracked jobs the set names, as tracked
+                kept = {job(pick) for pick in args[0]}
+                oracle.ends = {j: e for j, e in oracle.ends.items() if j in kept}
+                machine = Machine(64)
+                for job_id, (end, q) in oracle.ends.items():
+                    record = make_record(job_id=job_id, processors=q, predicted_runtime=end)
+                    machine.start(record, 0.0)
+                table.resync(machine)
+                continue
+            if name == "shadow":
+                room = args[1] + sum(q for _, q in oracle.ends.values())
+                room += sum(q for _, q in args[3])
+                args[0] = 1 + args[0] % max(room, 1)
+            elif name in ("move", "discard", "move_discard"):
+                args[0] = job(args[0])
+            elif name == "move_many":
+                args[0] = [(job(pick), end) for pick, end in args[0]]
+            if name == "move_discard":
+                ops_here = [("move", args), ("discard", args[:1])]
+            else:  # each read on its own, so either may be the one that applies a move
+                ops_here = [(name, args)]
+            for call, call_args in ops_here:
+                assert _outcome(getattr(table, call), *call_args) == _outcome(
+                    getattr(oracle, call), *call_args
+                )
+            assert len(table) == len(oracle.ends)
+        assert table.releases(0.0) == oracle.releases(0.0)
+
+
 def apply_random_ops(table, machine, rng, n_ops=40):
     """Drive a ReleaseTable + Machine through random start/finish/
     correction deltas; returns the current simulation time."""

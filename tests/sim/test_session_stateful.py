@@ -32,6 +32,7 @@ next call runs it.
 from __future__ import annotations
 
 import os
+from math import inf
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -215,8 +216,7 @@ class SessionMachine(RuleBasedStateMachine):
 
     def _owes_a_pass(self) -> bool:
         """The ``step`` that raised consumed the last event of its instant."""
-        heap = self.session._events._heap
-        return not self.settled and (not heap or heap[0][0] > self.session.now)
+        return not self.settled and self.session._events.next_time > self.session.now
 
     @precondition(_owes_a_pass)
     @rule()
@@ -288,8 +288,8 @@ class SessionMachine(RuleBasedStateMachine):
         session = self.session
         self._riding_out_faults(lambda: session.advance_to(session.now))  # what was fed at now
         self.query(0, width)
-        heap = session._events._heap
-        gap = (heap[0][0] - session.now) / share if heap else 100.0
+        next_time = session._events.next_time
+        gap = (next_time - session.now) / share if next_time < inf else 100.0
         passes = session.stats.n_scheduling_passes
         session.advance_to(session.now + gap)
         assert session.stats.n_scheduling_passes == passes
