@@ -14,7 +14,10 @@ pass in sixteen); the ceiling sits between the last two.  On
 ``serve_closed_loop``, one instant per request, it read 31-37 while every
 public session call and every request handed its tally over, and reads
 10-26 since the registry reads the session's and the server's tallies
-where they are kept; the ceiling sits between.  Usage::
+where they are kept; the ceiling sits between.  On ``easy_wide`` it reads
+27-36 over seeds 1-5 since an EASY pass re-tests only the jobs its last
+scan did not refuse; the ceiling sits about ten points above the highest,
+as on ``corrections_narrow``.  Usage::
 
     python scripts/check_obs_overhead.py layers-corrections_narrow.json
 """
@@ -25,7 +28,7 @@ import json
 import sys
 
 METRIC = "obs.enabled_overhead_pct"
-CEILINGS = {"corrections_narrow": 45.0, "serve_closed_loop": 28.0}
+CEILINGS = {"corrections_narrow": 45.0, "easy_wide": 45.0, "serve_closed_loop": 28.0}
 
 
 def main(path: str) -> int:

@@ -9,9 +9,8 @@ review sees it.
 import sys
 from pathlib import Path
 
-# +38 of a stated +40 budget: the in-order SUBMIT stream beside the event
-# heap (with ``next_time``) and the release table's pending moves
-CEILING = 14309
+# +35 of a stated +35 budget: EASY's backfill memo and its return when nothing is free
+CEILING = 14344
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

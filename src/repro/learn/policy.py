@@ -205,8 +205,9 @@ class RLBackfillScheduler(EasyScheduler):
         self.recorder = recorder
 
     def _backfill(
-        self, now: float, free: int, shadow: float, extra: int
+        self, now: float, free: int, shadow: float, extra: int, candidates: list[JobRecord]
     ) -> list[JobRecord]:
+        # a stop may leave eligible jobs: ignore ``candidates``, scan the queue
         picked: dict[int, JobRecord] = {}  # by job id, in start order
         while True:
             eligible: list[JobRecord] = []

@@ -50,6 +50,13 @@ class EasyScheduler(Scheduler):
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
     Start-estimate queries extend a reservation plan carried from one
     query to the next (:meth:`_reservations`), with a rebuild's answers.
+
+    A pass with no processor free after phase 1 skips the shadow walk.
+    Each scan keeps ``_memo`` (now, head, free, shadow, extra as its picks
+    left them) and ``_fresh``, the jobs submitted since: while the head is
+    the same, ``now`` not behind and the other three no larger, every job
+    the scan refused fails again, so only ``_fresh`` is scanned, in backfill
+    order.  A scan or an emptied queue empties ``_fresh``.
     """
 
     def __init__(self, backfill_order: str = "fcfs") -> None:
@@ -70,11 +77,15 @@ class EasyScheduler(Scheduler):
         self._candidates: list[JobRecord] = []
         #: :meth:`_reservations`' (plan, starts); None once a hook moved its base
         self._carried: tuple | None = None
+        #: the last scan's (now, head, free, shadow, extra) and the jobs submitted since
+        self._memo: tuple = (0.0, None, 0, 0.0, 0)
+        self._fresh: list[JobRecord] = []
 
     # -- engine delta feed --------------------------------------------------
     def on_submit(self, record: JobRecord) -> None:
         super().on_submit(record)
         insort(self._candidates, record, key=self._key)
+        self._fresh.append(record)
 
     def on_start(self, record: JobRecord, now: float) -> None:
         self._delta_fed = True
@@ -146,6 +157,9 @@ class EasyScheduler(Scheduler):
             free -= record.processors
             started.append(record)
         if not queue:
+            self._fresh = []
+            return started
+        if not free:  # nothing can backfill, so nothing reads the shadow
             return started
 
         # Phase 2: the head cannot start; compute its reservation.  The
@@ -165,16 +179,29 @@ class EasyScheduler(Scheduler):
         shadow, extra = self._releases.shadow(head.processors, free, now, pending)
 
         # Phase 3: backfill.  A candidate may start iff it fits now and
-        # does not delay the head's reservation.
-        picked = self._backfill(now, free, shadow, extra) if free else ()
+        # does not delay the head's reservation; one the last scan refused
+        # still fails while nothing it was tested against has grown.
+        last_now, last_head, last_free, last_shadow, last_extra = self._memo
+        grown = free > last_free or shadow > last_shadow or extra > last_extra
+        if grown or head is not last_head or now < last_now:
+            scan = candidates
+        else:  # each job is sorted once: a scan empties ``_fresh``
+            scan = self._fresh
+            scan.sort(key=self._key)
+        picked = self._backfill(now, free, shadow, extra, scan)
         for record in picked:
             queue.remove(record)
             candidates.remove(record)
+            free -= record.processors
+            if now + record.predicted_runtime > shadow:
+                extra -= record.processors
+        self._memo = now, head, free, shadow, extra
+        self._fresh = []
         started.extend(picked)
         return started
 
     def _backfill(
-        self, now: float, free: int, shadow: float, extra: int
+        self, now: float, free: int, shadow: float, extra: int, candidates: list[JobRecord]
     ) -> list[JobRecord]:
         """Pick the backfill set given the head's reservation.
 
@@ -186,15 +213,20 @@ class EasyScheduler(Scheduler):
         Each pick must fit what is left of ``free`` (at least 1 on entry)
         and either finish by ``shadow`` or fit what is left of ``extra``.
 
-        The head is in ``_candidates`` but wider than ``free`` (phase 1
-        stopped there), so the width test skips it.  Every job is at least
+        ``candidates`` is ``_candidates``, or ``_fresh`` when every other
+        waiting job is known to fail: a hook that scans it must pick
+        greedily, leaving none of it eligible; one that may not (a stop
+        action) must scan ``_queue`` instead.
+
+        The head may be in ``candidates`` but is wider than ``free`` (phase
+        1 stopped there), so the width test skips it.  Every job is at least
         one processor wide, so the scan stops when ``free`` reaches 0 and,
         under ``sjbf`` only, at a fitting candidate that outlives the
         shadow once ``extra`` is 0: the key leads with the predicted
         runtime, so every later one outlives the shadow too.
         """
         picked: list[JobRecord] = []
-        for record in self._candidates:
+        for record in candidates:
             width = record.processors
             if width > free:
                 continue

@@ -84,6 +84,8 @@ class ReleaseTable:
         ``moves`` maps ``job_id -> new_end`` (a dict, or ``(job_id,
         new_end)`` pairs; later duplicates win): :meth:`move` per job, then
         one filter pass and one sort of the (mostly ordered) entry list.
+        No scheduler calls it any more (each :meth:`move` lands at the next
+        read); only the benchmark's storm probe and the tests do.
         """
         targets = dict(moves)
         missing = [job_id for job_id in targets if job_id not in self._by_job]

@@ -13,7 +13,7 @@ import json
 from repro.core import run_spec
 from repro.correct import make_corrector
 from repro.predict import make_predictor
-from repro.sched import make_scheduler
+from repro.sched import EasyScheduler, make_scheduler
 from repro.sim import simulate
 from repro.sim.results import JobRecord, SimulationResult
 from repro.spec import CellSpec
@@ -63,18 +63,27 @@ def guard_backfill(scheduler) -> dict[str, int]:
     ``free``, and it either ends by ``shadow`` or fits what is left of
     ``extra`` -- so no backfill can push the head's reservation back.
     The hook only picks: ``_queue`` and ``_candidates`` must come back as
-    they went in.  Independent of the ``legacy-*`` oracle.  Returns the
-    live ``{"calls", "picks"}`` tally, so a test can tell the guard ran.
+    they went in.  An EASY hook (greedy, so it may be handed only the jobs
+    submitted since the last scan) must also pick exactly what a greedy
+    scan of *every* waiting job picks, so the pass's memo is checked pass
+    by pass; ``rl-backfill`` keeps the contract checks alone.  Independent
+    of the ``legacy-*`` oracle.  Returns the live ``{"calls", "picks",
+    "memo"}`` tally (``memo``: the calls handed only the jobs submitted
+    since the last scan), so a test can tell the guard ran.
     """
     inner = scheduler._backfill
-    seen = {"calls": 0, "picks": 0}
+    greedy = type(scheduler)._backfill is EasyScheduler._backfill
+    seen = {"calls": 0, "picks": 0, "memo": 0}
 
-    def guarded(now, free, shadow, extra):
+    def guarded(now, free, shadow, extra, candidates):
         assert free >= 1, "the hook is only asked when a processor is free"
-        queue, candidates = list(scheduler._queue), list(scheduler._candidates)
-        picks = inner(now, free, shadow, extra)
+        queue, ordered = list(scheduler._queue), list(scheduler._candidates)
+        picks = inner(now, free, shadow, extra, candidates)
         # records compare by identity: same objects, same order, same length
-        assert scheduler._queue == queue and scheduler._candidates == candidates
+        assert scheduler._queue == queue and scheduler._candidates == ordered
+        if greedy:
+            full = EasyScheduler._backfill(scheduler, now, free, shadow, extra, ordered)
+            assert picks == full, "the memo skipped a job a full scan picks"
         waiting = {id(record) for record in queue[1:]}
         for record in picks:
             assert id(record) in waiting, f"job {record.job_id}: head, not waiting, or twice"
@@ -86,6 +95,7 @@ def guard_backfill(scheduler) -> dict[str, int]:
                 extra -= record.processors
         seen["calls"] += 1
         seen["picks"] += len(picks)
+        seen["memo"] += candidates is not scheduler._candidates
         return picks
 
     scheduler._backfill = guarded

@@ -19,7 +19,9 @@ after the clock moved with no event at all.
 The EASY family is also held to its own structure and guarantee, with no
 oracle involved: after every rule the backfill candidates are exactly
 the queue in backfill order, and every backfill pick of every pass
-respects the head's reservation (``tests.helpers.guard_backfill``).
+respects the head's reservation and is what a greedy scan of every
+waiting job picks, however few the pass handed the hook
+(``tests.helpers.guard_backfill``).
 Conservative's carried plan is held to the seed's profile after every
 rule: a prefix of the reservation order, placed where the seed places
 it, and nobody left out who could start now.  The session's own count
