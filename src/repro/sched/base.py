@@ -10,6 +10,7 @@ and the machine's predicted-release profile -- never actual runtimes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import insort
 from collections.abc import Iterable, Mapping, Sequence
 from math import inf
 from types import MappingProxyType
@@ -17,8 +18,10 @@ from types import MappingProxyType
 from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
+from .ordering import BACKFILL_ORDERS
+from .profile_structure import ReleaseTable
 
-__all__ = ["Scheduler"]
+__all__ = ["BackfillScheduler", "Scheduler"]
 
 
 class Scheduler(ABC):
@@ -42,10 +45,14 @@ class Scheduler(ABC):
         :meth:`on_corrections`) to their
         :class:`~repro.sched.profile_structure.ReleaseTable`, so a pass
         reads the running jobs' releases without rescanning the machine.
+        Whoever starts a job on the machine must report it here, and every
+        finish and correction too: the table is never rebuilt from the
+        machine.
         """
 
     def on_finish(self, record: JobRecord) -> None:
-        """A job completed.  Default: nothing (queue unaffected)."""
+        """A job completed, its processors already back on the machine.
+        Default: nothing (queue unaffected)."""
 
     def on_corrections(self, records: Sequence[JobRecord]) -> None:
         """All corrections of one event timestamp, as a single batch.
@@ -60,8 +67,8 @@ class Scheduler(ABC):
         """The machine's capacity changed (drain/restore).  Default: nothing.
 
         Schedulers that cache availability derived from the machine's
-        free count (not just the running set) must refresh it here; the
-        count-based ``in_sync_with`` checks cannot see capacity moves.
+        free count (not just the running set) must refresh it here: no
+        start, finish or correction reports a capacity move.
         """
 
     @abstractmethod
@@ -143,6 +150,102 @@ class Scheduler(ABC):
     @property
     def queue_length(self) -> int:
         return len(self._queue)
+
+
+class BackfillScheduler(Scheduler):
+    """What EASY and conservative backfilling share: a queue ordering
+    (``order``, a :data:`~repro.sched.ordering.BACKFILL_ORDERS` name), the
+    running jobs' :class:`ReleaseTable` fed by the engine's hooks, and a
+    reservation plan carried from call to call.
+
+    ``_ordered`` holds every waiting job sorted by ``_key`` (keys end in
+    the job id, so they are unique): placed by key at submission (a
+    waiting job's prediction never changes), left by identity.  ``_plan``
+    is the release profile minus a reservation for each of the first
+    ``len(_starts)`` jobs of :meth:`_reservation_order`, whose reserved
+    starts ``_starts`` holds in that order (``inf``: held); ``_starts``
+    means nothing while ``_plan`` is None.
+
+    Every breakpoint of the release profile is ``now`` or a running job's
+    predicted end, where a FINISH or EXPIRE event fires.  So as long as no
+    running job finished early or was corrected, and the capacity did not
+    move, each placed job would get the same start again given the ones
+    before it; the hooks below drop the plan when one of those happens.
+    """
+
+    def __init__(self, order: str, role: str) -> None:
+        super().__init__()
+        if order not in BACKFILL_ORDERS:
+            raise KeyError(
+                f"unknown {role} order {order!r}; known: {', '.join(BACKFILL_ORDERS)}"
+            )
+        if order != "fcfs":
+            self.name = f"{self.name}-{order}"
+        self._key = BACKFILL_ORDERS[order]
+        self._releases = ReleaseTable()
+        self._ordered: list[JobRecord] = []
+        self._plan: AvailabilityProfile | None = None
+        self._starts: dict[int, float] = {}
+
+    # -- engine delta feed --------------------------------------------------
+    def on_submit(self, record: JobRecord) -> None:
+        self._queue.append(record)  # Scheduler.on_submit's, without a super() call per job
+        insort(self._ordered, record, key=self._key)
+
+    def on_start(self, record: JobRecord, now: float) -> None:
+        self._releases.add(record.job_id, now + record.predicted_runtime, record.processors)
+
+    def on_finish(self, record: JobRecord) -> None:
+        self._releases.discard(record.job_id)
+        # a job ending exactly at its predicted end leaves the plan as it was
+        if record.start_time + record.predicted_runtime > record.end_time:
+            self._plan = None
+
+    def on_corrections(self, records: Sequence[JobRecord]) -> None:
+        self._plan = None
+        move = self._releases.move  # each lands at the table's next read
+        for record in records:
+            move(record.job_id, record.start_time + record.predicted_runtime)
+
+    def on_machine_change(self, now: float, machine: Machine) -> None:
+        self._plan = None  # the plan was built on the old free count
+
+    # -- the carried plan ---------------------------------------------------
+    def _reservation_order(self) -> list[JobRecord]:
+        """The waiting jobs in the order they take reservations."""
+        return self._ordered
+
+    def _plan_at(self, now: float, machine: Machine) -> tuple[AvailabilityProfile, bool]:
+        """The plan to place on at ``now``, and whether it was carried.
+
+        The carried plan, trimmed to ``now``, while no reserved start is
+        behind ``now``; else a new one from the release table, with
+        nothing placed.  It is taken from the scheduler: the caller puts
+        it back once its placements are done, so a call that raises
+        leaves no half-placed plan behind.
+        """
+        plan, self._plan = self._plan, None
+        if plan is not None and min(self._starts.values(), default=now) >= now:
+            plan.trim(now)
+            return plan, True
+        self._starts = {}
+        plan = AvailabilityProfile.from_releases(
+            machine.processors, now, machine.free, self._releases.releases(now)
+        )
+        return plan, False
+
+    def _reservations(self, now, machine):
+        """The plan with every waiting job placed: the jobs it does not
+        hold yet are placed behind the ones it does, and it is kept."""
+        plan, _ = self._plan_at(now, machine)
+        starts = self._starts
+        starts.update(self._reserve_in_order(plan, self._reservation_order()[len(starts) :], now))
+        self._plan = plan
+        return plan, starts
+
+    def introspect(self) -> dict[str, float]:
+        """Release-table length = the sweep a shadow walk or a replan may take."""
+        return {"release_table": float(len(self._releases))}
 
 
 def _earliest_start(

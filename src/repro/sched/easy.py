@@ -21,35 +21,32 @@ paper), which is exactly how the on-line algorithm absorbs misprediction.
 
 from __future__ import annotations
 
-from bisect import insort
-
 from ..sim.machine import Machine
-from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
-from .base import Scheduler
-from .ordering import BACKFILL_ORDERS
-from .profile_structure import ReleaseTable
+from .base import BackfillScheduler
 
 __all__ = ["EasyScheduler"]
 
 
-class EasyScheduler(Scheduler):
+class EasyScheduler(BackfillScheduler):
     """EASY backfilling with a pluggable backfill-candidate order.
 
     ``backfill_order='fcfs'`` is classic EASY; ``'sjbf'`` is EASY-SJBF
     (Tsafrir et al.), the variant the paper's winning triple uses.
 
-    The machine's predicted-release profile is a :class:`ReleaseTable`
-    fed the engine's start/finish/correction deltas (a correction lands at
-    the next shadow read), and the waiting jobs are kept twice: ``_queue``
-    in priority order and ``_candidates`` in backfill order (placed by key
-    at submit; a waiting job's prediction never changes), and a started
-    job leaves both by identity (``list.remove``: no key call, no rebuild;
-    within an instant arrival order need not be ``fcfs_key``'s).  The
-    schedule produced is identical to the seed per-pass rescan (kept as
+    The head's shadow walks the release table the hooks feed (a
+    correction lands at the next shadow read), and the waiting jobs are
+    kept twice: ``_queue`` in priority order and ``_ordered`` in backfill
+    order; a started job leaves both by identity (``list.remove``: no key
+    call, no rebuild; within an instant arrival order need not be
+    ``fcfs_key``'s).  The schedule produced is identical to the seed
+    per-pass rescan (kept as
     :class:`repro.sched.legacy.LegacyEasyScheduler` for verification).
-    Start-estimate queries extend a reservation plan carried from one
-    query to the next (:meth:`_reservations`), with a rebuild's answers.
+    Start-estimate queries reserve in ``_queue`` order on the plan carried
+    from one query to the next, with a rebuild's answers.  A pass that
+    starts a job drops it: the job leaves the queue, and a backfilled one
+    does not run where the plan reserved it.  Otherwise the queue only
+    grows at its tail, so the placed jobs still lead it.
 
     A pass with no processor free after phase 1 skips the shadow walk.
     Each scan keeps ``_memo`` (now, head, free, shadow, extra as its picks
@@ -59,96 +56,26 @@ class EasyScheduler(Scheduler):
     order.  A scan or an emptied queue empties ``_fresh``.
     """
 
+    name = "easy"
+
     def __init__(self, backfill_order: str = "fcfs") -> None:
-        super().__init__()
-        if backfill_order not in BACKFILL_ORDERS:
-            raise KeyError(
-                f"unknown backfill order {backfill_order!r}; "
-                f"known: {', '.join(BACKFILL_ORDERS)}"
-            )
+        super().__init__(backfill_order, "backfill")
         self.backfill_order = backfill_order
-        self.name = "easy" if backfill_order == "fcfs" else f"easy-{backfill_order}"
-        self._releases = ReleaseTable()
-        #: set on the first delta; drivers that never feed deltas (unit
-        #: tests poking select_jobs by hand) get a full resync per pass.
-        self._delta_fed = False
-        self._key = BACKFILL_ORDERS[backfill_order]
-        #: every waiting job (the head too), sorted by ``_key`` (keys end in the job id)
-        self._candidates: list[JobRecord] = []
-        #: :meth:`_reservations`' (plan, starts); None once a hook moved its base
-        self._carried: tuple | None = None
         #: the last scan's (now, head, free, shadow, extra) and the jobs submitted since
         self._memo: tuple = (0.0, None, 0, 0.0, 0)
         self._fresh: list[JobRecord] = []
 
-    # -- engine delta feed --------------------------------------------------
     def on_submit(self, record: JobRecord) -> None:
         super().on_submit(record)
-        insort(self._candidates, record, key=self._key)
         self._fresh.append(record)
 
-    def on_start(self, record: JobRecord, now: float) -> None:
-        self._delta_fed = True
-        self._carried = None  # each hook below moves what the plan was built from
-        self._releases.add(
-            record.job_id, now + record.predicted_runtime, record.processors
-        )
-
-    def on_finish(self, record: JobRecord) -> None:
-        self._carried = None
-        self._releases.discard(record.job_id)
-
-    def on_corrections(self, records) -> None:
-        self._carried = None
-        move = self._releases.move  # each lands at the table's next read
-        for record in records:
-            move(record.job_id, record.start_time + record.predicted_runtime)
-
-    def on_machine_change(self, now, machine) -> None:
-        self._carried = None
-
-    # -- session queries ------------------------------------------------------
-    def introspect(self) -> dict[str, float]:
-        """Release-table length = the sweep a shadow-time query may walk."""
-        return {"release_table": float(len(self._releases))}
-
-    def _reservations(self, now, machine):
-        """The reservation plan, carried from query to query.
-
-        Kept from the last call: the release profile minus a reservation
-        per waiting job, and the reserved starts of the queue's first
-        ``len(starts)`` jobs.  A waiting job's prediction is fixed at
-        submission and every breakpoint of the base profile is a running
-        job's predicted end, where a FINISH or EXPIRE fires.  Every hook
-        that moves the release table or the free count (a start, a finish,
-        a correction, a capacity change) drops the plan, and so does a
-        resync; the queue only grows at its tail in between, so the placed
-        jobs still lead it in order.  If no reserved start is behind
-        ``now`` either, a fresh computation would place each of them where
-        it is, and only the queue's new tail is placed.  Anything else
-        replans from the table; out of step with the machine (or never
-        hook-fed) the answer is the stateless one and no plan is kept.
-        """
-        carried, self._carried = self._carried, None  # kept only by a call that completes
-        releases = self._releases
-        if not self._delta_fed or not releases.in_sync_with(machine):
-            return super()._reservations(now, machine)
-        if carried is not None and min(carried[1].values(), default=now) >= now:
-            plan, starts = carried
-            plan.trim(now)
-        else:
-            starts = {}
-            plan = AvailabilityProfile.from_releases(
-                machine.processors, now, machine.free, releases.releases(now)
-            )
-        starts.update(self._reserve_in_order(plan, self._queue[len(starts) :], now))
-        self._carried = plan, starts
-        return plan, starts
+    def _reservation_order(self) -> list[JobRecord]:
+        return self._queue
 
     def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
         started: list[JobRecord] = []
         free = machine.free
-        queue, candidates = self._queue, self._candidates
+        queue, candidates = self._queue, self._ordered
 
         # Phase 1: start the queue head(s) while they fit (FCFS priority).
         while queue and queue[0].processors <= free:
@@ -156,6 +83,8 @@ class EasyScheduler(Scheduler):
             candidates.remove(record)
             free -= record.processors
             started.append(record)
+        if started:  # the query plan reserved in an order the queue no longer has
+            self._plan = None
         if not queue:
             self._fresh = []
             return started
@@ -165,10 +94,6 @@ class EasyScheduler(Scheduler):
         # Phase 2: the head cannot start; compute its reservation.  The
         # release profile must include the jobs we just decided to start
         # (the engine feeds them to the table only after this pass).
-        if not self._delta_fed or not self._releases.in_sync_with(machine):
-            # driven outside the engine (unit tests): rebuild from state
-            self._releases.resync(machine)
-            self._carried = None
         head = queue[0]
         if head.processors > machine.processors - machine.drained:
             # The head is wider than the undrained capacity (live-session
@@ -190,6 +115,7 @@ class EasyScheduler(Scheduler):
             scan.sort(key=self._key)
         picked = self._backfill(now, free, shadow, extra, scan)
         for record in picked:
+            self._plan = None  # a backfill does not run where the query plan reserved it
             queue.remove(record)
             candidates.remove(record)
             free -= record.processors
@@ -209,11 +135,11 @@ class EasyScheduler(Scheduler):
         the upkeep of the release table and of both queues are shared by
         every EASY-family scheduler.  The hook only picks: it returns the
         jobs to start, in start order, and must not touch ``_queue`` or
-        ``_candidates`` (:meth:`select_jobs` removes what it returns).
+        ``_ordered`` (:meth:`select_jobs` removes what it returns).
         Each pick must fit what is left of ``free`` (at least 1 on entry)
         and either finish by ``shadow`` or fit what is left of ``extra``.
 
-        ``candidates`` is ``_candidates``, or ``_fresh`` when every other
+        ``candidates`` is ``_ordered``, or ``_fresh`` when every other
         waiting job is known to fail: a hook that scans it must pick
         greedily, leaving none of it eligible; one that may not (a stop
         action) must scan ``_queue`` instead.

@@ -12,19 +12,15 @@ shadow-time query walks only the prefix of releases it needs; every plan
 :meth:`~repro.sim.profile.AvailabilityProfile.from_releases` over
 :meth:`ReleaseTable.releases`.
 
-The table can resynchronise from a :class:`~repro.sim.machine.Machine`
-when driven outside the engine (unit tests call ``select_jobs`` by hand),
-so correctness never depends on the delta feed being wired up.
+The table is never rebuilt from the machine: it is right exactly when
+every start, finish and correction is fed to it, which the engine does
+(code that starts jobs by hand feeds them too).
 """
 
 from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.machine import Machine
 
 __all__ = ["ReleaseTable"]
 
@@ -114,34 +110,6 @@ class ReleaseTable:
             entries.sort()
             self._entries = entries
         moved.clear()
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._by_job.clear()
-        self._moved.clear()
-
-    def resync(self, machine: Machine) -> None:
-        """Rebuild from the machine's running set (out-of-engine drivers)."""
-        self.clear()
-        entries = self._entries
-        by_job = self._by_job
-        for run in machine.running:
-            job_id = run.record.job_id
-            entry = (run.predicted_end, job_id, run.record.processors)
-            entries.append(entry)
-            by_job[job_id] = (entry[0], entry[2])
-        entries.sort()
-
-    def in_sync_with(self, machine: Machine) -> bool:
-        """Cheap desync check for partially hook-fed drivers.
-
-        Count-based only: callers that never feed deltas must resync
-        unconditionally (the schedulers do, via their hook-seen flag);
-        callers that feed *every* delta are exactly in sync.  Feeding
-        some deltas but not others is a contract violation this check
-        cannot always catch.
-        """
-        return len(self._entries) == machine.n_running
 
     # -- queries -------------------------------------------------------------
     def releases(self, now: float) -> list[tuple[float, int]]:

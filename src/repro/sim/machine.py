@@ -57,10 +57,6 @@ class Machine:
         """Views of the running jobs, built on each read (no ordering guarantee)."""
         return [RunningJob(record, record.start_time) for record in self._running.values()]
 
-    @property
-    def n_running(self) -> int:
-        return len(self._running)
-
     def start(self, record: JobRecord, now: float) -> None:
         """Allocate processors to a job. The caller pushes FINISH/EXPIRE."""
         if record.job_id in self._running:

@@ -44,7 +44,7 @@ answers until its next state change, so a repeated query is a lookup;
 *across* state changes the EASY-family and conservative schedulers carry
 the reservation plan itself, place only the jobs it does not hold yet,
 and replan when the running set, the free count or the queue order moved
-under it (:meth:`repro.sched.easy.EasyScheduler._reservations`); a
+under it (:meth:`repro.sched.base.BackfillScheduler._reservations`); a
 probe is fitted on the plan without being placed.
 """
 
@@ -473,12 +473,12 @@ class SimSession:
         record.version += 1  # pending EXPIRE events become stale
         self._machine.finish(job_id, time)
         self._pass_owed = True  # from here on, whatever raises before it runs
+        self.scheduler.on_finish(record)  # before the predictor, which may raise
         t0 = perf_counter()
         self.predictor.on_finish(record, time)
         if self._tally is not None:
             self._tally.counts[_PREDICT_S] += perf_counter() - t0
             self._tally.note_outcome(record, record.observed_runtime)
-        self.scheduler.on_finish(record)
         self._pass_owed = False
         self._schedule_pass(time)
         return record
@@ -582,6 +582,7 @@ class SimSession:
                         if record.end_time >= 0:
                             continue  # stale: the job was completed externally
                         machine.finish(job_id, now)
+                        scheduler.on_finish(record)  # before the predictor, which may raise
                         if tally is not None:
                             t0 = perf_counter()
                             predictor.on_finish(record, now)
@@ -589,7 +590,6 @@ class SimSession:
                             tally.note_outcome(record, record.runtime)
                         else:
                             predictor.on_finish(record, now)
-                        scheduler.on_finish(record)
                     elif kind is _SUBMIT:
                         record = records[job_id]
                         if tally is not None:

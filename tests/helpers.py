@@ -25,6 +25,7 @@ __all__ = [
     "make_record",
     "run_triple",
     "schedule_bytes",
+    "start_job",
     "triple_cells",
 ]
 
@@ -62,7 +63,7 @@ def guard_backfill(scheduler) -> dict[str, int]:
     job other than the head, picked once, it fits what is left of
     ``free``, and it either ends by ``shadow`` or fits what is left of
     ``extra`` -- so no backfill can push the head's reservation back.
-    The hook only picks: ``_queue`` and ``_candidates`` must come back as
+    The hook only picks: ``_queue`` and ``_ordered`` must come back as
     they went in.  An EASY hook (greedy, so it may be handed only the jobs
     submitted since the last scan) must also pick exactly what a greedy
     scan of *every* waiting job picks, so the pass's memo is checked pass
@@ -77,10 +78,10 @@ def guard_backfill(scheduler) -> dict[str, int]:
 
     def guarded(now, free, shadow, extra, candidates):
         assert free >= 1, "the hook is only asked when a processor is free"
-        queue, ordered = list(scheduler._queue), list(scheduler._candidates)
+        queue, ordered = list(scheduler._queue), list(scheduler._ordered)
         picks = inner(now, free, shadow, extra, candidates)
         # records compare by identity: same objects, same order, same length
-        assert scheduler._queue == queue and scheduler._candidates == ordered
+        assert scheduler._queue == queue and scheduler._ordered == ordered
         if greedy:
             full = EasyScheduler._backfill(scheduler, now, free, shadow, extra, ordered)
             assert picks == full, "the memo skipped a job a full scan picks"
@@ -95,11 +96,19 @@ def guard_backfill(scheduler) -> dict[str, int]:
                 extra -= record.processors
         seen["calls"] += 1
         seen["picks"] += len(picks)
-        seen["memo"] += candidates is not scheduler._candidates
+        seen["memo"] += candidates is not scheduler._ordered
         return picks
 
     scheduler._backfill = guarded
     return seen
+
+
+def start_job(machine, scheduler, record: JobRecord, now: float = 0.0) -> None:
+    """Start ``record`` on ``machine`` and report the start to ``scheduler``,
+    as the engine does: a scheduler driven by hand learns the running set
+    only from its hooks."""
+    machine.start(record, now)
+    scheduler.on_start(record, now)
 
 
 def schedule_bytes(spec: CellSpec) -> bytes:

@@ -14,13 +14,13 @@ from repro.sim import SimSession, simulate
 from repro.sim.machine import Machine
 from repro.workload import Trace
 
-from tests.helpers import make_job, make_record
+from tests.helpers import make_job, make_record, start_job
 
 
 def start_all(machine, scheduler, now=0.0):
     started = scheduler.select_jobs(now, machine)
     for rec in started:
-        machine.start(rec, now)
+        start_job(machine, scheduler, rec, now)
     return started
 
 
@@ -47,7 +47,7 @@ class TestEasySelection:
         sched = EasyScheduler("fcfs")
         # running job holds 6 procs until t=100
         running = make_record(job_id=0, processors=6, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         # head needs 4 (waits until 100); short narrow job can backfill
         sched.on_submit(make_record(job_id=1, processors=4, predicted_runtime=500.0))
         sched.on_submit(make_record(job_id=2, processors=2, predicted_runtime=50.0))
@@ -58,7 +58,7 @@ class TestEasySelection:
         m = Machine(8)
         sched = EasyScheduler("fcfs")
         running = make_record(job_id=0, processors=6, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         sched.on_submit(make_record(job_id=1, processors=4, predicted_runtime=500.0))
         # candidate runs past the shadow (100) and needs more than the
         # extra processors (8 - 6 free now... extra = 4): q=3 <= extra=4
@@ -70,7 +70,7 @@ class TestEasySelection:
         m = Machine(8)
         sched = EasyScheduler("fcfs")
         running = make_record(job_id=0, processors=6, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         sched.on_submit(make_record(job_id=1, processors=4, predicted_runtime=500.0))
         # long candidate fitting within extra (= free_at_shadow - head = 4)
         sched.on_submit(make_record(job_id=2, processors=2, predicted_runtime=9999.0))
@@ -81,7 +81,7 @@ class TestEasySelection:
         m = Machine(8)
         sched = EasyScheduler("fcfs")
         running = make_record(job_id=0, processors=4, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         # head needs 6: shadow = 100, extra = 8 - 6 = 2; free now = 4
         sched.on_submit(make_record(job_id=1, processors=6, predicted_runtime=500.0))
         # long candidate within extra: allowed, consumes the whole pool
@@ -104,7 +104,7 @@ class TestSjbfOrder:
         m = Machine(8)
         sched = EasyScheduler("sjbf")
         running = make_record(job_id=0, processors=6, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         sched.on_submit(make_record(job_id=1, processors=4, predicted_runtime=500.0))
         # two candidates both fit free=2 one at a time; shortest goes first
         sched.on_submit(make_record(job_id=2, processors=2, predicted_runtime=90.0))
@@ -117,7 +117,7 @@ class TestSjbfOrder:
         m = Machine(8)
         sched = EasyScheduler("sjbf")
         running = make_record(job_id=0, processors=8, predicted_runtime=100.0)
-        m.start(running, now=0.0)
+        start_job(m, sched, running)
         sched.on_submit(make_record(job_id=1, processors=8, predicted_runtime=999.0))
         sched.on_submit(make_record(job_id=2, processors=1, predicted_runtime=10.0))
         # nothing fits now (machine full): nothing starts, head remains job 1
@@ -257,67 +257,68 @@ class TestMemoConditions:
         return [record.job_id for record in started]
 
     @staticmethod
-    def running(machine, *widths_and_ends):
+    def running(machine, scheduler, *widths_and_ends):
         records = []
         for job_id, (width, end) in enumerate(widths_and_ends, start=100):
             record = make_record(job_id=job_id, processors=width, predicted_runtime=end)
-            machine.start(record, 0.0)
+            start_job(machine, scheduler, record)
             records.append(record)
         return records
 
     def test_more_free(self):
         m = Machine(10)
-        self.running(m, (2, 50.0), (6, 1000.0))
         # head 1 waits for the 1000 release; job 2 is one processor too wide
         modern, legacy = self.both(
             make_record(job_id=1, processors=8, predicted_runtime=10.0),
             make_record(job_id=2, processors=3, predicted_runtime=10.0),
         )
+        self.running(m, modern, (2, 50.0), (6, 1000.0))
         assert self.picks(0.0, m, modern, legacy) == []
-        m.finish(100, 20.0)  # early: free 2 -> 4; shadow 1000 and extra 2 hold
+        modern.on_finish(m.finish(100, 20.0))  # early: free 2 -> 4; shadow 1000 and extra 2 hold
         assert self.picks(20.0, m, modern, legacy) == [2]
 
     def test_a_later_shadow(self):
         m = Machine(10)
-        (blocker,) = self.running(m, (6, 1000.0))
         # job 2 outlives the shadow and is wider than the 2 extra processors
         modern, legacy = self.both(
             make_record(job_id=1, processors=8, predicted_runtime=10.0),
             make_record(job_id=2, processors=3, predicted_runtime=1500.0),
         )
+        (blocker,) = self.running(m, modern, (6, 1000.0))
         assert self.picks(0.0, m, modern, legacy) == []
         blocker.predicted_runtime = 2000.0  # corrected: free 4 and extra 2 hold
+        modern.on_corrections([blocker])
         assert self.picks(10.0, m, modern, legacy) == [2]
 
     def test_more_extra(self):
         m = Machine(11)
-        self.running(m, (6, 1000.0), (1, 3000.0))
         modern, legacy = self.both(
             make_record(job_id=1, processors=8, predicted_runtime=10.0),
             make_record(job_id=2, processors=3, predicted_runtime=5000.0),
         )
+        self.running(m, modern, (6, 1000.0), (1, 3000.0))
         assert self.picks(0.0, m, modern, legacy) == []
         # one processor due at 3000 is swapped for one due at 500: free 4
         # and the shadow 1000 hold, extra grows from 2 to 3
-        m.finish(101, 10.0)
-        m.start(make_record(job_id=200, processors=1, predicted_runtime=490.0), 10.0)
+        modern.on_finish(m.finish(101, 10.0))
+        start_job(m, modern, make_record(job_id=200, processors=1, predicted_runtime=490.0), 10.0)
         assert self.picks(10.0, m, modern, legacy) == [2]
 
     def test_a_clock_that_goes_back(self):
         m = Machine(8)
-        self.running(m, (6, 200.0))
         # at 100, job 2 ends after the shadow (200) and extra is 0; at 0 it does not
         modern, legacy = self.both(
             make_record(job_id=1, processors=8, predicted_runtime=10.0),
             make_record(job_id=2, processors=2, predicted_runtime=150.0),
         )
+        self.running(m, modern, (6, 200.0))
         assert self.picks(100.0, m, modern, legacy) == []
         assert self.picks(0.0, m, modern, legacy) == [2]
 
     def test_a_head_that_started(self):
         m = Machine(10)
-        self.running(m, (6, 1000.0))
         modern, legacy = self.both(make_record(job_id=1, processors=8, predicted_runtime=500.0))
+        self.running(m, modern, (6, 1000.0))
         assert self.picks(0.0, m, modern, legacy) == []
         for record in (
             make_record(job_id=2, processors=1, predicted_runtime=5000.0),
@@ -328,5 +329,5 @@ class TestMemoConditions:
         # the head and job 2 start; the new head 3 leaves free 1, shadow
         # 510 and extra 2, no more than the last scan's: job 2 is no
         # longer waiting, and only a full scan knows it
-        m.finish(100, 10.0)
+        modern.on_finish(m.finish(100, 10.0))
         assert self.picks(10.0, m, modern, legacy) == [1, 2]

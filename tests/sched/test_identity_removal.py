@@ -1,9 +1,9 @@
 """A started job leaves the waiting lists by identity, and only it.
 
 Every EASY-family and conservative pass is spied on: afterwards
-``_queue`` and the second waiting list (``_candidates`` / ``_ordered``)
-must be what they were minus the records the pass started, in the same
-order, compared by identity -- whatever order an instant was fed in.
+``_queue`` and the second waiting list, ``_ordered``, must be what they
+were minus the records the pass started, in the same order, compared by
+identity -- whatever order an instant was fed in.
 The same sessions are held to the frozen ``legacy-*`` oracle where one
 exists.
 """
@@ -41,14 +41,14 @@ def build(name):
     return make_scheduler(name)
 
 
-def _spying(select, second, seen):
+def _spying(select, seen):
     def select_jobs(self, now, machine):
-        before = list(self._queue), list(getattr(self, second))
+        before = list(self._queue), list(self._ordered)
         started = select(self, now, machine)
         gone = {id(record) for record in started}
         assert len(gone) == len(started), "a record started twice"
         assert gone <= {id(record) for record in before[0]}, "started a job not waiting"
-        for old, new in zip(before, (self._queue, getattr(self, second)), strict=True):
+        for old, new in zip(before, (self._queue, self._ordered), strict=True):
             kept = [record for record in old if id(record) not in gone]
             assert len(new) == len(kept) and all(map(is_, new, kept))
         seen["passes"] += 1
@@ -65,8 +65,8 @@ def removal_spy():
     classes, so an ``rl-backfill`` pass is checked too."""
     seen = {"passes": 0, "started": 0}
     with pytest.MonkeyPatch.context() as patch:
-        for cls, second in ((EasyScheduler, "_candidates"), (ConservativeScheduler, "_ordered")):
-            patch.setattr(cls, "select_jobs", _spying(cls.select_jobs, second, seen))
+        for cls in (EasyScheduler, ConservativeScheduler):
+            patch.setattr(cls, "select_jobs", _spying(cls.select_jobs, seen))
         yield seen
 
 

@@ -13,7 +13,7 @@ order, placed where the seed's profile places them, with nobody left
 out who could start now (``assert_prefix_plan``).
 
 The EASY family carries a plan too, from *query* to query
-(``EasyScheduler._reservations``): every answer must be the one the
+(``BackfillScheduler._reservations``): every answer must be the one the
 seed's profile gives when built from the machine alone, and a query must
 cost placements only for what changed since the one before.  Under every
 scheduler a probe is fitted on the queue's plan and places nothing.
@@ -34,9 +34,10 @@ from repro.sched import conservative, make_scheduler
 from repro.sched.legacy import _SeedProfile
 from repro.sched.ordering import order_queue
 from repro.sim import SimSession, simulate
+from repro.sim.machine import Machine
 from repro.sim.profile import AvailabilityProfile
 from repro.workload import Job, Trace
-from tests.helpers import make_job, make_record
+from tests.helpers import make_job, make_record, start_job
 from tests.sched import test_easy
 from tests.sched.test_profile_equivalence import EASY_PAIRS
 
@@ -583,12 +584,22 @@ def running_state(session):
     return machine.free, sorted((r.record.job_id, r.predicted_end) for r in machine.running)
 
 
+def only_on_time_finishes(before, after, now):
+    """``after`` is the ``running_state`` ``before`` minus jobs that ended
+    at ``now``, their predicted end: nobody started, ended early or was
+    corrected."""
+    (_, runs_before), (_, runs_after) = before, after
+    gone = set(runs_before) - set(runs_after)
+    return set(runs_after) <= set(runs_before) and all(end == now for _, end in gone)
+
+
 def test_queries_place_only_what_changed(monkeypatch):
     """Under ``easy-sjbf`` on a flurry trace: after an instant that only
-    queued its submissions, a cold query places those and nobody else;
-    after one that started, finished or corrected anything, it replaces
-    the whole queue once; the probe then costs one placement either way,
-    and the repeated query none."""
+    queued its submissions, or saw jobs end where they were predicted to,
+    a cold query places the arrivals and nobody else; after one that
+    started, finished early or corrected anything, it places the whole
+    queue once; the probe then costs one placement either way, and the
+    repeated query none."""
     trace = make_trace(4)
     session = make_session(
         "easy-sjbf", predictor=OddHalfPredictor, corrector=IncrementalCorrector
@@ -602,17 +613,23 @@ def test_queries_place_only_what_changed(monkeypatch):
         queue = session.scheduler.queue
         state = running_state(session)
         arrivals = [r for r in queue if r.job_id not in waiting_before]
-        kind = "submit-only" if state == state_before else "moved"
+        if state == state_before:
+            kind = "submit-only"
+        elif only_on_time_finishes(state_before, state, session.now):
+            kind = "on-time"
+        else:
+            kind = "moved"
         if queue:
             asked = queue[-1].job_id
             cold = placements.during(lambda: session.query(job_id=asked))
-            assert cold == (len(arrivals) if kind == "submit-only" else len(queue)), kind
+            assert cold == (len(queue) if kind == "moved" else len(arrivals)), kind
             assert placements.during(lambda: session.query(job_id=asked)) == 0
             seen[kind] += 1
         assert placements.during(lambda: session.query(probe)) == 1
         waiting_before, state_before = {r.job_id for r in queue}, state
     assert session.stats.n_corrections > 20
-    assert seen["submit-only"] > 20 and seen["moved"] > 20
+    # the 12 on-time instants each placed the whole queue while any finish dropped the plan
+    assert seen == {"submit-only": 34, "on-time": 12, "moved": 206}
 
 
 def full_machine_session(name="easy-sjbf"):
@@ -645,9 +662,10 @@ PROBE = make_job(job_id=10_000, runtime=50.0, processors=3)
     ["correction", "finish", "start", "drain", "restore", "quiet-advance", "submission"],
 )
 def test_what_replans_the_query_plan(monkeypatch, trigger):
-    """A correction, a finish, a start and a machine event each cost the
-    next query one placement per waiting job and the one after none; a
-    clock that merely moved, or a submission that queued, cost none."""
+    """A correction, an early finish, a start and a machine event each
+    cost the next query one placement per waiting job and the one after
+    none; a clock that merely moved, or a submission that queued, cost
+    none."""
     session = full_machine_session()
     placements = Placements(monkeypatch, session.scheduler)
     assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 2 + 1
@@ -657,7 +675,7 @@ def test_what_replans_the_query_plan(monkeypatch, trigger):
         assert session.stats.n_corrections == 1
     elif trigger == "finish":
         session.advance_to(300.0)  # 6 processors come free, nobody fits them
-        assert session.machine.free == 6
+        assert session.machine.free == 6 and session.record(1).predicted_end > 300.0
     elif trigger == "start":
         session.advance_to(300.0)
         assert_queries_exact(session, PROBE)
@@ -828,7 +846,7 @@ def test_hooks_that_start_nothing_drop_the_query_plan():
             for each in (session, twin)
         ]
         assert answers[0] == answers[1]
-        assert session.scheduler._carried is not None
+        assert session.scheduler._plan is not None
     assert seen["finish"] >= 1 and seen["storm"] >= 1 and seen["lone"] >= 1
 
 
@@ -873,18 +891,18 @@ def test_a_held_head_lets_reserved_starts_fall_behind_the_clock():
 
 
 class FailsOnce(RequestedTimePredictor):
-    """``on_finish`` raises for job 1: the machine has finished a job the
-    scheduler is never told about."""
+    """``on_finish`` raises for job 1."""
 
     def on_finish(self, record, now):
         if record.job_id == 1:
             raise OSError("model store unreachable")
 
 
-def test_out_of_step_scheduler_answers_statelessly_and_drops_its_plan(monkeypatch):
-    """The one stateless route left: a release table that no longer
-    counts what the machine runs.  The answers come from the machine
-    alone, no plan is kept, and the query after the resync replans."""
+def test_a_raising_predictor_leaves_the_query_plan_standing(monkeypatch):
+    """``predictor.on_finish`` raises on job 1's on-time finish, after the
+    scheduler was told of it: the carried plan still holds, so the next
+    queries are exact and place only the probe, and after the owed pass
+    and an arrival, only the arrival and the probe."""
     session = make_session("easy-sjbf", predictor=FailsOnce)
     placements = Placements(monkeypatch, session.scheduler)
     session.feed(make_job(job_id=1, runtime=100.0, processors=6, requested_time=100.0))
@@ -892,30 +910,26 @@ def test_out_of_step_scheduler_answers_statelessly_and_drops_its_plan(monkeypatc
     session.feed(make_job(job_id=3, submit_time=10.0, processors=12))
     session.feed(make_job(job_id=4, submit_time=20.0, processors=12))
     session.advance_to(20.0)
-    assert_queries_exact(session, PROBE)
-    assert session.scheduler._carried is not None
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 2 + 1
     with pytest.raises(OSError):
         session.advance_to(100.0)
-    assert not session.scheduler._releases.in_sync_with(session.machine)
-    stateless = (2 + 1) + 2  # the probe's call places the queue, the cold query again
-    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == stateless
-    assert session.scheduler._carried is None
-    # the session still remembers the waiting jobs' answers; the probe pays in full
-    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 2 + 1
-    session.feed(make_job(job_id=5, submit_time=110.0, processors=12))
-    session.advance_to(110.0)  # the head cannot start: the pass resyncs the table
-    assert session.scheduler._releases.in_sync_with(session.machine)
-    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 3 + 1
     assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 1
+    session.feed(make_job(job_id=5, submit_time=110.0, processors=12))
+    session.advance_to(110.0)  # the owed pass, then 110's: the head cannot start
+    assert placements.during(lambda: assert_queries_exact(session, PROBE)) == 1 + 1
 
 
-def test_a_scheduler_the_hooks_never_fed_keeps_no_plan():
-    scheduler = make_scheduler("easy-sjbf")
-    session = make_session("easy-sjbf")
-    session.feed(make_job(job_id=1, processors=16))
-    session.advance_to(0.0)
-    waiting = make_record(job_id=2, processors=4)
-    scheduler.on_submit(waiting)  # driven by hand: no start was ever reported
-    starts = scheduler.estimated_starts(0.0, session.machine)
-    assert starts == {2: session.record(1).predicted_end}
-    assert scheduler._carried is None
+@pytest.mark.parametrize("name", ["easy-sjbf", "conservative"])
+def test_a_hand_driven_scheduler_plans_from_what_its_hooks_were_told(name):
+    """Driven without a session, a scheduler knows the running set only
+    from its hooks: told of a start, it answers from that job's predicted
+    end and keeps the plan; told of an early finish, it drops it and the
+    next answer is the machine's."""
+    scheduler, machine = make_scheduler(name), Machine(16)
+    start_job(machine, scheduler, make_record(job_id=1, processors=16, predicted_runtime=100.0))
+    scheduler.on_submit(make_record(job_id=2, processors=4))
+    assert scheduler.estimated_starts(0.0, machine) == {2: 100.0}
+    assert scheduler._plan is not None
+    scheduler.on_finish(machine.finish(1, 40.0))
+    assert scheduler._plan is None
+    assert scheduler.estimated_starts(40.0, machine) == {2: 40.0}

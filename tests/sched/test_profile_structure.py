@@ -51,18 +51,6 @@ class TestReleaseTable:
             table.add(jid, pred, procs)
         assert table.releases(0.0) == machine.predicted_releases(0.0)
 
-    def test_resync_from_machine(self):
-        machine = Machine(16)
-        for jid, procs, pred in [(1, 4, 120.0), (2, 2, 30.0)]:
-            machine.start(
-                make_record(job_id=jid, processors=procs, predicted_runtime=pred), 0.0
-            )
-        table = ReleaseTable()
-        assert not table.in_sync_with(machine)
-        table.resync(machine)
-        assert table.in_sync_with(machine)
-        assert table.releases(0.0) == machine.predicted_releases(0.0)
-
     @settings(max_examples=150)
     @given(
         head_q=st.integers(min_value=1, max_value=24),
@@ -153,7 +141,6 @@ _TABLE_OPS = st.one_of(
     # corrected, then finished before any read (an early finish after an
     # EXPIRE whose pass had no queue to read the table for)
     st.tuples(st.just("move_discard"), _PICK, _ENDS),
-    st.tuples(st.just("resync"), st.frozensets(_PICK)),
     st.tuples(st.just("releases"), _NOW),
     # the head's width is drawn within what can ever be free (wider ones
     # raise on both sides, ``test_shadow_never_startable_raises``)
@@ -200,8 +187,8 @@ class TestAgainstAnEagerTable:
     @given(st.lists(_TABLE_OPS, min_size=1, max_size=30))
     def test_reads_match_a_table_rebuilt_at_every_read(self, ops):
         """Property: a move waits for the next read, but no read, length or
-        error can tell -- under any mix of adds, moves, batched moves,
-        discards and resyncs, ``releases``, ``shadow`` and ``len`` equal the
+        error can tell -- under any mix of adds, moves, batched moves and
+        discards, ``releases``, ``shadow`` and ``len`` equal the
         eager oracle's, and a rejected batch moves nothing."""
         table, oracle = ReleaseTable(), EagerTable()
 
@@ -210,16 +197,6 @@ class TestAgainstAnEagerTable:
             return tracked[pick] if pick < len(tracked) else pick
 
         for name, *args in ops:
-            if name == "resync":
-                # the machine runs the tracked jobs the set names, as tracked
-                kept = {job(pick) for pick in args[0]}
-                oracle.ends = {j: e for j, e in oracle.ends.items() if j in kept}
-                machine = Machine(64)
-                for job_id, (end, q) in oracle.ends.items():
-                    record = make_record(job_id=job_id, processors=q, predicted_runtime=end)
-                    machine.start(record, 0.0)
-                table.resync(machine)
-                continue
             if name == "shadow":
                 room = args[1] + sum(q for _, q in oracle.ends.values())
                 room += sum(q for _, q in args[3])
@@ -283,7 +260,7 @@ class TestPlanFromTable:
         machine = Machine(12)
         table = ReleaseTable()
         now = apply_random_ops(table, machine, rng)
-        assert table.in_sync_with(machine)
+        assert len(table) == len(machine.running)
         plan = AvailabilityProfile.from_releases(12, now, machine.free, table.releases(now))
         oracle = AvailabilityProfile.from_releases(
             12, now, machine.free, machine.predicted_releases(now)
@@ -338,15 +315,6 @@ class _Constant(RequestedTimePredictor):
         return 100.0
 
 
-class _FinishUnreported(RequestedTimePredictor):
-    """``on_finish`` raises for job 1, so the machine finishes a job the
-    scheduler is never told about."""
-
-    def on_finish(self, record, now):
-        if record.job_id == 1:
-            raise OSError("model store unreachable")
-
-
 class TestConservativeFeed:
     """Which hooks drop ``ConservativeScheduler``'s carried plan, and
     whether the release table it replans from follows the machine.  Job 1
@@ -398,13 +366,3 @@ class TestConservativeFeed:
         session.advance_to(50.0)
         assert session.record(3).start_time == 50.0
         assert session.scheduler.introspect() == {"release_table": 2.0, "plan_reused": 0.0}
-
-    def test_an_unreported_finish_resyncs_the_table(self):
-        session = self.session(60.0, _FinishUnreported)
-        with pytest.raises(OSError):
-            session.advance_to(60.0)
-        scheduler, machine = session.scheduler, session.machine
-        assert not scheduler._releases.in_sync_with(machine)
-        session.advance_to(70.0)
-        assert session.record(2).start_time == 60.0
-        assert scheduler._releases.releases(70.0) == machine.predicted_releases(70.0)

@@ -592,7 +592,7 @@ class TestOneInstant:
         before = session.stats.n_scheduling_passes
         assert session.step() == 100.0
         assert spy.log == [
-            "learn 1", "on_finish 1",          # FINISH
+            "on_finish 1", "learn 1",          # FINISH: the scheduler first
             "correct 2", "correct 3",          # EXPIRE, insertion order
             "predict 4", "on_submit 4",        # SUBMIT
             "on_machine_change",               # MACHINE
@@ -678,15 +678,14 @@ class _FaultyAve2(RecentAveragePredictor):
 
 
 class TestFaultRecovery:
-    """Why the schedulers keep ``in_sync_with`` / ``resync`` beside their
-    delta feed: a FINISH whose ``predictor.on_finish`` raises has already
-    left the machine, but ``scheduler.on_finish`` never ran, so the
-    scheduler is one job behind.  The count check on the next pass is
-    what drops the phantom (forced true, EASY's release table ends this
-    run holding 3 releases of jobs that are long gone)."""
+    """A FINISH whose ``predictor.on_finish`` raises: the session tells the
+    scheduler of the finish right after the machine, before the predictor
+    learns, so a fault there cannot leave the scheduler's release table a
+    job behind the machine -- the table is never rebuilt from the machine,
+    and nothing else would ever drop the finished job's release."""
 
-    @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
-    def test_session_survives_a_predictor_failing_in_on_finish(self, scheduler):
+    @staticmethod
+    def faulty_session(scheduler):
         trace = get_trace("KTH-SP2", n_jobs=400)
         session = SimSession(
             trace.processors,
@@ -695,6 +694,11 @@ class TestFaultRecovery:
             IncrementalCorrector(),
         )
         session.feed(list(trace))
+        return trace, session
+
+    @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
+    def test_session_survives_a_predictor_failing_in_on_finish(self, scheduler):
+        trace, session = self.faulty_session(scheduler)
         faults = 0
         while session.n_pending_events:
             try:
@@ -708,8 +712,24 @@ class TestFaultRecovery:
         assert len(result) == 400
         _times, busy = occupancy_timeline(result)
         assert busy.max() <= trace.processors
-        if scheduler != "conservative":
-            assert session.scheduler.introspect()["release_table"] == 0
+        assert session.scheduler.introspect()["release_table"] == 0
+
+    @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
+    def test_the_release_table_is_in_step_straight_after_the_fault(self, scheduler):
+        """Before any pass runs, the table already holds what the machine
+        runs, release for release (equal ends in job-id order, the
+        machine's in width order)."""
+        _trace, session = self.faulty_session(scheduler)
+        faults = 0
+        while session.n_pending_events:
+            try:
+                session.drain()
+            except OSError:
+                faults += 1
+                now, machine = session.now, session.machine
+                releases = session.scheduler._releases.releases(now)
+                assert sorted(releases) == machine.predicted_releases(now)
+        assert faults == 3
 
 
 class _FailsOnJob1(RequestedTimePredictor):

@@ -16,9 +16,12 @@ restore, an early external completion, a descending-id feed, a
 correction storm, a ``predictor.on_finish`` that raised -- and again
 after the clock moved with no event at all.
 
-The EASY family is also held to its own structure and guarantee, with no
-oracle involved: after every rule the backfill candidates are exactly
-the queue in backfill order, and every backfill pick of every pass
+Every scheduler's release table holds the machine's releases after
+every rule, a raising ``predictor.on_finish`` or not: the session tells
+the scheduler of a finish before the predictor.  The EASY family is also
+held to its own structure and guarantee, with no oracle involved: after
+every rule the backfill candidates are exactly the queue in backfill
+order, and every backfill pick of every pass
 respects the head's reservation and is what a greedy scan of every
 waiting job picks, however few the pass handed the hook
 (``tests.helpers.guard_backfill``).
@@ -326,11 +329,17 @@ class SessionMachine(RuleBasedStateMachine):
 
     @invariant()
     def candidates_are_the_queue_in_backfill_order(self):
-        scheduler = self.session.scheduler
-        if isinstance(scheduler, EasyScheduler):  # records compare by identity
-            assert scheduler._candidates == sorted(scheduler._queue, key=scheduler._key)
-        elif isinstance(scheduler, ConservativeScheduler):
-            assert scheduler._ordered == sorted(scheduler._queue, key=scheduler._key)
+        scheduler = self.session.scheduler  # records compare by identity
+        assert scheduler._ordered == sorted(scheduler._queue, key=scheduler._key)
+
+    @invariant()
+    def the_release_table_is_the_machines(self):
+        """Every start, finish and correction reached the release table,
+        also past a call that raised: it is never rebuilt from the machine.
+        (It orders equal ends by job id, the machine by width.)"""
+        session, now = self.session, self.session.now
+        releases = session.scheduler._releases.releases(now)
+        assert sorted(releases) == session.machine.predicted_releases(now)
 
     @invariant()
     def nobody_who_could_start_is_waiting(self):
@@ -410,9 +419,9 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     """What Hypothesis is free to find, this walk is sure to: one pass
     through the machine's own rules that puts a query behind a correction
     storm, an external completion ahead of the predicted end, a head held
-    by a drain (and a clock that moves under it), a scheduler a raising
-    ``predictor.on_finish`` left out of step, a restore, and an instant
-    fed in descending id order."""
+    by a drain (and a clock that moves under it), a raising
+    ``predictor.on_finish`` and the pass it leaves owed, a restore, and an
+    instant fed in descending id order."""
     walk = SessionMachine()
     walk.open_session("easy-sjbf", ("faulty-ave2", "incremental"))
 
@@ -421,6 +430,7 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
         walk.registry_is_current_and_the_machine_sound()
         walk.the_session_counts_the_waiting_jobs()
         walk.candidates_are_the_queue_in_backfill_order()
+        walk.the_release_table_is_the_machines()
         walk.nobody_who_could_start_is_waiting()
 
     session, scheduler = walk.session, walk.session.scheduler
@@ -445,19 +455,17 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     then(walk.query_around_a_quiet_advance, width=2, share=3)
     assert session.query(job_id=5).start_time == float("inf")
     # job 6 (backfilled when 4 left) ends alone in its instant and the predictor
-    # raises on it: no pass follows, the release table keeps a phantom
+    # raises on it: no pass follows, but the release table has already dropped it
     assert session.machine.is_running(6)
     then(walk.advance_to, gap=session.record(6).start_time + 29 - session.now)
     then(walk.step)
     assert session.predictor.failed == {6} and walk._owes_a_pass()
-    assert not scheduler._releases.in_sync_with(session.machine)
+    assert 6 not in scheduler._releases._by_job
     then(walk.query, pick=0, width=3)
-    then(walk.run_the_owed_pass)  # the held head's pass resyncs
-    assert scheduler._releases.in_sync_with(session.machine)
+    then(walk.run_the_owed_pass)
     then(walk.query, pick=0, width=3)
     then(walk.advance_to, gap=3000)  # job 3 raises too, and the retry runs its pass
     assert session.predictor.failed == {3, 6}
-    assert scheduler._releases.in_sync_with(session.machine)
     then(walk.query, pick=0, width=3)
     then(walk.feed_machine_event, gap=1, drain=False, share=4)
     assert not session.machine.drained and session.record(5).started
