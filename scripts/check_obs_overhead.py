@@ -16,8 +16,12 @@ public session call and every request handed its tally over, and reads
 10-26 since the registry reads the session's and the server's tallies
 where they are kept; the ceiling sits between.  On ``easy_wide`` it reads
 27-36 over seeds 1-5 since an EASY pass re-tests only the jobs its last
-scan did not refuse; the ceiling sits about ten points above the highest,
-as on ``corrections_narrow``.  Usage::
+scan did not refuse; the ceiling sat about ten points above the highest,
+as on ``corrections_narrow``.  Since a read derives the event-kind and
+start counts from the engine's state and folds the prediction errors, they
+read 18-28 (``corrections_narrow``) and 12-22 (``easy_wide``) over seeds
+1-5, and both ceilings sit about ten points above the highest; on
+``serve_closed_loop`` it reads 16-26, so that ceiling stays.  Usage::
 
     python scripts/check_obs_overhead.py layers-corrections_narrow.json
 """
@@ -28,7 +32,7 @@ import json
 import sys
 
 METRIC = "obs.enabled_overhead_pct"
-CEILINGS = {"corrections_narrow": 45.0, "easy_wide": 45.0, "serve_closed_loop": 28.0}
+CEILINGS = {"corrections_narrow": 37.0, "easy_wide": 32.0, "serve_closed_loop": 28.0}
 
 
 def main(path: str) -> int:

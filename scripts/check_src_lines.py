@@ -9,9 +9,10 @@ review sees it.
 import sys
 from pathlib import Path
 
-# -103: EASY and conservative share one base (release table, hooks, carried plan),
-# and the out-of-step resync path is gone
-CEILING = 14241
+# +40 (the budget it was given): a telemetry read derives the event-kind and start
+# counts and folds the prediction errors (a seqlock on session calls, a bulk
+# histogram fold), and each correction reaches the scheduler at its EXPIRE
+CEILING = 14281
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -28,7 +28,7 @@ import math
 import threading
 import time
 import weakref
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -85,6 +85,16 @@ class Histogram:
             self.max = value
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + n
+
+    def observe_many(self, values: list[float]) -> None:
+        """``observe`` each of ``values`` (at least one) in turn, a statistic at a time."""
+        total = self.total
+        for value in values:  # left to right: the sum keeps every bit of one by one
+            total += value
+        self.count, self.total = self.count + len(values), total
+        self.min, self.max = min(self.min, min(values)), max(self.max, max(values))
+        for index, n in Counter(map(bucket_index, values)).items():
+            self.buckets[index] = self.buckets.get(index, 0) + n
 
     @property
     def mean(self) -> float:

@@ -55,12 +55,11 @@ class Scheduler(ABC):
         Default: nothing (queue unaffected)."""
 
     def on_corrections(self, records: Sequence[JobRecord]) -> None:
-        """All corrections of one event timestamp, as a single batch.
+        """Running jobs whose predicted runtime was corrected.
 
-        The engine collects every EXPIRE-triggered correction of a
-        timestamp and delivers them together, *before* the scheduling
-        pass; a release table applies them at its next read, with the
-        moves of any instants before that no read saw.  Default: nothing.
+        The engine reports each EXPIRE-triggered correction at its
+        EXPIRE, before anything else of the instant can raise; a release
+        table applies the moves at its next read.  Default: nothing.
         """
 
     def on_machine_change(self, now: float, machine: Machine) -> None:

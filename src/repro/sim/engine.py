@@ -14,13 +14,10 @@ semantics (matching pyss and the paper's on-line setting):
   decision, in FINISH < EXPIRE < SUBMIT < MACHINE order;
 * one scheduling pass runs after each batch of events;
 * a running job whose *predicted* end passes without completion triggers
-  the correction mechanism, bumping its prediction version; stale expiry
+  the correction mechanism, bumping its prediction version, and the
+  scheduler hears of the correction at that EXPIRE
+  (:meth:`repro.sched.base.Scheduler.on_corrections`); stale expiry
   events are dropped;
-* corrections landing on the same timestamp (an EXPIRE *storm*, common
-  with aggressive predictors) are applied to the corrector per job but
-  reported to the scheduler as **one batch** per timestamp
-  (:meth:`repro.sched.base.Scheduler.on_corrections`), so incremental
-  availability structures re-sort/rebuild once instead of per job;
 * predictions are clamped to ``[min_prediction, requested_time]``; jobs
   reaching their requested time finish there (SWF semantics guarantee
   ``runtime <= requested_time``).

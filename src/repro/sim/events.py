@@ -117,6 +117,13 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap) + len(self._stream)
 
+    def pending_kinds(self) -> list[int]:
+        """Pending events per ``EventType``; safe beside a thread that pops."""
+        counts = [0, 0, len(self._stream), 0]  # the stream holds SUBMITs only
+        for entry in self._heap.copy():
+            counts[entry[1]] += 1
+        return counts
+
     @property
     def floor(self) -> float:
         """The monotonic time floor (largest timestamp ever popped)."""

@@ -17,8 +17,8 @@ the same jobs produce identical schedules:
   :mod:`repro.sim.events` for the full tie-breaking contract);
 * one scheduling pass runs after each batch of events;
 * a running job whose *predicted* end passes without completion triggers
-  the correction mechanism; corrections landing on one timestamp are
-  reported to the scheduler as one batch;
+  the correction mechanism, and the scheduler hears of each correction at
+  its EXPIRE;
 * predictions are clamped to ``[min_prediction, requested_time]``.
 
 Monotonic time
@@ -50,6 +50,7 @@ probe is fitted on the plan without being placed.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 from math import inf, isfinite
@@ -79,14 +80,14 @@ __all__ = [
 
 
 _FINISH, _EXPIRE, _SUBMIT, _MACHINE = EventType
-#: registry counters a session feeds, by slot of ``_Tally.counts`` (the
-#: first four are indexed by event kind), and the slots of the rest
-_COUNTERS = tuple(f"engine.events.{kind.name.lower()}" for kind in EventType) + (
-    "engine.time.predict.seconds", "engine.time.sched.seconds",
-    "engine.sched.jobs_started", "engine.sched.backfill_starts", "engine.sched.hold_passes",
-    "predict.finished", "predict.underestimates",
-)
-_PREDICT_S, _SCHED_S, _STARTED, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(4, 11)
+#: the counters a session's tally keeps, by slot of ``_Tally.counts``
+_COUNTERS = ("engine.time.predict.seconds", "engine.time.sched.seconds",
+             "engine.sched.backfill_starts", "engine.sched.hold_passes",
+             "predict.finished", "predict.underestimates")
+_PREDICT_S, _SCHED_S, _BACKFILLED, _HELD, _FINISHED, _UNDER = range(6)
+#: the counters a read derives from the session's own state
+_DERIVED = (*(f"engine.events.{kind}" for kind in ("submit", "finish", "machine", "expire")),
+            "engine.sched.jobs_started")
 _SAMPLE_STRIDE = 16  #: the ``engine.sched.<size>`` histograms sample passes 1 modulo this
 
 
@@ -162,39 +163,56 @@ class SessionSnapshot:
 
 
 class _Tally(Tally):
-    """What a session records over its life: counter slots, the error, sizes
-    per (histogram, value) -- nothing grows with the jobs processed.  The pass
-    count and the expire storms of one are read off ``EngineStats``."""
+    """What a session records over its life: counter slots, sizes per
+    (histogram, value), and 8 bytes per job finished since the last read
+    (its prediction error, folded into ``predict.*`` by the read).  Event
+    counts by kind and starts are derived when read, from the parts it holds
+    (the queue, the machine, the stats), never the session itself."""
 
-    __slots__ = ("stats", "counts", "samples", "abs_error", "corrections")
+    __slots__ = (
+        "stats", "events", "machine", "counts", "samples", "abs_error", "errors", "corrections",
+        "fed", "machine_events", "moving", "derived",
+    )
 
-    def __init__(self, stats: EngineStats) -> None:
+    def __init__(self, stats: EngineStats, events: EventQueue, machine: Machine) -> None:
         super().__init__()
-        self.stats = stats
+        self.stats, self.events, self.machine = stats, events, machine
         self.counts: list[float] = [0] * len(_COUNTERS)
         self.samples: dict[tuple[str, float], int] = {}
         self.abs_error = self.histograms["predict.abs_error.seconds"]
+        self.errors = array("d")  # initial prediction - runtime, per finish since the last read
         self.corrections = 0  # of ``stats.n_corrections``: those in storms of two and more
+        self.fed = self.machine_events = 0  # jobs fed, MACHINE events consumed
+        self.moving = 0  # odd while a session call runs: see ``report``
+        self.derived = (0,) * len(_DERIVED)  # as a read last derived them, at rest
 
     def sample(self, name: str, size: float) -> None:
         self.samples[name, size] = self.samples.get((name, size), 0) + 1
 
     def note_outcome(self, record: JobRecord, runtime: float) -> None:
-        """Online prediction-quality metrics, recorded as jobs finish."""
-        initial = record.initial_prediction
-        if not initial:
-            return  # never predicted by this session (no SUBMIT processed)
-        self.counts[_FINISHED] += 1
-        error = initial - runtime
-        if error < 0:
-            self.counts[_UNDER] += 1
-        self.abs_error.observe(abs(error))
+        initial = record.initial_prediction  # 0: never predicted here (no SUBMIT processed)
+        if initial:  # the error of a finished job, folded into ``predict.*`` when read
+            self.errors.append(initial - runtime)
 
     def report(self, counters, histograms) -> None:
+        errors, counts = self.errors, self.counts
+        if errors:  # the loop only appends: what is read here is ours to fold
+            fold = errors[:]
+            del errors[: len(fold)]
+            self.abs_error.observe_many(list(map(abs, fold)))  # in finish order
+            counts[_FINISHED] += len(fold)
+            counts[_UNDER] += sum(map((0.0).__gt__, fold))  # the errors below 0, counted in C
         super().report(counters, histograms)
-        stats = self.stats
-        slots = (*zip(_COUNTERS, self.counts), ("engine.sched.passes", stats.n_scheduling_passes))
-        for name, value in slots:
+        moving, stats = self.moving, self.stats
+        if not moving & 1:  # beside a running call, the counts derived at rest (a seqlock)
+            machine, pending = self.machine, self.events.pending_kinds()
+            started = len(machine._running) + machine.n_finished
+            submits, finishes = self.fed - pending[_SUBMIT], started - pending[_FINISH]
+            expires = stats.n_events - submits - finishes - self.machine_events
+            if self.moving == moving:
+                self.derived = (submits, finishes, self.machine_events, expires, started)
+        slots = (*zip(_COUNTERS, counts), *zip(_DERIVED, self.derived))
+        for name, value in (*slots, ("engine.sched.passes", stats.n_scheduling_passes)):
             if value:
                 counters[name] += value
         for (name, size), n in list(self.samples.items()):
@@ -232,16 +250,15 @@ class SimSession:
         self.min_prediction = float(min_prediction)
         self.trace_name = trace_name
         self.stats = EngineStats()
-        #: what the loop counts over the session's life (None when off)
-        self._tally: _Tally | None = None
-        if self.telemetry.enabled:
-            self._tally = _Tally(self.stats)
-            self.telemetry.attach(self._tally, self)
         self._machine = Machine(processors)
         self._events = EventQueue()
         self._records: dict[int, JobRecord] = {}
+        #: what the loop counts over the session's life (None when off)
+        self._tally: _Tally | None = None
+        if self.telemetry.enabled:
+            self._tally = _Tally(self.stats, self._events, self._machine)
+            self.telemetry.attach(self._tally, self)
         self._now = float(start_time)
-        self._corrected: list[JobRecord] = []
         self._pass_owed = False  # a fault took an instant's pass with it: the next call runs it
         self._n_waiting = 0  # jobs submitted and not started: ``scheduler.queue_length``
         #: MACHINE events by sequence id (the event's job_id field).
@@ -319,24 +336,32 @@ class SimSession:
         if isinstance(jobs, Job):
             jobs = (jobs,)
         count = 0
-        for job in jobs:
-            if not job.submit_time >= self._now:  # NaN is behind every clock
-                raise MonotonicityError(
-                    f"job {job.job_id} submitted at t={job.submit_time}, behind "
-                    f"the session clock t={self._now}"
-                )
-            if job.job_id in self._records:
-                raise ValueError(f"job {job.job_id} was already fed")
-            if job.processors > self._machine.processors:
-                raise ValueError(
-                    f"job {job.job_id} requests {job.processors} processors but "
-                    f"the machine only has {self._machine.processors}"
-                )
-            self._records[job.job_id] = JobRecord(job=job)
-            self._events.schedule(job.submit_time, _SUBMIT, job.job_id)
-            count += 1
-        if count:
-            self._query_cache = None
+        tally = self._tally
+        if tally is not None:
+            tally.moving += 1
+        try:
+            for job in jobs:
+                if not job.submit_time >= self._now:  # NaN is behind every clock
+                    raise MonotonicityError(
+                        f"job {job.job_id} submitted at t={job.submit_time}, behind "
+                        f"the session clock t={self._now}"
+                    )
+                if job.job_id in self._records:
+                    raise ValueError(f"job {job.job_id} was already fed")
+                if job.processors > self._machine.processors:
+                    raise ValueError(
+                        f"job {job.job_id} requests {job.processors} processors but "
+                        f"the machine only has {self._machine.processors}"
+                    )
+                self._records[job.job_id] = JobRecord(job=job)
+                self._events.schedule(job.submit_time, _SUBMIT, job.job_id)
+                count += 1
+        finally:
+            if tally is not None:
+                tally.fed += count
+                tally.moving += 1
+            if count:
+                self._query_cache = None
         return count
 
     def feed_machine_event(
@@ -369,10 +394,9 @@ class SimSession:
     def step(self) -> float | None:
         """Process the next pending timestamp completely; returns it.
 
-        One step = every event at the earliest pending instant, the
-        batched correction notification, and one scheduling pass --
-        exactly one iteration of the batch loop.  Returns None (having
-        run at most a pass it owed) when no events are pending.
+        One step = every event at the earliest pending instant and one
+        scheduling pass, one iteration of the batch loop.  Returns None
+        (having run at most a pass it owed) when no events are pending.
         """
         return self._now if self._process_timestamps(inf, 1) else None
 
@@ -471,16 +495,23 @@ class SimSession:
             )
         record.observed_runtime = max(time - record.start_time, 1e-9)
         record.version += 1  # pending EXPIRE events become stale
-        self._machine.finish(job_id, time)
-        self._pass_owed = True  # from here on, whatever raises before it runs
-        self.scheduler.on_finish(record)  # before the predictor, which may raise
-        t0 = perf_counter()
-        self.predictor.on_finish(record, time)
-        if self._tally is not None:
-            self._tally.counts[_PREDICT_S] += perf_counter() - t0
-            self._tally.note_outcome(record, record.observed_runtime)
-        self._pass_owed = False
-        self._schedule_pass(time)
+        tally = self._tally
+        if tally is not None:
+            tally.moving += 1
+        try:
+            self._machine.finish(job_id, time)
+            self._pass_owed = True  # from here on, whatever raises before it runs
+            self.scheduler.on_finish(record)  # before the predictor, which may raise
+            t0 = perf_counter()
+            self.predictor.on_finish(record, time)
+            if tally is not None:
+                tally.counts[_PREDICT_S] += perf_counter() - t0
+                tally.note_outcome(record, record.observed_runtime)
+            self._pass_owed = False
+            self._schedule_pass(time)
+        finally:
+            if tally is not None:
+                tally.moving += 1
         return record
 
     def observe_completion(self, job: Job, runtime: float) -> None:
@@ -517,7 +548,8 @@ class SimSession:
         """The event loop: first the pass a raising call still owes, then
         pending instants in time order, none later than ``until`` and at
         most ``limit`` of them; returns how many.  Per instant: its events
-        (one queue call), its corrections as one batch, one scheduling pass."""
+        (one queue call), each correction handed to the scheduler at its
+        EXPIRE, one scheduling pass."""
         events = self._events
         stats = self.stats
         tally = self._tally
@@ -526,150 +558,146 @@ class SimSession:
         scheduler = self.scheduler
         predictor = self.predictor
         corrector = self.corrector
-        corrected = self._corrected
         min_prediction = self.min_prediction
-        if self._pass_owed:
-            self._pass_owed = False
-            self._schedule_pass(self._now)
-        steps = 0
-        while steps < limit:
-            batch = events.pop_instant(until)
-            if not batch:
-                break
-            steps += 1
-            now = self._now = batch[0][0]
-            self._query_cache = None
-            stats.n_events += len(batch)
-            predict_s = 0.0
-            pending = iter(batch)
-            try:
-                for _, kind, _, job_id, version in pending:
-                    if kind is _EXPIRE:
-                        record = records[job_id]
-                        if version != record.version or record.end_time >= 0:
-                            continue  # stale: corrected since, or already finished
-                        if corrector is None:
-                            raise RuntimeError(
-                                f"job {job_id} under-predicted at t={now} but no "
-                                "correction mechanism is configured"
-                            )
-                        start = record.start_time
-                        # Contract enforcement: progress past the elapsed
-                        # time, capped by the requested time which
-                        # upper-bounds any feasible runtime.
-                        prediction = float(corrector.correct(record, now))
-                        if not isfinite(prediction):  # a NaN passes every comparison below
-                            raise ValueError(
-                                f"corrector {corrector.name!r} returned a non-finite "
-                                f"prediction for job {job_id}"
-                            )
-                        floor = now - start + 1.0
-                        if prediction < floor:
-                            prediction = floor
-                        runtime = record.observed_runtime or record.job.runtime
-                        if prediction >= record.requested_time:
-                            prediction = record.requested_time
-                            if prediction < runtime:  # it would expire at the cap forever
-                                raise ValueError(f"job {job_id} outlives its requested time")
-                        record.corrections += 1
-                        record.version = version + 1
-                        record.predicted_runtime = prediction
-                        corrected.append(record)
-                        if prediction < runtime:  # still too small: expire again
-                            events.schedule(start + prediction, _EXPIRE, job_id, version + 1)
-                    elif kind is _FINISH:
-                        record = records[job_id]
-                        if record.end_time >= 0:
-                            continue  # stale: the job was completed externally
-                        machine.finish(job_id, now)
-                        scheduler.on_finish(record)  # before the predictor, which may raise
-                        if tally is not None:
-                            t0 = perf_counter()
-                            predictor.on_finish(record, now)
-                            predict_s += perf_counter() - t0
-                            tally.note_outcome(record, record.runtime)
-                        else:
-                            predictor.on_finish(record, now)
-                    elif kind is _SUBMIT:
-                        record = records[job_id]
-                        if tally is not None:
-                            t0 = perf_counter()
-                            raw = float(predictor.predict(record, now))
-                            predict_s += perf_counter() - t0
-                        else:
-                            raw = float(predictor.predict(record, now))
-                        if not isfinite(raw):
-                            raise ValueError(
-                                f"predictor {predictor.name!r} returned a non-finite "
-                                f"prediction for job {job_id}"
-                            )
-                        record.raw_prediction = raw
-                        prediction = min_prediction if min_prediction > raw else raw
-                        if record.requested_time < prediction:  # min(max(raw, floor), cap)
-                            prediction = record.requested_time
-                        record.initial_prediction = record.predicted_runtime = prediction
-                        scheduler.on_submit(record)
-                        self._n_waiting += 1
-                    else:  # MACHINE
-                        change = self._machine_events.pop(job_id)
-                        if change.kind == "drain":
-                            machine.drain(change.processors)
-                        else:
-                            machine.restore(change.processors)
-                        scheduler.on_machine_change(now, machine)
-            except BaseException:
-                # only the failing event is consumed; the rest of the
-                # instant stays pending, as if popped one event at a time
-                rest = list(pending)
-                for time, kind, _, job_id, version in rest:
-                    events.schedule(time, kind, job_id, version)
-                stats.n_events -= len(rest)
-                del batch[len(batch) - len(rest) :]
-                self._pass_owed = not rest  # the instant is over: its pass is owed
-                raise
-            finally:
-                if tally is not None:  # what the instant consumed, failed or not
-                    counts = tally.counts
-                    for entry in batch:
-                        counts[entry[1]] += 1
-                    counts[_PREDICT_S] += predict_s
-            if self._n_waiting > stats.max_queue_length:  # the queue grows in the events only
-                stats.max_queue_length = self._n_waiting
-            self._schedule_pass(now)
-        return steps
+        predict_s = 0.0
+        if tally is not None:
+            tally.moving += 1  # odd until the call returns: see ``_Tally.report``
+        try:
+            if self._pass_owed:
+                self._pass_owed = False
+                self._schedule_pass(self._now)
+            steps = 0
+            while steps < limit:
+                batch = events.pop_instant(until)
+                if not batch:
+                    break
+                steps += 1
+                now = self._now = batch[0][0]
+                self._query_cache = None
+                stats.n_events += len(batch)
+                n_corrected = 0
+                pending = iter(batch)
+                try:
+                    for _, kind, _, job_id, version in pending:
+                        if kind is _EXPIRE:
+                            record = records[job_id]
+                            if version != record.version or record.end_time >= 0:
+                                continue  # stale: corrected since, or already finished
+                            if corrector is None:
+                                raise RuntimeError(
+                                    f"job {job_id} under-predicted at t={now} but no "
+                                    "correction mechanism is configured"
+                                )
+                            start = record.start_time
+                            # Contract enforcement: progress past the elapsed
+                            # time, capped by the requested time which
+                            # upper-bounds any feasible runtime.
+                            prediction = float(corrector.correct(record, now))
+                            if not isfinite(prediction):  # a NaN passes every comparison below
+                                raise ValueError(
+                                    f"corrector {corrector.name!r} returned a non-finite "
+                                    f"prediction for job {job_id}"
+                                )
+                            floor = now - start + 1.0
+                            if prediction < floor:
+                                prediction = floor
+                            runtime = record.observed_runtime or record.job.runtime
+                            if prediction >= record.requested_time:
+                                prediction = record.requested_time
+                                if prediction < runtime:  # it would expire at the cap forever
+                                    raise ValueError(f"job {job_id} outlives its requested time")
+                            record.corrections += 1
+                            record.version = version + 1
+                            record.predicted_runtime = prediction
+                            stats.n_corrections += 1
+                            n_corrected += 1
+                            scheduler.on_corrections((record,))
+                            if prediction < runtime:  # still too small: expire again
+                                events.schedule(start + prediction, _EXPIRE, job_id, version + 1)
+                        elif kind is _FINISH:
+                            record = records[job_id]
+                            if record.end_time >= 0:
+                                continue  # stale: the job was completed externally
+                            machine.finish(job_id, now)
+                            scheduler.on_finish(record)  # before the predictor, which may raise
+                            if tally is not None:
+                                t0 = perf_counter()
+                                predictor.on_finish(record, now)
+                                predict_s += perf_counter() - t0
+                                tally.note_outcome(record, record.runtime)
+                            else:
+                                predictor.on_finish(record, now)
+                        elif kind is _SUBMIT:
+                            record = records[job_id]
+                            if tally is not None:
+                                t0 = perf_counter()
+                                raw = float(predictor.predict(record, now))
+                                predict_s += perf_counter() - t0
+                            else:
+                                raw = float(predictor.predict(record, now))
+                            if not isfinite(raw):
+                                raise ValueError(
+                                    f"predictor {predictor.name!r} returned a non-finite "
+                                    f"prediction for job {job_id}"
+                                )
+                            record.raw_prediction = raw
+                            prediction = min_prediction if min_prediction > raw else raw
+                            if record.requested_time < prediction:  # min(max(raw, floor), cap)
+                                prediction = record.requested_time
+                            record.initial_prediction = record.predicted_runtime = prediction
+                            scheduler.on_submit(record)
+                            self._n_waiting += 1
+                        else:  # MACHINE
+                            change = self._machine_events.pop(job_id)
+                            if tally is not None:
+                                tally.machine_events += 1
+                            if change.kind == "drain":
+                                machine.drain(change.processors)
+                            else:
+                                machine.restore(change.processors)
+                            scheduler.on_machine_change(now, machine)
+                except BaseException:
+                    # only the failing event is consumed; the rest of the
+                    # instant stays pending, as if popped one event at a time
+                    rest = list(pending)
+                    for time, kind, _, job_id, version in rest:
+                        events.schedule(time, kind, job_id, version)
+                    stats.n_events -= len(rest)
+                    self._pass_owed = not rest  # the instant is over: its pass is owed
+                    raise
+                finally:  # the storms of one are what a read finds unaccounted
+                    if n_corrected > 1 and tally is not None:
+                        tally.sample("engine.expire_storm.size", n_corrected)
+                        tally.corrections += n_corrected
+                if self._n_waiting > stats.max_queue_length:  # the queue grows in the events only
+                    stats.max_queue_length = self._n_waiting
+                self._schedule_pass(now)
+            return steps
+        finally:
+            if tally is not None:
+                tally.counts[_PREDICT_S] += predict_s
+                tally.moving += 1
 
     def _schedule_pass(self, now: float) -> None:
-        """Close an instant: its corrections go to the scheduler as one
-        batch, then one scheduling pass runs and what it selected starts."""
+        """Close an instant: one scheduling pass runs, and what it selected
+        starts, every job on the machine with its events pending."""
         stats = self.stats
         stats.n_scheduling_passes += 1
         scheduler = self.scheduler
         machine = self._machine
-        n_corrected = len(self._corrected)
-        if n_corrected:
-            # one scheduler notification per timestamp: a correction
-            # storm costs one structure re-sort/rebuild, not one per job
-            stats.n_corrections += n_corrected
-            scheduler.on_corrections(self._corrected)
-            self._corrected.clear()
-        if self._tally is None:
+        tally = self._tally
+        if tally is None:
             started = scheduler.select_jobs(now, machine)
         else:
-            tally = self._tally
-            counts = tally.counts
-            if n_corrected > 1:  # the storms of one are what a read finds unaccounted
-                tally.sample("engine.expire_storm.size", n_corrected)
-                tally.corrections += n_corrected
             t0 = perf_counter()
             started = scheduler.select_jobs(now, machine)
+            counts = tally.counts
             counts[_SCHED_S] += perf_counter() - t0
-            if started:
-                counts[_STARTED] += len(started)
-                if self._n_waiting > len(started):
-                    # jobs left waiting: a head was held, the starts past it were backfills
-                    # (an upper bound: phase-1 FCFS starts ahead of a later hold count too)
-                    counts[_BACKFILLED] += len(started)
-            elif self._n_waiting:
+            if started and self._n_waiting > len(started):
+                # jobs left waiting: a head was held, the starts past it were backfills
+                # (an upper bound: phase-1 FCFS starts ahead of a later hold count too)
+                counts[_BACKFILLED] += len(started)
+            elif not started and self._n_waiting:
                 counts[_HELD] += 1
             if stats.n_scheduling_passes % _SAMPLE_STRIDE == 1:
                 tally.sample("engine.sched.queue_length", self._n_waiting)
@@ -681,10 +709,9 @@ class SimSession:
             for record in started:
                 machine.start(record, now)
                 scheduler.on_start(record, now)
-                self.predictor.on_start(record, now)
                 runtime = record.observed_runtime or record.job.runtime  # an observed one is > 0
                 schedule(now + runtime, _FINISH, record.job_id)
                 if record.predicted_runtime < runtime:  # will expire before it ends
-                    schedule(
-                        now + record.predicted_runtime, _EXPIRE, record.job_id, record.version
-                    )
+                    schedule(now + record.predicted_runtime, _EXPIRE, record.job_id, record.version)
+            for record in started:  # once every job runs: a raising hook loses none of them
+                self.predictor.on_start(record, now)

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import gc
 import json
-from math import ceil
+import sys
+import threading
+import time
+from collections import Counter
+from itertools import groupby
+from math import ceil, inf
 
 import pytest
 
@@ -20,6 +25,7 @@ from repro.obs import Histogram, Telemetry
 from repro.correct import make_corrector
 from repro.predict import RecentAveragePredictor, RequestedTimePredictor, make_predictor
 from repro.sched import make_scheduler
+from repro.sim import EventType
 from repro.sim.session import _SAMPLE_STRIDE, SimSession
 from repro.spec import CellSpec
 
@@ -290,18 +296,20 @@ class TestExpireStorms:
     only the storms of two jobs and more: the storms of one are what is
     left of ``stats.n_corrections`` at the fold."""
 
-    #: as the parent commit recorded it, one sample per pass with corrections
+    #: one sample per instant with corrections (a batch per pass recorded the same)
     PIN = (14, 50, 1, 12, {0: 8, 2: 2, 3: 2, 4: 2})
 
     def test_a_storm_heavy_trace_keeps_the_per_pass_series(self):
         tele = Telemetry(component="test")
         session = _storm_session(tele)
-        sizes = []
+        instants = []  # the clock at each correction: one notification per EXPIRE
         notify = session.scheduler.on_corrections
         session.scheduler.on_corrections = lambda records: (
-            sizes.append(len(records)), notify(records)
+            instants.extend([session.now] * len(records)), notify(records)
         )
         session.drain()
+        sizes = [len(list(group)) for _, group in groupby(instants)]
+        assert len(instants) == session.stats.n_corrections
         assert sizes == [12, 1, 1, 12, 1, 1, 7, 1, 1, 5, 1, 3, 3, 1]
         want = Histogram()
         for size in sizes:
@@ -328,10 +336,11 @@ class TestExpireStorms:
             assert _storms(tele) == self.PIN, drive
 
     @pytest.mark.parametrize("late", [2, 1])
-    def test_a_fault_in_the_last_event_of_the_instant_owes_the_storm_too(self, late):
-        """The instant's corrections wait with its pass (PR 21): the call
-        that raised folds no storm, the call that runs the owed pass does
-        -- a storm of two from the loop's tally, a storm of one derived."""
+    def test_a_fault_in_the_last_event_of_the_instant_keeps_the_storm(self, late):
+        """The instant's corrections reached the scheduler at their EXPIREs,
+        before the fault: the call that raised counts the storm -- of two
+        and more from the loop's tally, of one derived -- and the call that
+        runs the owed pass adds none."""
 
         class Flaky(RecentAveragePredictor):
             def predict(self, record, now):
@@ -347,12 +356,12 @@ class TestExpireStorms:
         corrections = session.stats.n_corrections
         with pytest.raises(ValueError, match="non-finite"):
             session.advance_to(at)
-        assert session._pass_owed and len(session._corrected) == owed
-        assert _storms(tele) == before and session.stats.n_corrections == corrections
-        session.advance_to(at)  # nothing pending at ``at``: the owed pass
-        count, total, *_ = _storms(tele)
+        assert session._pass_owed
+        count, total, *_ = after = _storms(tele)
         assert count == before[0] + 1
         assert total == session.stats.n_corrections == corrections + owed
+        session.advance_to(at)  # nothing pending at ``at``: the owed pass
+        assert _storms(tele) == after
         session.drain()
         assert _storms(tele) == self.PIN
 
@@ -536,21 +545,185 @@ class TestRegistryIsCurrent:
         assert tele.counter_value("engine.time.sched.seconds") == 2.0
 
 
+def _count_consumed(session: SimSession):
+    """Count, eagerly, the kinds of the events the loop consumed: every
+    ``pop_instant`` batch, less what a fault put back (the rest of its
+    instant, scheduled again exactly as it was popped).  Returns a function
+    reading the counts as the registry names them, with the jobs started."""
+    events = session._events
+    pop, schedule = events.pop_instant, events.schedule
+    batches: list[list] = []
+    requeued: Counter = Counter()
+
+    def popped(until=inf):
+        batches.append(pop(until))
+        return batches[-1]
+
+    def scheduled(time, kind, job_id, version=0):
+        if batches and (time, kind, job_id, version) in {
+            (entry[0], entry[1], entry[3], entry[4]) for entry in batches[-1]
+        }:
+            requeued[kind.name.lower()] += 1
+        schedule(time, kind, job_id, version)
+
+    events.pop_instant, events.schedule = popped, scheduled
+
+    def counts() -> dict[str, float]:
+        kinds = Counter(entry[1].name.lower() for batch in batches for entry in batch)
+        kinds.subtract(requeued)
+        counts = {f"engine.events.{kind}": float(n) for kind, n in kinds.items() if n}
+        started = sum(session.record(job_id).started for job_id in session._records)
+        if started:
+            counts["engine.sched.jobs_started"] = float(started)
+        return counts
+
+    return counts
+
+
+def _derived(tele: Telemetry) -> dict[str, float]:
+    counters = tele.snapshot()["counters"]
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.startswith("engine.events.") or name == "engine.sched.jobs_started"
+    }
+
+
+class TestDerivedCounts:
+    """The event-kind and start counters are derived from the queue, the
+    machine and the stats when read; every read, mid-run too, equals what
+    counting each consumed event as it was popped gives."""
+
+    def test_a_read_mid_run_counts_what_was_consumed(self):
+        class Flaky(RecentAveragePredictor):
+            def predict(self, record, now):
+                return float("nan") if record.job_id == 99 else super().predict(record, now)
+
+        tele = Telemetry(component="test")
+        session = SimSession(
+            8, make_scheduler("easy-sjbf"), Flaky(k=2), make_corrector("incremental"),
+            telemetry=tele,
+        )
+        counts = _count_consumed(session)
+        # user 1's jobs ran 10 s: AVE2 predicts 60 s for the 500 s ones, which expire
+        session.feed([make_job(job_id=i, submit_time=0.0, runtime=10.0) for i in (1, 2)])
+        session.feed(
+            make_job(job_id=i, submit_time=100.0 * i, runtime=500.0, processors=3)
+            for i in range(3, 9)
+        )
+        session.advance_to(350.0)
+        stream = session._events._stream
+        assert len(stream) == 5 and _derived(tele) == counts()  # SUBMITs waiting in the stream
+        session.feed(make_job(job_id=20, submit_time=360.0, runtime=30.0))  # behind the stream
+        assert session._events.pending_kinds()[EventType.SUBMIT] == len(stream) + 1
+        session.advance_to(355.0)
+        assert _derived(tele) == counts()  # ... and one on the heap
+        running = sorted(run.record.job_id for run in session.machine.running)
+        session.complete(running[0], time=356.0)  # its FINISH, at 800, is stale
+        assert _derived(tele) == counts()
+        session.feed_machine_event(time=400.0, kind="drain", processors=1)
+        session.feed_machine_event(time=450.0, kind="restore", processors=1)
+        session.advance_to(450.0)
+        assert counts()["engine.events.machine"] == 2.0
+        assert _derived(tele) == counts()
+        session.feed(make_job(job_id=i, submit_time=500.0) for i in (99, 21))
+        with pytest.raises(ValueError, match="non-finite"):
+            session.advance_to(500.0)  # 99's SUBMIT is consumed, its job lost; 21's put back
+        assert session._events.pending_kinds()[EventType.SUBMIT] == 1 + len(stream)
+        assert _derived(tele) == counts()
+        session.drain()  # the stale FINISH pops here
+        assert _derived(tele) == counts()
+        assert counts()["engine.events.expire"] > 0
+        # job 3's stale FINISH is one of them; job 99 never ran
+        assert counts()["engine.events.finish"] == session.machine.n_finished
+        assert sum(v for k, v in counts().items() if k.startswith("engine.events.")) == (
+            session.stats.n_events
+        )
+
+    def test_a_read_inside_a_call_reports_the_counts_at_rest(self):
+        """A read made while a session call runs (here from inside the
+        predictor, on the loop's own thread) reports the derived counts as
+        they were before the call, never a state the call is half through."""
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf"), tele)
+        inside: list[dict[str, float]] = []
+        predict = session.predictor.predict
+
+        def reading(record, now):
+            inside.append(_derived(tele))
+            return predict(record, now)
+
+        session.predictor.predict = reading
+        calls = 0
+        while session.n_pending_events:
+            before, n = _derived(tele), len(inside)
+            session.advance_to(session.now + 3600.0)
+            assert inside[n:] == [before] * (len(inside) - n)
+            calls += len(inside) > n
+        assert calls > 5 and len(inside) == 120
+
+    def test_reads_beside_a_running_loop_never_raise_and_end_exact(self):
+        """The loop runs on one thread, reads on three others: a read beside
+        a session call reports the counts derived when the session was last
+        at rest, so each reader's reads only grow; the last read is exact."""
+        tele = Telemetry(component="test")
+        session = _fed_session(_spec("ave2|incremental|easy-sjbf", n_jobs=400), tele)
+        counts = _count_consumed(session)
+        reads: list[list[dict[str, float]]] = [[], [], []]
+        failures: list[BaseException] = []
+        done = threading.Event()
+
+        def reader(mine: list[dict[str, float]]) -> None:
+            try:
+                while not done.is_set():
+                    mine.append(_derived(tele))
+            except BaseException as exc:  # pragma: no cover - the failure itself
+                failures.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(mine,)) for mine in reads]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            while not all(reads) and all(thread.is_alive() for thread in threads):
+                time.sleep(1e-3)  # every reader has read once before the loop starts
+            while session.n_pending_events:  # calls of an hour of session time each
+                session.advance_to(session.now + 3600.0)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not failures and not any(thread.is_alive() for thread in threads)
+        final = _derived(tele)
+        assert final == counts()
+        assert sum(map(len, reads)) > 10
+        for mine in reads:
+            for before, after in zip([{}, *mine], [*mine, final]):
+                for name, value in after.items():
+                    assert before.get(name, 0) <= value <= final[name], name
+
+
 class TestTallyIsBounded:
-    def test_one_drain_of_3000_jobs_never_holds_a_per_job_container(self):
+    def test_one_drain_of_3000_jobs_holds_8_bytes_a_job_until_read(self):
         """What a session keeps for its whole life is bounded by the
-        machine and the queue, not by how many jobs it processed."""
+        machine and the queue, not by how many jobs it processed; between
+        reads it holds one float per finished job, which the read folds."""
         tele = Telemetry(component="test")
         session = _fed_session(_spec("ave2|incremental|easy-sjbf", n_jobs=3000), tele)
         session.drain()
-        assert tele.counter_value("predict.finished") == 3000
         tally = session._tally
         assert tele._tallies == [tally]  # attached once, at construction
+        assert len(tally.errors) == 3000 and tally.errors.itemsize == 8
+        assert tally.abs_error.count == 0
+        assert tele.counter_value("predict.finished") == 3000
+        assert len(tally.errors) == 0 and tally.abs_error.count == 3000
         n_buckets = len(tally.abs_error.buckets)
         bound = session.stats.max_queue_length + session.machine.processors + n_buckets
         assert bound < 3000 // 4
-        assert 0 < len(tally.samples) <= bound and len(tally.counts) == 11
-        assert tally.abs_error.count == 3000  # a read folds nothing out of the tally
+        assert 0 < len(tally.samples) <= bound and len(tally.counts) == 6
+        assert tele.counter_value("predict.finished") == 3000  # a second read folds nothing new
 
     def test_dropped_sessions_retire_into_the_registry(self):
         """500 sessions built and dropped on one registry: the registry

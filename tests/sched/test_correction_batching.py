@@ -1,5 +1,6 @@
-"""Batched correction storms: one release-table re-sort per timestamp
-must be *exactly* equivalent to the per-job delta feed."""
+"""Correction storms: the engine reports each correction at its EXPIRE,
+and a release table fed the same moves as one batch per timestamp (or
+through ``move_many``) must end *exactly* where the per-job feed does."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.correct import IncrementalCorrector
+from repro.obs import Telemetry
 from repro.predict import RecentAveragePredictor
 from repro.sched import make_scheduler
 from repro.sched.profile_structure import ReleaseTable
@@ -113,23 +115,25 @@ def schedule_of(result):
 class TestEngineStormBatching:
     @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
     def test_storms_occur_and_match_legacy(self, scheduler):
-        """The trace provokes real multi-correction timestamps AND the
-        batched incremental path still matches the per-pass-rescan seed
-        oracle job for job."""
+        """The trace provokes real multi-correction timestamps, each
+        correction reaches the scheduler alone, AND the incremental path
+        still matches the per-pass-rescan seed oracle job for job."""
         trace = storm_trace()
         sched = make_scheduler(scheduler)
-        storms = []
+        notified = []
         original = sched.on_corrections
 
         def spy(records):
-            storms.append(len(records))
+            notified.append(len(records))
             return original(records)
 
         sched.on_corrections = spy
+        tele = Telemetry(component="test")
         new = simulate(
-            trace, sched, RecentAveragePredictor(2), IncrementalCorrector()
+            trace, sched, RecentAveragePredictor(2), IncrementalCorrector(), telemetry=tele
         )
-        assert max(storms) > 1, "trace failed to provoke a storm"
+        assert tele.histogram("engine.expire_storm.size").max > 1, "trace failed to provoke a storm"
+        assert set(notified) == {1} and len(notified) == new.total_corrections()
         old = simulate(
             trace,
             make_scheduler(f"legacy-{scheduler}"),
@@ -140,21 +144,33 @@ class TestEngineStormBatching:
 
     @pytest.mark.parametrize("scheduler", ["easy-sjbf", "conservative"])
     def test_batched_matches_perjob_fanout(self, scheduler):
-        """Delivering each correction as its own one-record batch must not
-        change the schedule either -- batching is pure mechanics."""
+        """Holding an instant's corrections back and delivering them as one
+        batch just before its pass (how they were once delivered) must not
+        change the schedule: the table applies moves at its next read."""
         trace = storm_trace(waves=3)
-        batched = simulate(
+        perjob = simulate(
             trace, make_scheduler(scheduler),
             RecentAveragePredictor(2), IncrementalCorrector(),
         )
         sched = make_scheduler(scheduler)
+        held = []
+        batches = []
+        notify, select = sched.on_corrections, sched.select_jobs
 
-        def one_at_a_time(records, batch=sched.on_corrections):
-            for record in records:
-                batch([record])
+        def hold(records):
+            held.extend(records)
 
-        sched.on_corrections = one_at_a_time
-        perjob = simulate(
+        def flush_then_select(now, machine):
+            if held:
+                batches.append(len(held))
+                notify(list(held))
+                held.clear()
+            return select(now, machine)
+
+        sched.on_corrections = hold
+        sched.select_jobs = flush_then_select
+        batched = simulate(
             trace, sched, RecentAveragePredictor(2), IncrementalCorrector()
         )
+        assert max(batches) > 1
         assert schedule_of(batched) == schedule_of(perjob)

@@ -571,8 +571,8 @@ class _Spy:
 
 class TestOneInstant:
     """The flat loop: a whole timestamp per queue call, dispatched in
-    FINISH < EXPIRE < SUBMIT < MACHINE order, then one batched correction
-    notification and one scheduling pass."""
+    FINISH < EXPIRE < SUBMIT < MACHINE order, each correction reported to
+    the scheduler at its EXPIRE, then one scheduling pass."""
 
     def test_all_four_kinds_in_order_one_batch_one_pass(self):
         spy = _Spy({1: 100.0, 2: 100.0, 3: 100.0, 4: 60.0})
@@ -593,10 +593,10 @@ class TestOneInstant:
         assert session.step() == 100.0
         assert spy.log == [
             "on_finish 1", "learn 1",          # FINISH: the scheduler first
-            "correct 2", "correct 3",          # EXPIRE, insertion order
+            "correct 2", "on_corrections [2]",  # EXPIRE, insertion order, each
+            "correct 3", "on_corrections [3]",  # reported as it lands
             "predict 4", "on_submit 4",        # SUBMIT
             "on_machine_change",               # MACHINE
-            "on_corrections [2, 3]",           # one batch for the instant
             "select_jobs",                     # one pass for the instant
         ]
         assert session.stats.n_scheduling_passes == before + 1
@@ -797,6 +797,81 @@ class TestOwedPass:
         assert session.advance_to(10.0) == 1
         assert session.stats.n_scheduling_passes == passes + 1
         assert session.record(2).start_time == 10.0
+
+
+class _Fixed(Predictor):
+    """A fixed prediction per job id."""
+
+    name = "fixed"
+
+    def __init__(self, predictions: dict[int, float]) -> None:
+        self.predictions = predictions
+
+    def predict(self, record, now):
+        return self.predictions[record.job_id]
+
+
+class TestACorrectionReachesTheSchedulerAtItsExpire:
+    """Job 1 (6 of 8 processors) is predicted to end at 100; ``incremental``
+    corrects it at 100 to 160, and a drain of 20 processors in the same
+    instant raises, so the instant's pass is owed.  A query in between must
+    already plan on 160: the scheduler heard of the correction at its
+    EXPIRE, not at the pass the fault took with it."""
+
+    @pytest.mark.parametrize("scheduler", ["easy-sjbf", "conservative"])
+    def test_a_query_after_a_fault_in_the_instant_plans_on_the_correction(self, scheduler):
+        session = SimSession(
+            8, make_scheduler(scheduler), _Fixed({1: 100.0, 2: 100.0}), IncrementalCorrector()
+        )
+        session.feed(make_job(job_id=1, runtime=300.0, processors=6, requested_time=1000.0))
+        session.feed(make_job(job_id=2, submit_time=10.0, runtime=50.0, processors=8))
+        session.feed_machine_event(time=100.0, kind="drain", processors=20)
+        with pytest.raises(ValueError, match="cannot drain 20 processors"):
+            session.advance_to(100.0)
+        assert session.machine.predicted_releases(100.0) == [(160.0, 6)]
+        assert session.query(job_id=2).start_time >= 160.0
+        assert session._pass_owed and session.stats.n_corrections == 1
+
+
+class _FailsToStartJob1(_Fixed):
+    """Its ``on_start`` raises the first time it is handed job 1."""
+
+    def __init__(self, predictions: dict[int, float]) -> None:
+        super().__init__(predictions)
+        self.started: list[int] = []
+
+    def on_start(self, record, now):
+        if record.job_id == 1 and not self.started.count(-1):
+            self.started.append(-1)
+            raise OSError("model store unreachable")
+        self.started.append(record.job_id)
+
+
+class TestAFaultInOnStart:
+    """A pass selects three 2-wide jobs on 8 processors and the predictor's
+    ``on_start`` raises on the first: every selected job is already on the
+    machine with its FINISH (and its EXPIRE, when due) pending, and the
+    fault ends the call there, like any other."""
+
+    @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
+    def test_every_selected_job_runs_and_ends(self, scheduler):
+        predictor = _FailsToStartJob1({1: 60.0, 2: 100.0, 3: 100.0})
+        session = SimSession(8, make_scheduler(scheduler), predictor, IncrementalCorrector())
+        session.feed(
+            make_job(job_id=i, runtime=100.0, processors=2, requested_time=100.0) for i in (1, 2, 3)
+        )
+        with pytest.raises(OSError, match="unreachable"):
+            session.advance_to(0.0)
+        assert [session.machine.is_running(i) for i in (1, 2, 3)] == [True] * 3
+        assert session.machine.free == 2 and not session.scheduler.queue
+        assert session._n_waiting == 0 and not session._pass_owed
+        assert predictor.started == [-1]
+        assert session.n_pending_events == 4  # three FINISHes, and job 1 expires at 60
+        assert session.drain() == 2
+        assert session.machine.free == 8
+        assert [(r.job_id, r.end_time, r.corrections) for r in session.result()] == [
+            (1, 100.0, 1), (2, 100.0, 0), (3, 100.0, 0)
+        ]
 
 
 class TestEngineStatsPins:

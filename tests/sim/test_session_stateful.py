@@ -58,6 +58,7 @@ from repro.sim import SimSession, simulate
 from repro.workload import Trace
 
 from tests.helpers import guard_backfill, make_job
+from tests.obs.test_instrumentation import _count_consumed
 from tests.sched.test_plan_reuse import assert_prefix_plan, assert_queries_exact
 
 PROCESSORS = 16
@@ -86,20 +87,33 @@ class InjectedFault(OSError):
     pass
 
 
+class StartFault(InjectedFault):
+    """Raised by ``on_start``: the pass has run, and nothing is owed."""
+
+
 class FaultyAve2(RecentAveragePredictor):
     """AVE2 whose ``on_finish`` raises, before it learns anything, the
     first time it is handed every third job: the machine has then
-    finished a job the scheduler was never told about."""
+    finished a job the scheduler was never told about.  Its ``on_start``
+    raises the first time it is handed a job numbered 2 modulo 4: the
+    other jobs of that pass must still start."""
 
     def __init__(self) -> None:
         super().__init__(k=2)
         self.failed: set[int] = set()
+        self.failed_start: set[int] = set()
 
     def on_finish(self, record, now):
         if record.job_id % 3 == 0 and record.job_id not in self.failed:
             self.failed.add(record.job_id)
             raise InjectedFault(f"model store unreachable for job {record.job_id}")
         super().on_finish(record, now)
+
+    def on_start(self, record, now):
+        if record.job_id % 4 == 2 and record.job_id not in self.failed_start:
+            self.failed_start.add(record.job_id)
+            raise StartFault(f"model store unreachable for job {record.job_id}")
+        super().on_start(record, now)
 
 
 def riding_out_faults(call):
@@ -145,6 +159,7 @@ class SessionMachine(RuleBasedStateMachine):
         self.predictor, self.corrector = components
         self.telemetry = Telemetry(component="live")
         self.session = self._session(scheduler, self.telemetry)
+        self.consumed = _count_consumed(self.session)
         if isinstance(self.session.scheduler, EasyScheduler):
             guard_backfill(self.session.scheduler)
         self.jobs: list = []  # in feed order
@@ -214,10 +229,11 @@ class SessionMachine(RuleBasedStateMachine):
             # (an owed pass may start a job, whose FINISH is then the step)
             assert (self.session.step() is None) == (pending == 0) or not self.settled
             self.settled = True
-        except InjectedFault:
+        except InjectedFault as fault:
             # the failing FINISH is consumed: the rest of its instant is
             # pending or, if it was the last of it, the instant's pass owed
-            self.settled = False
+            # (a failing ``on_start`` comes after the pass: nothing is owed)
+            self.settled = isinstance(fault, StartFault)
 
     def _owes_a_pass(self) -> bool:
         """The ``step`` that raised consumed the last event of its instant."""
@@ -230,8 +246,8 @@ class SessionMachine(RuleBasedStateMachine):
         took with it -- the first such call, and only that one."""
         session = self.session
         passes = session.stats.n_scheduling_passes
-        for _ in range(2):
-            assert session.advance_to(session.now) == 0
+        for _ in range(2):  # (a job the pass starts may fail ``on_start``: the pass ran)
+            assert riding_out_faults(lambda: session.advance_to(session.now)) == 0
             assert session.stats.n_scheduling_passes == passes + 1
         self.settled = True
 
@@ -267,7 +283,7 @@ class SessionMachine(RuleBasedStateMachine):
         event = self.session.feed_machine_event(
             kind="drain" if drain else "restore", processors=min(share, room)
         )
-        self.session.advance_to(event.time)
+        self._riding_out_faults(lambda: self.session.advance_to(event.time))
         self.machine_events.append(event)
 
     @rule(pick=st.integers(min_value=0), width=st.integers(min_value=1, max_value=PROCESSORS))
@@ -303,12 +319,18 @@ class SessionMachine(RuleBasedStateMachine):
     # -- invariants ----------------------------------------------------------
     @invariant()
     def registry_is_current_and_the_machine_sound(self):
+        """The registry derives the event-kind and start counts from the
+        session's state when read: they equal the kinds of what the loop
+        popped and consumed, counted one by one, also past a fault."""
         session, telemetry = self.session, self.telemetry
         counters = telemetry.snapshot()["counters"]
         assert counters.get("engine.sched.passes", 0) == session.stats.n_scheduling_passes
-        assert session.stats.n_events == sum(
-            n for name, n in counters.items() if name.startswith("engine.events.")
-        )
+        derived = {
+            name: n
+            for name, n in counters.items()
+            if name.startswith("engine.events.") or name == "engine.sched.jobs_started"
+        }
+        assert derived == self.consumed()
         assert session.now >= self.last_now
         self.last_now = session.now
         session.machine.check_invariants()
@@ -420,8 +442,9 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     through the machine's own rules that puts a query behind a correction
     storm, an external completion ahead of the predicted end, a head held
     by a drain (and a clock that moves under it), a raising
-    ``predictor.on_finish`` and the pass it leaves owed, a restore, and an
-    instant fed in descending id order."""
+    ``predictor.on_finish`` and the pass it leaves owed, raising
+    ``predictor.on_start`` calls, a restore, and an instant fed in
+    descending id order."""
     walk = SessionMachine()
     walk.open_session("easy-sjbf", ("faulty-ave2", "incremental"))
 
@@ -475,4 +498,5 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     then(walk.query_around_a_quiet_advance, width=8, share=10)
     storms = walk.telemetry.snapshot()["histograms"]["engine.expire_storm.size"]
     assert storms["max"] >= 2
+    assert session.predictor.failed_start == {2, 6}  # each ``on_start`` raised once
     walk.teardown()
