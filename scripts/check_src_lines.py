@@ -9,10 +9,9 @@ review sees it.
 import sys
 from pathlib import Path
 
-# +40 (the budget it was given): a telemetry read derives the event-kind and start
-# counts and folds the prediction errors (a seqlock on session calls, a bulk
-# histogram fold), and each correction reaches the scheduler at its EXPIRE
-CEILING = 14281
+# -15: the machine keeps its running jobs' release table, so the schedulers' copy,
+# ``Scheduler.on_start`` and the ``RunningJob`` view went
+CEILING = 14266
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

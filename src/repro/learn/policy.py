@@ -30,6 +30,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..sched.easy import EasyScheduler
+from ..sim.machine import Machine
 from ..sim.results import JobRecord
 from .checkpoint import CheckpointError, PolicyCheckpoint
 
@@ -203,6 +204,11 @@ class RLBackfillScheduler(EasyScheduler):
         self.rng = rng
         self.temperature = temperature
         self.recorder = recorder
+        self._n_releases = 0  # the machine's release-table length, noted per pass
+
+    def select_jobs(self, now: float, machine: Machine) -> list[JobRecord]:
+        self._n_releases = len(machine.releases)
+        return super().select_jobs(now, machine)
 
     def _backfill(
         self, now: float, free: int, shadow: float, extra: int, candidates: list[JobRecord]
@@ -213,7 +219,6 @@ class RLBackfillScheduler(EasyScheduler):
             eligible: list[JobRecord] = []
             feats: list[np.ndarray] = []
             n_waiting = len(self._queue) - len(picked)
-            n_releases = len(self._releases)
             for record in self._queue[1:]:
                 if record.job_id in picked or record.processors > free:
                     continue
@@ -223,7 +228,7 @@ class RLBackfillScheduler(EasyScheduler):
                 eligible.append(record)
                 feats.append(
                     candidate_features(
-                        record, now, free, shadow, extra, n_waiting, n_releases
+                        record, now, free, shadow, extra, n_waiting, self._n_releases
                     )
                 )
             if not eligible:

@@ -4,7 +4,8 @@ A scheduler owns the waiting queue.  The engine notifies it of
 submissions and asks it, at every event boundary, which waiting jobs to
 start *now*.  Schedulers read only scheduler-visible information: job
 descriptions, *predicted* running times (``record.predicted_runtime``)
-and the machine's predicted-release profile -- never actual runtimes.
+and the machine's predicted releases (``machine.releases``, which the
+machine keeps itself) -- never actual runtimes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from ..sim.machine import Machine
 from ..sim.profile import AvailabilityProfile
 from ..sim.results import JobRecord
 from .ordering import BACKFILL_ORDERS
-from .profile_structure import ReleaseTable
 
 __all__ = ["BackfillScheduler", "Scheduler"]
 
@@ -38,28 +38,23 @@ class Scheduler(ABC):
         """A job has been released; add it to the waiting queue."""
         self._queue.append(record)
 
-    def on_start(self, record: JobRecord, now: float) -> None:
-        """A selected job was placed on the machine.  Default: nothing.
+    def on_finish(self, record: JobRecord) -> None:
+        """A job completed, its processors and its release already gone
+        from the machine.  Default: nothing (queue unaffected).
 
-        Backfilling schedulers feed this delta (with :meth:`on_finish` and
-        :meth:`on_corrections`) to their
-        :class:`~repro.sched.profile_structure.ReleaseTable`, so a pass
-        reads the running jobs' releases without rescanning the machine.
-        Whoever starts a job on the machine must report it here, and every
-        finish and correction too: the table is never rebuilt from the
-        machine.
+        The machine keeps the running jobs' releases itself; this hook is
+        for what a scheduler derived from them (a carried plan), and the
+        engine calls it before anything else of the finish can raise.
         """
 
-    def on_finish(self, record: JobRecord) -> None:
-        """A job completed, its processors already back on the machine.
-        Default: nothing (queue unaffected)."""
-
     def on_corrections(self, records: Sequence[JobRecord]) -> None:
-        """Running jobs whose predicted runtime was corrected.
+        """Running jobs whose predicted runtime was corrected, their
+        releases already moved on the machine.
 
         The engine reports each EXPIRE-triggered correction at its
-        EXPIRE, before anything else of the instant can raise; a release
-        table applies the moves at its next read.  Default: nothing.
+        EXPIRE, before anything else of the instant can raise.  Like
+        :meth:`on_finish`, it is for what a scheduler derived from the
+        releases.  Default: nothing.
         """
 
     def on_machine_change(self, now: float, machine: Machine) -> None:
@@ -130,8 +125,8 @@ class Scheduler(ABC):
         return {record.job_id: _earliest_start(profile, record, now, True) for record in records}
 
     # -- introspection -------------------------------------------------------
-    def introspect(self) -> dict[str, float]:
-        """Sizes of the scheduler's internal availability structures.
+    def introspect(self, machine: Machine) -> dict[str, float]:
+        """Sizes of the availability structures the scheduler reads.
 
         Read by a telemetry-on session after one scheduling pass in
         sixteen (the ``engine.sched.<key>`` histograms are a systematic
@@ -153,9 +148,9 @@ class Scheduler(ABC):
 
 class BackfillScheduler(Scheduler):
     """What EASY and conservative backfilling share: a queue ordering
-    (``order``, a :data:`~repro.sched.ordering.BACKFILL_ORDERS` name), the
-    running jobs' :class:`ReleaseTable` fed by the engine's hooks, and a
-    reservation plan carried from call to call.
+    (``order``, a :data:`~repro.sched.ordering.BACKFILL_ORDERS` name) and
+    a reservation plan carried from call to call, built on the machine's
+    release table (``machine.releases``).
 
     ``_ordered`` holds every waiting job sorted by ``_key`` (keys end in
     the job id, so they are unique): placed by key at submission (a
@@ -169,7 +164,8 @@ class BackfillScheduler(Scheduler):
     predicted end, where a FINISH or EXPIRE event fires.  So as long as no
     running job finished early or was corrected, and the capacity did not
     move, each placed job would get the same start again given the ones
-    before it; the hooks below drop the plan when one of those happens.
+    before it; the hooks below drop the plan when one of those happens,
+    and that is all they do: the machine moves the releases itself.
     """
 
     def __init__(self, order: str, role: str) -> None:
@@ -181,30 +177,22 @@ class BackfillScheduler(Scheduler):
         if order != "fcfs":
             self.name = f"{self.name}-{order}"
         self._key = BACKFILL_ORDERS[order]
-        self._releases = ReleaseTable()
         self._ordered: list[JobRecord] = []
         self._plan: AvailabilityProfile | None = None
         self._starts: dict[int, float] = {}
 
-    # -- engine delta feed --------------------------------------------------
+    # -- engine hooks: the queue grows, or the plan is dropped ----------------
     def on_submit(self, record: JobRecord) -> None:
         self._queue.append(record)  # Scheduler.on_submit's, without a super() call per job
         insort(self._ordered, record, key=self._key)
 
-    def on_start(self, record: JobRecord, now: float) -> None:
-        self._releases.add(record.job_id, now + record.predicted_runtime, record.processors)
-
     def on_finish(self, record: JobRecord) -> None:
-        self._releases.discard(record.job_id)
         # a job ending exactly at its predicted end leaves the plan as it was
         if record.start_time + record.predicted_runtime > record.end_time:
             self._plan = None
 
     def on_corrections(self, records: Sequence[JobRecord]) -> None:
         self._plan = None
-        move = self._releases.move  # each lands at the table's next read
-        for record in records:
-            move(record.job_id, record.start_time + record.predicted_runtime)
 
     def on_machine_change(self, now: float, machine: Machine) -> None:
         self._plan = None  # the plan was built on the old free count
@@ -229,7 +217,7 @@ class BackfillScheduler(Scheduler):
             return plan, True
         self._starts = {}
         plan = AvailabilityProfile.from_releases(
-            machine.processors, now, machine.free, self._releases.releases(now)
+            machine.processors, now, machine.free, machine.releases.releases(now)
         )
         return plan, False
 
@@ -242,9 +230,9 @@ class BackfillScheduler(Scheduler):
         self._plan = plan
         return plan, starts
 
-    def introspect(self) -> dict[str, float]:
+    def introspect(self, machine: Machine) -> dict[str, float]:
         """Release-table length = the sweep a shadow walk or a replan may take."""
-        return {"release_table": float(len(self._releases))}
+        return {"release_table": float(len(machine.releases))}
 
 
 def _earliest_start(

@@ -41,9 +41,9 @@ class ConservativeScheduler(BackfillScheduler):
 
     While no hook drops the plan (see :class:`BackfillScheduler`), and no
     arrival outranks a placed job, a pass starts the due jobs and extends
-    the prefix; otherwise it replans from the release table.  A started job
-    leaves both lists by identity (``list.remove``, no rebuild).  Schedules
-    are identical to the seed's per-pass rebuild
+    the prefix; otherwise it replans from the machine's release table.  A
+    started job leaves both lists by identity (``list.remove``, no
+    rebuild).  Schedules are identical to the seed's per-pass rebuild
     (:class:`repro.sched.legacy.LegacyConservativeScheduler`).
     """
 
@@ -60,9 +60,9 @@ class ConservativeScheduler(BackfillScheduler):
             self._plan = None  # it outranks a placed job: later starts may move
         super().on_submit(record)
 
-    def introspect(self) -> dict[str, float]:
+    def introspect(self, machine: Machine) -> dict[str, float]:
         """Also whether the last pass carried the plan over."""
-        return {**super().introspect(), "plan_reused": float(self._plan_reused)}
+        return {**super().introspect(machine), "plan_reused": float(self._plan_reused)}
 
     def _place_startable(self, plan: AvailabilityProfile, now: float) -> None:
         """Extend the placed prefix to the last waiting job that fits at

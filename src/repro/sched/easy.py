@@ -34,8 +34,8 @@ class EasyScheduler(BackfillScheduler):
     ``backfill_order='fcfs'`` is classic EASY; ``'sjbf'`` is EASY-SJBF
     (Tsafrir et al.), the variant the paper's winning triple uses.
 
-    The head's shadow walks the release table the hooks feed (a
-    correction lands at the next shadow read), and the waiting jobs are
+    The head's shadow walks the machine's release table (a correction
+    lands at the next shadow read), and the waiting jobs are
     kept twice: ``_queue`` in priority order and ``_ordered`` in backfill
     order; a started job leaves both by identity (``list.remove``: no key
     call, no rebuild; within an instant arrival order need not be
@@ -93,7 +93,7 @@ class EasyScheduler(BackfillScheduler):
 
         # Phase 2: the head cannot start; compute its reservation.  The
         # release profile must include the jobs we just decided to start
-        # (the engine feeds them to the table only after this pass).
+        # (the engine starts them on the machine only after this pass).
         head = queue[0]
         if head.processors > machine.processors - machine.drained:
             # The head is wider than the undrained capacity (live-session
@@ -101,7 +101,7 @@ class EasyScheduler(BackfillScheduler):
             # one would starve it, so the whole queue holds for a restore.
             return started
         pending = [(now + rec.predicted_runtime, rec.processors) for rec in started]
-        shadow, extra = self._releases.shadow(head.processors, free, now, pending)
+        shadow, extra = machine.releases.shadow(head.processors, free, now, pending)
 
         # Phase 3: backfill.  A candidate may start iff it fits now and
         # does not delay the head's reservation; one the last scan refused
@@ -132,10 +132,10 @@ class EasyScheduler(BackfillScheduler):
         """Pick the backfill set given the head's reservation.
 
         The overridable core of phase 3; head starts, the reservation and
-        the upkeep of the release table and of both queues are shared by
-        every EASY-family scheduler.  The hook only picks: it returns the
-        jobs to start, in start order, and must not touch ``_queue`` or
-        ``_ordered`` (:meth:`select_jobs` removes what it returns).
+        the upkeep of both queues are shared by every EASY-family
+        scheduler.  The hook only picks: it returns the jobs to start, in
+        start order, and must not touch ``_queue`` or ``_ordered``
+        (:meth:`select_jobs` removes what it returns).
         Each pick must fit what is left of ``free`` (at least 1 on entry)
         and either finish by ``shadow`` or fit what is left of ``extra``.
 

@@ -5,16 +5,12 @@ every pass: EASY sorted the full predicted-release list and conservative
 rebuilt a whole :class:`~repro.sim.profile.AvailabilityProfile` release
 by release.  :class:`ReleaseTable` is the one structure that replaces
 both: a sorted multiset of the running jobs' ``(predicted end,
-processors)`` pairs, fed by the engine's start/finish/correction deltas
-(see :meth:`repro.sched.base.Scheduler.on_start` and friends).  EASY's
+processors)`` pairs.  The machine owns one (``Machine.releases``) and
+keeps it in step as it starts, finishes and re-predicts jobs.  EASY's
 shadow-time query walks only the prefix of releases it needs; every plan
 (conservative's reservations, a start-estimate query) is
 :meth:`~repro.sim.profile.AvailabilityProfile.from_releases` over
 :meth:`ReleaseTable.releases`.
-
-The table is never rebuilt from the machine: it is right exactly when
-every start, finish and correction is fed to it, which the engine does
-(code that starts jobs by hand feeds them too).
 """
 
 from __future__ import annotations
@@ -59,12 +55,9 @@ class ReleaseTable:
         self._by_job[job_id] = (predicted_end, processors)
 
     def discard(self, job_id: int) -> None:
-        """A job finished: drop its release, pending move too (no-op if untracked)."""
-        entry = self._by_job.pop(job_id, None)
-        if entry is None:
-            return
+        """A job finished: drop its release, pending move too."""
+        end, processors = self._by_job.pop(job_id)
         self._moved.pop(job_id, None)
-        end, processors = entry
         idx = bisect.bisect_left(self._entries, (end, job_id, processors))
         del self._entries[idx]
 

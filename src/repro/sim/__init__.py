@@ -8,7 +8,7 @@ simulation-as-a-service substrate).
 
 from .engine import EngineStats, simulate
 from .events import Event, EventQueue, EventType
-from .machine import Machine, RunningJob
+from .machine import Machine
 from .profile import AvailabilityProfile
 from .results import JobRecord, SimulationResult
 from .session import (
@@ -37,7 +37,6 @@ __all__ = [
     "EventQueue",
     "EventType",
     "Machine",
-    "RunningJob",
     "AvailabilityProfile",
     "JobRecord",
     "SimulationResult",

@@ -7,34 +7,24 @@ The paper's platform model has no interconnect topology; a job needs
 The machine tracks, for every running job, both the *actual* end time
 (engine-side omniscience, used to fire FINISH events) and the *predicted*
 end time (scheduler-side knowledge, used for shadow/reservation
-computations).  Schedulers only ever read the predicted side.
+computations).  Schedulers only ever read the predicted side, most often
+through :attr:`Machine.releases`, which the machine keeps in step with
+every start, finish and correction itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .results import JobRecord
 
-__all__ = ["Machine", "RunningJob"]
-
-
-@dataclass(slots=True)
-class RunningJob:
-    """A view of one running job, built by :attr:`Machine.running`."""
-
-    record: JobRecord
-    start_time: float
-
-    @property
-    def predicted_end(self) -> float:
-        return self.start_time + self.record.predicted_runtime
+__all__ = ["Machine"]
 
 
 class Machine:
     """A pool of identical processors with running-job book-keeping."""
 
     def __init__(self, processors: int) -> None:
+        from ..sched.profile_structure import ReleaseTable  # sched imports this module
+
         if processors <= 0:
             raise ValueError(f"machine must have > 0 processors, got {processors}")
         self.processors = int(processors)
@@ -45,6 +35,8 @@ class Machine:
         self.n_finished = 0
         #: the running jobs' records (each carries its ``start_time``), by id
         self._running: dict[int, JobRecord] = {}
+        #: the running jobs' predicted releases, soonest first
+        self.releases = ReleaseTable()
 
     def __repr__(self) -> str:
         return (
@@ -53,9 +45,9 @@ class Machine:
         )
 
     @property
-    def running(self) -> list[RunningJob]:
-        """Views of the running jobs, built on each read (no ordering guarantee)."""
-        return [RunningJob(record, record.start_time) for record in self._running.values()]
+    def running(self) -> list[JobRecord]:
+        """The running jobs' records (no ordering guarantee)."""
+        return list(self._running.values())
 
     def start(self, record: JobRecord, now: float) -> None:
         """Allocate processors to a job. The caller pushes FINISH/EXPIRE."""
@@ -66,7 +58,7 @@ class Machine:
                 f"job {record.job_id} needs {record.processors} processors, "
                 f"only {self.free} free"
             )
-        if record.predicted_runtime <= 0:
+        if not record.predicted_runtime > 0:  # NaN too: it would break the release order
             raise ValueError(
                 f"job {record.job_id} has no positive predicted runtime; "
                 "predict before starting"
@@ -74,6 +66,7 @@ class Machine:
         self.free -= record.processors
         record.start_time = now
         self._running[record.job_id] = record
+        self.releases.add(record.job_id, now + record.predicted_runtime, record.processors)
 
     def finish(self, job_id: int, now: float) -> JobRecord:
         """Release a job's processors and stamp its end time."""
@@ -81,12 +74,18 @@ class Machine:
             record = self._running.pop(job_id)
         except KeyError:
             raise ValueError(f"job {job_id} is not running") from None
+        self.releases.discard(job_id)
         self.free += record.processors
         if self.free > self.processors:
             raise AssertionError("machine freed more processors than it has")
         record.end_time = now
         self.n_finished += 1
         return record
+
+    def move_release(self, record: JobRecord) -> None:
+        """A running job's ``predicted_runtime`` was corrected: its release
+        moves to the new predicted end (applied at the table's next read)."""
+        self.releases.move(record.job_id, record.start_time + record.predicted_runtime)
 
     # -- capacity events (live sessions) ------------------------------------
     def drain(self, processors: int) -> None:
@@ -123,6 +122,8 @@ class Machine:
     def predicted_releases(self, now: float) -> list[tuple[float, int]]:
         """(predicted end, processors) per running job, soonest first.
 
+        A sort of its own, independent of :attr:`releases` (the oracle the
+        ``legacy-*`` schedulers and the tests check the table with).
         Predicted ends are clamped to ``now``: a job whose prediction just
         expired is treated as "about to finish" until its correction lands,
         which is the most optimistic consistent view.

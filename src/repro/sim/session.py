@@ -306,8 +306,8 @@ class SimSession:
         )
         running = tuple(
             sorted(
-                (run.record.job_id, run.start_time, run.predicted_end)
-                for run in self._machine.running
+                (record.job_id, record.start_time, record.predicted_end)
+                for record in self._machine.running
             )
         )
         return SessionSnapshot(
@@ -609,6 +609,7 @@ class SimSession:
                             record.corrections += 1
                             record.version = version + 1
                             record.predicted_runtime = prediction
+                            machine.move_release(record)
                             stats.n_corrections += 1
                             n_corrected += 1
                             scheduler.on_corrections((record,))
@@ -701,14 +702,13 @@ class SimSession:
                 counts[_HELD] += 1
             if stats.n_scheduling_passes % _SAMPLE_STRIDE == 1:
                 tally.sample("engine.sched.queue_length", self._n_waiting)
-                for name, value in scheduler.introspect().items():
+                for name, value in scheduler.introspect(machine).items():
                     tally.sample(f"engine.sched.{name}", value)
         if started:
             self._n_waiting -= len(started)
             schedule = self._events.schedule
             for record in started:
                 machine.start(record, now)
-                scheduler.on_start(record, now)
                 runtime = record.observed_runtime or record.job.runtime  # an observed one is > 0
                 schedule(now + runtime, _FINISH, record.job_id)
                 if record.predicted_runtime < runtime:  # will expire before it ends

@@ -288,14 +288,13 @@ class CellSpec:
 
     @property
     def label(self) -> str:
-        """Human-facing identity: the legacy triple key when one exists,
-        otherwise a compact component summary (non-default params only)."""
-        key = self.triple_key
-        if key is not None:
-            return key
-        pred = predictor_registry().describe(self.predictor)
-        corr = (
-            corrector_registry().describe(self.corrector) if self.corrector else "none"
-        )
-        sched = scheduler_registry().describe(self.scheduler)
-        return f"{pred}|{corr}|{sched}"
+        """Human-facing identity: each component by its legacy name where
+        it has one, else by a compact summary (non-default params only) --
+        so the legacy triple key whenever one exists."""
+
+        def name(registry, spec) -> str:
+            return registry.legacy_name(spec) or registry.describe(spec)
+
+        pred = name(predictor_registry(), self.predictor)
+        corr = name(corrector_registry(), self.corrector) if self.corrector else "none"
+        return f"{pred}|{corr}|{name(scheduler_registry(), self.scheduler)}"

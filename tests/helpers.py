@@ -25,7 +25,6 @@ __all__ = [
     "make_record",
     "run_triple",
     "schedule_bytes",
-    "start_job",
     "triple_cells",
 ]
 
@@ -101,14 +100,6 @@ def guard_backfill(scheduler) -> dict[str, int]:
 
     scheduler._backfill = guarded
     return seen
-
-
-def start_job(machine, scheduler, record: JobRecord, now: float = 0.0) -> None:
-    """Start ``record`` on ``machine`` and report the start to ``scheduler``,
-    as the engine does: a scheduler driven by hand learns the running set
-    only from its hooks."""
-    machine.start(record, now)
-    scheduler.on_start(record, now)
 
 
 def schedule_bytes(spec: CellSpec) -> bytes:

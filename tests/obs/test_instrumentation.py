@@ -381,7 +381,7 @@ class TestSizesAreSampled:
         def recording(now, machine):
             sizes = {"queue_length": session.scheduler.queue_length}
             started = select(now, machine)
-            series.append(sizes | session.scheduler.introspect())
+            series.append(sizes | session.scheduler.introspect(session.machine))
             return started
 
         session.scheduler.select_jobs = recording
@@ -445,7 +445,7 @@ class TestRegistryIsCurrent:
             _assert_reconciled(tele, session)
             session.advance_to(session.now + 600.0 * (round_ % 3))
             _assert_reconciled(tele, session)
-            running = sorted(run.record.job_id for run in session.machine.running)
+            running = sorted(record.job_id for record in session.machine.running)
             if running:
                 session.complete(running[0], time=session.now + 1.0)
                 completed += 1
@@ -618,7 +618,7 @@ class TestDerivedCounts:
         assert session._events.pending_kinds()[EventType.SUBMIT] == len(stream) + 1
         session.advance_to(355.0)
         assert _derived(tele) == counts()  # ... and one on the heap
-        running = sorted(run.record.job_id for run in session.machine.running)
+        running = sorted(record.job_id for record in session.machine.running)
         session.complete(running[0], time=356.0)  # its FINISH, at 800, is stale
         assert _derived(tele) == counts()
         session.feed_machine_event(time=400.0, kind="drain", processors=1)

@@ -120,7 +120,7 @@ def drive(session: SimSession, steps) -> list[tuple]:
                 )
             session.feed(burst)
         elif kind == "complete":
-            running = sorted(run.record.job_id for run in session.machine.running)
+            running = sorted(record.job_id for record in session.machine.running)
             if running:
                 session.complete(running[arg % len(running)], session.now + value)
         else:

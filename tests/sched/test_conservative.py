@@ -8,7 +8,7 @@ from repro.sim import simulate
 from repro.sim.machine import Machine
 from repro.workload import Trace
 
-from tests.helpers import make_job, make_record, start_job
+from tests.helpers import make_job, make_record
 
 
 class TestConservativeSelection:
@@ -23,7 +23,7 @@ class TestConservativeSelection:
         m = Machine(8)
         sched = ConservativeScheduler()
         running = make_record(job_id=0, processors=6, predicted_runtime=100.0)
-        start_job(m, sched, running)
+        m.start(running, 0.0)
         # head reserves [100, 600) on 4 procs
         sched.on_submit(make_record(job_id=1, processors=4, predicted_runtime=500.0))
         # second job reserves after head: [100, 600) has 4 free -> fits at 100

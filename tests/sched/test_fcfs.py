@@ -5,7 +5,7 @@ from repro.sched import EasyScheduler, FcfsScheduler
 from repro.sim import simulate
 from repro.sim.machine import Machine
 
-from tests.helpers import make_record, start_job
+from tests.helpers import make_record
 
 
 class TestFcfs:
@@ -24,7 +24,7 @@ class TestFcfs:
         sched.on_submit(make_record(job_id=2, processors=1, predicted_runtime=10.0))
         m_started = sched.select_jobs(0.0, m)
         for rec in m_started:
-            start_job(m, sched, rec)
+            m.start(rec, 0.0)
         assert [r.job_id for r in m_started] == [1]
         # the 1-wide job must NOT start although a processor... no, none free
         assert sched.select_jobs(0.0, m) == []

@@ -37,7 +37,7 @@ from repro.sim import SimSession, simulate
 from repro.sim.machine import Machine
 from repro.sim.profile import AvailabilityProfile
 from repro.workload import Job, Trace
-from tests.helpers import make_job, make_record, start_job
+from tests.helpers import make_job, make_record
 from tests.sched import test_easy
 from tests.sched.test_profile_equivalence import EASY_PAIRS
 
@@ -381,12 +381,12 @@ def test_out_of_order_arrival_invalidates_sjbf_plan(placed):
     session.feed(make_job(job_id=2, submit_time=1.0, runtime=300.0, processors=PROCESSORS))
     session.feed(make_job(job_id=3, submit_time=2.0, runtime=20.0, processors=PROCESSORS))
     session.advance_to(1.0)
-    assert session.scheduler.introspect()["plan_reused"] == 1.0
+    assert session.scheduler.introspect(session.machine)["plan_reused"] == 1.0
     if placed:
         assert session.query(job_id=2).start_time == session.record(1).predicted_end
     assert list(session.scheduler._starts) == ([2] if placed else [])
     session.advance_to(2.0)
-    assert session.scheduler.introspect()["plan_reused"] == (0.0 if placed else 1.0)
+    assert session.scheduler.introspect(session.machine)["plan_reused"] == (0.0 if placed else 1.0)
     assert session.query(job_id=3).start_time < session.query(job_id=2).start_time
     assert_prefix_plan(session)
 
@@ -417,7 +417,7 @@ def test_submit_only_passes_place_one_reservation(monkeypatch):
         n_arrived += arrivals_at[now]
         assert len(plan_reserves) - before <= n_arrived
         if arrivals_at[now]:
-            assert session.scheduler.introspect()["plan_reused"] == 1.0
+            assert session.scheduler.introspect(session.machine)["plan_reused"] == 1.0
             n_submit_passes += 1
     assert n_submit_passes > len(trace) // 4
     assert len(plan_reserves) - before == n_arrived  # every job is placed before it starts
@@ -581,7 +581,7 @@ class OddHalfPredictor(HalfPredictor):
 
 def running_state(session):
     machine = session.machine
-    return machine.free, sorted((r.record.job_id, r.predicted_end) for r in machine.running)
+    return machine.free, sorted((r.job_id, r.predicted_end) for r in machine.running)
 
 
 def only_on_time_finishes(before, after, now):
@@ -920,13 +920,13 @@ def test_a_raising_predictor_leaves_the_query_plan_standing(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["easy-sjbf", "conservative"])
-def test_a_hand_driven_scheduler_plans_from_what_its_hooks_were_told(name):
-    """Driven without a session, a scheduler knows the running set only
-    from its hooks: told of a start, it answers from that job's predicted
-    end and keeps the plan; told of an early finish, it drops it and the
-    next answer is the machine's."""
+def test_a_hand_driven_scheduler_plans_from_the_machine(name):
+    """Driven without a session, a scheduler reads the running set from
+    the machine: with a job started there, it answers from that job's
+    predicted end and keeps the plan; told of an early finish, it drops
+    it and the next answer is the machine's."""
     scheduler, machine = make_scheduler(name), Machine(16)
-    start_job(machine, scheduler, make_record(job_id=1, processors=16, predicted_runtime=100.0))
+    machine.start(make_record(job_id=1, processors=16, predicted_runtime=100.0), 0.0)
     scheduler.on_submit(make_record(job_id=2, processors=4))
     assert scheduler.estimated_starts(0.0, machine) == {2: 100.0}
     assert scheduler._plan is not None

@@ -1,4 +1,4 @@
-"""Unit + property tests for the release table the schedulers keep."""
+"""Unit + property tests for the release table the machine keeps."""
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,8 @@ class TestReleaseTable:
         assert table.releases(0.0) == [(100.0, 4), (200.0, 2)]
         table.discard(1)
         assert table.releases(0.0) == [(200.0, 2)]
-        table.discard(1)  # idempotent
+        with pytest.raises(KeyError):  # only a running job has a release to drop
+            table.discard(1)
         assert len(table) == 1
 
     def test_duplicate_add_rejected(self):
@@ -42,14 +43,12 @@ class TestReleaseTable:
         table.add(2, 90.0, 1)
         assert table.releases(50.0) == [(50.0, 3), (90.0, 1)]
 
-    def test_matches_machine_predicted_releases(self):
+    def test_the_machines_table_matches_its_predicted_releases(self):
         machine = Machine(16)
-        table = ReleaseTable()
         for jid, procs, pred in [(1, 4, 120.0), (2, 2, 30.0), (3, 8, 30.0)]:
             rec = make_record(job_id=jid, processors=procs, predicted_runtime=pred)
             machine.start(rec, now=0.0)
-            table.add(jid, pred, procs)
-        assert table.releases(0.0) == machine.predicted_releases(0.0)
+        assert machine.releases.releases(0.0) == machine.predicted_releases(0.0)
 
     @settings(max_examples=150)
     @given(
@@ -114,7 +113,7 @@ class EagerTable:
         self.move_many([(job_id, end)])
 
     def discard(self, job_id):
-        self.ends.pop(job_id, None)
+        del self.ends[job_id]
 
     def releases(self, now):
         ordered = sorted((end, job_id, q) for job_id, (end, q) in self.ends.items())
@@ -217,9 +216,9 @@ class TestAgainstAnEagerTable:
         assert table.releases(0.0) == oracle.releases(0.0)
 
 
-def apply_random_ops(table, machine, rng, n_ops=40):
-    """Drive a ReleaseTable + Machine through random start/finish/
-    correction deltas; returns the current simulation time."""
+def apply_random_ops(machine, rng, n_ops=40):
+    """Drive a Machine through random start/finish/correction deltas;
+    returns the current simulation time."""
     now = 0.0
     next_id = 1
     active: list[tuple[int, float]] = []  # (job_id, predicted_end)
@@ -235,20 +234,18 @@ def apply_random_ops(table, machine, rng, n_ops=40):
                     runtime=pred, requested_time=10 * pred,
                 )
                 machine.start(rec, now)
-                table.add(next_id, now + pred, procs)
                 active.append((next_id, now + pred))
                 next_id += 1
         elif choice == 1:
             job_id, _end = active.pop(int(rng.integers(0, len(active))))
             machine.finish(job_id, now)
-            table.discard(job_id)
         else:
             idx = int(rng.integers(0, len(active)))
             job_id, end = active[idx]
             new_end = max(end, now) + float(rng.uniform(1.0, 100.0))
-            run = next(r for r in machine.running if r.record.job_id == job_id)
-            run.record.predicted_runtime = new_end - run.start_time
-            table.move_many({job_id: new_end})
+            record = next(r for r in machine.running if r.job_id == job_id)
+            record.predicted_runtime = new_end - record.start_time
+            machine.move_release(record)
             active[idx] = (job_id, new_end)
     return now
 
@@ -256,10 +253,11 @@ def apply_random_ops(table, machine, rng, n_ops=40):
 class TestPlanFromTable:
     def test_matches_from_releases_oracle(self, rng):
         """Property: after any delta sequence the plan built from the
-        table is the step function the seed rebuilt from machine state."""
+        machine's table is the step function the seed rebuilt from the
+        running records."""
         machine = Machine(12)
-        table = ReleaseTable()
-        now = apply_random_ops(table, machine, rng)
+        now = apply_random_ops(machine, rng)
+        table = machine.releases
         assert len(table) == len(machine.running)
         plan = AvailabilityProfile.from_releases(12, now, machine.free, table.releases(now))
         oracle = AvailabilityProfile.from_releases(
@@ -317,7 +315,8 @@ class _Constant(RequestedTimePredictor):
 
 class TestConservativeFeed:
     """Which hooks drop ``ConservativeScheduler``'s carried plan, and
-    whether the release table it replans from follows the machine.  Job 1
+    whether the machine's release table it replans from follows the
+    running jobs.  Job 1
     holds 8 of 12 processors from t=0, predicted to end at 100; 12-wide
     job 2 queues behind it at t=10."""
 
@@ -331,25 +330,29 @@ class TestConservativeFeed:
         assert session.scheduler._plan is not None
         return session
 
+    @staticmethod
+    def sizes(session):
+        return session.scheduler.introspect(session.machine)
+
     def test_an_on_time_finish_keeps_the_plan(self):
         session = self.session(runtime=100.0)
         session.advance_to(100.0)
         assert session.record(2).start_time == 100.0
-        assert session.scheduler.introspect() == {"release_table": 1.0, "plan_reused": 1.0}
+        assert self.sizes(session) == {"release_table": 1.0, "plan_reused": 1.0}
 
     def test_an_early_finish_replans(self):
         session = self.session(runtime=60.0)
         session.advance_to(60.0)
         assert session.record(2).start_time == 60.0
-        assert session.scheduler.introspect() == {"release_table": 1.0, "plan_reused": 0.0}
+        assert self.sizes(session) == {"release_table": 1.0, "plan_reused": 0.0}
 
     def test_a_correction_moves_the_release_and_replans(self):
         session = self.session(150.0, _Constant, IncrementalCorrector())
         session.advance_to(100.0)
         scheduler, machine = session.scheduler, session.machine
         assert session.stats.n_corrections == 1 and not machine.is_running(2)
-        assert scheduler.introspect()["plan_reused"] == 0.0
-        releases = scheduler._releases.releases(100.0)
+        assert scheduler.introspect(machine)["plan_reused"] == 0.0
+        releases = machine.releases.releases(100.0)
         assert releases == machine.predicted_releases(100.0) and releases[0][0] > 100.0
         session.advance_to(150.0)
         assert session.record(2).start_time == 150.0
@@ -365,4 +368,4 @@ class TestConservativeFeed:
         session.feed_machine_event(time=50.0, kind="restore", processors=4)
         session.advance_to(50.0)
         assert session.record(3).start_time == 50.0
-        assert session.scheduler.introspect() == {"release_table": 2.0, "plan_reused": 0.0}
+        assert self.sizes(session) == {"release_table": 2.0, "plan_reused": 0.0}

@@ -122,8 +122,8 @@ def _requests(server: SessionServer, n_jobs: int = 300):
         yield {"cmd": "query", "job": probe}
         horizon = jobs[i + 1].submit_time + shift if i + 1 < len(jobs) else math.inf
         ends = sorted(
-            (run.start_time + 0.8 * run.record.runtime, run.record.job_id)
-            for run in session.machine.running
+            (record.start_time + 0.8 * record.runtime, record.job_id)
+            for record in session.machine.running
         )
         for end, job_id in ends:
             if session.now <= end <= horizon:

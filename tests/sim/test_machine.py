@@ -55,6 +55,19 @@ class TestMachineLifecycle:
         with pytest.raises(ValueError, match="predicted"):
             m.start(rec, now=0.0)
 
+    def test_start_with_a_nan_prediction_rejected_and_nothing_moves(self):
+        """NaN fails ``<= 0`` as it fails every comparison: it must still be
+        refused, before it could land in the release table's sort."""
+        m = Machine(8)
+        rec = make_record(processors=2)
+        rec.predicted_runtime = float("nan")
+        with pytest.raises(ValueError, match="predicted"):
+            m.start(rec, now=0.0)
+        assert m.free == 8 and not m.is_running(rec.job_id) and m.running == []
+        assert rec.start_time < 0
+        assert m.predicted_releases(0.0) == [] and len(m.releases) == 0
+        m.check_invariants()
+
     def test_nonpositive_machine_rejected(self):
         with pytest.raises(ValueError):
             Machine(0)
@@ -69,6 +82,19 @@ class TestPredictedReleases:
         m.start(b, now=0.0)
         releases = m.predicted_releases(now=0.0)
         assert releases == [(50.0, 3), (100.0, 2)]
+
+    def test_the_release_table_follows_starts_finishes_and_moves(self):
+        m = Machine(10)
+        a = make_record(job_id=1, processors=2, predicted_runtime=100.0)
+        b = make_record(job_id=2, processors=3, predicted_runtime=50.0)
+        m.start(a, now=0.0)
+        m.start(b, now=10.0)
+        assert m.releases.releases(0.0) == [(60.0, 3), (100.0, 2)]
+        b.predicted_runtime = 150.0  # corrected: the release moves with it
+        m.move_release(b)
+        assert m.releases.releases(0.0) == m.predicted_releases(0.0) == [(100.0, 2), (160.0, 3)]
+        m.finish(1, 30.0)
+        assert m.releases.releases(30.0) == m.predicted_releases(30.0) == [(160.0, 3)]
 
     def test_expired_predictions_clamped_to_now(self):
         m = Machine(10)

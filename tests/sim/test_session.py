@@ -28,6 +28,7 @@ from repro.spec import CellSpec, triple_keys_of
 from repro.workload import Trace, get_trace
 
 from tests.helpers import make_job
+from tests.sched.test_plan_reuse import assert_queries_exact
 
 NAN = float("nan")
 
@@ -678,11 +679,11 @@ class _FaultyAve2(RecentAveragePredictor):
 
 
 class TestFaultRecovery:
-    """A FINISH whose ``predictor.on_finish`` raises: the session tells the
-    scheduler of the finish right after the machine, before the predictor
-    learns, so a fault there cannot leave the scheduler's release table a
-    job behind the machine -- the table is never rebuilt from the machine,
-    and nothing else would ever drop the finished job's release."""
+    """A FINISH whose ``predictor.on_finish`` raises: the machine drops
+    the job's release as it frees its processors, and the session tells
+    the scheduler of the finish right after, before the predictor learns,
+    so a fault there cannot leave a carried plan that still counts on the
+    finished job."""
 
     @staticmethod
     def faulty_session(scheduler):
@@ -712,13 +713,13 @@ class TestFaultRecovery:
         assert len(result) == 400
         _times, busy = occupancy_timeline(result)
         assert busy.max() <= trace.processors
-        assert session.scheduler.introspect()["release_table"] == 0
+        assert session.scheduler.introspect(session.machine)["release_table"] == 0
 
     @pytest.mark.parametrize("scheduler", ["easy", "easy-sjbf", "conservative"])
-    def test_the_release_table_is_in_step_straight_after_the_fault(self, scheduler):
-        """Before any pass runs, the table already holds what the machine
-        runs, release for release (equal ends in job-id order, the
-        machine's in width order)."""
+    def test_queries_plan_on_the_machine_straight_after_the_fault(self, scheduler):
+        """Before any pass runs, the machine's table holds what it runs,
+        release for release (equal ends in job-id order, the sort in width
+        order), and every answer is the one rebuilt from the machine."""
         _trace, session = self.faulty_session(scheduler)
         faults = 0
         while session.n_pending_events:
@@ -727,8 +728,9 @@ class TestFaultRecovery:
             except OSError:
                 faults += 1
                 now, machine = session.now, session.machine
-                releases = session.scheduler._releases.releases(now)
+                releases = machine.releases.releases(now)
                 assert sorted(releases) == machine.predicted_releases(now)
+                assert_queries_exact(session, make_job(job_id=10**6, submit_time=now))
         assert faults == 3
 
 
@@ -906,7 +908,7 @@ class TestFinishedCounter:
         completed_externally = 0
         while session.n_pending_events:
             now = session.step()
-            running = sorted(run.record.job_id for run in session.machine.running)
+            running = sorted(record.job_id for record in session.machine.running)
             if running and completed_externally < 10:
                 session.complete(running[0], time=now + 1.0)
                 completed_externally += 1

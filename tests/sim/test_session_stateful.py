@@ -13,12 +13,16 @@ and the probe's equal the reservations the seed's profile makes when it
 is built from the machine alone (``tests.sched.test_plan_reuse``), in
 whatever state the walk has reached -- behind a held head, after a
 restore, an early external completion, a descending-id feed, a
-correction storm, a ``predictor.on_finish`` that raised -- and again
+correction storm, a ``predictor.on_finish`` that raised, a drain wider
+than the free processors in the instant of a correction -- and again
 after the clock moved with no event at all.
 
-Every scheduler's release table holds the machine's releases after
-every rule, a raising ``predictor.on_finish`` or not: the session tells
-the scheduler of a finish before the predictor.  The EASY family is also
+The machine's release table holds its running jobs' releases after
+every rule, a raising ``predictor.on_finish`` or not.  A job or machine
+event fed *at* an instant whose pass has already run makes a second
+instant at the same time, which a batch replay would merge into the
+first: such a walk keeps every invariant and must lose no job, but is
+not compared with the replay.  The EASY family is also
 held to its own structure and guarantee, with no oracle involved: after
 every rule the backfill candidates are exactly the queue in backfill
 order, and every backfill pick of every pass
@@ -94,7 +98,7 @@ class StartFault(InjectedFault):
 class FaultyAve2(RecentAveragePredictor):
     """AVE2 whose ``on_finish`` raises, before it learns anything, the
     first time it is handed every third job: the machine has then
-    finished a job the scheduler was never told about.  Its ``on_start``
+    finished a job the predictor never learned from.  Its ``on_start``
     raises the first time it is handed a job numbered 2 modulo 4: the
     other jobs of that pass must still start."""
 
@@ -117,13 +121,17 @@ class FaultyAve2(RecentAveragePredictor):
 
 
 def riding_out_faults(call):
-    """``call()``, again after every injected fault: the failing event is
+    """``call()``, again after every injected fault or illegal drain
+    (``drain_wider_than_free_at_a_correction``): the failing event is
     consumed, so each retry gets further, here and in the replay alike."""
     while True:
         try:
             return call()
         except InjectedFault:
             pass
+        except ValueError as exc:
+            if "cannot drain" not in str(exc):
+                raise
 
 
 def _rows(records) -> list[tuple]:
@@ -170,6 +178,8 @@ class SessionMachine(RuleBasedStateMachine):
         self.last_completion = -1.0
         self.queried = False
         self.held = False
+        #: False once something was fed at an instant already processed
+        self.replayable = True
         #: False between a ``step`` that raised and the next call that returns
         self.settled = True
 
@@ -259,7 +269,7 @@ class SessionMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(min_value=0), delay=st.sampled_from([0, 1, 20, 500]))
     def complete(self, pick, delay):
-        running = sorted(run.record.job_id for run in self.session.machine.running)
+        running = sorted(record.job_id for record in self.session.machine.running)
         if not running:
             return
         job_id = running[pick % len(running)]
@@ -285,6 +295,82 @@ class SessionMachine(RuleBasedStateMachine):
         )
         self._riding_out_faults(lambda: self.session.advance_to(event.time))
         self.machine_events.append(event)
+
+    def _next_expire(self) -> float:
+        """The earliest pending EXPIRE of a running job (``inf``: none)."""
+        return min(
+            (
+                record.predicted_end
+                for record in self.session.machine.running
+                if record.predicted_runtime < record.runtime
+            ),
+            default=inf,
+        )
+
+    @precondition(lambda self: self.corrector is not None and self._next_expire() < inf)
+    @rule(width=st.integers(min_value=1, max_value=PROCESSORS))
+    def drain_wider_than_free_at_a_correction(self, width):
+        """An illegal drain lands in the instant of the next correction
+        and raises there, after the EXPIRE and before the pass: a query in
+        between must plan on the corrected end, the machine's."""
+        session = self.session
+        self._riding_out_faults(lambda: session.advance_to(session.now))  # settle first
+        target = self._next_expire()
+        if target == inf:
+            return
+        record = next(r for r in session.machine.running if r.predicted_end == target)
+        corrections = record.corrections
+        event = session.feed_machine_event(time=target, kind="drain", processors=PROCESSORS + 1)
+        self.machine_events.append(event)
+        while True:  # an injected fault on the way is ridden out; the drain is not retried
+            try:
+                session.advance_to(target)
+            except InjectedFault:
+                continue
+            except ValueError as exc:
+                assert "cannot drain" in str(exc)
+                break
+            raise AssertionError("the drain wider than the machine did not raise")
+        self.settled = False  # the drain was the instant's last event: its pass is owed
+        now = session.now
+        assert now == target and record.corrections == corrections + 1
+        assert record.predicted_end > now
+        assert (record.predicted_end, record.processors) in session.machine.predicted_releases(now)
+        self.query(0, width)
+
+    @precondition(lambda self: not self._quiet_now())
+    @rule(
+        machine_event=st.booleans(),
+        runtime=st.sampled_from([1, 30, 600]),
+        width=st.integers(min_value=1, max_value=PROCESSORS),
+    )
+    def feed_at_a_processed_instant(self, machine_event, runtime, width):
+        """A job (or a legal capacity change) fed *at* ``now`` once the
+        pass at ``now`` has run: the session opens a second instant at the
+        same time.  Batch equality is not promised (a replay merges the
+        two), so the walk stops being replayed; every job must still end,
+        the table stay the machine's and queries answer the oracle's."""
+        session, machine = self.session, self.session.machine
+        drain = machine.drained < MAX_DRAINED and machine.free > 0
+        if machine_event and (drain or machine.drained):
+            room = min(machine.free, MAX_DRAINED - machine.drained) if drain else machine.drained
+            event = session.feed_machine_event(
+                kind="drain" if drain else "restore", processors=min(width, room)
+            )
+            self.machine_events.append(event)
+        else:
+            job = make_job(
+                job_id=len(self.jobs) + 1,
+                submit_time=session.now,
+                runtime=float(runtime),
+                processors=width,
+                requested_time=float(2 * runtime),
+            )
+            assert session.feed(job) == 1
+            self.jobs.append(job)
+        self.replayable = False
+        self._riding_out_faults(lambda: session.advance_to(session.now))
+        self.query(0, width)
 
     @rule(pick=st.integers(min_value=0), width=st.integers(min_value=1, max_value=PROCESSORS))
     def query(self, pick, width):
@@ -356,12 +442,12 @@ class SessionMachine(RuleBasedStateMachine):
 
     @invariant()
     def the_release_table_is_the_machines(self):
-        """Every start, finish and correction reached the release table,
-        also past a call that raised: it is never rebuilt from the machine.
-        (It orders equal ends by job id, the machine by width.)"""
-        session, now = self.session, self.session.now
-        releases = session.scheduler._releases.releases(now)
-        assert sorted(releases) == session.machine.predicted_releases(now)
+        """Every start, finish and correction reached the machine's
+        release table, also past a call that raised: it equals the sort
+        of the running records.  (It orders equal ends by job id, the
+        sort by width.)"""
+        machine, now = self.session.machine, self.session.now
+        assert sorted(machine.releases.releases(now)) == machine.predicted_releases(now)
 
     @invariant()
     def nobody_who_could_start_is_waiting(self):
@@ -417,6 +503,8 @@ class SessionMachine(RuleBasedStateMachine):
         self.registry_is_current_and_the_machine_sound()
         live = _rows(self.session.result())
         assert len(live) == len(self.jobs)
+        if not self.replayable:
+            return
         replayed = Telemetry(component="live")
         assert self._one_shot(self.scheduler, replayed) == live
         assert _comparable(replayed, self.queried) == _comparable(
@@ -483,7 +571,7 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     then(walk.advance_to, gap=session.record(6).start_time + 29 - session.now)
     then(walk.step)
     assert session.predictor.failed == {6} and walk._owes_a_pass()
-    assert 6 not in scheduler._releases._by_job
+    assert 6 not in session.machine.releases._by_job
     then(walk.query, pick=0, width=3)
     then(walk.run_the_owed_pass)
     then(walk.query, pick=0, width=3)
@@ -500,3 +588,36 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     assert storms["max"] >= 2
     assert session.predictor.failed_start == {2, 6}  # each ``on_start`` raised once
     walk.teardown()
+
+
+def test_a_scripted_walk_meets_an_illegal_drain_and_a_processed_instant():
+    """The two rules that leave the replay's path, each sure to run once:
+    a drain wider than the machine in the instant of a correction (the
+    query behind it plans on the corrected end, and the pass it owes runs
+    once), then a job and a drain fed at an instant already processed."""
+    walk = SessionMachine()
+    walk.open_session("conservative", ("ave2", "incremental"))
+
+    def then(rule, *args, **kwargs):
+        rule(*args, **kwargs)
+        walk.registry_is_current_and_the_machine_sound()
+        walk.the_session_counts_the_waiting_jobs()
+        walk.the_release_table_is_the_machines()
+        walk.nobody_who_could_start_is_waiting()
+
+    session = walk.session
+    # user 1's last two runtimes are 10 s: AVE2 predicts the floor, 60 s, for job 3
+    then(walk.feed, gap=0, jobs=[(0, 10, 1, 1, 1), (0, 10, 1, 1, 1)], descending=False)
+    then(walk.advance_to, gap=60)
+    then(walk.feed, gap=0, jobs=[(0, 600, 5, 8, 1), (0, 100, 1, 14, 2)], descending=False)
+    then(walk.advance_to, gap=0)
+    assert session.machine.is_running(3) and walk._next_expire() == session.now + 60
+    then(walk.drain_wider_than_free_at_a_correction, width=3)
+    assert session.stats.n_corrections == 1 and walk._owes_a_pass()
+    assert session.query(job_id=4).start_time >= session.record(3).predicted_end
+    then(walk.run_the_owed_pass)
+    then(walk.feed_at_a_processed_instant, machine_event=False, runtime=30, width=2)
+    then(walk.feed_at_a_processed_instant, machine_event=True, runtime=30, width=2)
+    assert not walk.replayable and session.machine.drained == 2
+    walk.teardown()
+    assert session.record(5).submit_time == 120.0 and session.record(5).finished

@@ -194,6 +194,40 @@ class TestWorkloadSpec:
         assert cells["smallbox-ml"].triple_key is None
         assert "eta=1.0" in cells["smallbox-ml"].label
 
+    @pytest.mark.parametrize(
+        "predictor, scheduler, label",
+        [
+            ("ave2", "rl", "ave2|incremental|rl-backfill(policy=0123456789abcdef)"),
+            (
+                "ml:sq-lin-large-area",
+                "rl",
+                "ml:sq-lin-large-area|incremental|rl-backfill(policy=0123456789abcdef)",
+            ),
+            ("ml-eta", "easy-sjbf", "ml(eta=0.3,over=sq,under=lin,weight=large-area)"
+             "|incremental|easy-sjbf"),
+        ],
+    )
+    def test_label_keeps_each_legacy_name_beside_one_without(self, predictor, scheduler, label):
+        """One component without a legacy spelling leaves the others
+        theirs: ``ave2`` is not ``ave`` (``describe`` drops the default
+        ``k=2``), ``easy-sjbf`` not ``easy(order=sjbf)`` -- the spellings
+        a ``repro eval`` baseline row carries."""
+        components = {
+            "rl": {"name": "rl-backfill", "params": {"policy": "0123456789abcdef"}},
+            "ml-eta": {
+                "name": "ml",
+                "params": {"over": "sq", "under": "lin", "weight": "large-area", "eta": 0.3},
+            },
+        }
+        cell = CellSpec.make(
+            {"log": "KTH-SP2", "n_jobs": 100},
+            components.get(predictor, predictor),
+            "incremental",
+            components.get(scheduler, scheduler),
+        )
+        assert cell.triple_key is None
+        assert cell.label == label
+
     def test_engine_knob_validation(self):
         with pytest.raises(ValueError, match="min_prediction"):
             CellSpec.make(
