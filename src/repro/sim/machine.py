@@ -82,10 +82,11 @@ class Machine:
         self.n_finished += 1
         return record
 
-    def move_release(self, record: JobRecord) -> None:
-        """A running job's ``predicted_runtime`` was corrected: its release
-        moves to the new predicted end (applied at the table's next read)."""
-        self.releases.move(record.job_id, record.start_time + record.predicted_runtime)
+    def repredict(self, record: JobRecord, predicted_runtime: float) -> None:
+        """Correct a running job's ``predicted_runtime``: its release moves
+        to the new predicted end (applied at the table's next read)."""
+        self.releases.move(record.job_id, record.start_time + predicted_runtime)
+        record.predicted_runtime = predicted_runtime
 
     # -- capacity events (live sessions) ------------------------------------
     def drain(self, processors: int) -> None:

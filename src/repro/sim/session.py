@@ -608,8 +608,7 @@ class SimSession:
                                     raise ValueError(f"job {job_id} outlives its requested time")
                             record.corrections += 1
                             record.version = version + 1
-                            record.predicted_runtime = prediction
-                            machine.move_release(record)
+                            machine.repredict(record, prediction)
                             stats.n_corrections += 1
                             n_corrected += 1
                             scheduler.on_corrections((record,))

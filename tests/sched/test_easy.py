@@ -286,8 +286,7 @@ class TestMemoConditions:
         )
         (blocker,) = self.running(m, (6, 1000.0))
         assert self.picks(0.0, m, modern, legacy) == []
-        blocker.predicted_runtime = 2000.0  # corrected: free 4 and extra 2 hold
-        m.move_release(blocker)
+        m.repredict(blocker, 2000.0)  # corrected: free 4 and extra 2 hold
         modern.on_corrections([blocker])
         assert self.picks(10.0, m, modern, legacy) == [2]
 

@@ -244,8 +244,7 @@ def apply_random_ops(machine, rng, n_ops=40):
             job_id, end = active[idx]
             new_end = max(end, now) + float(rng.uniform(1.0, 100.0))
             record = next(r for r in machine.running if r.job_id == job_id)
-            record.predicted_runtime = new_end - record.start_time
-            machine.move_release(record)
+            machine.repredict(record, new_end - record.start_time)
             active[idx] = (job_id, new_end)
     return now
 

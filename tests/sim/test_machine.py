@@ -90,8 +90,7 @@ class TestPredictedReleases:
         m.start(a, now=0.0)
         m.start(b, now=10.0)
         assert m.releases.releases(0.0) == [(60.0, 3), (100.0, 2)]
-        b.predicted_runtime = 150.0  # corrected: the release moves with it
-        m.move_release(b)
+        m.repredict(b, 150.0)  # corrected: the release moves with it
         assert m.releases.releases(0.0) == m.predicted_releases(0.0) == [(100.0, 2), (160.0, 3)]
         m.finish(1, 30.0)
         assert m.releases.releases(30.0) == m.predicted_releases(30.0) == [(160.0, 3)]

@@ -18,11 +18,12 @@ than the free processors in the instant of a correction -- and again
 after the clock moved with no event at all.
 
 The machine's release table holds its running jobs' releases after
-every rule, a raising ``predictor.on_finish`` or not.  A job or machine
-event fed *at* an instant whose pass has already run makes a second
-instant at the same time, which a batch replay would merge into the
-first: such a walk keeps every invariant and must lose no job, but is
-not compared with the replay.  The EASY family is also
+every rule, a raising ``predictor.on_finish`` or not.  A second machine,
+``ProcessedInstantMachine``, also feeds a job or machine event *at* an
+instant whose pass has already run: that makes a second instant at the
+same time, which a batch replay would merge into the first, so its walks
+keep every invariant and must lose no job, but are not compared with the
+replay.  The EASY family is also
 held to its own structure and guarantee, with no oracle involved: after
 every rule the backfill candidates are exactly the queue in backfill
 order, and every backfill pick of every pass
@@ -70,6 +71,9 @@ PROCESSORS = 16
 #: left is *held* at the head of the queue until a restore (teardown
 #: gives everything back, so every job starts eventually)
 MAX_DRAINED = 4
+#: a drain no machine of the walk can take: only
+#: ``drain_wider_than_free_at_a_correction`` feeds one
+ILLEGAL_DRAIN = PROCESSORS + 1
 SCHEDULERS = ("easy", "easy-sjbf", "conservative", "conservative-sjbf")
 TIMERS = ("engine.time.predict.seconds", "engine.time.sched.seconds")
 
@@ -120,17 +124,21 @@ class FaultyAve2(RecentAveragePredictor):
         super().on_start(record, now)
 
 
+def _is_the_illegal_drain(exc: ValueError) -> bool:
+    return str(exc).startswith(f"cannot drain {ILLEGAL_DRAIN} ")
+
+
 def riding_out_faults(call):
-    """``call()``, again after every injected fault or illegal drain
-    (``drain_wider_than_free_at_a_correction``): the failing event is
-    consumed, so each retry gets further, here and in the replay alike."""
+    """``call()``, again after every injected fault or ``ILLEGAL_DRAIN``:
+    the failing event is consumed, so each retry gets further, here and in
+    the replay alike.  Any other drain that raises fails the walk."""
     while True:
         try:
             return call()
         except InjectedFault:
             pass
         except ValueError as exc:
-            if "cannot drain" not in str(exc):
+            if not _is_the_illegal_drain(exc):
                 raise
 
 
@@ -178,8 +186,6 @@ class SessionMachine(RuleBasedStateMachine):
         self.last_completion = -1.0
         self.queried = False
         self.held = False
-        #: False once something was fed at an instant already processed
-        self.replayable = True
         #: False between a ``step`` that raised and the next call that returns
         self.settled = True
 
@@ -296,18 +302,12 @@ class SessionMachine(RuleBasedStateMachine):
         self._riding_out_faults(lambda: self.session.advance_to(event.time))
         self.machine_events.append(event)
 
-    def _next_expire(self) -> float:
-        """The earliest pending EXPIRE of a running job (``inf``: none)."""
-        return min(
-            (
-                record.predicted_end
-                for record in self.session.machine.running
-                if record.predicted_runtime < record.runtime
-            ),
-            default=inf,
-        )
+    def _next_to_expire(self):
+        """The running job whose pending EXPIRE comes first (None: none)."""
+        expiring = [r for r in self.session.machine.running if r.predicted_runtime < r.runtime]
+        return min(expiring, key=lambda r: (r.predicted_end, r.job_id), default=None)
 
-    @precondition(lambda self: self.corrector is not None and self._next_expire() < inf)
+    @precondition(lambda self: self.corrector is not None and self._next_to_expire() is not None)
     @rule(width=st.integers(min_value=1, max_value=PROCESSORS))
     def drain_wider_than_free_at_a_correction(self, width):
         """An illegal drain lands in the instant of the next correction
@@ -315,12 +315,12 @@ class SessionMachine(RuleBasedStateMachine):
         between must plan on the corrected end, the machine's."""
         session = self.session
         self._riding_out_faults(lambda: session.advance_to(session.now))  # settle first
-        target = self._next_expire()
-        if target == inf:
+        record = self._next_to_expire()  # (another job may end at the same time, unexpired)
+        if record is None:
             return
-        record = next(r for r in session.machine.running if r.predicted_end == target)
+        target = record.predicted_end
         corrections = record.corrections
-        event = session.feed_machine_event(time=target, kind="drain", processors=PROCESSORS + 1)
+        event = session.feed_machine_event(time=target, kind="drain", processors=ILLEGAL_DRAIN)
         self.machine_events.append(event)
         while True:  # an injected fault on the way is ridden out; the drain is not retried
             try:
@@ -328,7 +328,7 @@ class SessionMachine(RuleBasedStateMachine):
             except InjectedFault:
                 continue
             except ValueError as exc:
-                assert "cannot drain" in str(exc)
+                assert _is_the_illegal_drain(exc)
                 break
             raise AssertionError("the drain wider than the machine did not raise")
         self.settled = False  # the drain was the instant's last event: its pass is owed
@@ -336,40 +336,6 @@ class SessionMachine(RuleBasedStateMachine):
         assert now == target and record.corrections == corrections + 1
         assert record.predicted_end > now
         assert (record.predicted_end, record.processors) in session.machine.predicted_releases(now)
-        self.query(0, width)
-
-    @precondition(lambda self: not self._quiet_now())
-    @rule(
-        machine_event=st.booleans(),
-        runtime=st.sampled_from([1, 30, 600]),
-        width=st.integers(min_value=1, max_value=PROCESSORS),
-    )
-    def feed_at_a_processed_instant(self, machine_event, runtime, width):
-        """A job (or a legal capacity change) fed *at* ``now`` once the
-        pass at ``now`` has run: the session opens a second instant at the
-        same time.  Batch equality is not promised (a replay merges the
-        two), so the walk stops being replayed; every job must still end,
-        the table stay the machine's and queries answer the oracle's."""
-        session, machine = self.session, self.session.machine
-        drain = machine.drained < MAX_DRAINED and machine.free > 0
-        if machine_event and (drain or machine.drained):
-            room = min(machine.free, MAX_DRAINED - machine.drained) if drain else machine.drained
-            event = session.feed_machine_event(
-                kind="drain" if drain else "restore", processors=min(width, room)
-            )
-            self.machine_events.append(event)
-        else:
-            job = make_job(
-                job_id=len(self.jobs) + 1,
-                submit_time=session.now,
-                runtime=float(runtime),
-                processors=width,
-                requested_time=float(2 * runtime),
-            )
-            assert session.feed(job) == 1
-            self.jobs.append(job)
-        self.replayable = False
-        self._riding_out_faults(lambda: session.advance_to(session.now))
         self.query(0, width)
 
     @rule(pick=st.integers(min_value=0), width=st.integers(min_value=1, max_value=PROCESSORS))
@@ -503,8 +469,9 @@ class SessionMachine(RuleBasedStateMachine):
         self.registry_is_current_and_the_machine_sound()
         live = _rows(self.session.result())
         assert len(live) == len(self.jobs)
-        if not self.replayable:
-            return
+        self.compare_with_the_replays(live)
+
+    def compare_with_the_replays(self, live: list[tuple]) -> None:
         replayed = Telemetry(component="live")
         assert self._one_shot(self.scheduler, replayed) == live
         assert _comparable(replayed, self.queried) == _comparable(
@@ -515,14 +482,59 @@ class SessionMachine(RuleBasedStateMachine):
             assert self._one_shot(f"legacy-{self.scheduler}", None) == live
 
 
-TestSessionStateful = SessionMachine.TestCase
-TestSessionStateful.settings = settings(
-    max_examples=60,
+class ProcessedInstantMachine(SessionMachine):
+    """The walk with one more rule, which leaves the replay's path: batch
+    equality is not promised once an instant's pass has run and more is
+    fed at its time (a replay merges the two instants, per the
+    ``sim/session.py`` module docstring), so its walks are held to every
+    invariant and to losing no job, and compared with no replay."""
+
+    @precondition(lambda self: not self._quiet_now())
+    @rule(
+        machine_event=st.booleans(),
+        runtime=st.sampled_from([1, 30, 600]),
+        width=st.integers(min_value=1, max_value=PROCESSORS),
+    )
+    def feed_at_a_processed_instant(self, machine_event, runtime, width):
+        """A job (or a legal capacity change) fed *at* ``now`` once the
+        pass at ``now`` has run: the session opens a second instant at the
+        same time.  Every job must still end, the table stay the machine's
+        and queries answer the oracle's."""
+        session, machine = self.session, self.session.machine
+        drain = machine.drained < MAX_DRAINED and machine.free > 0
+        if machine_event and (drain or machine.drained):
+            room = min(machine.free, MAX_DRAINED - machine.drained) if drain else machine.drained
+            event = session.feed_machine_event(
+                kind="drain" if drain else "restore", processors=min(width, room)
+            )
+            self.machine_events.append(event)
+        else:
+            job = make_job(
+                job_id=len(self.jobs) + 1,
+                submit_time=session.now,
+                runtime=float(runtime),
+                processors=width,
+                requested_time=float(2 * runtime),
+            )
+            assert session.feed(job) == 1
+            self.jobs.append(job)
+        self._riding_out_faults(lambda: session.advance_to(session.now))
+        self.query(0, width)
+
+    def compare_with_the_replays(self, live: list[tuple]) -> None:
+        pass
+
+
+_SETTINGS = dict(
     stateful_step_count=30,
     deadline=None,
     derandomize=bool(os.environ.get("CI")),
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+TestSessionStateful = SessionMachine.TestCase
+TestSessionStateful.settings = settings(max_examples=60, **_SETTINGS)
+TestProcessedInstantStateful = ProcessedInstantMachine.TestCase
+TestProcessedInstantStateful.settings = settings(max_examples=30, **_SETTINGS)
 
 
 def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
@@ -590,13 +602,9 @@ def test_a_scripted_walk_meets_every_state_the_queries_must_survive():
     walk.teardown()
 
 
-def test_a_scripted_walk_meets_an_illegal_drain_and_a_processed_instant():
-    """The two rules that leave the replay's path, each sure to run once:
-    a drain wider than the machine in the instant of a correction (the
-    query behind it plans on the corrected end, and the pass it owes runs
-    once), then a job and a drain fed at an instant already processed."""
-    walk = SessionMachine()
-    walk.open_session("conservative", ("ave2", "incremental"))
+def _checked(walk):
+    """``walk``'s rules, each followed by the invariants that hold for
+    every scheduler."""
 
     def then(rule, *args, **kwargs):
         rule(*args, **kwargs)
@@ -605,19 +613,41 @@ def test_a_scripted_walk_meets_an_illegal_drain_and_a_processed_instant():
         walk.the_release_table_is_the_machines()
         walk.nobody_who_could_start_is_waiting()
 
-    session = walk.session
+    return then
+
+
+def test_a_scripted_walk_meets_an_illegal_drain_at_a_correction():
+    """A drain wider than the machine in the instant of a correction,
+    sure to run once: the query behind it plans on the corrected end, the
+    pass it owes runs once, and the walk still equals its replays."""
+    walk = SessionMachine()
+    walk.open_session("conservative", ("ave2", "incremental"))
+    then, session = _checked(walk), walk.session
     # user 1's last two runtimes are 10 s: AVE2 predicts the floor, 60 s, for job 3
     then(walk.feed, gap=0, jobs=[(0, 10, 1, 1, 1), (0, 10, 1, 1, 1)], descending=False)
     then(walk.advance_to, gap=60)
     then(walk.feed, gap=0, jobs=[(0, 600, 5, 8, 1), (0, 100, 1, 14, 2)], descending=False)
     then(walk.advance_to, gap=0)
-    assert session.machine.is_running(3) and walk._next_expire() == session.now + 60
+    assert walk._next_to_expire() is session.record(3)
+    assert session.record(3).predicted_end == session.now + 60
     then(walk.drain_wider_than_free_at_a_correction, width=3)
     assert session.stats.n_corrections == 1 and walk._owes_a_pass()
     assert session.query(job_id=4).start_time >= session.record(3).predicted_end
     then(walk.run_the_owed_pass)
+    walk.teardown()
+
+
+def test_a_scripted_walk_feeds_at_a_processed_instant():
+    """A job and then a drain fed at an instant whose pass has run, each
+    sure to run once: every job still ends."""
+    walk = ProcessedInstantMachine()
+    walk.open_session("conservative", ("ave2", "incremental"))
+    then, session = _checked(walk), walk.session
+    then(walk.feed, gap=0, jobs=[(0, 10, 1, 1, 1), (0, 600, 5, 8, 1)], descending=False)
+    then(walk.advance_to, gap=10)  # job 1 ends at 10: that instant's pass runs
+    assert session.now == 10.0 and not walk._quiet_now()
     then(walk.feed_at_a_processed_instant, machine_event=False, runtime=30, width=2)
     then(walk.feed_at_a_processed_instant, machine_event=True, runtime=30, width=2)
-    assert not walk.replayable and session.machine.drained == 2
+    assert session.machine.drained == 2
     walk.teardown()
-    assert session.record(5).submit_time == 120.0 and session.record(5).finished
+    assert session.record(3).submit_time == 10.0 and session.record(3).finished
